@@ -6,14 +6,16 @@ export PYTHONPATH := src
 ## Default verification: static analysis first (per-file and
 ## whole-program tiers, then the R009-R012 self-check and the SARIF
 ## artifact), then the test suite (which includes the fault-injection
-## suite), then the fault suite once more on its own so a recovery
-## regression is named explicitly, then the watch smoke (monitoring
-## engine end-to-end + event schema), then the serve smoke (daemon
-## end-to-end over a real socket + warm-hit floor), then the
+## suite), then the benchmark's own self-tests (bench/ sits outside
+## the suite's testpaths), then the fault suite once more on its own
+## so a recovery regression is named explicitly, then the watch smoke
+## (monitoring engine end-to-end + event schema), then the serve smoke
+## (daemon end-to-end over a real socket + warm-hit floor), then the
 ## out-of-core smoke (spill-backed pipeline + RSS gate at reduced
 ## scale).
 test: lint lint-wp lint-sarif
 	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest bench -q
 	$(MAKE) faults
 	$(MAKE) watch-smoke
 	$(MAKE) serve-smoke

@@ -19,7 +19,7 @@ exactly so the Table 9 comparison is meaningful:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping, Sequence
 
 from repro.core.hegemony import hegemony_scores, validate_trim
 from repro.core.ranking import Ranking
@@ -39,40 +39,48 @@ def _check_weighting(weighting: str) -> str:
     return weighting
 
 
-def _weighted_origin_average(
+def _origin_weights(
     origins: Sequence[int],
-    bucket_of: Callable[[int], Sequence[PathRecord]],
-    hegemony_of: Callable[[int, Sequence[PathRecord]], dict[int, float]],
     weighting: str,
+    observed: Container[int],
+    footprint: Callable[[int], int],
 ) -> dict[int, float]:
-    """The AHC step 2 shared by the naive and cached paths: a weighted
-    average of per-origin hegemony tables, accumulated in sorted-origin
-    order (so both paths produce bit-identical floats).
+    """Each contributing origin's weight, shared by the naive and cached
+    paths: 1.0 per ``observed`` origin (``as_count``), or its observed
+    address ``footprint`` (``addresses``, where a zero footprint drops
+    the origin).
 
     Origins with no observed paths contribute nothing (and do not
     dilute the average), mirroring IHR's per-AS daily computation.
     """
+    weights: dict[int, float] = {}
+    for origin in origins:
+        if origin not in observed:
+            continue
+        weight = float(footprint(origin)) if weighting == "addresses" else 1.0
+        if weight > 0.0:
+            weights[origin] = weight
+    return weights
+
+
+def _weighted_origin_average(
+    origins: Sequence[int],
+    weights: Mapping[int, float],
+    hegemony_of: Callable[[int], Mapping[int, float]],
+) -> dict[int, float]:
+    """The AHC step 2 shared by the naive and cached paths: a weighted
+    average of per-origin hegemony tables, accumulated in sorted-origin
+    order (so both paths produce bit-identical floats)."""
     totals: dict[int, float] = {}
     weight_sum = 0.0
     contributing = 0
     for origin in origins:
-        bucket = bucket_of(origin)
-        if not bucket:
+        weight = weights.get(origin)
+        if weight is None:
             continue
-        if weighting == "addresses":
-            weight = float(sum(
-                addresses
-                for addresses in {
-                    record.prefix: record.addresses for record in bucket
-                }.values()
-            ))
-            if weight <= 0.0:
-                continue
-        else:
-            weight = 1.0
         weight_sum += weight
         contributing += 1
-        for asn, value in hegemony_of(origin, bucket).items():
+        for asn, value in hegemony_of(origin).items():
             totals[asn] = totals.get(asn, 0.0) + weight * value
     if contributing == 0:
         # exact-integer accounting: no origin contributed, so there is
@@ -104,11 +112,16 @@ def ahc_scores(
         bucket = by_origin.get(record.origin)
         if bucket is not None:
             bucket.append(record)
+    observed = {origin for origin, bucket in by_origin.items() if bucket}
+    weights = _origin_weights(
+        origins, weighting, observed,
+        lambda origin: sum({
+            record.prefix: record.addresses for record in by_origin[origin]
+        }.values()),
+    )
     return _weighted_origin_average(
-        origins,
-        by_origin.__getitem__,
-        lambda origin, bucket: hegemony_scores(bucket, trim),
-        weighting,
+        origins, weights,
+        lambda origin: hegemony_scores(by_origin[origin], trim),
     )
 
 
@@ -120,26 +133,25 @@ def ahc_scores_cached(
 ) -> dict[int, float]:
     """:func:`ahc_scores` through the batch-engine cache.
 
-    The per-origin record buckets and per-origin hegemony tables come
-    from (and populate) the view's
-    :class:`~repro.perf.cache.ViewComputation`, so a multi-country
-    sweep buckets the global view's records once — instead of one full
-    scan per country — and every repeated (origin, trim) hegemony is a
+    The per-origin hegemony tables come from the view's
+    :class:`~repro.perf.cache.ViewComputation`: one columnar kernel
+    call per country computes every registered origin's table from the
+    store's origin column, and every repeated (origin, trim) table is a
     ``perf.view.hit``. Values are bit-identical to the naive path: the
-    averaging loop is shared and the cached buckets preserve record
-    order.
+    kernel matches :func:`~repro.core.hegemony.hegemony_scores` and the
+    weighting and averaging loops are shared.
     """
     _check_weighting(weighting)
     validate_trim(trim)
     origins = sorted(set(country_origins))
-    buckets = compute.origin_records()
-    empty: tuple[PathRecord, ...] = ()
-    return _weighted_origin_average(
-        origins,
-        lambda origin: buckets.get(origin, empty),
-        lambda origin, bucket: compute.local_hegemony(origin, trim),
-        weighting,
+    tables = compute.local_hegemonies(origins, trim)
+    footprints = (
+        compute.origin_footprints(origins) if weighting == "addresses" else {}
     )
+    weights = _origin_weights(
+        origins, weighting, tables, footprints.__getitem__
+    )
+    return _weighted_origin_average(origins, weights, tables.__getitem__)
 
 
 def ahc_ranking(
@@ -157,7 +169,7 @@ def ahc_ranking(
     ``paths`` is any record holder (the sanitized :class:`PathSet` or
     the equivalent global :class:`~repro.core.views.View`). ``compute``
     is an optional :class:`~repro.perf.cache.ViewComputation` for that
-    view: per-origin buckets and hegemony tables come from its
+    view: per-origin hegemony tables come from its columnar kernel and
     cross-metric cache (see :func:`ahc_scores_cached`). ``metric``
     overrides the ranking label (variants like ``AHC-A`` pass theirs).
     """

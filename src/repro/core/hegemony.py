@@ -29,6 +29,17 @@ from repro.obs.trace import NULL_TRACER, AnyTracer
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.cache import ViewComputation
 
+#: path weightings: the paper's address-weighted estimator and the
+#: per-prefix (unweighted) ablation
+HEGEMONY_WEIGHTINGS = ("addresses", "prefixes")
+
+
+def check_weighting(weighting: str) -> str:
+    """Reject unknown path weightings with one message on every path."""
+    if weighting not in HEGEMONY_WEIGHTINGS:
+        raise ValueError(f"unknown hegemony weighting {weighting!r}")
+    return weighting
+
 
 def per_vp_scores(
     records: Iterable[PathRecord],
@@ -40,8 +51,7 @@ def per_vp_scores(
     weighted by destination address counts); ``"prefixes"`` counts every
     path once, the unweighted variant used as an ablation.
     """
-    if weighting not in ("addresses", "prefixes"):
-        raise ValueError(f"unknown hegemony weighting {weighting!r}")
+    check_weighting(weighting)
     weight_on: dict[str, dict[int, float]] = {}
     weight_total: dict[str, float] = {}
     universe: set[int] = set()
@@ -121,8 +131,8 @@ def trimmed_scores_sparse(
     over the implicit sorted array ``[0.0] * zeros + sorted(nonzero)``
     is then a slice of the nonzero list. Identical output (the kept
     values are summed in the same ascending order, and leading zeros
-    do not perturb a float sum of non-negative terms); used on the
-    batch-engine path (:class:`repro.perf.cache.ViewComputation`).
+    do not perturb a float sum of non-negative terms); CTI's cached
+    path (:meth:`repro.perf.cache.ViewComputation.cti`) uses it.
     """
     validate_trim(trim)
     n = len(per_vp)
@@ -158,18 +168,11 @@ def hegemony_scores(
     records: Iterable[PathRecord],
     trim: float = 0.1,
     weighting: str = "addresses",
-    precomputed: tuple[dict[str, dict[int, float]], set[int]] | None = None,
 ) -> dict[int, float]:
-    """AS hegemony for every AS observed in the records.
-
-    ``precomputed`` injects an already-built ``(per_vp, universe)`` pair
-    for the same records/weighting (the cross-metric cache path).
-    """
+    """AS hegemony for every AS observed in the records — the reference
+    the columnar kernel (:mod:`repro.perf.hegemony`) is held to."""
     validate_trim(trim)
-    per_vp, universe = (
-        precomputed if precomputed is not None
-        else per_vp_scores(records, weighting)
-    )
+    per_vp, universe = per_vp_scores(records, weighting)
     return trimmed_scores(per_vp, universe, trim)
 
 
@@ -203,8 +206,8 @@ def hegemony_ranking(
     case-study tables report AH percentages.
 
     ``compute`` is an optional :class:`repro.perf.cache.ViewComputation`
-    for this view: the per-VP betweenness table comes from (and
-    populates) its cross-metric cache.
+    for this view: the table comes from its columnar kernel, memoised
+    per (trim, weighting).
     """
     validate_trim(trim)
     if metric is None:

@@ -241,15 +241,25 @@ class PipelineResult:
     ) -> "ViewComputation":
         """The memoised :class:`repro.perf.ViewComputation` for one of
         this result's views — the cross-metric intermediate cache the
-        CC*/AH*/CTI rankings share."""
+        CC*/AH*/CTI rankings share.
+
+        It reads the shared path store at the view's record positions:
+        the index's ascending positions for a country view, every
+        record for the global view.
+        """
         key = (kind, country)
         cached = self._computations.get(key)
         if cached is None:
             from repro.perf.cache import ViewComputation
 
+            view = self.view(kind, country)
             cached = ViewComputation(
-                self.view(kind, country), self.oracle,
-                self.suffix_cache(), self._tracer,
+                view, self.oracle, self.suffix_cache(), self._tracer,
+                store=self.paths.store(),
+                positions=(
+                    None if kind == "global"
+                    else self.path_index().indices(kind, view.country)
+                ),
             )
             self._computations[key] = cached
         return cached

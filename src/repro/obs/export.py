@@ -192,14 +192,31 @@ def _fmt_volume(value: object) -> str:
     return f"{'-':>9}"
 
 
+#: span attributes that say *which* unit a span computed; their values
+#: follow the span name in the row label, so a sweep's rows differ
+_IDENTITY_ATTRS = ("snapshot", "stage", "endpoint", "kind", "metric", "country")
+#: spans whose ``output`` counts the ``input`` records that survived; a
+#: metric span's ``output`` counts ranked ASes, so it has no drop ratio
+_FILTER_SPANS = frozenset(("sanitize", "geolocate", "views"))
+_LABEL_WIDTH = 36
+
+
+def _span_label(record: SpanRecord, depth: int) -> str:
+    identity = [
+        str(record.attrs[key]) for key in _IDENTITY_ATTRS
+        if record.attrs.get(key) is not None
+    ]
+    return "  " * depth + " ".join([record.name, *identity])
+
+
 def _span_row(record: SpanRecord, depth: int) -> str:
-    label = "  " * depth + record.name
     attrs = record.attrs
     inp = attrs.get("input")
     out = attrs.get("output")
     drop = "-"
     if (
-        isinstance(inp, (int, float)) and isinstance(out, (int, float))
+        record.name in _FILTER_SPANS
+        and isinstance(inp, (int, float)) and isinstance(out, (int, float))
         and not isinstance(inp, bool) and inp > 0
     ):
         drop = f"{100.0 * (1.0 - out / inp):.1f}%"
@@ -207,16 +224,23 @@ def _span_row(record: SpanRecord, depth: int) -> str:
     if record.mem_peak is not None:
         mem = f"  peak {record.mem_peak / 1e6:.1f}MB"
     return (
-        f"{label:<28}{_fmt_duration(record.dur_s)}{_fmt_duration(record.cpu_s)}"
+        f"{_span_label(record, depth):<{_LABEL_WIDTH}}"
+        f"{_fmt_duration(record.dur_s)}{_fmt_duration(record.cpu_s)}"
         f"{_fmt_volume(inp)}{_fmt_volume(out)}{drop:>8}{mem}"
     )
 
 
 def stage_report(tracer: Tracer, title: str = "pipeline stage report") -> str:
-    """The Figure-6-style per-stage accounting, rendered for a terminal."""
+    """The Figure-6-style per-stage accounting, rendered for a terminal.
+
+    Each span row is labelled with its name and identity attributes
+    (``ranking AHN AU``); the drop column is shown for the filtering
+    stages only (``sanitize``, ``geolocate``, ``views``).
+    """
     lines = [f"== {title} =="]
     lines.append(
-        f"{'stage':<28}{'wall':>8}{'cpu':>8}{'in':>9}{'out':>9}{'drop':>8}"
+        f"{'stage':<{_LABEL_WIDTH}}{'wall':>8}{'cpu':>8}{'in':>9}{'out':>9}"
+        f"{'drop':>8}"
     )
     children: dict[int | None, list[SpanRecord]] = {}
     for record in tracer.spans:

@@ -7,8 +7,11 @@ Three layers, designed to compose (see DESIGN.md §4):
   the same for VP-downsampled trial views.
 * :mod:`repro.perf.cache` — :class:`SuffixCache` and
   :class:`ViewComputation` memoise the intermediates the metric
-  families share (transit suffixes, cones, per-VP betweenness, address
+  families share (transit suffixes, cones, hegemony tables, address
   totals), with hit/miss observability counters.
+* :mod:`repro.perf.hegemony` — the columnar hegemony kernel: AH* and
+  AHC tables straight from the store's columns, bit-identical to
+  :func:`repro.core.hegemony.hegemony_scores`.
 * :mod:`repro.perf.parallel` — deterministic process fan-out for
   propagation origins and stability trials (``workers=1`` stays the
   byte-identical serial path).
@@ -17,8 +20,8 @@ Three layers, designed to compose (see DESIGN.md §4):
   shared state (zero-copy under ``fork``).
 * :mod:`repro.perf.pathstore` — :class:`PathStore`, the
   structure-of-arrays mirror of the sanitized records (flat interned
-  token arrays) feeding the suffix bulk-prime and the index's origin
-  buckets.
+  token arrays) feeding the suffix bulk-prime, the index's origin
+  buckets and the hegemony kernel.
 * :mod:`repro.perf.spill` — the out-of-core variant:
   :class:`MmapPathStore` maps the same columns read-only from disk
   (written append-only by streaming ingestion), so worlds far larger

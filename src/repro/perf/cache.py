@@ -11,9 +11,11 @@ Two layers, both hanging off :class:`repro.core.pipeline.PipelineResult`:
 
 * :class:`ViewComputation` — per-view intermediates shared between
   metric families: the AS-level customer cones and cone address
-  closure (CC*), the per-VP betweenness table and AS universe that the
-  hegemony estimator's step 1 produces (AH*), and the view's total
-  address denominator (CC* and CTI both divide by it).
+  closure (CC*), the view's total address denominator (CC* and CTI
+  both divide by it), and the hegemony tables (AH*, and AHC's
+  per-origin tables) that the columnar kernel
+  (:mod:`repro.perf.hegemony`) computes from the view's record
+  positions in the shared :class:`~repro.perf.pathstore.PathStore`.
 
 Both layers report hit/miss counters into the pipeline's metrics
 registry (``perf.suffix.hit`` / ``perf.suffix.miss`` and
@@ -22,13 +24,15 @@ how much recomputation the cache absorbed.
 
 Determinism: a cache never changes *what* is computed, only how often —
 every product is the exact object the naive code path would have built
-(the equivalence tests in ``tests/perf/test_cache.py`` compare them
-value-for-value).
+(the equivalence tests in ``tests/perf/test_cache.py`` and
+``tests/perf/test_hegemony_kernel.py`` compare them value-for-value).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.cone import (
     cone_addresses,
@@ -36,19 +40,13 @@ from repro.core.cone import (
     transit_suffix,
 )
 from repro.core.cti import per_vp_transit
-from repro.core.hegemony import (
-    hegemony_scores,
-    per_vp_scores,
-    trimmed_scores_sparse,
-    validate_trim,
-)
+from repro.core.hegemony import trimmed_scores_sparse, validate_trim
 from repro.core.sanitize import PathRecord, RelationshipOracle
 from repro.core.views import View
 from repro.net.aspath import ASPath
 from repro.obs.trace import NULL_TRACER, AnyTracer
-
-if TYPE_CHECKING:
-    from repro.perf.pathstore import PathStore
+from repro.perf.hegemony import hegemony_tables
+from repro.perf.pathstore import PathStore
 
 
 class SuffixCache:
@@ -167,14 +165,20 @@ class ViewComputation:
     One instance per (view, oracle) pair; the pipeline result keeps a
     table of them keyed like its view table, so CCI/AHI/CTI on the same
     international view share a single instance (and therefore a single
-    suffix walk, cone closure, per-VP table, and address total).
+    suffix walk, cone closure, and address total).
+
+    ``store`` / ``positions`` locate the view's records in a shared
+    :class:`~repro.perf.pathstore.PathStore`: ``positions`` are their
+    ascending record positions, ``None`` meaning every stored record
+    (the global view). Without a store, one is built over the view's
+    own records on first use, so the hegemony kernel has one code path.
     """
 
     __slots__ = (
         "view", "oracle", "suffix_of", "_hits", "_misses",
-        "_total_addresses", "_cones", "_cone_addresses", "_per_vp",
+        "_total_addresses", "_cones", "_cone_addresses",
         "_hegemony", "_cti", "_profile", "_suffix_list",
-        "_origin_records", "_local_hegemony",
+        "_store", "_positions", "_local_hegemony",
     )
 
     def __init__(
@@ -183,6 +187,8 @@ class ViewComputation:
         oracle: RelationshipOracle,
         suffix_of: SuffixCache | None = None,
         tracer: AnyTracer = NULL_TRACER,
+        store: PathStore | None = None,
+        positions: Sequence[int] | None = None,
     ) -> None:
         self.view = view
         self.oracle = oracle
@@ -197,13 +203,20 @@ class ViewComputation:
         self._total_addresses: int | None = None
         self._cones: dict[int, set[int]] | None = None
         self._cone_addresses: dict[int, int] | None = None
-        self._per_vp: dict[str, tuple] = {}
         self._hegemony: dict[tuple[float, str], dict[int, float]] = {}
         self._cti: dict[float, dict[int, float]] = {}
         self._profile: tuple[dict[int, int], int, bool] | None = None
         self._suffix_list: list[tuple[int, ...]] | None = None
-        self._origin_records: dict[int, tuple[PathRecord, ...]] | None = None
-        self._local_hegemony: dict[tuple[int, float], dict[int, float]] = {}
+        self._store = store
+        self._positions: np.ndarray | None = (
+            None if positions is None
+            else np.asarray(positions, dtype=np.int64)
+        )
+        #: per (origin, trim): the origin's table, None when the view
+        #: holds no record toward it
+        self._local_hegemony: dict[
+            tuple[int, float], dict[int, float] | None
+        ] = {}
 
     def _prefix_profile(self) -> tuple[dict[int, int], int, bool]:
         """One walk over the records shared by the address total and the
@@ -316,56 +329,79 @@ class ViewComputation:
                 )
         return totals
 
-    def origin_records(self) -> dict[int, tuple[PathRecord, ...]]:
-        """The view's records bucketed by origin AS (memoised).
+    def store(self) -> PathStore:
+        """The columnar store holding the view's records."""
+        if self._store is None:
+            self._store = PathStore(self.view.records)
+            self._positions = None
+        return self._store
 
-        One walk over the records, shared by every AHC country in a
-        sweep — the naive path re-scans all records per country.
-        Buckets preserve record order, so any per-origin consumer sees
-        exactly the records the naive filter would have produced.
-        """
-        if self._origin_records is None:
-            self._misses.inc()
-            buckets: dict[int, list[PathRecord]] = {}
-            for record in self.view.records:
-                buckets.setdefault(record.origin, []).append(record)
-            self._origin_records = {
-                origin: tuple(records) for origin, records in buckets.items()
-            }
-        else:
-            self._hits.inc()
-        return self._origin_records
+    def positions(self) -> np.ndarray:
+        """The view's ascending record positions in :meth:`store`."""
+        store = self.store()
+        if self._positions is None:
+            return np.arange(store.record_count, dtype=np.int64)
+        return self._positions
+
+    def origin_positions(self, origins: Iterable[int]) -> dict[int, np.ndarray]:
+        """Per requested origin AS with records in the view, their
+        ascending positions, grouped from the store's origin column."""
+        column = np.asarray(self.store().record_origin, dtype=np.int64)
+        base = self._positions
+        selected = column if base is None else column[base]
+        wanted = np.asarray(sorted(set(origins)), dtype=np.int64)
+        hits = np.flatnonzero(np.isin(selected, wanted))
+        if len(hits) == 0:
+            return {}
+        # a stable sort by origin keeps each origin's positions ascending
+        order = np.argsort(selected[hits], kind="stable")
+        found = selected[hits][order]
+        positions = (hits if base is None else base[hits])[order]
+        cuts = np.flatnonzero(found[1:] != found[:-1]) + 1
+        starts = np.concatenate(([0], cuts))
+        return dict(zip(found[starts].tolist(), np.split(positions, cuts)))
+
+    def origin_footprints(self, origins: Iterable[int]) -> dict[int, int]:
+        """Per requested origin AS with records in the view, the total
+        addresses of its distinct observed prefixes (AHC-A's weight)."""
+        store = self.store()
+        return {
+            origin: store.prefix_addresses(group.tolist())
+            for origin, group in self.origin_positions(origins).items()
+        }
 
     def local_hegemony(self, origin: int, trim: float) -> dict[int, float]:
         """IHR's per-origin network dependency (AHC's step 1): hegemony
-        over the paths toward one origin AS, memoised per
-        ``(origin, trim)`` — the table every AHC weighting variant and
-        repeated sweep shares."""
-        validate_trim(trim)
-        key = (origin, trim)
-        cached = self._local_hegemony.get(key)
-        if cached is None:
-            self._misses.inc()
-            bucket = self.origin_records().get(origin, ())
-            cached = hegemony_scores(bucket, trim) if bucket else {}
-            self._local_hegemony[key] = cached
-        else:
-            self._hits.inc()
-        return cached
+        over the view's paths toward one origin AS (``{}`` when there
+        are none)."""
+        return self.local_hegemonies((origin,), trim).get(origin, {})
 
-    def per_vp_hegemony(
-        self, weighting: str = "addresses"
-    ) -> tuple[dict[str, dict[int, float]], set[int]]:
-        """Step 1 of the hegemony estimator — the per-VP betweenness
-        table and AS universe — memoised per weighting."""
-        cached = self._per_vp.get(weighting)
-        if cached is None:
-            self._misses.inc()
-            cached = per_vp_scores(self.view.records, weighting)
-            self._per_vp[weighting] = cached
-        else:
-            self._hits.inc()
-        return cached
+    def local_hegemonies(
+        self, origins: Iterable[int], trim: float
+    ) -> dict[int, dict[int, float]]:
+        """:meth:`local_hegemony` for every requested origin with records
+        in the view (the others are absent), memoised per
+        ``(origin, trim)`` — the tables every AHC weighting variant and
+        repeated sweep shares. The missing tables come from one kernel
+        call, one group per origin."""
+        validate_trim(trim)
+        wanted = sorted(set(origins))
+        memo = self._local_hegemony
+        missing = [origin for origin in wanted if (origin, trim) not in memo]
+        self._hits.inc(len(wanted) - len(missing))
+        if missing:
+            self._misses.inc(len(missing))
+            groups = self.origin_positions(missing)
+            computed = dict(zip(groups, hegemony_tables(
+                self.store(), list(groups.values()), trim,
+            )))
+            for origin in missing:
+                memo[(origin, trim)] = computed.get(origin)
+        tables = {origin: memo[(origin, trim)] for origin in wanted}
+        return {
+            origin: table for origin, table in tables.items()
+            if table is not None
+        }
 
     def cti(self, trim: float) -> dict[int, float]:
         """The view's CTI table — step 1 over the shared suffix table,
@@ -402,16 +438,16 @@ class ViewComputation:
     def hegemony(
         self, trim: float, weighting: str = "addresses"
     ) -> dict[int, float]:
-        """The full (trimmed) hegemony table for the view — step 1 from
-        the per-VP cache, step 2 via the zero-skipping
-        :func:`repro.core.hegemony.trimmed_scores_sparse` — memoised per
-        (trim, weighting)."""
+        """The view's hegemony table from the columnar kernel
+        (:func:`repro.perf.hegemony.hegemony_tables`, the view as one
+        group), memoised per (trim, weighting)."""
         key = (trim, weighting)
         cached = self._hegemony.get(key)
         if cached is None:
             self._misses.inc()
-            per_vp, universe = self.per_vp_hegemony(weighting)
-            cached = trimmed_scores_sparse(per_vp, universe, trim)
+            cached = hegemony_tables(
+                self.store(), [self.positions()], trim, weighting
+            )[0]
             self._hegemony[key] = cached
         else:
             self._hits.inc()

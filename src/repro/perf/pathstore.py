@@ -16,7 +16,11 @@ integer arrays, deduplicated by path:
 * ``record_origin`` — per-record origin ASN column for the index's
   grouped walks;
 * ``record_addresses`` — per-record address counts, kept as a plain
-  tuple: IPv6 prefixes carry counts far beyond int64 range.
+  tuple: IPv6 prefixes carry counts far beyond int64 range;
+* ``record_vp`` / ``record_weight`` — per-record VP id (VP IPs interned
+  in first-appearance order) and ``float(addresses)``, the two columns
+  only the hegemony kernel (:mod:`repro.perf.hegemony`) reads, derived
+  on first use.
 
 Arrays are numpy when available (vectorized suffix computation, C-speed
 grouping) with a stdlib ``array`` fallback that preserves the layout
@@ -32,7 +36,8 @@ lint rule R007 extends to its arrays.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 try:  # numpy is optional: the store degrades to stdlib arrays
     import numpy as _np
@@ -56,13 +61,21 @@ def _int_array(values: list[int]):
     return _stdlib_array("q", values)
 
 
+def _float_array(values: list[float]) -> Any:
+    """A contiguous float64 column (numpy if available)."""
+    if _np is not None:
+        return _np.asarray(values, dtype=_np.float64)
+    return _stdlib_array("d", values)
+
+
 class PathStore:
     """Interned, flattened view of a record sequence's paths."""
 
     __slots__ = (
         "records", "paths", "path_ids", "tokens", "offsets", "lengths",
-        "record_path", "record_origin", "record_addresses", "_token_list",
-        "_pair_buckets", "_starts_memo",
+        "record_path", "record_origin", "record_addresses", "record_vp",
+        "record_weight", "_token_list", "_pair_buckets", "_starts_memo",
+        "_distinct",
     )
 
     def __init__(self, records: Sequence["PathRecord"]) -> None:
@@ -98,12 +111,31 @@ class PathStore:
         self._token_list: list[int] | None = None
         self._pair_buckets: dict[tuple[str, str], list[int]] | None = None
         self._starts_memo: tuple[object, list[int]] | None = None
+        self._distinct: tuple[Any, Any, Any, Any] | None = None
         self.tokens = _int_array(tokens)
         self.offsets = _int_array(offsets)
         self.lengths = _int_array(lengths)
         self.record_path = _int_array(record_path)
         self.record_origin = _int_array(record_origin)
         self.record_addresses = tuple(record_addresses)
+
+    def __getattr__(self, name: str) -> Any:
+        # the hegemony kernel's columns, filled on first use (fires only
+        # while the slot is unset)
+        if name == "record_vp":
+            ips = list(map(attrgetter("vp.ip"), self.records))
+            first_seen = dict.fromkeys(ips)
+            vp_ids = dict(zip(first_seen, range(len(first_seen))))
+            column = _int_array(list(map(vp_ids.__getitem__, ips)))
+            self.record_vp = column
+            return column
+        if name == "record_weight":
+            weights = _float_array(
+                [float(addresses) for addresses in self.record_addresses]
+            )
+            self.record_weight = weights
+            return weights
+        raise AttributeError(name)
 
     def __len__(self) -> int:
         """Number of distinct paths stored."""
@@ -112,6 +144,28 @@ class PathStore:
     @property
     def record_count(self) -> int:
         return len(self.record_path)
+
+    def distinct_asns(self) -> tuple[Any, Any, Any, Any]:
+        """``(ids, offsets, lengths, asns)``: every path's
+        ``unique_asns()`` as columns of indices into ``asns``, the
+        sorted distinct ASNs (memoised; see
+        :func:`repro.perf.hegemony.distinct_path_asns`)."""
+        if self._distinct is None:
+            from repro.perf.hegemony import distinct_path_asns
+
+            self._distinct = distinct_path_asns(
+                self.tokens, self.offsets, self.lengths
+            )
+        return self._distinct
+
+    def prefix_addresses(self, positions: Iterable[int]) -> int:
+        """Total addresses of the distinct prefixes of the records at
+        ``positions`` (a prefix seen twice counts once)."""
+        per_prefix = dict(map(
+            attrgetter("prefix", "addresses"),
+            map(self.records.__getitem__, positions),
+        ))
+        return sum(per_prefix.values())
 
     def token_list(self) -> list[int]:
         """The token column as plain Python ints (memoised) — the form

@@ -437,7 +437,7 @@ class MmapPathStore(PathStore):
     """
 
     __slots__ = (
-        "directory", "manifest", "record_vp", "record_prefix",
+        "directory", "manifest", "record_prefix",
         "_vp_table", "_prefix_table", "_origin_memo",
     )
 
@@ -478,6 +478,7 @@ class MmapPathStore(PathStore):
         self._token_list = None
         self._pair_buckets = None
         self._starts_memo = None
+        self._distinct = None
         self._origin_memo: dict[int, _stdlib_array] | None = None
         self._vp_table: list[tuple[VantagePoint, str]] | None = None
         self._prefix_table: list[tuple[Prefix, str, object]] | None = None
@@ -542,7 +543,33 @@ class MmapPathStore(PathStore):
             column = _AddressColumn(self)
             self.record_addresses = column  # type: ignore[assignment]
             return column
+        if name == "record_weight":
+            # float() per prefix, then one gather through the prefix ids
+            prefix_weight = [
+                float(addresses) for _, _, addresses in self.prefix_table
+            ]
+            np = _ps._np
+            if np is not None:
+                weights = np.asarray(prefix_weight, dtype=np.float64)[
+                    self.record_prefix
+                ]
+            else:
+                weights = _stdlib_array(
+                    "d", (prefix_weight[fid] for fid in self.record_prefix)
+                )
+            self.record_weight = weights
+            return weights
         raise AttributeError(name)
+
+    def prefix_addresses(self, positions: Iterable[int]) -> int:
+        """Same total as the in-memory store, from the prefix id column
+        and side table — no record objects."""
+        table = self.prefix_table
+        record_prefix = self.record_prefix
+        return sum(
+            table[fid][2]
+            for fid in sorted({int(record_prefix[p]) for p in positions})
+        )
 
     # -- grouping (streaming passes over the mapped columns) ---------------
 

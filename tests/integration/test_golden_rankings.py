@@ -1,4 +1,5 @@
-"""Golden pin: all 10 metrics on the medium world, value-exact.
+"""Golden pins on the medium world, value-exact: the 10 original
+metrics' payloads, and a digest of the whole 190-ranking sweep.
 
 ``tests/golden/medium_rankings.json`` was generated *before* the metric
 registry refactor (same generator seed, same config) and is the
@@ -8,16 +9,26 @@ every ranking bit-identical to these payloads. Regenerate only for an
 intentional value change, never to make a refactor pass.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.registry import iter_specs
 from repro.resilience.checkpoint import ranking_to_payload
 from repro.topology.generator import generate_world
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "medium_rankings.json"
+
+#: sha256 over every registry metric for every qualifying country on
+#: this fixture (190 rankings), recorded before the columnar hegemony
+#: kernel replaced the per-VP dict path; its first 16 hex digits are
+#: the benchmark's pinned ``rank-medium`` digest at seed 42
+SWEEP_DIGEST = (
+    "cdc3ba1e5bd61b5d528caa356955238465e47c3842ebd485ad09b91d00d21bcf"
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,3 +70,24 @@ def test_ranking_matches_golden(golden, result, metric, country):
     expected = golden["rankings"][key]
     actual = ranking_to_payload(result.ranking(metric, country))
     assert actual == expected
+
+
+def test_whole_sweep_digest(result):
+    """Every registry metric for every qualifying country, value-exact:
+    a one-ulp drift anywhere (AHC-A, the -P variants, any country)
+    changes the digest. Same recipe as the benchmark's
+    ``ranking_digest``, over the full hex digest."""
+    countries = result.countries_with_national_view()
+    digest = hashlib.sha256()
+    units = 0
+    for spec in iter_specs():
+        for country in countries if spec.needs_country else [None]:
+            ranking = result.ranking(spec.name, country)
+            digest.update(f"{spec.name}|{country}\n".encode())
+            for e in ranking.entries:
+                digest.update(
+                    f"{e.rank} {e.asn} {e.value!r} {e.share!r}\n".encode()
+                )
+            units += 1
+    assert units == 190
+    assert digest.hexdigest() == SWEEP_DIGEST

@@ -115,5 +115,31 @@ class TestStageReport:
         assert "loop" in report
         assert "accepted" in report
 
+    def test_rows_carry_identity_and_metric_spans_no_drop(self):
+        tracer = Tracer()
+        with tracer.span("sweep"):
+            for metric in ("AHN", "CCN"):
+                with tracer.span("ranking", metric=metric, country="AU") as span:
+                    with tracer.span(
+                        "hegemony", metric=f"{metric}:AU", input=1752,
+                    ) as inner:
+                        inner.set(output=63)
+                    span.set(output=63)
+            with tracer.span("ranking", metric="AHG", country=None):
+                pass
+            with tracer.span("views", kind="national", country="AU",
+                             input=200, output=50):
+                pass
+        report = stage_report(tracer)
+        rows = report.splitlines()
+        assert any(row.startswith("  ranking AHN AU ") for row in rows)
+        assert any(row.startswith("  ranking CCN AU ") for row in rows)
+        assert any(row.startswith("  ranking AHG ") for row in rows)
+        assert any(row.startswith("    hegemony AHN:AU ") for row in rows)
+        # a metric span's output counts ranked ASes, not surviving records
+        assert "96.4%" not in report
+        views = next(row for row in rows if "views national AU" in row)
+        assert views.endswith("75.0%")
+
     def test_custom_title(self):
         assert stage_report(sample_tracer(), title="hello") .startswith("== hello ==")

@@ -138,14 +138,22 @@ class TestViewComputation:
         assert compute.cone_addresses() == cone_addresses(records, result.oracle)
         assert compute.total_addresses() == view.total_addresses()
 
-    def test_per_vp_hegemony_matches(self, result, view):
-        compute = ViewComputation(view, result.oracle)
-        assert compute.per_vp_hegemony() == per_vp_scores(view.records)
-
     def test_hegemony_matches_naive(self, result, view):
         compute = ViewComputation(view, result.oracle)
         for trim in (0.0, 0.1, 0.25):
-            assert compute.hegemony(trim) == hegemony_scores(view.records, trim)
+            for weighting in ("addresses", "prefixes"):
+                assert compute.hegemony(trim, weighting) == hegemony_scores(
+                    view.records, trim, weighting
+                )
+
+    def test_hegemony_through_shared_store(self, result, view):
+        """The pipeline's computations read the shared store at the
+        view's positions; the tables equal a private store's."""
+        code = view.country
+        shared = result.computation("international", code)
+        assert shared.store() is result.paths.store()
+        private = ViewComputation(view, result.oracle)
+        assert shared.hegemony(0.1) == private.hegemony(0.1)
 
     def test_cti_matches_naive(self, result, view):
         compute = ViewComputation(view, result.oracle)
@@ -210,20 +218,27 @@ class TestAhcThroughCache:
         code = result.countries_with_national_view()[0]
         return sorted(result.world.graph.by_registry_country(code))
 
-    def test_origin_records_match_manual_bucketing(self, result, global_view):
-        compute = ViewComputation(global_view, result.oracle)
-        buckets = compute.origin_records()
-        manual = {}
-        for rec in global_view.records:
-            manual.setdefault(rec.origin, []).append(rec)
-        assert buckets == {o: tuple(rs) for o, rs in manual.items()}
-
     def test_local_hegemony_matches_naive(self, result, global_view, origins):
         compute = ViewComputation(global_view, result.oracle)
-        buckets = compute.origin_records()
+        buckets = {}
+        for rec in global_view.records:
+            buckets.setdefault(rec.origin, []).append(rec)
         for origin in origins:
             expected = hegemony_scores(buckets.get(origin, ()), 0.1)
             assert compute.local_hegemony(origin, 0.1) == expected
+
+    def test_origin_positions_match_records(self, result, global_view, origins):
+        compute = result.computation("global")
+        records = global_view.records
+        groups = compute.origin_positions(origins)
+        for origin in origins:
+            expected = [
+                p for p, rec in enumerate(records) if rec.origin == origin
+            ]
+            if expected:
+                assert groups[origin].tolist() == expected
+            else:
+                assert origin not in groups
 
     def test_scores_cached_equals_naive(self, result, global_view, origins):
         compute = ViewComputation(global_view, result.oracle)

@@ -128,11 +128,12 @@ class TestBackendParity:
         mapped = mmap_result.paths.store()
         assert isinstance(mapped, MmapPathStore)
         for column in ("tokens", "offsets", "lengths",
-                       "record_path", "record_origin"):
+                       "record_path", "record_origin", "record_vp"):
             assert (
                 [int(v) for v in getattr(mapped, column)]
                 == [int(v) for v in getattr(dense, column)]
             ), column
+        assert list(mapped.record_weight) == list(dense.record_weight)
         assert mapped.paths == dense.paths
         assert mapped.path_ids == dense.path_ids
 
