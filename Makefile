@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-wp lint-sarif faults bench bench-smoke bench-serve bench-large bench-large-smoke watch-smoke serve-smoke profile
+.PHONY: test lint lint-wp lint-sarif faults bench bench-smoke bench-serve bench-large bench-large-smoke bench-e2e-smoke watch-smoke serve-smoke profile
 
 ## Default verification: static analysis first (per-file and
 ## whole-program tiers, then the R009-R012 self-check and the SARIF
@@ -11,14 +11,16 @@ export PYTHONPATH := src
 ## so a recovery regression is named explicitly, then the watch smoke
 ## (monitoring engine end-to-end + event schema), then the serve smoke
 ## (daemon end-to-end over a real socket + warm-hit floor), then the
-## out-of-core smoke (spill-backed pipeline + RSS gate at reduced
-## scale).
+## benchmark's smoke run (every workload and both store backends with
+## their output checks), then the out-of-core smoke (spill-backed
+## pipeline + RSS gate at reduced scale).
 test: lint lint-wp lint-sarif
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest bench -q
 	$(MAKE) faults
 	$(MAKE) watch-smoke
 	$(MAKE) serve-smoke
+	$(MAKE) bench-e2e-smoke
 	$(MAKE) bench-large-smoke
 
 ## Fault-injection suite: deterministic worker kills, hung chunks,
@@ -89,6 +91,13 @@ bench-large-smoke:
 	mkdir -p benchmarks/output
 	$(PYTHON) benchmarks/bench_large_tier.py --smoke \
 		--output benchmarks/output/BENCH_large_smoke.json
+
+## End-to-end benchmark smoke: `python -m bench run --smoke` runs all
+## three workloads (rank, spill, serve) on the small world, untraced and
+## traced; exits 1 on any wrong output (a digest that differs between
+## traced and untraced runs, a serve text mismatch).
+bench-e2e-smoke:
+	$(PYTHON) -m bench run --smoke
 
 ## Quick perf gate: small world under a time ceiling, plus the
 ## parallel >= serial floor at workers=2 (auto-skipped on hosts with

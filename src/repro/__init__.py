@@ -36,7 +36,7 @@ from repro.core.registry import (
 )
 from repro.core.ndcg import dcg, ndcg
 from repro.obs import Tracer, stage_report, to_jsonl, to_prometheus
-from repro.perf import PathIndex, SuffixCache, ViewComputation, ViewSlicer
+from repro.perf import PathIndex, ViewComputation, ViewSlicer
 from repro.resilience import (
     Checkpoint,
     FaultPlan,
@@ -75,7 +75,6 @@ __all__ = [
     "RankEntry",
     "Ranking",
     "RetryPolicy",
-    "SuffixCache",
     "Tracer",
     "ViewComputation",
     "ViewSlicer",

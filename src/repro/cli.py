@@ -587,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
 
             checkpoint = Checkpoint.open(
                 args.checkpoint,
-                sweep_key(world.name, result.config, metrics, countries),
+                sweep_key(world.fingerprint(), result.config, metrics, countries),
                 resume=args.resume,
             )
         try:

@@ -23,7 +23,7 @@ cone, and the reported share divides by the view's total address space
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.ranking import Ranking
 from repro.core.sanitize import PathRecord, RelationshipOracle
@@ -34,10 +34,6 @@ from repro.obs.trace import NULL_TRACER, AnyTracer
 
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.cache import ViewComputation
-
-#: Resolver signature shared with :mod:`repro.perf.cache`: a memoised
-#: stand-in for ``transit_suffix(path, oracle)`` bound to one oracle.
-SuffixResolver = Callable[[ASPath], tuple[int, ...]]
 
 
 def transit_suffix(path: ASPath, oracle: RelationshipOracle) -> tuple[int, ...]:
@@ -65,9 +61,9 @@ def cones_from_suffixes(
     Walks each suffix origin-first, accumulating the downstream set
     once per suffix instead of allocating a ``suffix[position + 1:]``
     tuple per position. A repeated suffix contributes nothing new (the
-    updates are idempotent), so callers holding a memoised suffix table
-    may pass each *distinct* suffix once — the batch engine's
-    :class:`repro.perf.cache.ViewComputation` does exactly that.
+    updates are idempotent), so callers holding interned suffixes may
+    pass each *distinct* suffix once — the columnar kernel
+    (:func:`repro.perf.cone.view_cones`) does exactly that.
     """
     cones: dict[int, set[int]] = {}
     setdefault = cones.setdefault
@@ -83,16 +79,9 @@ def cones_from_suffixes(
 def customer_cones(
     records: Iterable[PathRecord],
     oracle: RelationshipOracle,
-    suffix_of: SuffixResolver | None = None,
 ) -> dict[int, set[int]]:
     """AS-level cones: every AS maps to itself plus the ASes observed
-    downstream of it on some path's transit suffix.
-
-    ``suffix_of`` swaps in a memoised resolver (see
-    :class:`repro.perf.cache.SuffixCache`).
-    """
-    if suffix_of is not None:
-        return cones_from_suffixes(suffix_of(record.path) for record in records)
+    downstream of it on some path's transit suffix."""
     return cones_from_suffixes(
         transit_suffix(record.path, oracle) for record in records
     )
@@ -101,7 +90,6 @@ def customer_cones(
 def prefix_cones(
     records: Iterable[PathRecord],
     oracle: RelationshipOracle,
-    suffix_of: SuffixResolver | None = None,
     as_cones: dict[int, set[int]] | None = None,
 ) -> dict[int, set[Prefix]]:
     """Prefix-level cones, closure style: every prefix (observed in the
@@ -115,7 +103,7 @@ def prefix_cones(
     for record in materialized:
         origin_prefixes.setdefault(record.origin, set()).add(record.prefix)
     if as_cones is None:
-        as_cones = customer_cones(materialized, oracle, suffix_of)
+        as_cones = customer_cones(materialized, oracle)
     cones: dict[int, set[Prefix]] = {}
     for asn, members in as_cones.items():
         prefixes: set[Prefix] = set()
@@ -128,7 +116,6 @@ def prefix_cones(
 def cone_addresses(
     records: Iterable[PathRecord],
     oracle: RelationshipOracle,
-    suffix_of: SuffixResolver | None = None,
     as_cones: dict[int, set[int]] | None = None,
 ) -> dict[int, int]:
     """Distinct addresses in each AS's (closure) prefix cone.
@@ -143,9 +130,7 @@ def cone_addresses(
     }
     return {
         asn: sum(weights[prefix] for prefix in prefixes)
-        for asn, prefixes in prefix_cones(
-            materialized, oracle, suffix_of, as_cones
-        ).items()
+        for asn, prefixes in prefix_cones(materialized, oracle, as_cones).items()
     }
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from repro.core.cone import SuffixResolver, transit_suffix
+from repro.core.cone import transit_suffix
 from repro.core.hegemony import trimmed_mean, validate_trim
 from repro.core.ranking import Ranking
 from repro.core.sanitize import PathRecord, RelationshipOracle
@@ -33,28 +33,12 @@ if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
 def per_vp_transit(
     records: Iterable[PathRecord],
     oracle: RelationshipOracle,
-    suffix_of: SuffixResolver | None = None,
-    suffixes: Iterable[tuple[int, ...]] | None = None,
 ) -> tuple[dict[str, dict[int, float]], set[int]]:
-    """Step 1 of CTI: per-VP distance-discounted transit weight.
-
-    ``suffix_of`` swaps in a memoised transit-suffix resolver shared
-    with the cone metrics (see :class:`repro.perf.cache.SuffixCache`);
-    ``suffixes`` goes one step further and supplies each record's
-    transit suffix pre-resolved, aligned with ``records`` (the batch
-    engine resolves a view's suffixes once and feeds every consumer).
-    """
+    """Step 1 of CTI: per-VP distance-discounted transit weight."""
     per_vp: dict[str, dict[int, float]] = {}
     universe: set[int] = set()
-    if suffixes is not None:
-        pairs = zip(records, suffixes)
-    elif suffix_of is not None:
-        pairs = ((record, suffix_of(record.path)) for record in records)
-    else:
-        pairs = (
-            (record, transit_suffix(record.path, oracle)) for record in records
-        )
-    for record, suffix in pairs:
+    for record in records:
+        suffix = transit_suffix(record.path, oracle)
         vp_scores = per_vp.setdefault(record.vp.ip, {})
         weight = float(record.addresses)
         length = len(suffix)
@@ -74,13 +58,13 @@ def cti_scores(
     oracle: RelationshipOracle,
     total_addresses: int,
     trim: float = 0.1,
-    suffix_of: SuffixResolver | None = None,
 ) -> dict[int, float]:
-    """CTI per AS over international-view records."""
+    """CTI per AS over international-view records — the reference the
+    columnar kernel (:func:`repro.perf.cone.cti_scores`) is held to."""
     validate_trim(trim)
     if total_addresses <= 0:
         return {}
-    per_vp, universe = per_vp_transit(records, oracle, suffix_of)
+    per_vp, universe = per_vp_transit(records, oracle)
     vp_ips = sorted(per_vp)
     scores: dict[int, float] = {}
     for asn in universe:
@@ -101,8 +85,8 @@ def cti_ranking(
     """CTI ranking over a country's international view.
 
     ``compute`` is an optional :class:`repro.perf.cache.ViewComputation`
-    for this view: transit suffixes and the address total are shared
-    with the cone metrics instead of being recomputed.
+    for this view: the table comes from its columnar kernel, and the
+    address total is shared with the cone metrics.
     """
     validate_trim(trim)
     country = view.country

@@ -131,8 +131,9 @@ def trimmed_scores_sparse(
     over the implicit sorted array ``[0.0] * zeros + sorted(nonzero)``
     is then a slice of the nonzero list. Identical output (the kept
     values are summed in the same ascending order, and leading zeros
-    do not perturb a float sum of non-negative terms); CTI's cached
-    path (:meth:`repro.perf.cache.ViewComputation.cti`) uses it.
+    do not perturb a float sum of non-negative terms). The columnar
+    kernels' step 2 (:func:`repro.perf.hegemony._trimmed`) vectorizes
+    the same window.
     """
     validate_trim(trim)
     n = len(per_vp)

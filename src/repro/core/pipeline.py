@@ -36,7 +36,7 @@ from repro.relationships.inference import InferredRelationships, infer_relations
 from repro.topology.world import World
 
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.cache import SuffixCache, ViewComputation
+    from repro.perf.cache import ViewComputation
     from repro.perf.index import PathIndex
     from repro.perf.pool import WorkerPool
     from repro.resilience.checkpoint import Checkpoint
@@ -171,10 +171,9 @@ class PipelineResult:
         self._views: dict[tuple[str, str | None], View] = {}
         self._rankings: dict[tuple[str, str | None], Ranking] = {}
         #: batch-engine state (repro.perf), all built lazily: the shared
-        #: path index, the per-(path, oracle) suffix cache, and one
-        #: ViewComputation per view key (the cross-metric cache)
+        #: path index and one ViewComputation per view key (the
+        #: cross-metric cache)
         self._index: "PathIndex | None" = None
-        self._suffixes: "SuffixCache | None" = None
         self._computations: dict[tuple[str, str | None], "ViewComputation"] = {}
 
     @property
@@ -218,24 +217,6 @@ class PipelineResult:
                 self._index = PathIndex.from_paths(self.paths)
         return self._index
 
-    def suffix_cache(self) -> "SuffixCache":
-        """The shared per-(path, oracle) transit-suffix cache.
-
-        The cache is handed the SoA path store: on its first miss it
-        computes every distinct path's suffix start in one vectorized
-        pass, after which each resolution is an O(1) slice — only the
-        paths actually touched ever materialise a suffix tuple. A
-        store-sliced entry is value-identical to one computed by the
-        per-path backward scan, so consumers cannot tell the difference.
-        """
-        if self._suffixes is None:
-            from repro.perf.cache import SuffixCache
-
-            self._suffixes = SuffixCache(
-                self.oracle, self._tracer, store=self.paths.store()
-            )
-        return self._suffixes
-
     def computation(
         self, kind: str, country: str | None = None
     ) -> "ViewComputation":
@@ -254,7 +235,7 @@ class PipelineResult:
 
             view = self.view(kind, country)
             cached = ViewComputation(
-                view, self.oracle, self.suffix_cache(), self._tracer,
+                view, self.oracle, self._tracer,
                 store=self.paths.store(),
                 positions=(
                     None if kind == "global"
@@ -346,7 +327,7 @@ class PipelineResult:
         This is the multi-country sweep entry point: the shared path
         index makes every view a bucket lookup, and the per-view
         :class:`~repro.perf.cache.ViewComputation` cache means e.g.
-        CCI/AHI/CTI on one country walk its international view's
+        CCI/AHI/CTI on one country gather its international view's
         suffixes and address totals once between them. Keys come back
         in (metric, country) iteration order; values are the same
         memoised rankings :meth:`ranking` returns.

@@ -5,10 +5,13 @@ Three layers, designed to compose (see DESIGN.md §4):
 * :mod:`repro.perf.index` — :class:`PathIndex` buckets sanitized
   records so views are O(selected) lookups; :class:`ViewSlicer` does
   the same for VP-downsampled trial views.
-* :mod:`repro.perf.cache` — :class:`SuffixCache` and
-  :class:`ViewComputation` memoise the intermediates the metric
-  families share (transit suffixes, cones, hegemony tables, address
-  totals), with hit/miss observability counters.
+* :mod:`repro.perf.cache` — :class:`ViewComputation` memoises the
+  intermediates the metric families share (cones, address totals, CTI
+  and hegemony tables), with hit/miss observability counters.
+* :mod:`repro.perf.cone` — the columnar cone and CTI kernel: interned
+  transit suffixes, CC* closure totals and CTI tables straight from
+  the store's columns, bit-identical to :mod:`repro.core.cone` and
+  :func:`repro.core.cti.cti_scores`.
 * :mod:`repro.perf.hegemony` — the columnar hegemony kernel: AH* and
   AHC tables straight from the store's columns, bit-identical to
   :func:`repro.core.hegemony.hegemony_scores`.
@@ -20,8 +23,8 @@ Three layers, designed to compose (see DESIGN.md §4):
   shared state (zero-copy under ``fork``).
 * :mod:`repro.perf.pathstore` — :class:`PathStore`, the
   structure-of-arrays mirror of the sanitized records (flat interned
-  token arrays) feeding the suffix bulk-prime, the index's origin
-  buckets and the hegemony kernel.
+  token arrays) feeding the index's origin buckets and the cone, CTI
+  and hegemony kernels.
 * :mod:`repro.perf.spill` — the out-of-core variant:
   :class:`MmapPathStore` maps the same columns read-only from disk
   (written append-only by streaming ingestion), so worlds far larger
@@ -32,7 +35,7 @@ three together; ``rank_all`` / ``repro-rank sweep`` are the batch entry
 points.
 """
 
-from repro.perf.cache import SuffixCache, ViewComputation
+from repro.perf.cache import ViewComputation
 from repro.perf.index import PathIndex, ViewSlicer
 from repro.perf.parallel import chunked, propagate_origins, stability_trials
 from repro.perf.pathstore import PathStore
@@ -43,7 +46,6 @@ __all__ = [
     "MmapPathStore",
     "PathIndex",
     "PathStore",
-    "SuffixCache",
     "ViewComputation",
     "ViewSlicer",
     "WorkerPool",

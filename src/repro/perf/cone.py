@@ -1,0 +1,301 @@
+"""Columnar customer cones and CTI: CC* and CTI straight from store columns.
+
+The cone metrics (CCG/CCI/CCN/CCO, :mod:`repro.core.cone`) and the CTI
+baseline (:mod:`repro.core.cti`) both read the transit suffix of every
+observed path. Paths repeat across records and suffixes repeat across
+paths (the medium world's 216k distinct paths carry under 4k distinct
+suffixes), so this module resolves suffixes once per store and edge
+set, and a view reads them as ids through its record positions — no
+record object is built and no ``ASPath`` is hashed.
+
+* :func:`intern_suffixes` numbers each distinct path's transit suffix.
+  The suffix starts after the path's last non-p2c link
+  (:func:`suffix_starts`); suffixes are then interned origin first, one
+  ``np.unique`` per depth over ``(id of the suffix one hop shorter,
+  ASN)`` codes, so two paths share an id exactly when their suffixes
+  are equal tuples. :meth:`repro.perf.pathstore.PathStore.transit_suffixes`
+  memoises the table on the store.
+
+Why the values cannot differ from the reference:
+
+* **Cones.** :func:`repro.core.cone.cones_from_suffixes` is idempotent
+  per suffix, so feeding it each of a view's *distinct* suffixes once
+  (:func:`view_suffixes`) builds exactly ``customer_cones(view.records)``.
+* **Closure addresses.** :func:`address_profile` reads each distinct
+  (origin, prefix) of a view once, at its last record, through the
+  ``record_prefix`` column: the count that record carries is the one
+  the reference's ``{prefix: addresses}`` dict keeps. When every prefix
+  has a single origin in the view, cone members own disjoint prefix
+  sets, so an AS's closure total is the sum of its members' per-origin
+  totals (:func:`closure_totals`). All sums are Python ints — IPv6
+  counts exceed int64 and float64 would round them. A view in which
+  some prefix has two origins (MOAS) reports it, and the caller falls
+  back to the union-based :func:`repro.core.cone.cone_addresses`.
+* **CTI** (:func:`cti_scores`). Every record's transit hops expand, in
+  record order and suffix order, into ``weight / k`` terms, each the
+  same float division the reference performs; one ``np.bincount`` over
+  the (VP, AS) cells ``np.unique`` numbers adds every cell's terms one
+  at a time from 0.0, the reference's ``dict.get(asn, 0.0) + weight /
+  k`` sequence. Zero-address records
+  keep their 0.0 cells, so their ASes keep a row. ``n`` counts every
+  VP with a record in the view, even one whose suffixes are all
+  origin-only. Cells are divided by the view's address total, then
+  trimmed by :func:`repro.perf.hegemony._trimmed`, which sums each
+  window left to right like Python's ``sum``.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
+
+from repro.core.hegemony import validate_trim
+from repro.perf.hegemony import _trimmed
+
+if TYPE_CHECKING:
+    from repro.core.sanitize import RelationshipOracle
+    from repro.perf.pathstore import PathStore
+
+
+class SuffixTable(NamedTuple):
+    """The interned transit suffixes of a store's distinct paths."""
+
+    #: distinct path id → suffix id
+    path_suffix: np.ndarray
+    #: suffix id → the suffix (VP side first, origin last), plain ints
+    suffixes: list[tuple[int, ...]]
+    #: suffix id → its transit hops (every AS but the origin) as the
+    #: range ``[hop_offsets, hop_offsets + hop_lengths)`` of the hop
+    #: columns
+    hop_offsets: np.ndarray
+    hop_lengths: np.ndarray
+    #: per hop: the AS as an index into ``asns``, and its distance from
+    #: the origin (``k``, a float)
+    hop_asn: np.ndarray
+    hop_k: np.ndarray
+    #: the sorted distinct transit ASNs
+    asns: np.ndarray
+
+
+def _pair_codes(tokens: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Every path's adjacent ASN pairs, concatenated in order, each
+    packed into one uint64 (4-byte ASNs cannot overflow the shifted
+    half)."""
+    unsigned = tokens.astype(np.uint64)
+    codes = (unsigned[:-1] << np.uint64(32)) | unsigned[1:]
+    # drop the phantom pairs straddling consecutive paths
+    valid = np.ones(len(codes), dtype=bool)
+    valid[offsets[1:] - 1] = False
+    return codes[valid]
+
+
+def suffix_starts(
+    tokens: np.ndarray,
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    p2c: frozenset[tuple[int, int]],
+) -> np.ndarray:
+    """Per path, the index its transit suffix starts at: the suffix is
+    the longest tail whose adjacent pairs are all in ``p2c`` — ``start
+    = (last non-p2c pair index) + 1``, or 0 when every pair is p2c.
+
+    Every adjacent pair is tested against the encoded edge set at
+    once; each path's last non-p2c pair is then found by bisecting its
+    pair-range end into the sorted non-p2c positions.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    starts = np.zeros(len(offsets), dtype=np.int64)
+    if len(tokens) == len(offsets):  # no path has a pair
+        return starts
+    codes = _pair_codes(tokens, offsets)
+    edge_codes = np.fromiter(
+        ((left << 32) | right for left, right in p2c),
+        dtype=np.uint64, count=len(p2c),
+    )
+    plain = np.flatnonzero(~np.isin(codes, edge_codes))
+    if len(plain) == 0:
+        return starts
+    pair_counts = lengths - 1
+    ends = np.cumsum(pair_counts)
+    begins = ends - pair_counts
+    slot = np.searchsorted(plain, ends) - 1
+    last = plain[np.maximum(slot, 0)]
+    in_range = (slot >= 0) & (last >= begins)
+    return np.where(in_range, last - begins + 1, 0)
+
+
+def intern_suffixes(
+    store: "PathStore", p2c: frozenset[tuple[int, int]]
+) -> SuffixTable:
+    """Number the transit suffixes of every distinct path in ``store``
+    under the edge set ``p2c`` (see the module docstring)."""
+    tokens = np.asarray(store.tokens, dtype=np.int64)
+    offsets = np.asarray(store.offsets, dtype=np.int64)
+    lengths = np.asarray(store.lengths, dtype=np.int64)
+    starts = suffix_starts(tokens, offsets, lengths, p2c)
+    depth = lengths - starts
+    ends = offsets + lengths
+    # node[p]: the id of path p's suffix tail of the current depth;
+    # ids are unique across depths, so the last one is the suffix's
+    node = np.zeros(len(offsets), dtype=np.int64)
+    base = 0
+    for hop in range(1, int(depth.max(initial=0)) + 1):
+        live = np.flatnonzero(depth >= hop)
+        codes = tokens[ends[live] - hop].astype(np.uint64)
+        if hop > 1:
+            codes |= node[live].astype(np.uint64) << np.uint64(32)
+        unique, inverse = np.unique(codes, return_inverse=True)
+        node[live] = base + inverse
+        base += len(unique)
+    _, first, path_suffix = np.unique(node, return_index=True, return_inverse=True)
+    begin = offsets[first] + starts[first]
+    size = depth[first]
+    suffixes = [
+        tuple(tokens[lo:hi].tolist())
+        for lo, hi in zip(begin.tolist(), (begin + size).tolist())
+    ]
+    hop_lengths = size - 1
+    hop_ends = np.cumsum(hop_lengths)
+    hop_offsets = hop_ends - hop_lengths
+    within = np.arange(int(hop_lengths.sum())) - np.repeat(
+        hop_offsets, hop_lengths
+    )
+    hop_k = (np.repeat(hop_lengths, hop_lengths) - within).astype(np.float64)
+    asns, hop_asn = np.unique(
+        tokens[np.repeat(begin, hop_lengths) + within], return_inverse=True
+    )
+    return SuffixTable(
+        path_suffix, suffixes, hop_offsets, hop_lengths, hop_asn, hop_k, asns,
+    )
+
+
+def p2c_edges(
+    store: "PathStore", oracle: "RelationshipOracle"
+) -> frozenset[tuple[int, int]]:
+    """The oracle's provider→customer pairs as a flat edge set: its own
+    ``p2c_edges()`` when it has one, else one ``relationship()`` call
+    per distinct adjacent pair in the store's paths."""
+    edges = getattr(oracle, "p2c_edges", None)
+    if edges is not None:
+        return edges()
+    tokens = np.asarray(store.tokens, dtype=np.int64)
+    offsets = np.asarray(store.offsets, dtype=np.int64)
+    codes = np.unique(_pair_codes(tokens, offsets))
+    pairs = zip((codes >> np.uint64(32)).tolist(),
+                (codes & np.uint64(0xFFFFFFFF)).tolist())
+    return frozenset(
+        (left, right) for left, right in pairs
+        if oracle.relationship(left, right) == "p2c"
+    )
+
+
+def view_suffixes(
+    store: "PathStore", positions: np.ndarray, table: SuffixTable
+) -> list[tuple[int, ...]]:
+    """The distinct transit suffixes of the records at ``positions``."""
+    ids = np.unique(table.path_suffix[store.record_path[positions]])
+    return list(map(table.suffixes.__getitem__, ids.tolist()))
+
+
+def address_profile(
+    store: "PathStore", positions: np.ndarray
+) -> tuple[dict[int, int], int, bool]:
+    """Over the records at ``positions`` (ascending): per origin AS,
+    the addresses of the distinct prefixes it originates; the address
+    total of the distinct prefixes; and whether some prefix has two
+    origins (MOAS), which makes the per-origin totals overlap. A prefix
+    counts once per origin (and once in the total), with the address
+    count of its last record there."""
+    origins, counts = _last_counts(
+        store, positions, store.record_origin[positions]
+    )
+    per_origin: dict[int, int] = {}
+    for origin, count in zip(origins.tolist(), counts):
+        per_origin[origin] = per_origin.get(origin, 0) + count
+    moas = len(counts) > len(np.unique(store.record_prefix[positions]))
+    if moas:
+        _, counts = _last_counts(store, positions, np.zeros_like(positions))
+    return per_origin, sum(counts), moas
+
+
+def _last_counts(
+    store: "PathStore", positions: np.ndarray, owners: np.ndarray
+) -> tuple[np.ndarray, list[int]]:
+    """Per distinct (owner, prefix) pair among the records at
+    ``positions`` (ascending; ``owners`` aligned with them): the owner,
+    and the address count of the pair's last record."""
+    order = np.lexsort((store.record_prefix[positions], owners))
+    owners = owners[order]
+    fids = store.record_prefix[positions][order]
+    # lexsort is stable, so each pair's run keeps its records ascending
+    last = np.flatnonzero(
+        (np.diff(owners, append=-1) != 0) | (np.diff(fids, append=-1) != 0)
+    )
+    addresses = store.record_addresses
+    return owners[last], [addresses[p] for p in positions[order[last]].tolist()]
+
+
+def closure_totals(
+    cones: dict[int, set[int]], origin_addresses: dict[int, int]
+) -> dict[int, int]:
+    """Per AS in ``cones``, the sum of its members' owned addresses.
+
+    Sums over the smaller side: a big cone holds many ASes that
+    originate nothing in the view, so testing the (few) origins
+    against its member set beats probing every member."""
+    get = origin_addresses.get
+    origin_items = list(origin_addresses.items())
+    pivot = len(origin_items)
+    totals: dict[int, int] = {}
+    for asn, members in cones.items():
+        size = len(members)
+        if size == 1:
+            totals[asn] = get(asn, 0)
+        elif size <= pivot:
+            totals[asn] = sum(get(member, 0) for member in members)
+        else:
+            totals[asn] = sum(
+                count for origin, count in origin_items if origin in members
+            )
+    return totals
+
+
+def cti_scores(
+    store: "PathStore",
+    positions: np.ndarray,
+    table: SuffixTable,
+    total: int,
+    trim: float,
+) -> dict[int, float]:
+    """``repro.core.cti.cti_scores`` over the records at ``positions``
+    (ascending), with ``total`` the view's address total."""
+    validate_trim(trim)
+    if total <= 0 or len(positions) == 0:
+        return {}
+    vps = np.asarray(store.record_vp, dtype=np.int64)[positions]
+    vp_count = int(np.count_nonzero(np.bincount(vps)))
+    sids = table.path_suffix[store.record_path[positions]]
+    counts = table.hop_lengths[sids]
+    ends = np.cumsum(counts)
+    record = np.repeat(np.arange(len(positions)), counts)
+    hops = np.repeat(table.hop_offsets[sids] - (ends - counts), counts) + (
+        np.arange(int(ends[-1]))
+    )
+    weights = np.asarray(store.record_weight, dtype=np.float64)[positions]
+    terms = weights[record] / table.hop_k[hops]
+    width = len(table.asns)
+    cells, cell_of = np.unique(
+        vps[record] * width + table.hop_asn[hops], return_inverse=True
+    )
+    sums = np.bincount(cell_of, weights=terms, minlength=len(cells))
+    [scores] = _trimmed(
+        np.zeros(len(cells), dtype=np.int64),
+        table.asns[cells % width],
+        sums / float(total),
+        np.array([vp_count]),
+        trim,
+    )
+    return scores

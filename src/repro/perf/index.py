@@ -67,7 +67,7 @@ class PathIndex:
         #: instead of per-index record walks
         self._store = store
         #: (vp_country, prefix_country) → ascending record positions
-        self._by_pair: dict[tuple[str, str], list[int]] = {}
+        self._by_pair: dict[tuple[str, str], Sequence[int]] = {}
         self._by_vp: dict[str, list[int]] | None = None
         self._by_origin: dict[int, list[int]] | None = None
         self._origin_prefixes: dict[int, set[Prefix]] | None = None

@@ -3,31 +3,32 @@
 A :class:`repro.core.sanitize.PathSet` holds hundreds of thousands of
 records, each pointing at an :class:`repro.net.aspath.ASPath` — an
 object per path, a tuple per object, a Python int per hop. The hot
-consumers (transit-suffix resolution, origin bucketing) walk all of
-them, paying an attribute chase and a dict probe per element.
+consumers (the metric kernels, origin bucketing) walk all of them,
+paying an attribute chase and a dict probe per element.
 
 :class:`PathStore` flattens the same information into contiguous
-integer arrays, deduplicated by path:
+numpy integer arrays, deduplicated by path, in the column schema the
+spill store (:mod:`repro.perf.spill`) persists:
 
 * ``tokens`` — every *distinct* path's ASNs, concatenated;
 * ``offsets`` / ``lengths`` — where each distinct path lives in
   ``tokens``;
 * ``record_path`` — record position → distinct-path id;
+* ``record_vp`` / ``record_prefix`` — record position → VP id / prefix
+  id, both interned in first-appearance order, resolved through the
+  side tables ``vp_table`` (``(VantagePoint, country)`` per VP id) and
+  ``prefix_table`` (``(Prefix, country, addresses)`` per prefix id);
 * ``record_origin`` — per-record origin ASN column for the index's
   grouped walks;
 * ``record_addresses`` — per-record address counts, kept as a plain
   tuple: IPv6 prefixes carry counts far beyond int64 range;
-* ``record_vp`` / ``record_weight`` — per-record VP id (VP IPs interned
-  in first-appearance order) and ``float(addresses)``, the two columns
-  only the hegemony kernel (:mod:`repro.perf.hegemony`) reads, derived
-  on first use.
+* ``record_weight`` — ``float(addresses)`` per record, which only the
+  hegemony and CTI kernels read, derived on first use.
 
-Arrays are numpy when available (vectorized suffix computation, C-speed
-grouping) with a stdlib ``array`` fallback that preserves the layout
-and the API; either way every value handed back to consumers is a
-plain Python ``int``, so downstream products are byte-identical to the
-object-walking path. The equivalence tests in
-``tests/perf/test_pathstore.py`` and the golden ranking bytes pin this.
+Every value handed back to consumers is a plain Python ``int``, so
+downstream products are byte-identical to the object-walking path. The
+equivalence tests in ``tests/perf/test_pathstore.py`` and the golden
+ranking bytes pin this.
 
 The store is *derived, read-only* state: built once per PathSet (see
 :meth:`repro.core.sanitize.PathSet.store`) and never mutated — the
@@ -36,36 +37,17 @@ lint rule R007 extends to its arrays.
 
 from __future__ import annotations
 
-from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from array import array
+from typing import TYPE_CHECKING, Any, Sequence
 
-try:  # numpy is optional: the store degrades to stdlib arrays
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
-
-from array import array as _stdlib_array
+import numpy as np
 
 if TYPE_CHECKING:
+    from repro.bgp.collectors import VantagePoint
     from repro.core.sanitize import PathRecord
     from repro.net.aspath import ASPath
-    from repro.perf.cache import SuffixCache
-
-HAVE_NUMPY = _np is not None
-
-
-def _int_array(values: list[int]):
-    """A contiguous int64 column (numpy if available)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.int64)
-    return _stdlib_array("q", values)
-
-
-def _float_array(values: list[float]) -> Any:
-    """A contiguous float64 column (numpy if available)."""
-    if _np is not None:
-        return _np.asarray(values, dtype=_np.float64)
-    return _stdlib_array("d", values)
+    from repro.net.prefix import Prefix
+    from repro.perf.cone import SuffixTable
 
 
 class PathStore:
@@ -74,19 +56,25 @@ class PathStore:
     __slots__ = (
         "records", "paths", "path_ids", "tokens", "offsets", "lengths",
         "record_path", "record_origin", "record_addresses", "record_vp",
-        "record_weight", "_token_list", "_pair_buckets", "_starts_memo",
-        "_distinct",
+        "record_prefix", "record_weight", "vp_table", "prefix_table",
+        "_token_list", "_pair_buckets", "_suffix_memo", "_distinct",
     )
 
     def __init__(self, records: Sequence["PathRecord"]) -> None:
         #: one representative ASPath object per distinct path, in first-
-        #: appearance order (the suffix cache is keyed by these objects)
+        #: appearance order
         path_ids: dict["ASPath", int] = {}
         paths: list["ASPath"] = []
         tokens: list[int] = []
         offsets: list[int] = []
         lengths: list[int] = []
+        vp_ids: dict[str, int] = {}
+        prefix_ids: dict["Prefix", int] = {}
+        vp_table: list[tuple["VantagePoint", str]] = []
+        prefix_table: list[tuple["Prefix", str, int]] = []
         record_path: list[int] = []
+        record_vp: list[int] = []
+        record_prefix: list[int] = []
         record_origin: list[int] = []
         record_addresses: list[int] = []
         for record in records:
@@ -99,39 +87,50 @@ class PathStore:
                 offsets.append(len(tokens))
                 lengths.append(len(asns))
                 tokens.extend(asns)
+            vp = record.vp
+            vid = vp_ids.get(vp.ip)
+            if vid is None:
+                vid = vp_ids[vp.ip] = len(vp_table)
+                vp_table.append((vp, record.vp_country))
+            prefix = record.prefix
+            fid = prefix_ids.get(prefix)
+            if fid is None:
+                fid = prefix_ids[prefix] = len(prefix_table)
+                prefix_table.append(
+                    (prefix, record.prefix_country, record.addresses)
+                )
             record_path.append(pid)
+            record_vp.append(vid)
+            record_prefix.append(fid)
             record_origin.append(path.asns[-1])
             record_addresses.append(record.addresses)
-        #: the source records, kept so lazily-derived groupings (the
-        #: view pair buckets) can be built without re-threading them in
+        #: the source records (the mmap store rematerializes its own)
         self.records: tuple["PathRecord", ...] = tuple(records)
         self.paths: tuple["ASPath", ...] = tuple(paths)
         #: distinct path → its id (row in offsets/lengths)
         self.path_ids = path_ids
+        self.vp_table = vp_table
+        self.prefix_table = prefix_table
         self._token_list: list[int] | None = None
-        self._pair_buckets: dict[tuple[str, str], list[int]] | None = None
-        self._starts_memo: tuple[object, list[int]] | None = None
+        self._pair_buckets: dict[tuple[str, str], array] | None = None
+        self._suffix_memo: tuple[frozenset, "SuffixTable"] | None = None
         self._distinct: tuple[Any, Any, Any, Any] | None = None
-        self.tokens = _int_array(tokens)
-        self.offsets = _int_array(offsets)
-        self.lengths = _int_array(lengths)
-        self.record_path = _int_array(record_path)
-        self.record_origin = _int_array(record_origin)
+        self.tokens = np.asarray(tokens, dtype=np.int64)
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.lengths = np.asarray(lengths, dtype=np.int64)
+        self.record_path = np.asarray(record_path, dtype=np.int64)
+        self.record_vp = np.asarray(record_vp, dtype=np.int64)
+        self.record_prefix = np.asarray(record_prefix, dtype=np.int64)
+        self.record_origin = np.asarray(record_origin, dtype=np.int64)
         self.record_addresses = tuple(record_addresses)
 
     def __getattr__(self, name: str) -> Any:
-        # the hegemony kernel's columns, filled on first use (fires only
+        # the kernels' weight column, filled on first use (fires only
         # while the slot is unset)
-        if name == "record_vp":
-            ips = list(map(attrgetter("vp.ip"), self.records))
-            first_seen = dict.fromkeys(ips)
-            vp_ids = dict(zip(first_seen, range(len(first_seen))))
-            column = _int_array(list(map(vp_ids.__getitem__, ips)))
-            self.record_vp = column
-            return column
         if name == "record_weight":
-            weights = _float_array(
-                [float(addresses) for addresses in self.record_addresses]
+            weights = np.asarray(
+                [float(addresses) for addresses in self.record_addresses],
+                dtype=np.float64,
             )
             self.record_weight = weights
             return weights
@@ -158,195 +157,89 @@ class PathStore:
             )
         return self._distinct
 
-    def prefix_addresses(self, positions: Iterable[int]) -> int:
-        """Total addresses of the distinct prefixes of the records at
-        ``positions`` (a prefix seen twice counts once)."""
-        per_prefix = dict(map(
-            attrgetter("prefix", "addresses"),
-            map(self.records.__getitem__, positions),
-        ))
-        return sum(per_prefix.values())
+    def transit_suffixes(
+        self, p2c: frozenset[tuple[int, int]]
+    ) -> "SuffixTable":
+        """Every distinct path's transit suffix under the edge set
+        ``p2c``, interned (see :func:`repro.perf.cone.intern_suffixes`).
+
+        Memoised for one edge set at a time, matched by identity first
+        (:meth:`repro.topology.model.ASGraph.p2c_edges` hands out one
+        version-memoised frozenset) and by value otherwise, so every
+        view over the store shares one interning pass.
+        """
+        memo = self._suffix_memo
+        if memo is None or (memo[0] is not p2c and memo[0] != p2c):
+            from repro.perf.cone import intern_suffixes
+
+            memo = self._suffix_memo = (p2c, intern_suffixes(self, p2c))
+        return memo[1]
 
     def token_list(self) -> list[int]:
         """The token column as plain Python ints (memoised) — the form
-        consumers slice suffix tuples from, so numpy scalars never leak
+        consumers slice path tuples from, so numpy scalars never leak
         into downstream products."""
         if self._token_list is None:
-            if _np is not None:
-                self._token_list = self.tokens.tolist()
-            else:
-                self._token_list = list(self.tokens)
+            self._token_list = self.tokens.tolist()
         return self._token_list
-
-    # -- bulk transit suffixes ---------------------------------------------
-
-    def suffix_starts(self, p2c: Iterable[tuple[int, int]]) -> list[int]:
-        """Per distinct path, the token index its transit suffix starts
-        at, under the given provider→customer edge set.
-
-        Matches :meth:`repro.perf.cache.SuffixCache._compute` exactly:
-        the suffix is the longest tail of the path whose adjacent pairs
-        are all p2c links — ``start = (last non-p2c pair index) + 1``,
-        or 0 when every pair is p2c.
-
-        Memoised by edge-set *identity*: oracles hand out a stable
-        frozenset (:meth:`repro.topology.model.ASGraph.p2c_edges` is
-        version-memoised), so every cold suffix cache over the same
-        oracle shares one bulk pass.
-        """
-        memo = self._starts_memo
-        if memo is not None and memo[0] is p2c:
-            return memo[1]
-        starts = self._suffix_starts(p2c)
-        self._starts_memo = (p2c, starts)
-        return starts
-
-    def _suffix_starts(self, p2c: Iterable[tuple[int, int]]) -> list[int]:
-        if _np is not None:
-            return self._suffix_starts_np(p2c)
-        p2c_set = p2c if isinstance(p2c, (set, frozenset)) else frozenset(p2c)
-        starts: list[int] = []
-        tokens = self.tokens
-        for pid in range(len(self.offsets)):
-            offset = self.offsets[pid]
-            length = self.lengths[pid]
-            start = length - 1
-            for index in range(length - 2, -1, -1):
-                if (tokens[offset + index], tokens[offset + index + 1]) in p2c_set:
-                    start = index
-                else:
-                    break
-            starts.append(start)
-        return starts
-
-    def _suffix_starts_np(self, p2c: Iterable[tuple[int, int]]) -> list[int]:
-        """Vectorized suffix starts: encode every adjacent token pair as
-        one 64-bit code, test membership against the encoded edge set,
-        then locate each path's last non-p2c pair with a searchsorted
-        over the non-p2c positions."""
-        np = _np
-        count = len(self.offsets)
-        if count == 0:
-            return []
-        tokens = self.tokens
-        offsets = self.offsets
-        pair_counts = self.lengths - 1
-        if len(tokens) == count:  # every path is single-hop: no pairs
-            return [0] * count
-        # pack each adjacent pair into one code; uint64 so 4-byte ASNs
-        # (up to 2^32 - 1) cannot overflow the shifted half
-        unsigned = tokens.astype(np.uint64)
-        codes = (unsigned[:-1] << np.uint64(32)) | unsigned[1:]
-        # drop the phantom pairs straddling consecutive paths (the
-        # token ending path p next to the token starting path p+1), so
-        # what remains is each path's own pairs, concatenated in order
-        valid = np.ones(len(codes), dtype=bool)
-        valid[offsets[1:] - 1] = False
-        codes = codes[valid]
-        edges = list(p2c)
-        if edges:
-            edge_codes = np.fromiter(
-                ((left << 32) | right for left, right in edges),
-                dtype=np.uint64,
-                count=len(edges),
-            )
-            edge_codes.sort()
-            slots = np.searchsorted(edge_codes, codes)
-            slots[slots == len(edge_codes)] = 0
-            is_p2c = edge_codes[slots] == codes
-        else:
-            is_p2c = np.zeros(len(codes), dtype=bool)
-        # the suffix starts right after the path's last non-p2c pair
-        # (at 0 when every pair is p2c); find that pair per path by
-        # bisecting each path's pair-range end into the sorted non-p2c
-        # positions
-        plain = np.flatnonzero(~is_p2c)
-        if len(plain) == 0:
-            return [0] * count
-        ends = np.cumsum(pair_counts)
-        begins = ends - pair_counts
-        slot = np.searchsorted(plain, ends) - 1
-        last = plain[np.maximum(slot, 0)]
-        in_range = (slot >= 0) & (last >= begins)
-        starts = np.where(in_range, last - begins + 1, 0)
-        return starts.tolist()
-
-    def prime_suffix_cache(self, cache: "SuffixCache") -> int:
-        """Fill ``cache.table`` for every distinct path in one bulk
-        pass; returns how many entries were installed.
-
-        Only applies when the cache's oracle exposes a flat p2c edge
-        set (``cache._p2c``); suffix tuples contain plain Python ints,
-        so a primed cache is value-identical to one warmed lazily.
-        """
-        p2c = cache._p2c
-        if p2c is None:
-            return 0
-        starts = self.suffix_starts(p2c)
-        table = cache.table
-        installed = 0
-        token_list = self.token_list()
-        for pid, path in enumerate(self.paths):
-            if path in table:
-                continue
-            offset = int(self.offsets[pid])
-            end = offset + int(self.lengths[pid])
-            table[path] = tuple(token_list[offset + starts[pid]:end])
-            installed += 1
-        return installed
 
     # -- grouping ----------------------------------------------------------
 
-    def pair_buckets(self) -> dict[tuple[str, str], list[int]]:
+    def pair_buckets(self) -> dict[tuple[str, str], array]:
         """Record positions grouped by ``(vp_country, prefix_country)``
-        — each bucket ascending, keys in first-appearance order: the
-        exact dict :class:`repro.perf.index.PathIndex` builds with its
-        full-record scan, computed once here and shared by every index
-        over this store (built lazily on first use)."""
+        — each bucket an ascending ``array('q')``, keys in
+        first-appearance order: the dict
+        :class:`repro.perf.index.PathIndex` builds with its full-record
+        scan, computed once here from the id columns and side tables
+        and shared by every index over this store."""
         if self._pair_buckets is None:
-            buckets: dict[tuple[str, str], list[int]] = {}
-            for position, record in enumerate(self.records):
-                pair = (record.vp_country, record.prefix_country)
-                bucket = buckets.get(pair)
-                if bucket is None:
-                    buckets[pair] = [position]
-                else:
-                    bucket.append(position)
-            self._pair_buckets = buckets
+            vp_countries = [country for _, country in self.vp_table]
+            prefix_countries = [country for _, country, _ in self.prefix_table]
+            codes: dict[str, int] = {}
+            for code in vp_countries + prefix_countries:
+                codes.setdefault(code, len(codes))
+            width = len(codes)
+            vp_code = np.asarray(
+                [codes[code] for code in vp_countries], dtype=np.int64
+            )
+            prefix_code = np.asarray(
+                [codes[code] for code in prefix_countries], dtype=np.int64
+            )
+            keys = vp_code[self.record_vp] * width + prefix_code[self.record_prefix]
+            names = list(codes)
+            groups = [
+                (bucket, (names[key // width], names[key % width]))
+                for bucket, key in _buckets(keys)
+            ]
+            # stable argsort keeps buckets ascending; re-keying by each
+            # bucket's first position restores first-appearance order
+            groups.sort(key=lambda item: item[0][0])
+            self._pair_buckets = {pair: bucket for bucket, pair in groups}
         return self._pair_buckets
 
     def origin_buckets(self) -> dict[int, list[int]]:
         """Record positions grouped by origin ASN — each bucket in
         ascending position order, keys in first-appearance order —
         exactly the dict a stable per-record scan would build."""
-        origins = self.record_origin
-        if _np is not None and len(origins):
-            np = _np
-            order = np.argsort(origins, kind="stable")
-            sorted_origins = origins[order]
-            boundaries = np.flatnonzero(
-                sorted_origins[1:] != sorted_origins[:-1]
-            ) + 1
-            group_starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), boundaries)
-            )
-            groups = [
-                (group.tolist(), int(sorted_origins[start]))
-                for start, group in zip(
-                    group_starts.tolist(), np.split(order, boundaries)
-                )
-            ]
-            # stable argsort keeps each bucket ascending; re-keying by
-            # bucket[0] (the origin's first record) restores the naive
-            # scan's first-appearance dict order
-            groups.sort(key=lambda item: item[0][0])
-            return {origin: bucket for bucket, origin in groups}
-        buckets: dict[int, list[int]] = {}
-        for position, origin in enumerate(origins):
-            key = int(origin)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [position]
-            else:
-                bucket.append(position)
-        return buckets
+        groups = _buckets(self.record_origin)
+        # re-keying by each bucket's first position restores the naive
+        # scan's first-appearance dict order
+        groups.sort(key=lambda item: item[0][0])
+        return {origin: bucket.tolist() for bucket, origin in groups}
+
+
+def _buckets(keys: np.ndarray) -> list[tuple[array, int]]:
+    """Positions grouped by key with one stable argsort: per distinct
+    key, its ascending positions as an ``array('q')``, with the key."""
+    if not len(keys):
+        return []
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    group_starts = np.concatenate((np.zeros(1, dtype=np.int64), boundaries))
+    groups = []
+    for start, group in zip(group_starts.tolist(), np.split(order, boundaries)):
+        bucket = array("q")
+        bucket.frombytes(group.astype(np.int64, copy=False).tobytes())
+        groups.append((bucket, int(sorted_keys[start])))
+    return groups

@@ -17,11 +17,14 @@ engine:
   flush buffer — never the record set.
 * :class:`MmapPathStore` maps those columns back read-only behind the
   exact :class:`~repro.perf.pathstore.PathStore` interface (it *is* a
-  ``PathStore`` subclass), so :class:`~repro.perf.cache.SuffixCache`,
-  :class:`~repro.perf.index.PathIndex`, and every ranking consumer work
-  unchanged. Records rematerialize lazily per access; pair/origin
-  buckets are built in one streaming pass over the mapped columns with
-  ``array('q')`` buckets, not per-record Python lists.
+  ``PathStore`` subclass, with the same column schema), so
+  :class:`~repro.perf.index.PathIndex`, the metric kernels and every
+  ranking consumer work unchanged. Records rematerialize lazily per
+  access; pair/origin buckets are built in one pass over the mapped
+  columns with ``array('q')`` buckets, not per-record Python lists. A
+  damaged directory — a missing or short column file, an unreadable
+  manifest or side table, side tables whose row counts disagree with
+  the manifest — raises :class:`SpillFormatError` naming the file.
 * :func:`sanitize_to_store` drives the Table-1 sanitization stream into
   a spill directory and returns a :class:`~repro.core.sanitize.PathSet`
   whose records are the lazy mmap view — the drop-in replacement for
@@ -42,8 +45,8 @@ Determinism: ids are allocated in first-appearance order exactly like
 the in-memory store's interning loop, so ``tokens`` / ``offsets`` /
 ``lengths`` / ``record_*`` are value-identical to the arrays
 ``PathStore(records)`` would build — the backend-parity tests in
-``tests/perf/test_spill.py`` pin rankings, suffix-cache contents, and
-index buckets across all three backends.
+``tests/perf/test_spill.py`` pin rankings, store columns, interned
+suffixes and index buckets across both backends.
 
 Like the in-memory store, the mapped arrays are derived, read-only
 state (the maps are ``ACCESS_READ``; lint rule R007 covers this class
@@ -55,12 +58,13 @@ receiving copied pages (R010's broadcast discipline).
 from __future__ import annotations
 
 import json
-import mmap
 import os
 from array import array as _stdlib_array
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.bgp.announcement import RibRecord
 from repro.bgp.collectors import VantagePoint
@@ -74,8 +78,7 @@ from repro.core.sanitize import (
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.perf import pathstore as _ps
-from repro.perf.pathstore import PathStore
+from repro.perf.pathstore import PathStore, _buckets
 
 if TYPE_CHECKING:
     from repro.geo.prefix_geo import PrefixGeolocation
@@ -102,22 +105,53 @@ def _column_path(directory: Path, name: str) -> Path:
     return directory / f"{name}.i64"
 
 
-def _map_int64(path: Path):
-    """Map one column file read-only (numpy memmap, or a stdlib mmap
-    exposed as a ``memoryview.cast('q')`` when numpy is unavailable)."""
-    size = path.stat().st_size
+def _map_int64(path: Path) -> np.ndarray:
+    """Map one column file read-only."""
+    try:
+        size = path.stat().st_size
+    except FileNotFoundError as error:
+        raise SpillFormatError(f"{path}: column file missing") from error
     if size % 8:
         raise SpillFormatError(f"{path}: size {size} is not a whole int64 column")
-    np = _ps._np
-    if np is not None:
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        return np.memmap(path, dtype=np.int64, mode="r")
     if size == 0:
-        return memoryview(b"").cast("q")
-    with open(path, "rb") as handle:
-        mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    return memoryview(mapped).cast("q")
+        return np.empty(0, dtype=np.int64)
+    return np.memmap(path, dtype=np.int64, mode="r")
+
+
+def _read_manifest(base: Path) -> dict:
+    """The sealed spill's manifest, checked for format and counts."""
+    path = base / "manifest.json"
+    if not path.exists():
+        raise SpillFormatError(f"{base}: no manifest (spill not sealed)")
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise SpillFormatError(f"{path}: unreadable manifest ({error})") from error
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("format") != FORMAT_NAME
+        or manifest.get("version") != FORMAT_VERSION
+    ):
+        raise SpillFormatError(f"{base}: not a {FORMAT_NAME} v{FORMAT_VERSION} spill")
+    for key in ("records", "paths", "tokens", "vps", "prefixes"):
+        if type(manifest.get(key)) is not int:
+            raise SpillFormatError(f"{path}: no integer {key!r} count")
+    return manifest
+
+
+def _side_table(path: Path, rows: int, build: Callable[[Any], Any]) -> list:
+    """One JSONL side table, each row passed through ``build``; must
+    hold exactly ``rows`` rows."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            table = [build(json.loads(line)) for line in handle if line.strip()]
+    except FileNotFoundError as error:
+        raise SpillFormatError(f"{path}: side table missing") from error
+    except (ValueError, KeyError, TypeError) as error:
+        raise SpillFormatError(f"{path}: malformed row ({error!r})") from error
+    if len(table) != rows:
+        raise SpillFormatError(f"{path}: {len(table)} rows, manifest says {rows}")
+    return table
 
 
 def _read_jsonl(path: Path) -> list[dict]:
@@ -428,92 +462,60 @@ class MmapPathStore(PathStore):
     """A sealed spill directory mapped read-only behind the PathStore
     interface.
 
-    The flat columns are the mmap'd files themselves; the distinct-path
-    tuple, the record sequence, and the pair/origin buckets are built
-    lazily on first use (paths and buckets are bounded by distinct
-    entities, never by raw record volume). Pickling reduces to the
-    directory path, so a worker re-opens the maps instead of receiving
-    copied array pages.
+    The flat columns are the mmap'd files themselves and the side
+    tables are read (and checked) on open; the distinct-path tuple, the
+    record sequence, and the pair/origin buckets are built lazily on
+    first use (paths and buckets are bounded by distinct entities,
+    never by raw record volume). Pickling reduces to the directory
+    path, so a worker re-opens the maps instead of receiving copied
+    array pages.
     """
 
-    __slots__ = (
-        "directory", "manifest", "record_prefix",
-        "_vp_table", "_prefix_table", "_origin_memo",
-    )
+    __slots__ = ("directory", "manifest", "_origin_memo")
 
     def __init__(self, directory: str | Path) -> None:
         base = Path(directory)
-        manifest_path = base / "manifest.json"
-        if not manifest_path.exists():
-            raise SpillFormatError(f"{base}: no manifest (spill not sealed)")
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        if (
-            manifest.get("format") != FORMAT_NAME
-            or manifest.get("version") != FORMAT_VERSION
-        ):
-            raise SpillFormatError(f"{base}: not a {FORMAT_NAME} v{FORMAT_VERSION} spill")
+        manifest = _read_manifest(base)
         self.directory = str(base)
         self.manifest = manifest
-        self.tokens = _map_int64(_column_path(base, "tokens"))
-        self.offsets = _map_int64(_column_path(base, "offsets"))
-        self.lengths = _map_int64(_column_path(base, "lengths"))
-        self.record_path = _map_int64(_column_path(base, "record_path"))
-        self.record_vp = _map_int64(_column_path(base, "record_vp"))
-        self.record_prefix = _map_int64(_column_path(base, "record_prefix"))
-        self.record_origin = _map_int64(_column_path(base, "record_origin"))
-        for name, length in (
-            ("tokens", len(self.tokens)), ("offsets", len(self.offsets)),
-            ("record_path", len(self.record_path)),
-            ("record_vp", len(self.record_vp)),
-            ("record_prefix", len(self.record_prefix)),
-            ("record_origin", len(self.record_origin)),
-        ):
-            wanted = manifest["tokens"] if name == "tokens" else (
-                manifest["paths"] if name == "offsets" else manifest["records"]
-            )
-            if length != wanted:
+        counts = {
+            "tokens": manifest["tokens"], "offsets": manifest["paths"],
+            "lengths": manifest["paths"],
+        }
+        for name in _COLUMNS:
+            path = _column_path(base, name)
+            column = _map_int64(path)
+            wanted = counts.get(name, manifest["records"])
+            if len(column) != wanted:
                 raise SpillFormatError(
-                    f"{base}/{name}.i64: {length} elements, manifest says {wanted}"
+                    f"{path}: {len(column)} elements, manifest says {wanted}"
                 )
+            setattr(self, name, column)
+        self.vp_table = _side_table(
+            base / "vps.jsonl", manifest["vps"],
+            lambda row: (
+                VantagePoint(
+                    ip=row["ip"], asn=int(row["asn"]),
+                    collector=row["collector"],
+                ),
+                row["country"],
+            ),
+        )
+        self.prefix_table = _side_table(
+            base / "prefixes.jsonl", manifest["prefixes"],
+            lambda row: (
+                Prefix.parse(row["prefix"]), row["country"], row["addresses"],
+            ),
+        )
         self._token_list = None
         self._pair_buckets = None
-        self._starts_memo = None
+        self._suffix_memo = None
         self._distinct = None
         self._origin_memo: dict[int, _stdlib_array] | None = None
-        self._vp_table: list[tuple[VantagePoint, str]] | None = None
-        self._prefix_table: list[tuple[Prefix, str, object]] | None = None
 
     def __reduce__(self):
         # never ship mapped pages through a pickle: workers re-open
         return (type(self), (self.directory,))
-
-    # -- side tables -------------------------------------------------------
-
-    @property
-    def vp_table(self) -> list[tuple[VantagePoint, str]]:
-        """vp id → (VantagePoint, country), from ``vps.jsonl``."""
-        if self._vp_table is None:
-            self._vp_table = [
-                (
-                    VantagePoint(
-                        ip=row["ip"], asn=int(row["asn"]),
-                        collector=row["collector"],
-                    ),
-                    row["country"],
-                )
-                for row in _read_jsonl(Path(self.directory) / "vps.jsonl")
-            ]
-        return self._vp_table
-
-    @property
-    def prefix_table(self) -> list[tuple[Prefix, str, object]]:
-        """prefix id → (Prefix, country, addresses)."""
-        if self._prefix_table is None:
-            self._prefix_table = [
-                (Prefix.parse(row["prefix"]), row["country"], row["addresses"])
-                for row in _read_jsonl(Path(self.directory) / "prefixes.jsonl")
-            ]
-        return self._prefix_table
 
     # -- lazily rebuilt PathStore surface ----------------------------------
 
@@ -545,132 +547,26 @@ class MmapPathStore(PathStore):
             return column
         if name == "record_weight":
             # float() per prefix, then one gather through the prefix ids
-            prefix_weight = [
-                float(addresses) for _, _, addresses in self.prefix_table
-            ]
-            np = _ps._np
-            if np is not None:
-                weights = np.asarray(prefix_weight, dtype=np.float64)[
-                    self.record_prefix
-                ]
-            else:
-                weights = _stdlib_array(
-                    "d", (prefix_weight[fid] for fid in self.record_prefix)
-                )
+            prefix_weight = np.asarray(
+                [float(addresses) for _, _, addresses in self.prefix_table],
+                dtype=np.float64,
+            )
+            weights = prefix_weight[self.record_prefix]
             self.record_weight = weights
             return weights
         raise AttributeError(name)
 
-    def prefix_addresses(self, positions: Iterable[int]) -> int:
-        """Same total as the in-memory store, from the prefix id column
-        and side table — no record objects."""
-        table = self.prefix_table
-        record_prefix = self.record_prefix
-        return sum(
-            table[fid][2]
-            for fid in sorted({int(record_prefix[p]) for p in positions})
-        )
-
-    # -- grouping (streaming passes over the mapped columns) ---------------
-
-    def pair_buckets(self):
-        """Same first-appearance dict as the in-memory store, built from
-        the id columns + side tables in one pass — no record objects."""
-        if self._pair_buckets is None:
-            self._pair_buckets = self._build_pair_buckets()
-        return self._pair_buckets
-
-    def _build_pair_buckets(self):
-        vp_countries = [country for _, country in self.vp_table]
-        prefix_countries = [country for _, country, _ in self.prefix_table]
-        codes: dict[str, int] = {}
-        for code in vp_countries + prefix_countries:
-            codes.setdefault(code, len(codes))
-        np = _ps._np
-        buckets: dict[tuple[str, str], _stdlib_array] = {}
-        if np is not None and len(self.record_path):
-            width = len(codes) or 1
-            vp_code = np.fromiter(
-                (codes[code] for code in vp_countries),
-                dtype=np.int64, count=len(vp_countries),
-            )
-            prefix_code = np.fromiter(
-                (codes[code] for code in prefix_countries),
-                dtype=np.int64, count=len(prefix_countries),
-            )
-            keys = vp_code[self.record_vp] * width + prefix_code[self.record_prefix]
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            boundaries = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-            group_starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), boundaries)
-            )
-            names = list(codes)
-            groups: list[tuple[_stdlib_array, tuple[str, str]]] = []
-            for start, group in zip(
-                group_starts.tolist(), np.split(order, boundaries)
-            ):
-                bucket = _stdlib_array("q")
-                bucket.frombytes(
-                    group.astype(np.int64, copy=False).tobytes()
-                )
-                key = int(sorted_keys[start])
-                groups.append((bucket, (names[key // width], names[key % width])))
-            # stable argsort keeps buckets ascending; re-keying by each
-            # bucket's first position restores first-appearance order
-            groups.sort(key=lambda item: item[0][0])
-            return {pair: bucket for bucket, pair in groups}
-        record_vp = self.record_vp
-        record_prefix = self.record_prefix
-        for position in range(self.record_count):
-            pair = (
-                vp_countries[record_vp[position]],
-                prefix_countries[record_prefix[position]],
-            )
-            bucket = buckets.get(pair)
-            if bucket is None:
-                buckets[pair] = _stdlib_array("q", (position,))
-            else:
-                bucket.append(position)
-        return buckets
+    # -- grouping (passes over the mapped columns) ------------------------
 
     def origin_buckets(self):
         """Origin → ascending positions, as ``array('q')`` buckets
         (memoised: unlike the in-memory store, rebuilding is a full
         column pass)."""
-        if self._origin_memo is not None:
-            return self._origin_memo
-        origins = self.record_origin
-        np = _ps._np
-        buckets: dict[int, _stdlib_array] = {}
-        if np is not None and len(origins):
-            order = np.argsort(origins, kind="stable")
-            sorted_origins = origins[order]
-            boundaries = np.flatnonzero(
-                sorted_origins[1:] != sorted_origins[:-1]
-            ) + 1
-            group_starts = np.concatenate(
-                (np.zeros(1, dtype=np.int64), boundaries)
-            )
-            groups: list[tuple[_stdlib_array, int]] = []
-            for start, group in zip(
-                group_starts.tolist(), np.split(order, boundaries)
-            ):
-                bucket = _stdlib_array("q")
-                bucket.frombytes(group.astype(np.int64, copy=False).tobytes())
-                groups.append((bucket, int(sorted_origins[start])))
+        if self._origin_memo is None:
+            groups = _buckets(self.record_origin)
             groups.sort(key=lambda item: item[0][0])
-            buckets = {origin: bucket for bucket, origin in groups}
-        else:
-            for position in range(len(origins)):
-                key = int(origins[position])
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = _stdlib_array("q", (position,))
-                else:
-                    bucket.append(position)
-        self._origin_memo = buckets
-        return buckets
+            self._origin_memo = {origin: bucket for bucket, origin in groups}
+        return self._origin_memo
 
 
 def open_spill(directory: str | Path) -> PathSet:

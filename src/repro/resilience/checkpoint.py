@@ -202,7 +202,11 @@ def sweep_key(
     countries: tuple[str, ...] | list[str] | None,
 ) -> str:
     """The content key for a ``rank_all`` sweep: world + every config
-    knob that shapes ranking values + the request itself."""
+    knob that shapes ranking values + the request itself.
+
+    ``world_name`` must change whenever the world's content does — the
+    CLI passes :meth:`repro.topology.world.World.fingerprint`, since a
+    catalog name and seed do not pin a generated world's content."""
     knobs = config_knobs(config)
     wanted = ",".join(metrics)
     where = ",".join(countries) if countries is not None else "<auto>"

@@ -272,12 +272,12 @@ class ASGraph:
         ``(a, b) in graph.p2c_edges()`` is exactly
         ``graph.relationship(a, b) == "p2c"`` — a bulk form of the
         oracle interface for hot loops that test many links (the
-        transit-suffix walks in :mod:`repro.perf.cache`).
+        transit-suffix pass in :mod:`repro.perf.cone`).
 
         Memoised against :attr:`version`, so repeated callers on an
         unmutated graph get the *same* frozenset object back — identity
         is a valid cache key for derived per-edge-set state (e.g. the
-        path store's bulk suffix starts).
+        path store's interned transit suffixes).
         """
         cached = self._p2c_cache
         if cached is not None and cached[0] == self._version:

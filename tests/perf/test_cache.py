@@ -1,4 +1,4 @@
-"""SuffixCache / ViewComputation equivalence with the naive metric path.
+"""ViewComputation equivalence with the naive metric path.
 
 A cache may change how often something is computed, never what: every
 product must equal the object the plain :mod:`repro.core` functions
@@ -17,7 +17,7 @@ from repro.core.cone import (
     customer_cones,
     transit_suffix,
 )
-from repro.core.cti import cti_scores, per_vp_transit
+from repro.core.cti import cti_scores
 from repro.core.hegemony import (
     hegemony_scores,
     per_vp_scores,
@@ -28,7 +28,8 @@ from repro.core.sanitize import FilterReport, PathRecord, PathSet
 from repro.core.views import View, international_view
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.perf import SuffixCache, ViewComputation
+from repro.perf import ViewComputation
+from repro.perf.cone import view_suffixes
 from repro.relationships.inference import infer_relationships
 
 SMALL = GeneratorConfig(profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP"))
@@ -56,33 +57,23 @@ def record(vp_ip, prefix, path, prefix_country="AU", vp_country="US"):
     )
 
 
-class TestSuffixCache:
+class TestSuffixTable:
     def test_matches_transit_suffix(self, result):
-        cache = SuffixCache(result.oracle)
-        for rec in result.paths.records:
-            assert cache(rec.path) == transit_suffix(rec.path, result.oracle)
+        table = result.computation("global").suffixes()
+        store = result.paths.store()
+        for position, rec in enumerate(result.paths.records):
+            sid = table.path_suffix[store.record_path[position]]
+            assert table.suffixes[sid] == transit_suffix(rec.path, result.oracle)
 
-    def test_resolve_many_aligned(self, result, view):
-        cache = SuffixCache(result.oracle)
-        suffixes = cache.resolve_many(view.records)
-        assert len(suffixes) == len(view.records)
-        for rec, suffix in zip(view.records, suffixes):
-            assert suffix == transit_suffix(rec.path, result.oracle)
-
-    def test_unique_suffixes(self, result, view):
-        cache = SuffixCache(result.oracle)
+    def test_view_suffixes_are_the_distinct_record_suffixes(self, result, view):
+        compute = result.computation("international", view.country)
+        suffixes = view_suffixes(
+            compute.store(), compute.positions(), compute.suffixes()
+        )
         expected = {transit_suffix(r.path, result.oracle) for r in view.records}
-        assert cache.unique_suffixes(view.records) == expected
-
-    def test_hit_miss_counters(self, result):
-        tracer = Tracer()
-        cache = SuffixCache(result.oracle, tracer)
-        path = result.paths.records[0].path
-        cache(path)
-        cache(path)
-        counters = tracer.metrics.counters()
-        assert counters["perf.suffix.miss"] == 1
-        assert counters["perf.suffix.hit"] == 1
+        assert len(suffixes) == len(expected)
+        assert set(suffixes) == expected
+        assert all(type(asn) is int for suffix in suffixes for asn in suffix)
 
     def test_p2c_edges_match_oracle(self, result):
         graph = result.world.graph
@@ -196,14 +187,6 @@ class TestTrimmedScoresSparse:
     def test_rejects_bad_trim(self):
         with pytest.raises(ValueError):
             trimmed_scores_sparse({}, set(), 0.5)
-
-
-class TestPerVpTransit:
-    def test_presupplied_suffixes_identical(self, result, view):
-        suffixes = [transit_suffix(r.path, result.oracle) for r in view.records]
-        direct = per_vp_transit(view.records, result.oracle)
-        fed = per_vp_transit(view.records, result.oracle, suffixes=suffixes)
-        assert fed == direct
 
 
 class TestAhcThroughCache:

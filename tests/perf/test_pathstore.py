@@ -1,7 +1,6 @@
 """The SoA path store must be invisible: every product it feeds —
-primed suffix tables, origin buckets — must be value-identical to what
-the record-walking code builds, on both the numpy and the stdlib-array
-backends."""
+interned transit suffixes, origin buckets — must be value-identical to
+what the record-walking code builds."""
 
 import pytest
 
@@ -11,11 +10,14 @@ from repro import (
     run_pipeline,
     small_profiles,
 )
+from repro.bgp.collectors import VantagePoint
+from repro.core.cone import transit_suffix
+from repro.core.sanitize import PathRecord
 from repro.net.aspath import ASPath
-from repro.perf.cache import SuffixCache
+from repro.net.prefix import Prefix
+from repro.perf.cone import suffix_starts
 from repro.perf.index import PathIndex
 from repro.perf.pathstore import PathStore
-import repro.perf.pathstore as pathstore_mod
 
 SMALL = GeneratorConfig(
     profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP")
@@ -32,14 +34,16 @@ def store(result):
     return result.paths.store()
 
 
-@pytest.fixture(params=["numpy", "fallback"])
-def backend(request, monkeypatch):
-    """Run a test under both array backends (skip numpy if absent)."""
-    if request.param == "fallback":
-        monkeypatch.setattr(pathstore_mod, "_np", None)
-    elif not pathstore_mod.HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    return request.param
+def record(path, addresses=1):
+    return PathRecord(
+        vp=VantagePoint("10.0.0.1", path.asns[0], "c"), vp_country="US",
+        prefix=Prefix.parse("10.1.0.0/16"), prefix_country="US",
+        path=path, addresses=addresses,
+    )
+
+
+def starts(store, p2c):
+    return suffix_starts(store.tokens, store.offsets, store.lengths, p2c).tolist()
 
 
 class TestLayout:
@@ -58,95 +62,67 @@ class TestLayout:
             assert store.paths[int(store.record_path[position])] == record.path
             assert int(store.record_origin[position]) == record.path.origin
             assert store.record_addresses[position] == record.addresses
+            vp, vp_country = store.vp_table[int(store.record_vp[position])]
+            assert (vp, vp_country) == (record.vp, record.vp_country)
+            assert store.prefix_table[int(store.record_prefix[position])] == (
+                record.prefix, record.prefix_country, record.addresses
+            )
 
     def test_addresses_survive_beyond_int64(self):
-        class Rec:
-            def __init__(self, path, addresses):
-                self.path = path
-                self.addresses = addresses
-
         huge = 2 ** 96  # an IPv6 /32's address count
-        built = PathStore([Rec(ASPath.trusted((1, 2)), huge)])
+        built = PathStore([record(ASPath.trusted((1, 2)), huge)])
         assert built.record_addresses[0] == huge
+        assert built.prefix_table[0][2] == huge
 
     def test_shared_via_pathset(self, result):
         assert result.paths.store() is result.paths.store()
 
 
 class TestSuffixStarts:
-    def test_matches_suffix_cache_compute(self, result, backend):
+    def test_matches_transit_suffix(self, result):
         built = PathStore(result.paths.records)
-        cache = SuffixCache(result.oracle)
-        assert cache._p2c is not None
-        starts = built.suffix_starts(cache._p2c)
+        got = starts(built, result.oracle.p2c_edges())
         for pid, path in enumerate(built.paths):
-            expected = cache._compute(path)
-            assert tuple(path.asns[starts[pid]:]) == expected
+            expected = transit_suffix(path, result.oracle)
+            assert tuple(path.asns[got[pid]:]) == expected
 
-    def test_edge_cases(self, backend):
-        class Rec:
-            def __init__(self, path):
-                self.path = path
-                self.addresses = 1
-
+    def test_edge_cases(self):
         paths = [
             ASPath.trusted((5,)),           # single hop: suffix is itself
             ASPath.trusted((1, 2, 3)),      # full p2c chain: start 0
             ASPath.trusted((9, 1, 2)),      # tail-only chain
             ASPath.trusted((2, 1, 9)),      # no p2c tail: origin only
         ]
-        built = PathStore([Rec(p) for p in paths])
-        p2c = frozenset({(1, 2), (2, 3)})
-        assert built.suffix_starts(p2c) == [0, 0, 1, 2]
-        assert built.suffix_starts(frozenset()) == [0, 2, 2, 2]
+        built = PathStore([record(p) for p in paths])
+        assert starts(built, frozenset({(1, 2), (2, 3)})) == [0, 0, 1, 2]
+        assert starts(built, frozenset()) == [0, 2, 2, 2]
 
-    def test_empty_store(self, backend):
+    def test_empty_store(self):
         built = PathStore([])
-        assert built.suffix_starts(frozenset({(1, 2)})) == []
+        assert starts(built, frozenset({(1, 2)})) == []
         assert built.origin_buckets() == {}
 
 
-class TestPrimedCache:
-    def test_prime_matches_lazy_warm(self, result, backend):
-        built = PathStore(result.paths.records)
-        primed = SuffixCache(result.oracle)
-        installed = built.prime_suffix_cache(primed)
-        assert installed == len(built)
-        lazy = SuffixCache(result.oracle)
-        for record in result.paths.records:
-            lazy(record.path)
-        assert primed.table == lazy.table
+class TestTransitSuffixes:
+    def test_memoised_per_edge_set(self, result):
+        store = PathStore(result.paths.records)
+        edges = result.oracle.p2c_edges()
+        table = store.transit_suffixes(edges)
+        assert store.transit_suffixes(edges) is table
+        assert store.transit_suffixes(frozenset(edges)) is table  # equal set
+        other = store.transit_suffixes(frozenset())
+        assert other is not table
+        assert all(len(suffix) == 1 for suffix in other.suffixes)
 
-    def test_primed_values_are_plain_ints(self, result, store):
-        primed = SuffixCache(result.oracle)
-        store.prime_suffix_cache(primed)
-        for suffix in primed.table.values():
-            assert all(type(asn) is int for asn in suffix)
-
-    def test_prime_skips_oracle_without_edges(self, result, store):
-        class Opaque:
-            def relationship(self, left, right):
-                return None
-
-        cache = SuffixCache(Opaque())
-        assert store.prime_suffix_cache(cache) == 0
-        assert cache.table == {}
-
-    def test_pipeline_cache_is_store_backed(self, result):
-        cache = result.suffix_cache()
-        store = result.paths.store()
-        assert cache._store is store
-        # resolving through the store slices the shared token column and
-        # matches the per-path backward scan exactly, with plain ints
-        lone = SuffixCache(result.oracle)
-        for path in store.paths[:50]:
-            suffix = cache(path)
-            assert suffix == lone(path)
-            assert all(type(token) is int for token in suffix)
+    def test_pipeline_views_share_one_table(self, result):
+        code = result.countries_with_national_view()[0]
+        shared = result.computation("global").suffixes()
+        assert result.computation("national", code).suffixes() is shared
+        assert result.computation("international", code).suffixes() is shared
 
 
 class TestOriginBuckets:
-    def test_matches_naive_scan(self, result, backend):
+    def test_matches_naive_scan(self, result):
         records = result.paths.records
         built = PathStore(records)
         naive = {}

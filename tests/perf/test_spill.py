@@ -1,9 +1,12 @@
-"""The mmap-backed spill store must be invisible: rankings, suffix
-caches, and index buckets computed over it must be value-identical to
-the in-memory backends (numpy and stdlib-array), and a crash mid-
-ingestion must resume to a byte-identical spill."""
+"""The mmap-backed spill store must be invisible: rankings, interned
+suffixes, and index buckets computed over it must be value-identical
+to the in-memory backend, a crash mid-ingestion must resume to a
+byte-identical spill, and a damaged spill must fail with a typed
+error."""
 
+import json
 import pickle
+import shutil
 
 import pytest
 
@@ -11,7 +14,6 @@ from repro import PipelineConfig, run_pipeline
 from repro.geo.database import GeoDatabase
 from repro.geo.prefix_geo import geolocate_prefixes
 from repro.geo.vp_geo import VPGeolocator
-from repro.perf.cache import SuffixCache
 from repro.perf.index import PathIndex
 from repro.perf.spill import (
     MmapPathStore,
@@ -19,7 +21,6 @@ from repro.perf.spill import (
     open_spill,
     sanitize_to_store,
 )
-import repro.perf.pathstore as pathstore_mod
 from repro.topology.catalog import build_world
 
 #: a cross-family spot-check sweep — four metric families, the four
@@ -98,15 +99,16 @@ class TestBackendParity:
                 == ranking.render(10, memory_result.as_name)
             ), key
 
-    def test_suffix_cache_contents_identical(self, memory_result, mmap_result):
-        dense_store = memory_result.paths.store()
-        mapped_store = mmap_result.paths.store()
-        baseline = SuffixCache(memory_result.oracle, store=dense_store)
-        dense_store.prime_suffix_cache(baseline)
-        spilled = SuffixCache(mmap_result.oracle, store=mapped_store)
-        mapped_store.prime_suffix_cache(spilled)
-        assert baseline.table == spilled.table
-        assert len(baseline.table) == len(dense_store)
+    def test_transit_suffixes_identical(self, memory_result, mmap_result):
+        edges = memory_result.oracle.p2c_edges()
+        baseline = memory_result.paths.store().transit_suffixes(edges)
+        spilled = mmap_result.paths.store().transit_suffixes(edges)
+        assert baseline.suffixes == spilled.suffixes
+        for column in ("path_suffix", "hop_offsets", "hop_asn", "hop_k", "asns"):
+            assert (
+                getattr(baseline, column).tolist()
+                == getattr(spilled, column).tolist()
+            ), column
 
     def test_index_buckets_identical(self, memory_result, mmap_result):
         baseline = PathIndex.from_paths(memory_result.paths)
@@ -127,31 +129,17 @@ class TestBackendParity:
         dense = memory_result.paths.store()
         mapped = mmap_result.paths.store()
         assert isinstance(mapped, MmapPathStore)
-        for column in ("tokens", "offsets", "lengths",
-                       "record_path", "record_origin", "record_vp"):
+        for column in ("tokens", "offsets", "lengths", "record_path",
+                       "record_origin", "record_vp", "record_prefix"):
             assert (
                 [int(v) for v in getattr(mapped, column)]
                 == [int(v) for v in getattr(dense, column)]
             ), column
         assert list(mapped.record_weight) == list(dense.record_weight)
+        assert mapped.vp_table == dense.vp_table
+        assert mapped.prefix_table == dense.prefix_table
         assert mapped.paths == dense.paths
         assert mapped.path_ids == dense.path_ids
-
-
-class TestFallbackParity:
-    def test_rankings_identical_without_numpy(self, world, memory_result,
-                                              monkeypatch):
-        monkeypatch.setattr(pathstore_mod, "_np", None)
-        result = run_pipeline(
-            world, PipelineConfig(seed=0, store_backend="mmap")
-        )
-        try:
-            baseline = memory_result.rank_all(METRICS, COUNTRIES)
-            spilled = result.rank_all(METRICS, COUNTRIES)
-            for key, ranking in baseline.items():
-                assert spilled[key].entries == ranking.entries, key
-        finally:
-            result.close()
 
 
 class TestCrashResume:
@@ -218,6 +206,50 @@ class TestCrashResume:
         (tmp_path / "manifest.json").write_text("{}")
         with pytest.raises(SpillFormatError):
             MmapPathStore(str(tmp_path))
+
+
+class TestDamagedSpill:
+    """Every way a sealed spill can be damaged on disk surfaces as a
+    SpillFormatError naming the damaged file, at open time."""
+
+    @pytest.fixture(scope="class")
+    def sealed(self, tmp_path_factory):
+        records, kwargs = _sanitize_inputs(build_world("small", 0))
+        directory = tmp_path_factory.mktemp("sealed")
+        sanitize_to_store(iter(records), directory=str(directory), **kwargs)
+        return directory
+
+    @pytest.fixture
+    def spill(self, sealed, tmp_path):
+        copy = tmp_path / "spill"
+        shutil.copytree(sealed, copy)
+        return copy
+
+    def assert_rejected(self, spill, damaged):
+        with pytest.raises(SpillFormatError, match=damaged):
+            open_spill(str(spill))
+
+    def test_missing_column_file(self, spill):
+        (spill / "record_prefix.i64").unlink()
+        self.assert_rejected(spill, "record_prefix.i64")
+
+    def test_garbage_manifest(self, spill):
+        (spill / "manifest.json").write_text("{not json", encoding="utf-8")
+        self.assert_rejected(spill, "manifest.json")
+
+    def test_garbage_prefix_table(self, spill):
+        (spill / "prefixes.jsonl").write_text("\x00garbage\n", encoding="utf-8")
+        self.assert_rejected(spill, "prefixes.jsonl")
+
+    def test_missing_vp_table(self, spill):
+        (spill / "vps.jsonl").unlink()
+        self.assert_rejected(spill, "vps.jsonl")
+
+    def test_side_table_row_count_checked(self, spill):
+        manifest = json.loads((spill / "manifest.json").read_text())
+        manifest["vps"] += 1
+        (spill / "manifest.json").write_text(json.dumps(manifest))
+        self.assert_rejected(spill, "vps.jsonl")
 
 
 class TestWorkerTransport:

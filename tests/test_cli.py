@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_world, main
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.sanitize import REJECT_CATEGORIES
@@ -150,6 +151,22 @@ class TestSweepCheckpoint:
     def test_resume_requires_checkpoint(self, capsys):
         assert main(self.ARGS + ["--resume"]) == 2
         assert "--resume requires --checkpoint" in capsys.readouterr().err
+
+    def test_resume_keys_on_world_content(self, capsys, tmp_path, monkeypatch):
+        """A world regenerated with different content under the same
+        name and seed must recompute, not resume the stale rankings."""
+        path = tmp_path / "sweep.ck"
+        assert main(self.ARGS + ["--checkpoint", str(path)]) == 0
+        stale = capsys.readouterr().out
+        build = cli.build_world
+        monkeypatch.setattr(
+            cli, "build_world", lambda kind, seed: build(kind, seed + 1)
+        )
+        assert main(self.ARGS) == 0
+        fresh = capsys.readouterr().out
+        assert fresh != stale
+        assert main(self.ARGS + ["--checkpoint", str(path), "--resume"]) == 0
+        assert capsys.readouterr().out == fresh
 
     def test_torn_checkpoint_resume_byte_identical(self, capsys, tmp_path):
         """A crash mid-append leaves a torn trailing line; the resumed
