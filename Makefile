@@ -25,9 +25,14 @@ test: lint lint-wp lint-sarif
 
 ## Fault-injection suite: deterministic worker kills, hung chunks,
 ## mid-sweep crashes, and corrupted dump lines, each required to
-## recover to byte-identical output (DESIGN.md section 6).
+## recover to byte-identical output (DESIGN.md section 6), plus spill
+## recovery: a torn ingestion resumes to byte-identical spill files,
+## and a damaged spill fails with a typed error on open or resume.
 faults:
 	$(PYTHON) -m pytest tests/resilience -q
+	$(PYTHON) -m pytest -q tests/perf/test_spill.py::TestCrashResume \
+		tests/perf/test_spill.py::TestDamagedSpill \
+		tests/perf/test_spill.py::TestDamagedResume
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (per-file rules R001-R008 plus the

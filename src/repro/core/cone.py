@@ -99,16 +99,16 @@ def prefix_cones(
     already-built result for the same records (the cross-metric cache).
     """
     materialized = list(records)
-    origin_prefixes: dict[int, set[Prefix]] = {}
+    prefixes_by_origin: dict[int, set[Prefix]] = {}
     for record in materialized:
-        origin_prefixes.setdefault(record.origin, set()).add(record.prefix)
+        prefixes_by_origin.setdefault(record.origin, set()).add(record.prefix)
     if as_cones is None:
         as_cones = customer_cones(materialized, oracle)
     cones: dict[int, set[Prefix]] = {}
     for asn, members in as_cones.items():
         prefixes: set[Prefix] = set()
         for member in members:
-            prefixes.update(origin_prefixes.get(member, ()))
+            prefixes.update(prefixes_by_origin.get(member, ()))
         cones[asn] = prefixes
     return cones
 

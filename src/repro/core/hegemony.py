@@ -76,10 +76,10 @@ def per_vp_scores(
 def validate_trim(trim: float) -> float:
     """Reject trims outside ``[0.0, 0.5)`` with a uniform message.
 
-    Every ranking entry point — dense or sparse, cached or not — funnels
-    through this check, so an invalid trim fails the same way on every
-    code path instead of being silently capped by the dense
-    :func:`trimmed_mean` while the sparse step raises.
+    Every ranking entry point — the reference or the columnar kernel,
+    cached or not — funnels through this check, so an invalid trim
+    fails the same way on every code path instead of being silently
+    capped by :func:`trimmed_mean`.
     """
     if not 0.0 <= trim < 0.5:
         raise ValueError(f"trim out of range: {trim}")
@@ -114,54 +114,6 @@ def trimmed_scores(
     for asn in universe:
         values = [per_vp[vp_ip].get(asn, 0.0) for vp_ip in vp_ips]
         scores[asn] = trimmed_mean(values, trim)
-    return scores
-
-
-def trimmed_scores_sparse(
-    per_vp: dict[str, dict[int, float]],
-    universe: set[int],
-    trim: float,
-) -> dict[int, float]:
-    """Exactly :func:`trimmed_scores`, computed zero-skipping.
-
-    The per-VP table is sparse — a VP stores an entry only for ASes on
-    its paths — while the dense formulation materialises, per AS, a
-    value for *every* VP (mostly zeros) and sorts it. Here the table is
-    inverted once into per-AS nonzero value lists; the trimmed window
-    over the implicit sorted array ``[0.0] * zeros + sorted(nonzero)``
-    is then a slice of the nonzero list. Identical output (the kept
-    values are summed in the same ascending order, and leading zeros
-    do not perturb a float sum of non-negative terms). The columnar
-    kernels' step 2 (:func:`repro.perf.hegemony._trimmed`) vectorizes
-    the same window.
-    """
-    validate_trim(trim)
-    n = len(per_vp)
-    if n == 0:
-        return {asn: 0.0 for asn in universe}
-    nonzero: dict[int, list[float]] = {}
-    for vp_scores in per_vp.values():
-        for asn, value in vp_scores.items():
-            bucket = nonzero.get(asn)
-            if bucket is None:
-                nonzero[asn] = [value]
-            else:
-                bucket.append(value)
-    k = min(math.ceil(trim * n), (n - 1) // 2)
-    keep = n - 2 * k
-    scores: dict[int, float] = {}
-    empty: list[float] = []
-    for asn in universe:
-        values = nonzero.get(asn, empty)
-        values.sort()
-        zeros = n - len(values)
-        low = k - zeros
-        if low < 0:
-            low = 0
-        high = n - k - zeros
-        if high < 0:
-            high = 0
-        scores[asn] = sum(values[low:high], 0.0) / keep
     return scores
 
 

@@ -96,8 +96,8 @@ class PipelineConfig:
     #: exercise failure paths with it; None injects nothing)
     faults: "FaultPlan | None" = None
     #: sanitized-record store backend: ``"memory"`` keeps the record
-    #: list in RAM (the default; numpy SoA mirror with a stdlib-array
-    #: fallback), ``"mmap"`` streams accepted records into an on-disk
+    #: list in RAM and builds its numpy column store on first use (the
+    #: default), ``"mmap"`` streams accepted records into an on-disk
     #: spill and maps it read-only (bounded RSS — the ``large`` tier's
     #: mode). Output bytes are identical across backends, so neither
     #: knob is semantic (see ``SEMANTIC_KNOBS``).

@@ -132,21 +132,32 @@ class FilterReport:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(init=False)
 class PathSet:
     """The sanitized, deduplicated input to every ranking metric.
 
     ``records`` is a plain list for the in-memory backend; the
     out-of-core path (:func:`repro.perf.spill.sanitize_to_store`) hands
-    in a read-only lazy sequence over mapped columns instead — every
-    consumer treats it as an immutable ``Sequence`` either way.
+    in a read-only lazy sequence over mapped columns, together with the
+    store it reads — every consumer treats ``records`` as an immutable
+    ``Sequence`` either way.
     """
 
     records: Sequence[PathRecord]
     report: FilterReport
-    #: lazily-built SoA mirror of the records (see :meth:`store`);
-    #: derived state, excluded from equality
-    _store: object = field(default=None, init=False, repr=False, compare=False)
+    #: the columnar mirror of the records (see :meth:`store`); derived
+    #: state, excluded from equality
+    _store: "PathStore | None" = field(repr=False, compare=False)
+
+    def __init__(
+        self,
+        records: Sequence[PathRecord],
+        report: FilterReport,
+        store: "PathStore | None" = None,
+    ) -> None:
+        self.records = records
+        self.report = report
+        self._store = store
 
     def __len__(self) -> int:
         return len(self.records)
@@ -155,10 +166,11 @@ class PathSet:
         return iter(self.records)
 
     def store(self) -> "PathStore":
-        """The records flattened into a :class:`repro.perf.PathStore`
-        (built on first use, then shared by every array-walking
-        consumer — the suffix bulk-prime and the index's origin
-        buckets). The records list must not be mutated after this."""
+        """The records as a :class:`repro.perf.PathStore`: the one
+        handed in, else built on first use. Every columnar consumer —
+        the path index's pair buckets and the cone, CTI and hegemony
+        kernels — shares it. The records must not be mutated after
+        this."""
         if self._store is None:
             from repro.perf.pathstore import PathStore
 
@@ -211,29 +223,63 @@ def sanitize(
     prefix_geo: PrefixGeolocation,
     tracer: AnyTracer = NULL_TRACER,
 ) -> PathSet:
-    """Run the full Table-1 pipeline over deduplicated RIB records.
+    """Run the full Table-1 pipeline over deduplicated RIB records,
+    collecting the accepted records in a list (through
+    :func:`sanitize_into`, which owns the span and counters)."""
+    return sanitize_into(
+        lambda accept, report: PathSet(list(accept(records)), report),
+        clique, is_allocated, route_servers, vp_geo, prefix_geo, tracer,
+    )
+
+
+def sanitize_into(
+    collect: Callable[
+        [Callable[[Iterable[RibRecord]], Iterator[PathRecord]], FilterReport],
+        PathSet,
+    ],
+    clique: frozenset[int],
+    is_allocated: Callable[[int], bool],
+    route_servers: frozenset[int],
+    vp_geo: VPGeolocator,
+    prefix_geo: PrefixGeolocation,
+    tracer: AnyTracer = NULL_TRACER,
+) -> PathSet:
+    """Run the Table-1 pass for either store backend — the one place
+    the ``sanitize`` span and counters are emitted.
+
+    ``collect(accept, report)`` builds the :class:`PathSet`: ``accept``
+    runs :func:`sanitize_stream` over the input records it is given,
+    accounting them in ``report``. :func:`sanitize` collects a list;
+    :func:`repro.perf.spill.sanitize_to_store` feeds a spill writer.
 
     ``tracer`` wraps the pass in a ``sanitize`` span and mirrors the
-    :class:`FilterReport` into ``sanitize.input`` / ``sanitize.accepted``
-    / ``sanitize.dropped.<category>`` counters — the aggregation happens
-    in the report either way, so tracing adds nothing to the per-record
-    loop.
+    returned set's :class:`FilterReport` into ``sanitize.input`` /
+    ``sanitize.accepted`` / ``sanitize.dropped.<category>`` counters —
+    the aggregation happens in the report either way, so tracing adds
+    nothing to the per-record loop.
     """
     with tracer.span("sanitize") as span:
-        path_set = _sanitize(
-            records, clique, is_allocated, route_servers, vp_geo, prefix_geo
-        )
-        report = path_set.report
+        report = FilterReport()
+
+        def accept(records: Iterable[RibRecord]) -> Iterator[PathRecord]:
+            return sanitize_stream(
+                records, clique, is_allocated, route_servers, vp_geo,
+                prefix_geo, report,
+            )
+
+        path_set = collect(accept, report)
+        # a reopened spill carries its manifest's report, not ``report``
+        final = path_set.report
         span.set(
-            input=report.total, output=report.accepted,
+            input=final.total, output=final.accepted,
             records=len(path_set.records),
         )
         metrics = tracer.metrics
-        metrics.counter("sanitize.input").inc(report.total)
-        metrics.counter("sanitize.accepted").inc(report.accepted)
+        metrics.counter("sanitize.input").inc(final.total)
+        metrics.counter("sanitize.accepted").inc(final.accepted)
         for category in REJECT_CATEGORIES:
             metrics.counter(f"sanitize.dropped.{category}").inc(
-                report.rejected[category]
+                final.rejected[category]
             )
     return path_set
 
@@ -278,22 +324,6 @@ def _check_path(
     return (None, collapsed)
 
 
-def _sanitize(
-    records: Iterable[RibRecord],
-    clique: frozenset[int],
-    is_allocated: Callable[[int], bool],
-    route_servers: frozenset[int],
-    vp_geo: VPGeolocator,
-    prefix_geo: PrefixGeolocation,
-) -> PathSet:
-    report = FilterReport()
-    out = list(sanitize_stream(
-        records, clique, is_allocated, route_servers, vp_geo, prefix_geo,
-        report,
-    ))
-    return PathSet(records=out, report=report)
-
-
 def sanitize_stream(
     records: Iterable[RibRecord],
     clique: frozenset[int],
@@ -309,8 +339,8 @@ def sanitize_stream(
     record has been judged, mutating ``report`` as a side effect — the
     streaming protocol the out-of-core spill ingestion
     (:mod:`repro.perf.spill`) consumes without ever holding the record
-    list. :func:`sanitize` is this generator collected into a
-    :class:`PathSet`; both paths are value-identical record for record.
+    list. :func:`sanitize_into` hands it to both backends, so they are
+    value-identical record for record.
 
     A consumer that checkpoints mid-stream may rely on this invariant:
     whenever a record is yielded, ``report`` accounts for exactly the

@@ -23,8 +23,8 @@ Three layers, designed to compose (see DESIGN.md §4):
   shared state (zero-copy under ``fork``).
 * :mod:`repro.perf.pathstore` — :class:`PathStore`, the
   structure-of-arrays mirror of the sanitized records (flat interned
-  token arrays) feeding the index's origin buckets and the cone, CTI
-  and hegemony kernels.
+  token arrays, filled by the one ``ColumnBuilder``) feeding the
+  index's pair buckets and the cone, CTI and hegemony kernels.
 * :mod:`repro.perf.spill` — the out-of-core variant:
   :class:`MmapPathStore` maps the same columns read-only from disk
   (written append-only by streaming ingestion), so worlds far larger

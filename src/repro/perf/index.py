@@ -3,12 +3,11 @@
 Every view in :mod:`repro.core.views` is a linear filter over *all*
 sanitized records, so a sweep across many (metric, country) pairs pays
 O(all records) per view. The :class:`PathIndex` pays that scan once:
-records are bucketed by ``(vp_country, prefix_country)`` up front —
-the only map view construction needs — and view construction then
-touches only the selected buckets. The secondary maps (by VP IP, by
-origin, ``origin → prefixes``, per-prefix addresses) are each built
-lazily on first use, so a ranking sweep never pays for lookups it does
-not perform.
+record positions are bucketed by ``(vp_country, prefix_country)`` —
+the only map view construction needs, grouped from the
+:class:`~repro.perf.pathstore.PathStore`'s id columns and shared by
+every index over that store — and view construction then touches only
+the selected buckets.
 
 Invariant: an indexed view is **identical** to its naive counterpart —
 same name, same country, and the same records in the same (original
@@ -25,12 +24,10 @@ trial.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.sanitize import PathRecord, PathSet
 from repro.core.views import View, ip_sort_key
-from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
 if TYPE_CHECKING:
@@ -44,135 +41,23 @@ VIEW_KINDS = ("national", "international", "outbound", "global")
 class PathIndex:
     """Bucketed record lookups for O(selected) view construction."""
 
-    __slots__ = (
-        "records", "_store", "_by_pair", "_by_vp", "_by_origin",
-        "_origin_prefixes", "_prefix_addresses",
-    )
+    __slots__ = ("records", "_by_pair")
 
-    def __init__(
-        self,
-        records: Sequence[PathRecord],
-        store: "PathStore | None" = None,
-    ) -> None:
-        # lists/iterables are snapshotted; an immutable lazy sequence
-        # (the mmap store's record view) is kept as-is so indexing a
-        # spilled PathSet never materializes the full record list
-        if isinstance(records, (list, tuple)) or not isinstance(
-            records, Sequence
-        ):
-            records = tuple(records)
-        self.records: Sequence[PathRecord] = records
-        #: optional SoA mirror of *exactly these* records; when present
-        #: the pair and origin buckets come from its shared groupings
-        #: instead of per-index record walks
-        self._store = store
-        #: (vp_country, prefix_country) → ascending record positions
-        self._by_pair: dict[tuple[str, str], Sequence[int]] = {}
-        self._by_vp: dict[str, list[int]] | None = None
-        self._by_origin: dict[int, list[int]] | None = None
-        self._origin_prefixes: dict[int, set[Prefix]] | None = None
-        self._prefix_addresses: dict[Prefix, int] | None = None
-        if store is not None:
-            # the store memoises the same first-appearance bucket dict,
-            # so every index over one PathSet shares a single scan; the
-            # buckets are read-only on both sides
-            self._by_pair = store.pair_buckets()
-            return
-        by_pair = self._by_pair
-        # attrgetter materialises the (vp_country, prefix_country) key
-        # tuple in C — this loop is the only full-record scan a ranking
-        # sweep pays, so it is kept as lean as possible.
-        pair_of = attrgetter("vp_country", "prefix_country")
-        for position, pair in enumerate(map(pair_of, self.records)):
-            bucket = by_pair.get(pair)
-            if bucket is None:
-                by_pair[pair] = [position]
-            else:
-                bucket.append(position)
+    def __init__(self, store: "PathStore") -> None:
+        #: the store's records — a lazy sequence over the mapped columns
+        #: for a spilled store, never materialized here
+        self.records: Sequence[PathRecord] = store.records
+        #: (vp_country, prefix_country) → ascending record positions:
+        #: the store's memoised grouping, read-only on both sides
+        self._by_pair = store.pair_buckets()
 
     @classmethod
     def from_paths(cls, paths: PathSet) -> "PathIndex":
-        """Index a sanitized path set (one O(n) pass), sharing its SoA
-        store so the origin buckets are array walks."""
-        return cls(paths.records, store=paths.store())
-
-    # -- lazy secondary maps --------------------------------------------------
-
-    def _vp_buckets(self) -> dict[str, list[int]]:
-        """VP IP → ascending record positions (built on first use)."""
-        if self._by_vp is None:
-            by_vp: dict[str, list[int]] = {}
-            for position, record in enumerate(self.records):
-                ip = record.vp.ip
-                bucket = by_vp.get(ip)
-                if bucket is None:
-                    by_vp[ip] = [position]
-                else:
-                    bucket.append(position)
-            self._by_vp = by_vp
-        return self._by_vp
-
-    def _origin_buckets(self) -> dict[int, list[int]]:
-        """Origin ASN → ascending record positions (built on first use,
-        together with the origin → prefixes map).
-
-        With a :class:`~repro.perf.pathstore.PathStore` attached the
-        buckets come from its flat origin column (same dict, grouped in
-        C instead of a per-record attribute walk); the record objects
-        are only touched for the prefix sets.
-        """
-        if self._by_origin is None:
-            records = self.records
-            if self._store is not None:
-                by_origin = self._store.origin_buckets()
-                origin_prefixes = {
-                    origin: {records[position].prefix for position in bucket}
-                    for origin, bucket in by_origin.items()
-                }
-            else:
-                by_origin = {}
-                origin_prefixes = {}
-                for position, record in enumerate(records):
-                    origin = record.path.origin
-                    bucket = by_origin.get(origin)
-                    if bucket is None:
-                        by_origin[origin] = [position]
-                        origin_prefixes[origin] = {record.prefix}
-                    else:
-                        bucket.append(position)
-                        origin_prefixes[origin].add(record.prefix)
-            self._by_origin = by_origin
-            self._origin_prefixes = origin_prefixes
-        return self._by_origin
-
-    @property
-    def origin_prefixes(self) -> dict[int, set[Prefix]]:
-        """Origin ASN → distinct prefixes it originates (observed)."""
-        self._origin_buckets()
-        assert self._origin_prefixes is not None
-        return self._origin_prefixes
-
-    @property
-    def prefix_addresses(self) -> dict[Prefix, int]:
-        """Prefix → owned address count carried on its records."""
-        if self._prefix_addresses is None:
-            self._prefix_addresses = {
-                record.prefix: record.addresses for record in self.records
-            }
-        return self._prefix_addresses
-
-    # -- bucket queries -------------------------------------------------------
+        """Index a sanitized path set through its shared store."""
+        return cls(paths.store())
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def countries(self) -> list[str]:
-        """Destination countries present, sorted (mirrors PathSet)."""
-        return sorted({prefix_cc for _, prefix_cc in self._by_pair})
-
-    def vp_ips(self) -> list[str]:
-        """All VP IPs present, ordered by parsed address."""
-        return sorted(self._vp_buckets(), key=ip_sort_key)
 
     def indices(self, kind: str, country: str | None = None) -> list[int]:
         """Ascending record positions selected by a view kind.
@@ -207,16 +92,6 @@ class PathIndex:
         merged.sort()
         return merged
 
-    def origin_indices(self, origins: Iterable[int]) -> list[int]:
-        """Ascending positions of records toward the given origin ASes
-        (the AHC / destination-view selector)."""
-        by_origin = self._origin_buckets()
-        merged: list[int] = []
-        for origin in set(origins):
-            merged.extend(by_origin.get(origin, ()))
-        merged.sort()
-        return merged
-
     # -- view construction ------------------------------------------------------
 
     def view(
@@ -248,17 +123,6 @@ class PathIndex:
                 tracer.metrics.histogram("views.size").observe(len(view.records))
                 tracer.metrics.histogram("views.vps").observe(len(view.vps()))
         return view
-
-    def destination_view(self, origins: Iterable[int]) -> View:
-        """Indexed counterpart of :func:`repro.core.views.destination_view`."""
-        wanted = frozenset(origins)
-        selected = self.origin_indices(wanted)
-        all_records = self.records
-        return View(
-            name=f"destination:{len(wanted)}ases",
-            country=None,
-            records=tuple([all_records[i] for i in selected]),
-        )
 
 
 class ViewSlicer:

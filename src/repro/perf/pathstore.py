@@ -3,8 +3,8 @@
 A :class:`repro.core.sanitize.PathSet` holds hundreds of thousands of
 records, each pointing at an :class:`repro.net.aspath.ASPath` — an
 object per path, a tuple per object, a Python int per hop. The hot
-consumers (the metric kernels, origin bucketing) walk all of them,
-paying an attribute chase and a dict probe per element.
+consumers (the metric kernels, the index's pair buckets) walk all of
+them, paying an attribute chase and a dict probe per element.
 
 :class:`PathStore` flattens the same information into contiguous
 numpy integer arrays, deduplicated by path, in the column schema the
@@ -15,15 +15,21 @@ spill store (:mod:`repro.perf.spill`) persists:
   ``tokens``;
 * ``record_path`` — record position → distinct-path id;
 * ``record_vp`` / ``record_prefix`` — record position → VP id / prefix
-  id, both interned in first-appearance order, resolved through the
-  side tables ``vp_table`` (``(VantagePoint, country)`` per VP id) and
-  ``prefix_table`` (``(Prefix, country, addresses)`` per prefix id);
-* ``record_origin`` — per-record origin ASN column for the index's
-  grouped walks;
+  id, resolved through the side tables ``vp_table``
+  (``(VantagePoint, country)`` per VP id) and ``prefix_table``
+  (``(Prefix, country, addresses)`` per prefix id);
+* ``record_origin`` — per-record origin ASN;
 * ``record_addresses`` — per-record address counts, kept as a plain
   tuple: IPv6 prefixes carry counts far beyond int64 range;
 * ``record_weight`` — ``float(addresses)`` per record, which only the
   hegemony and CTI kernels read, derived on first use.
+
+:class:`ColumnBuilder` is the one place these ids are assigned: it
+interns paths, VPs (by IP) and prefixes in first-appearance order,
+appending to one ``array('q')`` buffer per int64 column. A
+``PathStore`` adopts a builder's buffers as its columns;
+:class:`repro.perf.spill.SpillWriter` is the same builder flushing its
+buffers to the spill files — so both backends hold the same values.
 
 Every value handed back to consumers is a plain Python ``int``, so
 downstream products are byte-identical to the object-walking path. The
@@ -49,80 +55,105 @@ if TYPE_CHECKING:
     from repro.net.prefix import Prefix
     from repro.perf.cone import SuffixTable
 
+#: The int64 columns, in the spill's file order: ``tokens`` holds one
+#: element per hop of a distinct path, ``offsets``/``lengths`` one per
+#: distinct path, the ``record_*`` columns one per record.
+COLUMNS = (
+    "tokens", "offsets", "lengths",
+    "record_path", "record_vp", "record_prefix", "record_origin",
+)
+
+
+class ColumnBuilder:
+    """Interns records into the store's columns: the one place path,
+    VP (by IP) and prefix ids are assigned, each in first-appearance
+    order.
+
+    :meth:`add` appends a record's row to ``buffers`` — one
+    ``array('q')`` per column, in :data:`COLUMNS` order — and grows the
+    ``vp_table`` / ``prefix_table`` side tables. ``tokens_total`` and
+    ``record_count`` count everything added, including rows a
+    subclass has already flushed out of the buffers.
+    """
+
+    __slots__ = (
+        "buffers", "path_ids", "vp_ids", "prefix_ids", "vp_table",
+        "prefix_table", "tokens_total", "record_count",
+    )
+
+    def __init__(self) -> None:
+        self.buffers = tuple(array("q") for _ in COLUMNS)
+        #: distinct path → id; the keys are the paths in id order
+        self.path_ids: dict["ASPath", int] = {}
+        self.vp_ids: dict[str, int] = {}
+        self.prefix_ids: dict["Prefix", int] = {}
+        self.vp_table: list[tuple["VantagePoint", str]] = []
+        self.prefix_table: list[tuple["Prefix", str, int]] = []
+        self.tokens_total = 0
+        self.record_count = 0
+
+    def add(self, record: "PathRecord") -> None:
+        """Intern one record and append its row."""
+        (tokens, offsets, lengths, record_path, record_vp, record_prefix,
+         record_origin) = self.buffers
+        path = record.path
+        pid = self.path_ids.get(path)
+        if pid is None:
+            pid = self.path_ids[path] = len(self.path_ids)
+            asns = path.asns
+            offsets.append(self.tokens_total)
+            lengths.append(len(asns))
+            tokens.extend(asns)
+            self.tokens_total += len(asns)
+        vp = record.vp
+        vid = self.vp_ids.get(vp.ip)
+        if vid is None:
+            vid = self.vp_ids[vp.ip] = len(self.vp_table)
+            self.vp_table.append((vp, record.vp_country))
+        prefix = record.prefix
+        fid = self.prefix_ids.get(prefix)
+        if fid is None:
+            fid = self.prefix_ids[prefix] = len(self.prefix_table)
+            self.prefix_table.append(
+                (prefix, record.prefix_country, record.addresses)
+            )
+        record_path.append(pid)
+        record_vp.append(vid)
+        record_prefix.append(fid)
+        record_origin.append(path.asns[-1])
+        self.record_count += 1
+
 
 class PathStore:
     """Interned, flattened view of a record sequence's paths."""
 
     __slots__ = (
-        "records", "paths", "path_ids", "tokens", "offsets", "lengths",
+        "records", "paths", "tokens", "offsets", "lengths",
         "record_path", "record_origin", "record_addresses", "record_vp",
         "record_prefix", "record_weight", "vp_table", "prefix_table",
         "_token_list", "_pair_buckets", "_suffix_memo", "_distinct",
     )
 
     def __init__(self, records: Sequence["PathRecord"]) -> None:
-        #: one representative ASPath object per distinct path, in first-
-        #: appearance order
-        path_ids: dict["ASPath", int] = {}
-        paths: list["ASPath"] = []
-        tokens: list[int] = []
-        offsets: list[int] = []
-        lengths: list[int] = []
-        vp_ids: dict[str, int] = {}
-        prefix_ids: dict["Prefix", int] = {}
-        vp_table: list[tuple["VantagePoint", str]] = []
-        prefix_table: list[tuple["Prefix", str, int]] = []
-        record_path: list[int] = []
-        record_vp: list[int] = []
-        record_prefix: list[int] = []
-        record_origin: list[int] = []
-        record_addresses: list[int] = []
-        for record in records:
-            path = record.path
-            pid = path_ids.get(path)
-            if pid is None:
-                pid = path_ids[path] = len(paths)
-                paths.append(path)
-                asns = path.asns
-                offsets.append(len(tokens))
-                lengths.append(len(asns))
-                tokens.extend(asns)
-            vp = record.vp
-            vid = vp_ids.get(vp.ip)
-            if vid is None:
-                vid = vp_ids[vp.ip] = len(vp_table)
-                vp_table.append((vp, record.vp_country))
-            prefix = record.prefix
-            fid = prefix_ids.get(prefix)
-            if fid is None:
-                fid = prefix_ids[prefix] = len(prefix_table)
-                prefix_table.append(
-                    (prefix, record.prefix_country, record.addresses)
-                )
-            record_path.append(pid)
-            record_vp.append(vid)
-            record_prefix.append(fid)
-            record_origin.append(path.asns[-1])
-            record_addresses.append(record.addresses)
         #: the source records (the mmap store rematerializes its own)
         self.records: tuple["PathRecord", ...] = tuple(records)
-        self.paths: tuple["ASPath", ...] = tuple(paths)
-        #: distinct path → its id (row in offsets/lengths)
-        self.path_ids = path_ids
-        self.vp_table = vp_table
-        self.prefix_table = prefix_table
+        builder = ColumnBuilder()
+        for record in self.records:
+            builder.add(record)
+        #: one representative ASPath object per distinct path, in id
+        #: order (the builder's interning dict goes with the builder)
+        self.paths: tuple["ASPath", ...] = tuple(builder.path_ids)
+        self.vp_table = builder.vp_table
+        self.prefix_table = builder.prefix_table
+        for name, buffer in zip(COLUMNS, builder.buffers):
+            setattr(self, name, np.frombuffer(buffer, dtype=np.int64))
+        self.record_addresses = tuple(
+            [record.addresses for record in self.records]
+        )
         self._token_list: list[int] | None = None
         self._pair_buckets: dict[tuple[str, str], array] | None = None
         self._suffix_memo: tuple[frozenset, "SuffixTable"] | None = None
         self._distinct: tuple[Any, Any, Any, Any] | None = None
-        self.tokens = np.asarray(tokens, dtype=np.int64)
-        self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.lengths = np.asarray(lengths, dtype=np.int64)
-        self.record_path = np.asarray(record_path, dtype=np.int64)
-        self.record_vp = np.asarray(record_vp, dtype=np.int64)
-        self.record_prefix = np.asarray(record_prefix, dtype=np.int64)
-        self.record_origin = np.asarray(record_origin, dtype=np.int64)
-        self.record_addresses = tuple(record_addresses)
 
     def __getattr__(self, name: str) -> Any:
         # the kernels' weight column, filled on first use (fires only
@@ -188,10 +219,9 @@ class PathStore:
     def pair_buckets(self) -> dict[tuple[str, str], array]:
         """Record positions grouped by ``(vp_country, prefix_country)``
         — each bucket an ascending ``array('q')``, keys in
-        first-appearance order: the dict
-        :class:`repro.perf.index.PathIndex` builds with its full-record
-        scan, computed once here from the id columns and side tables
-        and shared by every index over this store."""
+        first-appearance order — computed once from the id columns and
+        side tables and shared by every
+        :class:`repro.perf.index.PathIndex` over this store."""
         if self._pair_buckets is None:
             vp_countries = [country for _, country in self.vp_table]
             prefix_countries = [country for _, country, _ in self.prefix_table]
@@ -216,16 +246,6 @@ class PathStore:
             groups.sort(key=lambda item: item[0][0])
             self._pair_buckets = {pair: bucket for bucket, pair in groups}
         return self._pair_buckets
-
-    def origin_buckets(self) -> dict[int, list[int]]:
-        """Record positions grouped by origin ASN — each bucket in
-        ascending position order, keys in first-appearance order —
-        exactly the dict a stable per-record scan would build."""
-        groups = _buckets(self.record_origin)
-        # re-keying by each bucket's first position restores the naive
-        # scan's first-appearance dict order
-        groups.sort(key=lambda item: item[0][0])
-        return {origin: bucket.tolist() for bucket, origin in groups}
 
 
 def _buckets(keys: np.ndarray) -> list[tuple[array, int]]:

@@ -6,47 +6,41 @@ sanitized record list fits in RAM — fine at the catalog's ``small`` /
 millions of records. This module is the spill half of the out-of-core
 engine:
 
-* :class:`SpillWriter` consumes accepted
-  :class:`~repro.core.sanitize.PathRecord` objects one at a time and
-  appends them to flat little-endian-native int64 column files
+* :class:`SpillWriter` is the store's
+  :class:`~repro.perf.pathstore.ColumnBuilder` with its buffers flushed
+  to a directory: flat native-endian int64 column files
   (``tokens`` / ``offsets`` / ``lengths`` for the interned distinct
   paths, ``record_path`` / ``record_vp`` / ``record_prefix`` /
   ``record_origin`` per record) plus two small JSONL side tables
   (``vps.jsonl``, ``prefixes.jsonl``) holding the entities a record id
-  points at. Peak writer memory is the interning dicts plus one bounded
-  flush buffer — never the record set.
+  points at. Peak writer memory is the interning state (bounded by
+  distinct entities) plus one bounded flush buffer — never the record
+  set.
 * :class:`MmapPathStore` maps those columns back read-only behind the
   exact :class:`~repro.perf.pathstore.PathStore` interface (it *is* a
   ``PathStore`` subclass, with the same column schema), so
   :class:`~repro.perf.index.PathIndex`, the metric kernels and every
   ranking consumer work unchanged. Records rematerialize lazily per
-  access; pair/origin buckets are built in one pass over the mapped
-  columns with ``array('q')`` buckets, not per-record Python lists. A
-  damaged directory — a missing or short column file, an unreadable
-  manifest or side table, side tables whose row counts disagree with
-  the manifest — raises :class:`SpillFormatError` naming the file.
-* :func:`sanitize_to_store` drives the Table-1 sanitization stream into
-  a spill directory and returns a :class:`~repro.core.sanitize.PathSet`
-  whose records are the lazy mmap view — the drop-in replacement for
-  :func:`repro.core.sanitize.sanitize` the pipeline uses when
+  access; pair buckets are built in one pass over the mapped columns.
+* :func:`sanitize_to_store` runs the Table-1 pass
+  (:func:`repro.core.sanitize.sanitize_into`) into a spill directory
+  and returns a :class:`~repro.core.sanitize.PathSet` whose records are
+  the lazy mmap view — what the pipeline uses when
   ``store_backend="mmap"``.
 
 Crash safety: every ``flush_every`` accepted records the writer flushes
 its buffers and atomically rewrites ``progress.json`` (consumed input
 records, per-file element counts, the Table-1 report counts). Resuming
-truncates every column file back to the last checkpoint, rebuilds the
-interning dicts from the on-disk data, restores the report counts
-(samples are not preserved across a resume), skips the already-consumed
-input records — the input stream is seed-deterministic and replayable —
-and continues; the sealed result is byte-identical to an uninterrupted
-ingestion. ``manifest.json`` marks a sealed, complete spill.
-
-Determinism: ids are allocated in first-appearance order exactly like
-the in-memory store's interning loop, so ``tokens`` / ``offsets`` /
-``lengths`` / ``record_*`` are value-identical to the arrays
-``PathStore(records)`` would build — the backend-parity tests in
-``tests/perf/test_spill.py`` pin rankings, store columns, interned
-suffixes and index buckets across both backends.
+truncates every column file and side table back to the last
+checkpoint, rebuilds the builder's interning state from them, restores
+the report counts (samples are not preserved across a resume), skips
+the already-consumed input records — the input stream is
+seed-deterministic and replayable — and continues; the sealed result is
+byte-identical to an uninterrupted ingestion. ``manifest.json`` marks a
+sealed, complete spill. A damaged directory — a missing or short column
+file, an unreadable manifest, checkpoint or side table, side tables
+whose row counts disagree with them — raises :class:`SpillFormatError`
+naming the file, on open and on resume.
 
 Like the in-memory store, the mapped arrays are derived, read-only
 state (the maps are ``ACCESS_READ``; lint rule R007 covers this class
@@ -59,7 +53,6 @@ from __future__ import annotations
 
 import json
 import os
-from array import array as _stdlib_array
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
@@ -73,12 +66,12 @@ from repro.core.sanitize import (
     FilterReport,
     PathRecord,
     PathSet,
-    sanitize_stream,
+    sanitize_into,
 )
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.perf.pathstore import PathStore, _buckets
+from repro.perf.pathstore import COLUMNS, ColumnBuilder, PathStore
 
 if TYPE_CHECKING:
     from repro.geo.prefix_geo import PrefixGeolocation
@@ -88,13 +81,10 @@ if TYPE_CHECKING:
 FORMAT_NAME = "repro-spill"
 FORMAT_VERSION = 1
 
-#: int64 column files, in a fixed order (element counts per file:
-#: tokens → token count; offsets/lengths → distinct paths; record_* →
-#: records).
-_COLUMNS = (
-    "tokens", "offsets", "lengths",
-    "record_path", "record_vp", "record_prefix", "record_origin",
-)
+#: the manifest's (and each checkpoint's) element counts, and the count
+#: each column file is held to (``record_*`` files hold ``records``)
+_COUNTS = ("records", "paths", "tokens", "vps", "prefixes")
+_COUNT_OF = {"tokens": "tokens", "offsets": "paths", "lengths": "paths"}
 
 
 class SpillFormatError(ValueError):
@@ -118,25 +108,33 @@ def _map_int64(path: Path) -> np.ndarray:
     return np.memmap(path, dtype=np.int64, mode="r")
 
 
+def _read_counts(path: Path, keys: tuple[str, ...], **header: object) -> dict:
+    """A manifest or checkpoint: a JSON object holding ``header``'s
+    values and an integer under every key in ``keys``."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as error:
+        raise SpillFormatError(f"{path}: unreadable ({error})") from error
+    if not isinstance(payload, dict):
+        raise SpillFormatError(f"{path}: not a JSON object")
+    if any(payload.get(key) != value for key, value in header.items()):
+        raise SpillFormatError(
+            f"{path}: not a {FORMAT_NAME} v{FORMAT_VERSION} spill"
+        )
+    for key in keys:
+        if type(payload.get(key)) is not int or payload[key] < 0:
+            raise SpillFormatError(f"{path}: no {key!r} count")
+    return payload
+
+
 def _read_manifest(base: Path) -> dict:
     """The sealed spill's manifest, checked for format and counts."""
     path = base / "manifest.json"
     if not path.exists():
         raise SpillFormatError(f"{base}: no manifest (spill not sealed)")
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as error:
-        raise SpillFormatError(f"{path}: unreadable manifest ({error})") from error
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("format") != FORMAT_NAME
-        or manifest.get("version") != FORMAT_VERSION
-    ):
-        raise SpillFormatError(f"{base}: not a {FORMAT_NAME} v{FORMAT_VERSION} spill")
-    for key in ("records", "paths", "tokens", "vps", "prefixes"):
-        if type(manifest.get(key)) is not int:
-            raise SpillFormatError(f"{path}: no integer {key!r} count")
-    return manifest
+    return _read_counts(
+        path, _COUNTS, format=FORMAT_NAME, version=FORMAT_VERSION
+    )
 
 
 def _side_table(path: Path, rows: int, build: Callable[[Any], Any]) -> list:
@@ -150,20 +148,53 @@ def _side_table(path: Path, rows: int, build: Callable[[Any], Any]) -> list:
     except (ValueError, KeyError, TypeError) as error:
         raise SpillFormatError(f"{path}: malformed row ({error!r})") from error
     if len(table) != rows:
-        raise SpillFormatError(f"{path}: {len(table)} rows, manifest says {rows}")
+        raise SpillFormatError(f"{path}: {len(table)} rows, expected {rows}")
     return table
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    rows: list[dict] = []
-    if not path.exists():
-        return rows
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+def _truncated_table(path: Path, rows: int, build: Callable[[Any], Any]) -> list:
+    """A side table cut back to its first ``rows`` rows (a torn tail past
+    the checkpoint is dropped), read through :func:`_side_table`."""
+    try:
+        lines = path.read_bytes().split(b"\n")[:rows]
+    except FileNotFoundError as error:
+        raise SpillFormatError(f"{path}: side table missing") from error
+    if len(lines) < rows:
+        raise SpillFormatError(f"{path}: shorter than its last checkpoint")
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return _side_table(path, rows, build)
+
+
+def _vp_row(row: dict) -> tuple[VantagePoint, str]:
+    vp = VantagePoint(
+        ip=row["ip"], asn=int(row["asn"]), collector=row["collector"]
+    )
+    return vp, row["country"]
+
+
+def _prefix_row(row: dict) -> tuple[Prefix, str, int]:
+    return Prefix.parse(row["prefix"]), row["country"], row["addresses"]
+
+
+def _vp_json(entry: tuple[VantagePoint, str]) -> dict:
+    vp, country = entry
+    return {"ip": vp.ip, "asn": vp.asn, "collector": vp.collector,
+            "country": country}
+
+
+def _prefix_json(entry: tuple[Prefix, str, int]) -> dict:
+    prefix, country, addresses = entry
+    return {"prefix": str(prefix), "country": country, "addresses": addresses}
+
+
+def _paths(
+    tokens: list[int], offsets: np.ndarray, lengths: np.ndarray
+) -> tuple[ASPath, ...]:
+    """The distinct paths the token columns hold, in id order."""
+    return tuple(
+        ASPath.trusted(tuple(tokens[start:start + length]))
+        for start, length in zip(offsets.tolist(), lengths.tolist())
+    )
 
 
 def _report_payload(report: FilterReport) -> dict:
@@ -174,15 +205,22 @@ def _report_payload(report: FilterReport) -> dict:
     }
 
 
-def _restore_report(report: FilterReport, payload: dict) -> None:
-    report.total = int(payload["total"])
-    report.accepted = int(payload["accepted"])
-    for category in REJECT_CATEGORIES:
-        report.rejected[category] = int(payload["rejected"].get(category, 0))
+def _restore_report(report: FilterReport, payload: dict, path: Path) -> None:
+    """Load the Table-1 counts the manifest or checkpoint at ``path``
+    holds."""
+    try:
+        counts = payload["report"]
+        report.total = int(counts["total"])
+        report.accepted = int(counts["accepted"])
+        for category in REJECT_CATEGORIES:
+            report.rejected[category] = int(counts["rejected"].get(category, 0))
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise SpillFormatError(f"{path}: malformed report ({error!r})") from error
 
 
-class SpillWriter:
-    """Append-only writer for one spill directory.
+class SpillWriter(ColumnBuilder):
+    """A :class:`~repro.perf.pathstore.ColumnBuilder` whose buffers are
+    flushed to one spill directory.
 
     Feed it accepted records via :meth:`add`; call
     :meth:`maybe_checkpoint` after each (it flushes and persists
@@ -195,19 +233,12 @@ class SpillWriter:
     def __init__(self, directory: str | Path, flush_every: int = 200_000) -> None:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
+        super().__init__()
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.flush_every = flush_every
-        self.path_ids: dict[ASPath, int] = {}
-        self._vp_ids: dict[str, int] = {}
-        self._prefix_ids: dict[Prefix, int] = {}
-        self.accepted = 0
-        self.tokens_total = 0
-        self._buffers: dict[str, _stdlib_array] = {
-            name: _stdlib_array("q") for name in _COLUMNS
-        }
-        self._vp_lines: list[str] = []
-        self._prefix_lines: list[str] = []
+        #: vp_table / prefix_table rows already in the side tables
+        self._rows_flushed = (0, 0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -216,7 +247,7 @@ class SpillWriter:
         return (self.directory / "manifest.json").exists()
 
     def prepare(self, report: FilterReport) -> int:
-        """Make the directory consistent and load writer state.
+        """Make the directory consistent and load the builder's state.
 
         Returns the number of *input* records already consumed at the
         last checkpoint (0 for a fresh directory). Partial data past the
@@ -226,125 +257,58 @@ class SpillWriter:
         """
         if self.sealed():
             raise SpillFormatError(f"{self.directory}: spill already sealed")
-        progress_path = self.directory / "progress.json"
-        if not progress_path.exists():
-            self._reset_files()
+        checkpoint = self.directory / "progress.json"
+        if not checkpoint.exists():
+            for name in COLUMNS:
+                _column_path(self.directory, name).write_bytes(b"")
+            for stem in ("vps.jsonl", "prefixes.jsonl"):
+                (self.directory / stem).write_bytes(b"")
             return 0
-        progress = json.loads(progress_path.read_text(encoding="utf-8"))
-        paths = int(progress["paths"])
-        records = int(progress["records"])
-        tokens = int(progress["tokens"])
-        vps = int(progress["vps"])
-        prefixes = int(progress["prefixes"])
-        counts = {
-            "tokens": tokens, "offsets": paths, "lengths": paths,
-            "record_path": records, "record_vp": records,
-            "record_prefix": records, "record_origin": records,
-        }
-        for name in _COLUMNS:
-            path = _column_path(self.directory, name)
-            wanted = counts[name] * 8
-            if not path.exists() or path.stat().st_size < wanted:
+        progress = _read_counts(checkpoint, ("consumed",) + _COUNTS)
+        _restore_report(report, progress, checkpoint)
+        for name in COLUMNS:
+            column = _column_path(self.directory, name)
+            wanted = progress[_COUNT_OF.get(name, "records")] * 8
+            if not column.exists() or column.stat().st_size < wanted:
                 raise SpillFormatError(
-                    f"{path}: shorter than its last checkpoint"
+                    f"{column}: shorter than its last checkpoint"
                 )
-            os.truncate(path, wanted)
-        self._truncate_jsonl(self.directory / "vps.jsonl", vps)
-        self._truncate_jsonl(self.directory / "prefixes.jsonl", prefixes)
-        self._load_interning()
+            os.truncate(column, wanted)
+        # only the path columns feed the interning state
+        tokens, offsets, lengths = (
+            np.fromfile(_column_path(self.directory, name), dtype=np.int64)
+            for name in COLUMNS[:3]
+        )
+        paths = _paths(tokens.tolist(), offsets, lengths)
+        self.path_ids = {path: pid for pid, path in enumerate(paths)}
+        self.vp_table = _truncated_table(
+            self.directory / "vps.jsonl", progress["vps"], _vp_row
+        )
+        self.prefix_table = _truncated_table(
+            self.directory / "prefixes.jsonl", progress["prefixes"], _prefix_row
+        )
+        self.vp_ids = {vp.ip: vid for vid, (vp, _) in enumerate(self.vp_table)}
+        self.prefix_ids = {
+            prefix: fid for fid, (prefix, _, _) in enumerate(self.prefix_table)
+        }
         if (
-            len(self.path_ids) != paths
-            or len(self._vp_ids) != vps
-            or len(self._prefix_ids) != prefixes
-            or self.tokens_total != tokens
+            len(self.path_ids) != progress["paths"]
+            or len(self.vp_ids) != progress["vps"]
+            or len(self.prefix_ids) != progress["prefixes"]
         ):
             raise SpillFormatError(
                 f"{self.directory}: checkpoint counts do not match on-disk data"
             )
-        self.accepted = records
-        _restore_report(report, progress["report"])
-        return int(progress["consumed"])
-
-    def _reset_files(self) -> None:
-        for name in _COLUMNS:
-            _column_path(self.directory, name).write_bytes(b"")
-        for stem in ("vps.jsonl", "prefixes.jsonl"):
-            (self.directory / stem).write_text("", encoding="utf-8")
-
-    def _truncate_jsonl(self, path: Path, keep: int) -> None:
-        rows = _read_jsonl(path)[:keep]
-        if len(rows) < keep:
-            raise SpillFormatError(f"{path}: shorter than its last checkpoint")
-        with open(path, "w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
-
-    def _load_interning(self) -> None:
-        """Rebuild the interning dicts from the (truncated) on-disk data."""
-        tokens = _stdlib_array("q")
-        offsets = _stdlib_array("q")
-        lengths = _stdlib_array("q")
-        for column, name in ((tokens, "tokens"), (offsets, "offsets"),
-                             (lengths, "lengths")):
-            data = _column_path(self.directory, name).read_bytes()
-            column.frombytes(data)
-        self.path_ids = {}
-        for pid in range(len(offsets)):
-            offset = offsets[pid]
-            asns = tuple(tokens[offset:offset + lengths[pid]])
-            self.path_ids[ASPath.trusted(asns)] = pid
         self.tokens_total = len(tokens)
-        self._vp_ids = {
-            row["ip"]: vid
-            for vid, row in enumerate(_read_jsonl(self.directory / "vps.jsonl"))
-        }
-        self._prefix_ids = {
-            Prefix.parse(row["prefix"]): fid
-            for fid, row in enumerate(
-                _read_jsonl(self.directory / "prefixes.jsonl")
-            )
-        }
+        self.record_count = progress["records"]
+        self._rows_flushed = (len(self.vp_table), len(self.prefix_table))
+        return progress["consumed"]
 
-    # -- ingestion ---------------------------------------------------------
-
-    def add(self, record: PathRecord) -> None:
-        """Append one accepted record (same interning order as
-        ``PathStore(records)``)."""
-        buffers = self._buffers
-        path = record.path
-        pid = self.path_ids.get(path)
-        if pid is None:
-            pid = self.path_ids[path] = len(self.path_ids)
-            asns = path.asns
-            buffers["offsets"].append(self.tokens_total)
-            buffers["lengths"].append(len(asns))
-            buffers["tokens"].extend(asns)
-            self.tokens_total += len(asns)
-        vp = record.vp
-        vid = self._vp_ids.get(vp.ip)
-        if vid is None:
-            vid = self._vp_ids[vp.ip] = len(self._vp_ids)
-            self._vp_lines.append(json.dumps({
-                "ip": vp.ip, "asn": vp.asn, "collector": vp.collector,
-                "country": record.vp_country,
-            }, sort_keys=True))
-        fid = self._prefix_ids.get(record.prefix)
-        if fid is None:
-            fid = self._prefix_ids[record.prefix] = len(self._prefix_ids)
-            self._prefix_lines.append(json.dumps({
-                "prefix": str(record.prefix),
-                "country": record.prefix_country,
-                "addresses": record.addresses,
-            }, sort_keys=True))
-        buffers["record_path"].append(pid)
-        buffers["record_vp"].append(vid)
-        buffers["record_prefix"].append(fid)
-        buffers["record_origin"].append(path.asns[-1])
-        self.accepted += 1
+    # -- checkpoints -------------------------------------------------------
 
     def maybe_checkpoint(self, consumed: int, report: FilterReport) -> bool:
         """Checkpoint when the flush cadence is due; returns whether it did."""
-        if self.accepted % self.flush_every:
+        if self.record_count % self.flush_every:
             return False
         self.checkpoint(consumed, report)
         return True
@@ -352,45 +316,42 @@ class SpillWriter:
     def checkpoint(self, consumed: int, report: FilterReport) -> None:
         """Flush every buffer, then atomically persist progress."""
         self._flush()
-        progress = {
-            "consumed": consumed,
-            "records": self.accepted,
-            "paths": len(self.path_ids),
-            "tokens": self.tokens_total,
-            "vps": len(self._vp_ids),
-            "prefixes": len(self._prefix_ids),
+        self._write_atomic("progress.json", {
+            "consumed": consumed, **self._counts(),
             "report": _report_payload(report),
-        }
-        self._write_atomic("progress.json", progress)
+        })
 
     def seal(self, consumed: int, report: FilterReport) -> None:
         """Final checkpoint plus the manifest that marks completion."""
         self.checkpoint(consumed, report)
-        manifest = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "records": self.accepted,
-            "paths": len(self.path_ids),
-            "tokens": self.tokens_total,
-            "vps": len(self._vp_ids),
-            "prefixes": len(self._prefix_ids),
-            "report": _report_payload(report),
+        self._write_atomic("manifest.json", {
+            "format": FORMAT_NAME, "version": FORMAT_VERSION,
+            **self._counts(), "report": _report_payload(report),
+        })
+
+    def _counts(self) -> dict[str, int]:
+        return {
+            "records": self.record_count, "paths": len(self.path_ids),
+            "tokens": self.tokens_total, "vps": len(self.vp_table),
+            "prefixes": len(self.prefix_table),
         }
-        self._write_atomic("manifest.json", manifest)
 
     def _flush(self) -> None:
-        for name in _COLUMNS:
-            buffer = self._buffers[name]
-            if len(buffer):
+        for name, buffer in zip(COLUMNS, self.buffers):
+            if buffer:
                 with open(_column_path(self.directory, name), "ab") as handle:
-                    handle.write(buffer.tobytes())
+                    buffer.tofile(handle)
                 del buffer[:]
-        for stem, lines in (("vps.jsonl", self._vp_lines),
-                            ("prefixes.jsonl", self._prefix_lines)):
+        vps, prefixes = self._rows_flushed
+        for stem, rows in (
+            ("vps.jsonl", map(_vp_json, self.vp_table[vps:])),
+            ("prefixes.jsonl", map(_prefix_json, self.prefix_table[prefixes:])),
+        ):
+            lines = [json.dumps(row, sort_keys=True) + "\n" for row in rows]
             if lines:
                 with open(self.directory / stem, "a", encoding="utf-8") as handle:
-                    handle.write("\n".join(lines) + "\n")
-                lines.clear()
+                    handle.writelines(lines)
+        self._rows_flushed = (len(self.vp_table), len(self.prefix_table))
 
     def _write_atomic(self, stem: str, payload: dict) -> None:
         tmp = self.directory / (stem + ".tmp")
@@ -464,54 +425,36 @@ class MmapPathStore(PathStore):
 
     The flat columns are the mmap'd files themselves and the side
     tables are read (and checked) on open; the distinct-path tuple, the
-    record sequence, and the pair/origin buckets are built lazily on
-    first use (paths and buckets are bounded by distinct entities,
-    never by raw record volume). Pickling reduces to the directory
-    path, so a worker re-opens the maps instead of receiving copied
-    array pages.
+    record sequence, and the pair buckets are built lazily on first
+    use (paths and buckets are bounded by distinct entities, never by
+    raw record volume). Pickling reduces to the directory path, so a
+    worker re-opens the maps instead of receiving copied array pages.
     """
 
-    __slots__ = ("directory", "manifest", "_origin_memo")
+    __slots__ = ("directory", "manifest")
 
     def __init__(self, directory: str | Path) -> None:
         base = Path(directory)
         manifest = _read_manifest(base)
         self.directory = str(base)
         self.manifest = manifest
-        counts = {
-            "tokens": manifest["tokens"], "offsets": manifest["paths"],
-            "lengths": manifest["paths"],
-        }
-        for name in _COLUMNS:
+        for name in COLUMNS:
             path = _column_path(base, name)
             column = _map_int64(path)
-            wanted = counts.get(name, manifest["records"])
+            wanted = manifest[_COUNT_OF.get(name, "records")]
             if len(column) != wanted:
                 raise SpillFormatError(
                     f"{path}: {len(column)} elements, manifest says {wanted}"
                 )
             setattr(self, name, column)
-        self.vp_table = _side_table(
-            base / "vps.jsonl", manifest["vps"],
-            lambda row: (
-                VantagePoint(
-                    ip=row["ip"], asn=int(row["asn"]),
-                    collector=row["collector"],
-                ),
-                row["country"],
-            ),
-        )
+        self.vp_table = _side_table(base / "vps.jsonl", manifest["vps"], _vp_row)
         self.prefix_table = _side_table(
-            base / "prefixes.jsonl", manifest["prefixes"],
-            lambda row: (
-                Prefix.parse(row["prefix"]), row["country"], row["addresses"],
-            ),
+            base / "prefixes.jsonl", manifest["prefixes"], _prefix_row
         )
         self._token_list = None
         self._pair_buckets = None
         self._suffix_memo = None
         self._distinct = None
-        self._origin_memo: dict[int, _stdlib_array] | None = None
 
     def __reduce__(self):
         # never ship mapped pages through a pickle: workers re-open
@@ -523,20 +466,9 @@ class MmapPathStore(PathStore):
         # slots declared by PathStore but filled lazily here; __getattr__
         # only fires while the slot is still unset
         if name == "paths":
-            token_list = self.token_list()
-            paths = tuple(
-                ASPath.trusted(tuple(
-                    token_list[self.offsets[pid]:
-                               self.offsets[pid] + self.lengths[pid]]
-                ))
-                for pid in range(len(self.offsets))
-            )
+            paths = _paths(self.token_list(), self.offsets, self.lengths)
             self.paths = paths
             return paths
-        if name == "path_ids":
-            ids = {path: pid for pid, path in enumerate(self.paths)}
-            self.path_ids = ids
-            return ids
         if name == "records":
             lazy = _LazyRecords(self)
             self.records = lazy  # type: ignore[assignment]
@@ -556,28 +488,14 @@ class MmapPathStore(PathStore):
             return weights
         raise AttributeError(name)
 
-    # -- grouping (passes over the mapped columns) ------------------------
-
-    def origin_buckets(self):
-        """Origin → ascending positions, as ``array('q')`` buckets
-        (memoised: unlike the in-memory store, rebuilding is a full
-        column pass)."""
-        if self._origin_memo is None:
-            groups = _buckets(self.record_origin)
-            groups.sort(key=lambda item: item[0][0])
-            self._origin_memo = {origin: bucket for bucket, origin in groups}
-        return self._origin_memo
-
 
 def open_spill(directory: str | Path) -> PathSet:
     """Re-open a sealed spill as a lazy :class:`PathSet` (report counts
     come from the manifest; rejection samples are not persisted)."""
     store = MmapPathStore(directory)
     report = FilterReport()
-    _restore_report(report, store.manifest["report"])
-    path_set = PathSet(records=store.records, report=report)
-    path_set._store = store
-    return path_set
+    _restore_report(report, store.manifest, Path(directory) / "manifest.json")
+    return PathSet(store.records, report, store)
 
 
 def sanitize_to_store(
@@ -591,61 +509,44 @@ def sanitize_to_store(
     directory: str | Path,
     tracer: AnyTracer = NULL_TRACER,
     flush_every: int = 200_000,
-    resume: bool = True,
 ) -> PathSet:
     """:func:`repro.core.sanitize.sanitize`, spilled instead of held.
 
-    Runs the identical Table-1 stream (same span, same counters, same
-    report) but appends each accepted record to ``directory`` and hands
-    back a :class:`PathSet` over the mapped columns, so peak memory is
-    bounded by distinct entities + one flush buffer.
+    Runs the same pass (same span, same counters, same report) but
+    appends each accepted record to ``directory`` and hands back a
+    :class:`PathSet` over the mapped columns, so peak memory is bounded
+    by distinct entities + one flush buffer.
 
-    ``resume=True`` (default) continues a torn previous ingestion from
-    its last checkpoint — the caller must pass the same deterministic
-    input stream — and returns the already-sealed result immediately
-    when the directory is complete.
+    A torn previous ingestion continues from its last checkpoint — the
+    caller must pass the same deterministic input stream — and a sealed
+    directory is reopened without consuming the input at all.
     """
-    with tracer.span("sanitize") as span:
-        report = FilterReport()
+
+    def spill(
+        accept: Callable[[Iterable[RibRecord]], Iterator[PathRecord]],
+        report: FilterReport,
+    ) -> PathSet:
         writer = SpillWriter(directory, flush_every=flush_every)
-        if resume and writer.sealed():
-            path_set = open_spill(directory)
-            report = path_set.report
-        else:
-            consumed = writer.prepare(report) if resume else 0
-            if not resume:
-                writer._reset_files()
-            source = islice(records, consumed, None) if consumed else records
-            pulled = consumed
+        if writer.sealed():
+            return open_spill(directory)
+        consumed = pulled = writer.prepare(report)
 
-            def counted() -> Iterator[RibRecord]:
-                nonlocal pulled
-                for record in source:
-                    pulled += 1
-                    yield record
+        def counted() -> Iterator[RibRecord]:
+            nonlocal pulled
+            for record in islice(records, consumed, None):
+                pulled += 1
+                yield record
 
-            for accepted in sanitize_stream(
-                counted(), clique, is_allocated, route_servers,
-                vp_geo, prefix_geo, report,
-            ):
-                writer.add(accepted)
-                writer.maybe_checkpoint(pulled, report)
-            writer.seal(pulled, report)
-            store = MmapPathStore(directory)
-            path_set = PathSet(records=store.records, report=report)
-            path_set._store = store
-        span.set(
-            input=report.total, output=report.accepted,
-            records=len(path_set.records),
-        )
-        metrics = tracer.metrics
-        metrics.counter("sanitize.input").inc(report.total)
-        metrics.counter("sanitize.accepted").inc(report.accepted)
-        for category in REJECT_CATEGORIES:
-            metrics.counter(f"sanitize.dropped.{category}").inc(
-                report.rejected[category]
-            )
-    return path_set
+        for accepted in accept(counted()):
+            writer.add(accepted)
+            writer.maybe_checkpoint(pulled, report)
+        writer.seal(pulled, report)
+        store = MmapPathStore(directory)
+        return PathSet(store.records, report, store)
+
+    return sanitize_into(
+        spill, clique, is_allocated, route_servers, vp_geo, prefix_geo, tracer
+    )
 
 
 def store_from_dumps(

@@ -10,7 +10,6 @@ from repro.core.hegemony import (
     per_vp_scores,
     trimmed_mean,
     trimmed_scores,
-    trimmed_scores_sparse,
     validate_trim,
 )
 from repro.core.sanitize import PathRecord
@@ -121,7 +120,7 @@ class TestHegemonyScores:
 
 
 class TestTrimEquivalence:
-    """Dense and sparse trimming must agree — values and rejections."""
+    """Out-of-range trims are rejected the same way at every entry point."""
 
     def build_table(self):
         records = [
@@ -131,21 +130,11 @@ class TestTrimEquivalence:
         ]
         return per_vp_scores(records)
 
-    def test_dense_equals_sparse_across_trims(self):
-        per_vp, universe = self.build_table()
-        for trim in (0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.49):
-            dense = trimmed_scores(per_vp, universe, trim)
-            sparse = trimmed_scores_sparse(per_vp, universe, trim)
-            assert dense == sparse  # exact, not approx
-
     @pytest.mark.parametrize("trim", [-0.01, 0.5, 0.6, 1.0])
     def test_both_paths_reject_identically(self, trim):
         per_vp, universe = self.build_table()
-        with pytest.raises(ValueError, match="trim out of range") as dense:
+        with pytest.raises(ValueError, match="trim out of range"):
             trimmed_scores(per_vp, universe, trim)
-        with pytest.raises(ValueError, match="trim out of range") as sparse:
-            trimmed_scores_sparse(per_vp, universe, trim)
-        assert str(dense.value) == str(sparse.value)
 
     def test_validate_trim_accepts_valid_range(self):
         assert validate_trim(0.0) == 0.0

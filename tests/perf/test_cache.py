@@ -18,12 +18,7 @@ from repro.core.cone import (
     transit_suffix,
 )
 from repro.core.cti import cti_scores
-from repro.core.hegemony import (
-    hegemony_scores,
-    per_vp_scores,
-    trimmed_scores,
-    trimmed_scores_sparse,
-)
+from repro.core.hegemony import hegemony_scores
 from repro.core.sanitize import FilterReport, PathRecord, PathSet
 from repro.core.views import View, international_view
 from repro.net.aspath import ASPath
@@ -162,31 +157,6 @@ class TestViewComputation:
         counters = tracer.metrics.counters()
         assert counters["perf.view.miss"] >= 1
         assert counters["perf.view.hit"] >= 1
-
-
-class TestTrimmedScoresSparse:
-    def test_matches_dense_on_pipeline_data(self, result, view):
-        per_vp, universe = per_vp_scores(view.records)
-        for trim in (0.0, 0.1, 0.3, 0.49):
-            assert trimmed_scores_sparse(per_vp, universe, trim) == trimmed_scores(
-                per_vp, universe, trim
-            )
-
-    def test_single_vp(self):
-        per_vp = {"vp": {1: 0.5}}
-        assert trimmed_scores_sparse(per_vp, {1, 2}, 0.1) == trimmed_scores(
-            per_vp, {1, 2}, 0.1
-        )
-
-    def test_all_zero_as(self):
-        per_vp = {"a": {1: 0.5}, "b": {1: 0.25}, "c": {}}
-        assert trimmed_scores_sparse(per_vp, {1, 9}, 0.1) == trimmed_scores(
-            per_vp, {1, 9}, 0.1
-        )
-
-    def test_rejects_bad_trim(self):
-        with pytest.raises(ValueError):
-            trimmed_scores_sparse({}, set(), 0.5)
 
 
 class TestAhcThroughCache:

@@ -15,7 +15,6 @@ from repro.bgp.collectors import VantagePoint
 from repro.core.sanitize import FilterReport, PathRecord, PathSet
 from repro.core.views import (
     View,
-    destination_view,
     global_view,
     international_view,
     ip_sort_key,
@@ -80,26 +79,6 @@ class TestIndexedViews:
     def test_country_required_for_country_kinds(self, index):
         with pytest.raises(ValueError, match="requires a country"):
             index.view("national")
-
-    def test_countries_and_vps_match_pathset(self, result, index):
-        assert index.countries() == result.paths.countries()
-        assert index.vp_ips() == [vp.ip for vp in result.paths.vps()]
-
-    def test_destination_view_matches_naive(self, result, index):
-        origins = sorted(index.origin_prefixes)[:3]
-        naive = destination_view(result.paths, origins)
-        indexed = index.destination_view(origins)
-        assert indexed.name == naive.name
-        assert indexed.records == naive.records
-
-    def test_lazy_maps_match_records(self, result, index):
-        prefixes = {}
-        origin_prefixes = {}
-        for rec in result.paths.records:
-            prefixes[rec.prefix] = rec.addresses
-            origin_prefixes.setdefault(rec.origin, set()).add(rec.prefix)
-        assert index.prefix_addresses == prefixes
-        assert index.origin_prefixes == origin_prefixes
 
 
 class TestVPOrdering:

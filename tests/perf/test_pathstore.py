@@ -1,5 +1,5 @@
 """The SoA path store must be invisible: every product it feeds —
-interned transit suffixes, origin buckets — must be value-identical to
+interned transit suffixes, record columns — must be value-identical to
 what the record-walking code builds."""
 
 import pytest
@@ -16,7 +16,6 @@ from repro.core.sanitize import PathRecord
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.perf.cone import suffix_starts
-from repro.perf.index import PathIndex
 from repro.perf.pathstore import PathStore
 
 SMALL = GeneratorConfig(
@@ -100,7 +99,6 @@ class TestSuffixStarts:
     def test_empty_store(self):
         built = PathStore([])
         assert starts(built, frozenset({(1, 2)})) == []
-        assert built.origin_buckets() == {}
 
 
 class TestTransitSuffixes:
@@ -119,24 +117,3 @@ class TestTransitSuffixes:
         shared = result.computation("global").suffixes()
         assert result.computation("national", code).suffixes() is shared
         assert result.computation("international", code).suffixes() is shared
-
-
-class TestOriginBuckets:
-    def test_matches_naive_scan(self, result):
-        records = result.paths.records
-        built = PathStore(records)
-        naive = {}
-        for position, record in enumerate(records):
-            naive.setdefault(record.path.origin, []).append(position)
-        got = built.origin_buckets()
-        assert got == naive
-        assert list(got) == list(naive)  # first-appearance key order
-        assert all(type(key) is int for key in got)
-
-    def test_index_buckets_identical_with_and_without_store(self, result):
-        records = result.paths.records
-        plain = PathIndex(records)
-        backed = PathIndex(records, store=result.paths.store())
-        assert plain._origin_buckets() == backed._origin_buckets()
-        assert list(plain._origin_buckets()) == list(backed._origin_buckets())
-        assert plain.origin_prefixes == backed.origin_prefixes
