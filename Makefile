@@ -23,16 +23,22 @@ test: lint lint-wp lint-sarif
 	$(MAKE) bench-e2e-smoke
 	$(MAKE) bench-large-smoke
 
-## Fault-injection suite: deterministic worker kills, hung chunks,
-## mid-sweep crashes, and corrupted dump lines, each required to
-## recover to byte-identical output (DESIGN.md section 6), plus spill
-## recovery: a torn ingestion resumes to byte-identical spill files,
+## Fault-injection suite: deterministic worker kills (including a
+## pool that breaks while chunks are still being submitted,
+## tests/resilience/test_submit_race.py), hung chunks, mid-sweep
+## crashes, and corrupted dump lines, each required to recover to
+## byte-identical output (DESIGN.md section 6), plus spill recovery: a
+## torn ingestion -- torn at the middle of the input, exactly at a
+## window boundary and mid-window (TestCrashResume, which checks each
+## torn run left a checkpoint), and at random points
+## (test_column_builder.py) -- resumes to byte-identical spill files,
 ## and a damaged spill fails with a typed error on open or resume.
 faults:
 	$(PYTHON) -m pytest tests/resilience -q
 	$(PYTHON) -m pytest -q tests/perf/test_spill.py::TestCrashResume \
 		tests/perf/test_spill.py::TestDamagedSpill \
-		tests/perf/test_spill.py::TestDamagedResume
+		tests/perf/test_spill.py::TestDamagedResume \
+		tests/perf/test_column_builder.py
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (per-file rules R001-R008 plus the

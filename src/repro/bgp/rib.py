@@ -18,20 +18,32 @@ shared stream, so editing one AS in a world never reshuffles the noise
 applied to unrelated VPs and prefixes.
 
 Announcements are never materialised en masse: iterate
-:meth:`RibSeries.records` for the deduplicated per-(VP, prefix) view
-with day counts, or :meth:`RibSeries.announcements` for a specific
-day's stream.
+:meth:`RibSeries.windows` for the deduplicated per-(VP, prefix) view as
+columnar :class:`~repro.bgp.announcement.RecordWindow` blocks (what the
+pipeline sanitizes), :meth:`RibSeries.records` for the same view as
+record objects, or :meth:`RibSeries.announcements` for a specific
+day's stream. All three come from one enumeration of the VP × prefix
+grid, one VP row at a time.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
 
+import numpy as np
+
 from repro.bgp.anomalies import AnomalyConfig, InjectionSummary, inject_anomalies
-from repro.bgp.announcement import Announcement, RibRecord
+from repro.bgp.announcement import (
+    WINDOW,
+    Announcement,
+    RecordTables,
+    RecordWindow,
+    RibRecord,
+)
 from repro.bgp.collectors import VantagePoint
 from repro.bgp.propagation import RoutingOutcome
 from repro.net.aspath import ASPath
@@ -106,21 +118,55 @@ class RibSeries:
         self._prefix_strs: list[str] = [
             str(prefix) for prefix, _ in self.prefix_table
         ]
+        #: the grid's columns: a dense code per origin ASN, and per
+        #: prefix index its origin's code and its address family
+        self._origin_code: dict[int, int] = {}
+        self._prefix_origin = np.asarray(
+            [
+                self._origin_code.setdefault(asn, len(self._origin_code))
+                for _, asn in self.prefix_table
+            ],
+            dtype=np.int64,
+        )
+        self._prefix_family = np.asarray(
+            [prefix.version for prefix, _ in self.prefix_table], dtype=np.int64
+        )
         outcomes = outcome if isinstance(outcome, list) else [outcome]
         if not outcomes:
             raise ValueError("need at least one routing outcome")
+        width = len(self.prefix_table)
         with tracer.span(
             "ribs", vps=len(self.vps), prefixes=len(self.prefix_table),
             days=config.days,
         ) as span:
             with tracer.span("ribs.paths"):
-                self._paths = self._collect_paths(outcomes)
+                self._paths, self._routes = self._collect_paths(outcomes)
             with tracer.span("ribs.visibility"):
                 self._missing = self._sample_visibility()
+                #: the missing cells as sorted ``vp * width + prefix`` keys
+                self._missing_keys = np.sort(np.fromiter(
+                    (vp * width + prefix for vp, prefix in self._missing),
+                    dtype=np.int64, count=len(self._missing),
+                ))
             with tracer.span("ribs.churn"):
                 self.unstable_days = self._sample_churn()
+                #: days present per prefix index
+                self._prefix_days = np.full(width, config.days, dtype=np.int64)
+                for prefix_index, absent in self.unstable_days.items():
+                    self._prefix_days[prefix_index] = config.days - len(absent)
             with tracer.span("ribs.inject"):
                 self.overrides, self.injection_summary = self._inject()
+                # override paths follow the clean paths in the windows'
+                # path table, in cell-key order
+                cells = sorted(self.overrides)
+                self._override_keys = np.asarray(
+                    [vp * width + prefix for vp, prefix in cells], dtype=np.int64
+                )
+                self._tables = RecordTables(
+                    self.vps,
+                    [prefix for prefix, _ in self.prefix_table],
+                    self._paths + [self.overrides[cell] for cell in cells],
+                )
             span.set(
                 paths=len(self._paths),
                 missing=len(self._missing),
@@ -138,8 +184,10 @@ class RibSeries:
 
     def _collect_paths(
         self, outcomes: "list[RoutingOutcome]"
-    ) -> dict[tuple[int, int], ASPath]:
-        """Best path per (VP ASN, origin), as shared ASPath objects.
+    ) -> tuple[list[ASPath], dict[int, tuple[np.ndarray, np.ndarray]]]:
+        """Best path per (VP ASN, origin), as shared ASPath objects in a
+        list, plus per VP ASN its routes as ``(origin codes, path ids)``
+        columns.
 
         With multiple outcomes (routing *planes* from differently-salted
         tie-breaking), each VP AS is deterministically assigned one
@@ -147,7 +195,9 @@ class RibSeries:
         peers in different regions resolve ties differently.
         """
         planes = len(outcomes)
-        paths: dict[tuple[int, int], ASPath] = {}
+        paths: list[ASPath] = []
+        routes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        origin_code = self._origin_code
         vp_asns = sorted({vp.asn for vp in self.vps})
         plane_of = {
             vp_asn: zlib.crc32(f"plane:{vp_asn}".encode()) % planes
@@ -155,12 +205,21 @@ class RibSeries:
         }
         for vp_asn in vp_asns:
             outcome = outcomes[plane_of[vp_asn]]
+            codes, ids = array("q"), array("q")
             for origin in outcome.origins():
                 route = outcome.routes[origin].get(vp_asn)
                 if route is not None:
+                    code = origin_code.get(origin)
+                    if code is not None:  # else it announces no prefix
+                        codes.append(code)
+                        ids.append(len(paths))
                     # propagated paths are valid by construction
-                    paths[(vp_asn, origin)] = ASPath.trusted(route.path)
-        return paths
+                    paths.append(ASPath.trusted(route.path))
+            routes[vp_asn] = (
+                np.frombuffer(codes, dtype=np.int64),
+                np.frombuffer(ids, dtype=np.int64),
+            )
+        return paths, routes
 
     def _sample_visibility(self) -> set[tuple[int, int]]:
         """(vp_index, prefix_index) pairs the VP does not carry."""
@@ -208,9 +267,12 @@ class RibSeries:
         pool = graph.asn_registry.unallocated_sample(16)
         filler_pool = [asn for asn in graph.asns() if asn not in clique]
 
+        paths = self._paths
+
         def clean_records() -> Iterator[tuple[tuple[int, int], ASPath]]:
-            for vp_index, prefix_index, path in self._iter_clean():
-                yield ((vp_index, prefix_index), path)
+            for vp_index, prefixes, ids in self._grid():
+                for prefix_index, pid in zip(prefixes.tolist(), ids.tolist()):
+                    yield ((vp_index, prefix_index), paths[pid])
 
         # The roll/rng draws key on f"{vp.ip}|{prefix}"; pre-encode the
         # per-VP heads and per-prefix tails once so the per-record work
@@ -241,47 +303,92 @@ class RibSeries:
 
     # -- iteration ----------------------------------------------------------
 
-    def _iter_clean(self) -> Iterator[tuple[int, int, ASPath]]:
-        """(vp_index, prefix_index, clean path) for every carried record."""
-        paths = self._paths
-        missing = self._missing
+    def _grid(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(vp_index, prefix indices, clean path ids)`` per VP row: the
+        cells the VP carries (it has a route to the prefix's origin and
+        the prefix is not missing from its feed), prefixes ascending —
+        the one enumeration of the VP × prefix grid."""
+        width = len(self.prefix_table)
+        prefix_origin = self._prefix_origin
+        missing = self._missing_keys
+        none = np.empty(0, dtype=np.int64)
         for vp_index, vp in enumerate(self.vps):
-            vp_asn = vp.asn
-            for prefix_index, (_, origin) in enumerate(self.prefix_table):
-                path = paths.get((vp_asn, origin))
-                if path is None:
-                    continue
-                if (vp_index, prefix_index) in missing:
-                    continue
-                yield (vp_index, prefix_index, path)
+            codes, ids = self._routes.get(vp.asn, (none, none))
+            route = np.full(len(self._origin_code), -1, dtype=np.int64)
+            route[codes] = ids
+            cell = route[prefix_origin]
+            carried = cell >= 0
+            base = vp_index * width
+            low, high = np.searchsorted(missing, (base, base + width))
+            if high > low:
+                carried[missing[low:high] - base] = False
+            prefixes = np.flatnonzero(carried)
+            yield vp_index, prefixes, cell[prefixes]
+
+    def windows(
+        self, family: int | None = None, size: int = WINDOW
+    ) -> Iterator[RecordWindow]:
+        """The deduplicated (VP, prefix) records as
+        :class:`~repro.bgp.announcement.RecordWindow` blocks of ``size``
+        rows (the last may be shorter), in :meth:`records` order, over
+        the series' own tables: its VPs, its prefixes, and its clean
+        paths followed by the override paths. ``family`` keeps only
+        that address family's prefixes.
+
+        Built lazily one VP row at a time: no :class:`RibRecord` is
+        created and no whole-series column is ever held.
+        """
+        if size < 1:
+            raise ValueError("window size must be >= 1")
+        width = len(self.prefix_table)
+        keys, clean = self._override_keys, len(self._paths)
+        wanted = None if family is None else self._prefix_family == family
+        days = self.config.days
+
+        def rows() -> Iterator[tuple[np.ndarray, ...]]:
+            for vp_index, prefixes, ids in self._grid():
+                # every override cell is a carried cell of its VP row;
+                # override ``k`` (in key order) is path ``clean + k``
+                base = vp_index * width
+                low, high = np.searchsorted(keys, (base, base + width))
+                if high > low:
+                    at = np.searchsorted(prefixes, keys[low:high] - base)
+                    ids[at] = clean + np.arange(low, high, dtype=np.int64)
+                if wanted is not None:
+                    keep = wanted[prefixes]
+                    prefixes, ids = prefixes[keep], ids[keep]
+                count = len(prefixes)
+                yield (
+                    np.full(count, vp_index, dtype=np.int64), prefixes, ids,
+                    self._prefix_days[prefixes],
+                    np.full(count, days, dtype=np.int64),
+                )
+
+        for columns in _blocks(rows(), size):
+            yield RecordWindow(self._tables, *columns)
 
     def records(self) -> Iterator[RibRecord]:
-        """Deduplicated (VP, prefix) records with day-presence counts."""
-        days = self.config.days
-        for vp_index, prefix_index, path in self._iter_clean():
-            override = self.overrides.get((vp_index, prefix_index))
-            absent = len(self.unstable_days.get(prefix_index, ()))
-            yield RibRecord(
-                vp=self.vps[vp_index],
-                prefix=self.prefix_table[prefix_index][0],
-                path=override if override is not None else path,
-                days_present=days - absent,
-                total_days=days,
-            )
+        """Deduplicated (VP, prefix) records with day-presence counts —
+        :meth:`windows` row by row."""
+        for window in self.windows():
+            yield from window.records()
 
     def announcements(self, day: int) -> Iterator[Announcement]:
         """Stream one day's RIB (0-based day index)."""
         if not 0 <= day < self.config.days:
             raise ValueError(f"day {day} outside 0..{self.config.days - 1}")
-        for vp_index, prefix_index, path in self._iter_clean():
-            if day in self.unstable_days.get(prefix_index, ()):
-                continue
-            override = self.overrides.get((vp_index, prefix_index))
-            yield Announcement(
-                vp=self.vps[vp_index],
-                prefix=self.prefix_table[prefix_index][0],
-                path=override if override is not None else path,
-            )
+        absent = np.zeros(len(self.prefix_table), dtype=bool)
+        for prefix_index, days in self.unstable_days.items():
+            absent[prefix_index] = day in days
+        tables = self._tables
+        vps, prefixes, paths = tables.vps, tables.prefixes, tables.paths
+        for window in self.windows():
+            present = ~absent[window.prefix]
+            for vp, prefix, path in zip(
+                window.vp[present].tolist(), window.prefix[present].tolist(),
+                window.path[present].tolist(),
+            ):
+                yield Announcement(vps[vp], prefixes[prefix], paths[path])
 
     def days(self) -> Iterator["RibDump"]:
         """The series day by day, lazily.
@@ -298,15 +405,37 @@ class RibSeries:
 
     def total_announcements(self) -> int:
         """Announcement count across all days (Table 1's "total" row)."""
-        days = self.config.days
-        total = 0
-        for _, prefix_index, _ in self._iter_clean():
-            total += days - len(self.unstable_days.get(prefix_index, ()))
-        return total
+        return sum(
+            int(self._prefix_days[prefixes].sum()) for _, prefixes, _ in self._grid()
+        )
 
     def num_records(self) -> int:
         """Deduplicated (VP, prefix) record count."""
-        return sum(1 for _ in self._iter_clean())
+        return sum(len(prefixes) for _, prefixes, _ in self._grid())
+
+
+def _blocks(
+    chunks: Iterator[tuple[np.ndarray, ...]], size: int
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Re-cut a stream of equal-length column chunks into blocks of
+    exactly ``size`` rows (the last may be shorter), in order."""
+    pending: list[tuple[np.ndarray, ...]] = []
+    held = 0
+    for chunk in chunks:
+        if not len(chunk[0]):
+            continue
+        pending.append(chunk)
+        held += len(chunk[0])
+        if held < size:
+            continue
+        joined = [np.concatenate(column) for column in zip(*pending)]
+        full = held - held % size
+        for start in range(0, full, size):
+            yield tuple(column[start:start + size] for column in joined)
+        held -= full
+        pending = [tuple(column[full:] for column in joined)] if held else []
+    if held:
+        yield tuple(np.concatenate(column) for column in zip(*pending))
 
 
 def generate_rib_days(

@@ -26,7 +26,7 @@ from repro.core.registry import (
     normalize_country,
     paper_metrics,
 )
-from repro.core.sanitize import PathSet, RelationshipOracle, sanitize
+from repro.core.sanitize import PathSet, RelationshipOracle, sanitize_windows
 from repro.core.views import View
 from repro.geo.database import GeoDatabase
 from repro.geo.prefix_geo import PrefixGeolocation, geolocate_prefixes
@@ -116,8 +116,8 @@ class PipelineConfig:
             raise ValueError("trace must be False, True, or 'memory'")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        # the dense and sparse trimmed-mean paths must reject the same
-        # inputs (dense used to clamp trim >= 0.5 while sparse raised)
+        # the same bound every hegemony and CTI entry point enforces
+        # (core.hegemony.validate_trim), checked once up front
         if not 0.0 <= self.trim < 0.5:
             raise ValueError(f"trim out of range: {self.trim}")
         if self.store_backend not in ("memory", "mmap"):
@@ -507,40 +507,31 @@ class Pipeline:
             )
             vp_geo = VPGeolocator(world.collectors)
             graph = world.graph
-            family_records = (
-                record for record in ribs.records()
-                if record.prefix.version == config.family
+            filters = dict(
+                clique=graph.clique(),
+                is_allocated=graph.asn_registry.is_allocated,
+                route_servers=graph.route_servers(),
+                vp_geo=vp_geo,
+                prefix_geo=prefix_geo,
             )
             spill_tmp: str | None = None
             if config.store_backend == "mmap":
                 import tempfile
 
-                from repro.perf.spill import sanitize_to_store
+                from repro.perf.spill import FLUSH_EVERY, spill_windows
 
                 spill_dir = config.spill_dir
                 if spill_dir is None:
                     spill_dir = spill_tmp = tempfile.mkdtemp(
                         prefix="repro-spill-"
                     )
-                paths = sanitize_to_store(
-                    family_records,
-                    clique=graph.clique(),
-                    is_allocated=graph.asn_registry.is_allocated,
-                    route_servers=graph.route_servers(),
-                    vp_geo=vp_geo,
-                    prefix_geo=prefix_geo,
-                    directory=spill_dir,
-                    tracer=tracer,
+                paths = spill_windows(
+                    ribs.windows(config.family, FLUSH_EVERY),
+                    directory=spill_dir, tracer=tracer, **filters,
                 )
             else:
-                paths = sanitize(
-                    family_records,
-                    clique=graph.clique(),
-                    is_allocated=graph.asn_registry.is_allocated,
-                    route_servers=graph.route_servers(),
-                    vp_geo=vp_geo,
-                    prefix_geo=prefix_geo,
-                    tracer=tracer,
+                paths = sanitize_windows(
+                    ribs.windows(config.family), tracer=tracer, **filters
                 )
             inferred: InferredRelationships | None = None
             oracle: RelationshipOracle = graph

@@ -15,18 +15,55 @@ this order, so categories stay disjoint as in the paper's Table 1):
 7. **prefix_no_location** — geolocation reached no majority country.
 
 Surviving paths are *cleaned*: prepending is collapsed and IXP
-route-server ASNs are removed (neither rejects the path).
+route-server ASNs are removed (neither rejects the path). A path that
+route-server removal would empty raises
+:class:`~repro.net.aspath.ASPathError` once a stable record reaches it.
 
 All counts are reported in announcement units (one VP × prefix × day),
 matching the paper's accounting of 248M announcements.
+
+**One columnar judge.** Each rule depends on one entity only: the
+record (1), its path (2–4), its VP's collector (5) or its prefix
+(6, 7). :class:`Judge` therefore takes records as
+:class:`~repro.bgp.announcement.RecordWindow` blocks — int64 VP,
+prefix and path ids over shared entity tables — and computes each
+verdict once per distinct entity the pass reaches: the path rules in
+one numpy pass over a flat token column of the window's new paths
+(registry answers once per distinct ASN), VP locations once per
+collector, prefix fates once per prefix. Stability is a per-row mask,
+each row takes the code of its first failing rule, and the window's
+:class:`FilterReport` counts come from one ``np.bincount`` weighted by
+days. An entity is judged only when a row reaches its rule, so the
+registry, VP and prefix lookups see exactly the entities a per-record
+pass would, and the verdicts are the per-record definition's.
+
+Three drivers share the judge: :func:`sanitize` / :func:`sanitize_windows`
+(a record list plus its store, filled from the same windows),
+:func:`sanitize_stream` (a generator of accepted records) and
+:func:`repro.perf.spill.sanitize_to_store` (a spill directory). The
+record-taking entry points cut their input into windows with
+:func:`~repro.bgp.announcement.record_windows`; the pipeline hands in
+:meth:`~repro.bgp.rib.RibSeries.windows` directly, so no
+:class:`~repro.bgp.announcement.RibRecord` is ever built on its way to
+the store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Protocol, Sequence
+from itertools import chain, islice
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence,
+)
 
-from repro.bgp.announcement import RibRecord
+import numpy as np
+
+from repro.bgp.announcement import (
+    RecordTables,
+    RecordWindow,
+    RibRecord,
+    record_windows,
+)
 from repro.bgp.collectors import VantagePoint
 from repro.geo.prefix_geo import PrefixGeolocation
 from repro.geo.vp_geo import VPGeolocator
@@ -35,7 +72,7 @@ from repro.net.prefix import Prefix, parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.pathstore import PathStore
+    from repro.perf.pathstore import ColumnBuilder, PathStore
 
 
 class RelationshipOracle(Protocol):
@@ -96,12 +133,30 @@ class FilterReport:
     #: how many sample records to retain per category
     sample_limit: int = 5
 
-    def note_rejection(self, category: str, record: RibRecord, weight: int) -> None:
-        """Account one rejected record (and keep it as a sample)."""
-        self.rejected[category] += weight
-        bucket = self.samples.setdefault(category, [])
-        if len(bucket) < self.sample_limit:
-            bucket.append(record)
+    def note_window(self, codes: np.ndarray, window: RecordWindow) -> None:
+        """Account one judged window. ``codes[i]`` is 0 when row ``i``
+        was accepted and ``1 + REJECT_CATEGORIES.index(category)`` when
+        it was rejected; each row weighs its days present. The first
+        rejected rows of a category, in input order, become its
+        samples until it holds ``sample_limit``."""
+        counts = np.bincount(
+            codes, weights=window.days, minlength=len(REJECT_CATEGORIES) + 1
+        )
+        self.total += int(window.days.sum())
+        self.accepted += int(counts[0])
+        firsts = []
+        for code, category in enumerate(REJECT_CATEGORIES, 1):
+            self.rejected[category] += int(counts[code])
+            room = self.sample_limit - len(self.samples.get(category, ()))
+            if room > 0:
+                rows = np.flatnonzero(codes == code)[:room]
+                if len(rows):
+                    firsts.append((int(rows[0]), category, rows))
+        # categories enter ``samples`` in the order of their first rejection
+        for _, category, rows in sorted(firsts, key=lambda first: first[0]):
+            self.samples.setdefault(category, []).extend(
+                window.record(row) for row in rows.tolist()
+            )
 
     def rejected_total(self) -> int:
         """All rejected announcements."""
@@ -214,6 +269,318 @@ def is_poisoned(path: ASPath, clique: frozenset[int]) -> bool:
     return False
 
 
+#: a row's code: 0 when accepted, else ``1 + index`` of its category
+_UNSTABLE, _UNALLOCATED, _LOOP, _POISONED = 1, 2, 3, 4
+_VP_NO_LOCATION, _COVERED, _PREFIX_NO_LOCATION = 5, 6, 7
+#: a path's code when it passes rules 2–4 but route-server removal
+#: empties it (an ASPathError once a stable record reaches it)
+_EMPTIED = 8
+#: an entity's code before any row has reached its rule
+_UNJUDGED = -1
+
+
+def _grown(column: np.ndarray, size: int, fill: Any) -> np.ndarray:
+    """``column`` with room for ``size`` entities (doubling, so a
+    growing table costs amortised O(1) per entity), new cells
+    ``fill``."""
+    if len(column) >= size:
+        return column
+    grown = np.full(max(size, 2 * len(column)), fill, dtype=column.dtype)
+    grown[:len(column)] = column
+    return grown
+
+
+def _objects(items: Iterable[Any], count: int) -> np.ndarray:
+    """A 1-d object array of ``items`` (never unpacked, even when an
+    item is itself a sequence, as an ASPath is)."""
+    return np.fromiter(items, dtype=object, count=count)
+
+
+def _passing(
+    codes: np.ndarray, rows: np.ndarray, ids: np.ndarray, verdicts: np.ndarray
+) -> np.ndarray:
+    """Give each of ``rows`` its entity's verdict (``ids`` per row,
+    ``verdicts`` per entity) as its code; the rows that pass."""
+    verdict = verdicts[ids[rows]]
+    codes[rows] = verdict
+    return rows[verdict == 0]
+
+
+def _path_rules(
+    tokens: np.ndarray,
+    lengths: np.ndarray,
+    allocated: np.ndarray,
+    asn_code: np.ndarray,
+    inside: np.ndarray,
+    server: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rules 2–4 and the cleaning for a batch of paths, vectorized.
+
+    ``tokens`` is the paths' ASNs concatenated (``lengths`` per path);
+    per token, ``allocated`` is the registry's answer, ``asn_code`` a
+    dense code of its ASN, ``inside`` whether it is a clique AS and
+    ``server`` whether it is a route server. Returns per path its code
+    (0 passes, else the first failing rule, or :data:`_EMPTIED`) and
+    its clean length, and per token whether it survives cleaning.
+    """
+    count = len(lengths)
+    owner = np.repeat(np.arange(count, dtype=np.int64), lengths)
+    starts = np.cumsum(lengths) - lengths
+    unallocated = np.zeros(count, dtype=bool)
+    unallocated[owner[~allocated]] = True
+    # prepending collapse: keep the first token of every run
+    kept = np.ones(len(tokens), dtype=bool)
+    kept[1:] = tokens[1:] != tokens[:-1]
+    kept[starts] = True
+    hop_owner, hop_code, hop_inside = owner[kept], asn_code[kept], inside[kept]
+    # loop: one ASN twice on a collapsed path
+    width = int(asn_code.max()) + 1 if len(asn_code) else 1
+    pairs = np.sort(hop_owner * width + hop_code)
+    repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+    loop = np.zeros(count, dtype=bool)
+    loop[repeated // width] = True
+    # poisoned: a non-clique hop between two clique hops of one path
+    poisoned = np.zeros(count, dtype=bool)
+    if len(hop_owner) >= 3:
+        middle = (
+            ~hop_inside[1:-1] & hop_inside[:-2] & hop_inside[2:]
+            & (hop_owner[:-2] == hop_owner[2:])
+        )
+        poisoned[hop_owner[1:-1][middle]] = True
+    # cleaning drops route servers from the collapsed path
+    kept[kept] = ~server[kept]
+    clean_lengths = np.bincount(owner[kept], minlength=count)
+    codes = np.select(
+        [unallocated, loop, poisoned, clean_lengths == 0],
+        [_UNALLOCATED, _LOOP, _POISONED, _EMPTIED],
+        0,
+    ).astype(np.int8)
+    return codes, clean_lengths, kept
+
+
+class Judge:
+    """The Table-1 verdicts of one pass over record windows.
+
+    Call it on each window in input order: it judges every entity a
+    row reaches for the first time, accounts the window in ``report``
+    and returns the accepted rows. Every window of a pass must share
+    one :class:`~repro.bgp.announcement.RecordTables` (which may grow
+    between windows). Per table entry it keeps the verdict and what an
+    accepted record needs: the clean path, the VP's country, the
+    prefix's country and addresses.
+    """
+
+    def __init__(
+        self,
+        clique: frozenset[int],
+        is_allocated: Callable[[int], bool],
+        route_servers: frozenset[int],
+        vp_geo: VPGeolocator,
+        prefix_geo: PrefixGeolocation,
+        report: FilterReport,
+        tracer: AnyTracer = NULL_TRACER,
+    ) -> None:
+        self.report = report
+        self._clique = np.asarray(sorted(clique), dtype=np.int64)
+        self._route_servers = route_servers
+        self._servers = np.asarray(sorted(route_servers), dtype=np.int64)
+        self._is_allocated = is_allocated
+        self._vp_geo = vp_geo
+        self._prefix_geo = prefix_geo
+        self._tracer = tracer
+        self._tables: RecordTables | None = None
+        #: registry answers so far, by ascending ASN
+        self._asns = np.empty(0, dtype=np.int64)
+        self._allocated = np.empty(0, dtype=bool)
+        #: trusted country per collector name (``None``: multi-hop)
+        self._located: dict[str, str | None] = {}
+        self.path_code = np.empty(0, dtype=np.int8)
+        self.clean_path = np.empty(0, dtype=object)
+        self.vp_code = np.empty(0, dtype=np.int8)
+        self.vp = np.empty(0, dtype=object)
+        self.vp_country = np.empty(0, dtype=object)
+        self.prefix_code = np.empty(0, dtype=np.int8)
+        self.prefix = np.empty(0, dtype=object)
+        self.prefix_country = np.empty(0, dtype=object)
+        self.addresses = np.empty(0, dtype=object)
+
+    def __call__(self, window: RecordWindow) -> np.ndarray:
+        """Judge one window; returns its accepted rows, ascending."""
+        self._bind(window.tables)
+        tracer = self._tracer
+        codes = np.where(
+            window.days == window.total_days, 0, _UNSTABLE
+        ).astype(np.int8)
+        rows = np.flatnonzero(codes == 0)
+        with tracer.span("sanitize.paths") as span:
+            fresh = self._fresh(window.path[rows], self.path_code)
+            if len(fresh):
+                self._judge_paths(fresh)
+            span.set(
+                input=len(fresh),
+                output=int(np.count_nonzero(self.path_code[fresh] == 0)),
+            )
+        emptied = rows[self.path_code[window.path[rows]] == _EMPTIED]
+        if len(emptied):
+            # raises the per-record definition's own error, for the
+            # first such row
+            path = window.tables.paths[window.path[emptied[0]]]
+            path.collapse_prepending().without(self._route_servers)
+        rows = _passing(codes, rows, window.path, self.path_code)
+        with tracer.span("sanitize.fates", input=len(rows)) as span:
+            for ids, verdicts, judge in (
+                (window.vp, self.vp_code, self._judge_vps),
+                (window.prefix, self.prefix_code, self._judge_prefixes),
+            ):
+                fresh = self._fresh(ids[rows], verdicts)
+                if len(fresh):
+                    judge(fresh)
+                rows = _passing(codes, rows, ids, verdicts)
+            span.set(output=len(rows))
+        self.report.note_window(codes, window)
+        return rows
+
+    def records(self, window: RecordWindow, rows: np.ndarray) -> list[PathRecord]:
+        """The accepted records at ``rows`` (judged by this judge),
+        built positionally from gathered entity columns."""
+        vp, prefix = window.vp[rows], window.prefix[rows]
+        return list(map(
+            PathRecord,
+            self.vp[vp].tolist(), self.vp_country[vp].tolist(),
+            self.prefix[prefix].tolist(), self.prefix_country[prefix].tolist(),
+            self.clean_path[window.path[rows]].tolist(),
+            self.addresses[prefix].tolist(),
+        ))
+
+    def store_rows(
+        self, builder: "ColumnBuilder", window: RecordWindow, rows: np.ndarray
+    ) -> None:
+        """Append the accepted rows to ``builder``, interning each
+        distinct entity once."""
+        builder.extend(
+            window.vp[rows], window.prefix[rows], window.path[rows],
+            lambda ids: zip(self.vp[ids].tolist(), self.vp_country[ids].tolist()),
+            lambda ids: zip(
+                self.prefix[ids].tolist(), self.prefix_country[ids].tolist(),
+                self.addresses[ids].tolist(),
+            ),
+            lambda ids: self.clean_path[ids].tolist(),
+        )
+
+    # -- per-entity verdicts -----------------------------------------------
+
+    def _bind(self, tables: RecordTables) -> None:
+        if self._tables is None:
+            self._tables = tables
+        elif tables is not self._tables:
+            raise ValueError("one pass judges windows over one set of tables")
+        paths, vps, prefixes = (
+            len(tables.paths), len(tables.vps), len(tables.prefixes)
+        )
+        self.path_code = _grown(self.path_code, paths, _UNJUDGED)
+        self.clean_path = _grown(self.clean_path, paths, None)
+        self.vp_code = _grown(self.vp_code, vps, _UNJUDGED)
+        self.vp = _grown(self.vp, vps, None)
+        self.vp_country = _grown(self.vp_country, vps, None)
+        self.prefix_code = _grown(self.prefix_code, prefixes, _UNJUDGED)
+        self.prefix = _grown(self.prefix, prefixes, None)
+        self.prefix_country = _grown(self.prefix_country, prefixes, None)
+        self.addresses = _grown(self.addresses, prefixes, 0)
+
+    @staticmethod
+    def _fresh(ids: np.ndarray, verdicts: np.ndarray) -> np.ndarray:
+        """The distinct ``ids`` not judged yet."""
+        distinct = np.unique(ids)
+        return distinct[verdicts[distinct] == _UNJUDGED]
+
+    def _registry(self, asns: np.ndarray) -> np.ndarray:
+        """``is_allocated`` per ASN of the ascending ``asns``, asking the
+        registry (with a Python int) only about ASNs it has not
+        answered for yet."""
+        known = self._asns
+        at = np.searchsorted(known, asns)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == asns[hit]
+        new = asns[~hit]
+        if len(new):
+            answers = np.fromiter(
+                (bool(self._is_allocated(asn)) for asn in new.tolist()),
+                dtype=bool, count=len(new),
+            )
+            merged = np.concatenate((known, new))
+            order = np.argsort(merged, kind="stable")
+            self._asns = merged[order]
+            self._allocated = np.concatenate((self._allocated, answers))[order]
+            at = np.searchsorted(self._asns, asns)
+        return self._allocated[at]
+
+    def _judge_paths(self, ids: np.ndarray) -> None:
+        """Rules 2–4 and the clean path for the paths at ``ids``."""
+        assert self._tables is not None
+        table = self._tables.paths
+        asns = [table[pid].asns for pid in ids.tolist()]
+        lengths = np.fromiter(map(len, asns), dtype=np.int64, count=len(asns))
+        tokens = np.fromiter(
+            chain.from_iterable(asns), dtype=np.int64, count=int(lengths.sum())
+        )
+        distinct, asn_code = np.unique(tokens, return_inverse=True)
+        codes, clean_lengths, kept = _path_rules(
+            tokens, lengths,
+            self._registry(distinct)[asn_code], asn_code,
+            np.isin(distinct, self._clique)[asn_code],
+            np.isin(distinct, self._servers)[asn_code],
+        )
+        self.path_code[ids] = codes
+        # a passing path keeps its object unless cleaning changed it
+        passed = codes == 0
+        changed = passed & (clean_lengths != lengths)
+        same = ids[passed & ~changed]
+        self.clean_path[same] = _objects(
+            map(table.__getitem__, same.tolist()), len(same)
+        )
+        hops = iter(tokens[kept & np.repeat(changed, lengths)].tolist())
+        self.clean_path[ids[changed]] = _objects(
+            (
+                ASPath.trusted(tuple(islice(hops, size)))
+                for size in clean_lengths[changed].tolist()
+            ),
+            int(np.count_nonzero(changed)),
+        )
+
+    def _judge_vps(self, ids: np.ndarray) -> None:
+        """Rule 5 for the VPs at ``ids``, once per collector."""
+        assert self._tables is not None
+        table = self._tables.vps
+        located = self._located
+        for vid in ids.tolist():
+            vp = table[vid]
+            if vp.collector not in located:
+                located[vp.collector] = self._vp_geo.country(vp)
+            country = located[vp.collector]
+            self.vp[vid] = vp
+            self.vp_country[vid] = country
+            self.vp_code[vid] = _VP_NO_LOCATION if country is None else 0
+
+    def _judge_prefixes(self, ids: np.ndarray) -> None:
+        """Rules 6 and 7 for the prefixes at ``ids``."""
+        assert self._tables is not None
+        table = self._tables.prefixes
+        geo = self._prefix_geo
+        for fid in ids.tolist():
+            prefix = table[fid]
+            self.prefix[fid] = prefix
+            if prefix in geo.covered:
+                self.prefix_code[fid] = _COVERED
+                continue
+            country = geo.country(prefix)
+            if country is None:
+                self.prefix_code[fid] = _PREFIX_NO_LOCATION
+                continue
+            self.prefix_code[fid] = 0
+            self.prefix_country[fid] = country
+            self.addresses[fid] = geo.owned_addresses.get(prefix, 0)
+
+
 def sanitize(
     records: Iterable[RibRecord],
     clique: frozenset[int],
@@ -223,20 +590,48 @@ def sanitize(
     prefix_geo: PrefixGeolocation,
     tracer: AnyTracer = NULL_TRACER,
 ) -> PathSet:
-    """Run the full Table-1 pipeline over deduplicated RIB records,
-    collecting the accepted records in a list (through
-    :func:`sanitize_into`, which owns the span and counters)."""
-    return sanitize_into(
-        lambda accept, report: PathSet(list(accept(records)), report),
+    """Run the full Table-1 pipeline over deduplicated RIB records:
+    :func:`sanitize_windows` over the records cut into windows."""
+    return sanitize_windows(
+        record_windows(records),
         clique, is_allocated, route_servers, vp_geo, prefix_geo, tracer,
     )
 
 
+def sanitize_windows(
+    windows: Iterable[RecordWindow],
+    clique: frozenset[int],
+    is_allocated: Callable[[int], bool],
+    route_servers: frozenset[int],
+    vp_geo: VPGeolocator,
+    prefix_geo: PrefixGeolocation,
+    tracer: AnyTracer = NULL_TRACER,
+) -> PathSet:
+    """The Table-1 pass over record windows into an in-memory
+    :class:`PathSet`: its record list and its
+    :class:`~repro.perf.pathstore.PathStore` are filled window by window
+    from the same accepted rows."""
+    from repro.perf.pathstore import ColumnBuilder, PathStore
+
+    def collect(judge: Judge) -> PathSet:
+        builder = ColumnBuilder()
+        records: list[PathRecord] = []
+        for window in windows:
+            rows = judge(window)
+            with tracer.span("sanitize.rows", input=len(rows)) as span:
+                built = judge.records(window, rows)
+                records.extend(built)
+                judge.store_rows(builder, window, rows)
+                span.set(output=len(built))
+        return PathSet(records, judge.report, PathStore(records, builder))
+
+    return sanitize_into(
+        collect, clique, is_allocated, route_servers, vp_geo, prefix_geo, tracer
+    )
+
+
 def sanitize_into(
-    collect: Callable[
-        [Callable[[Iterable[RibRecord]], Iterator[PathRecord]], FilterReport],
-        PathSet,
-    ],
+    collect: Callable[[Judge], PathSet],
     clique: frozenset[int],
     is_allocated: Callable[[int], bool],
     route_servers: frozenset[int],
@@ -247,28 +642,25 @@ def sanitize_into(
     """Run the Table-1 pass for either store backend — the one place
     the ``sanitize`` span and counters are emitted.
 
-    ``collect(accept, report)`` builds the :class:`PathSet`: ``accept``
-    runs :func:`sanitize_stream` over the input records it is given,
-    accounting them in ``report``. :func:`sanitize` collects a list;
-    :func:`repro.perf.spill.sanitize_to_store` feeds a spill writer.
+    ``collect(judge)`` feeds its windows to the :class:`Judge` and
+    builds the :class:`PathSet`: :func:`sanitize_windows` collects a
+    list and a memory store;
+    :func:`repro.perf.spill.spill_windows` feeds a spill writer.
 
-    ``tracer`` wraps the pass in a ``sanitize`` span and mirrors the
-    returned set's :class:`FilterReport` into ``sanitize.input`` /
-    ``sanitize.accepted`` / ``sanitize.dropped.<category>`` counters —
-    the aggregation happens in the report either way, so tracing adds
-    nothing to the per-record loop.
+    ``tracer`` wraps the pass in a ``sanitize`` span — with
+    ``sanitize.paths`` (distinct paths judged), ``sanitize.fates`` (VP
+    and prefix rules) and ``sanitize.rows`` (records and store rows)
+    children per window — and mirrors the returned set's
+    :class:`FilterReport` into ``sanitize.input`` /
+    ``sanitize.accepted`` / ``sanitize.dropped.<category>`` counters.
     """
     with tracer.span("sanitize") as span:
-        report = FilterReport()
-
-        def accept(records: Iterable[RibRecord]) -> Iterator[PathRecord]:
-            return sanitize_stream(
-                records, clique, is_allocated, route_servers, vp_geo,
-                prefix_geo, report,
-            )
-
-        path_set = collect(accept, report)
-        # a reopened spill carries its manifest's report, not ``report``
+        judge = Judge(
+            clique, is_allocated, route_servers, vp_geo, prefix_geo,
+            FilterReport(), tracer,
+        )
+        path_set = collect(judge)
+        # a reopened spill carries its manifest's report, not the judge's
         final = path_set.report
         span.set(
             input=final.total, output=final.accepted,
@@ -284,46 +676,6 @@ def sanitize_into(
     return path_set
 
 
-def _check_path(
-    path: ASPath,
-    clique: frozenset[int],
-    allocated: dict[int, bool],
-    is_allocated: Callable[[int], bool],
-    route_servers: frozenset[int],
-) -> tuple[str | None, ASPath | None]:
-    """The path-only half of the Table-1 pipeline for one path:
-    ``(reject_category, None)`` or ``(None, cleaned_path)``.
-
-    Exactly the unallocated → loop → poisoned → clean sequence of the
-    per-record loop, with one prepending collapse shared by all three
-    steps (``has_loop``/``is_poisoned``/clean each used to collapse on
-    their own) and per-ASN allocation verdicts memoised in
-    ``allocated`` — the registry answer for an ASN never changes within
-    one pass.
-    """
-    for asn in path.asns:
-        verdict = allocated.get(asn)
-        if verdict is None:
-            verdict = allocated[asn] = bool(is_allocated(asn))
-        if not verdict:
-            return ("unallocated", None)
-    collapsed = path.collapse_prepending()
-    asns = collapsed.asns
-    if len(set(asns)) != len(asns):
-        return ("loop", None)
-    if not clique.isdisjoint(asns):
-        for index in range(1, len(asns) - 1):
-            if (
-                asns[index] not in clique
-                and asns[index - 1] in clique
-                and asns[index + 1] in clique
-            ):
-                return ("poisoned", None)
-    if route_servers and not route_servers.isdisjoint(asns):
-        collapsed = collapsed.without(route_servers)
-    return (None, collapsed)
-
-
 def sanitize_stream(
     records: Iterable[RibRecord],
     clique: frozenset[int],
@@ -333,76 +685,18 @@ def sanitize_stream(
     prefix_geo: PrefixGeolocation,
     report: FilterReport,
 ) -> Iterator[PathRecord]:
-    """The Table-1 pass as a generator of accepted records.
+    """The Table-1 pass as a generator of accepted records, accounting
+    every input record in ``report``.
 
-    Yields each surviving :class:`PathRecord` as soon as its input
-    record has been judged, mutating ``report`` as a side effect — the
-    streaming protocol the out-of-core spill ingestion
-    (:mod:`repro.perf.spill`) consumes without ever holding the record
-    list. :func:`sanitize_into` hands it to both backends, so they are
-    value-identical record for record.
-
-    A consumer that checkpoints mid-stream may rely on this invariant:
-    whenever a record is yielded, ``report`` accounts for exactly the
-    input records consumed so far (the per-entity memos are pure, so a
-    resumed pass re-derives identical verdicts).
+    It reads one whole window ahead
+    (:data:`~repro.bgp.announcement.WINDOW` records): ``report``
+    accounts for every record of a window before that window's first
+    accepted record is yielded. A consumer that checkpoints must do so
+    between windows — :func:`repro.perf.spill.sanitize_to_store` drives
+    the judge itself and checkpoints at window ends.
     """
-    # Per-entity memos: path verdicts repeat across records sharing a
-    # path object/value, VP location depends only on the collector,
-    # and each prefix resolves its (covered, country, addresses) fate
-    # once. All three underliers are pure within one pass.
-    path_verdicts: dict[ASPath, tuple[str | None, ASPath | None]] = {}
-    allocated: dict[int, bool] = {}
-    collector_country: dict[str, str | None] = {}
-    prefix_fate: dict[Prefix, tuple[str | None, str | None, int]] = {}
-    covered = prefix_geo.covered
-    owned = prefix_geo.owned_addresses
-    for record in records:
-        weight = record.days_present
-        report.total += weight
-        if not record.stable:
-            report.note_rejection("unstable", record, weight)
-            continue
-        path = record.path
-        verdict = path_verdicts.get(path)
-        if verdict is None:
-            verdict = path_verdicts[path] = _check_path(
-                path, clique, allocated, is_allocated, route_servers
-            )
-        category, cleaned = verdict
-        if category is not None:
-            report.note_rejection(category, record, weight)
-            continue
-        vp_country = collector_country.get(record.vp.collector, "")
-        if vp_country == "":
-            vp_country = vp_geo.country(record.vp)
-            collector_country[record.vp.collector] = vp_country
-        if vp_country is None:
-            report.note_rejection("vp_no_location", record, weight)
-            continue
-        prefix = record.prefix
-        fate = prefix_fate.get(prefix)
-        if fate is None:
-            if prefix in covered:
-                fate = ("covered", None, 0)
-            else:
-                country = prefix_geo.country(prefix)
-                fate = (
-                    ("prefix_no_location", None, 0) if country is None
-                    else (None, country, owned.get(prefix, 0))
-                )
-            prefix_fate[prefix] = fate
-        prefix_category, prefix_country, addresses = fate
-        if prefix_category is not None:
-            report.note_rejection(prefix_category, record, weight)
-            continue
-        assert cleaned is not None and prefix_country is not None
-        report.accepted += weight
-        yield PathRecord(
-            vp=record.vp,
-            vp_country=vp_country,
-            prefix=prefix,
-            prefix_country=prefix_country,
-            path=cleaned,
-            addresses=addresses,
-        )
+    judge = Judge(
+        clique, is_allocated, route_servers, vp_geo, prefix_geo, report
+    )
+    for window in record_windows(records):
+        yield from judge.records(window, judge(window))

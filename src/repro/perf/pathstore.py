@@ -26,8 +26,10 @@ spill store (:mod:`repro.perf.spill`) persists:
 
 :class:`ColumnBuilder` is the one place these ids are assigned: it
 interns paths, VPs (by IP) and prefixes in first-appearance order,
-appending to one ``array('q')`` buffer per int64 column. A
-``PathStore`` adopts a builder's buffers as its columns;
+appending to one ``array('q')`` buffer per int64 column — record by
+record, or a window of accepted rows at a time with each distinct
+entity interned once (how the sanitizer fills it). A ``PathStore``
+adopts a builder's buffers as its columns;
 :class:`repro.perf.spill.SpillWriter` is the same builder flushing its
 buffers to the spill files — so both backends hold the same values.
 
@@ -44,7 +46,7 @@ lint rule R007 extends to its arrays.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -69,22 +71,26 @@ class ColumnBuilder:
     VP (by IP) and prefix ids are assigned, each in first-appearance
     order.
 
-    :meth:`add` appends a record's row to ``buffers`` — one
-    ``array('q')`` per column, in :data:`COLUMNS` order — and grows the
-    ``vp_table`` / ``prefix_table`` side tables. ``tokens_total`` and
+    :meth:`add` appends one record's row and :meth:`extend` a block of
+    rows given as entity ids, interning each distinct entity once; both
+    append to ``buffers`` — one ``array('q')`` per column, in
+    :data:`COLUMNS` order — and grow the ``vp_table`` /
+    ``prefix_table`` side tables. ``tokens_total`` and
     ``record_count`` count everything added, including rows a
     subclass has already flushed out of the buffers.
     """
 
     __slots__ = (
-        "buffers", "path_ids", "vp_ids", "prefix_ids", "vp_table",
+        "buffers", "paths", "path_ids", "vp_ids", "prefix_ids", "vp_table",
         "prefix_table", "tokens_total", "record_count",
     )
 
     def __init__(self) -> None:
         self.buffers = tuple(array("q") for _ in COLUMNS)
-        #: distinct path → id; the keys are the paths in id order
-        self.path_ids: dict["ASPath", int] = {}
+        #: one representative ASPath per distinct path, in id order
+        self.paths: list["ASPath"] = []
+        #: distinct path (its ASN tuple) → id
+        self.path_ids: dict[tuple[int, ...], int] = {}
         self.vp_ids: dict[str, int] = {}
         self.prefix_ids: dict["Prefix", int] = {}
         self.vp_table: list[tuple["VantagePoint", str]] = []
@@ -94,34 +100,101 @@ class ColumnBuilder:
 
     def add(self, record: "PathRecord") -> None:
         """Intern one record and append its row."""
-        (tokens, offsets, lengths, record_path, record_vp, record_prefix,
-         record_origin) = self.buffers
         path = record.path
-        pid = self.path_ids.get(path)
+        record_path, record_vp, record_prefix, record_origin = self.buffers[3:]
+        record_path.append(self._path_id(path))
+        record_vp.append(self._vp_id(record.vp, record.vp_country))
+        record_prefix.append(self._prefix_id(
+            record.prefix, record.prefix_country, record.addresses
+        ))
+        record_origin.append(path.asns[-1])
+        self.record_count += 1
+
+    def extend(
+        self,
+        vps: np.ndarray,
+        prefixes: np.ndarray,
+        paths: np.ndarray,
+        vp_rows: Callable[[np.ndarray], Iterable[tuple["VantagePoint", str]]],
+        prefix_rows: Callable[[np.ndarray], Iterable[tuple["Prefix", str, int]]],
+        clean_paths: Callable[[np.ndarray], Iterable["ASPath"]],
+    ) -> None:
+        """Append a block of rows given as ids into a caller's entity
+        tables — ``vps``, ``prefixes`` and ``paths`` hold one int64 id
+        per row — interning each distinct id once, in first-appearance
+        order. Given an array of distinct ids, ``vp_rows`` yields their
+        ``(VantagePoint, country)``, ``prefix_rows`` their ``(Prefix,
+        country, addresses)`` and ``clean_paths`` their clean paths.
+        Equal to :meth:`add` per row."""
+        seen, vp_rank = _first_seen(vps)
+        vp_id = np.asarray(
+            [self._vp_id(vp, country) for vp, country in vp_rows(seen)],
+            dtype=np.int64,
+        )
+        seen, prefix_rank = _first_seen(prefixes)
+        prefix_id = np.asarray(
+            [self._prefix_id(*row) for row in prefix_rows(seen)], dtype=np.int64
+        )
+        seen, path_rank = _first_seen(paths)
+        clean = list(clean_paths(seen))
+        path_id = np.asarray(
+            [self._path_id(path) for path in clean], dtype=np.int64
+        )
+        origin = np.asarray([path.asns[-1] for path in clean], dtype=np.int64)
+        record_path, record_vp, record_prefix, record_origin = self.buffers[3:]
+        record_path.frombytes(path_id[path_rank].tobytes())
+        record_vp.frombytes(vp_id[vp_rank].tobytes())
+        record_prefix.frombytes(prefix_id[prefix_rank].tobytes())
+        record_origin.frombytes(origin[path_rank].tobytes())
+        self.record_count += len(paths)
+
+    def _path_id(self, path: "ASPath") -> int:
+        asns = path.asns
+        pid = self.path_ids.get(asns)
         if pid is None:
-            pid = self.path_ids[path] = len(self.path_ids)
-            asns = path.asns
+            pid = self.path_ids[asns] = len(self.paths)
+            self.paths.append(path)
+            tokens, offsets, lengths = self.buffers[:3]
             offsets.append(self.tokens_total)
             lengths.append(len(asns))
             tokens.extend(asns)
             self.tokens_total += len(asns)
-        vp = record.vp
+        return pid
+
+    def _vp_id(self, vp: "VantagePoint", country: str) -> int:
         vid = self.vp_ids.get(vp.ip)
         if vid is None:
             vid = self.vp_ids[vp.ip] = len(self.vp_table)
-            self.vp_table.append((vp, record.vp_country))
-        prefix = record.prefix
+            self.vp_table.append((vp, country))
+        return vid
+
+    def _prefix_id(self, prefix: "Prefix", country: str, addresses: int) -> int:
         fid = self.prefix_ids.get(prefix)
         if fid is None:
             fid = self.prefix_ids[prefix] = len(self.prefix_table)
-            self.prefix_table.append(
-                (prefix, record.prefix_country, record.addresses)
-            )
-        record_path.append(pid)
-        record_vp.append(vid)
-        record_prefix.append(fid)
-        record_origin.append(path.asns[-1])
-        self.record_count += 1
+            self.prefix_table.append((prefix, country, addresses))
+        return fid
+
+
+def _filled(records: Sequence["PathRecord"]) -> ColumnBuilder:
+    """A builder holding ``records``, added one by one."""
+    builder = ColumnBuilder()
+    for record in records:
+        builder.add(record)
+    return builder
+
+
+def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``ids`` in first-appearance order, and per row the
+    position of its id among them."""
+    distinct, first, inverse = np.unique(
+        ids, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return distinct[order], rank[inverse]
+
 
 
 class PathStore:
@@ -134,15 +207,21 @@ class PathStore:
         "_token_list", "_pair_buckets", "_suffix_memo", "_distinct",
     )
 
-    def __init__(self, records: Sequence["PathRecord"]) -> None:
+    def __init__(
+        self,
+        records: Sequence["PathRecord"],
+        builder: ColumnBuilder | None = None,
+    ) -> None:
+        """The store of ``records``: ``builder`` already holds their
+        rows (as the sanitizer fills one from the same windows),
+        otherwise they are added one by one."""
         #: the source records (the mmap store rematerializes its own)
         self.records: tuple["PathRecord", ...] = tuple(records)
-        builder = ColumnBuilder()
-        for record in self.records:
-            builder.add(record)
+        if builder is None:
+            builder = _filled(self.records)
         #: one representative ASPath object per distinct path, in id
         #: order (the builder's interning dict goes with the builder)
-        self.paths: tuple["ASPath", ...] = tuple(builder.path_ids)
+        self.paths: tuple["ASPath", ...] = tuple(builder.paths)
         self.vp_table = builder.vp_table
         self.prefix_table = builder.prefix_table
         for name, buffer in zip(COLUMNS, builder.buffers):

@@ -22,19 +22,22 @@ engine:
   :class:`~repro.perf.index.PathIndex`, the metric kernels and every
   ranking consumer work unchanged. Records rematerialize lazily per
   access; pair buckets are built in one pass over the mapped columns.
-* :func:`sanitize_to_store` runs the Table-1 pass
-  (:func:`repro.core.sanitize.sanitize_into`) into a spill directory
-  and returns a :class:`~repro.core.sanitize.PathSet` whose records are
-  the lazy mmap view — what the pipeline uses when
-  ``store_backend="mmap"``.
+* :func:`spill_windows` runs the Table-1 judge
+  (:class:`repro.core.sanitize.Judge`, through
+  :func:`~repro.core.sanitize.sanitize_into`) over record windows into
+  a spill directory and returns a :class:`~repro.core.sanitize.PathSet`
+  whose records are the lazy mmap view — what the pipeline uses when
+  ``store_backend="mmap"``; :func:`sanitize_to_store` is the same over
+  a record stream cut into windows of ``flush_every`` records.
 
-Crash safety: every ``flush_every`` accepted records the writer flushes
-its buffers and atomically rewrites ``progress.json`` (consumed input
-records, per-file element counts, the Table-1 report counts). Resuming
-truncates every column file and side table back to the last
-checkpoint, rebuilds the builder's interning state from them, restores
-the report counts (samples are not preserved across a resume), skips
-the already-consumed input records — the input stream is
+Crash safety: at the end of every window the writer flushes its
+buffers and atomically rewrites ``progress.json`` (consumed input
+records, per-file element counts, the Table-1 report counts), so a
+checkpoint always falls on a window boundary. Resuming truncates every
+column file and side table back to the last checkpoint, rebuilds the
+builder's interning state from them, restores the report counts
+(samples are not preserved across a resume), skips the
+already-consumed input records — the input stream is
 seed-deterministic and replayable — and continues; the sealed result is
 byte-identical to an uninterrupted ingestion. ``manifest.json`` marks a
 sealed, complete spill. A damaged directory — a missing or short column
@@ -53,17 +56,17 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.bgp.announcement import RibRecord
+from repro.bgp.announcement import RecordWindow, RibRecord, record_windows
 from repro.bgp.collectors import VantagePoint
 from repro.core.sanitize import (
     REJECT_CATEGORIES,
     FilterReport,
+    Judge,
     PathRecord,
     PathSet,
     sanitize_into,
@@ -80,6 +83,8 @@ if TYPE_CHECKING:
 
 FORMAT_NAME = "repro-spill"
 FORMAT_VERSION = 1
+#: input records per window (and so per checkpoint) of an ingestion
+FLUSH_EVERY = 200_000
 
 #: the manifest's (and each checkpoint's) element counts, and the count
 #: each column file is held to (``record_*`` files hold ``records``)
@@ -222,15 +227,19 @@ class SpillWriter(ColumnBuilder):
     """A :class:`~repro.perf.pathstore.ColumnBuilder` whose buffers are
     flushed to one spill directory.
 
-    Feed it accepted records via :meth:`add`; call
-    :meth:`maybe_checkpoint` after each (it flushes and persists
-    progress every ``flush_every`` accepted records) and :meth:`seal`
-    when the input is exhausted. :meth:`prepare` turns a torn directory
-    back into the state of its last checkpoint and reports how many
-    *input* records the caller must skip.
+    Feed it accepted rows via :meth:`extend` and :meth:`checkpoint`
+    between windows, as :func:`spill_windows` does — or record by
+    record via :meth:`add`, calling :meth:`maybe_checkpoint` after each
+    (it flushes and persists progress every ``flush_every`` accepted
+    records) — and :meth:`seal` when the input is exhausted.
+    :meth:`prepare` turns a torn directory back into the state of its
+    last checkpoint and reports how many *input* records the caller
+    must skip.
     """
 
-    def __init__(self, directory: str | Path, flush_every: int = 200_000) -> None:
+    def __init__(
+        self, directory: str | Path, flush_every: int = FLUSH_EVERY
+    ) -> None:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
         super().__init__()
@@ -279,8 +288,8 @@ class SpillWriter(ColumnBuilder):
             np.fromfile(_column_path(self.directory, name), dtype=np.int64)
             for name in COLUMNS[:3]
         )
-        paths = _paths(tokens.tolist(), offsets, lengths)
-        self.path_ids = {path: pid for pid, path in enumerate(paths)}
+        self.paths = list(_paths(tokens.tolist(), offsets, lengths))
+        self.path_ids = {path.asns: pid for pid, path in enumerate(self.paths)}
         self.vp_table = _truncated_table(
             self.directory / "vps.jsonl", progress["vps"], _vp_row
         )
@@ -292,7 +301,7 @@ class SpillWriter(ColumnBuilder):
             prefix: fid for fid, (prefix, _, _) in enumerate(self.prefix_table)
         }
         if (
-            len(self.path_ids) != progress["paths"]
+            len(self.paths) != progress["paths"]
             or len(self.vp_ids) != progress["vps"]
             or len(self.prefix_ids) != progress["prefixes"]
         ):
@@ -331,7 +340,7 @@ class SpillWriter(ColumnBuilder):
 
     def _counts(self) -> dict[str, int]:
         return {
-            "records": self.record_count, "paths": len(self.path_ids),
+            "records": self.record_count, "paths": len(self.paths),
             "tokens": self.tokens_total, "vps": len(self.vp_table),
             "prefixes": len(self.prefix_table),
         }
@@ -498,6 +507,63 @@ def open_spill(directory: str | Path) -> PathSet:
     return PathSet(store.records, report, store)
 
 
+def spill_windows(
+    windows: Iterable[RecordWindow],
+    *,
+    clique: frozenset[int],
+    is_allocated: Callable[[int], bool],
+    route_servers: frozenset[int],
+    vp_geo: "VPGeolocator",
+    prefix_geo: "PrefixGeolocation",
+    directory: str | Path,
+    tracer: AnyTracer = NULL_TRACER,
+) -> PathSet:
+    """The Table-1 pass over record windows, spilled instead of held.
+
+    Runs the same judge as :func:`repro.core.sanitize.sanitize_windows`
+    (same span, same counters, same report) but appends each window's
+    accepted rows to ``directory``, checkpointing at every window end,
+    and hands back a :class:`PathSet` over the mapped columns — peak
+    memory is bounded by distinct entities plus one window.
+
+    A torn previous ingestion continues from its last checkpoint — the
+    caller must pass the same deterministic window stream; its first
+    ``consumed`` rows are skipped — and a sealed directory is reopened
+    without reading the windows at all.
+    """
+
+    def spill(judge: Judge) -> PathSet:
+        writer = SpillWriter(directory)
+        if writer.sealed():
+            return open_spill(directory)
+        report = judge.report
+        consumed = writer.prepare(report)
+        for window in _skip(windows, consumed):
+            rows = judge(window)
+            with tracer.span("sanitize.rows", input=len(rows)) as span:
+                judge.store_rows(writer, window, rows)
+                consumed += len(window)
+                writer.checkpoint(consumed, report)
+                span.set(output=len(rows))
+        writer.seal(consumed, report)
+        store = MmapPathStore(directory)
+        return PathSet(store.records, report, store)
+
+    return sanitize_into(
+        spill, clique, is_allocated, route_servers, vp_geo, prefix_geo, tracer
+    )
+
+
+def _skip(windows: Iterable[RecordWindow], count: int) -> Iterator[RecordWindow]:
+    """The rows of ``windows`` after the first ``count``."""
+    for window in windows:
+        if count >= len(window):
+            count -= len(window)
+            continue
+        yield window.rows(count) if count else window
+        count = 0
+
+
 def sanitize_to_store(
     records: Iterable[RibRecord],
     *,
@@ -508,44 +574,19 @@ def sanitize_to_store(
     prefix_geo: "PrefixGeolocation",
     directory: str | Path,
     tracer: AnyTracer = NULL_TRACER,
-    flush_every: int = 200_000,
+    flush_every: int = FLUSH_EVERY,
 ) -> PathSet:
-    """:func:`repro.core.sanitize.sanitize`, spilled instead of held.
-
-    Runs the same pass (same span, same counters, same report) but
-    appends each accepted record to ``directory`` and hands back a
-    :class:`PathSet` over the mapped columns, so peak memory is bounded
-    by distinct entities + one flush buffer.
-
-    A torn previous ingestion continues from its last checkpoint — the
-    caller must pass the same deterministic input stream — and a sealed
-    directory is reopened without consuming the input at all.
-    """
-
-    def spill(
-        accept: Callable[[Iterable[RibRecord]], Iterator[PathRecord]],
-        report: FilterReport,
-    ) -> PathSet:
-        writer = SpillWriter(directory, flush_every=flush_every)
-        if writer.sealed():
-            return open_spill(directory)
-        consumed = pulled = writer.prepare(report)
-
-        def counted() -> Iterator[RibRecord]:
-            nonlocal pulled
-            for record in islice(records, consumed, None):
-                pulled += 1
-                yield record
-
-        for accepted in accept(counted()):
-            writer.add(accepted)
-            writer.maybe_checkpoint(pulled, report)
-        writer.seal(pulled, report)
-        store = MmapPathStore(directory)
-        return PathSet(store.records, report, store)
-
-    return sanitize_into(
-        spill, clique, is_allocated, route_servers, vp_geo, prefix_geo, tracer
+    """:func:`repro.core.sanitize.sanitize`, spilled instead of held:
+    :func:`spill_windows` over ``records`` cut into windows of
+    ``flush_every`` records, so a checkpoint follows every
+    ``flush_every`` input records."""
+    if flush_every < 1:
+        raise ValueError("flush_every must be >= 1")
+    return spill_windows(
+        record_windows(records, flush_every),
+        clique=clique, is_allocated=is_allocated,
+        route_servers=route_servers, vp_geo=vp_geo, prefix_geo=prefix_geo,
+        directory=directory, tracer=tracer,
     )
 
 
@@ -562,7 +603,7 @@ def store_from_dumps(
     strict: bool = False,
     quarantine: "Quarantine | None" = None,
     tracer: AnyTracer = NULL_TRACER,
-    flush_every: int = 200_000,
+    flush_every: int = FLUSH_EVERY,
 ) -> PathSet:
     """Windowed MRT ingestion into a spill store.
 

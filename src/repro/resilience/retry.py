@@ -8,9 +8,11 @@
   fires ``resilience.timeout`` instead of blocking forever);
 * **bounded retries** with deterministic exponential backoff (no
   jitter — same plan, same schedule);
-* **pool recovery** — a ``BrokenProcessPool`` (killed worker) or a
+* **pool recovery** — a ``BrokenProcessPool`` (killed worker), raised
+  while collecting a result or while still submitting chunks, or a
   timeout abandons the poisoned pool, respawns a fresh one, and
-  replays only the chunks without results;
+  replays only the chunks without results (a chunk never submitted is
+  not charged an attempt);
 * a **serial fallback** — a chunk that exhausts its pool attempts runs
   in-process (fault injection never applies there), so a finite fault
   plan can never change the final output.
@@ -166,19 +168,32 @@ def resilient_map(
                     metrics.counter("resilience.serial_fallback").inc()
                     results[index] = worker(payloads[index])
                 futures: dict[int, Future[R]] = {}
+                broken = False
                 for index in eligible:
                     pause = policy.backoff_s(attempts[index])
                     if pause > 0.0:
                         time.sleep(pause)
+                    try:
+                        futures[index] = executor.submit(
+                            _run_guarded, worker, stage, index,
+                            attempts[index], faults, payloads[index],
+                        )
+                    except BrokenProcessPool:
+                        # a worker died while chunks were still being
+                        # submitted: stop submitting and respawn below;
+                        # the unsubmitted chunks stay pending, with no
+                        # attempt charged — unless nothing got through,
+                        # so a pool that breaks at every first submit
+                        # still ends in the serial fallback
+                        metrics.counter("resilience.pool_break").inc()
+                        broken = True
+                        if not futures:
+                            attempts[index] += 1
+                        break
                     if attempts[index] > 0:
                         retries += 1
                         metrics.counter("resilience.retry").inc()
-                    futures[index] = executor.submit(
-                        _run_guarded, worker, stage, index,
-                        attempts[index], faults, payloads[index],
-                    )
                     attempts[index] += 1
-                broken = False
                 for index in sorted(futures):
                     try:
                         results[index] = futures[index].result(

@@ -95,6 +95,46 @@ class TestStageCoverage:
             assert event["parent"] is None or event["parent"] in ids
 
 
+class TestSanitizeSpans:
+    """The ``sanitize`` span's three phases hang under it, once per
+    record window, each saying what it took in and put out."""
+
+    PHASES = ("sanitize.paths", "sanitize.fates", "sanitize.rows")
+
+    def test_phases_per_window_under_sanitize(self, traced):
+        result, tracer = traced
+        [sanitize] = [s for s in tracer.spans if s.name == "sanitize"]
+        children = sorted(
+            (s for s in tracer.spans if s.parent_id == sanitize.span_id),
+            key=lambda s: s.start_s,
+        )
+        names = [s.name for s in children]
+        assert names and len(names) % 3 == 0
+        assert names == list(self.PHASES) * (len(names) // 3)
+        for span in children:
+            assert {"input", "output"} <= set(span.attrs), span.name
+            assert 0 <= span.attrs["output"] <= span.attrs["input"], span.name
+        by_name = {
+            name: [s for s in children if s.name == name] for name in self.PHASES
+        }
+        records = len(result.paths.records)
+        assert sanitize.attrs["records"] == records
+        # accepted rows leave the fates phase and become records
+        assert sum(s.attrs["output"] for s in by_name["sanitize.fates"]) == records
+        assert sum(s.attrs["input"] for s in by_name["sanitize.rows"]) == records
+        assert sum(s.attrs["output"] for s in by_name["sanitize.rows"]) == records
+        # every distinct stored path was judged once, in some window
+        judged = sum(s.attrs["input"] for s in by_name["sanitize.paths"])
+        assert judged >= len(result.paths.store())
+
+    def test_counters_unchanged_by_the_phases(self, traced):
+        result, tracer = traced
+        [sanitize] = [s for s in tracer.spans if s.name == "sanitize"]
+        report = result.paths.report
+        assert sanitize.attrs["input"] == report.total
+        assert sanitize.attrs["output"] == report.accepted
+
+
 class TestTraceKnob:
     def test_untraced_result_has_no_trace(self):
         from repro.core.pipeline import PipelineConfig, run_pipeline

@@ -136,14 +136,27 @@ class TestBackendParity:
 
 
 class TestCrashResume:
+    """A torn ingestion resumes from its last checkpoint — which falls
+    on a window boundary — to a spill byte-identical to a clean one.
+    Each test asserts the torn run really left a checkpoint, so a tear
+    that silently restarts from scratch cannot pass."""
+
+    FLUSH = 500
+
     @pytest.fixture(scope="class")
     def inputs(self):
         return _sanitize_inputs(build_world("small", 0))
 
+    @pytest.fixture(scope="class")
+    def clean(self, inputs, tmp_path_factory):
+        records, kwargs = inputs
+        directory = tmp_path_factory.mktemp("clean")
+        return self._ingest(records, kwargs, directory), directory
+
     def _ingest(self, records, kwargs, directory, **extra):
         return sanitize_to_store(
             iter(records), directory=str(directory),
-            flush_every=500, **kwargs, **extra,
+            flush_every=self.FLUSH, **kwargs, **extra,
         )
 
     def _spill_bytes(self, directory):
@@ -153,13 +166,11 @@ class TestCrashResume:
             if path.name != "progress.json"  # removed on seal
         }
 
-    def test_resume_is_byte_identical(self, inputs, tmp_path):
+    def _tear_and_resume(self, inputs, clean, directory, crash_after):
+        """Crash the ingestion when input record ``crash_after`` is
+        pulled, check the checkpoint it left, then resume."""
         records, kwargs = inputs
-        clean_dir = tmp_path / "clean"
-        torn_dir = tmp_path / "torn"
-        clean = self._ingest(records, kwargs, clean_dir)
-
-        crash_after = len(records) // 2
+        assert crash_after < len(records)
 
         def torn_stream():
             for index, record in enumerate(records):
@@ -168,17 +179,32 @@ class TestCrashResume:
                 yield record
 
         with pytest.raises(OSError):
-            sanitize_to_store(
-                torn_stream(), directory=str(torn_dir),
-                flush_every=500, **kwargs,
-            )
-        assert not (torn_dir / "manifest.json").exists()
-        resumed = self._ingest(records, kwargs, torn_dir)
-        assert self._spill_bytes(torn_dir) == self._spill_bytes(clean_dir)
-        assert resumed.report.total == clean.report.total
-        assert resumed.report.accepted == clean.report.accepted
-        assert resumed.report.rejected == clean.report.rejected
-        assert list(resumed.records[:50]) == list(clean.records[:50])
+            self._ingest(torn_stream(), kwargs, directory)
+        assert not (directory / "manifest.json").exists()
+        progress = json.loads((directory / "progress.json").read_text())
+        # checkpoints fall at window ends: the last full window before
+        # the tear
+        assert progress["consumed"] > 0
+        assert progress["consumed"] == crash_after - crash_after % self.FLUSH
+        resumed = self._ingest(records, kwargs, directory)
+        clean_set, clean_dir = clean
+        assert self._spill_bytes(directory) == self._spill_bytes(clean_dir)
+        assert resumed.report.total == clean_set.report.total
+        assert resumed.report.accepted == clean_set.report.accepted
+        assert resumed.report.rejected == clean_set.report.rejected
+        assert list(resumed.records[:50]) == list(clean_set.records[:50])
+
+    def test_resume_is_byte_identical(self, inputs, clean, tmp_path):
+        records, _ = inputs
+        self._tear_and_resume(inputs, clean, tmp_path / "torn", len(records) // 2)
+
+    def test_tear_at_window_boundary_resumes(self, inputs, clean, tmp_path):
+        self._tear_and_resume(inputs, clean, tmp_path / "torn", 2 * self.FLUSH)
+
+    def test_tear_mid_window_resumes(self, inputs, clean, tmp_path):
+        self._tear_and_resume(
+            inputs, clean, tmp_path / "torn", 2 * self.FLUSH + self.FLUSH // 2
+        )
 
     def test_reopen_sealed_spill(self, inputs, tmp_path):
         records, kwargs = inputs

@@ -85,6 +85,21 @@ class TestTraceCommand:
         for category in REJECT_CATEGORIES:
             assert drop_lines[category] == report.rejected[category], category
 
+    def test_stage_report_prints_sanitize_phases(self, capsys):
+        assert main(["--world", "small", "trace"]) == 0
+        out = capsys.readouterr().out
+        rows = out.split("-- sanitize drops")[0].splitlines()
+        [parent] = [
+            index for index, line in enumerate(rows)
+            if line.split() and line.split()[0] == "sanitize"
+        ]
+        indent = len(rows[parent]) - len(rows[parent].lstrip())
+        for phase in ("sanitize.paths", "sanitize.fates", "sanitize.rows"):
+            lines = [line for line in rows if line.split()[:1] == [phase]]
+            assert lines, phase
+            for line in lines:
+                assert len(line) - len(line.lstrip()) == indent + 2, line
+
     def test_json_mode_emits_schema_valid_spans(self, capsys):
         assert main(["--world", "small", "trace", "--json"]) == 0
         out = capsys.readouterr().out
