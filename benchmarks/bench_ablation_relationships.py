@@ -19,9 +19,7 @@ def test_ablation_relationships(benchmark, paper2021, emit):
     view = result.view("international", "AU")
 
     def run():
-        inferred = infer_relationships(
-            record.path for record in result.paths.records
-        )
+        inferred = infer_relationships(result.paths.store().record_paths())
         truth_ranking = cone_ranking(view, result.world.graph, "CCI:AU(truth)")
         inferred_ranking = cone_ranking(view, inferred, "CCI:AU(inferred)")
         validation = validate_inference(inferred, result.world.graph)

@@ -5,9 +5,13 @@ Times, per world (small / medium):
 * **cold pipeline** — a full ``run_pipeline`` (propagate → RIBs →
   sanitize → geolocate), serial;
 * **naive sweep** — the pre-batch-engine behaviour: every (metric,
-  country) pair rebuilds its view by scanning all sanitized records
-  and recomputes every intermediate (transit suffixes, cones, per-VP
-  betweenness, address totals) from scratch;
+  country) pair rebuilds its view by scanning a list of all sanitized
+  records and recomputes every intermediate (transit suffixes, cones,
+  per-VP betweenness, address totals) from scratch with the reference
+  scorers (:func:`~repro.core.cone.cone_addresses`,
+  :func:`~repro.core.hegemony.hegemony_scores`,
+  :func:`~repro.core.cti.cti_scores`) — a second program the indexed
+  sweep must agree with;
 * **indexed sweep** — ``PipelineResult.rank_all`` over the same pairs:
   shared path index + cross-metric intermediate caches;
 * **parallel pipeline** — the cold pipeline with ``workers`` process
@@ -54,15 +58,12 @@ from repro import (
     run_pipeline,
     small_profiles,
 )
-from repro.core.cone import cone_ranking
-from repro.core.cti import cti_ranking
-from repro.core.hegemony import hegemony_ranking
+from repro.core.cone import cone_addresses
+from repro.core.cti import cti_scores
+from repro.core.hegemony import hegemony_scores
+from repro.core.ranking import Ranking
 from repro.core.registry import get_spec
-from repro.core.views import (
-    international_view,
-    national_view,
-    outbound_view,
-)
+from repro.core.sanitize import PathRecord
 from repro.obs.trace import Tracer
 from repro.perf.parallel import CHUNKS_PER_WORKER
 
@@ -72,11 +73,18 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: composition of the Tables 9–12 sweeps.
 SWEEP_METRICS = ("CCI", "CCN", "AHI", "AHN", "CTI")
 
-#: naive (full-scan) view builders, keyed by the registry's view kind
-_NAIVE_VIEW_BUILDERS = {
-    "international": international_view,
-    "national": national_view,
-    "outbound": outbound_view,
+#: naive (full-scan) view selectors, keyed by the registry's view
+#: kind: does a record belong to the view of ``country``?
+_NAIVE_VIEW_FILTERS = {
+    "international": lambda r, country: (
+        r.vp_country != country and r.prefix_country == country
+    ),
+    "national": lambda r, country: (
+        r.vp_country == country and r.prefix_country == country
+    ),
+    "outbound": lambda r, country: (
+        r.vp_country == country and r.prefix_country != country
+    ),
 }
 
 
@@ -91,17 +99,30 @@ def build_world(kind: str, seed: int):
     raise ValueError(f"unknown bench world {kind!r}")
 
 
-def naive_ranking(result: PipelineResult, metric: str, country: str):
+def naive_ranking(
+    result: PipelineResult, records: list[PathRecord], metric: str, country: str
+) -> Ranking:
     """One (metric, country) ranking the pre-engine way: rebuild the
-    view by a full-record scan, recompute every intermediate."""
+    view by a full scan of the record list, recompute every
+    intermediate with the reference scorers."""
     spec = get_spec(metric)
-    view = _NAIVE_VIEW_BUILDERS[spec.view_kind](result.paths, country)
+    keep = _NAIVE_VIEW_FILTERS[spec.view_kind]
+    view = [record for record in records if keep(record, country)]
+    label = f"{metric}:{country}"
     trim = result.config.trim
+    total = sum({record.prefix: record.addresses for record in view}.values())
     if spec.family == "cone":
-        return cone_ranking(view, result.oracle, f"{metric}:{country}")
+        addresses = cone_addresses(view, result.oracle)
+        return Ranking.from_scores(
+            label, {asn: float(n) for asn, n in addresses.items()},
+            {asn: n / total for asn, n in addresses.items()} if total else None,
+            country,
+        )
     if spec.family == "hegemony":
-        return hegemony_ranking(view, f"{metric}:{country}", trim)
-    return cti_ranking(view, result.oracle, trim)
+        scores = hegemony_scores(view, trim)
+    else:
+        scores = cti_scores(view, result.oracle, total, trim)
+    return Ranking.from_scores(label, scores, scores, country)
 
 
 def fresh_result(result: PipelineResult) -> PipelineResult:
@@ -205,11 +226,13 @@ def bench_world(
 
     # Best-of-3 on both sides: single-shot sweep timings are noisy
     # enough on small machines to swing the speedup across the floor.
+    # The naive sweep starts from a record list, as before the engine.
+    records = list(result.paths.records)
     sweep_naive_s = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
         naive = {
-            (metric, country): naive_ranking(result, metric, country)
+            (metric, country): naive_ranking(result, records, metric, country)
             for metric, country in pairs
         }
         sweep_naive_s = min(sweep_naive_s, time.perf_counter() - t0)

@@ -24,7 +24,7 @@ from repro.relationships import (
 def main() -> None:
     world = generate_world(seed=42, name="default")
     result = run_pipeline(world, PipelineConfig())
-    paths = [record.path for record in result.paths.records]
+    paths = list(result.paths.store().record_paths())
 
     degrees = transit_degrees([ASPath(p.asns) for p in paths])
     top = sorted(degrees.items(), key=lambda kv: -kv[1])[:8]

@@ -36,7 +36,7 @@ from repro.core.registry import (
 )
 from repro.core.ndcg import dcg, ndcg
 from repro.obs import Tracer, stage_report, to_jsonl, to_prometheus
-from repro.perf import PathIndex, ViewComputation, ViewSlicer
+from repro.perf import PathIndex, ViewComputation
 from repro.resilience import (
     Checkpoint,
     FaultPlan,
@@ -77,7 +77,6 @@ __all__ = [
     "RetryPolicy",
     "Tracer",
     "ViewComputation",
-    "ViewSlicer",
     "World",
     "__version__",
     "dcg",

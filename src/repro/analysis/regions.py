@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core.pipeline import PipelineResult
 from repro.topology.countries import CONTINENTS
 
@@ -35,9 +37,12 @@ class DominanceRow:
 
 def destination_countries(result: PipelineResult, min_records: int = 5) -> list[str]:
     """Countries with enough observed inbound paths to evaluate."""
+    store = result.paths.store()
+    table = store.prefix_table
     counts: dict[str, int] = {}
-    for record in result.paths.records:
-        counts[record.prefix_country] = counts.get(record.prefix_country, 0) + 1
+    per_prefix = np.bincount(store.record_prefix, minlength=len(table))
+    for (_, country, _), n in zip(table, per_prefix.tolist()):
+        counts[country] = counts.get(country, 0) + n
     return sorted(code for code, n in counts.items() if n >= min_records)
 
 

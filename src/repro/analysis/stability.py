@@ -14,18 +14,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from repro.core.cone import cone_ranking
-from repro.core.hegemony import hegemony_ranking
 from repro.core.ndcg import ndcg
 from repro.core.pipeline import PipelineResult
 from repro.core.ranking import Ranking
-from repro.core.registry import maybe_spec
+from repro.core.registry import MetricContext, maybe_spec
+from repro.core.sanitize import RelationshipOracle
 from repro.core.views import View
-
-if TYPE_CHECKING:  # resume support is imported lazily at runtime
-    from repro.resilience.checkpoint import Checkpoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,30 +63,24 @@ class StabilityCurve:
 
 
 def metric_ranking(
-    metric: str, view: View, oracle, trim: float = 0.1
+    metric: str, view: View, oracle: RelationshipOracle, trim: float = 0.1
 ) -> Ranking:
     """One CC*/AH* ranking over an arbitrary (possibly downsampled)
-    view — the per-trial work unit, also run inside fan-out workers.
+    view — the per-trial work unit, also run inside fan-out workers —
+    built by the metric's registered spec, like every other ranking.
 
-    Dispatch comes from the metric registry: cone-family specs rank by
-    customer cone, hegemony-family specs by AS hegemony (honouring a
-    variant's ``weighting``); other families (AHC, CTI) are not
-    view-restrictable per trial and are rejected.
+    Cone-family specs rank by customer cone, hegemony-family specs by
+    AS hegemony (honouring a variant's ``weighting``); other families
+    (AHC, CTI) are not view-restrictable per trial and are rejected.
     """
     spec = maybe_spec(metric)
     if spec is None or spec.family not in ("cone", "hegemony"):
         raise ValueError(
             f"stability analysis supports CC*/AH* metrics, not {metric!r}"
         )
-    if spec.family == "cone":
-        return cone_ranking(view, oracle, spec.name)
-    return hegemony_ranking(
-        view, spec.name, trim, weighting=spec.weighting or "addresses"
-    )
-
-
-def _metric_ranking(result: PipelineResult, metric: str, view: View) -> Ranking:
-    return metric_ranking(metric, view, result.oracle, result.config.trim)
+    return spec.build(MetricContext(
+        view=view, oracle=oracle, trim=trim, country=view.country,
+    ))
 
 
 def stability_curve(
@@ -103,26 +92,20 @@ def stability_curve(
     seed: int = 0,
     k: int = 10,
     workers: int | None = None,
-    checkpoint: "Checkpoint | None" = None,
 ) -> StabilityCurve:
     """Downsample a view's VPs and score each sample against the full
     ranking (the machinery behind Figures 4 and 5).
 
-    Trial views are :class:`repro.perf.ViewSlicer` index slices — the
-    view's records are bucketed by VP once, then each trial merges the
-    sampled VPs' buckets instead of re-filtering the whole view.
+    Each trial view is :meth:`View.restrict_vps` — the view's positions
+    masked by the sampled VPs' ids, over the same store — ranked
+    through :func:`metric_ranking`.
 
     ``workers`` (default: the pipeline config's ``workers``) fans the
     NDCG trials out across a process pool. Every VP sample is drawn
     up front from a single serial RNG stream, so the curve is identical
     for any worker count; ``workers=1`` computes the trials inline.
     The config's retry policy and fault plan apply to the fan-out.
-
-    ``checkpoint`` persists each trial's NDCG score as it completes;
-    a resumed run recomputes only the missing trials and yields the
-    identical curve (scores are serialized value-exactly).
     """
-    from repro.perf.index import ViewSlicer
     from repro.perf.parallel import stability_trials
 
     if trials < 1:
@@ -131,42 +114,30 @@ def stability_curve(
         workers = result.config.workers
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    slicer = ViewSlicer(view)
     vps = [vp.ip for vp in view.vps()]
     total = len(vps)
     if sizes is None:
         sizes = sorted({s for s in _default_sizes(total)})
-    full = _metric_ranking(result, metric, view)
+    oracle, trim = result.oracle, result.config.trim
+    full = metric_ranking(metric, view, oracle, trim)
     rng = random.Random(seed)
     valid_sizes = [size for size in sizes if 1 <= size <= total]
     samples: list[list[str]] = [
         rng.sample(vps, size) for size in valid_sizes for _ in range(trials)
     ]
-    done: dict[int, float] = {}
-    if checkpoint is not None:
-        for index in range(len(samples)):
-            banked = checkpoint.get(f"trial:{index}")
-            if isinstance(banked, float):
-                done[index] = banked
-    todo = [index for index in range(len(samples)) if index not in done]
-    todo_samples = [samples[index] for index in todo]
-    if workers > 1 and todo_samples:
-        fresh = stability_trials(
-            metric, view, result.oracle, result.config.trim,
-            full, k, todo_samples, workers,
+    if workers > 1 and samples:
+        scores = stability_trials(
+            metric, view, oracle, trim, full, k, samples, workers,
             tracer=result._tracer, policy=result.config.retry,
             faults=result.config.faults, pool=result._pool,
         )
     else:
-        fresh = [
-            ndcg(full, _metric_ranking(result, metric, slicer.restrict(s)), k)
-            for s in todo_samples
+        scores = [
+            ndcg(full, metric_ranking(
+                metric, view.restrict_vps(sample), oracle, trim
+            ), k)
+            for sample in samples
         ]
-    for index, score in zip(todo, fresh):
-        done[index] = score
-        if checkpoint is not None:
-            checkpoint.put(f"trial:{index}", score)
-    scores = [done[index] for index in range(len(samples))]
     points: list[StabilityPoint] = []
     for index, size in enumerate(valid_sizes):
         batch = scores[index * trials:(index + 1) * trials]

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.pipeline import PipelineResult
 
 
@@ -40,11 +42,17 @@ def vp_census(result: PipelineResult, min_vps: int = 1) -> list[CountryVPStats]:
         vp_ips.setdefault(country, set()).add(vp.ip)
         vp_asns.setdefault(country, set()).add(vp.asn)
 
+    # the distinct (prefix id, origin) pairs, read from the store's id
+    # columns: a prefix id fits 31 bits and an origin ASN 32
+    store = result.paths.store()
+    pairs = np.unique((store.record_prefix << 32) | store.record_origin)
+    table = store.prefix_table
     origins: dict[str, set[int]] = {}
     prefixes: dict[str, set] = {}
-    for record in result.paths.records:
-        origins.setdefault(record.prefix_country, set()).add(record.origin)
-        prefixes.setdefault(record.prefix_country, set()).add(record.prefix)
+    for fid, origin in zip((pairs >> 32).tolist(), (pairs & 0xFFFFFFFF).tolist()):
+        prefix, country, _ = table[fid]
+        origins.setdefault(country, set()).add(origin)
+        prefixes.setdefault(country, set()).add(prefix)
     addresses = result.country_addresses()
 
     rows = []

@@ -19,16 +19,13 @@ exactly so the Table 9 comparison is meaningful:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Mapping, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from repro.core.hegemony import hegemony_scores, validate_trim
 from repro.core.ranking import Ranking
-from repro.core.sanitize import PathRecord, PathSet
+from repro.core.sanitize import PathRecord
 from repro.core.views import View
 from repro.obs.trace import NULL_TRACER, AnyTracer
-
-if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.cache import ViewComputation
 
 AHC_WEIGHTINGS = ("as_count", "addresses")
 
@@ -45,8 +42,8 @@ def _origin_weights(
     observed: Container[int],
     footprint: Callable[[int], int],
 ) -> dict[int, float]:
-    """Each contributing origin's weight, shared by the naive and cached
-    paths: 1.0 per ``observed`` origin (``as_count``), or its observed
+    """Each contributing origin's weight, shared by the reference and
+    the ranking: 1.0 per ``observed`` origin (``as_count``), or its observed
     address ``footprint`` (``addresses``, where a zero footprint drops
     the origin).
 
@@ -68,9 +65,9 @@ def _weighted_origin_average(
     weights: Mapping[int, float],
     hegemony_of: Callable[[int], Mapping[int, float]],
 ) -> dict[int, float]:
-    """The AHC step 2 shared by the naive and cached paths: a weighted
-    average of per-origin hegemony tables, accumulated in sorted-origin
-    order (so both paths produce bit-identical floats)."""
+    """The AHC step 2 shared by the reference and the ranking: a
+    weighted average of per-origin hegemony tables, accumulated in
+    sorted-origin order (so both produce bit-identical floats)."""
     totals: dict[int, float] = {}
     weight_sum = 0.0
     contributing = 0
@@ -125,65 +122,44 @@ def ahc_scores(
     )
 
 
-def ahc_scores_cached(
-    compute: "ViewComputation",
-    country_origins: Iterable[int],
-    trim: float = 0.1,
-    weighting: str = "as_count",
-) -> dict[int, float]:
-    """:func:`ahc_scores` through the batch-engine cache.
-
-    The per-origin hegemony tables come from the view's
-    :class:`~repro.perf.cache.ViewComputation`: one columnar kernel
-    call per country computes every registered origin's table from the
-    store's origin column, and every repeated (origin, trim) table is a
-    ``perf.view.hit``. Values are bit-identical to the naive path: the
-    kernel matches :func:`~repro.core.hegemony.hegemony_scores` and the
-    weighting and averaging loops are shared.
-    """
-    _check_weighting(weighting)
-    validate_trim(trim)
-    origins = sorted(set(country_origins))
-    tables = compute.local_hegemonies(origins, trim)
-    footprints = (
-        compute.origin_footprints(origins) if weighting == "addresses" else {}
-    )
-    weights = _origin_weights(
-        origins, weighting, tables, footprints.__getitem__
-    )
-    return _weighted_origin_average(origins, weights, tables.__getitem__)
-
-
 def ahc_ranking(
-    paths: PathSet | View,
+    view: View,
     country: str,
     country_origins: Iterable[int],
     trim: float = 0.1,
     weighting: str = "as_count",
     tracer: AnyTracer = NULL_TRACER,
-    compute: "ViewComputation | None" = None,
     metric: str | None = None,
 ) -> Ranking:
-    """The AHC baseline ranking for one country.
+    """The AHC baseline ranking for one country over ``view`` (the
+    global view: paths from every VP).
 
-    ``paths`` is any record holder (the sanitized :class:`PathSet` or
-    the equivalent global :class:`~repro.core.views.View`). ``compute``
-    is an optional :class:`~repro.perf.cache.ViewComputation` for that
-    view: per-origin hegemony tables come from its columnar kernel and
-    cross-metric cache (see :func:`ahc_scores_cached`). ``metric``
-    overrides the ranking label (variants like ``AHC-A`` pass theirs).
+    The per-origin hegemony tables come from the view's
+    :meth:`~repro.core.views.View.computation`: one columnar kernel
+    call per country computes every registered origin's table from the
+    store's origin column, and every repeated (origin, trim) table is a
+    ``perf.view.hit``. Values are bit-identical to :func:`ahc_scores`
+    over the view's records: the kernel matches
+    :func:`~repro.core.hegemony.hegemony_scores` and the weighting and
+    averaging loops are shared. ``metric`` overrides the ranking label
+    (variants like ``AHC-A`` pass theirs).
     """
+    _check_weighting(weighting)
     validate_trim(trim)
     origins = sorted(set(country_origins))
     with tracer.span(
-        "ahc", country=country, origins=len(origins),
-        input=len(paths.records),
+        "ahc", country=country, origins=len(origins), input=len(view),
     ) as span:
-        scores = (
-            ahc_scores_cached(compute, origins, trim, weighting)
-            if compute is not None
-            else ahc_scores(paths.records, origins, trim, weighting)
+        compute = view.computation(tracer)
+        tables = compute.local_hegemonies(origins, trim)
+        footprints = (
+            compute.origin_footprints(origins) if weighting == "addresses"
+            else {}
         )
+        weights = _origin_weights(
+            origins, weighting, tables, footprints.__getitem__
+        )
+        scores = _weighted_origin_average(origins, weights, tables.__getitem__)
         span.set(output=len(scores))
         tracer.metrics.histogram("ahc.origins").observe(len(origins))
         shares: Mapping[int, float] = scores

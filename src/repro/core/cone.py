@@ -23,7 +23,7 @@ cone, and the reported share divides by the view's total address space
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.core.ranking import Ranking
 from repro.core.sanitize import PathRecord, RelationshipOracle
@@ -31,9 +31,6 @@ from repro.core.views import View
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER, AnyTracer
-
-if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.cache import ViewComputation
 
 
 def transit_suffix(path: ASPath, oracle: RelationshipOracle) -> tuple[int, ...]:
@@ -140,7 +137,6 @@ def cone_ranking(
     metric: str | None = None,
     total_addresses: int | None = None,
     tracer: AnyTracer = NULL_TRACER,
-    compute: "ViewComputation | None" = None,
 ) -> Ranking:
     """Rank ASes by cone address coverage within a view.
 
@@ -149,25 +145,20 @@ def cone_ranking(
     "fraction of this country's address space reachable through the
     AS's customers" for country views.
 
-    ``compute`` is an optional :class:`repro.perf.cache.ViewComputation`
-    for this view: cone addresses and the address total come from (and
-    populate) its cross-metric cache instead of being recomputed.
+    Cone addresses and the address total come from (and populate) the
+    view's :meth:`~repro.core.views.View.computation`, the columnar
+    kernel's memoised intermediates — equal to :func:`cone_addresses`
+    and ``View.total_addresses`` over the view's records.
     """
     if metric is None:
         metric = "CC" if view.country is None else f"CC:{view.country}"
-    with tracer.span(
-        "cone", metric=metric, input=len(view.records),
-    ) as span:
-        addresses = (
-            compute.cone_addresses() if compute is not None
-            else cone_addresses(view.records, oracle)
+    with tracer.span("cone", metric=metric, input=len(view)) as span:
+        compute = view.computation(tracer)
+        addresses = compute.cone_addresses(oracle)
+        denominator = (
+            total_addresses if total_addresses is not None
+            else compute.total_addresses()
         )
-        if total_addresses is not None:
-            denominator = total_addresses
-        elif compute is not None:
-            denominator = compute.total_addresses()
-        else:
-            denominator = view.total_addresses()
         shares = (
             {asn: count / denominator for asn, count in addresses.items()}
             if denominator

@@ -17,7 +17,7 @@ discounting the origin's own large prefixes (AOLP behaviour).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.core.cone import transit_suffix
 from repro.core.hegemony import trimmed_mean, validate_trim
@@ -25,9 +25,6 @@ from repro.core.ranking import Ranking
 from repro.core.sanitize import PathRecord, RelationshipOracle
 from repro.core.views import View
 from repro.obs.trace import NULL_TRACER, AnyTracer
-
-if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.cache import ViewComputation
 
 
 def per_vp_transit(
@@ -80,25 +77,22 @@ def cti_ranking(
     oracle: RelationshipOracle,
     trim: float = 0.1,
     tracer: AnyTracer = NULL_TRACER,
-    compute: "ViewComputation | None" = None,
 ) -> Ranking:
     """CTI ranking over a country's international view.
 
-    ``compute`` is an optional :class:`repro.perf.cache.ViewComputation`
-    for this view: the table comes from its columnar kernel, and the
-    address total is shared with the cone metrics.
+    The table comes from the view's
+    :meth:`~repro.core.views.View.computation` — the columnar kernel,
+    memoised per oracle and trim, equal to :func:`cti_scores` over the
+    view's records — and the address total is shared with the cone
+    metrics.
     """
     validate_trim(trim)
     country = view.country
     metric = "CTI" if country is None else f"CTI:{country}"
     with tracer.span(
-        "cti", metric=metric, trim=trim, input=len(view.records),
+        "cti", metric=metric, trim=trim, input=len(view),
     ) as span:
-        if compute is not None:
-            scores = compute.cti(trim)
-        else:
-            total = view.total_addresses()
-            scores = cti_scores(view.records, oracle, total, trim)
+        scores = view.computation(tracer).cti(oracle, trim)
         span.set(output=len(scores))
         tracer.metrics.histogram("cti.universe").observe(len(scores))
         shares: Mapping[int, float] = scores

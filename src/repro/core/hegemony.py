@@ -19,15 +19,12 @@ pulls down ASes visible from only a few VPs.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.core.ranking import Ranking
 from repro.core.sanitize import PathRecord
 from repro.core.views import View
 from repro.obs.trace import NULL_TRACER, AnyTracer
-
-if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.cache import ViewComputation
 
 #: path weightings: the paper's address-weighted estimator and the
 #: per-prefix (unweighted) ablation
@@ -150,7 +147,6 @@ def hegemony_ranking(
     trim: float = 0.1,
     weighting: str = "addresses",
     tracer: AnyTracer = NULL_TRACER,
-    compute: "ViewComputation | None" = None,
 ) -> Ranking:
     """Rank ASes by hegemony within a view.
 
@@ -158,20 +154,18 @@ def hegemony_ranking(
     address-weighted paths crossing the AS), matching how the paper's
     case-study tables report AH percentages.
 
-    ``compute`` is an optional :class:`repro.perf.cache.ViewComputation`
-    for this view: the table comes from its columnar kernel, memoised
-    per (trim, weighting).
+    The table comes from the view's
+    :meth:`~repro.core.views.View.computation` — the columnar kernel,
+    memoised per (trim, weighting), equal to :func:`hegemony_scores`
+    over the view's records.
     """
     validate_trim(trim)
     if metric is None:
         metric = "AH" if view.country is None else f"AH:{view.country}"
     with tracer.span(
-        "hegemony", metric=metric, trim=trim, input=len(view.records),
+        "hegemony", metric=metric, trim=trim, input=len(view),
     ) as span:
-        scores = (
-            compute.hegemony(trim, weighting) if compute is not None
-            else hegemony_scores(view.records, trim, weighting)
-        )
+        scores = view.computation(tracer).hegemony(trim, weighting)
         span.set(output=len(scores))
         tracer.metrics.histogram("hegemony.universe").observe(len(scores))
         shares: Mapping[int, float] = scores

@@ -36,7 +36,6 @@ from repro.relationships.inference import InferredRelationships, infer_relations
 from repro.topology.world import World
 
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.cache import ViewComputation
     from repro.perf.index import PathIndex
     from repro.perf.pool import WorkerPool
     from repro.resilience.checkpoint import Checkpoint
@@ -95,12 +94,11 @@ class PipelineConfig:
     #: deterministic fault-injection plan (tests and ``make faults``
     #: exercise failure paths with it; None injects nothing)
     faults: "FaultPlan | None" = None
-    #: sanitized-record store backend: ``"memory"`` keeps the record
-    #: list in RAM and builds its numpy column store on first use (the
-    #: default), ``"mmap"`` streams accepted records into an on-disk
-    #: spill and maps it read-only (bounded RSS — the ``large`` tier's
-    #: mode). Output bytes are identical across backends, so neither
-    #: knob is semantic (see ``SEMANTIC_KNOBS``).
+    #: sanitized-record store backend: ``"memory"`` keeps the store's
+    #: numpy columns in RAM (the default), ``"mmap"`` streams accepted
+    #: rows into an on-disk spill and maps it read-only (bounded RSS —
+    #: the ``large`` tier's mode). Output bytes are identical across
+    #: backends, so neither knob is semantic (see ``SEMANTIC_KNOBS``).
     store_backend: str = "memory"
     #: spill directory for the mmap backend; ``None`` uses a run-scoped
     #: temp dir removed by :meth:`PipelineResult.close`. Pass a real
@@ -170,11 +168,9 @@ class PipelineResult:
         self._tracer = tracer
         self._views: dict[tuple[str, str | None], View] = {}
         self._rankings: dict[tuple[str, str | None], Ranking] = {}
-        #: batch-engine state (repro.perf), all built lazily: the shared
-        #: path index and one ViewComputation per view key (the
-        #: cross-metric cache)
+        #: the shared path index (repro.perf), built lazily; each view
+        #: carries its own cross-metric cache (View.computation)
         self._index: "PathIndex | None" = None
-        self._computations: dict[tuple[str, str | None], "ViewComputation"] = {}
 
     @property
     def trace(self) -> AnyTracer | None:
@@ -213,37 +209,9 @@ class PipelineResult:
         if self._index is None:
             from repro.perf.index import PathIndex
 
-            with self._tracer.span("index", input=len(self.paths.records)):
+            with self._tracer.span("index", input=len(self.paths)):
                 self._index = PathIndex.from_paths(self.paths)
         return self._index
-
-    def computation(
-        self, kind: str, country: str | None = None
-    ) -> "ViewComputation":
-        """The memoised :class:`repro.perf.ViewComputation` for one of
-        this result's views — the cross-metric intermediate cache the
-        CC*/AH*/CTI rankings share.
-
-        It reads the shared path store at the view's record positions:
-        the index's ascending positions for a country view, every
-        record for the global view.
-        """
-        key = (kind, country)
-        cached = self._computations.get(key)
-        if cached is None:
-            from repro.perf.cache import ViewComputation
-
-            view = self.view(kind, country)
-            cached = ViewComputation(
-                view, self.oracle, self._tracer,
-                store=self.paths.store(),
-                positions=(
-                    None if kind == "global"
-                    else self.path_index().indices(kind, view.country)
-                ),
-            )
-            self._computations[key] = cached
-        return cached
 
     def view(self, kind: str, country: str | None = None) -> View:
         """A memoised view: ``"national"``/``"international"``/
@@ -251,8 +219,9 @@ class PipelineResult:
 
         Views come from :meth:`path_index` bucket lookups — O(selected
         records) after the index's one-time O(all records) build — and
-        are record-for-record identical to the naive filters in
-        :mod:`repro.core.views`.
+        hold the same store positions as the naive filters in
+        :mod:`repro.core.views`. A view memoises its kernel
+        intermediates, so every metric over it shares them.
         """
         country = normalize_country(country)
         key = (kind, country)
@@ -305,7 +274,6 @@ class PipelineResult:
             oracle=self.oracle,
             trim=self.config.trim,
             country=code,
-            compute=self.computation(spec.view_kind, view_country),
             origins=origins,
             tracer=self._tracer,
         ))
@@ -325,7 +293,7 @@ class PipelineResult:
         (:meth:`countries_with_national_view`).
 
         This is the multi-country sweep entry point: the shared path
-        index makes every view a bucket lookup, and the per-view
+        index makes every view a bucket lookup, and each view's
         :class:`~repro.perf.cache.ViewComputation` cache means e.g.
         CCI/AHI/CTI on one country gather its international view's
         suffixes and address totals once between them. Keys come back
@@ -536,10 +504,8 @@ class Pipeline:
             inferred: InferredRelationships | None = None
             oracle: RelationshipOracle = graph
             if config.use_inferred_relationships:
-                with tracer.span("relationships", input=len(paths.records)):
-                    inferred = infer_relationships(
-                        record.path for record in paths.records
-                    )
+                with tracer.span("relationships", input=len(paths)):
+                    inferred = infer_relationships(paths.store().record_paths())
                 oracle = inferred
         return PipelineResult(
             world, config, outcome, ribs, geodb, prefix_geo, vp_geo, paths,

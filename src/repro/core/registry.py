@@ -18,7 +18,9 @@ once, as a frozen :class:`MetricSpec`:
 * its **label template** and **checkpoint unit key** — drive ranking
   labels and :class:`~repro.resilience.checkpoint.Checkpoint` units;
 * its **compute callable**, taking a uniform :class:`MetricContext`
-  (view / oracle / cross-metric cache / trim / tracer).
+  (view / oracle / trim / tracer); every callable ranks the view
+  through its memoised kernel intermediates
+  (:meth:`~repro.core.views.View.computation`).
 
 Ablation variants are *data*, not forked code paths: the hegemony
 prefix-count weighting (``AHG-P``/``AHI-P``/``AHN-P``) and the AHC
@@ -33,7 +35,7 @@ pick it up from here (see README "Adding a metric").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, overload
+from typing import Callable, Iterator, overload
 
 from repro.core.ahc import ahc_ranking
 from repro.core.cone import cone_ranking
@@ -43,9 +45,6 @@ from repro.core.ranking import Ranking
 from repro.core.sanitize import RelationshipOracle
 from repro.core.views import View
 from repro.obs.trace import NULL_TRACER, AnyTracer
-
-if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.cache import ViewComputation
 
 #: the view vocabulary shared by the pipeline and the replay session
 VIEW_KINDS = ("global", "national", "international", "outbound")
@@ -75,9 +74,7 @@ class MetricContext:
 
     ``oracle`` may be ``None`` only for specs with
     ``needs_oracle=False`` (the replay session skips relationship
-    inference for pure-path metrics). ``compute`` is the optional
-    cross-metric cache for ``view``; ``None`` selects the naive code
-    paths, which are value-identical. ``origins`` is populated only
+    inference for pure-path metrics). ``origins`` is populated only
     for specs with ``needs_origins=True`` (the ASNs registered in the
     target country, AHC's destination selector).
     """
@@ -86,7 +83,6 @@ class MetricContext:
     oracle: RelationshipOracle | None
     trim: float
     country: str | None = None
-    compute: "ViewComputation | None" = None
     origins: tuple[int, ...] = ()
     tracer: AnyTracer = NULL_TRACER
 
@@ -175,25 +171,21 @@ def _cone_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
     if ctx.oracle is None:
         raise ValueError(f"{spec.name} needs a relationship oracle")
     return cone_ranking(
-        ctx.view, ctx.oracle, spec.label_for(ctx.country),
-        tracer=ctx.tracer, compute=ctx.compute,
+        ctx.view, ctx.oracle, spec.label_for(ctx.country), tracer=ctx.tracer,
     )
 
 
 def _hegemony_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
     return hegemony_ranking(
         ctx.view, spec.label_for(ctx.country), ctx.trim,
-        weighting=spec.weighting or "addresses",
-        tracer=ctx.tracer, compute=ctx.compute,
+        weighting=spec.weighting or "addresses", tracer=ctx.tracer,
     )
 
 
 def _cti_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
     if ctx.oracle is None:
         raise ValueError(f"{spec.name} needs a relationship oracle")
-    return cti_ranking(
-        ctx.view, ctx.oracle, ctx.trim, tracer=ctx.tracer, compute=ctx.compute,
-    )
+    return cti_ranking(ctx.view, ctx.oracle, ctx.trim, tracer=ctx.tracer)
 
 
 def _ahc_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
@@ -202,8 +194,7 @@ def _ahc_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
     return ahc_ranking(
         ctx.view, country, ctx.origins, ctx.trim,
         weighting=spec.weighting or "as_count",
-        tracer=ctx.tracer, compute=ctx.compute,
-        metric=spec.label_for(country),
+        tracer=ctx.tracer, metric=spec.label_for(country),
     )
 
 

@@ -38,7 +38,7 @@ registry, VP and prefix lookups see exactly the entities a per-record
 pass would, and the verdicts are the per-record definition's.
 
 Three drivers share the judge: :func:`sanitize` / :func:`sanitize_windows`
-(a record list plus its store, filled from the same windows),
+(an in-memory store's columns, no record objects),
 :func:`sanitize_stream` (a generator of accepted records) and
 :func:`repro.perf.spill.sanitize_to_store` (a spill directory). The
 record-taking entry points cut their input into windows with
@@ -191,16 +191,16 @@ class FilterReport:
 class PathSet:
     """The sanitized, deduplicated input to every ranking metric.
 
-    ``records`` is a plain list for the in-memory backend; the
-    out-of-core path (:func:`repro.perf.spill.sanitize_to_store`) hands
-    in a read-only lazy sequence over mapped columns, together with the
-    store it reads — every consumer treats ``records`` as an immutable
-    ``Sequence`` either way.
+    The pipeline's sets (either backend) hold their rows in a
+    :class:`~repro.perf.pathstore.PathStore` and hand in its record
+    façade as ``records``; a set built by hand from a record list
+    builds its store over them on first use. Every consumer treats
+    ``records`` as an immutable ``Sequence`` either way.
     """
 
     records: Sequence[PathRecord]
     report: FilterReport
-    #: the columnar mirror of the records (see :meth:`store`); derived
+    #: the columnar form of the records (see :meth:`store`); derived
     #: state, excluded from equality
     _store: "PathStore | None" = field(repr=False, compare=False)
 
@@ -223,9 +223,9 @@ class PathSet:
     def store(self) -> "PathStore":
         """The records as a :class:`repro.perf.PathStore`: the one
         handed in, else built on first use. Every columnar consumer —
-        the path index's pair buckets and the cone, CTI and hegemony
-        kernels — shares it. The records must not be mutated after
-        this."""
+        the path index's pair buckets, the views, and the cone, CTI and
+        hegemony kernels — shares it. The records must not be mutated
+        after this."""
         if self._store is None:
             from repro.perf.pathstore import PathStore
 
@@ -234,26 +234,19 @@ class PathSet:
 
     def vps(self) -> list[VantagePoint]:
         """Distinct VPs present, ordered by IP (numeric, not lexical)."""
-        seen: dict[str, VantagePoint] = {}
-        for record in self.records:
-            seen.setdefault(record.vp.ip, record.vp)
-        return [seen[ip] for ip in sorted(seen, key=parse_address)]
+        vps = [vp for vp, _ in self.store().vp_table]
+        return sorted(vps, key=lambda vp: parse_address(vp.ip))
 
     def countries(self) -> list[str]:
         """Destination countries present, sorted."""
-        return sorted({record.prefix_country for record in self.records})
+        return sorted({country for _, country, _ in self.store().prefix_table})
 
     def country_addresses(self) -> dict[str, int]:
         """Distinct geolocated addresses per destination country."""
-        per_country: dict[str, dict[Prefix, int]] = {}
-        for record in self.records:
-            per_country.setdefault(record.prefix_country, {})[record.prefix] = (
-                record.addresses
-            )
-        return {
-            country: sum(addresses.values())
-            for country, addresses in sorted(per_country.items())
-        }
+        per_country: dict[str, int] = {}
+        for _, country, addresses in self.store().prefix_table:
+            per_country[country] = per_country.get(country, 0) + addresses
+        return dict(sorted(per_country.items()))
 
 
 def is_poisoned(path: ASPath, clique: frozenset[int]) -> bool:
@@ -608,22 +601,20 @@ def sanitize_windows(
     tracer: AnyTracer = NULL_TRACER,
 ) -> PathSet:
     """The Table-1 pass over record windows into an in-memory
-    :class:`PathSet`: its record list and its
-    :class:`~repro.perf.pathstore.PathStore` are filled window by window
-    from the same accepted rows."""
+    :class:`PathSet`: its :class:`~repro.perf.pathstore.PathStore`'s
+    columns are filled window by window from the accepted rows, and
+    its records are the store's façade — no record object is built."""
     from repro.perf.pathstore import ColumnBuilder, PathStore
 
     def collect(judge: Judge) -> PathSet:
         builder = ColumnBuilder()
-        records: list[PathRecord] = []
         for window in windows:
             rows = judge(window)
             with tracer.span("sanitize.rows", input=len(rows)) as span:
-                built = judge.records(window, rows)
-                records.extend(built)
                 judge.store_rows(builder, window, rows)
-                span.set(output=len(built))
-        return PathSet(records, judge.report, PathStore(records, builder))
+                span.set(output=len(rows))
+        store = PathStore(builder=builder)
+        return PathSet(store.records, judge.report, store)
 
     return sanitize_into(
         collect, clique, is_allocated, route_servers, vp_geo, prefix_geo, tracer
@@ -643,13 +634,13 @@ def sanitize_into(
     the ``sanitize`` span and counters are emitted.
 
     ``collect(judge)`` feeds its windows to the :class:`Judge` and
-    builds the :class:`PathSet`: :func:`sanitize_windows` collects a
-    list and a memory store;
+    builds the :class:`PathSet`: :func:`sanitize_windows` fills a
+    memory store's builder;
     :func:`repro.perf.spill.spill_windows` feeds a spill writer.
 
     ``tracer`` wraps the pass in a ``sanitize`` span — with
     ``sanitize.paths`` (distinct paths judged), ``sanitize.fates`` (VP
-    and prefix rules) and ``sanitize.rows`` (records and store rows)
+    and prefix rules) and ``sanitize.rows`` (store rows)
     children per window — and mirrors the returned set's
     :class:`FilterReport` into ``sanitize.input`` /
     ``sanitize.accepted`` / ``sanitize.dropped.<category>`` counters.

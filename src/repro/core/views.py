@@ -8,18 +8,35 @@ Paper §3.2 (and Table 2): for a target country,
   in-country prefixes — how the rest of the world reaches it;
 * the **global** view keeps everything (the CCG/AHG baselines).
 
-Views are cheap filters; metrics consume ``view.records``.
+A :class:`View` is a :class:`~repro.perf.pathstore.PathStore` plus the
+ascending positions of its records there (every position for the
+global view). Its size, VPs and address total read the store's id
+columns and side tables; every metric ranks it through its memoised
+:meth:`View.computation`, the columnar kernels' intermediates.
+``view.records`` is the store's record façade at those positions, for
+the code that iterates records: the reference scorers, exports and
+tests.
+
+The pipeline builds views from :class:`repro.perf.index.PathIndex`
+bucket lookups. The builders below filter every record of a path set
+one by one — the naive references the index is held to, used by tests
+only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from repro.bgp.collectors import VantagePoint
 from repro.core.sanitize import PathRecord, PathSet
 from repro.net.prefix import parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
+
+if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
+    from repro.perf.cache import ViewComputation
+    from repro.perf.pathstore import PathStore
 
 
 def ip_sort_key(ip: str) -> tuple[int, int]:
@@ -31,39 +48,92 @@ def ip_sort_key(ip: str) -> tuple[int, int]:
     return parse_address(ip)
 
 
-@dataclass(frozen=True)
 class View:
-    """A named subset of sanitized path records."""
+    """A named subset of sanitized records: positions in a store."""
 
-    name: str
-    country: str | None
-    records: tuple[PathRecord, ...]
+    __slots__ = ("name", "country", "store", "positions", "_computation")
+
+    def __init__(
+        self,
+        name: str,
+        country: str | None,
+        store: "PathStore",
+        positions: np.ndarray | Sequence[int] | None = None,
+    ) -> None:
+        """The records of ``store`` at ascending ``positions`` (every
+        record when ``None``)."""
+        self.name = name
+        self.country = country
+        self.store = store
+        #: ascending int64 record positions in ``store``
+        self.positions: np.ndarray = (
+            np.arange(store.record_count, dtype=np.int64) if positions is None
+            else np.asarray(positions, dtype=np.int64)
+        )
+        self._computation: "ViewComputation | None" = None
+
+    @classmethod
+    def of(
+        cls, name: str, country: str | None, records: Iterable[PathRecord]
+    ) -> "View":
+        """A view over hand-built records: a store over them, every
+        record selected."""
+        from repro.perf.pathstore import PathStore
+
+        return cls(name, country, PathStore(records))
+
+    def __reduce__(self):
+        # the memoised intermediates are derived state: never pickled
+        return (
+            type(self), (self.name, self.country, self.store, self.positions)
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.positions)
 
     def __iter__(self) -> Iterator[PathRecord]:
         return iter(self.records)
 
+    @property
+    def records(self) -> Sequence[PathRecord]:
+        """The view's records, rebuilt from the store's columns on
+        access (never on the ranking path)."""
+        return self.store.records_at(self.positions)
+
+    def computation(self, tracer: AnyTracer = NULL_TRACER) -> "ViewComputation":
+        """The view's memoised kernel intermediates — cones, closure,
+        address total, CTI and hegemony tables — which every metric
+        over the view shares (built on first use; the first caller's
+        tracer counts its hits and misses)."""
+        if self._computation is None:
+            from repro.perf.cache import ViewComputation
+
+            self._computation = ViewComputation(self, tracer)
+        return self._computation
+
     def vps(self) -> list[VantagePoint]:
         """Distinct VPs contributing records, ordered by IP."""
-        seen: dict[str, VantagePoint] = {}
-        for record in self.records:
-            seen.setdefault(record.vp.ip, record.vp)
-        return [seen[ip] for ip in sorted(seen, key=ip_sort_key)]
+        table = self.store.vp_table
+        ids = np.unique(self.store.record_vp[self.positions]).tolist()
+        return sorted(
+            (table[vid][0] for vid in ids), key=lambda vp: ip_sort_key(vp.ip)
+        )
 
     def total_addresses(self) -> int:
         """Distinct destination addresses covered by this view."""
-        per_prefix = {record.prefix: record.addresses for record in self.records}
-        return sum(per_prefix.values())
+        return self.computation().total_addresses()
 
     def restrict_vps(self, vp_ips: Iterable[str]) -> "View":
-        """The same view downsampled to a subset of VPs (stability §4)."""
+        """The same view downsampled to a subset of VPs (stability §4):
+        a mask over the view's VP ids."""
         keep = set(vp_ips)
+        table = self.store.vp_table
+        kept = np.zeros(len(table), dtype=bool)
+        kept[[vid for vid, (vp, _) in enumerate(table) if vp.ip in keep]] = True
+        positions = self.positions
         return View(
-            name=f"{self.name}|{len(keep)}vps",
-            country=self.country,
-            records=tuple(r for r in self.records if r.vp.ip in keep),
+            f"{self.name}|{len(keep)}vps", self.country, self.store,
+            positions[kept[self.store.record_vp[positions]]],
         )
 
 
@@ -74,21 +144,22 @@ def _build_view(
     keep: Callable[[PathRecord], bool] | None,
     tracer: AnyTracer,
 ) -> View:
-    """Construct a view under a ``views`` span; record its size/VP
-    distributions (VP counting only runs when tracing is on — it is
-    pure telemetry, never on the disabled path)."""
+    """Construct a view by testing every record, under a ``views``
+    span; record its size/VP distributions (VP counting only runs when
+    tracing is on — it is pure telemetry, never on the disabled
+    path)."""
     name = kind if country is None else f"{kind}:{country}"
     with tracer.span(
-        "views", kind=kind, country=country, input=len(paths.records),
+        "views", kind=kind, country=country, input=len(paths),
     ) as span:
-        records = (
-            tuple(paths.records) if keep is None
-            else tuple(record for record in paths.records if keep(record))
-        )
-        view = View(name=name, country=country, records=records)
-        span.set(output=len(view.records))
+        positions = None if keep is None else [
+            position for position, record in enumerate(paths.records)
+            if keep(record)
+        ]
+        view = View(name, country, paths.store(), positions)
+        span.set(output=len(view))
         if tracer.enabled:
-            tracer.metrics.histogram("views.size").observe(len(view.records))
+            tracer.metrics.histogram("views.size").observe(len(view))
             tracer.metrics.histogram("views.vps").observe(len(view.vps()))
     return view
 
@@ -144,8 +215,7 @@ def destination_view(paths: PathSet, origins: Iterable[int]) -> View:
     country*, not on where the prefix geolocates (§1.2.1).
     """
     wanted = frozenset(origins)
-    return View(
-        name=f"destination:{len(wanted)}ases",
-        country=None,
-        records=tuple(r for r in paths.records if r.origin in wanted),
+    return _build_view(
+        paths, f"destination:{len(wanted)}ases", None,
+        lambda r: r.origin in wanted, NULL_TRACER,
     )

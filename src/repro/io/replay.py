@@ -19,15 +19,11 @@ from repro.bgp.collectors import VantagePoint
 from repro.core.ranking import Ranking
 from repro.core.registry import MetricContext, get_spec, normalize_country
 from repro.core.sanitize import FilterReport, PathRecord, PathSet, RelationshipOracle
-from repro.core.views import (
-    View,
-    global_view,
-    international_view,
-    national_view,
-    outbound_view,
-)
+from repro.core.views import View
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
+from repro.perf.index import PathIndex
+from repro.perf.pathstore import PathStore
 from repro.relationships.inference import InferredRelationships, infer_relationships
 
 
@@ -41,8 +37,17 @@ _REQUIRED_FIELDS = (
 
 
 def load_pathset_jsonl(path: str | Path) -> PathSet:
-    """Rebuild a PathSet from a released ``paths.jsonl``."""
+    """Rebuild a PathSet, over its store, from a released
+    ``paths.jsonl``.
+
+    A store keeps one row per prefix and per VP IP, so a file in which
+    a prefix reappears with another country or address count, or a VP
+    IP with another ASN, collector or country, cannot be ranked
+    faithfully: it raises :class:`ReplayError` naming the line.
+    """
     records: list[PathRecord] = []
+    prefixes: dict[Prefix, tuple[str, int]] = {}
+    vps: dict[str, tuple[VantagePoint, str]] = {}
     with Path(path).open() as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -56,21 +61,33 @@ def load_pathset_jsonl(path: str | Path) -> PathSet:
                 raise ReplayError(
                     f"{path}:{line_number}: missing fields {missing}"
                 )
-            records.append(
-                PathRecord(
-                    vp=VantagePoint(
-                        ip=entry["vp_ip"],
-                        asn=int(entry["vp_asn"]),
-                        collector=entry.get("collector", "released"),
-                    ),
-                    vp_country=entry["vp_country"],
-                    prefix=Prefix.parse(entry["prefix"]),
-                    prefix_country=entry["prefix_country"],
-                    path=ASPath(tuple(int(asn) for asn in entry["path"])),
-                    addresses=int(entry["addresses"]),
-                )
+            record = PathRecord(
+                vp=VantagePoint(
+                    ip=entry["vp_ip"],
+                    asn=int(entry["vp_asn"]),
+                    collector=entry.get("collector", "released"),
+                ),
+                vp_country=entry["vp_country"],
+                prefix=Prefix.parse(entry["prefix"]),
+                prefix_country=entry["prefix_country"],
+                path=ASPath(tuple(int(asn) for asn in entry["path"])),
+                addresses=int(entry["addresses"]),
             )
-    return PathSet(records=records, report=FilterReport())
+            prefix_row = (record.prefix_country, record.addresses)
+            if prefixes.setdefault(record.prefix, prefix_row) != prefix_row:
+                raise ReplayError(
+                    f"{path}:{line_number}: prefix {record.prefix} reappears "
+                    f"with another country or address count"
+                )
+            vp_row = (record.vp, record.vp_country)
+            if vps.setdefault(record.vp.ip, vp_row) != vp_row:
+                raise ReplayError(
+                    f"{path}:{line_number}: VP {record.vp.ip} reappears with "
+                    f"another ASN, collector or country"
+                )
+            records.append(record)
+    store = PathStore(records)
+    return PathSet(store.records, FilterReport(), store)
 
 
 class ReplaySession:
@@ -86,6 +103,7 @@ class ReplaySession:
         self.trim = trim
         self._inferred: InferredRelationships | None = None
         self._oracle = oracle
+        self._index: PathIndex | None = None
         self._views: dict[tuple[str, str | None], View] = {}
         self._rankings: dict[tuple[str, str | None], Ranking] = {}
 
@@ -100,34 +118,24 @@ class ReplaySession:
         if self._oracle is None:
             if self._inferred is None:
                 self._inferred = infer_relationships(
-                    record.path for record in self.paths.records
+                    self.paths.store().record_paths()
                 )
             return self._inferred
         return self._oracle
 
     def view(self, kind: str, country: str | None = None) -> View:
-        """Same view vocabulary as the pipeline."""
+        """Same view vocabulary as the pipeline, built the same way:
+        bucket lookups in a :class:`~repro.perf.index.PathIndex` over
+        the released paths' store."""
         country = normalize_country(country)
         key = (kind, country)
         if key not in self._views:
-            if kind == "global":
-                built = global_view(self.paths)
-            elif kind == "national":
-                built = national_view(self.paths, self._need_country(country))
-            elif kind == "international":
-                built = international_view(self.paths, self._need_country(country))
-            elif kind == "outbound":
-                built = outbound_view(self.paths, self._need_country(country))
-            else:
-                raise ValueError(f"unknown view kind {kind!r}")
-            self._views[key] = built
+            if self._index is None:
+                self._index = PathIndex.from_paths(self.paths)
+            self._views[key] = self._index.view(
+                kind, None if kind == "global" else country
+            )
         return self._views[key]
-
-    @staticmethod
-    def _need_country(country: str | None) -> str:
-        if country is None:
-            raise ValueError("this metric requires a country code")
-        return country
 
     def ranking(self, metric: str, country: str | None = None) -> Ranking:
         """Recompute one metric from the released paths.

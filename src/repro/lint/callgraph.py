@@ -418,7 +418,7 @@ class Program:
         local_from: dict[str, tuple[str, str]] | None = None,
     ) -> dict[str, str]:
         """Local name → class qname, from parameter annotations and
-        single-class local instantiations (``slicer = ViewSlicer(v)``)."""
+        single-class local instantiations (``index = PathIndex(store)``)."""
         types: dict[str, str] = {}
         args = fn.node.args
         for arg in (

@@ -3,11 +3,12 @@
 Three layers, designed to compose (see DESIGN.md §4):
 
 * :mod:`repro.perf.index` — :class:`PathIndex` buckets sanitized
-  records so views are O(selected) lookups; :class:`ViewSlicer` does
-  the same for VP-downsampled trial views.
-* :mod:`repro.perf.cache` — :class:`ViewComputation` memoises the
-  intermediates the metric families share (cones, address totals, CTI
-  and hegemony tables), with hit/miss observability counters.
+  record positions so views are O(selected) lookups: a view is its
+  store plus the merged positions of the selected buckets.
+* :mod:`repro.perf.cache` — :class:`ViewComputation`, each view's
+  memoised intermediates shared by the metric families (cones, address
+  totals, CTI and hegemony tables), with hit/miss observability
+  counters: the one path every ranking takes.
 * :mod:`repro.perf.cone` — the columnar cone and CTI kernel: interned
   transit suffixes, CC* closure totals and CTI tables straight from
   the store's columns, bit-identical to :mod:`repro.core.cone` and
@@ -22,9 +23,10 @@ Three layers, designed to compose (see DESIGN.md §4):
   process pool under both fan-outs, with ship-once broadcast of heavy
   shared state (zero-copy under ``fork``).
 * :mod:`repro.perf.pathstore` — :class:`PathStore`, the
-  structure-of-arrays mirror of the sanitized records (flat interned
+  structure-of-arrays form of the sanitized records (flat interned
   token arrays, filled by the one ``ColumnBuilder``) feeding the
-  index's pair buckets and the cone, CTI and hegemony kernels.
+  index's pair buckets, the views and the cone, CTI and hegemony
+  kernels; records are a façade rebuilt from its columns on access.
 * :mod:`repro.perf.spill` — the out-of-core variant:
   :class:`MmapPathStore` maps the same columns read-only from disk
   (written append-only by streaming ingestion), so worlds far larger
@@ -36,7 +38,7 @@ points.
 """
 
 from repro.perf.cache import ViewComputation
-from repro.perf.index import PathIndex, ViewSlicer
+from repro.perf.index import PathIndex
 from repro.perf.parallel import chunked, propagate_origins, stability_trials
 from repro.perf.pathstore import PathStore
 from repro.perf.pool import WorkerPool, broadcast_get
@@ -47,7 +49,6 @@ __all__ = [
     "PathIndex",
     "PathStore",
     "ViewComputation",
-    "ViewSlicer",
     "WorkerPool",
     "broadcast_get",
     "chunked",

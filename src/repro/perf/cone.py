@@ -22,15 +22,17 @@ Why the values cannot differ from the reference:
   per suffix, so feeding it each of a view's *distinct* suffixes once
   (:func:`view_suffixes`) builds exactly ``customer_cones(view.records)``.
 * **Closure addresses.** :func:`address_profile` reads each distinct
-  (origin, prefix) of a view once, at its last record, through the
-  ``record_prefix`` column: the count that record carries is the one
-  the reference's ``{prefix: addresses}`` dict keeps. When every prefix
-  has a single origin in the view, cone members own disjoint prefix
-  sets, so an AS's closure total is the sum of its members' per-origin
-  totals (:func:`closure_totals`). All sums are Python ints — IPv6
-  counts exceed int64 and float64 would round them. A view in which
-  some prefix has two origins (MOAS) reports it, and the caller falls
-  back to the union-based :func:`repro.core.cone.cone_addresses`.
+  (origin, prefix) of a view once, through the ``record_prefix``
+  column and the prefix side table, which holds the one count every
+  record of the prefix carries. When every prefix has a single origin
+  in the view, cone members own disjoint prefix sets, so an AS's
+  closure total is the sum of its members' per-origin totals
+  (:func:`closure_totals`). A view in which some prefix has two
+  origins (MOAS) keeps each origin's prefix ids instead, and an AS's
+  total is over the union of its members' ids — the reference
+  :func:`repro.core.cone.cone_addresses`'s prefix-set union. All sums
+  are Python ints — IPv6 counts exceed int64 and float64 would round
+  them.
 * **CTI** (:func:`cti_scores`). Every record's transit hops expand, in
   record order and suffix order, into ``weight / k`` terms, each the
   same float division the reference performs; one ``np.bincount`` over
@@ -200,52 +202,72 @@ def view_suffixes(
     return list(map(table.suffixes.__getitem__, ids.tolist()))
 
 
-def address_profile(
-    store: "PathStore", positions: np.ndarray
-) -> tuple[dict[int, int], int, bool]:
-    """Over the records at ``positions`` (ascending): per origin AS,
-    the addresses of the distinct prefixes it originates; the address
-    total of the distinct prefixes; and whether some prefix has two
-    origins (MOAS), which makes the per-origin totals overlap. A prefix
-    counts once per origin (and once in the total), with the address
-    count of its last record there."""
-    origins, counts = _last_counts(
-        store, positions, store.record_origin[positions]
+class AddressProfile(NamedTuple):
+    """A view's destination addresses, read from its distinct (origin,
+    prefix) pairs."""
+
+    #: per origin AS, the addresses of the distinct prefixes it
+    #: originates in the view
+    per_origin: dict[int, int]
+    #: the address total of the view's distinct prefixes
+    total: int
+    #: per origin AS, its prefix ids with their addresses — only when
+    #: some prefix has two origins (MOAS), which makes the per-origin
+    #: totals overlap; ``None`` otherwise
+    moas: dict[int, dict[int, int]] | None
+
+
+def address_profile(store: "PathStore", positions: np.ndarray) -> AddressProfile:
+    """The :class:`AddressProfile` of the records at ``positions``
+    (ascending): every distinct (origin, prefix) pair counts its
+    prefix's addresses once, every distinct prefix once in the total."""
+    origins = store.record_origin[positions]
+    fids = store.record_prefix[positions]
+    order = np.lexsort((fids, origins))
+    origins, fids = origins[order], fids[order]
+    pairs = np.flatnonzero(
+        (np.diff(origins, prepend=-1) != 0) | (np.diff(fids, prepend=-1) != 0)
     )
+    table = store.prefix_table
+    rows = [
+        (origin, fid, table[fid][2])
+        for origin, fid in zip(origins[pairs].tolist(), fids[pairs].tolist())
+    ]
     per_origin: dict[int, int] = {}
-    for origin, count in zip(origins.tolist(), counts):
+    prefixes: dict[int, int] = {}
+    for origin, fid, count in rows:
         per_origin[origin] = per_origin.get(origin, 0) + count
-    moas = len(counts) > len(np.unique(store.record_prefix[positions]))
-    if moas:
-        _, counts = _last_counts(store, positions, np.zeros_like(positions))
-    return per_origin, sum(counts), moas
-
-
-def _last_counts(
-    store: "PathStore", positions: np.ndarray, owners: np.ndarray
-) -> tuple[np.ndarray, list[int]]:
-    """Per distinct (owner, prefix) pair among the records at
-    ``positions`` (ascending; ``owners`` aligned with them): the owner,
-    and the address count of the pair's last record."""
-    order = np.lexsort((store.record_prefix[positions], owners))
-    owners = owners[order]
-    fids = store.record_prefix[positions][order]
-    # lexsort is stable, so each pair's run keeps its records ascending
-    last = np.flatnonzero(
-        (np.diff(owners, append=-1) != 0) | (np.diff(fids, append=-1) != 0)
-    )
-    addresses = store.record_addresses
-    return owners[last], [addresses[p] for p in positions[order[last]].tolist()]
+        prefixes[fid] = count
+    total = sum(prefixes.values())
+    if len(prefixes) == len(rows):
+        return AddressProfile(per_origin, total, None)
+    moas: dict[int, dict[int, int]] = {}
+    for origin, fid, count in rows:
+        moas.setdefault(origin, {})[fid] = count
+    return AddressProfile(per_origin, total, moas)
 
 
 def closure_totals(
-    cones: dict[int, set[int]], origin_addresses: dict[int, int]
+    cones: dict[int, set[int]], profile: AddressProfile
 ) -> dict[int, int]:
-    """Per AS in ``cones``, the sum of its members' owned addresses.
+    """Per AS in ``cones``, the addresses of the prefixes its members
+    originate: the sum of its members' per-origin totals, or under
+    MOAS the union of their prefix ids (overlapping member prefix sets
+    must not double count).
 
     Sums over the smaller side: a big cone holds many ASes that
     originate nothing in the view, so testing the (few) origins
     against its member set beats probing every member."""
+    if profile.moas is not None:
+        by_origin = profile.moas
+        unions: dict[int, int] = {}
+        for asn, members in cones.items():
+            union: dict[int, int] = {}
+            for member in members:
+                union.update(by_origin.get(member, {}))
+            unions[asn] = sum(union.values())
+        return unions
+    origin_addresses = profile.per_origin
     get = origin_addresses.get
     origin_items = list(origin_addresses.items())
     pivot = len(origin_items)

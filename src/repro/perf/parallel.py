@@ -191,18 +191,16 @@ def _stability_chunk(payload: StabilityPayload) -> list[float]:
     view_token, oracle_token, metric, trim, full, k, samples = payload
     from repro.analysis.stability import metric_ranking
     from repro.core.ndcg import ndcg
-    from repro.perf.index import ViewSlicer
     from repro.perf.pool import broadcast_get
 
     view: "View" = broadcast_get(view_token)
     oracle: "RelationshipOracle" = broadcast_get(oracle_token)
-    slicer = ViewSlicer(view)
-    scores: list[float] = []
-    for sample in samples:
-        sample_view = slicer.restrict(sample)
-        ranking = metric_ranking(metric, sample_view, oracle, trim)
-        scores.append(ndcg(full, ranking, k))
-    return scores
+    return [
+        ndcg(full, metric_ranking(
+            metric, view.restrict_vps(sample), oracle, trim
+        ), k)
+        for sample in samples
+    ]
 
 
 def stability_trials(

@@ -1,14 +1,11 @@
 """Structure-of-arrays storage for the sanitized paths.
 
-A :class:`repro.core.sanitize.PathSet` holds hundreds of thousands of
-records, each pointing at an :class:`repro.net.aspath.ASPath` — an
-object per path, a tuple per object, a Python int per hop. The hot
-consumers (the metric kernels, the index's pair buckets) walk all of
-them, paying an attribute chase and a dict probe per element.
-
-:class:`PathStore` flattens the same information into contiguous
-numpy integer arrays, deduplicated by path, in the column schema the
-spill store (:mod:`repro.perf.spill`) persists:
+The sanitized paths are hundreds of thousands of records, each naming
+a VP, a prefix and an :class:`repro.net.aspath.ASPath` — an object per
+record would cost an attribute chase and a dict probe per element on
+every pass. :class:`PathStore` holds them as contiguous numpy integer
+arrays instead, deduplicated by path, in the column schema the spill
+store (:mod:`repro.perf.spill`) persists:
 
 * ``tokens`` — every *distinct* path's ASNs, concatenated;
 * ``offsets`` / ``lengths`` — where each distinct path lives in
@@ -19,8 +16,9 @@ spill store (:mod:`repro.perf.spill`) persists:
   (``(VantagePoint, country)`` per VP id) and ``prefix_table``
   (``(Prefix, country, addresses)`` per prefix id);
 * ``record_origin`` — per-record origin ASN;
-* ``record_addresses`` — per-record address counts, kept as a plain
-  tuple: IPv6 prefixes carry counts far beyond int64 range;
+* ``record_addresses`` — per-record address counts, read through the
+  prefix side table: IPv6 prefixes carry counts far beyond int64
+  range;
 * ``record_weight`` — ``float(addresses)`` per record, which only the
   hegemony and CTI kernels read, derived on first use.
 
@@ -31,7 +29,16 @@ record, or a window of accepted rows at a time with each distinct
 entity interned once (how the sanitizer fills it). A ``PathStore``
 adopts a builder's buffers as its columns;
 :class:`repro.perf.spill.SpillWriter` is the same builder flushing its
-buffers to the spill files — so both backends hold the same values.
+buffers to the spill files — so both backends hold the same values,
+and differ only in where the columns live.
+
+Neither backend keeps record objects. ``records`` (every record) and
+:meth:`PathStore.records_at` (the records at some positions, what
+``View.records`` returns) are a façade that rebuilds
+:class:`~repro.core.sanitize.PathRecord` objects from the columns on
+access — for the reference scorers, exports and tests; the ranking
+path reads columns only. A store built from a record sequence
+(``PathStore(records)``) adds them to a fresh builder one by one.
 
 Every value handed back to consumers is a plain Python ``int``, so
 downstream products are byte-identical to the object-walking path. The
@@ -46,13 +53,14 @@ lint rule R007 extends to its arrays.
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core.sanitize import PathRecord
+
 if TYPE_CHECKING:
     from repro.bgp.collectors import VantagePoint
-    from repro.core.sanitize import PathRecord
     from repro.net.aspath import ASPath
     from repro.net.prefix import Prefix
     from repro.perf.cone import SuffixTable
@@ -176,14 +184,6 @@ class ColumnBuilder:
         return fid
 
 
-def _filled(records: Sequence["PathRecord"]) -> ColumnBuilder:
-    """A builder holding ``records``, added one by one."""
-    builder = ColumnBuilder()
-    for record in records:
-        builder.add(record)
-    return builder
-
-
 def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct ``ids`` in first-appearance order, and per row the
     position of its id among them."""
@@ -198,27 +198,27 @@ def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class PathStore:
-    """Interned, flattened view of a record sequence's paths."""
+    """Interned, flattened columns of a record sequence."""
 
     __slots__ = (
-        "records", "paths", "tokens", "offsets", "lengths",
-        "record_path", "record_origin", "record_addresses", "record_vp",
+        "paths", "tokens", "offsets", "lengths",
+        "record_path", "record_origin", "record_vp",
         "record_prefix", "record_weight", "vp_table", "prefix_table",
         "_token_list", "_pair_buckets", "_suffix_memo", "_distinct",
     )
 
     def __init__(
         self,
-        records: Sequence["PathRecord"],
+        records: Iterable["PathRecord"] = (),
         builder: ColumnBuilder | None = None,
     ) -> None:
-        """The store of ``records``: ``builder`` already holds their
-        rows (as the sanitizer fills one from the same windows),
-        otherwise they are added one by one."""
-        #: the source records (the mmap store rematerializes its own)
-        self.records: tuple["PathRecord", ...] = tuple(records)
+        """The store of ``builder``'s rows (as the sanitizer fills one
+        window by window; a fresh builder by default) followed by
+        ``records``, added one by one."""
         if builder is None:
-            builder = _filled(self.records)
+            builder = ColumnBuilder()
+        for record in records:
+            builder.add(record)
         #: one representative ASPath object per distinct path, in id
         #: order (the builder's interning dict goes with the builder)
         self.paths: tuple["ASPath", ...] = tuple(builder.paths)
@@ -226,9 +226,6 @@ class PathStore:
         self.prefix_table = builder.prefix_table
         for name, buffer in zip(COLUMNS, builder.buffers):
             setattr(self, name, np.frombuffer(buffer, dtype=np.int64))
-        self.record_addresses = tuple(
-            [record.addresses for record in self.records]
-        )
         self._token_list: list[int] | None = None
         self._pair_buckets: dict[tuple[str, str], array] | None = None
         self._suffix_memo: tuple[frozenset, "SuffixTable"] | None = None
@@ -236,15 +233,39 @@ class PathStore:
 
     def __getattr__(self, name: str) -> Any:
         # the kernels' weight column, filled on first use (fires only
-        # while the slot is unset)
+        # while the slot is unset): float() per prefix, then one gather
+        # through the prefix ids
         if name == "record_weight":
-            weights = np.asarray(
-                [float(addresses) for addresses in self.record_addresses],
+            prefix_weight = np.asarray(
+                [float(addresses) for _, _, addresses in self.prefix_table],
                 dtype=np.float64,
             )
+            weights = prefix_weight[self.record_prefix]
             self.record_weight = weights
             return weights
         raise AttributeError(name)
+
+    @property
+    def records(self) -> Sequence["PathRecord"]:
+        """Every record, rebuilt from the columns on access."""
+        return _LazyRecords(self, None)
+
+    def records_at(self, positions: np.ndarray) -> Sequence["PathRecord"]:
+        """The records at ascending ``positions``, rebuilt from the
+        columns on access."""
+        return _LazyRecords(self, positions)
+
+    @property
+    def record_addresses(self) -> Sequence[int]:
+        """Per-record address counts, read through the prefix side
+        table (IPv6 counts exceed int64, so they never enter a flat
+        column)."""
+        return _AddressColumn(self, None)
+
+    def record_paths(self) -> Iterator["ASPath"]:
+        """Every record's path in record order, from the distinct-path
+        tuple (no record is built)."""
+        return map(self.paths.__getitem__, self.record_path.tolist())
 
     def __len__(self) -> int:
         """Number of distinct paths stored."""
@@ -342,3 +363,101 @@ def _buckets(keys: np.ndarray) -> list[tuple[array, int]]:
         bucket.frombytes(group.astype(np.int64, copy=False).tobytes())
         groups.append((bucket, int(sorted_keys[start])))
     return groups
+
+
+#: records rebuilt per column gather when a façade is iterated
+_ROWS_PER_GATHER = 65_536
+
+
+class _Facade(Sequence):
+    """A read-only per-record sequence over a store's columns at
+    ascending ``positions`` (every record when ``None``); a subclass
+    reads one record's value in :meth:`_at`."""
+
+    __slots__ = ("_store", "_positions")
+
+    def __init__(self, store: PathStore, positions: np.ndarray | None) -> None:
+        self._store = store
+        self._positions = positions
+
+    def __len__(self) -> int:
+        if self._positions is None:
+            return self._store.record_count
+        return len(self._positions)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        count = len(self)
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("record position out of range")
+        return self._at(
+            index if self._positions is None else int(self._positions[index])
+        )
+
+    def _at(self, position: int) -> Any:
+        raise NotImplementedError
+
+
+class _LazyRecords(_Facade):
+    """The record façade: records rebuilt from the columns on each
+    access — entities shared, one VantagePoint / Prefix / ASPath object
+    per distinct id, so equal positions yield equal records. Iteration
+    gathers the id columns a block at a time."""
+
+    __slots__ = ()
+
+    def _at(self, position: int) -> "PathRecord":
+        return next(_rebuilt(self._store, slice(position, position + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        # a record sequence equals any sequence of equal records
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __iter__(self) -> Iterator["PathRecord"]:
+        positions = self._positions
+        for start in range(0, len(self), _ROWS_PER_GATHER):
+            stop = start + _ROWS_PER_GATHER
+            yield from _rebuilt(
+                self._store,
+                slice(start, stop) if positions is None
+                else positions[start:stop],
+            )
+
+
+def _rebuilt(store: PathStore, rows: Any) -> Iterator["PathRecord"]:
+    """The records at ``rows`` (a slice or an array of positions)."""
+    vp_table, prefix_table, paths = store.vp_table, store.prefix_table, store.paths
+    for vid, fid, pid in zip(
+        store.record_vp[rows].tolist(),
+        store.record_prefix[rows].tolist(),
+        store.record_path[rows].tolist(),
+    ):
+        vp, vp_country = vp_table[vid]
+        prefix, prefix_country, addresses = prefix_table[fid]
+        yield PathRecord(
+            vp, vp_country, prefix, prefix_country, paths[pid], addresses
+        )
+
+
+class _AddressColumn(_Facade):
+    """Per-record address counts resolved through the prefix side
+    table."""
+
+    __slots__ = ()
+
+    def _at(self, position: int) -> int:
+        store = self._store
+        return store.prefix_table[store.record_prefix[position]][2]
+
+    def __iter__(self) -> Iterator[int]:
+        counts = [addresses for _, _, addresses in self._store.prefix_table]
+        return map(counts.__getitem__, self._store.record_prefix.tolist())

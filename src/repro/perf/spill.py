@@ -20,13 +20,14 @@ engine:
   exact :class:`~repro.perf.pathstore.PathStore` interface (it *is* a
   ``PathStore`` subclass, with the same column schema), so
   :class:`~repro.perf.index.PathIndex`, the metric kernels and every
-  ranking consumer work unchanged. Records rematerialize lazily per
-  access; pair buckets are built in one pass over the mapped columns.
+  ranking consumer work unchanged. Its record façade, address column
+  and weight column are the in-memory store's own; pair buckets are
+  built in one pass over the mapped columns.
 * :func:`spill_windows` runs the Table-1 judge
   (:class:`repro.core.sanitize.Judge`, through
   :func:`~repro.core.sanitize.sanitize_into`) over record windows into
   a spill directory and returns a :class:`~repro.core.sanitize.PathSet`
-  whose records are the lazy mmap view — what the pipeline uses when
+  over the mapped store — what the pipeline uses when
   ``store_backend="mmap"``; :func:`sanitize_to_store` is the same over
   a record stream cut into windows of ``flush_every`` records.
 
@@ -57,7 +58,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -67,7 +68,6 @@ from repro.core.sanitize import (
     REJECT_CATEGORIES,
     FilterReport,
     Judge,
-    PathRecord,
     PathSet,
     sanitize_into,
 )
@@ -368,76 +368,16 @@ class SpillWriter(ColumnBuilder):
         os.replace(tmp, self.directory / stem)
 
 
-class _LazyRecords(Sequence):
-    """Read-only record sequence rematerialized per access from the
-    mapped columns (entities shared: one VantagePoint / Prefix / ASPath
-    object per distinct id, so equal positions yield equal records)."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "MmapPathStore") -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return self._store.record_count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        store = self._store
-        count = store.record_count
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("record position out of range")
-        vp, vp_country = store.vp_table[store.record_vp[index]]
-        prefix, prefix_country, addresses = store.prefix_table[
-            store.record_prefix[index]
-        ]
-        return PathRecord(
-            vp=vp,
-            vp_country=vp_country,
-            prefix=prefix,
-            prefix_country=prefix_country,
-            path=store.paths[store.record_path[index]],
-            addresses=addresses,
-        )
-
-
-class _AddressColumn(Sequence):
-    """Per-record address counts resolved through the prefix side table
-    (IPv6 counts exceed int64, so they never enter a flat column)."""
-
-    __slots__ = ("_store",)
-
-    def __init__(self, store: "MmapPathStore") -> None:
-        self._store = store
-
-    def __len__(self) -> int:
-        return self._store.record_count
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        store = self._store
-        count = store.record_count
-        if index < 0:
-            index += count
-        if not 0 <= index < count:
-            raise IndexError("record position out of range")
-        return store.prefix_table[store.record_prefix[index]][2]
-
-
 class MmapPathStore(PathStore):
     """A sealed spill directory mapped read-only behind the PathStore
     interface.
 
     The flat columns are the mmap'd files themselves and the side
-    tables are read (and checked) on open; the distinct-path tuple, the
-    record sequence, and the pair buckets are built lazily on first
-    use (paths and buckets are bounded by distinct entities, never by
-    raw record volume). Pickling reduces to the directory path, so a
-    worker re-opens the maps instead of receiving copied array pages.
+    tables are read (and checked) on open; the distinct-path tuple and
+    the pair buckets are built lazily on first use (both are bounded by
+    distinct entities, never by raw record volume). Pickling reduces to
+    the directory path, so a worker re-opens the maps instead of
+    receiving copied array pages.
     """
 
     __slots__ = ("directory", "manifest")
@@ -472,30 +412,13 @@ class MmapPathStore(PathStore):
     # -- lazily rebuilt PathStore surface ----------------------------------
 
     def __getattr__(self, name: str):
-        # slots declared by PathStore but filled lazily here; __getattr__
-        # only fires while the slot is still unset
+        # the distinct-path tuple, a slot declared by PathStore but
+        # filled lazily here (__getattr__ only fires while it is unset)
         if name == "paths":
             paths = _paths(self.token_list(), self.offsets, self.lengths)
             self.paths = paths
             return paths
-        if name == "records":
-            lazy = _LazyRecords(self)
-            self.records = lazy  # type: ignore[assignment]
-            return lazy
-        if name == "record_addresses":
-            column = _AddressColumn(self)
-            self.record_addresses = column  # type: ignore[assignment]
-            return column
-        if name == "record_weight":
-            # float() per prefix, then one gather through the prefix ids
-            prefix_weight = np.asarray(
-                [float(addresses) for _, _, addresses in self.prefix_table],
-                dtype=np.float64,
-            )
-            weights = prefix_weight[self.record_prefix]
-            self.record_weight = weights
-            return weights
-        raise AttributeError(name)
+        return super().__getattr__(name)
 
 
 def open_spill(directory: str | Path) -> PathSet:

@@ -11,7 +11,7 @@ The layer has four pieces, all deterministic by construction:
   serial fallback wrapped around the process fan-out
   (:mod:`repro.perf.parallel`);
 * :class:`Checkpoint` — content-keyed, append-only persistence of
-  completed sweep/trial units, the engine behind
+  completed sweep units, the engine behind
   ``repro-rank sweep --resume``;
 * :class:`Quarantine` — the malformed-line sink behind
   ``load_rib(strict=False)``.
@@ -29,7 +29,6 @@ from repro.resilience.checkpoint import (
     ranking_from_payload,
     ranking_to_payload,
     sweep_key,
-    trials_key,
 )
 from repro.resilience.faults import FaultPlan, InjectedCrash, InjectedFault
 from repro.resilience.quarantine import Quarantine, QuarantinedLine
@@ -56,5 +55,4 @@ __all__ = [
     "ranking_to_payload",
     "resilient_map",
     "sweep_key",
-    "trials_key",
 ]

@@ -177,8 +177,8 @@ class Checkpoint:
 
 #: Config attributes that shape ranking *values*. Telemetry, fan-out
 #: (``workers``), and resilience knobs are deliberately excluded — they
-#: never change output bytes. Shared by every content key (sweep,
-#: trials, and the serving layer's artifact store).
+#: never change output bytes. Shared by every content key (the
+#: sweep's and the serving layer's artifact store).
 SEMANTIC_KNOBS = (
     "rib", "geo_noise_rate", "geo_miss_rate", "geo_threshold", "trim",
     "use_inferred_relationships", "tiebreak", "path_diversity",
@@ -211,22 +211,6 @@ def sweep_key(
     wanted = ",".join(metrics)
     where = ",".join(countries) if countries is not None else "<auto>"
     return f"sweep/world={world_name}/{knobs}/metrics={wanted}/countries={where}"
-
-
-def trials_key(
-    world_name: str,
-    config: object,
-    metric: str,
-    country: str | None,
-    sizes: list[int],
-    trials: int,
-    seed: int,
-    k: int,
-) -> str:
-    """The content key for a stability-trial sweep."""
-    base = sweep_key(world_name, config, [metric], [country or "<global>"])
-    grid = ",".join(str(size) for size in sizes)
-    return f"trials/{base}/sizes={grid}/trials={trials}/rng={seed}/k={k}"
 
 
 # -- ranking (de)serialization ------------------------------------------------

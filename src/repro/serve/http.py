@@ -84,6 +84,10 @@ class ServeHandler(BaseHTTPRequestHandler):
     server: RankingServer
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: headers and body go out in two writes; without TCP_NODELAY,
+    #: Nagle's algorithm holds the body back on a kept-alive connection
+    #: until the client's delayed ACK
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:
         url = urlsplit(self.path)

@@ -5,6 +5,7 @@ import pytest
 from repro.bgp.collectors import VantagePoint
 from repro.core.ahc import ahc_ranking, ahc_scores
 from repro.core.sanitize import FilterReport, PathRecord, PathSet
+from repro.core.views import global_view
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 
@@ -68,7 +69,7 @@ class TestAhcRanking:
             record("10.0.0.1", "1 6 9", "3.0.0.0/24"),
         ]
         paths = PathSet(records=records, report=FilterReport())
-        ranking = ahc_ranking(paths, "AU", [8, 9])
+        ranking = ahc_ranking(global_view(paths), "AU", [8, 9])
         assert ranking.metric == "AHC:AU"
         assert ranking.rank_of(5) is not None
         assert ranking.rank_of(1) == 1  # the VP-side AS is on every path

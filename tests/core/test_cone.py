@@ -125,7 +125,7 @@ class TestConeRanking:
             record(7, ASPath.of(7, 1, 3, 4, 5), prefix="10.5.0.0/24"),
             record(7, ASPath.of(7, 1, 3, 4, 6), prefix="10.6.0.0/23"),
         )
-        view = View("test", "US", records)
+        view = View.of("test", "US", records)
         ranking = cone_ranking(view, figure1_graph)
         # Total space = 256 + 512; C and D carry all of it.
         assert ranking.rank_of(3) in (1, 2)
@@ -134,10 +134,10 @@ class TestConeRanking:
 
     def test_explicit_denominator(self, figure1_graph):
         records = (record(7, ASPath.of(7, 1, 3, 4, 5), prefix="10.5.0.0/24"),)
-        view = View("test", "US", records)
+        view = View.of("test", "US", records)
         ranking = cone_ranking(view, figure1_graph, total_addresses=2560)
         assert ranking.share_of(4) == pytest.approx(0.1)
 
     def test_metric_name_default(self, figure1_graph):
-        view = View("test", "AU", (record(7, ASPath.of(7, 1, 3, 4, 5)),))
+        view = View.of("test", "AU", (record(7, ASPath.of(7, 1, 3, 4, 5)),))
         assert cone_ranking(view, figure1_graph).metric == "CC:AU"

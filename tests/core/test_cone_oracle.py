@@ -39,12 +39,12 @@ an AS's cone is itself plus every AS below it on some suffix (§3):
 import pytest
 
 from repro.bgp.collectors import VantagePoint
-from repro.core.cone import cone_ranking
+from repro.core.cone import cone_addresses, cone_ranking
+from repro.core.ranking import Ranking
 from repro.core.sanitize import FilterReport, PathRecord, PathSet
 from repro.core.views import global_view, international_view, national_view
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.perf.cache import ViewComputation
 from repro.relationships.inference import InferredRelationships
 
 #: the fixture's relationship lines: ``a|b|-1`` = a provides transit
@@ -137,23 +137,32 @@ def views():
     }
 
 
+def ranked(path, view, oracle, metric):
+    """``view``'s CC ranking: from the reference
+    :func:`~repro.core.cone.cone_addresses` over its records
+    (``naive``), or through :func:`~repro.core.cone.cone_ranking`, the
+    one ranking path (``kernel``)."""
+    if path == "kernel":
+        return cone_ranking(view, oracle, metric)
+    addresses = cone_addresses(view.records, oracle)
+    total = sum({r.prefix: r.addresses for r in view.records}.values())
+    return Ranking.from_scores(
+        metric, {asn: float(n) for asn, n in addresses.items()},
+        {asn: n / total for asn, n in addresses.items()},
+    )
+
+
 @pytest.mark.parametrize("metric", sorted(EXPECTED))
 @pytest.mark.parametrize("path", ["naive", "kernel"])
 def test_cone_addresses_match_hand_derivation(metric, path):
-    oracle = tree_oracle()
-    view = views()[metric]
-    compute = ViewComputation(view, oracle) if path == "kernel" else None
-    ranking = cone_ranking(view, oracle, metric, compute=compute)
+    ranking = ranked(path, views()[metric], tree_oracle(), metric)
     got = {entry.asn: entry.value for entry in ranking.entries}
     assert got == EXPECTED[metric]
 
 
 @pytest.mark.parametrize("path", ["naive", "kernel"])
 def test_shares_divide_by_the_view_space(path):
-    oracle = tree_oracle()
-    view = views()["CCI:BB"]
-    compute = ViewComputation(view, oracle) if path == "kernel" else None
-    ranking = cone_ranking(view, oracle, "CCI:BB", compute=compute)
+    ranking = ranked(path, views()["CCI:BB"], tree_oracle(), "CCI:BB")
     assert ranking.top_asns(1) == [1]
     assert ranking.entries[0].share == 1.0  # all six BB prefixes
     assert ranking.entries[1].share == 0.5  # AS 4: three of six

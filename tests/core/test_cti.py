@@ -83,7 +83,7 @@ class TestCtiRanking:
         )
         # AS 4 is unknown to the graph: the unknown link bounds the
         # suffix, so only AS 4's own path tail contributes.
-        view = View("international:AU", "AU", records)
+        view = View.of("international:AU", "AU", records)
         ranking = cti_ranking(view, graph)
         assert ranking.metric == "CTI:AU"
         assert ranking.rank_of(2) == 1

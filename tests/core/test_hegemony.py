@@ -142,7 +142,7 @@ class TestTrimEquivalence:
 
     def test_ranking_entry_points_reject(self):
         records = (record("10.0.0.1", "9 5 8", "10.8.0.0/24"),)
-        view = View("t", "AU", records)
+        view = View.of("t", "AU", records)
         with pytest.raises(ValueError, match="trim out of range"):
             hegemony_ranking(view, trim=0.5)
 
@@ -176,7 +176,7 @@ class TestHegemonyRanking:
             record("10.0.0.1", "9 5 8", "10.8.0.0/24"),
             record("10.0.0.1", "9 7", "10.7.0.0/24"),
         )
-        ranking = hegemony_ranking(View("t", "AU", records))
+        ranking = hegemony_ranking(View.of("t", "AU", records))
         assert ranking.metric == "AH:AU"
         assert ranking.share_of(9) == pytest.approx(ranking.value_of(9))
         assert ranking.rank_of(9) == 1

@@ -48,6 +48,35 @@ class TestLoad:
         with pytest.raises(ReplayError):
             load_pathset_jsonl(bad)
 
+    @staticmethod
+    def _line(**changes):
+        entry = {
+            "vp_ip": "10.0.0.1", "vp_asn": 1, "collector": "rrc00",
+            "vp_country": "AU", "prefix": "1.0.0.0/24",
+            "prefix_country": "AU", "addresses": 256, "path": [1, 2],
+        }
+        return json.dumps({**entry, **changes}) + "\n"
+
+    def test_prefix_with_two_rows_rejected(self, tmp_path):
+        """A store keeps one (country, addresses) row per prefix."""
+        bad = tmp_path / "prefix.jsonl"
+        bad.write_text(
+            self._line() + self._line(vp_ip="10.0.0.2", addresses=512)
+        )
+        with pytest.raises(
+            ReplayError, match=r"prefix\.jsonl:2: prefix 1\.0\.0\.0/24"
+        ):
+            load_pathset_jsonl(bad)
+
+    def test_vp_with_two_rows_rejected(self, tmp_path):
+        """A store keeps one (ASN, collector, country) row per VP IP."""
+        bad = tmp_path / "vp.jsonl"
+        bad.write_text(
+            self._line() + self._line(prefix="2.0.0.0/24", collector="rrc01")
+        )
+        with pytest.raises(ReplayError, match=r"vp\.jsonl:2: VP 10\.0\.0\.1"):
+            load_pathset_jsonl(bad)
+
     def test_blank_lines_ignored(self, result, released, tmp_path):
         padded = tmp_path / "padded.jsonl"
         padded.write_text(released.read_text() + "\n\n")

@@ -2,9 +2,9 @@
 bit: the cone addresses, address totals and CTI tables
 :class:`repro.perf.cache.ViewComputation` computes through
 :mod:`repro.perf.cone` are compared by ``repr`` against
-:func:`repro.core.cone.cone_addresses`, ``View.total_addresses`` and
-:func:`repro.core.cti.cti_scores` over the same records, on an
-in-memory and an mmap-backed store."""
+:func:`repro.core.cone.cone_addresses`, the records' distinct prefix
+addresses and :func:`repro.core.cti.cti_scores` over the same records,
+on an in-memory and an mmap-backed store."""
 
 import tempfile
 from unittest.mock import patch
@@ -24,8 +24,8 @@ from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.perf.cache import ViewComputation
 from repro.perf.cone import p2c_edges
-from repro.perf.pathstore import PathStore
-from repro.perf.spill import MmapPathStore, SpillWriter, _LazyRecords
+from repro.perf.pathstore import PathStore, _LazyRecords
+from repro.perf.spill import MmapPathStore, SpillWriter
 from repro.topology.catalog import build_world
 
 TRIMS = (0.0, 0.1, 0.25, 0.49)
@@ -93,19 +93,17 @@ def assert_kernel_matches(records, oracle, backend, positions=None):
     (all by default) equals the reference over those same records."""
     with tempfile.TemporaryDirectory() as directory:
         store = build_store(records, backend, directory)
-        if positions is None:
-            positions = np.arange(len(records))
-        # the mmap store hands back each prefix with its first count;
-        # the reference reads the records the store actually holds
-        subset = tuple(store.records[p] for p in positions.tolist())
-        view = View(name="international:NL", country="NL", records=subset)
-        compute = ViewComputation(view, oracle, store=store, positions=positions)
-        total = view.total_addresses()
+        view = View("international:NL", "NL", store, positions)
+        # a store holds each prefix with its first count; the reference
+        # reads the records the store actually holds
+        subset = tuple(view.records)
+        compute = ViewComputation(view)
+        total = sum({r.prefix: r.addresses for r in subset}.values())
         assert compute.total_addresses() == total
-        assert compute.cones() == customer_cones(subset, oracle)
-        assert compute.cone_addresses() == cone_addresses(subset, oracle)
+        assert compute.cones(oracle) == customer_cones(subset, oracle)
+        assert compute.cone_addresses(oracle) == cone_addresses(subset, oracle)
         for trim in TRIMS:
-            assert reprs(compute.cti(trim)) == reprs(
+            assert reprs(compute.cti(oracle, trim)) == reprs(
                 cti_scores(subset, oracle, total, trim)
             )
 
@@ -195,15 +193,13 @@ class TestCorners:
             record("10.0.0.2", [1, 2, 5], "10.2.0.0/16", 768),
         ]
         assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        store = build_store(records, "memory", None)
-        compute = ViewComputation(
-            View("v", None, tuple(records)), EdgeOracle(EDGES), store=store,
-        )
-        assert compute.cone_addresses()[2] == 256 + 768  # not 256 * 2 + 768
+        compute = ViewComputation(View.of("v", None, records))
+        # not 256 * 2 + 768
+        assert compute.cone_addresses(EdgeOracle(EDGES))[2] == 256 + 768
 
     def test_conflicting_address_counts(self, backend):
-        # one prefix, two counts: the last record's count is the one
-        # the reference's {prefix: addresses} dict keeps
+        # one prefix, two counts: the store keeps the first, and the
+        # reference reads the records the store holds
         records = [
             record("10.0.0.1", [1, 2, 4], "10.1.0.0/16", 256),
             record("10.0.0.2", [3, 6], "10.6.0.0/16", 768),
@@ -220,10 +216,8 @@ class TestCorners:
             record("10.0.0.2", [2, 5], "10.5.0.0/16", 0),
         ]
         assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        compute = ViewComputation(
-            View("v", None, tuple(records)), EdgeOracle(EDGES),
-        )
-        assert compute.cti(0.1)[3] == 0.0
+        compute = ViewComputation(View.of("v", None, records))
+        assert compute.cti(EdgeOracle(EDGES), 0.1)[3] == 0.0
 
     def test_vp_with_only_origin_only_suffixes(self, backend):
         # VP .3 reaches everything over peer links: all its suffixes are
@@ -234,11 +228,9 @@ class TestCorners:
             record("10.0.0.3", [6, 4], "10.4.0.0/16"),
         ]
         assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        compute = ViewComputation(
-            View("v", None, tuple(records)), EdgeOracle(EDGES),
-        )
+        compute = ViewComputation(View.of("v", None, records))
         # AS 2's per-VP values are 1, 1 and 0 (addresses over the total)
-        assert compute.cti(0.0)[2] == 2 / 3
+        assert compute.cti(EdgeOracle(EDGES), 0.0)[2] == 2 / 3
 
     def test_ipv6_counts_beyond_two_to_the_64(self, backend):
         records = [
@@ -247,12 +239,12 @@ class TestCorners:
             record("10.0.0.2", [1, 3, 6], "10.6.0.0/16", 2 ** 96),
         ]
         assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        compute = ViewComputation(
-            View("v", None, tuple(records)), EdgeOracle(EDGES),
+        closure = ViewComputation(View.of("v", None, records)).cone_addresses(
+            EdgeOracle(EDGES)
         )
         # exact integer closure: float64 would drop the +1 and +3
-        assert compute.cone_addresses()[1] == 2 ** 100 + 2 ** 96 + 2 ** 64 + 4
-        assert compute.cone_addresses()[2] == 2 ** 100 + 2 ** 64 + 4
+        assert closure[1] == 2 ** 100 + 2 ** 96 + 2 ** 64 + 4
+        assert closure[2] == 2 ** 100 + 2 ** 64 + 4
 
     def test_empty_view(self, backend):
         records = [record("10.0.0.1", [1, 2, 4], "10.4.0.0/16")]
@@ -314,19 +306,16 @@ class TestPipelineStores:
                 ),
             )
 
-        def forbidden(self, index):
+        def forbidden(self, *args):
             raise AssertionError("the kernel materialised a spilled record")
 
         monkeypatch.setattr(_LazyRecords, "__getitem__", forbidden)
+        monkeypatch.setattr(_LazyRecords, "__iter__", forbidden)
         store = spilled.paths.store()
-        index = spilled.path_index()
         for kind, (addresses, cti) in expected.items():
-            compute = ViewComputation(
-                View(kind, code, ()), spilled.oracle, store=store,
-                positions=index.indices(kind, code),
-            )
-            assert compute.cone_addresses() == addresses
-            assert reprs(compute.cti(0.1)) == reprs(cti)
+            compute = ViewComputation(spilled.view(kind, code))
+            assert compute.cone_addresses(spilled.oracle) == addresses
+            assert reprs(compute.cti(spilled.oracle, 0.1)) == reprs(cti)
         with pytest.raises(AttributeError):  # never built by the sweep
             PathStore.path_ids.__get__(store)
 
@@ -355,9 +344,7 @@ def test_kernel_skips_asn_hashing_on_warm_store():
     def forbidden(self):
         raise AssertionError("an ASPath was hashed")
 
-    compute = ViewComputation(
-        View("v", None, tuple(records)), EdgeOracle(EDGES), store=store,
-    )
+    compute = ViewComputation(View("v", None, store))
     with patch.object(ASPath, "__hash__", forbidden):
-        compute.cone_addresses()
-        compute.cti(0.1)
+        compute.cone_addresses(EdgeOracle(EDGES))
+        compute.cti(EdgeOracle(EDGES), 0.1)

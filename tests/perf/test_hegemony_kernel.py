@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp.collectors import VantagePoint
-from repro.core.ahc import AHC_WEIGHTINGS, ahc_scores, ahc_scores_cached
+from repro.core.ahc import AHC_WEIGHTINGS, ahc_ranking, ahc_scores
 from repro.core.hegemony import hegemony_scores, local_hegemony
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.sanitize import FilterReport, PathRecord
@@ -21,8 +21,8 @@ from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.perf import hegemony as kernel
 from repro.perf.hegemony import _window_sums, hegemony_tables
-from repro.perf.pathstore import PathStore
-from repro.perf.spill import MmapPathStore, SpillWriter, _LazyRecords
+from repro.perf.pathstore import PathStore, _LazyRecords
+from repro.perf.spill import MmapPathStore, SpillWriter
 from repro.topology.catalog import build_world
 
 TRIMS = (0.0, 0.05, 0.1, 0.25, 0.49)
@@ -269,13 +269,15 @@ class TestStoreBackends:
             for weighting in AHC_WEIGHTINGS
         }
 
-        def forbidden(self, index):
+        def forbidden(self, *args):
             raise AssertionError("AHC materialised a spilled record")
 
         monkeypatch.setattr(_LazyRecords, "__getitem__", forbidden)
-        compute = spilled.computation("global")
+        monkeypatch.setattr(_LazyRecords, "__iter__", forbidden)
+        view = spilled.view("global")
         for weighting in AHC_WEIGHTINGS:
-            got = ahc_scores_cached(compute, origins, 0.1, weighting)
+            ranking = ahc_ranking(view, code, origins, 0.1, weighting)
+            got = {entry.asn: entry.value for entry in ranking.entries}
             assert reprs(got) == reprs(expected[weighting])
 
     def test_view_hegemony_identical_across_backends(self, results):
@@ -283,8 +285,12 @@ class TestStoreBackends:
         code = memory.countries_with_national_view()[0]
         for kind in ("national", "international", "outbound"):
             for weighting in WEIGHTINGS:
-                base = memory.computation(kind, code).hegemony(0.1, weighting)
-                got = spilled.computation(kind, code).hegemony(0.1, weighting)
+                base = memory.view(kind, code).computation().hegemony(
+                    0.1, weighting
+                )
+                got = spilled.view(kind, code).computation().hegemony(
+                    0.1, weighting
+                )
                 assert reprs(got) == reprs(base)
                 assert reprs(base) == reprs(hegemony_scores(
                     memory.view(kind, code).records, 0.1, weighting

@@ -1,9 +1,10 @@
-"""PathIndex / ViewSlicer equivalence with the naive view builders.
+"""PathIndex and VP-downsampling equivalence with the naive view
+builders.
 
 The batch engine's contract is that indexed construction is invisible:
-same view names, same countries, same records in the same order as
-:mod:`repro.core.views`. These tests pin that down on a full small-world
-pipeline plus hand-built corner cases.
+same view names, same countries, same positions (so the same records in
+the same order) as :mod:`repro.core.views`. These tests pin that down
+on a full small-world pipeline plus hand-built corner cases.
 """
 
 import random
@@ -23,7 +24,7 @@ from repro.core.views import (
 )
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.perf import PathIndex, ViewSlicer
+from repro.perf import PathIndex
 
 SMALL = GeneratorConfig(profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP"))
 
@@ -63,14 +64,15 @@ class TestIndexedViews:
                 indexed = index.view(kind, country)
                 assert indexed.name == naive.name
                 assert indexed.country == naive.country
-                assert indexed.records == naive.records
+                assert indexed.store is naive.store
+                assert indexed.positions.tolist() == naive.positions.tolist()
 
     def test_global_view_matches_naive(self, result, index):
         naive = global_view(result.paths)
         indexed = index.view("global")
         assert indexed.name == naive.name
         assert indexed.country is None
-        assert indexed.records == naive.records
+        assert list(indexed.records) == list(naive.records)
 
     def test_unknown_kind_rejected_before_country_check(self, index):
         with pytest.raises(ValueError, match="unknown view kind"):
@@ -87,7 +89,7 @@ class TestVPOrdering:
             record("10.0.0.1", "AU", "1.0.0.0/16", "AU", "1 2 3"),
             record("9.0.0.1", "AU", "1.0.0.0/16", "AU", "4 2 3"),
         ]
-        view = View(name="national:AU", country="AU", records=tuple(records))
+        view = View.of("national:AU", "AU", records)
         ips = [vp.ip for vp in view.vps()]
         # lexicographically "10.0.0.1" < "9.0.0.1"; numerically not
         assert ips == ["9.0.0.1", "10.0.0.1"]
@@ -99,21 +101,28 @@ class TestVPOrdering:
         assert ip_sort_key("10.0.0.1") < ip_sort_key("::1")
 
 
-class TestViewSlicer:
+class TestRestrictVps:
     def test_restrict_matches_naive_restrict_vps(self, result):
-        view = result.view("global")
-        slicer = ViewSlicer(view)
+        """The VP-id mask keeps exactly the records a per-record filter
+        on VP IP keeps, in order, over the same store."""
+        code = result.countries_with_national_view()[0]
+        view = result.view("international", code)
+        records = list(view.records)
         ips = [vp.ip for vp in view.vps()]
         rng = random.Random(7)
         for size in (1, 2, max(1, len(ips) // 2), len(ips)):
             sample = rng.sample(ips, size)
-            naive = view.restrict_vps(sample)
-            fast = slicer.restrict(sample)
-            assert fast.name == naive.name
-            assert fast.country == naive.country
-            assert fast.records == naive.records
+            fast = view.restrict_vps(sample)
+            assert fast.name == f"{view.name}|{size}vps"
+            assert fast.country == view.country
+            assert fast.store is view.store
+            assert list(fast.records) == [
+                r for r in records if r.vp.ip in set(sample)
+            ]
 
     def test_vp_ips_match_view(self, result):
+        """``View.vps()`` is the distinct VPs of the view's records,
+        ordered by parsed address."""
         view = result.view("global")
-        slicer = ViewSlicer(view)
-        assert slicer.vp_ips() == [vp.ip for vp in view.vps()]
+        distinct = {r.vp.ip for r in view.records}
+        assert [vp.ip for vp in view.vps()] == sorted(distinct, key=ip_sort_key)

@@ -114,6 +114,8 @@ class TestTransitSuffixes:
 
     def test_pipeline_views_share_one_table(self, result):
         code = result.countries_with_national_view()[0]
-        shared = result.computation("global").suffixes()
-        assert result.computation("national", code).suffixes() is shared
-        assert result.computation("international", code).suffixes() is shared
+        oracle = result.oracle
+        shared = result.view("global").computation().suffixes(oracle)
+        for kind in ("national", "international"):
+            view = result.view(kind, code)
+            assert view.computation().suffixes(oracle) is shared

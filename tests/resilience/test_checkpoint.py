@@ -9,7 +9,6 @@ from repro.resilience import (
     ranking_from_payload,
     ranking_to_payload,
     sweep_key,
-    trials_key,
 )
 
 
@@ -204,12 +203,6 @@ class TestContentKeys:
         assert sweep_key("small", config, ("AHN",), None) != sweep_key(
             "small", config, ("CCI",), None
         )
-
-    def test_trials_key_tracks_grid(self):
-        config = PipelineConfig(seed=0)
-        a = trials_key("small", config, "AHN", "AU", [1, 2], 8, 0, 10)
-        b = trials_key("small", config, "AHN", "AU", [1, 2, 4], 8, 0, 10)
-        assert a != b
 
 
 class TestRankingPayload:

@@ -4,7 +4,7 @@
    output;
 2. a hung chunk → per-chunk timeout → retry → identical output;
 3. a mid-sweep crash → checkpoint resume → output identical to an
-   uninterrupted sweep (and a resumed stability curve likewise).
+   uninterrupted sweep.
 """
 
 import pytest
@@ -16,14 +16,12 @@ from repro import (
     run_pipeline,
     small_profiles,
 )
-from repro.analysis.stability import stability_curve
 from repro.resilience import (
     Checkpoint,
     FaultPlan,
     InjectedCrash,
     RetryPolicy,
     sweep_key,
-    trials_key,
 )
 
 SMALL = GeneratorConfig(
@@ -108,37 +106,6 @@ class TestSweepCheckpointResume:
             assert fresh.rank_all(
                 self.METRICS, countries, checkpoint=checkpoint
             ) == full
-
-
-class TestStabilityCheckpointResume:
-    def test_resumed_curve_matches_uninterrupted(self, world, clean, tmp_path):
-        country = clean.countries_with_national_view()[0]
-        view = clean.view("national", country)
-        sizes, trials, seed, k = [3, 5], 3, 9, 10
-        uninterrupted = stability_curve(
-            clean, "CCN", view, sizes=sizes, trials=trials, seed=seed, workers=1
-        )
-        path = tmp_path / "trials.ck"
-        key = trials_key(
-            world.name, clean.config, "CCN", country, sizes, trials, seed, k
-        )
-        # bank a strict prefix of the trials, as a crashed run would
-        with Checkpoint.open(path, key) as checkpoint:
-            partial = stability_curve(
-                clean, "CCN", view, sizes=sizes, trials=trials, seed=seed,
-                workers=1, checkpoint=checkpoint,
-            )
-            assert partial == uninterrupted
-        truncated = path.read_text().splitlines()[: 1 + 3]  # header + 3 units
-        path.write_text("\n".join(truncated) + "\n")
-
-        with Checkpoint.open(path, key) as checkpoint:
-            assert checkpoint.loaded == 3
-            resumed = stability_curve(
-                clean, "CCN", view, sizes=sizes, trials=trials, seed=seed,
-                workers=2, checkpoint=checkpoint,
-            )
-        assert resumed == uninterrupted
 
 
 class TestGlobalMetricCheckpointResume:

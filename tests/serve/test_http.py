@@ -1,6 +1,8 @@
 """HTTP round-trip tests for ``repro-serve`` on an ephemeral port."""
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -73,6 +75,31 @@ class TestRoutes:
         status, payload = get(server, "/nope")
         assert status == 404
         assert "/rank" in payload["routes"]
+
+
+class TestKeepAlive:
+    def test_accepted_socket_disables_nagle(self, server, monkeypatch):
+        """Headers and body go out in two writes; the handler's socket
+        must set TCP_NODELAY so a kept-alive client is not stalled
+        waiting for its own delayed ACK."""
+        seen = []
+        setup = server.RequestHandlerClass.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(server.RequestHandlerClass, "setup", recording_setup)
+        connection = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            for _ in range(2):  # the second request reuses the connection
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().read()
+        finally:
+            connection.close()
+        assert len(seen) == 1 and seen[0] != 0
 
 
 class TestConcurrency:
