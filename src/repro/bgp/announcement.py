@@ -8,7 +8,11 @@ five days it appeared in).
 
 :class:`RecordWindow` is the columnar form of a block of RibRecords —
 int64 VP, prefix and path ids over shared entity tables, plus the day
-counts — which the Table-1 sanitizer judges with array operations.
+counts — which the Table-1 sanitizer judges with array operations. The
+tables hold their paths as token columns
+(:class:`~repro.net.aspath.PathColumns`), so the judge gathers a
+window's paths without any path object; :meth:`RecordWindow.records`
+builds each distinct path of a window once.
 :meth:`repro.bgp.rib.RibSeries.windows` cuts them straight from its
 VP × prefix grid; :func:`record_windows` cuts them from any record
 stream.
@@ -18,13 +22,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.bgp.collectors import VantagePoint
-from repro.net.aspath import ASPath
+from repro.net.aspath import ASPath, PathColumns
 from repro.net.prefix import Prefix
 
 
@@ -81,7 +85,7 @@ class RecordTables:
 
     vps: Sequence[VantagePoint]
     prefixes: Sequence[Prefix]
-    paths: Sequence[ASPath]
+    paths: PathColumns
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,14 +117,16 @@ class RecordWindow:
         )
 
     def records(self) -> Iterator[RibRecord]:
-        """Every row as a :class:`RibRecord`, in order."""
+        """Every row as a :class:`RibRecord`, in order (each distinct
+        path built once)."""
         tables = self.tables
-        vps, prefixes, paths = tables.vps, tables.prefixes, tables.paths
+        vps, prefixes = tables.vps, tables.prefixes
         for vp, prefix, path, days, total_days in zip(
-            self.vp.tolist(), self.prefix.tolist(), self.path.tolist(),
+            self.vp.tolist(), self.prefix.tolist(),
+            tables.paths.objects(self.path),
             self.days.tolist(), self.total_days.tolist(),
         ):
-            yield RibRecord(vps[vp], prefixes[prefix], paths[path], days, total_days)
+            yield RibRecord(vps[vp], prefixes[prefix], path, days, total_days)
 
     def rows(self, start: int) -> "RecordWindow":
         """The rows from ``start`` on, as a window over the same
@@ -136,7 +142,9 @@ def record_windows(
 ) -> Iterator[RecordWindow]:
     """Cut a record stream into windows of ``size`` rows (the last may
     be shorter), over tables interned from the stream: VPs, prefixes
-    and paths by value, each in first-appearance order.
+    and paths by value, each in first-appearance order — the paths as
+    the same token columns :meth:`repro.bgp.rib.RibSeries.windows`
+    hands out, appended a window at a time.
 
     Reads lazily, one window at a time — the adapter that lets every
     columnar consumer of :class:`RecordWindow` take plain records.
@@ -145,7 +153,7 @@ def record_windows(
         raise ValueError("window size must be >= 1")
     vps: list[VantagePoint] = []
     prefixes: list[Prefix] = []
-    paths: list[ASPath] = []
+    paths = PathColumns()
     tables = RecordTables(vps, prefixes, paths)
     vp_ids: dict[VantagePoint, int] = {}
     prefix_ids: dict[Prefix, int] = {}
@@ -157,6 +165,7 @@ def record_windows(
     while True:
         columns = tuple(array("q") for _ in range(5))
         vp_col, prefix_col, path_col, days_col, total_col = columns
+        fresh: list[tuple[int, ...]] = []
         for record in islice(stream, size):
             vp = record.vp
             if vp is last_vp:
@@ -172,11 +181,11 @@ def record_windows(
             if fid is None:
                 fid = prefix_ids[prefix] = len(prefixes)
                 prefixes.append(prefix)
-            path = record.path
-            pid = path_ids.get(path.asns)
+            asns = record.path.asns
+            pid = path_ids.get(asns)
             if pid is None:
-                pid = path_ids[path.asns] = len(paths)
-                paths.append(path)
+                pid = path_ids[asns] = len(path_ids)
+                fresh.append(asns)
             vp_col.append(vid)
             prefix_col.append(fid)
             path_col.append(pid)
@@ -184,6 +193,10 @@ def record_windows(
             total_col.append(record.total_days)
         if not vp_col:
             return
+        paths.extend(
+            np.fromiter(chain.from_iterable(fresh), dtype=np.int64),
+            np.fromiter(map(len, fresh), dtype=np.int64, count=len(fresh)),
+        )
         yield RecordWindow(
             tables, *(np.frombuffer(column, dtype=np.int64) for column in columns)
         )

@@ -46,6 +46,14 @@ class AnomalyConfig:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of range: {value}")
 
+    @property
+    def total_rate(self) -> float:
+        """The chance a record is rolled for any anomaly at all."""
+        return (
+            self.loop_rate + self.poison_rate + self.unallocated_rate
+            + self.prepend_rate + self.route_server_rate
+        )
+
     @classmethod
     def none(cls) -> "AnomalyConfig":
         """A config that injects nothing (clean-world runs)."""
@@ -179,10 +187,7 @@ def inject_anomalies(
               "prepended": 0, "route_server": 0}
     route_server_list = sorted(route_servers)
     non_clique_fillers = sorted(set(filler_pool) - clique) if filler_pool else []
-    total_rate = (
-        config.loop_rate + config.poison_rate + config.unallocated_rate
-        + config.prepend_rate + config.route_server_rate
-    )
+    total_rate = config.total_rate
     for key, path in records:
         if not non_clique_fillers:
             non_clique_fillers = sorted(path.unique_asns() - clique)

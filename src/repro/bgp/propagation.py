@@ -19,6 +19,25 @@ diversity of real hot-potato tie-breaking: different ASes pick
 different equally-good egresses instead of the whole world converging
 on the lowest ASN).
 
+**One array pass for every origin.** The production sweep
+(:func:`propagate_all`, :func:`propagate`, the incremental basis and
+the fan-out chunks) runs the three phases for all its origins at once,
+over an (origin × AS) grid of path length, next hop and route class
+and CSR adjacency held on the version-cached :class:`_Adjacency`. Each
+breadth-first level expands every (origin, AS) cell settled at the
+previous level through the CSR rows, computes every candidate's
+tie-break key as an int64 (``asn``: the next hop's index, which sorts
+as its ASN; ``hash``: :func:`_hash_mix` in wrapping ``uint64``
+arithmetic, then the next hop — :func:`_key_factory`'s order), and
+keeps the minimum per cell with one ``np.minimum.at``. Levels run
+across all origins together, but no origin's level reads another
+origin's cells, so every cell settles exactly as the per-origin sweep
+:func:`_propagate` (kept as the reference the tests compare against)
+settles it. Paths are rebuilt from the next hops only at kept ASes,
+straight into token columns (:class:`RouteColumns`); no
+:class:`~repro.bgp.policy.Route` is built unless a caller indexes
+:attr:`RoutingOutcome.routes`.
+
 The result at a vantage-point AS is the AS path that VP would advertise
 to a collector — the raw material of the whole reproduction.
 """
@@ -26,10 +45,14 @@ to a collector — the raw material of the whole reproduction.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.bgp.policy import Route, RouteClass
+from repro.net.aspath import runs
 from repro.obs.metrics import NULL_HISTOGRAM
 from repro.obs.trace import NULL_TRACER
 from repro.topology.model import ASGraph
@@ -40,6 +63,136 @@ if TYPE_CHECKING:  # the fan-out wrapper is imported lazily at runtime
     from repro.resilience.retry import RetryPolicy
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class RouteColumns:
+    """Routes toward many origins as columns, origin-major.
+
+    ``origins`` are ascending ASNs; the routes toward ``origins[i]`` are
+    rows ``starts[i]:starts[i + 1]``, holders ascending. Per route:
+    ``holder`` (its ASN), ``route_class`` (a
+    :class:`~repro.bgp.policy.RouteClass` value) and its path
+    (holder first, origin last) at ``tokens[offsets:offsets +
+    lengths]``.
+    """
+
+    origins: np.ndarray
+    starts: np.ndarray
+    holder: np.ndarray
+    route_class: np.ndarray
+    offsets: np.ndarray
+    lengths: np.ndarray
+    tokens: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        origins: np.ndarray,
+        counts: np.ndarray,
+        holder: np.ndarray,
+        route_class: np.ndarray,
+        lengths: np.ndarray,
+        tokens: np.ndarray,
+    ) -> "RouteColumns":
+        """Columns from ``counts`` routes per origin, in origin order."""
+        starts = np.zeros(len(origins) + 1, dtype=np.int64)
+        np.cumsum(counts, out=starts[1:])
+        return cls(
+            origins, starts, holder, route_class,
+            np.cumsum(lengths) - lengths, lengths, tokens,
+        )
+
+    def __len__(self) -> int:
+        return len(self.holder)
+
+    def route_origin(self) -> np.ndarray:
+        """The origin ASN of every route."""
+        return np.repeat(self.origins, np.diff(self.starts))
+
+    def take(self, rows: np.ndarray) -> "RouteColumns":
+        """The columns of the origins at ``rows`` (in that order)."""
+        picked, counts = runs(
+            np.arange(len(self), dtype=np.int64), self.starts[:-1],
+            np.diff(self.starts), rows,
+        )
+        tokens, lengths = runs(self.tokens, self.offsets, self.lengths, picked)
+        return RouteColumns.build(
+            self.origins[rows], counts, self.holder[picked],
+            self.route_class[picked], lengths, tokens,
+        )
+
+    @staticmethod
+    def merge(parts: "list[RouteColumns]") -> "RouteColumns":
+        """One set of columns holding every part's origins (distinct
+        across parts), in ascending origin order."""
+        joined = RouteColumns.build(
+            np.concatenate([part.origins for part in parts]),
+            np.concatenate([np.diff(part.starts) for part in parts]),
+            np.concatenate([part.holder for part in parts]),
+            np.concatenate([part.route_class for part in parts]),
+            np.concatenate([part.lengths for part in parts]),
+            np.concatenate([part.tokens for part in parts]),
+        )
+        return joined.take(np.argsort(joined.origins, kind="stable"))
+
+
+class RouteMap(Mapping):
+    """``routes[origin][asn]``: a read-only façade over
+    :class:`RouteColumns` that builds each :class:`Route` on access.
+
+    ``routes[origin]`` maps each holder (ascending) to its best route
+    toward ``origin``; an absent origin or holder has no route. Equal
+    to any mapping of equal routes.
+    """
+
+    __slots__ = ("columns", "_rows")
+
+    def __init__(self, columns: RouteColumns) -> None:
+        self.columns = columns
+        self._rows = {
+            origin: row for row, origin in enumerate(columns.origins.tolist())
+        }
+
+    def __getitem__(self, origin: int) -> "OriginRoutes":
+        return OriginRoutes(self.columns, self._rows[origin])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+class OriginRoutes(Mapping):
+    """The routes toward one origin: holder ASN → :class:`Route`,
+    built on access."""
+
+    __slots__ = ("_columns", "_holders")
+
+    def __init__(self, columns: RouteColumns, row: int) -> None:
+        self._columns = columns
+        first, stop = int(columns.starts[row]), int(columns.starts[row + 1])
+        #: holder ASN → its route's row
+        self._holders = {
+            asn: first + at
+            for at, asn in enumerate(columns.holder[first:stop].tolist())
+        }
+
+    def __getitem__(self, asn: int) -> Route:
+        at = self._holders[asn]
+        columns = self._columns
+        start = int(columns.offsets[at])
+        return Route(
+            tuple(columns.tokens[start:start + int(columns.lengths[at])].tolist()),
+            RouteClass(int(columns.route_class[at])),
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._holders)
+
+    def __len__(self) -> int:
+        return len(self._holders)
+
+
 @dataclass(frozen=True, slots=True)
 class PropagationBasis:
     """Everything needed to re-propagate a *changed* graph incrementally.
@@ -48,9 +201,9 @@ class PropagationBasis:
     back on the next snapshot via ``basis=``. ``holders[origin]`` is the
     set of ASes the (possibly keep-pruned) sweep assigned a route toward
     ``origin`` — the exact set of nodes whose adjacency rows that
-    origin's BFS ever read, which is what makes the reuse criterion
+    origin's sweep ever read, which is what makes the reuse criterion
     sound: if none of those rows changed (and the keep closure is
-    unchanged), rerunning the BFS would reproduce the same routes
+    unchanged), rerunning the sweep would reproduce the same routes
     byte for byte.
     """
 
@@ -59,7 +212,7 @@ class PropagationBasis:
     salt: int
     keep: frozenset[int] | None
     relevant: frozenset[int] | None
-    routes: Mapping[int, Mapping[int, Route]]
+    routes: RouteMap
     holders: Mapping[int, frozenset[int]]
 
     def compatible(
@@ -79,11 +232,13 @@ class RoutingOutcome:
 
     ``routes[origin][asn]`` is the best :class:`Route` held by ``asn``
     toward ``origin``; absent keys mean the origin was unreachable.
-    ``basis`` is populated only when :func:`propagate_all` ran with
-    ``capture_basis=True`` (it does not participate in equality).
+    ``routes.columns`` holds the same routes as columns — what the RIB
+    series reads. ``basis`` is populated only when
+    :func:`propagate_all` ran with ``capture_basis=True`` (it does not
+    participate in equality).
     """
 
-    routes: Mapping[int, Mapping[int, Route]]
+    routes: RouteMap
     basis: "PropagationBasis | None" = field(
         default=None, compare=False, repr=False
     )
@@ -95,19 +250,49 @@ class RoutingOutcome:
 
     def origins(self) -> list[int]:
         """All origins propagated, sorted."""
-        return sorted(self.routes)
+        return self.routes.columns.origins.tolist()
+
+
+#: adjacency rows as CSR: ``(offsets, lengths, neighbors)``, AS index
+#: ``i``'s neighbor indices at ``neighbors[offsets[i]:offsets[i] +
+#: lengths[i]]``
+_CSR = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _csr(
+    rows: Mapping[int, tuple[int, ...]], position: Mapping[int, int]
+) -> _CSR:
+    """Adjacency rows (in ``position`` order) as CSR."""
+    lengths = np.asarray([len(rows[asn]) for asn in position], dtype=np.int64)
+    neighbors = np.fromiter(
+        (position[other] for asn in position for other in rows[asn]),
+        dtype=np.int64, count=int(lengths.sum()),
+    )
+    return np.cumsum(lengths) - lengths, lengths, neighbors
 
 
 class _Adjacency:
-    """Plain-dict adjacency snapshot for fast inner loops."""
+    """Adjacency snapshot for fast inner loops: plain-dict rows (the
+    reference sweep, deltas and keep closures read them) and the same
+    rows as CSR over AS indices in ascending ASN order (the array
+    pass)."""
 
-    __slots__ = ("providers", "customers", "peers", "asns")
+    __slots__ = (
+        "providers", "customers", "peers", "asns", "index",
+        "up", "across", "down",
+    )
 
     def __init__(self, graph: ASGraph) -> None:
         self.asns = graph.asns()
         self.providers = {a: tuple(sorted(graph.providers_of(a))) for a in self.asns}
         self.customers = {a: tuple(sorted(graph.customers_of(a))) for a in self.asns}
         self.peers = {a: tuple(sorted(graph.peers_of(a))) for a in self.asns}
+        #: AS index → ASN, ascending, so index order is ASN order
+        self.index = np.asarray(self.asns, dtype=np.int64)
+        position = {asn: at for at, asn in enumerate(self.asns)}
+        self.up = _csr(self.providers, position)
+        self.across = _csr(self.peers, position)
+        self.down = _csr(self.customers, position)
 
 
 #: graph -> (graph.version, snapshot); weak keys so graphs can die
@@ -207,6 +392,245 @@ def _key_factory(
     raise ValueError(f"unknown tiebreak {tiebreak!r} (expected one of {TIEBREAKS})")
 
 
+#: ``_hash_mix``'s multipliers and its 32-bit mask
+_HOLDER, _HOP, _ORIGIN, _SALT = 2654435761, 2246822519, 3266489917, 374761393
+_MASK = 0xFFFFFFFF
+#: ``np.minimum.at``'s identity: a cell no candidate reached
+_NO_KEY = np.iinfo(np.int64).max
+
+
+class _Keys:
+    """Tie-break keys of (origin row, holder index, next-hop index)
+    candidates as int64, ordered as :func:`_key_factory`'s tuples. A
+    key ends in the next hop's index (``key % size`` recovers it), and
+    ``width`` bounds every key, so ``rank * width + key`` orders by
+    rank first. (``width`` is at most 2^32 × the AS count, so a rank up
+    to a path length stays far inside int64 for any graph with fewer
+    than a million ASes.)"""
+
+    __slots__ = ("size", "width", "_holder", "_hop", "_origin")
+
+    def __init__(
+        self, index: np.ndarray, origins: np.ndarray, tiebreak: str, salt: int
+    ) -> None:
+        self.size = max(len(index), 1)
+        if tiebreak == "asn":
+            self.width = self.size
+            self._holder = None
+            return
+        if tiebreak != "hash":
+            raise ValueError(
+                f"unknown tiebreak {tiebreak!r} (expected one of {TIEBREAKS})"
+            )
+        self.width = (_MASK + 1) * self.size
+        asns = index.astype(np.uint64)
+        self._holder = (asns * _HOLDER) & _MASK
+        self._hop = (asns * _HOP) & _MASK
+        self._origin = np.asarray(
+            [(origin * _ORIGIN + salt * _SALT) & _MASK for origin in origins.tolist()],
+            dtype=np.uint64,
+        )
+
+    def __call__(
+        self, row: np.ndarray, holder: np.ndarray, hop: np.ndarray
+    ) -> np.ndarray:
+        if self._holder is None:
+            return hop
+        # _hash_mix in wrapping uint64: only the low 32 bits survive
+        value = (self._holder[holder] + self._hop[hop] + self._origin[row]) & _MASK
+        value ^= value >> 16
+        value = (value * _HOLDER) & _MASK
+        value ^= value >> 13
+        return value.astype(np.int64) * self.size + hop
+
+
+def _expand(csr: _CSR, ases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (position in ``ases``, neighbor index) pair of the CSR
+    rows of ``ases``, row by row."""
+    offsets, lengths, neighbors = csr
+    reached, degree = runs(neighbors, offsets, lengths, ases)
+    return np.repeat(np.arange(len(ases), dtype=np.int64), degree), reached
+
+
+@dataclass(frozen=True, slots=True)
+class _Grid:
+    """Every origin's routes over every AS, flat (origin row × AS
+    index): path length in ASes (0: no route), next-hop index and
+    route class."""
+
+    length: np.ndarray
+    hop: np.ndarray
+    route_class: np.ndarray
+
+
+def _sweep(
+    adjacency: _Adjacency,
+    origins: np.ndarray,
+    tiebreak: str,
+    salt: int,
+    relevant: frozenset[int] | None,
+    frontier_hist=NULL_HISTOGRAM,
+) -> _Grid:
+    """The three phases for every origin at once (see the module
+    docstring). ``relevant`` prunes the down phase as in
+    :func:`_propagate`; the up phase observes, per origin and level,
+    the size of the frontier it settles."""
+    index = adjacency.index
+    size = len(index)
+    keys = _Keys(index, origins, tiebreak, salt)
+    count = len(origins)
+    length = np.zeros(count * size, dtype=np.int16)
+    hop = np.zeros(count * size, dtype=np.int32)
+    klass = np.zeros(count * size, dtype=np.int8)
+    best = np.full(count * size, _NO_KEY, dtype=np.int64)
+
+    def settle(cells: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Give each distinct cell its minimum-key candidate's next hop;
+        returns the cells, ascending."""
+        np.minimum.at(best, cells, key)
+        won = np.flatnonzero(best != _NO_KEY)
+        hop[won] = best[won] % keys.size
+        best[won] = _NO_KEY
+        return won
+
+    # the origin cells
+    rows = np.arange(count, dtype=np.int64)
+    columns = np.searchsorted(index, origins)
+    cells = rows * size + columns
+    length[cells] = 1
+    hop[cells] = columns
+    klass[cells] = RouteClass.ORIGIN.value
+
+    # Phase 1 (up): customer routes climb provider links, level by level.
+    level = 1
+    while len(cells):
+        source, provider = _expand(adjacency.up, columns)
+        row, next_hop = rows[source], columns[source]
+        target = row * size + provider
+        free = length[target] == 0
+        cells = settle(target[free], keys(row[free], provider[free], next_hop[free]))
+        level += 1
+        length[cells] = level
+        klass[cells] = RouteClass.CUSTOMER.value
+        rows, columns = np.divmod(cells, size)
+        frontiers = np.bincount(rows, minlength=count)
+        for frontier in frontiers[frontiers > 0].tolist():
+            frontier_hist.observe(frontier)
+
+    # Phase 2 (across): the best customer route crosses one peer link,
+    # shortest first.
+    held = np.flatnonzero(length)
+    rows, columns = np.divmod(held, size)
+    source, peer = _expand(adjacency.across, columns)
+    row, next_hop = rows[source], columns[source]
+    target = row * size + peer
+    free = length[target] == 0
+    cost = length[held[source]].astype(np.int64) + 1
+    cells = settle(
+        target[free],
+        cost[free] * keys.width + keys(row[free], peer[free], next_hop[free]),
+    )
+    length[cells] = length[(cells // size) * size + hop[cells]] + 1
+    klass[cells] = RouteClass.PEER.value
+
+    # Phase 3 (down): any selected route descends to customers,
+    # breadth-first by the exported route's length.
+    down = adjacency.down
+    if relevant is not None:
+        # only relevant customers ever enter the grid
+        offsets, lengths, customers = down
+        allowed = np.isin(
+            index[customers], np.asarray(sorted(relevant), dtype=np.int64)
+        )
+        kept = np.concatenate(([0], np.cumsum(allowed)))
+        down = (
+            kept[offsets], kept[offsets + lengths] - kept[offsets],
+            customers[allowed],
+        )
+    level, deepest = 1, int(length.max()) if len(length) else 0
+    while level <= deepest:
+        batch = np.flatnonzero(length == level)
+        if len(batch):
+            rows, columns = np.divmod(batch, size)
+            source, customer = _expand(down, columns)
+            row, next_hop = rows[source], columns[source]
+            target = row * size + customer
+            free = length[target] == 0
+            cells = settle(
+                target[free], keys(row[free], customer[free], next_hop[free])
+            )
+            if len(cells):
+                length[cells] = level + 1
+                klass[cells] = RouteClass.PROVIDER.value
+                deepest = max(deepest, level + 1)
+        level += 1
+    return _Grid(length, hop, klass)
+
+
+def _kept_routes(
+    index: np.ndarray,
+    origins: np.ndarray,
+    grid: _Grid,
+    keep: frozenset[int] | None,
+) -> RouteColumns:
+    """The grid's routes at the ``keep`` ASes (every AS when ``None``)
+    as columns, each path rebuilt by following next hops."""
+    size = len(index)
+    length = grid.length.reshape(len(origins), size)
+    columns = None
+    if keep is not None:
+        columns = np.flatnonzero(
+            np.isin(index, np.asarray(sorted(keep), dtype=np.int64))
+        )
+        length = length[:, columns]
+    rows, at = np.nonzero(length)
+    lengths = length[rows, at].astype(np.int64)
+    holder = at if columns is None else columns[at]
+    base = rows * size
+    offsets = np.cumsum(lengths) - lengths
+    tokens = np.empty(int(lengths.sum()), dtype=np.int64)
+    live = np.arange(len(rows), dtype=np.int64)
+    cursor = holder.copy()
+    step = 0
+    while len(live):
+        tokens[offsets[live] + step] = index[cursor[live]]
+        cursor[live] = grid.hop[base[live] + cursor[live]]
+        step += 1
+        live = live[lengths[live] > step]
+    return RouteColumns.build(
+        origins, np.bincount(rows, minlength=len(origins)), index[holder],
+        grid.route_class[base + holder], lengths, tokens,
+    )
+
+
+def _route_pass(
+    adjacency: _Adjacency,
+    origins: list[int],
+    tiebreak: str,
+    salt: int,
+    keep: frozenset[int] | None,
+    relevant: frozenset[int] | None,
+    capture: bool,
+    frontier_hist=NULL_HISTOGRAM,
+) -> tuple[RouteColumns, dict[int, frozenset[int]]]:
+    """The array pass over ascending ``origins``: their routes at the
+    ``keep`` ASes, and (when ``capture``) per origin the holder set a
+    :class:`PropagationBasis` records."""
+    origin_array = np.asarray(origins, dtype=np.int64)
+    grid = _sweep(
+        adjacency, origin_array, tiebreak, salt, relevant, frontier_hist
+    )
+    holders: dict[int, frozenset[int]] = {}
+    if capture:
+        size = len(adjacency.index)
+        rows, at = np.divmod(np.flatnonzero(grid.length), size)
+        bounds = np.searchsorted(rows, np.arange(len(origins) + 1))
+        asns = adjacency.index[at].tolist()
+        for row, origin in enumerate(origins):
+            holders[origin] = frozenset(asns[bounds[row]:bounds[row + 1]])
+    return _kept_routes(adjacency.index, origin_array, grid, keep), holders
+
+
 def propagate(
     graph: ASGraph, origin: int, tiebreak: str = "asn", salt: int = 0
 ) -> dict[int, Route]:
@@ -216,7 +640,12 @@ def propagate(
     equally-valid routing plane — the mechanism behind multi-plane path
     diversity (see :class:`repro.core.pipeline.PipelineConfig`).
     """
-    return _propagate(_adjacency_of(graph), origin, tiebreak, salt)
+    if origin not in graph:
+        raise KeyError(f"origin AS{origin} not in graph")
+    columns, _ = _route_pass(
+        _adjacency_of(graph), [origin], tiebreak, salt, None, None, False
+    )
+    return dict(RouteMap(columns)[origin].items())
 
 
 def propagate_all(
@@ -241,12 +670,12 @@ def propagate_all(
     ``len(origins) * len(keep)``, so pass the VP ASes when you only
     need collector views).
 
-    ``workers > 1`` chunks the origin sweep across a process pool with
-    a deterministic by-origin merge — the outcome is identical for any
-    worker count, and ``workers=1`` never leaves this process (the
-    byte-identical serial path). Per-level frontier telemetry is only
-    sampled on the serial path; the aggregate span counts are recorded
-    either way.
+    ``workers > 1`` chunks the origins across a process pool, each
+    chunk running the same array pass, with a deterministic by-origin
+    merge — the outcome is identical for any worker count, and
+    ``workers=1`` never leaves this process (the byte-identical serial
+    path). Per-level frontier telemetry is only sampled on the serial
+    path; the aggregate span counts are recorded either way.
 
     ``policy`` (retry/timeout bounds) and ``faults`` (an injection
     plan) shape the fan-out's failure behavior, never its output: a
@@ -254,16 +683,16 @@ def propagate_all(
     the fault-free run (see :mod:`repro.resilience`).
 
     ``tracer`` wraps the sweep in a ``propagate.plane`` span, counts
-    origins and kept routes, and samples per-level BFS frontier sizes
-    into the ``propagate.frontier`` histogram.
+    origins and kept routes, and samples per-level up-phase frontier
+    sizes into the ``propagate.frontier`` histogram.
 
     ``basis`` (a :class:`PropagationBasis` from a previous snapshot)
-    turns the sweep incremental: origins whose BFS never touched a
+    turns the sweep incremental: origins whose sweep never touched a
     changed adjacency row reuse their stored routes verbatim, the rest
-    recompute against the new graph. The output is byte-identical to a
-    full sweep; if more than ``delta_threshold`` of the origins are
-    dirty the basis is abandoned and the sweep runs in full.
-    ``capture_basis=True`` stores a fresh basis on the returned
+    recompute against the new graph in one array pass. The output is
+    byte-identical to a full sweep; if more than ``delta_threshold`` of
+    the origins are dirty the basis is abandoned and the sweep runs in
+    full. ``capture_basis=True`` stores a fresh basis on the returned
     outcome (``outcome.basis``) for the next snapshot.
 
     ``pool`` lends a persistent :class:`repro.perf.pool.WorkerPool` to
@@ -289,11 +718,11 @@ def propagate_all(
         )
 
         # Incremental reuse: an origin is clean iff no AS its previous
-        # BFS assigned a route to has a changed adjacency row — then the
-        # sweep would read exactly the same rows and rebuild exactly the
-        # same routes. The keep closure must also be unchanged, because
-        # phase-3 pruning reads it.
-        reused: dict[int, Mapping[int, Route]] = {}
+        # sweep assigned a route to has a changed adjacency row — then
+        # the sweep would read exactly the same rows and rebuild exactly
+        # the same routes. The keep closure must also be unchanged,
+        # because phase-3 pruning reads it.
+        reused: list[int] = []
         dirty_origins = origin_list
         if (
             basis is not None
@@ -307,48 +736,34 @@ def propagate_all(
                 or not changed.isdisjoint(basis.holders[origin])
             ]
             if len(dirty) <= delta_threshold * len(origin_list):
-                dirty_origins = dirty
                 dirty_set = set(dirty)
-                reused = {
-                    origin: basis.routes[origin]
-                    for origin in origin_list if origin not in dirty_set
-                }
+                dirty_origins = dirty
+                reused = [
+                    origin for origin in origin_list if origin not in dirty_set
+                ]
 
-        kept_routes = 0
-        computed: dict[int, dict[int, Route]] = {}
-        holders: dict[int, frozenset[int]] = {}
         if workers > 1 and len(dirty_origins) > 1:
             from repro.perf.parallel import propagate_origins
 
-            computed, holders = propagate_origins(
+            columns, holders = propagate_origins(
                 adjacency, dirty_origins, tiebreak, salt, keep_set, workers,
                 tracer=tracer, policy=policy, faults=faults,
                 relevant=relevant, capture_holders=capture_basis, pool=pool,
             )
         else:
-            frontier_hist = tracer.metrics.histogram("propagate.frontier")
-            for origin in dirty_origins:
-                routes = _propagate(
-                    adjacency, origin, tiebreak, salt, frontier_hist,
-                    relevant=relevant,
-                )
-                if capture_basis:
-                    holders[origin] = frozenset(routes)
-                if keep_set is not None:
-                    routes = {
-                        asn: route for asn, route in routes.items()
-                        if asn in keep_set
-                    }
-                computed[origin] = routes
-
-        all_routes: dict[int, Mapping[int, Route]] = {}
-        for origin in origin_list:
-            all_routes[origin] = (
-                computed[origin] if origin in computed else reused[origin]
+            columns, holders = _route_pass(
+                adjacency, dirty_origins, tiebreak, salt, keep_set, relevant,
+                capture_basis, tracer.metrics.histogram("propagate.frontier"),
             )
-        kept_routes = sum(len(routes) for routes in all_routes.values())
+        if reused and basis is not None:
+            previous = basis.routes.columns
+            columns = RouteColumns.merge([columns, previous.take(
+                np.searchsorted(previous.origins, np.asarray(reused))
+            )])
+        kept_routes = len(columns)
 
         outcome_basis: PropagationBasis | None = None
+        routes = RouteMap(columns)
         if capture_basis:
             if reused and basis is not None:
                 for origin in reused:
@@ -356,7 +771,7 @@ def propagate_all(
             outcome_basis = PropagationBasis(
                 adjacency=adjacency, tiebreak=tiebreak, salt=salt,
                 keep=keep_set, relevant=relevant,
-                routes=all_routes, holders=holders,
+                routes=routes, holders=holders,
             )
 
         span.set(
@@ -372,8 +787,7 @@ def propagate_all(
             tracer.metrics.counter("propagate.incremental.recomputed").inc(
                 len(dirty_origins)
             )
-    return RoutingOutcome(all_routes, basis=outcome_basis)
-
+    return RoutingOutcome(routes, basis=outcome_basis)
 
 def _propagate(
     adjacency: _Adjacency,
@@ -383,7 +797,8 @@ def _propagate(
     frontier_hist=NULL_HISTOGRAM,
     relevant: frozenset[int] | None = None,
 ) -> dict[int, Route]:
-    """Full three-phase sweep for one origin.
+    """Full three-phase sweep for one origin: the per-origin reference
+    the array pass (:func:`_sweep`) is held to.
 
     ``relevant`` (a :func:`keep_closure` of the caller's keep set)
     prunes the down phase: customers outside it never enter the route

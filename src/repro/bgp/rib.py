@@ -5,7 +5,9 @@ model a :class:`RibSeries` as the deterministic product of:
 
 * the propagated best path per (VP AS, origin) — shared structure, so
   millions of logical announcements reference a few hundred thousand
-  path objects;
+  distinct paths, held as token columns
+  (:class:`~repro.net.aspath.PathColumns`) gathered straight from the
+  propagation's route columns;
 * a per-VP *visibility* mask (real VPs rarely carry a 100 % feed);
 * prefix-level *churn* — a prefix absent from some days' RIBs is what
   the paper's "unstable" filter rejects;
@@ -15,7 +17,12 @@ model a :class:`RibSeries` as the deterministic product of:
 All randomness is *hash-stable*: each draw is keyed by the entity it
 concerns (a VP IP, a prefix, a record) rather than by position in a
 shared stream, so editing one AS in a world never reshuffles the noise
-applied to unrelated VPs and prefixes.
+applied to unrelated VPs and prefixes. The per-(VP, prefix) draws
+(visibility and the anomaly roll) are computed a block of VP rows at a
+time as :func:`crc32_grid` matrices — bit-identical to one
+``zlib.crc32`` per cell — so visibility is one mask per block and only
+the cells whose roll falls under the anomaly rate reach the per-record
+injector.
 
 Announcements are never materialised en masse: iterate
 :meth:`RibSeries.windows` for the deduplicated per-(VP, prefix) view as
@@ -30,9 +37,9 @@ from __future__ import annotations
 
 import random
 import zlib
-from array import array
 from dataclasses import dataclass, field
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +53,7 @@ from repro.bgp.announcement import (
 )
 from repro.bgp.collectors import VantagePoint
 from repro.bgp.propagation import RoutingOutcome
-from repro.net.aspath import ASPath
+from repro.net.aspath import ASPath, PathColumns, runs
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER
 from repro.topology.world import World
@@ -82,16 +89,35 @@ def _stable_uniform(seed: int, kind: str, key: str) -> float:
     return (digest & 0xFFFFFFFF) / 4294967296.0
 
 
-def _stable_uniform_bytes(prefix: bytes, key: bytes) -> float:
-    """:func:`_stable_uniform` over pre-encoded ``prefix + key`` bytes.
+#: VP rows per block of a draw grid (bounds the block's floats)
+_DRAW_ROWS = 128
 
-    The per-(VP, prefix) loops draw hundreds of thousands of times; the
-    f-string formatting and ``str.encode`` of the generic helper
-    dominate those loops, so they pre-encode the ``"{seed}:{kind}:"``
-    prefix once and the entity key once per entity. The digest is
-    byte-identical to the generic helper's.
+
+def crc32_grid(heads: Sequence[bytes], tails: Sequence[bytes]) -> np.ndarray:
+    """``zlib.crc32(head + tail)`` for every (head, tail) pair, as a
+    ``uint32`` (heads × tails) matrix.
+
+    CRC-32 is affine in its starting value: for a tail ``t`` of ``n``
+    bytes, ``crc32(h + t) == crc32(bytes(n), crc32(h)) ^
+    crc32(bytes(n)) ^ crc32(t)``. So the grid takes one ``zlib.crc32``
+    per head, one per tail and one per (head, distinct tail length),
+    then one XOR broadcast — bit-identical to the per-cell calls.
     """
-    return (zlib.crc32(prefix + key) & 0xFFFFFFFF) / 4294967296.0
+    sizes = np.fromiter(map(len, tails), dtype=np.int64, count=len(tails))
+    distinct, size_code = np.unique(sizes, return_inverse=True)
+    zeros = [bytes(size) for size in distinct.tolist()]
+    blank = [zlib.crc32(zero) for zero in zeros]
+    shifted = np.asarray(
+        [
+            [zlib.crc32(zero, start) ^ base for zero, base in zip(zeros, blank)]
+            for start in map(zlib.crc32, heads)
+        ],
+        dtype=np.uint32,
+    ).reshape(len(heads), len(zeros))
+    tail_crc = np.fromiter(
+        map(zlib.crc32, tails), dtype=np.uint32, count=len(tails)
+    )
+    return shifted[:, size_code] ^ tail_crc
 
 
 class RibSeries:
@@ -118,19 +144,23 @@ class RibSeries:
         self._prefix_strs: list[str] = [
             str(prefix) for prefix, _ in self.prefix_table
         ]
-        #: the grid's columns: a dense code per origin ASN, and per
-        #: prefix index its origin's code and its address family
-        self._origin_code: dict[int, int] = {}
-        self._prefix_origin = np.asarray(
-            [
-                self._origin_code.setdefault(asn, len(self._origin_code))
-                for _, asn in self.prefix_table
-            ],
-            dtype=np.int64,
+        #: the grid's columns: the origins announcing a prefix
+        #: (ascending), and per prefix index its origin's code (position
+        #: there) and its address family
+        self._origins, self._prefix_origin = np.unique(
+            np.asarray([asn for _, asn in self.prefix_table], dtype=np.int64),
+            return_inverse=True,
         )
         self._prefix_family = np.asarray(
             [prefix.version for prefix, _ in self.prefix_table], dtype=np.int64
         )
+        #: the VP ASes (ascending), and per VP index its AS's position
+        self._vp_asns = np.asarray(
+            sorted({vp.asn for vp in self.vps}), dtype=np.int64
+        )
+        self._vp_row = np.searchsorted(
+            self._vp_asns, [vp.asn for vp in self.vps]
+        ).astype(np.int64)
         outcomes = outcome if isinstance(outcome, list) else [outcome]
         if not outcomes:
             raise ValueError("need at least one routing outcome")
@@ -140,14 +170,12 @@ class RibSeries:
             days=config.days,
         ) as span:
             with tracer.span("ribs.paths"):
-                self._paths, self._routes = self._collect_paths(outcomes)
+                paths, self._route = self._collect_paths(outcomes)
+                #: clean paths lead the path table; overrides follow
+                self._clean_paths = len(paths)
             with tracer.span("ribs.visibility"):
-                self._missing = self._sample_visibility()
                 #: the missing cells as sorted ``vp * width + prefix`` keys
-                self._missing_keys = np.sort(np.fromiter(
-                    (vp * width + prefix for vp, prefix in self._missing),
-                    dtype=np.int64, count=len(self._missing),
-                ))
+                self._missing_keys = self._sample_visibility()
             with tracer.span("ribs.churn"):
                 self.unstable_days = self._sample_churn()
                 #: days present per prefix index
@@ -155,28 +183,31 @@ class RibSeries:
                 for prefix_index, absent in self.unstable_days.items():
                     self._prefix_days[prefix_index] = config.days - len(absent)
             with tracer.span("ribs.inject"):
-                self.overrides, self.injection_summary = self._inject()
+                self.overrides, self.injection_summary = self._inject(paths)
                 # override paths follow the clean paths in the windows'
                 # path table, in cell-key order
                 cells = sorted(self.overrides)
                 self._override_keys = np.asarray(
                     [vp * width + prefix for vp, prefix in cells], dtype=np.int64
                 )
+                planted = [self.overrides[cell].asns for cell in cells]
+                paths.extend(
+                    np.fromiter(chain.from_iterable(planted), dtype=np.int64),
+                    np.fromiter(map(len, planted), dtype=np.int64, count=len(planted)),
+                )
                 self._tables = RecordTables(
-                    self.vps,
-                    [prefix for prefix, _ in self.prefix_table],
-                    self._paths + [self.overrides[cell] for cell in cells],
+                    self.vps, [prefix for prefix, _ in self.prefix_table], paths
                 )
             span.set(
-                paths=len(self._paths),
-                missing=len(self._missing),
+                paths=self._clean_paths,
+                missing=len(self._missing_keys),
                 unstable=len(self.unstable_days),
                 overrides=len(self.overrides),
             )
             metrics = tracer.metrics
             metrics.gauge("ribs.vps").set(len(self.vps))
             metrics.gauge("ribs.prefixes").set(len(self.prefix_table))
-            metrics.gauge("ribs.paths").set(len(self._paths))
+            metrics.gauge("ribs.paths").set(self._clean_paths)
             metrics.gauge("ribs.unstable_prefixes").set(len(self.unstable_days))
             metrics.gauge("ribs.overrides").set(len(self.overrides))
 
@@ -184,61 +215,89 @@ class RibSeries:
 
     def _collect_paths(
         self, outcomes: "list[RoutingOutcome]"
-    ) -> tuple[list[ASPath], dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """Best path per (VP ASN, origin), as shared ASPath objects in a
-        list, plus per VP ASN its routes as ``(origin codes, path ids)``
-        columns.
+    ) -> tuple[PathColumns, np.ndarray]:
+        """Best path per (VP ASN, origin) as a path table — VP ASNs
+        ascending, then origins ascending — plus the grid's route
+        matrix: per VP AS (a row of ``_vp_asns``) and origin code, the
+        id of its path there (-1: no route).
 
         With multiple outcomes (routing *planes* from differently-salted
         tie-breaking), each VP AS is deterministically assigned one
         plane — emulating the path diversity real collectors see because
-        peers in different regions resolve ties differently.
+        peers in different regions resolve ties differently. Paths are
+        gathered from each plane's route columns; no route or path
+        object is built.
         """
         planes = len(outcomes)
-        paths: list[ASPath] = []
-        routes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        origin_code = self._origin_code
-        vp_asns = sorted({vp.asn for vp in self.vps})
-        plane_of = {
-            vp_asn: zlib.crc32(f"plane:{vp_asn}".encode()) % planes
-            for vp_asn in vp_asns
-        }
-        for vp_asn in vp_asns:
-            outcome = outcomes[plane_of[vp_asn]]
-            codes, ids = array("q"), array("q")
-            for origin in outcome.origins():
-                route = outcome.routes[origin].get(vp_asn)
-                if route is not None:
-                    code = origin_code.get(origin)
-                    if code is not None:  # else it announces no prefix
-                        codes.append(code)
-                        ids.append(len(paths))
-                    # propagated paths are valid by construction
-                    paths.append(ASPath.trusted(route.path))
-            routes[vp_asn] = (
-                np.frombuffer(codes, dtype=np.int64),
-                np.frombuffer(ids, dtype=np.int64),
-            )
-        return paths, routes
+        vp_asns = self._vp_asns
+        plane_of = np.asarray(
+            [
+                zlib.crc32(f"plane:{vp_asn}".encode()) % planes
+                for vp_asn in vp_asns.tolist()
+            ],
+            dtype=np.int64,
+        )
+        columns = [outcome.routes.columns for outcome in outcomes]
+        # each plane's routes at its own VP ASes, gathered in (VP ASN,
+        # origin) order from the planes' token columns laid end to end
+        picked = [
+            np.flatnonzero(np.isin(plane.holder, vp_asns[plane_of == at]))
+            for at, plane in enumerate(columns)
+        ]
+        holder, origin, offsets, lengths = (
+            np.concatenate(column) for column in zip(*(
+                (
+                    plane.holder[rows], plane.route_origin()[rows],
+                    plane.offsets[rows] + base, plane.lengths[rows],
+                )
+                for plane, rows, base in zip(
+                    columns, picked,
+                    np.cumsum([0] + [len(plane.tokens) for plane in columns]),
+                )
+            ))
+        )
+        tokens = (
+            columns[0].tokens if planes == 1
+            else np.concatenate([plane.tokens for plane in columns])
+        )
+        order = np.lexsort((origin, holder))
+        paths = PathColumns(*runs(tokens, offsets, lengths, order))
+        holder, origin = holder[order], origin[order]
+        origins = self._origins
+        code = np.searchsorted(origins, origin)
+        announced = code < len(origins)
+        announced[announced] = origins[code[announced]] == origin[announced]
+        route = np.full((len(vp_asns), len(origins)), -1, dtype=np.int64)
+        route[np.searchsorted(vp_asns, holder[announced]), code[announced]] = (
+            np.flatnonzero(announced)
+        )
+        return paths, route
 
-    def _sample_visibility(self) -> set[tuple[int, int]]:
-        """(vp_index, prefix_index) pairs the VP does not carry."""
-        missing: set[tuple[int, int]] = set()
+    def _draws(self, kind: str) -> Iterator[tuple[int, np.ndarray]]:
+        """A hash-stable draw per (VP, prefix) cell, a block of VP rows
+        at a time: ``(first, draws)`` where ``draws[i, p]`` equals
+        ``_stable_uniform(seed, kind, f"{vp.ip}|{prefix}")`` for VP
+        ``first + i`` and prefix index ``p``."""
+        tails = [text.encode() for text in self._prefix_strs]
+        for first in range(0, len(self.vps), _DRAW_ROWS):
+            heads = [
+                f"{self._seed}:{kind}:{vp.ip}|".encode()
+                for vp in self.vps[first:first + _DRAW_ROWS]
+            ]
+            yield first, crc32_grid(heads, tails) / 4294967296.0
+
+    def _sample_visibility(self) -> np.ndarray:
+        """The (vp_index, prefix_index) cells the VP does not carry, as
+        sorted ``vp_index * width + prefix_index`` keys: one mask over
+        each block of the visibility draw grid."""
         drop_rate = 1.0 - self.config.vp_visibility
         if drop_rate <= 0.0:
-            return missing
-        # One crc32 per cell is unavoidable; the string assembly is
-        # not — pre-encode the stable "{seed}:vis:{ip}|" head per VP
-        # and the "{prefix}" tail per prefix (draws stay identical to
-        # _stable_uniform(seed, "vis", f"{vp.ip}|{prefix}")).
-        seed = self._seed
-        tails = [text.encode() for text in self._prefix_strs]
-        for vp_index, vp in enumerate(self.vps):
-            head = f"{seed}:vis:{vp.ip}|".encode()
-            for prefix_index, tail in enumerate(tails):
-                if _stable_uniform_bytes(head, tail) < drop_rate:
-                    missing.add((vp_index, prefix_index))
-        return missing
+            return np.empty(0, dtype=np.int64)
+        width = len(self.prefix_table)
+        return np.concatenate([
+            np.flatnonzero(draws < drop_rate) + first * width
+            for first, draws in self._draws("vis")
+        ] or [np.empty(0, dtype=np.int64)])
 
     def _sample_churn(self) -> dict[int, frozenset[int]]:
         """prefix_index -> days (0-based) on which the prefix is absent."""
@@ -260,44 +319,60 @@ class RibSeries:
             unstable[prefix_index] = frozenset(ranked[:absent])
         return unstable
 
-    def _inject(self) -> tuple[dict[tuple[int, int], ASPath], InjectionSummary]:
+    def _inject(
+        self, paths: PathColumns
+    ) -> tuple[dict[tuple[int, int], ASPath], InjectionSummary]:
+        """Plant anomalies into the carried cells whose roll falls under
+        the total anomaly rate. Each carried cell's roll is read from
+        its block of the roll draw grid; only those cells (their clean
+        path built once per distinct path) reach
+        :func:`~repro.bgp.anomalies.inject_anomalies`, which skips every
+        other cell anyway, and whose record-keyed RNG is per cell."""
         graph = self.world.graph
         clique = graph.clique()
         route_servers = graph.route_servers()
         pool = graph.asn_registry.unallocated_sample(16)
         filler_pool = [asn for asn in graph.asns() if asn not in clique]
 
-        paths = self._paths
+        total_rate = self.config.anomalies.total_rate
+        width = len(self.prefix_table)
+        missing = self._missing_keys
+        #: the rolled cells' rolls, in grid order
+        rolls: dict[tuple[int, int], float] = {}
+        ids = []
+        for first, draws in self._draws("anom"):
+            block = self._route[self._vp_row[first:first + len(draws)]]
+            hit = (block[:, self._prefix_origin] >= 0) & (draws < total_rate)
+            low, high = np.searchsorted(
+                missing, (first * width, (first + len(draws)) * width)
+            )
+            hit.flat[missing[low:high] - first * width] = False
+            cells = np.flatnonzero(hit)
+            vp, prefix = np.divmod(cells, width)
+            ids.append(block[vp, self._prefix_origin[prefix]])
+            rolls.update(zip(
+                zip((vp + first).tolist(), prefix.tolist()),
+                draws.flat[cells].tolist(),
+            ))
+        clean = paths.objects(np.concatenate(ids)) if ids else []
 
-        def clean_records() -> Iterator[tuple[tuple[int, int], ASPath]]:
-            for vp_index, prefixes, ids in self._grid():
-                for prefix_index, pid in zip(prefixes.tolist(), ids.tolist()):
-                    yield ((vp_index, prefix_index), paths[pid])
-
-        # The roll/rng draws key on f"{vp.ip}|{prefix}"; pre-encode the
-        # per-VP heads and per-prefix tails once so the per-record work
-        # is a dict-free bytes concat + crc32 (draws stay identical to
-        # the _stable_uniform / crc32-seeded forms they replace).
+        # the record-keyed RNG seeds on crc32(f"{seed}:anom-rng:{vp.ip}|{prefix}")
         seed = self._seed
-        roll_heads = [f"{seed}:anom:{vp.ip}|".encode() for vp in self.vps]
         rng_heads = [f"{seed}:anom-rng:{vp.ip}|".encode() for vp in self.vps]
         tails = [text.encode() for text in self._prefix_strs]
-
-        def roll_for(key: tuple[int, int]) -> float:
-            return _stable_uniform_bytes(roll_heads[key[0]], tails[key[1]])
 
         def rng_for(key: tuple[int, int]) -> random.Random:
             return random.Random(zlib.crc32(rng_heads[key[0]] + tails[key[1]]))
 
         return inject_anomalies(
-            clean_records(),
+            zip(rolls, clean),
             self.config.anomalies,
             clique,
             pool,
             route_servers,
             random.Random(self._seed),
             filler_pool=filler_pool,
-            roll_for=roll_for,
+            roll_for=rolls.__getitem__,
             rng_for=rng_for,
         )
 
@@ -311,12 +386,8 @@ class RibSeries:
         width = len(self.prefix_table)
         prefix_origin = self._prefix_origin
         missing = self._missing_keys
-        none = np.empty(0, dtype=np.int64)
-        for vp_index, vp in enumerate(self.vps):
-            codes, ids = self._routes.get(vp.asn, (none, none))
-            route = np.full(len(self._origin_code), -1, dtype=np.int64)
-            route[codes] = ids
-            cell = route[prefix_origin]
+        for vp_index, row in enumerate(self._vp_row.tolist()):
+            cell = self._route[row][prefix_origin]
             carried = cell >= 0
             base = vp_index * width
             low, high = np.searchsorted(missing, (base, base + width))
@@ -341,7 +412,7 @@ class RibSeries:
         if size < 1:
             raise ValueError("window size must be >= 1")
         width = len(self.prefix_table)
-        keys, clean = self._override_keys, len(self._paths)
+        keys, clean = self._override_keys, self._clean_paths
         wanted = None if family is None else self._prefix_family == family
         days = self.config.days
 
@@ -381,14 +452,14 @@ class RibSeries:
         for prefix_index, days in self.unstable_days.items():
             absent[prefix_index] = day in days
         tables = self._tables
-        vps, prefixes, paths = tables.vps, tables.prefixes, tables.paths
+        vps, prefixes = tables.vps, tables.prefixes
         for window in self.windows():
             present = ~absent[window.prefix]
             for vp, prefix, path in zip(
                 window.vp[present].tolist(), window.prefix[present].tolist(),
-                window.path[present].tolist(),
+                tables.paths.objects(window.path[present]),
             ):
-                yield Announcement(vps[vp], prefixes[prefix], paths[path])
+                yield Announcement(vps[vp], prefixes[prefix], path)
 
     def days(self) -> Iterator["RibDump"]:
         """The series day by day, lazily.

@@ -18,7 +18,8 @@ Subcommands mirror the paper's workflow:
   (no world needed: relationships are inferred from the paths);
 * ``trace``       — run the pipeline under the observability layer and
   print the Figure-6-style stage report (``--json`` for JSONL trace
-  events, ``--prom`` for a Prometheus text exposition);
+  events, ``--prom`` for a Prometheus text exposition); ``--diff OLD
+  NEW`` compares two ``--json`` traces span by span instead;
 * ``lint``        — run the repro-lint static analyzer (determinism /
   purity / metric-correctness rules R001–R008) against the baseline;
   ``--trace`` appends the obs stage report with the ``lint.*`` metrics;
@@ -50,6 +51,7 @@ with status 2 instead of surfacing a traceback or empty output.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -78,7 +80,13 @@ from repro.lint.report import (
     render_sarif,
     render_text,
 )
-from repro.obs.export import stage_report, to_jsonl, to_prometheus
+from repro.obs.export import (
+    stage_report,
+    to_jsonl,
+    to_prometheus,
+    trace_diff,
+    validate_jsonl,
+)
 from repro.obs.trace import Tracer
 from repro.topology.catalog import WORLD_CHOICES, build_world
 from repro.topology.world import World
@@ -158,6 +166,23 @@ def run_traced(
     return result, tracer
 
 
+def _run_trace_diff(old: str, new: str) -> int:
+    """``trace --diff OLD NEW``: both streams must pass the trace
+    schema check."""
+    streams = []
+    for path in (old, new):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as error:
+            return _fail(f"{path}: cannot read trace ({error})")
+        problems = validate_jsonl(text)
+        if problems:
+            return _fail(f"{path}: malformed trace ({problems[0]})")
+        streams.append([json.loads(line) for line in text.splitlines() if line.strip()])
+    print(trace_diff(*streams))
+    return 0
+
+
 def _run_watch(args: argparse.Namespace) -> int:
     """The ``watch`` subcommand: validate, stream, emit."""
     from repro.monitor import (
@@ -210,7 +235,7 @@ def _run_watch(args: argparse.Namespace) -> int:
 
         checkpoint = Checkpoint.open(
             args.checkpoint,
-            watch_key([ref.label for ref in refs], config),
+            watch_key([ref.identity() for ref in refs], config),
             resume=args.resume,
         )
     tracer = Tracer()
@@ -349,6 +374,11 @@ def main(argv: list[str] | None = None) -> int:
         "--memory", action="store_true",
         help="also capture tracemalloc peak memory per stage",
     )
+    trace.add_argument(
+        "--diff", nargs=2, metavar=("OLD", "NEW"),
+        help="compare two --json traces: summed wall and self time per "
+             "span name, with deltas and ratios (runs no pipeline)",
+    )
 
     watch = sub.add_parser(
         "watch", help="monitor a snapshot stream for rank drift"
@@ -475,6 +505,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.trace:
             print(stage_report(tracer, title="lint stage report"))
         return 0 if result.ok() else 1
+
+    if args.command == "trace" and args.diff is not None:
+        return _run_trace_diff(*args.diff)
 
     world = build_world(args.world, args.seed)
 

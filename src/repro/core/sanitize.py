@@ -51,7 +51,6 @@ the store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import (
     TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence,
 )
@@ -67,7 +66,7 @@ from repro.bgp.announcement import (
 from repro.bgp.collectors import VantagePoint
 from repro.geo.prefix_geo import PrefixGeolocation
 from repro.geo.vp_geo import VPGeolocator
-from repro.net.aspath import ASPath
+from repro.net.aspath import ASPath, PathColumns, runs
 from repro.net.prefix import Prefix, parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
@@ -283,12 +282,6 @@ def _grown(column: np.ndarray, size: int, fill: Any) -> np.ndarray:
     return grown
 
 
-def _objects(items: Iterable[Any], count: int) -> np.ndarray:
-    """A 1-d object array of ``items`` (never unpacked, even when an
-    item is itself a sequence, as an ASPath is)."""
-    return np.fromiter(items, dtype=object, count=count)
-
-
 def _passing(
     codes: np.ndarray, rows: np.ndarray, ids: np.ndarray, verdicts: np.ndarray
 ) -> np.ndarray:
@@ -359,8 +352,10 @@ class Judge:
     and returns the accepted rows. Every window of a pass must share
     one :class:`~repro.bgp.announcement.RecordTables` (which may grow
     between windows). Per table entry it keeps the verdict and what an
-    accepted record needs: the clean path, the VP's country, the
-    prefix's country and addresses.
+    accepted record needs: the clean path (as token columns: the
+    tokens ``_path_rules`` keeps, at ``clean_offset``/``clean_length``
+    per table path), the VP's country, the prefix's country and
+    addresses.
     """
 
     def __init__(
@@ -388,7 +383,10 @@ class Judge:
         #: trusted country per collector name (``None``: multi-hop)
         self._located: dict[str, str | None] = {}
         self.path_code = np.empty(0, dtype=np.int8)
-        self.clean_path = np.empty(0, dtype=object)
+        #: every passing path's clean tokens, at its offset and length
+        self._clean = PathColumns()
+        self.clean_offset = np.empty(0, dtype=np.int64)
+        self.clean_length = np.empty(0, dtype=np.int64)
         self.vp_code = np.empty(0, dtype=np.int8)
         self.vp = np.empty(0, dtype=object)
         self.vp_country = np.empty(0, dtype=object)
@@ -433,23 +431,32 @@ class Judge:
         self.report.note_window(codes, window)
         return rows
 
+    def clean_paths(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The clean tokens of the passing table paths at ``ids``,
+        concatenated, and their lengths."""
+        return runs(
+            self._clean.tokens, self.clean_offset, self.clean_length, ids
+        )
+
     def records(self, window: RecordWindow, rows: np.ndarray) -> list[PathRecord]:
         """The accepted records at ``rows`` (judged by this judge),
-        built positionally from gathered entity columns."""
-        vp, prefix = window.vp[rows], window.prefix[rows]
+        built positionally from gathered entity columns, each distinct
+        clean path built once."""
+        vp, prefix, path = window.vp[rows], window.prefix[rows], window.path[rows]
+        distinct, inverse = np.unique(path, return_inverse=True)
+        clean = PathColumns(*self.clean_paths(distinct)).objects(inverse)
         return list(map(
             PathRecord,
             self.vp[vp].tolist(), self.vp_country[vp].tolist(),
             self.prefix[prefix].tolist(), self.prefix_country[prefix].tolist(),
-            self.clean_path[window.path[rows]].tolist(),
-            self.addresses[prefix].tolist(),
+            clean, self.addresses[prefix].tolist(),
         ))
 
     def store_rows(
         self, builder: "ColumnBuilder", window: RecordWindow, rows: np.ndarray
     ) -> None:
-        """Append the accepted rows to ``builder``, interning each
-        distinct entity once."""
+        """Append the accepted rows to ``builder``, keyed on this pass's
+        table ids."""
         builder.extend(
             window.vp[rows], window.prefix[rows], window.path[rows],
             lambda ids: zip(self.vp[ids].tolist(), self.vp_country[ids].tolist()),
@@ -457,7 +464,7 @@ class Judge:
                 self.prefix[ids].tolist(), self.prefix_country[ids].tolist(),
                 self.addresses[ids].tolist(),
             ),
-            lambda ids: self.clean_path[ids].tolist(),
+            self.clean_paths,
         )
 
     # -- per-entity verdicts -----------------------------------------------
@@ -471,7 +478,8 @@ class Judge:
             len(tables.paths), len(tables.vps), len(tables.prefixes)
         )
         self.path_code = _grown(self.path_code, paths, _UNJUDGED)
-        self.clean_path = _grown(self.clean_path, paths, None)
+        self.clean_offset = _grown(self.clean_offset, paths, 0)
+        self.clean_length = _grown(self.clean_length, paths, 0)
         self.vp_code = _grown(self.vp_code, vps, _UNJUDGED)
         self.vp = _grown(self.vp, vps, None)
         self.vp_country = _grown(self.vp_country, vps, None)
@@ -508,14 +516,10 @@ class Judge:
         return self._allocated[at]
 
     def _judge_paths(self, ids: np.ndarray) -> None:
-        """Rules 2–4 and the clean path for the paths at ``ids``."""
+        """Rules 2–4 and the clean tokens for the paths at ``ids``,
+        gathered from the table's token columns."""
         assert self._tables is not None
-        table = self._tables.paths
-        asns = [table[pid].asns for pid in ids.tolist()]
-        lengths = np.fromiter(map(len, asns), dtype=np.int64, count=len(asns))
-        tokens = np.fromiter(
-            chain.from_iterable(asns), dtype=np.int64, count=int(lengths.sum())
-        )
+        tokens, lengths = self._tables.paths.columns(ids)
         distinct, asn_code = np.unique(tokens, return_inverse=True)
         codes, clean_lengths, kept = _path_rules(
             tokens, lengths,
@@ -524,20 +528,14 @@ class Judge:
             np.isin(distinct, self._servers)[asn_code],
         )
         self.path_code[ids] = codes
-        # a passing path keeps its object unless cleaning changed it
         passed = codes == 0
-        changed = passed & (clean_lengths != lengths)
-        same = ids[passed & ~changed]
-        self.clean_path[same] = _objects(
-            map(table.__getitem__, same.tolist()), len(same)
+        clean = self._clean
+        self.clean_offset[ids[passed]] = len(clean.tokens) + (
+            np.cumsum(clean_lengths[passed]) - clean_lengths[passed]
         )
-        hops = iter(tokens[kept & np.repeat(changed, lengths)].tolist())
-        self.clean_path[ids[changed]] = _objects(
-            (
-                ASPath.trusted(tuple(islice(hops, size)))
-                for size in clean_lengths[changed].tolist()
-            ),
-            int(np.count_nonzero(changed)),
+        self.clean_length[ids[passed]] = clean_lengths[passed]
+        clean.extend(
+            tokens[kept & np.repeat(passed, lengths)], clean_lengths[passed]
         )
 
     def _judge_vps(self, ids: np.ndarray) -> None:

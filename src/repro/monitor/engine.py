@@ -97,11 +97,13 @@ class WatchConfig:
             )
 
 
-def watch_key(labels: Sequence[str], config: WatchConfig) -> str:
+def watch_key(identities: Sequence[str], config: WatchConfig) -> str:
     """The checkpoint content key for one watch run: the snapshot
-    stream plus every config knob that shapes events (``workers`` is
-    deliberately excluded — fan-out never changes outputs)."""
-    stream = ",".join(labels)
+    stream (each ref's :meth:`~repro.monitor.snapshots.SnapshotRef.identity`,
+    so a rewritten release file never resumes its old rankings) plus
+    every config knob that shapes events (``workers`` is deliberately
+    excluded — fan-out never changes outputs)."""
+    stream = ",".join(identities)
     grid = ",".join(config.countries) if config.countries is not None else "<auto>"
     return (
         f"watch/stream={stream}/metrics={','.join(config.metrics)}"

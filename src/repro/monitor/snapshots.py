@@ -17,11 +17,15 @@ once):
 
 Labels are derived from the spec alone, before any loading, because
 they key the checkpoint units and the event stream: the label must be
-identical on resume.
+identical on resume. What the rankings depend on is a ref's
+:meth:`SnapshotRef.identity` — the label of a world ref, and for a
+release ref its label plus a sha256 of the file's bytes — so a release
+rewritten in place under the same name keys a different checkpoint.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
@@ -49,6 +53,19 @@ class SnapshotRef:
     world: str | None = None  # catalog name, world refs only
     seed: int | None = None  # per-snapshot seed, world refs only
     path: str | None = None  # paths.jsonl location, release refs only
+
+    def identity(self) -> str:
+        """What this snapshot's rankings are a function of: a world
+        ref's label (its seed is in the label or the run's config), a
+        release ref's label plus the sha256 of the file's bytes —
+        streamed, so identifying a snapshot never loads it."""
+        if self.kind != "release":
+            return self.label
+        digest = hashlib.sha256()
+        with open(self.path, "rb") as handle:
+            for block in iter(lambda: handle.read(1 << 20), b""):
+                digest.update(block)
+        return f"{self.label}@sha256:{digest.hexdigest()}"
 
     def load(
         self,

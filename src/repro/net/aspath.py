@@ -5,12 +5,21 @@ Convention used throughout the codebase: index 0 is the AS closest to
 the vantage point (the VP's own AS), and the last element is the origin
 AS of the announced prefix — the same order BGP wire format and MRT
 dumps use.
+
+:class:`PathColumns` is the columnar form of a table of paths: their
+ASNs concatenated in one int64 ``tokens`` column, with per-path
+``offsets`` and ``lengths``. It is a ``Sequence[ASPath]`` that builds
+each :class:`ASPath` on access, so the hot loops pass columns while
+callers that want objects still get them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 class ASPathError(ValueError):
@@ -145,3 +154,105 @@ class ASPath:
 
     def __repr__(self) -> str:
         return f"ASPath({str(self)!r})"
+
+
+def runs(
+    tokens: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, ids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The runs ``tokens[offsets[i]:offsets[i] + lengths[i]]`` for each
+    ``i`` in ``ids``, concatenated, and their lengths."""
+    sizes = lengths[ids]
+    ends = np.cumsum(sizes)
+    at = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    at += np.repeat(offsets[ids] - (ends - sizes), sizes)
+    return tokens[at], sizes
+
+
+class PathColumns(Sequence):
+    """A table of AS paths as int64 token columns.
+
+    Path ``i`` is ``tokens[offsets[i]:offsets[i] + lengths[i]]``. The
+    table only grows (:meth:`extend`); indexing builds the
+    :class:`ASPath` on access, and :meth:`columns` gathers the tokens
+    of many paths at once without building any.
+    """
+
+    __slots__ = ("_tokens", "_offsets", "_lengths", "_count", "_size")
+
+    def __init__(
+        self,
+        tokens: np.ndarray | None = None,
+        lengths: np.ndarray | None = None,
+    ) -> None:
+        """The table of the paths ``tokens`` holds, ``lengths`` tokens
+        each (empty by default). The arrays are adopted, not copied."""
+        none = np.empty(0, dtype=np.int64)
+        self._tokens = np.asarray(none if tokens is None else tokens, dtype=np.int64)
+        self._lengths = np.asarray(
+            none if lengths is None else lengths, dtype=np.int64
+        )
+        self._offsets = np.cumsum(self._lengths) - self._lengths
+        self._count, self._size = len(self._lengths), len(self._tokens)
+
+    @property
+    def tokens(self) -> np.ndarray:
+        return self._tokens[:self._size]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._offsets[:self._count]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self._lengths[:self._count]
+
+    def extend(self, tokens: np.ndarray, lengths: np.ndarray) -> None:
+        """Append the paths ``tokens`` holds, ``lengths`` tokens each
+        (every length at least 1)."""
+        tokens = np.asarray(tokens, dtype=np.int64)
+        lengths = np.asarray(lengths, dtype=np.int64)
+        count, size = self._count + len(lengths), self._size + len(tokens)
+        self._tokens = _room(self._tokens, size)
+        self._offsets = _room(self._offsets, count)
+        self._lengths = _room(self._lengths, count)
+        self._tokens[self._size:size] = tokens
+        self._offsets[self._count:count] = self._size + np.cumsum(lengths) - lengths
+        self._lengths[self._count:count] = lengths
+        self._count, self._size = count, size
+
+    def columns(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tokens of the paths at ``ids``, concatenated, and their
+        lengths."""
+        return runs(self._tokens, self._offsets, self._lengths, ids)
+
+    def objects(self, ids: np.ndarray) -> list[ASPath]:
+        """The paths at ``ids`` as objects, each distinct path built
+        once (equal ids share one object)."""
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        built = [self[pid] for pid in distinct.tolist()]
+        return [built[at] for at in inverse.tolist()]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += self._count
+        if not 0 <= index < self._count:
+            raise IndexError("path id out of range")
+        start = int(self._offsets[index])
+        end = start + int(self._lengths[index])
+        # propagated, judged and interned paths are valid by construction
+        return ASPath.trusted(tuple(self._tokens[start:end].tolist()))
+
+
+def _room(column: np.ndarray, size: int) -> np.ndarray:
+    """``column`` with room for ``size`` elements, doubling so that a
+    growing column costs amortised O(1) per element."""
+    if len(column) >= size:
+        return column
+    grown = np.empty(max(size, 2 * len(column)), dtype=column.dtype)
+    grown[:len(column)] = column
+    return grown

@@ -14,6 +14,7 @@ from repro.obs.export import (
     stage_report,
     to_jsonl,
     to_prometheus,
+    trace_diff,
     trace_events,
     validate_events,
     validate_jsonl,
@@ -53,6 +54,7 @@ __all__ = [
     "stage_report",
     "to_jsonl",
     "to_prometheus",
+    "trace_diff",
     "trace_events",
     "validate_events",
     "validate_jsonl",

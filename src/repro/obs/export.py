@@ -18,7 +18,9 @@ Three consumers, three formats:
   ``lint.*`` / ``monitor.*`` run stats, all rendered from the metric
   counters (so they are, by construction, the instrumented truth).
 
-:func:`validate_events` is the schema check used by the smoke tests.
+:func:`validate_events` is the schema check used by the smoke tests;
+:func:`trace_diff` compares two ``--json`` streams span name by span
+name (``repro-rank trace --diff OLD NEW``).
 """
 
 from __future__ import annotations
@@ -140,6 +142,55 @@ def validate_jsonl(text: str) -> list[str]:
         except json.JSONDecodeError as error:
             return [f"line {lineno}: not JSON ({error.msg})"]
     return validate_events(events)
+
+
+# -- trace diff -------------------------------------------------------------
+
+def span_times(events: Iterable[dict]) -> dict[str, tuple[float, float]]:
+    """Per span name, in first-appearance order, the summed wall time
+    and self time (a span's wall time less its children's) of the
+    stream's spans."""
+    spans = [event for event in events if event.get("type") == "span"]
+    children: dict[int, float] = {}
+    for span in spans:
+        if span.get("parent") is not None:
+            children[span["parent"]] = (
+                children.get(span["parent"], 0.0) + span["dur_s"]
+            )
+    totals: dict[str, tuple[float, float]] = {}
+    for span in spans:
+        wall, own = totals.get(span["name"], (0.0, 0.0))
+        totals[span["name"]] = (
+            wall + span["dur_s"],
+            own + max(span["dur_s"] - children.get(span["id"], 0.0), 0.0),
+        )
+    return totals
+
+
+def trace_diff(old: Iterable[dict], new: Iterable[dict]) -> str:
+    """A per-span-name delta table of two trace event streams: summed
+    wall and self time on each side, the delta and the new/old ratio,
+    names in first-appearance order (the old stream's, then names only
+    the new one has)."""
+    before, after = span_times(old), span_times(new)
+    names = list(before) + [name for name in after if name not in before]
+    width = max([len("span")] + [len(name) for name in names]) + 2
+    columns = ("old wall", "new wall", "delta", "ratio",
+               "old self", "new self", "delta", "ratio")
+    lines = [f"{'span':<{width}}" + "".join(f"{label:>10}" for label in columns)]
+    for name in names:
+        cells: list[str] = []
+        for side in (0, 1):
+            was = before.get(name, (0.0, 0.0))[side]
+            now = after.get(name, (0.0, 0.0))[side]
+            delta = now - was
+            cells += [
+                _fmt_duration(was), _fmt_duration(now),
+                ("+" if delta >= 0 else "-") + _fmt_duration(abs(delta)).strip(),
+                f"{now / was:.2f}x" if was > 0 else "-",
+            ]
+        lines.append(f"{name:<{width}}" + "".join(f"{cell:>10}" for cell in cells))
+    return "\n".join(lines)
 
 
 # -- prometheus exposition --------------------------------------------------

@@ -13,7 +13,7 @@ name                      kind       meaning
 ========================  =========  =======================================
 propagate.origins         counter    origins swept per plane
 propagate.routes          counter    routes kept at VP ASes
-propagate.frontier        histogram  BFS frontier size per up-phase level
+propagate.frontier        histogram  up-phase frontier per origin per level
 ribs.vps                  gauge      vantage points feeding the RIB series
 ribs.prefixes             gauge      announced prefixes in the series
 ribs.paths                gauge      distinct (VP AS, origin) best paths

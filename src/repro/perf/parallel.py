@@ -2,9 +2,10 @@
 
 Two fan-out points, both chunked over a worker pool:
 
-* **route propagation** — ``propagate_all`` origins are independent
-  single-origin BFS sweeps over a shared adjacency snapshot, a textbook
-  embarrassingly-parallel loop;
+* **route propagation** — ``propagate_all`` origins are independent,
+  so each chunk of origins runs the same all-origin array pass the
+  serial path runs (:func:`repro.bgp.propagation._route_pass`) over a
+  shared adjacency snapshot;
 * **stability trials** — every NDCG downsampling trial recomputes one
   metric on one VP-restricted view, independent of every other trial.
 
@@ -17,8 +18,8 @@ chunks per worker) so a slow chunk cannot leave the rest of the pool
 idle at the tail of a sweep.
 
 Determinism contract: results are merged back in the caller's input
-order (chunk results are keyed by index, and route maps are re-keyed
-in the caller's origin order), so the output is identical for any
+order (chunk results are keyed by index, and route columns are merged
+in ascending origin order), so the output is identical for any
 ``workers`` value *and any chunk granularity* — ``workers=1`` never
 touches an executor at all and stays the byte-identical serial path.
 The equivalence tests in ``tests/perf/test_parallel.py`` pin this
@@ -43,7 +44,7 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy, resilient_map
 
 if TYPE_CHECKING:  # worker-side imports stay lazy; these are type-only
-    from repro.bgp.propagation import Route, _Adjacency
+    from repro.bgp.propagation import RouteColumns, _Adjacency
     from repro.core.ranking import Ranking
     from repro.core.sanitize import RelationshipOracle
     from repro.core.views import View
@@ -100,28 +101,18 @@ def chunk_count(total: int, workers: int) -> int:
 
 def _propagate_chunk(
     payload: PropagatePayload,
-) -> tuple[dict[int, dict[int, "Route"]], dict[int, frozenset[int]]]:
-    """Worker: best routes (and optionally holder sets) for one chunk
-    of origins (top-level for pickling)."""
+) -> tuple["RouteColumns", dict[int, frozenset[int]]]:
+    """Worker: the array pass over one chunk of origins — their kept
+    routes as columns, and optionally their holder sets (top-level for
+    pickling)."""
     token, origins, tiebreak, salt, keep, relevant, capture = payload
-    from repro.bgp.propagation import _propagate
+    from repro.bgp.propagation import _route_pass
     from repro.perf.pool import broadcast_get
 
     adjacency: "_Adjacency" = broadcast_get(token)
-    routes_out: dict[int, dict[int, "Route"]] = {}
-    holders_out: dict[int, frozenset[int]] = {}
-    for origin in origins:
-        routes = _propagate(
-            adjacency, origin, tiebreak, salt, relevant=relevant
-        )
-        if capture:
-            holders_out[origin] = frozenset(routes)
-        if keep is not None:
-            routes = {
-                asn: route for asn, route in routes.items() if asn in keep
-            }
-        routes_out[origin] = routes
-    return routes_out, holders_out
+    return _route_pass(
+        adjacency, origins, tiebreak, salt, keep, relevant, capture
+    )
 
 
 def propagate_origins(
@@ -137,13 +128,15 @@ def propagate_origins(
     relevant: frozenset[int] | None = None,
     capture_holders: bool = False,
     pool: "WorkerPool | None" = None,
-) -> tuple[dict[int, dict[int, "Route"]], dict[int, frozenset[int]]]:
-    """Fan ``_propagate`` out over origin chunks; merge by origin.
+) -> tuple["RouteColumns", dict[int, frozenset[int]]]:
+    """Fan the array pass out over chunks of the ascending ``origins``;
+    merge by origin.
 
-    Returns ``({origin: {asn: Route}}, {origin: holder set})`` keyed in
-    ``origins`` order regardless of which worker finished first — or
-    was retried, timed out, or replayed after a pool respawn
-    (``policy``/``faults`` feed the
+    Returns the kept routes of every origin as one
+    :class:`~repro.bgp.propagation.RouteColumns` (ascending origins)
+    and ``{origin: holder set}`` keyed in ``origins`` order, regardless
+    of which worker finished first — or was retried, timed out, or
+    replayed after a pool respawn (``policy``/``faults`` feed the
     :func:`repro.resilience.resilient_map` wrapper). The holder map is
     empty unless ``capture_holders`` (see
     :class:`repro.bgp.propagation.PropagationBasis`).
@@ -152,6 +145,8 @@ def propagate_origins(
     only its token. Without an external ``pool`` a transient one is
     created for this call (still one broadcast, not one per chunk).
     """
+    from repro.bgp.propagation import RouteColumns
+
     keep_frozen = frozenset(keep) if keep is not None else None
     own_pool = pool is None
     if own_pool:
@@ -165,19 +160,19 @@ def propagate_origins(
              capture_holders)
             for chunk in chunked(origins, chunk_count(len(origins), workers))
         ]
-        merged: dict[int, dict[int, "Route"]] = {}
+        parts: list[RouteColumns] = []
         holders: dict[int, frozenset[int]] = {}
-        for routes_part, holders_part in resilient_map(
+        for columns, holders_part in resilient_map(
             "propagate", _propagate_chunk, payloads, workers,
             policy=policy, tracer=tracer, faults=faults, pool=pool,
         ):
-            merged.update(routes_part)
+            parts.append(columns)
             holders.update(holders_part)
     finally:
         if own_pool:
             pool.close()
     return (
-        {origin: merged[origin] for origin in origins},
+        RouteColumns.merge(parts),
         {origin: holders[origin] for origin in origins}
         if capture_holders else {},
     )

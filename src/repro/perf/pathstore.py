@@ -25,12 +25,14 @@ store (:mod:`repro.perf.spill`) persists:
 :class:`ColumnBuilder` is the one place these ids are assigned: it
 interns paths, VPs (by IP) and prefixes in first-appearance order,
 appending to one ``array('q')`` buffer per int64 column — record by
-record, or a window of accepted rows at a time with each distinct
-entity interned once (how the sanitizer fills it). A ``PathStore``
-adopts a builder's buffers as its columns;
-:class:`repro.perf.spill.SpillWriter` is the same builder flushing its
-buffers to the spill files — so both backends hold the same values,
-and differ only in where the columns live.
+record, or a window of accepted rows at a time keyed on the judge's
+table ids, interning by value only at an id's first appearance (how
+the sanitizer fills it). A ``PathStore`` adopts a builder's buffers as
+its columns; :class:`repro.perf.spill.SpillWriter` is the same builder
+flushing its buffers to the spill files — so both backends hold the
+same values, and differ only in where the columns live. On both, the
+distinct-path tuple ``paths`` is derived from the token columns on
+first use.
 
 Neither backend keeps record objects. ``records`` (every record) and
 :meth:`PathStore.records_at` (the records at some positions, what
@@ -57,11 +59,11 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.sanitize import PathRecord
+from repro.core.sanitize import PathRecord, _grown
+from repro.net.aspath import ASPath
 
 if TYPE_CHECKING:
     from repro.bgp.collectors import VantagePoint
-    from repro.net.aspath import ASPath
     from repro.net.prefix import Prefix
     from repro.perf.cone import SuffixTable
 
@@ -79,38 +81,65 @@ class ColumnBuilder:
     VP (by IP) and prefix ids are assigned, each in first-appearance
     order.
 
-    :meth:`add` appends one record's row and :meth:`extend` a block of
-    rows given as entity ids, interning each distinct entity once; both
-    append to ``buffers`` — one ``array('q')`` per column, in
-    :data:`COLUMNS` order — and grow the ``vp_table`` /
-    ``prefix_table`` side tables. ``tokens_total`` and
-    ``record_count`` count everything added, including rows a
-    subclass has already flushed out of the buffers.
+    :meth:`add` appends one record's row, interning its path, VP and
+    prefix by value. :meth:`extend` appends a block of rows given as
+    ids into one pass's entity tables (a :class:`~repro.core.sanitize.Judge`'s
+    tables): it keys on those ids, which are stable within the pass,
+    and interns by value only at an id's first appearance — so two
+    table paths that clean to the same ASNs still share one store id,
+    and the ids equal :meth:`add`'s row by row. Both append to
+    ``buffers`` — one ``array('q')`` per column, in :data:`COLUMNS`
+    order — and grow the ``vp_table`` / ``prefix_table`` side tables.
+
+    The path columns (``tokens``/``offsets``/``lengths``) hold every
+    interned path and are the only path state: the by-value indexes —
+    a dict on ASN tuples for :meth:`add`, sorted 64-bit hashes for
+    :meth:`extend`'s first appearances, each verified against the
+    tokens — catch up from them lazily. ``record_count`` counts every
+    row added, including rows a subclass has already flushed out of the
+    buffers.
     """
 
     __slots__ = (
-        "buffers", "paths", "path_ids", "vp_ids", "prefix_ids", "vp_table",
-        "prefix_table", "tokens_total", "record_count",
+        "buffers", "vp_ids", "prefix_ids", "vp_table", "prefix_table",
+        "record_count", "_origin", "_by_value", "_hashes", "_hash_ids",
+        "_table_vp", "_table_prefix", "_table_path",
     )
 
     def __init__(self) -> None:
         self.buffers = tuple(array("q") for _ in COLUMNS)
-        #: one representative ASPath per distinct path, in id order
-        self.paths: list["ASPath"] = []
-        #: distinct path (its ASN tuple) → id
-        self.path_ids: dict[tuple[int, ...], int] = {}
         self.vp_ids: dict[str, int] = {}
         self.prefix_ids: dict["Prefix", int] = {}
         self.vp_table: list[tuple["VantagePoint", str]] = []
         self.prefix_table: list[tuple["Prefix", str, int]] = []
-        self.tokens_total = 0
         self.record_count = 0
+        #: the origin ASN of every interned path
+        self._origin = array("q")
+        #: ASN tuple → path id, for the paths indexed so far
+        self._by_value: dict[tuple[int, ...], int] = {}
+        #: path hashes, ascending, with their path ids
+        self._hashes = np.empty(0, dtype=np.uint64)
+        self._hash_ids = np.empty(0, dtype=np.int64)
+        #: table id → store id (-1: not seen yet) for :meth:`extend`
+        self._table_vp = np.empty(0, dtype=np.int64)
+        self._table_prefix = np.empty(0, dtype=np.int64)
+        self._table_path = np.empty(0, dtype=np.int64)
+
+    @property
+    def path_count(self) -> int:
+        """Distinct paths interned."""
+        return len(self.buffers[2])
+
+    @property
+    def tokens_total(self) -> int:
+        """Tokens of the distinct paths interned."""
+        return len(self.buffers[0])
 
     def add(self, record: "PathRecord") -> None:
         """Intern one record and append its row."""
         path = record.path
         record_path, record_vp, record_prefix, record_origin = self.buffers[3:]
-        record_path.append(self._path_id(path))
+        record_path.append(self._path_id(path.asns))
         record_vp.append(self._vp_id(record.vp, record.vp_country))
         record_prefix.append(self._prefix_id(
             record.prefix, record.prefix_country, record.addresses
@@ -125,49 +154,157 @@ class ColumnBuilder:
         paths: np.ndarray,
         vp_rows: Callable[[np.ndarray], Iterable[tuple["VantagePoint", str]]],
         prefix_rows: Callable[[np.ndarray], Iterable[tuple["Prefix", str, int]]],
-        clean_paths: Callable[[np.ndarray], Iterable["ASPath"]],
+        clean_paths: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Append a block of rows given as ids into a caller's entity
+        """Append a block of rows given as ids into one pass's entity
         tables — ``vps``, ``prefixes`` and ``paths`` hold one int64 id
-        per row — interning each distinct id once, in first-appearance
-        order. Given an array of distinct ids, ``vp_rows`` yields their
+        per row. Ids seen in an earlier block keep their store ids;
+        the rest are interned by value in first-appearance order. Given
+        an array of those first-appearing ids, ``vp_rows`` yields their
         ``(VantagePoint, country)``, ``prefix_rows`` their ``(Prefix,
-        country, addresses)`` and ``clean_paths`` their clean paths.
-        Equal to :meth:`add` per row."""
-        seen, vp_rank = _first_seen(vps)
-        vp_id = np.asarray(
-            [self._vp_id(vp, country) for vp, country in vp_rows(seen)],
-            dtype=np.int64,
+        country, addresses)`` and ``clean_paths`` their clean paths as
+        ``(tokens, lengths)`` columns. Equal to :meth:`add` per row."""
+        vp_id = self._keyed(
+            "_table_vp", vps,
+            lambda ids: [self._vp_id(vp, country) for vp, country in vp_rows(ids)],
         )
-        seen, prefix_rank = _first_seen(prefixes)
-        prefix_id = np.asarray(
-            [self._prefix_id(*row) for row in prefix_rows(seen)], dtype=np.int64
+        prefix_id = self._keyed(
+            "_table_prefix", prefixes,
+            lambda ids: [self._prefix_id(*row) for row in prefix_rows(ids)],
         )
-        seen, path_rank = _first_seen(paths)
-        clean = list(clean_paths(seen))
-        path_id = np.asarray(
-            [self._path_id(path) for path in clean], dtype=np.int64
+        path_id = self._keyed(
+            "_table_path", paths,
+            lambda ids: self._intern_paths(*clean_paths(ids)),
         )
-        origin = np.asarray([path.asns[-1] for path in clean], dtype=np.int64)
+        origin = np.frombuffer(self._origin, dtype=np.int64)[path_id]
         record_path, record_vp, record_prefix, record_origin = self.buffers[3:]
-        record_path.frombytes(path_id[path_rank].tobytes())
-        record_vp.frombytes(vp_id[vp_rank].tobytes())
-        record_prefix.frombytes(prefix_id[prefix_rank].tobytes())
-        record_origin.frombytes(origin[path_rank].tobytes())
+        record_path.frombytes(path_id.tobytes())
+        record_vp.frombytes(vp_id.tobytes())
+        record_prefix.frombytes(prefix_id.tobytes())
+        record_origin.frombytes(origin.tobytes())
         self.record_count += len(paths)
 
-    def _path_id(self, path: "ASPath") -> int:
-        asns = path.asns
-        pid = self.path_ids.get(asns)
+    def _keyed(
+        self, name: str, ids: np.ndarray, intern: Callable[[np.ndarray], Any]
+    ) -> np.ndarray:
+        """Store ids for one block of table ``ids``, through the map in
+        attribute ``name`` (table id → store id, -1: not seen). Ids not
+        seen yet are handed to ``intern`` once each, in first-appearance
+        order."""
+        if not len(ids):
+            return np.empty(0, dtype=np.int64)
+        known = _grown(getattr(self, name), int(ids.max()) + 1, -1)
+        setattr(self, name, known)
+        fresh = ids[known[ids] < 0]
+        if len(fresh):
+            distinct, first = np.unique(fresh, return_index=True)
+            distinct = distinct[np.argsort(first, kind="stable")]
+            known[distinct] = np.asarray(intern(distinct), dtype=np.int64)
+        return known[ids]
+
+    # -- paths ---------------------------------------------------------------
+
+    def _path_id(self, asns: tuple[int, ...]) -> int:
+        """The id of one path, interned by value."""
+        by_value = self._by_value
+        tokens, offsets, lengths = self.buffers[:3]
+        for pid in range(len(by_value), len(lengths)):  # catch up with extend
+            start = offsets[pid]
+            by_value[tuple(tokens[start:start + lengths[pid]])] = pid
+        pid = by_value.get(asns)
         if pid is None:
-            pid = self.path_ids[asns] = len(self.paths)
-            self.paths.append(path)
-            tokens, offsets, lengths = self.buffers[:3]
-            offsets.append(self.tokens_total)
+            pid = by_value[asns] = len(lengths)
+            offsets.append(len(tokens))
             lengths.append(len(asns))
             tokens.extend(asns)
-            self.tokens_total += len(asns)
+            self._origin.append(asns[-1])
         return pid
+
+    def _intern_paths(self, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The ids of the paths ``tokens``/``lengths`` hold, in order,
+        interned by value: a path equal to an interned one, or to an
+        earlier one of the batch, takes its id; the rest take new ids
+        in order.
+
+        Hashes only narrow the search: a path whose hash no interned
+        path and no other path of the batch has is new, and the few
+        others are settled by comparing tokens.
+        """
+        self._index_hashes()
+        starts = np.cumsum(lengths) - lengths
+        hashes = _path_hashes(tokens, starts, lengths)
+        # sorted needles keep the index searches cache-friendly
+        order = np.argsort(hashes, kind="stable")
+        ordered = hashes[order]
+        low, high = np.empty_like(order), np.empty_like(order)
+        low[order] = np.searchsorted(self._hashes, ordered, "left")
+        high[order] = np.searchsorted(self._hashes, ordered, "right")
+        twin = np.zeros(len(order), dtype=bool)
+        twin[1:] = ordered[1:] == ordered[:-1]
+        twin[:-1] |= twin[1:]
+        shared = np.empty_like(twin)
+        shared[order] = twin
+        ids = np.full(len(lengths), -1, dtype=np.int64)
+        #: batch row → the earlier batch row it equals
+        same: dict[int, int] = {}
+        #: hash → the batch rows with it that are new so far
+        firsts: dict[int, list[int]] = {}
+        stored, offsets, sizes = self.buffers[:3]
+        for row in np.flatnonzero((high > low) | shared).tolist():
+            start = int(starts[row])
+            path = array("q", tokens[start:start + int(lengths[row])].tobytes())
+            for pid in self._hash_ids[low[row]:high[row]].tolist():
+                if stored[offsets[pid]:offsets[pid] + sizes[pid]] == path:
+                    ids[row] = pid
+                    break
+            else:
+                rows = firsts.setdefault(int(hashes[row]), [])
+                for earlier in rows:
+                    begin = int(starts[earlier])
+                    if path == array("q", tokens[
+                        begin:begin + int(lengths[earlier])
+                    ].tobytes()):
+                        same[row] = earlier
+                        break
+                else:
+                    rows.append(row)
+        new = ids < 0
+        new[list(same)] = False
+        ids[new] = len(sizes) + np.arange(int(np.count_nonzero(new)), dtype=np.int64)
+        for row, earlier in same.items():
+            ids[row] = ids[earlier]
+        self._insert_hashes(ordered[new[order]], ids[order][new[order]])
+        new_lengths = lengths[new]
+        ends = len(stored) + np.cumsum(new_lengths)
+        offsets.frombytes((ends - new_lengths).tobytes())
+        sizes.frombytes(new_lengths.tobytes())
+        stored.frombytes(tokens[np.repeat(new, lengths)].tobytes())
+        self._origin.frombytes(tokens[(starts + lengths - 1)[new]].tobytes())
+        return ids
+
+    def _index_hashes(self) -> None:
+        """Bring the hash index up to every interned path."""
+        indexed = len(self._hash_ids)
+        if indexed == self.path_count:
+            return
+        tokens, offsets, lengths = (
+            np.frombuffer(buffer, dtype=np.int64) for buffer in self.buffers[:3]
+        )
+        first = int(offsets[indexed])
+        hashes = _path_hashes(
+            tokens[first:], offsets[indexed:] - first, lengths[indexed:]
+        )
+        del tokens, offsets, lengths  # release the buffers for appends
+        order = np.argsort(hashes, kind="stable")
+        self._insert_hashes(hashes[order], indexed + order)
+
+    def _insert_hashes(self, hashes: np.ndarray, ids: np.ndarray) -> None:
+        """Add paths (``hashes`` ascending) to the hash index."""
+        at = np.searchsorted(self._hashes, hashes, "right")
+        self._hashes = np.insert(self._hashes, at, hashes)
+        self._hash_ids = np.insert(self._hash_ids, at, ids)
+
+    # -- VPs and prefixes --------------------------------------------------
 
     def _vp_id(self, vp: "VantagePoint", country: str) -> int:
         vid = self.vp_ids.get(vp.ip)
@@ -184,17 +321,40 @@ class ColumnBuilder:
         return fid
 
 
-def _first_seen(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``ids`` in first-appearance order, and per row the
-    position of its id among them."""
-    distinct, first, inverse = np.unique(
-        ids, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order), dtype=np.int64)
-    return distinct[order], rank[inverse]
+#: odd 64-bit multipliers of the path hash
+_STEP, _MIX = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
 
+
+def _path_hashes(
+    tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """A 64-bit hash per path (``lengths`` tokens from each of
+    ``starts``), in wrapping ``uint64`` arithmetic: a polynomial in the
+    tokens, mixed with the length."""
+    if not len(lengths):
+        return np.empty(0, dtype=np.uint64)
+    position = np.arange(len(tokens), dtype=np.int64) - np.repeat(starts, lengths)
+    powers = np.asarray(
+        [pow(_STEP, step, 1 << 64) for step in range(int(lengths.max()))],
+        dtype=np.uint64,
+    )
+    value = np.add.reduceat(
+        (tokens.astype(np.uint64) + np.uint64(1)) * powers[position], starts
+    )
+    value ^= lengths.astype(np.uint64) * np.uint64(_MIX)
+    value ^= value >> np.uint64(31)
+    value *= np.uint64(_MIX)
+    return value ^ (value >> np.uint64(29))
+
+
+def _paths(
+    tokens: list[int], offsets: np.ndarray, lengths: np.ndarray
+) -> tuple[ASPath, ...]:
+    """The distinct paths the token columns hold, in id order."""
+    return tuple(
+        ASPath.trusted(tuple(tokens[start:start + length]))
+        for start, length in zip(offsets.tolist(), lengths.tolist())
+    )
 
 
 class PathStore:
@@ -219,9 +379,6 @@ class PathStore:
             builder = ColumnBuilder()
         for record in records:
             builder.add(record)
-        #: one representative ASPath object per distinct path, in id
-        #: order (the builder's interning dict goes with the builder)
-        self.paths: tuple["ASPath", ...] = tuple(builder.paths)
         self.vp_table = builder.vp_table
         self.prefix_table = builder.prefix_table
         for name, buffer in zip(COLUMNS, builder.buffers):
@@ -232,9 +389,15 @@ class PathStore:
         self._distinct: tuple[Any, Any, Any, Any] | None = None
 
     def __getattr__(self, name: str) -> Any:
-        # the kernels' weight column, filled on first use (fires only
-        # while the slot is unset): float() per prefix, then one gather
-        # through the prefix ids
+        # derived columns, filled on first use (fires only while the
+        # slot is unset). The distinct-path tuple: one ASPath per path,
+        # in id order, from the token columns
+        if name == "paths":
+            paths = _paths(self.token_list(), self.offsets, self.lengths)
+            self.paths = paths
+            return paths
+        # the kernels' weight column: float() per prefix, then one
+        # gather through the prefix ids
         if name == "record_weight":
             prefix_weight = np.asarray(
                 [float(addresses) for _, _, addresses in self.prefix_table],

@@ -13,9 +13,9 @@ engine:
   paths, ``record_path`` / ``record_vp`` / ``record_prefix`` /
   ``record_origin`` per record) plus two small JSONL side tables
   (``vps.jsonl``, ``prefixes.jsonl``) holding the entities a record id
-  points at. Peak writer memory is the interning state (bounded by
-  distinct entities) plus one bounded flush buffer — never the record
-  set.
+  points at. Peak writer memory is the interning state (the path
+  columns and the side tables, bounded by distinct entities) plus one
+  bounded flush buffer — never the record set.
 * :class:`MmapPathStore` maps those columns back read-only behind the
   exact :class:`~repro.perf.pathstore.PathStore` interface (it *is* a
   ``PathStore`` subclass, with the same column schema), so
@@ -43,8 +43,9 @@ seed-deterministic and replayable — and continues; the sealed result is
 byte-identical to an uninterrupted ingestion. ``manifest.json`` marks a
 sealed, complete spill. A damaged directory — a missing or short column
 file, an unreadable manifest, checkpoint or side table, side tables
-whose row counts disagree with them — raises :class:`SpillFormatError`
-naming the file, on open and on resume.
+whose row counts disagree with them, path columns that are not whole
+non-empty paths back to back — raises :class:`SpillFormatError` naming
+the file, on open and on resume.
 
 Like the in-memory store, the mapped arrays are derived, read-only
 state (the maps are ``ACCESS_READ``; lint rule R007 covers this class
@@ -71,7 +72,6 @@ from repro.core.sanitize import (
     PathSet,
     sanitize_into,
 )
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.perf.pathstore import COLUMNS, ColumnBuilder, PathStore
@@ -192,14 +192,30 @@ def _prefix_json(entry: tuple[Prefix, str, int]) -> dict:
     return {"prefix": str(prefix), "country": country, "addresses": addresses}
 
 
-def _paths(
-    tokens: list[int], offsets: np.ndarray, lengths: np.ndarray
-) -> tuple[ASPath, ...]:
-    """The distinct paths the token columns hold, in id order."""
-    return tuple(
-        ASPath.trusted(tuple(tokens[start:start + length]))
-        for start, length in zip(offsets.tolist(), lengths.tolist())
-    )
+def _check_paths(
+    directory: Path, tokens: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> None:
+    """The path columns must hold whole, non-empty paths back to back:
+    every length at least 1, each offset the sum of the lengths before
+    it, and the lengths summing to the token count. O(distinct
+    paths)."""
+    if len(lengths) and int(lengths.min()) < 1:
+        raise SpillFormatError(
+            f"{_column_path(directory, 'lengths')}: a path of length "
+            f"{int(lengths.min())}"
+        )
+    ends = np.cumsum(lengths)
+    if not np.array_equal(offsets, ends - lengths):
+        raise SpillFormatError(
+            f"{_column_path(directory, 'offsets')}: offsets are not the "
+            "running sum of the path lengths"
+        )
+    total = int(ends[-1]) if len(ends) else 0
+    if total != len(tokens):
+        raise SpillFormatError(
+            f"{_column_path(directory, 'tokens')}: {len(tokens)} tokens, "
+            f"the path lengths sum to {total}"
+        )
 
 
 def _report_payload(report: FilterReport) -> dict:
@@ -248,6 +264,9 @@ class SpillWriter(ColumnBuilder):
         self.flush_every = flush_every
         #: vp_table / prefix_table rows already in the side tables
         self._rows_flushed = (0, 0)
+        #: tokens and paths already in the path column files (the path
+        #: buffers stay in memory: they are the interning state)
+        self._paths_flushed = (0, 0)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -288,8 +307,11 @@ class SpillWriter(ColumnBuilder):
             np.fromfile(_column_path(self.directory, name), dtype=np.int64)
             for name in COLUMNS[:3]
         )
-        self.paths = list(_paths(tokens.tolist(), offsets, lengths))
-        self.path_ids = {path.asns: pid for pid, path in enumerate(self.paths)}
+        _check_paths(self.directory, tokens, offsets, lengths)
+        for buffer, column in zip(self.buffers, (tokens, offsets, lengths)):
+            buffer.frombytes(column.tobytes())
+        self._origin.frombytes(tokens[offsets + lengths - 1].tobytes())
+        self._paths_flushed = (len(tokens), len(lengths))
         self.vp_table = _truncated_table(
             self.directory / "vps.jsonl", progress["vps"], _vp_row
         )
@@ -301,14 +323,12 @@ class SpillWriter(ColumnBuilder):
             prefix: fid for fid, (prefix, _, _) in enumerate(self.prefix_table)
         }
         if (
-            len(self.paths) != progress["paths"]
-            or len(self.vp_ids) != progress["vps"]
+            len(self.vp_ids) != progress["vps"]
             or len(self.prefix_ids) != progress["prefixes"]
         ):
             raise SpillFormatError(
                 f"{self.directory}: checkpoint counts do not match on-disk data"
             )
-        self.tokens_total = len(tokens)
         self.record_count = progress["records"]
         self._rows_flushed = (len(self.vp_table), len(self.prefix_table))
         return progress["consumed"]
@@ -340,17 +360,23 @@ class SpillWriter(ColumnBuilder):
 
     def _counts(self) -> dict[str, int]:
         return {
-            "records": self.record_count, "paths": len(self.paths),
+            "records": self.record_count, "paths": self.path_count,
             "tokens": self.tokens_total, "vps": len(self.vp_table),
             "prefixes": len(self.prefix_table),
         }
 
     def _flush(self) -> None:
-        for name, buffer in zip(COLUMNS, self.buffers):
-            if buffer:
+        # the path buffers stay (they are the interning state), so only
+        # their tails since the last flush go out; record buffers empty
+        tokens, paths = self._paths_flushed
+        starts = (tokens, paths, paths) + (0,) * (len(COLUMNS) - 3)
+        for name, buffer, start in zip(COLUMNS, self.buffers, starts):
+            if len(buffer) > start:
                 with open(_column_path(self.directory, name), "ab") as handle:
-                    buffer.tofile(handle)
-                del buffer[:]
+                    buffer[start:].tofile(handle)
+        for buffer in self.buffers[3:]:
+            del buffer[:]
+        self._paths_flushed = (self.tokens_total, self.path_count)
         vps, prefixes = self._rows_flushed
         for stem, rows in (
             ("vps.jsonl", map(_vp_json, self.vp_table[vps:])),
@@ -396,6 +422,7 @@ class MmapPathStore(PathStore):
                     f"{path}: {len(column)} elements, manifest says {wanted}"
                 )
             setattr(self, name, column)
+        _check_paths(base, self.tokens, self.offsets, self.lengths)
         self.vp_table = _side_table(base / "vps.jsonl", manifest["vps"], _vp_row)
         self.prefix_table = _side_table(
             base / "prefixes.jsonl", manifest["prefixes"], _prefix_row
@@ -408,17 +435,6 @@ class MmapPathStore(PathStore):
     def __reduce__(self):
         # never ship mapped pages through a pickle: workers re-open
         return (type(self), (self.directory,))
-
-    # -- lazily rebuilt PathStore surface ----------------------------------
-
-    def __getattr__(self, name: str):
-        # the distinct-path tuple, a slot declared by PathStore but
-        # filled lazily here (__getattr__ only fires while it is unset)
-        if name == "paths":
-            paths = _paths(self.token_list(), self.offsets, self.lengths)
-            self.paths = paths
-            return paths
-        return super().__getattr__(name)
 
 
 def open_spill(directory: str | Path) -> PathSet:

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.io.export import export_pathset_jsonl
 from repro.monitor import (
     WatchConfig,
     WatchError,
@@ -14,8 +16,9 @@ from repro.monitor import (
     watch,
     watch_key,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience.checkpoint import Checkpoint
+from repro.topology.catalog import build_world
 
 SMALL = ["small@0", "small@1", "small@2"]
 CONFIG = WatchConfig(metrics=("AHN", "CCI"), countries=("AU",))
@@ -79,7 +82,7 @@ class TestCheckpointResume:
     def _checkpoint(self, path, resume):
         refs = resolve_snapshots(SMALL)
         return refs, Checkpoint.open(
-            path, watch_key([r.label for r in refs], CONFIG), resume=resume,
+            path, watch_key([r.identity() for r in refs], CONFIG), resume=resume,
         )
 
     def test_full_resume_recomputes_nothing(self, tmp_path, small_run):
@@ -125,12 +128,74 @@ class TestCheckpointResume:
         }) + "\n")
         refs = resolve_snapshots(SMALL)
         checkpoint = Checkpoint.open(
-            path, watch_key([r.label for r in refs], CONFIG), resume=True,
+            path, watch_key([r.identity() for r in refs], CONFIG), resume=True,
         )
         run = watch(refs, CONFIG, checkpoint=checkpoint)
         checkpoint.close()
         assert run.resumed_units == 0
         assert run.jsonl() == small_run.jsonl()
+
+
+def write_release(path, seed):
+    """A released ``paths.jsonl`` of the small world at ``seed``."""
+    result = run_pipeline(build_world("small", seed), PipelineConfig(seed=seed))
+    export_pathset_jsonl(result.paths, path)
+
+
+class TestReleaseResume:
+    """A release ref's checkpoint key covers the file's bytes, not only
+    its name."""
+
+    CONFIG = WatchConfig(metrics=("AHN", "CCI"), countries=("AU",))
+
+    def _bank(self, path, specs, resume, tracer=NULL_TRACER):
+        refs = resolve_snapshots(specs)
+        with Checkpoint.open(
+            path, watch_key([r.identity() for r in refs], self.CONFIG),
+            resume=resume,
+        ) as checkpoint:
+            return watch(
+                refs, self.CONFIG, tracer=tracer, checkpoint=checkpoint
+            )
+
+    def test_rewritten_release_recomputes_every_unit(self, tmp_path):
+        day1, day2 = tmp_path / "day1.jsonl", tmp_path / "day2.jsonl"
+        write_release(day1, 0)
+        write_release(day2, 1)
+        specs = [str(day1), str(day2)]
+        path = tmp_path / "watch.ck"
+        banked = self._bank(path, specs, resume=False)
+        # the same name, different paths
+        write_release(day1, 2)
+        resumed = self._bank(path, specs, resume=True)
+        fresh = watch(resolve_snapshots(specs), self.CONFIG)
+        assert fresh.jsonl() != banked.jsonl()
+        assert resumed.resumed_units == 0
+        assert resumed.computed_units == banked.computed_units
+        assert resumed.jsonl() == fresh.jsonl()
+
+    def test_unchanged_releases_resume_without_loading(self, tmp_path):
+        day1, day2 = tmp_path / "day1.jsonl", tmp_path / "day2.jsonl"
+        write_release(day1, 0)
+        write_release(day2, 1)
+        specs = [str(day1), str(day2)]
+        path = tmp_path / "watch.ck"
+        banked = self._bank(path, specs, resume=False)
+        tracer = Tracer()
+        resumed = self._bank(path, specs, resume=True, tracer=tracer)
+        assert resumed.computed_units == 0
+        assert resumed.jsonl() == banked.jsonl()
+        assert "monitor.snapshots.loaded" not in tracer.metrics.counters()
+
+    def test_identity(self, tmp_path):
+        day = tmp_path / "day1.jsonl"
+        day.write_text("one\n")
+        world, release = resolve_snapshots(["small@3", str(day)])
+        assert world.identity() == "small@3"
+        before = release.identity()
+        assert before.startswith("day1@sha256:")
+        day.write_text("two\n")
+        assert release.identity() != before
 
 
 class TestValidationErrors:

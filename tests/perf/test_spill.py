@@ -8,6 +8,7 @@ import json
 import pickle
 import shutil
 
+import numpy as np
 import pytest
 
 from repro import PipelineConfig, run_pipeline
@@ -270,6 +271,33 @@ class TestDamagedSpill:
         (spill / "manifest.json").write_text(json.dumps(manifest))
         self.assert_rejected(spill, "vps.jsonl")
 
+    def test_offset_past_the_tokens(self, spill):
+        corrupt_offset(spill)
+        self.assert_rejected(spill, "offsets.i64")
+
+    def test_zero_path_length(self, spill):
+        corrupt_length(spill)
+        self.assert_rejected(spill, "lengths.i64")
+
+
+def rewrite_column(spill, name, change):
+    """Rewrite one int64 column file in place, its size unchanged."""
+    path = spill / f"{name}.i64"
+    column = np.fromfile(path, dtype=np.int64)
+    change(column)
+    column.tofile(path)
+
+
+def corrupt_offset(spill):
+    """Point the last path's offset past the end of the token column."""
+    tokens = len(np.fromfile(spill / "tokens.i64", dtype=np.int64))
+    rewrite_column(spill, "offsets", lambda offsets: offsets.put(-1, tokens + 5))
+
+
+def corrupt_length(spill):
+    """Give the first path length 0."""
+    rewrite_column(spill, "lengths", lambda lengths: lengths.put(0, 0))
+
 
 class TestDamagedResume:
     """A torn spill whose checkpoint or side tables are damaged fails to
@@ -357,6 +385,14 @@ class TestDamagedResume:
             lambda row: row.update(prefix="10.0.0.0/99"),
         )
         self.assert_resume_rejected(inputs, spill, "prefixes.jsonl")
+
+    def test_offset_past_the_tokens(self, inputs, spill):
+        corrupt_offset(spill)
+        self.assert_resume_rejected(inputs, spill, "offsets.i64")
+
+    def test_zero_path_length(self, inputs, spill):
+        corrupt_length(spill)
+        self.assert_resume_rejected(inputs, spill, "lengths.i64")
 
 
 class TestWorkerTransport:

@@ -370,6 +370,88 @@ class TestValidation:
         return str(target / "paths.jsonl")
 
 
+class TestWatchResume:
+    def test_resume_recomputes_a_rewritten_release(self, capsys, tmp_path):
+        from repro.io.export import export_pathset_jsonl
+
+        def release(path, seed):
+            result = run_pipeline(
+                build_world("small", seed), PipelineConfig(seed=seed)
+            )
+            export_pathset_jsonl(result.paths, path)
+
+        day1, day2 = tmp_path / "day1.jsonl", tmp_path / "day2.jsonl"
+        release(day1, 0)
+        release(day2, 1)
+        argv = [
+            "watch", str(day1), str(day2), "--metrics", "AHN,CCI",
+            "--countries", "AU", "--json",
+        ]
+        checkpoint = ["--checkpoint", str(tmp_path / "watch.ck")]
+        assert main(argv + checkpoint) == 0
+        banked = capsys.readouterr().out
+        release(day1, 2)  # rewritten in place under the same name
+        assert main(argv + checkpoint + ["--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        assert fresh != banked
+        assert resumed == fresh
+
+
+class TestTraceDiff:
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        import contextlib
+        import io
+
+        directory = tmp_path_factory.mktemp("traces")
+        paths = []
+        for seed in (0, 1):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main([
+                    "--world", "small", "--seed", str(seed), "trace", "--json",
+                ]) == 0
+            path = directory / f"trace{seed}.jsonl"
+            path.write_text(out.getvalue())
+            paths.append(path)
+        return paths
+
+    def test_per_span_rows(self, capsys, traces):
+        assert main(["trace", "--diff", str(traces[0]), str(traces[1])]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == [
+            "span", "old", "wall", "new", "wall", "delta", "ratio",
+            "old", "self", "new", "self", "delta", "ratio",
+        ]
+        names = [line.split()[0] for line in lines[1:]]
+        first_seen = []
+        for line in traces[0].read_text().splitlines():
+            event = json.loads(line)
+            if event["type"] == "span" and event["name"] not in first_seen:
+                first_seen.append(event["name"])
+        assert names == first_seen
+        for name in ("propagate", "ribs.paths", "ribs.inject", "sanitize.rows"):
+            assert name in names
+        row = lines[1 + names.index("ribs.paths")].split()
+        # a leaf span's self time is its wall time
+        assert row[1:4] == row[5:8]
+
+    def test_same_trace_has_zero_deltas(self, capsys, traces):
+        assert main(["trace", "--diff", str(traces[0]), str(traces[0])]) == 0
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            cells = line.split()
+            assert cells[3] == "+0.0ms" and cells[7] == "+0.0ms"
+
+    def test_malformed_trace_exits_2(self, capsys, traces, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(traces[0].read_text() + '{"type": "span", "name": ""}\n')
+        assert main(["trace", "--diff", str(traces[0]), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed trace" in err and "bad.jsonl" in err
+
+
 class TestFlagSanity:
     """Malformed numeric flags exit 2 with a message, never a traceback."""
 
