@@ -185,15 +185,24 @@ class RibSeries:
             with tracer.span("ribs.inject"):
                 self.overrides, self.injection_summary = self._inject(paths)
                 # override paths follow the clean paths in the windows'
-                # path table, in cell-key order
+                # path table, in cell-key order; the table is built once
+                # at its final size, with no growth slack
                 cells = sorted(self.overrides)
                 self._override_keys = np.asarray(
                     [vp * width + prefix for vp, prefix in cells], dtype=np.int64
                 )
                 planted = [self.overrides[cell].asns for cell in cells]
-                paths.extend(
-                    np.fromiter(chain.from_iterable(planted), dtype=np.int64),
-                    np.fromiter(map(len, planted), dtype=np.int64, count=len(planted)),
+                paths = PathColumns(
+                    np.concatenate((
+                        paths.tokens,
+                        np.fromiter(chain.from_iterable(planted), dtype=np.int64),
+                    )),
+                    np.concatenate((
+                        paths.lengths,
+                        np.fromiter(
+                            map(len, planted), dtype=np.int64, count=len(planted)
+                        ),
+                    )),
                 )
                 self._tables = RecordTables(
                     self.vps, [prefix for prefix, _ in self.prefix_table], paths

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class RankEntry:
@@ -53,16 +55,23 @@ class Ranking:
         shares: Mapping[int, float] | None = None,
         country: str | None = None,
     ) -> "Ranking":
-        """Rank by descending value; ties break on ascending ASN."""
-        ordered = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+        """Rank by descending value; ties break on ascending ASN.
+
+        One ``np.lexsort`` orders the table, exactly as ``sorted`` on
+        the key ``(-value, asn)`` would (``-0.0`` ties ``0.0``; an int
+        value ranks by its float, exact up to 2**53); the entries keep
+        the table's own Python values.
+        """
+        asns = list(scores)
+        values = list(scores.values())
+        order = np.lexsort((
+            np.array(asns, dtype=np.int64),
+            -np.array(values, dtype=np.float64),
+        )).tolist()
+        share = shares.get if shares is not None else lambda asn: None
         entries = [
-            RankEntry(
-                rank=index,
-                asn=asn,
-                value=value,
-                share=shares.get(asn) if shares is not None else None,
-            )
-            for index, (asn, value) in enumerate(ordered, start=1)
+            RankEntry(rank, asns[at], values[at], share(asns[at]))
+            for rank, at in enumerate(order, start=1)
         ]
         return cls(metric, entries, country)
 

@@ -66,7 +66,7 @@ from repro.bgp.announcement import (
 from repro.bgp.collectors import VantagePoint
 from repro.geo.prefix_geo import PrefixGeolocation
 from repro.geo.vp_geo import VPGeolocator
-from repro.net.aspath import ASPath, PathColumns, runs
+from repro.net.aspath import ASPath, PathColumns, dense_codes, runs
 from repro.net.prefix import Prefix, parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
@@ -490,9 +490,12 @@ class Judge:
 
     @staticmethod
     def _fresh(ids: np.ndarray, verdicts: np.ndarray) -> np.ndarray:
-        """The distinct ``ids`` not judged yet."""
-        distinct = np.unique(ids)
-        return distinct[verdicts[distinct] == _UNJUDGED]
+        """The distinct ``ids`` not judged yet, ascending: the ids are
+        marked in a table as long as ``verdicts``, then scanned."""
+        marked = np.zeros(len(verdicts), dtype=bool)
+        marked[ids] = True
+        marked &= verdicts == _UNJUDGED
+        return np.flatnonzero(marked)
 
     def _registry(self, asns: np.ndarray) -> np.ndarray:
         """``is_allocated`` per ASN of the ascending ``asns``, asking the
@@ -520,7 +523,7 @@ class Judge:
         gathered from the table's token columns."""
         assert self._tables is not None
         tokens, lengths = self._tables.paths.columns(ids)
-        distinct, asn_code = np.unique(tokens, return_inverse=True)
+        distinct, asn_code = dense_codes(tokens)
         codes, clean_lengths, kept = _path_rules(
             tokens, lengths,
             self._registry(distinct)[asn_code], asn_code,

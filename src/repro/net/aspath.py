@@ -11,6 +11,11 @@ ASNs concatenated in one int64 ``tokens`` column, with per-path
 ``offsets`` and ``lengths``. It is a ``Sequence[ASPath]`` that builds
 each :class:`ASPath` on access, so the hot loops pass columns while
 callers that want objects still get them.
+
+:func:`dense_codes` numbers an integer column as ``np.unique(values,
+return_inverse=True)`` does, by a presence table instead of a sort
+when the values span a narrow range — the Table-1 judge's per-token
+ASN codes and the store's shared AS codes both come from it.
 """
 
 from __future__ import annotations
@@ -154,6 +159,43 @@ class ASPath:
 
     def __repr__(self) -> str:
         return f"ASPath({str(self)!r})"
+
+
+#: :func:`dense_codes` numbers by a presence table while the values
+#: span at most this many slots per value plus the floor; beyond, it
+#: sorts (the shape of ``perf.hegemony``'s dense-bin rule)
+DENSE_SPAN_PER_VALUE = 4
+DENSE_SPAN_FLOOR = 65_536
+
+
+def dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` for a 1-D array: its
+    sorted distinct values and each value's index among them.
+
+    When integer values span a narrow range (``max - min`` within
+    :data:`DENSE_SPAN_PER_VALUE` slots per value plus
+    :data:`DENSE_SPAN_FLOOR`), each value is marked in a boolean table
+    over that range and the marked slots are numbered by a running
+    count — no sort, and every transient proportional to the input.
+    Otherwise it is ``np.unique`` itself.
+    """
+    values = np.asarray(values)
+    if not len(values) or values.dtype.kind not in "iu":
+        return np.unique(values, return_inverse=True)
+    low, high = values.min(), values.max()
+    span = int(high) - int(low) + 1
+    if span > DENSE_SPAN_PER_VALUE * len(values) + DENSE_SPAN_FLOOR:
+        return np.unique(values, return_inverse=True)
+    # unsigned differences cannot wrap; signed ones are taken in int64
+    slot = (
+        values - low if values.dtype.kind == "u"
+        else values.astype(np.int64, copy=False) - int(low)
+    )
+    present = np.zeros(span, dtype=bool)
+    present[slot] = True
+    code = np.cumsum(present) - 1
+    distinct = np.flatnonzero(present).astype(values.dtype) + low
+    return distinct, code[slot]
 
 
 def runs(

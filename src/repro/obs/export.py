@@ -146,23 +146,34 @@ def validate_jsonl(text: str) -> list[str]:
 
 # -- trace diff -------------------------------------------------------------
 
+def _children_times(spans: Iterable[tuple[int | None, float]]) -> dict[int, float]:
+    """Per span id, the summed wall time of its children, from each
+    span's ``(parent id, wall time)``."""
+    children: dict[int, float] = {}
+    for parent, dur in spans:
+        if parent is not None:
+            children[parent] = children.get(parent, 0.0) + dur
+    return children
+
+
+def _self_time(dur: float, children: float) -> float:
+    """A span's self time: its wall time less its children's (never
+    negative, though clock rounding can make the children overrun)."""
+    return max(dur - children, 0.0)
+
+
 def span_times(events: Iterable[dict]) -> dict[str, tuple[float, float]]:
     """Per span name, in first-appearance order, the summed wall time
     and self time (a span's wall time less its children's) of the
     stream's spans."""
     spans = [event for event in events if event.get("type") == "span"]
-    children: dict[int, float] = {}
-    for span in spans:
-        if span.get("parent") is not None:
-            children[span["parent"]] = (
-                children.get(span["parent"], 0.0) + span["dur_s"]
-            )
+    children = _children_times((span.get("parent"), span["dur_s"]) for span in spans)
     totals: dict[str, tuple[float, float]] = {}
     for span in spans:
         wall, own = totals.get(span["name"], (0.0, 0.0))
         totals[span["name"]] = (
             wall + span["dur_s"],
-            own + max(span["dur_s"] - children.get(span["id"], 0.0), 0.0),
+            own + _self_time(span["dur_s"], children.get(span["id"], 0.0)),
         )
     return totals
 
@@ -260,7 +271,7 @@ def _span_label(record: SpanRecord, depth: int) -> str:
     return "  " * depth + " ".join([record.name, *identity])
 
 
-def _span_row(record: SpanRecord, depth: int) -> str:
+def _span_row(record: SpanRecord, depth: int, self_s: float) -> str:
     attrs = record.attrs
     inp = attrs.get("input")
     out = attrs.get("output")
@@ -276,7 +287,8 @@ def _span_row(record: SpanRecord, depth: int) -> str:
         mem = f"  peak {record.mem_peak / 1e6:.1f}MB"
     return (
         f"{_span_label(record, depth):<{_LABEL_WIDTH}}"
-        f"{_fmt_duration(record.dur_s)}{_fmt_duration(record.cpu_s)}"
+        f"{_fmt_duration(record.dur_s)}{_fmt_duration(self_s)}"
+        f"{_fmt_duration(record.cpu_s)}"
         f"{_fmt_volume(inp)}{_fmt_volume(out)}{drop:>8}{mem}"
     )
 
@@ -285,20 +297,27 @@ def stage_report(tracer: Tracer, title: str = "pipeline stage report") -> str:
     """The Figure-6-style per-stage accounting, rendered for a terminal.
 
     Each span row is labelled with its name and identity attributes
-    (``ranking AHN AU``); the drop column is shown for the filtering
-    stages only (``sanitize``, ``geolocate``, ``views``).
+    (``ranking AHN AU``) and shows its wall time, its self time (wall
+    less its children's, as :func:`span_times` counts it) and its CPU
+    time; the drop column is shown for the filtering stages only
+    (``sanitize``, ``geolocate``, ``views``).
     """
     lines = [f"== {title} =="]
     lines.append(
-        f"{'stage':<{_LABEL_WIDTH}}{'wall':>8}{'cpu':>8}{'in':>9}{'out':>9}"
-        f"{'drop':>8}"
+        f"{'stage':<{_LABEL_WIDTH}}{'wall':>8}{'self':>8}{'cpu':>8}{'in':>9}"
+        f"{'out':>9}{'drop':>8}"
     )
     children: dict[int | None, list[SpanRecord]] = {}
     for record in tracer.spans:
         children.setdefault(record.parent_id, []).append(record)
+    children_times = _children_times(
+        (record.parent_id, record.dur_s) for record in tracer.spans
+    )
 
     def emit(record: SpanRecord, depth: int) -> None:
-        lines.append(_span_row(record, depth))
+        lines.append(_span_row(record, depth, _self_time(
+            record.dur_s, children_times.get(record.span_id, 0.0)
+        )))
         for child in sorted(
             children.get(record.span_id, ()), key=lambda r: r.start_s
         ):

@@ -130,20 +130,39 @@ class ViewComputation:
 
     def origin_positions(self, origins: Iterable[int]) -> dict[int, np.ndarray]:
         """Per requested origin AS with records in the view, their
-        ascending positions, grouped from the store's origin column."""
-        base = self.view.positions
-        selected = self.view.store.record_origin[base]
+        ascending positions: each a slice of the view's origin index,
+        found by bisection."""
+        found, bounds, positions = self._origin_index()
         wanted = np.asarray(sorted(set(origins)), dtype=np.int64)
-        hits = np.flatnonzero(np.isin(selected, wanted))
-        if len(hits) == 0:
-            return {}
-        # a stable sort by origin keeps each origin's positions ascending
-        order = np.argsort(selected[hits], kind="stable")
-        found = selected[hits][order]
-        positions = base[hits][order]
-        cuts = np.flatnonzero(found[1:] != found[:-1]) + 1
-        starts = np.concatenate(([0], cuts))
-        return dict(zip(found[starts].tolist(), np.split(positions, cuts)))
+        at = np.searchsorted(found, wanted)
+        hit = at < len(found)
+        hit[hit] = found[at[hit]] == wanted[hit]
+        at = at[hit]
+        return {
+            origin: positions[lo:hi]
+            for origin, lo, hi in zip(
+                found[at].tolist(), bounds[at].tolist(), bounds[at + 1].tolist()
+            )
+        }
+
+    def _origin_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The view's positions in one stable sort by origin AS — so each
+        origin's run stays ascending — with the distinct origins and
+        the bounds of their runs (memoised; an index, not a product,
+        so it counts neither hit nor miss)."""
+        index = self._memo.get(("origins",))
+        if index is None:
+            base = self.view.positions
+            origin = self.view.store.record_origin[base]
+            order = np.argsort(origin, kind="stable")
+            origin = origin[order]
+            first = np.ones(len(origin), dtype=bool)
+            first[1:] = origin[1:] != origin[:-1]
+            starts = np.flatnonzero(first)
+            index = self._memo[("origins",)] = (
+                origin[starts], np.append(starts, len(origin)), base[order],
+            )
+        return index
 
     def origin_footprints(self, origins: Iterable[int]) -> dict[int, int]:
         """Per requested origin AS with records in the view, the total

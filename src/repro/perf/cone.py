@@ -8,13 +8,21 @@ suffixes), so this module resolves suffixes once per store and edge
 set, and a view reads them as ids through its record positions — no
 record object is built and no ``ASPath`` is hashed.
 
-* :func:`intern_suffixes` numbers each distinct path's transit suffix.
-  The suffix starts after the path's last non-p2c link
-  (:func:`suffix_starts`); suffixes are then interned origin first, one
-  ``np.unique`` per depth over ``(id of the suffix one hop shorter,
-  ASN)`` codes, so two paths share an id exactly when their suffixes
-  are equal tuples. :meth:`repro.perf.pathstore.PathStore.transit_suffixes`
-  memoises the table on the store.
+* :func:`intern_suffixes` numbers each distinct path's transit suffix
+  over the store's shared AS codes
+  (:meth:`~repro.perf.pathstore.PathStore.asn_codes`: the ``n`` sorted
+  distinct ASNs, one code per token). The suffix starts after the
+  path's last non-p2c link (:func:`suffix_starts`): every adjacent
+  pair is packed into the code ``left * n + right``, the p2c edges
+  into the same codes (an edge naming an ASN absent from the store
+  has none, so it matches nothing), and one ``np.isin`` tests them —
+  by a lookup table when ``n**2`` is small. Suffixes are then interned
+  origin first, one :func:`~repro.net.aspath.dense_codes` per depth
+  over ``(id of the suffix one hop shorter) * n + code``, so two paths
+  share an id exactly when their suffixes are equal tuples, and the
+  ids follow (shorter id, ASN) order as before.
+  :meth:`repro.perf.pathstore.PathStore.transit_suffixes` memoises the
+  table on the store.
 
 Why the values cannot differ from the reference:
 
@@ -48,11 +56,13 @@ Why the values cannot differ from the reference:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from repro.core.hegemony import validate_trim
+from repro.net.aspath import dense_codes
 from repro.perf.hegemony import _trimmed
 
 if TYPE_CHECKING:
@@ -80,16 +90,29 @@ class SuffixTable(NamedTuple):
     asns: np.ndarray
 
 
-def _pair_codes(tokens: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Every path's adjacent ASN pairs, concatenated in order, each
-    packed into one uint64 (4-byte ASNs cannot overflow the shifted
-    half)."""
-    unsigned = tokens.astype(np.uint64)
-    codes = (unsigned[:-1] << np.uint64(32)) | unsigned[1:]
+def _pair_codes(codes: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
+    """Every path's adjacent pairs of AS codes (one code per token,
+    below ``width``), concatenated in order, each packed into one
+    int64 ``left * width + right``."""
+    pairs = codes[:-1].astype(np.int64) * width + codes[1:]
     # drop the phantom pairs straddling consecutive paths
-    valid = np.ones(len(codes), dtype=bool)
+    valid = np.ones(len(pairs), dtype=bool)
     valid[offsets[1:] - 1] = False
-    return codes[valid]
+    return pairs[valid]
+
+
+def _edge_codes(asns: np.ndarray, p2c: frozenset[tuple[int, int]]) -> np.ndarray:
+    """The edges of ``p2c`` as pair codes over the sorted ``asns``; an
+    edge naming an ASN absent from ``asns`` can match no pair, so it
+    has no code."""
+    if not p2c or not len(asns):
+        return np.empty(0, dtype=np.int64)
+    edges = np.fromiter(
+        chain.from_iterable(p2c), dtype=np.int64, count=2 * len(p2c)
+    ).reshape(-1, 2)
+    at = np.minimum(np.searchsorted(asns, edges), len(asns) - 1)
+    known = (asns[at] == edges).all(axis=1)
+    return at[known, 0] * len(asns) + at[known, 1]
 
 
 def suffix_starts(
@@ -100,24 +123,36 @@ def suffix_starts(
 ) -> np.ndarray:
     """Per path, the index its transit suffix starts at: the suffix is
     the longest tail whose adjacent pairs are all in ``p2c`` — ``start
-    = (last non-p2c pair index) + 1``, or 0 when every pair is p2c.
-
-    Every adjacent pair is tested against the encoded edge set at
-    once; each path's last non-p2c pair is then found by bisecting its
-    pair-range end into the sorted non-p2c positions.
-    """
-    tokens = np.asarray(tokens, dtype=np.int64)
-    offsets = np.asarray(offsets, dtype=np.int64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    starts = np.zeros(len(offsets), dtype=np.int64)
-    if len(tokens) == len(offsets):  # no path has a pair
-        return starts
-    codes = _pair_codes(tokens, offsets)
-    edge_codes = np.fromiter(
-        ((left << 32) | right for left, right in p2c),
-        dtype=np.uint64, count=len(p2c),
+    = (last non-p2c pair index) + 1``, or 0 when every pair is p2c."""
+    return _suffix_starts(
+        *dense_codes(np.asarray(tokens, dtype=np.int64)),
+        np.asarray(offsets, dtype=np.int64),
+        np.asarray(lengths, dtype=np.int64),
+        p2c,
     )
-    plain = np.flatnonzero(~np.isin(codes, edge_codes))
+
+
+def _suffix_starts(
+    asns: np.ndarray,
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    lengths: np.ndarray,
+    p2c: frozenset[tuple[int, int]],
+) -> np.ndarray:
+    """:func:`suffix_starts` over tokens given as ``codes`` into the
+    sorted ``asns``.
+
+    Every adjacent pair is tested against the edge set at once, both
+    as pair codes (``np.isin`` looks them up in a table when the codes
+    span few values); each path's last non-p2c pair is then found by
+    bisecting its pair-range end into the sorted non-p2c positions.
+    """
+    starts = np.zeros(len(offsets), dtype=np.int64)
+    if len(codes) == len(offsets):  # no path has a pair
+        return starts
+    plain = np.flatnonzero(~np.isin(
+        _pair_codes(codes, offsets, len(asns)), _edge_codes(asns, p2c)
+    ))
     if len(plain) == 0:
         return starts
     pair_counts = lengths - 1
@@ -137,7 +172,9 @@ def intern_suffixes(
     tokens = np.asarray(store.tokens, dtype=np.int64)
     offsets = np.asarray(store.offsets, dtype=np.int64)
     lengths = np.asarray(store.lengths, dtype=np.int64)
-    starts = suffix_starts(tokens, offsets, lengths, p2c)
+    asns, codes = store.asn_codes()
+    width = len(asns)
+    starts = _suffix_starts(asns, codes, offsets, lengths, p2c)
     depth = lengths - starts
     ends = offsets + lengths
     # node[p]: the id of path p's suffix tail of the current depth;
@@ -146,10 +183,7 @@ def intern_suffixes(
     base = 0
     for hop in range(1, int(depth.max(initial=0)) + 1):
         live = np.flatnonzero(depth >= hop)
-        codes = tokens[ends[live] - hop].astype(np.uint64)
-        if hop > 1:
-            codes |= node[live].astype(np.uint64) << np.uint64(32)
-        unique, inverse = np.unique(codes, return_inverse=True)
+        unique, inverse = dense_codes(node[live] * width + codes[ends[live] - hop])
         node[live] = base + inverse
         base += len(unique)
     _, first, path_suffix = np.unique(node, return_index=True, return_inverse=True)
@@ -166,11 +200,9 @@ def intern_suffixes(
         hop_offsets, hop_lengths
     )
     hop_k = (np.repeat(hop_lengths, hop_lengths) - within).astype(np.float64)
-    asns, hop_asn = np.unique(
-        tokens[np.repeat(begin, hop_lengths) + within], return_inverse=True
-    )
+    transit, hop_asn = dense_codes(tokens[np.repeat(begin, hop_lengths) + within])
     return SuffixTable(
-        path_suffix, suffixes, hop_offsets, hop_lengths, hop_asn, hop_k, asns,
+        path_suffix, suffixes, hop_offsets, hop_lengths, hop_asn, hop_k, transit,
     )
 
 
@@ -183,11 +215,12 @@ def p2c_edges(
     edges = getattr(oracle, "p2c_edges", None)
     if edges is not None:
         return edges()
-    tokens = np.asarray(store.tokens, dtype=np.int64)
+    asns, codes = store.asn_codes()
     offsets = np.asarray(store.offsets, dtype=np.int64)
-    codes = np.unique(_pair_codes(tokens, offsets))
-    pairs = zip((codes >> np.uint64(32)).tolist(),
-                (codes & np.uint64(0xFFFFFFFF)).tolist())
+    lefts, rights = np.divmod(
+        np.unique(_pair_codes(codes, offsets, len(asns))), max(len(asns), 1)
+    )
+    pairs = zip(asns[lefts].tolist(), asns[rights].tolist())
     return frozenset(
         (left, right) for left, right in pairs
         if oracle.relationship(left, right) == "p2c"

@@ -34,6 +34,12 @@ Why the values cannot differ from the reference:
   can change the last bits. Leading zeros cannot perturb such a sum.
   Every AS with a non-zero cell keeps its row, even when it scores 0.0.
 
+Each path's distinct ASNs come from :func:`distinct_path_asns`, which
+scans the store's shared AS codes
+(:meth:`~repro.perf.pathstore.PathStore.asn_codes`: one small unsigned
+code per token, equal codes for equal ASNs) for repeats inside each
+path — no sort, and no int64 per token.
+
 Memory: step 1 expands records into (record, AS) pairs one chunk of
 about :data:`CHUNK_RECORDS` records at a time; step 2 holds one value
 per non-zero (group, VP, AS) cell.
@@ -253,29 +259,26 @@ def _window_sums(
 
 
 def distinct_path_asns(
-    tokens: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    codes: np.ndarray, offsets: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The interned paths with each path's repeated ASNs dropped (first
     occurrence kept) — ``ASPath.unique_asns()`` over the token column.
 
-    Returns ``(ids, offsets, lengths, asns)``: ``asns`` is the sorted
-    distinct ASNs of all paths and ``ids`` each kept token's index into
-    it, in the smallest unsigned dtype that holds it. The scan compares
-    every token with the ``1 .. L-1`` tokens before it inside its own
-    path, :data:`PATH_SLICE` paths at a time.
+    ``codes`` numbers every token by its ASN (the store's shared
+    :meth:`~repro.perf.pathstore.PathStore.asn_codes`; equal codes are
+    equal ASNs). Returns ``(ids, offsets, lengths)``: the kept tokens'
+    codes and the columns locating each path's run of them. The scan
+    compares every code with the ``1 .. L-1`` codes before it inside
+    its own path, :data:`PATH_SLICE` paths at a time.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    repeated = np.zeros(len(tokens), dtype=bool)
-    seen = [np.empty(0, dtype=np.int64)]
-    spans = []
+    repeated = np.zeros(len(codes), dtype=bool)
     for lo in range(0, len(lengths), PATH_SLICE):
         hi = min(lo + PATH_SLICE, len(lengths))
         begin = int(offsets[lo])
         end = int(offsets[hi - 1] + lengths[hi - 1])
-        spans.append((begin, end))
-        part = tokens[begin:end]
+        part = codes[begin:end]
         slice_lengths = lengths[lo:hi]
         within = np.arange(end - begin) - np.repeat(
             offsets[lo:hi] - begin, slice_lengths
@@ -285,16 +288,8 @@ def distinct_path_asns(
             flags[shift:] |= (part[shift:] == part[:-shift]) & (
                 within[shift:] >= shift
             )
-        seen.append(np.unique(part))
-    asns = np.unique(np.concatenate(seen))
-    ids = np.empty(len(tokens), dtype=np.min_scalar_type(max(len(asns) - 1, 0)))
-    for begin, end in spans:
-        ids[begin:end] = np.searchsorted(asns, tokens[begin:end])
-    if repeated.any():
-        path_of = np.repeat(np.arange(len(lengths)), lengths)
-        lengths = lengths - np.bincount(
-            path_of[repeated], minlength=len(lengths)
-        )
-        offsets = np.cumsum(lengths) - lengths
-        ids = ids[~repeated]
-    return ids, offsets, lengths, asns
+    if not repeated.any():
+        return codes, offsets, lengths
+    path_of = np.repeat(np.arange(len(lengths)), lengths)
+    lengths = lengths - np.bincount(path_of[repeated], minlength=len(lengths))
+    return codes[~repeated], np.cumsum(lengths) - lengths, lengths

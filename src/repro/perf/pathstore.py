@@ -20,7 +20,12 @@ store (:mod:`repro.perf.spill`) persists:
   prefix side table: IPv6 prefixes carry counts far beyond int64
   range;
 * ``record_weight`` — ``float(addresses)`` per record, which only the
-  hegemony and CTI kernels read, derived on first use.
+  hegemony and CTI kernels read, derived on first use;
+* :meth:`PathStore.asn_codes` — the sorted distinct ASNs and one code
+  per token in the smallest unsigned dtype (``uint16`` for the medium
+  world's 949 ASNs), memoised on first use: the one AS numbering the
+  hegemony kernel's distinct-ASN scan and the cone kernel's pair codes
+  and suffix interning share. No int64 per token is held.
 
 :class:`ColumnBuilder` is the one place these ids are assigned: it
 interns paths, VPs (by IP) and prefixes in first-appearance order,
@@ -60,7 +65,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.core.sanitize import PathRecord, _grown
-from repro.net.aspath import ASPath
+from repro.net.aspath import ASPath, dense_codes
 
 if TYPE_CHECKING:
     from repro.bgp.collectors import VantagePoint
@@ -364,7 +369,8 @@ class PathStore:
         "paths", "tokens", "offsets", "lengths",
         "record_path", "record_origin", "record_vp",
         "record_prefix", "record_weight", "vp_table", "prefix_table",
-        "_token_list", "_pair_buckets", "_suffix_memo", "_distinct",
+        "_token_list", "_pair_buckets", "_suffix_memo", "_asn_codes",
+        "_distinct",
     )
 
     def __init__(
@@ -386,6 +392,7 @@ class PathStore:
         self._token_list: list[int] | None = None
         self._pair_buckets: dict[tuple[str, str], array] | None = None
         self._suffix_memo: tuple[frozenset, "SuffixTable"] | None = None
+        self._asn_codes: tuple[np.ndarray, np.ndarray] | None = None
         self._distinct: tuple[Any, Any, Any, Any] | None = None
 
     def __getattr__(self, name: str) -> Any:
@@ -438,6 +445,18 @@ class PathStore:
     def record_count(self) -> int:
         return len(self.record_path)
 
+    def asn_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(asns, codes)``: the sorted distinct ASNs of the token
+        column, and per token its index into ``asns`` in the smallest
+        unsigned dtype that holds one (memoised). The store-wide AS
+        numbering the hegemony and cone kernels share, from one
+        :func:`~repro.net.aspath.dense_codes` call."""
+        if self._asn_codes is None:
+            asns, codes = dense_codes(self.tokens)
+            dtype = np.min_scalar_type(max(len(asns) - 1, 0))
+            self._asn_codes = (asns, codes.astype(dtype))
+        return self._asn_codes
+
     def distinct_asns(self) -> tuple[Any, Any, Any, Any]:
         """``(ids, offsets, lengths, asns)``: every path's
         ``unique_asns()`` as columns of indices into ``asns``, the
@@ -446,8 +465,9 @@ class PathStore:
         if self._distinct is None:
             from repro.perf.hegemony import distinct_path_asns
 
-            self._distinct = distinct_path_asns(
-                self.tokens, self.offsets, self.lengths
+            asns, codes = self.asn_codes()
+            self._distinct = (
+                *distinct_path_asns(codes, self.offsets, self.lengths), asns,
             )
         return self._distinct
 

@@ -430,6 +430,7 @@ class MmapPathStore(PathStore):
         self._token_list = None
         self._pair_buckets = None
         self._suffix_memo = None
+        self._asn_codes = None
         self._distinct = None
 
     def __reduce__(self):

@@ -5,7 +5,9 @@ import pytest
 from repro.bgp.anomalies import AnomalyConfig
 from repro.bgp.propagation import propagate_all
 from repro.bgp.rib import RibGenerationConfig, RibSeries, generate_rib_days
+from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.topology import GeneratorConfig, generate_world, small_profiles
+from repro.topology.catalog import build_world
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +133,23 @@ class TestLazyDays:
         first = next(stream)
         assert first.day == 0
         assert list(first) == list(series.announcements(0))
+
+
+@pytest.mark.parametrize("tier", ["small", "default"])
+def test_path_table_holds_no_growth_slack(tier):
+    """The windows' path table — clean paths, then the planted override
+    paths — is built at its final size: a pipeline result keeps no
+    spare capacity behind its columns for its whole life."""
+    result = run_pipeline(build_world(tier, 42), PipelineConfig(seed=42))
+    series = result.ribs
+    paths = next(series.windows()).tables.paths
+    # the override paths close the table, in cell order
+    cells = sorted(series.overrides)
+    assert cells
+    tail = len(paths) - len(cells)
+    assert [paths[tail + at] for at in range(len(cells))] == [
+        series.overrides[cell] for cell in cells
+    ]
+    # the columns' capacity (private) equals their used length
+    assert len(paths._tokens) == len(paths.tokens)
+    assert len(paths._offsets) == len(paths._lengths) == len(paths)

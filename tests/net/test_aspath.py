@@ -1,9 +1,18 @@
 """Unit and property tests for repro.net.aspath."""
 
+from contextlib import nullcontext
+from unittest.mock import patch
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.net.aspath import ASPath, ASPathError
+from repro.net.aspath import (
+    DENSE_SPAN_FLOOR,
+    ASPath,
+    ASPathError,
+    dense_codes,
+)
 
 
 class TestConstruction:
@@ -107,3 +116,54 @@ class TestProperties:
     @given(paths)
     def test_parse_str_roundtrip(self, path):
         assert ASPath.parse(str(path)) == path
+
+
+class TestDenseCodes:
+    """``dense_codes`` returns ``np.unique(values, return_inverse=True)``
+    exactly — values, codes and dtypes — on both of its branches."""
+
+    DTYPES = (np.int64, np.uint64, np.int32, np.uint16, np.int8)
+
+    @staticmethod
+    def assert_unique(values, sorting=True):
+        """``dense_codes(values)`` equals ``np.unique``'s answer; with
+        ``sorting`` false, it must get there without calling it."""
+        expected, inverse = np.unique(values, return_inverse=True)
+        with nullcontext() if sorting else patch.object(
+            np, "unique", side_effect=AssertionError("numbered by sorting"),
+        ):
+            distinct, codes = dense_codes(values)
+        assert distinct.dtype == expected.dtype
+        assert codes.dtype == inverse.dtype
+        assert distinct.tolist() == expected.tolist()
+        assert codes.tolist() == inverse.tolist()
+
+    @given(st.data())
+    def test_narrow_span_marks_a_presence_table(self, data):
+        dtype = data.draw(st.sampled_from(self.DTYPES))
+        info = np.iinfo(dtype)
+        # any span up to the floor is narrow, whatever the count
+        width = min(DENSE_SPAN_FLOOR - 1, int(info.max) - int(info.min))
+        low = data.draw(st.integers(int(info.min), int(info.max) - width))
+        values = data.draw(st.lists(
+            st.integers(low, low + width), min_size=1, max_size=200,
+        ))
+        self.assert_unique(np.asarray(values, dtype=dtype), sorting=False)
+
+    @given(st.data())
+    def test_wide_span_sorts(self, data):
+        dtype = data.draw(st.sampled_from((np.int64, np.uint64)))
+        info = np.iinfo(dtype)
+        values = data.draw(st.lists(
+            st.integers(int(info.min), int(info.max)), min_size=2, max_size=200,
+        ).filter(lambda drawn: max(drawn) - min(drawn) > 2**40))
+        self.assert_unique(np.asarray(values, dtype=dtype))
+
+    @given(st.sampled_from(DTYPES), st.integers(0, 100))
+    def test_single_value(self, dtype, value):
+        self.assert_unique(np.full(3, value, dtype=dtype))
+        self.assert_unique(np.asarray([value], dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_empty(self, dtype):
+        self.assert_unique(np.empty(0, dtype=dtype))

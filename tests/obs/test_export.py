@@ -9,7 +9,7 @@ from repro.obs.export import (
     validate_events,
     validate_jsonl,
 )
-from repro.obs.trace import Tracer
+from repro.obs.trace import SpanRecord, Tracer
 
 
 def sample_tracer() -> Tracer:
@@ -143,3 +143,18 @@ class TestStageReport:
 
     def test_custom_title(self):
         assert stage_report(sample_tracer(), title="hello") .startswith("== hello ==")
+
+    def test_self_column_is_wall_less_children(self):
+        tracer = Tracer()
+        tracer.spans.extend([
+            SpanRecord(1, None, "ranking", 0.0, 0.4, 0.4, None),
+            SpanRecord(2, 1, "views", 0.0, 0.1, 0.1, None),
+            SpanRecord(3, 1, "hegemony", 0.1, 0.25, 0.25, None),
+        ])
+        rows = stage_report(tracer).splitlines()
+        assert rows[1].split()[:4] == ["stage", "wall", "self", "cpu"]
+        ranking = next(row for row in rows if row.startswith("ranking"))
+        # 400 ms of wall time, 350 of them in its two children
+        assert ranking.split()[1:4] == ["400.0ms", "50.0ms", "400.0ms"]
+        leaf = next(row for row in rows if "hegemony" in row)
+        assert leaf.split()[1:4] == ["250.0ms", "250.0ms", "250.0ms"]

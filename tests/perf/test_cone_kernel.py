@@ -28,6 +28,8 @@ from repro.perf.pathstore import PathStore, _LazyRecords
 from repro.perf.spill import MmapPathStore, SpillWriter
 from repro.topology.catalog import build_world
 
+from tests.perf.test_hegemony_kernel import relabelled, wide_labels
+
 TRIMS = (0.0, 0.1, 0.25, 0.49)
 BACKENDS = ("memory", "mmap")
 #: per-prefix address counts: zero, small, and IPv6 counts past 2^64
@@ -163,6 +165,21 @@ class TestParity:
         records, edges = drawn
         oracle = EdgeOracle(edges) if bulk else RelationshipOnly(edges)
         assert_kernel_matches(records, oracle, backend)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        drawn=record_sets(),
+        labels=wide_labels,
+        backend=st.sampled_from(BACKENDS),
+        bulk=st.booleans(),
+    )
+    def test_wide_asns(self, drawn, labels, backend, bulk):
+        """The drawn pool and edges relabelled into random public
+        32-bit ASNs."""
+        records, edges = drawn
+        edges = {(labels[left - 1], labels[right - 1]) for left, right in edges}
+        oracle = EdgeOracle(edges) if bulk else RelationshipOnly(edges)
+        assert_kernel_matches(relabelled(records, labels), oracle, backend)
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=record_sets(), backend=st.sampled_from(BACKENDS),

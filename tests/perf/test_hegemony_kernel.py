@@ -5,6 +5,7 @@ from store columns is compared by ``repr`` against
 the same records, on an in-memory and an mmap-backed store."""
 
 import tempfile
+from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.core.ahc import AHC_WEIGHTINGS, ahc_ranking, ahc_scores
 from repro.core.hegemony import hegemony_scores, local_hegemony
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.sanitize import FilterReport, PathRecord
+from repro.net.asn import is_public_asn
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.perf import hegemony as kernel
@@ -83,6 +85,28 @@ def record_sets(draw):
     ]
 
 
+#: eight distinct public ASNs up to 2**32 - 1, spread far wider than
+#: any drawn record set has tokens: a store over them numbers its ASes
+#: by sorting, never by a presence table
+wide_labels = st.lists(
+    st.integers(min_value=1, max_value=2**32 - 1).filter(is_public_asn),
+    min_size=8, max_size=8, unique=True,
+).filter(lambda labels: max(labels) - min(labels) > 2**20)
+
+
+def relabelled(records, labels):
+    """The records with every ASN ``a`` of the pool 1-8 (paths and VP
+    ASes) renamed ``labels[a - 1]``."""
+    return [
+        replace(
+            rec,
+            vp=replace(rec.vp, asn=labels[rec.vp.asn - 1]),
+            path=ASPath(tuple(labels[asn - 1] for asn in rec.path)),
+        )
+        for rec in records
+    ]
+
+
 def assert_kernel_matches(records, trim, weighting, backend):
     with tempfile.TemporaryDirectory() as directory:
         store = build_store(records, backend, directory)
@@ -126,6 +150,20 @@ class TestParity:
             overrides.update(DENSE_BINS_PER_PAIR=0, DENSE_BINS_FLOOR=0)
         with patch.multiple(kernel, **overrides):
             assert_kernel_matches(records, trim, weighting, backend)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        records=record_sets(),
+        labels=wide_labels,
+        trim=st.sampled_from(TRIMS),
+        weighting=st.sampled_from(WEIGHTINGS),
+        backend=st.sampled_from(("memory", "mmap")),
+    )
+    def test_wide_asns(self, records, labels, trim, weighting, backend):
+        """The drawn pool relabelled into random public 32-bit ASNs."""
+        assert_kernel_matches(
+            relabelled(records, labels), trim, weighting, backend
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(records=record_sets(), data=st.data())
