@@ -33,12 +33,19 @@ test: lint lint-wp lint-sarif
 ## torn run left a checkpoint), and at random points
 ## (test_column_builder.py) -- resumes to byte-identical spill files,
 ## and a damaged spill fails with a typed error on open or resume.
+## Last, the MRT boundary suite (tests/io/test_mrt_boundary.py):
+## +-Infinity, NaN, huge and over-long integers, 100,000-deep nesting,
+## numeric peer IPs, out-of-range ASNs, dayless headers, and dropped,
+## retyped and truncated fields -- strict ingestion raises only
+## MrtFormatError, lenient ingestion quarantines the line and yields
+## only well-formed announcements.
 faults:
 	$(PYTHON) -m pytest tests/resilience -q
 	$(PYTHON) -m pytest -q tests/perf/test_spill.py::TestCrashResume \
 		tests/perf/test_spill.py::TestDamagedSpill \
 		tests/perf/test_spill.py::TestDamagedResume \
 		tests/perf/test_column_builder.py
+	$(PYTHON) -m pytest -q tests/io/test_mrt_boundary.py
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (per-file rules R001-R008 plus the

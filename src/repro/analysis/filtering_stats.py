@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geo.database import GeoDatabase
-from repro.geo.prefix_geo import GeolocationStats, PrefixGeolocation, geolocate_prefixes
+from repro.geo.prefix_geo import GeolocationStats, PrefixGeolocation, address_table
 from repro.net.prefix import Prefix
 
 
@@ -88,10 +88,14 @@ def threshold_sweep(
     thresholds: tuple[float, ...] = (0.05, 0.15, 0.25, 0.35, 0.45, 0.5,
                                      0.55, 0.65, 0.75, 0.85, 0.95),
 ) -> list[ThresholdPoint]:
-    """Figure 8: per-country assignment success across thresholds."""
+    """Figure 8: per-country assignment success across thresholds.
+
+    The (prefix, country) address table is built once; each threshold
+    only reruns the vote over it."""
+    table = address_table(prefixes, database)
     points = []
     for threshold in thresholds:
-        outcome = geolocate_prefixes(prefixes, database, threshold)
+        outcome = table.decide(threshold)
         stats = outcome.stats_by_country()
         fractions = {
             code: 1.0 - stat.pct_prefixes_filtered / 100.0

@@ -10,10 +10,14 @@ the way real databases are:
 * noise: a small fraction of sub-blocks is assigned to a wrong country;
 * misses: a small fraction of sub-blocks has no entry at all.
 
-Internally the database is a radix trie of geo-blocks; lookups use
-most-specific match, and :meth:`country_shares` integrates the per-
-country address fractions over any queried prefix — exactly the
-operation the 50 %-threshold prefix geolocation needs.
+Entries are kept as columns in insertion order (network, length,
+country), and every query reads one memoised painted map
+(:class:`~repro.geo.intervals.IntervalMap`): the entries laid down
+shortest first, so the most specific entry owns each address and a
+re-assigned block keeps its last value. :meth:`lookup` bisects the
+map; :meth:`country_shares` clips it to the queried prefix and sums
+exact integer address counts per country — the operation the
+50 %-threshold prefix geolocation needs.
 """
 
 from __future__ import annotations
@@ -22,8 +26,10 @@ import random
 import zlib
 from typing import Mapping
 
-from repro.net.prefix import Prefix
-from repro.net.prefixtrie import PrefixTrie
+import numpy as np
+
+from repro.geo.intervals import IntervalMap, offsets
+from repro.net.prefix import Prefix, PrefixError
 from repro.topology.world import World
 
 #: Sub-block granularity: each prefix is split into 2**_SPLIT_BITS
@@ -32,11 +38,15 @@ _SPLIT_BITS = 4
 
 
 class GeoDatabase:
-    """Country-of-address lookups over a trie of geo-blocks."""
+    """Country-of-address lookups over a painted interval map."""
 
     def __init__(self, version: int = 4) -> None:
-        self._trie: PrefixTrie[str] = PrefixTrie(version)
         self._version = version
+        self._bits = Prefix(version, 0, 0).bits()
+        self._networks: list[int] = []
+        self._lengths: list[int] = []
+        self._countries: list[str | None] = []
+        self._painted: tuple[IntervalMap, tuple[str, ...]] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -59,6 +69,7 @@ class GeoDatabase:
         if not 0.0 <= noise_rate <= 1.0 or not 0.0 <= miss_rate <= 1.0:
             raise ValueError("noise_rate/miss_rate must be within [0, 1]")
         db = cls(version)
+        bits = db._bits
         all_codes = world.countries.codes()
 
         def uniform(kind: str, key: str) -> float:
@@ -74,55 +85,105 @@ class GeoDatabase:
         )
         seen: set[Prefix] = set()
         for prefix, record in records:
-            if prefix in seen or prefix.version != db._version:
+            if prefix in seen or prefix.version != version:
                 continue
             seen.add(prefix)
-            db.assign(prefix, record.country)
-            chunks = db._chunks(prefix)
-            used: set[int] = set()
+            network = prefix.value
+            db._put(network, prefix.length, record.country)
+            # The prefix's chunks: 2**_SPLIT_BITS equal subnets (none
+            # for a host prefix), chunk i starting at network + i*step.
+            split_to = min(prefix.length + _SPLIT_BITS, bits)
+            chunks = (1 << (split_to - prefix.length)) if split_to > prefix.length else 0
+            step = 1 << (bits - split_to)
+            foreign = 0
             if record.foreign_share > 0 and record.foreign_country and chunks:
-                count = max(1, round(record.foreign_share * len(chunks)))
-                for index in range(count):
-                    db.assign(chunks[index], record.foreign_country)
-                    used.add(index)
+                foreign = max(1, round(record.foreign_share * chunks))
+                for index in range(foreign):
+                    db._put(network + index * step, split_to, record.foreign_country)
             # Hash-stable per-prefix noise: editing one AS elsewhere in
             # the world never moves another prefix's noise.
-            free = [i for i in range(len(chunks)) if i not in used]
+            free = list(range(foreign, chunks))
             key = str(prefix)
             if free and uniform("noise", key) < noise_rate:
                 rng = rng_of(key)
                 index = free.pop(rng.randrange(len(free)))
                 wrong = rng.choice([c for c in all_codes if c != record.country])
-                db.assign(chunks[index], wrong)
+                db._put(network + index * step, split_to, wrong)
             if free and uniform("miss", key) < miss_rate:
                 rng = rng_of("miss:" + key)
                 index = free.pop(rng.randrange(len(free)))
-                db.unassign(chunks[index])
+                db._put(network + index * step, split_to, None)
         return db
 
     def assign(self, prefix: Prefix, country: str) -> None:
         """Map a geo-block to a country (most-specific wins on lookup)."""
-        self._trie.insert(prefix, country)
+        self._check(prefix)
+        self._put(prefix.value, prefix.length, country)
 
     def unassign(self, prefix: Prefix) -> None:
         """Mark a geo-block as having no location (database miss)."""
-        self._trie.insert(prefix, _NOWHERE)
+        self._check(prefix)
+        self._put(prefix.value, prefix.length, None)
 
-    @staticmethod
-    def _chunks(prefix: Prefix) -> list[Prefix]:
-        split_to = min(prefix.length + _SPLIT_BITS, prefix.bits())
-        if split_to == prefix.length:
-            return []
-        return prefix.subnets(split_to)
+    def _check(self, prefix: Prefix) -> None:
+        if prefix.version != self._version:
+            raise PrefixError(
+                f"v{prefix.version} prefix in v{self._version} database: {prefix}"
+            )
+
+    def _put(self, network: int, length: int, country: str | None) -> None:
+        self._networks.append(network)
+        self._lengths.append(length)
+        self._countries.append(country)
+        self._painted = None
+
+    # -- the painted map -------------------------------------------------------
+
+    @property
+    def version(self) -> int:
+        """The address family this database holds (4 or 6)."""
+        return self._version
+
+    def painted(self) -> tuple[IntervalMap, tuple[str, ...]]:
+        """Every entry as one interval map, memoised until the next
+        ``assign``/``unassign``: values index the sorted country tuple,
+        ``-1`` is no country (a gap or a miss)."""
+        if self._painted is None:
+            self._painted = self._paint()
+        return self._painted
+
+    def _paint(self) -> tuple[IntervalMap, tuple[str, ...]]:
+        width = max(self._lengths, default=0)
+        starts = offsets(self._networks, self._bits, width)
+        lengths = np.array(self._lengths, dtype=np.int64)
+        countries = tuple(sorted({c for c in self._countries if c is not None}))
+        code = {country: index for index, country in enumerate(countries)}
+        values = np.array(
+            [code.get(country, -1) for country in self._countries], dtype=np.int64
+        )
+        # The last insertion wins for an equal (network, length): keep
+        # the last row of each run in (length, network, insertion) order.
+        order = np.lexsort((np.arange(len(lengths)), starts, lengths))
+        ordered_starts, ordered_lengths = starts[order], lengths[order]
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = (ordered_starts[1:] != ordered_starts[:-1]) | (
+            ordered_lengths[1:] != ordered_lengths[:-1]
+        )
+        rows = order[last]
+        geo = IntervalMap.paint(starts[rows], lengths[rows], values[rows], width)
+        return geo, countries
 
     # -- queries ---------------------------------------------------------------
 
     def lookup(self, version: int, value: int) -> str | None:
         """Country of one integer address, or ``None`` when unknown."""
-        hit = self._trie.lookup_address(version, value)
-        if hit is None or hit[1] is _NOWHERE:
+        if version != self._version:
             return None
-        return hit[1]
+        if not 0 <= value < 1 << self._bits:
+            raise PrefixError(f"address value out of range for v{version}: {value}")
+        geo, countries = self.painted()
+        code = geo.at(value >> (self._bits - geo.width))
+        return countries[code] if code >= 0 else None
 
     def lookup_text(self, address: str) -> str | None:
         """Country of a textual address."""
@@ -135,26 +196,20 @@ class GeoDatabase:
         """Fraction of the prefix's addresses per country.
 
         The ``None`` key collects addresses with no database entry.
-        Exact (not sampled): integrates the geo-block trie over the
-        queried prefix.
+        Exact (not sampled): sums the painted map's address counts over
+        the queried prefix, keyed in address order of first appearance.
         """
         if prefix.version != self._version:
             return {None: 1.0}
-        mini: PrefixTrie[str] = PrefixTrie(self._version)
-        cover = self._trie.longest_match(prefix)
-        base = cover[1] if cover is not None else _NOWHERE
-        mini.insert(prefix, base)
-        for stored, country in self._trie.subtree(prefix):
-            if stored != prefix:
-                mini.insert(stored, country)
+        geo, countries = self.painted()
+        # A prefix finer than the map's unit lies inside one segment.
+        lo = prefix.value >> (self._bits - geo.width)
+        hi = lo + (1 << max(geo.width - prefix.length, 0))
         totals: dict[str | None, int] = {}
-        for block, _ in mini.decompose():
-            hit = mini.longest_match(block)
-            assert hit is not None
-            country = hit[1]
-            key = None if country is _NOWHERE else country
-            totals[key] = totals.get(key, 0) + block.num_addresses()
-        whole = prefix.num_addresses()
+        for code, size in zip(*geo.clip(lo, hi)):
+            key = countries[code] if code >= 0 else None
+            totals[key] = totals.get(key, 0) + size
+        whole = hi - lo
         return {country: count / whole for country, count in totals.items()}
 
     def majority_country(
@@ -171,8 +226,5 @@ class GeoDatabase:
         return None
 
     def __len__(self) -> int:
-        return len(self._trie)
-
-
-#: Sentinel stored for deliberate database misses.
-_NOWHERE = "\x00nowhere"
+        """Distinct (network, length) entries."""
+        return len(set(zip(self._networks, self._lengths)))

@@ -12,15 +12,25 @@ Procedure, as in the paper:
    strict majority above the threshold (default 50 %) of the owned
    addresses; otherwise the prefix — and every path toward it — is
    filtered ("geolocated to no or multiple countries").
+
+Steps 1–3 are array passes over address intervals
+(:func:`address_table`): the announced prefixes are painted into one
+interval map, shortest first, so each address belongs to its most
+specific announcement; that map is overlaid on the database's painted
+map, and exact integer address counts are summed per (prefix,
+country). Step 4 (:meth:`AddressTable.decide`) reads the table, so a
+threshold sweep builds it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from repro.geo.database import GeoDatabase
-from repro.net.blocks import Block, split_into_blocks
+from repro.geo.intervals import IntervalMap, offsets
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER
 
@@ -134,7 +144,7 @@ def geolocate_prefixes(
     ``geo.addresses.owned`` gauge.
     """
     with tracer.span("geolocate", threshold=threshold) as span:
-        outcome = _geolocate_prefixes(prefixes, database, threshold, version)
+        outcome = address_table(prefixes, database, version).decide(threshold)
         span.set(
             input=len(outcome.country_of) + len(outcome.no_consensus)
             + len(outcome.covered),
@@ -152,59 +162,98 @@ def geolocate_prefixes(
     return outcome
 
 
-def _geolocate_prefixes(
-    prefixes: Iterable[Prefix],
-    database: GeoDatabase,
-    threshold: float = 0.5,
-    version: int = 4,
-) -> PrefixGeolocation:
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold out of range: {threshold}")
+class AddressTable(NamedTuple):
+    """Each announced prefix's owned addresses by database country,
+    reduced to what the §3.2.1 vote reads; every field in sorted-prefix
+    order."""
+
+    #: announced prefixes entirely covered by more specifics
+    covered: tuple[Prefix, ...]
+    #: announced prefixes owning addresses
+    owners: tuple[Prefix, ...]
+    #: addresses each owner owns
+    owned: tuple[int, ...]
+    #: each owner's addresses in its largest country (0 when none)
+    best: tuple[int, ...]
+    #: the countries tied at ``best`` per owner, sorted
+    plurality: tuple[tuple[str, ...], ...]
+
+    def decide(self, threshold: float = 0.5) -> PrefixGeolocation:
+        """Step 4: accept a prefix whose single top country holds more
+        than ``threshold`` of its owned addresses."""
+        if not 0.0 <= threshold < 1.0:
+            raise ValueError(f"threshold out of range: {threshold}")
+        country_of: dict[Prefix, str] = {}
+        no_consensus: set[Prefix] = set()
+        for prefix, total, best, tied in zip(
+            self.owners, self.owned, self.best, self.plurality
+        ):
+            if len(tied) == 1 and best / total > threshold:
+                country_of[prefix] = tied[0]
+            else:
+                no_consensus.add(prefix)
+        return PrefixGeolocation(
+            threshold=threshold,
+            country_of=country_of,
+            no_consensus=no_consensus,
+            covered=set(self.covered),
+            owned_addresses=dict(zip(self.owners, self.owned)),
+            plurality_of=dict(zip(self.owners, self.plurality)),
+        )
+
+
+def address_table(
+    prefixes: Iterable[Prefix], database: GeoDatabase, version: int = 4
+) -> AddressTable:
+    """Steps 1–3 of §3.2.1 over the ``version`` prefixes of an
+    announced set, as interval passes with exact integer counts."""
     unique = sorted(
         {p for p in prefixes if p.version == version}, key=Prefix.sort_key
     )
-    blocks = split_into_blocks(unique, version)
-    owned: dict[Prefix, list[Block]] = {}
-    for block in blocks:
-        owned.setdefault(block.owner, []).append(block)
-
-    covered = {prefix for prefix in unique if prefix not in owned}
-    country_of: dict[Prefix, str] = {}
-    no_consensus: set[Prefix] = set()
-    owned_addresses: dict[Prefix, int] = {}
-    plurality_of: dict[Prefix, tuple[str, ...]] = {}
-
-    for prefix in unique:
-        blocks_here = owned.get(prefix)
-        if not blocks_here:
+    bits = Prefix(version, 0, 0).bits()
+    if database.version != version:
+        database = GeoDatabase(version)  # no entry of this family
+    geo, countries = database.painted()
+    lengths = np.array([p.length for p in unique], dtype=np.int64)
+    width = max(geo.width, int(lengths.max(initial=0)))
+    announced = IntervalMap.paint(
+        offsets([p.value for p in unique], bits, width), lengths,
+        np.arange(len(unique), dtype=np.int64), width,
+    )
+    owner, country, size = announced.overlay(geo.rescaled(width))
+    mine = owner >= 0
+    owner, country, size = owner[mine], country[mine], size[mine]
+    total = np.zeros(len(unique), dtype=size.dtype)
+    np.add.at(total, owner, size)
+    # Units per (owner, country), then each owner's largest count and
+    # the countries tied at it (ascending codes are sorted names).
+    located = country >= 0
+    span = max(len(countries), 1)
+    pairs, inverse = np.unique(
+        owner[located] * span + country[located], return_inverse=True
+    )
+    count = np.zeros(len(pairs), dtype=size.dtype)
+    np.add.at(count, inverse, size[located])
+    pair_owner, pair_country = np.divmod(pairs, span)
+    best = np.zeros(len(unique), dtype=size.dtype)
+    np.maximum.at(best, pair_owner, count)
+    top = count == best[pair_owner]
+    tied: dict[int, list[str]] = {}
+    for index, code in zip(pair_owner[top].tolist(), pair_country[top].tolist()):
+        tied.setdefault(index, []).append(countries[code])
+    shift = bits - width
+    covered, owners, owned, bests, plurality = [], [], [], [], []
+    for index, (prefix, units, top_units) in enumerate(
+        zip(unique, total.tolist(), best.tolist())
+    ):
+        if not units:
+            covered.append(prefix)
             continue
-        total = sum(b.num_addresses() for b in blocks_here)
-        owned_addresses[prefix] = total
-        shares: dict[str | None, float] = {}
-        for block in blocks_here:
-            weight = block.num_addresses()
-            for country, share in database.country_shares(block.prefix).items():
-                shares[country] = shares.get(country, 0.0) + share * weight
-        best_weight = max(
-            (weight for country, weight in shares.items() if country is not None),
-            default=0.0,
-        )
-        tied = tuple(sorted(
-            country
-            for country, weight in shares.items()
-            if country is not None and weight >= best_weight - 1e-9
-        ))
-        plurality_of[prefix] = tied
-        if len(tied) == 1 and best_weight / total > threshold:
-            country_of[prefix] = tied[0]
-        else:
-            no_consensus.add(prefix)
-
-    return PrefixGeolocation(
-        threshold=threshold,
-        country_of=country_of,
-        no_consensus=no_consensus,
-        covered=covered,
-        owned_addresses=owned_addresses,
-        plurality_of=plurality_of,
+        owners.append(prefix)
+        owned.append(units << shift)
+        bests.append(top_units << shift)
+        plurality.append(tuple(tied.get(index, ())))
+    return AddressTable(
+        tuple(covered), tuple(owners), tuple(owned), tuple(bests),
+        tuple(plurality),
     )

@@ -16,13 +16,16 @@ The format is intentionally self-describing and versioned:
      "prefix": "10.0.0.0/16", "path": [13, 10, 1]}
 
 Failure behavior: every malformed-input condition — a truncated or
-corrupt gzip stream, an invalid JSON line, a rib entry with missing or
-mistyped fields — surfaces as :class:`MrtFormatError` carrying the
-file path and line number (never a raw ``EOFError`` or
-``json.JSONDecodeError``). With ``strict=False``, malformed *lines*
-are diverted to a :class:`repro.resilience.Quarantine` sink and
-ingestion continues; only damage that makes the rest of the file
-untrustworthy (bad header, corrupt stream) still aborts.
+corrupt gzip stream, an invalid JSON line (nesting past the recursion
+limit and over-long integer literals included), a header without a
+non-negative integer ``day``, a rib entry with missing or mistyped
+fields, an unparseable ``peer_ip`` or an ASN outside 0..2**32-1 —
+surfaces as :class:`MrtFormatError` carrying the file path and line
+number (never a raw ``EOFError``, ``json.JSONDecodeError``,
+``RecursionError`` or ``OverflowError``). With ``strict=False``,
+malformed *lines* are diverted to a :class:`repro.resilience.Quarantine`
+sink and ingestion continues; only damage that makes the rest of the
+file untrustworthy (bad header, corrupt stream) still aborts.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.bgp.announcement import Announcement
 from repro.bgp.collectors import VantagePoint
 from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.resilience.quarantine import Quarantine
 
@@ -47,7 +50,10 @@ FORMAT_NAME = "repro-mrt"
 FORMAT_VERSION = 1
 
 #: exceptions that mean "this line is not a well-formed rib entry"
-_ENTRY_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+_ENTRY_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+#: the largest 32-bit AS number
+_ASN_MAX = 4294967295
 
 #: exceptions a corrupt/truncated gzip stream surfaces while reading
 _STREAM_ERRORS = (EOFError, OSError, UnicodeDecodeError)
@@ -101,7 +107,7 @@ def read_header(path: str | Path) -> MrtHeader:
             line = handle.readline()
             if not line:
                 raise MrtFormatError(f"{path}:1: empty dump")
-            first = json.loads(line)
+            first = _decode(line)
     except _STREAM_ERRORS as error:
         raise MrtFormatError(f"{path}:1: corrupt gzip stream: {error}") from error
     except json.JSONDecodeError as error:
@@ -110,16 +116,39 @@ def read_header(path: str | Path) -> MrtHeader:
     return MrtHeader(day=first["day"])
 
 
+def _decode(line: str) -> object:
+    """One JSON line. Anything ``json.loads`` cannot decode — nesting
+    past the recursion limit and integer literals past the digit limit
+    included — raises ``json.JSONDecodeError``."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as error:
+        raise json.JSONDecodeError(str(error), line, 0) from error
+
+
+def _asn(value: object) -> int:
+    """An AS number: a JSON integer within 0..2**32-1."""
+    if type(value) is not int or not 0 <= value <= _ASN_MAX:
+        raise ValueError(f"invalid ASN {value!r}")
+    return value
+
+
 def _parse_rib_entry(entry: dict) -> Announcement:
     """One rib line's announcement (raises on missing/mistyped fields)."""
+    ip = entry["peer_ip"]
+    parse_address(ip)
+    collector = entry.get("collector", "unknown")
+    if not isinstance(collector, str):
+        raise TypeError(f"collector is not a string: {collector!r}")
+    path = entry["path"]
+    if not isinstance(path, list):
+        raise TypeError(f"path is not a list: {path!r}")
     return Announcement(
-        vp=VantagePoint(
-            ip=entry["peer_ip"],
-            asn=int(entry["peer_asn"]),
-            collector=entry.get("collector", "unknown"),
-        ),
+        vp=VantagePoint(ip=ip, asn=_asn(entry["peer_asn"]), collector=collector),
         prefix=Prefix.parse(entry["prefix"]),
-        path=ASPath(tuple(int(asn) for asn in entry["path"])),
+        path=ASPath(tuple(_asn(asn) for asn in path)),
     )
 
 
@@ -179,7 +208,7 @@ def load_rib(
                 line = faults.corrupt(line)
             if line_no == 1:
                 try:
-                    header = json.loads(line)
+                    header = _decode(line)
                 except json.JSONDecodeError as error:
                     # a broken header means nothing else in the file
                     # can be trusted: fatal even when lenient
@@ -189,7 +218,7 @@ def load_rib(
                 _validate_header(header, path)
                 continue
             try:
-                entry = json.loads(line)
+                entry = _decode(line)
             except json.JSONDecodeError as error:
                 if strict:
                     raise MrtFormatError(
@@ -299,3 +328,6 @@ def _validate_header(header: object, path: str | Path) -> None:
         raise MrtFormatError(
             f"{path}:1: unsupported {FORMAT_NAME} version {header.get('version')}"
         )
+    day = header.get("day")
+    if type(day) is not int or day < 0:
+        raise MrtFormatError(f"{path}:1: header day is not an integer >= 0: {day!r}")

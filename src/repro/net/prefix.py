@@ -113,7 +113,10 @@ def format_address(version: int, value: int) -> str:
     if not 0 <= value <= (1 << bits) - 1:
         raise PrefixError(f"address value out of range for v{version}: {value}")
     if version == 4:
-        return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+        return (
+            f"{value >> 24}.{(value >> 16) & 0xFF}."
+            f"{(value >> 8) & 0xFF}.{value & 0xFF}"
+        )
     groups = [(value >> shift) & 0xFFFF for shift in range(112, -1, -16)]
     # Longest run of zero groups gets '::' compression, per RFC 5952.
     best_start, best_len = -1, 0

@@ -1,9 +1,12 @@
 """A binary radix trie over prefixes.
 
-Used by the geolocation pipeline for most-specific matching (splitting
-announced prefixes into blocks, §3.2.1) and by the sanitizer to detect
-prefixes entirely covered by more-specific announcements (1.2% of the
-paper's April 2021 data).
+Most-specific matching, subtree walks and covered-by-more-specifics
+detection (§3.2.1: 1.2 % of the paper's April 2021 prefixes are
+covered). :mod:`repro.net.blocks` splits announced prefixes into owned
+blocks with it. The pipeline does not use it: the §3.2.1 geolocation
+pass paints address intervals (:mod:`repro.geo.intervals`), the
+sanitizer reads that pass's covered set, and the trie-based block pass
+is the geolocation tests' oracle.
 
 One trie holds one address family; mixing families raises.
 """
