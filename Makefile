@@ -4,7 +4,7 @@ export PYTHONPATH := src
 .PHONY: test lint lint-wp lint-sarif faults bench bench-smoke bench-serve bench-large bench-large-smoke bench-e2e-smoke watch-smoke serve-smoke profile
 
 ## Default verification: static analysis first (per-file and
-## whole-program tiers, then the R009-R012 self-check and the SARIF
+## whole-program tiers, then the R011/R012 self-check and the SARIF
 ## artifact), then the test suite (which includes the fault-injection
 ## suite), then the benchmark's own self-tests (bench/ sits outside
 ## the suite's testpaths), then the fault suite once more on its own
@@ -23,11 +23,9 @@ test: lint lint-wp lint-sarif
 	$(MAKE) bench-e2e-smoke
 	$(MAKE) bench-large-smoke
 
-## Fault-injection suite: deterministic worker kills (including a
-## pool that breaks while chunks are still being submitted,
-## tests/resilience/test_submit_race.py), hung chunks, mid-sweep
-## crashes, and corrupted dump lines, each required to recover to
-## byte-identical output (DESIGN.md section 6), plus spill recovery: a
+## Fault-injection suite: deterministic mid-sweep crashes and
+## corrupted dump lines, each required to recover to byte-identical
+## output (DESIGN.md section 6), plus spill recovery: a
 ## torn ingestion -- torn at the middle of the input, exactly at a
 ## window boundary and mid-window (TestCrashResume, which checks each
 ## torn run left a checkpoint), and at random points
@@ -49,7 +47,7 @@ faults:
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (per-file rules R001-R008 plus the
-## whole-program tier R009-R012, findings vs the checked-in
+## whole-program tier R011-R012, findings vs the checked-in
 ## lint-baseline.json, runtime guard of 5s so it stays cheap enough to
 ## run always), then mypy when available (lenient globally, strict for
 ## repro.perf and repro.core -- see [tool.mypy] in pyproject.toml).
@@ -61,13 +59,13 @@ lint:
 		echo "mypy not installed -- type check skipped"; \
 	fi
 
-## Whole-program self-check: just the call-graph rules (R009 fork
-## safety, R010 broadcast discipline, R011 memo coherence, R012 spec
-## purity) over the library source, with no baseline — asserts the
-## tree carries zero unbaselined whole-program findings.
+## Whole-program self-check: just the call-graph rules (R011 memo
+## coherence, R012 spec purity) over the library source, with no
+## baseline — asserts the tree carries zero unbaselined whole-program
+## findings.
 lint-wp:
 	$(PYTHON) -m repro.lint src/repro --no-baseline \
-		--select R009,R010,R011,R012 --stats --max-seconds 5
+		--select R011,R012 --stats --max-seconds 5
 
 ## SARIF artifact for CI annotation tooling: the full rule set over
 ## src + tests as a SARIF 2.1.0 log at benchmarks/output/lint.sarif.
@@ -78,13 +76,10 @@ lint-sarif:
 		--max-seconds 5 > benchmarks/output/lint.sarif
 
 ## Full scaling benchmark (small + medium worlds); writes
-## BENCH_pipeline.json at the repo root and fails below the 3x
-## indexed-vs-naive floor on the medium world. The parallel floor is
-## enforced on hosts with >= 2 usable CPUs and recorded as an explicit
-## `parallel_gate: skipped / insufficient_cpus` entry otherwise.
+## BENCH_pipeline.json at the repo root and fails below the 2.5x
+## indexed-vs-naive floor on the medium world.
 bench:
-	$(PYTHON) benchmarks/bench_pipeline_scaling.py --min-speedup 2.5 \
-		--parallel-floor 1.0
+	$(PYTHON) benchmarks/bench_pipeline_scaling.py --min-speedup 2.5
 
 ## Serving benchmark (medium world): cold-vs-warm /rank latency, QPS,
 ## and the store hit rate through a real daemon on an ephemeral port;
@@ -117,9 +112,8 @@ bench-large-smoke:
 bench-e2e-smoke:
 	$(PYTHON) -m bench run --smoke
 
-## Quick perf gate: small world under a time ceiling, plus the
-## parallel >= serial floor at workers=2 (auto-skipped on hosts with
-## fewer than 2 usable CPUs — see benchmarks/smoke.sh); writes
+## Quick perf gate: small world under a time ceiling plus the
+## indexed-vs-naive floor (see benchmarks/smoke.sh); writes
 ## benchmarks/output/BENCH_smoke.json.
 bench-smoke:
 	sh benchmarks/smoke.sh

@@ -13,14 +13,7 @@ Times, per world (small / medium):
   :func:`~repro.core.cti.cti_scores`) — a second program the indexed
   sweep must agree with;
 * **indexed sweep** — ``PipelineResult.rank_all`` over the same pairs:
-  shared path index + cross-metric intermediate caches;
-* **parallel pipeline** — the cold pipeline with ``workers`` process
-  fan-out on route propagation, served by one persistent broadcast
-  pool (its spawn/broadcast stats land in the report; on a single-core
-  box parallel is expected to be slower, not faster, and the
-  ``--parallel-floor`` gate auto-skips there — recorded explicitly as
-  a ``parallel_gate`` entry with ``status: skipped`` and
-  ``reason: insufficient_cpus``, never silently omitted).
+  shared path index + cross-metric intermediate caches.
 
 Each world entry also records a per-stage wall-clock breakdown and
 per-stage process peak-RSS high-water marks (``peak_rss_bytes``, from
@@ -65,7 +58,6 @@ from repro.core.ranking import Ranking
 from repro.core.registry import get_spec
 from repro.core.sanitize import PathRecord
 from repro.obs.trace import Tracer
-from repro.perf.parallel import CHUNKS_PER_WORKER
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -159,38 +151,6 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def parallel_gate_record(
-    floor: float, cpus_usable: int, measured: float
-) -> dict:
-    """The structured ``parallel_gate`` entry for the report.
-
-    Always present (so a reader never has to guess whether the gate
-    ran), with an explicit ``status``:
-
-    * ``disabled`` — no floor requested (``--parallel-floor 0``);
-    * ``skipped`` / ``reason: insufficient_cpus`` — a floor was
-      requested but the host has fewer than 2 usable CPUs, where the
-      fan-out's processes time-slice one core and parallel is expected
-      to trail serial: the gate cannot be meaningful, and the record
-      says so instead of silently omitting the result;
-    * ``passed`` / ``failed`` — the floor was enforced against the
-      measured parallel-vs-serial speedup.
-    """
-    record: dict = {"floor": floor, "cpus_usable": cpus_usable}
-    if not floor:
-        return {**record, "status": "disabled"}
-    if cpus_usable < 2:
-        return {
-            **record,
-            "status": "skipped",
-            "reason": "insufficient_cpus",
-            "needs_cpus": 2,
-        }
-    record["measured"] = measured
-    record["status"] = "passed" if measured >= floor else "failed"
-    return record
-
-
 def stage_timings(tracer: Tracer) -> dict[str, float]:
     """Wall-clock per top-level pipeline stage, from a traced run."""
     root = next(
@@ -205,9 +165,7 @@ def stage_timings(tracer: Tracer) -> dict[str, float]:
     return stages
 
 
-def bench_world(
-    kind: str, seed: int, countries_wanted: int, workers: int
-) -> dict:
+def bench_world(kind: str, seed: int, countries_wanted: int) -> dict:
     world = build_world(kind, seed)
 
     t0 = time.perf_counter()
@@ -250,20 +208,7 @@ def bench_world(
         if entries != other:
             raise AssertionError(f"indexed sweep diverged from naive on {key}")
 
-    t0 = time.perf_counter()
-    parallel_result = run_pipeline(
-        world, PipelineConfig(seed=seed, workers=workers)
-    )
-    pipeline_parallel_s = time.perf_counter() - t0
-    pool = parallel_result._pool
-    pool_stats = dict(pool.stats) if pool is not None else None
-    parallel_result.close()
-
     speedup = sweep_naive_s / sweep_indexed_s if sweep_indexed_s else float("inf")
-    parallel_speedup = (
-        pipeline_cold_s / pipeline_parallel_s
-        if pipeline_parallel_s else float("inf")
-    )
     return {
         "records": len(result.paths),
         "countries": countries,
@@ -272,11 +217,6 @@ def bench_world(
         "pipeline_cold_s": round(pipeline_cold_s, 4),
         "pipeline_stages_s": stages,
         "peak_rss_bytes": stage_rss,
-        "pipeline_parallel_s": round(pipeline_parallel_s, 4),
-        "speedup_parallel_vs_serial": round(parallel_speedup, 2),
-        "workers": workers,
-        "chunks_per_worker": CHUNKS_PER_WORKER,
-        "pool": pool_stats,
         "sweep_naive_s": round(sweep_naive_s, 4),
         "sweep_indexed_s": round(sweep_indexed_s, 4),
         "speedup_indexed_vs_naive": round(speedup, 2),
@@ -324,47 +264,32 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--countries", type=int, default=5)
     parser.add_argument(
-        "--workers", type=int, default=min(4, os.cpu_count() or 1) + 1,
-        help="fan-out width for the parallel pipeline measurement",
-    )
-    parser.add_argument(
         "--min-speedup", type=float, default=0.0,
         help="fail (exit 1) when the *last* world's indexed-vs-naive "
              "speedup is below this floor (0 disables)",
-    )
-    parser.add_argument(
-        "--parallel-floor", type=float, default=0.0,
-        help="fail (exit 1) when the *last* world's parallel-vs-serial "
-             "pipeline speedup is below this floor; only enforced on "
-             "hosts with >= 2 usable CPUs — on fewer the gate is "
-             "recorded as skipped (0 disables)",
     )
     parser.add_argument(
         "--output", default=str(REPO_ROOT / "BENCH_pipeline.json")
     )
     args = parser.parse_args(argv)
 
-    cpus = usable_cpus()
     report = {
-        "schema": "bench_pipeline/4",
+        "schema": "bench_pipeline/5",
         "cpus": os.cpu_count(),
-        "cpus_usable": cpus,
+        "cpus_usable": usable_cpus(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "seed": args.seed,
         "worlds": {},
     }
     last_speedup = float("inf")
-    last_parallel = float("inf")
     for kind in [w for w in args.worlds.split(",") if w]:
         print(f"[{kind}] running …", flush=True)
-        entry = bench_world(kind, args.seed, args.countries, args.workers)
+        entry = bench_world(kind, args.seed, args.countries)
         report["worlds"][kind] = entry
         last_speedup = entry["speedup_indexed_vs_naive"]
-        last_parallel = entry["speedup_parallel_vs_serial"]
         print(
             f"[{kind}] pipeline {entry['pipeline_cold_s']:.2f}s  "
-            f"parallel {entry['pipeline_parallel_s']:.2f}s  "
             f"naive sweep {entry['sweep_naive_s']:.2f}s  "
             f"indexed sweep {entry['sweep_indexed_s']:.2f}s  "
             f"speedup {entry['speedup_indexed_vs_naive']:.1f}x "
@@ -387,20 +312,6 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             f"indexed sweep speedup {last_speedup:.2f}x is below the "
             f"{args.min_speedup:.2f}x floor"
-        )
-    gate = parallel_gate_record(args.parallel_floor, cpus, last_parallel)
-    report["parallel_gate"] = gate
-    if gate["status"] != "disabled":
-        detail = (
-            f"{gate['reason']} ({cpus} usable, needs {gate['needs_cpus']})"
-            if gate["status"] == "skipped"
-            else f"floor {gate['floor']:.2f}x, measured {gate['measured']:.2f}x"
-        )
-        print(f"[gate] parallel {gate['status']}: {detail}", flush=True)
-    if gate["status"] == "failed":
-        failures.append(
-            f"parallel pipeline speedup {last_parallel:.2f}x is "
-            f"below the {args.parallel_floor:.2f}x floor"
         )
 
     out = Path(args.output)

@@ -37,13 +37,7 @@ from repro.core.registry import (
 from repro.core.ndcg import dcg, ndcg
 from repro.obs import Tracer, stage_report, to_jsonl, to_prometheus
 from repro.perf import PathIndex, ViewComputation
-from repro.resilience import (
-    Checkpoint,
-    FaultPlan,
-    Quarantine,
-    RetryPolicy,
-    resilient_map,
-)
+from repro.resilience import Checkpoint, FaultPlan, Quarantine
 from repro.topology.generator import (
     GeneratorConfig,
     generate_world,
@@ -74,7 +68,6 @@ __all__ = [
     "Quarantine",
     "RankEntry",
     "Ranking",
-    "RetryPolicy",
     "Tracer",
     "ViewComputation",
     "World",
@@ -89,7 +82,6 @@ __all__ = [
     "ndcg",
     "normalize_country",
     "paper_metrics",
-    "resilient_map",
     "run_pipeline",
     "small_profiles",
     "stage_report",

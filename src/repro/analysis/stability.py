@@ -66,8 +66,8 @@ def metric_ranking(
     metric: str, view: View, oracle: RelationshipOracle, trim: float = 0.1
 ) -> Ranking:
     """One CC*/AH* ranking over an arbitrary (possibly downsampled)
-    view — the per-trial work unit, also run inside fan-out workers —
-    built by the metric's registered spec, like every other ranking.
+    view — the per-trial work unit — built by the metric's registered
+    spec, like every other ranking.
 
     Cone-family specs rank by customer cone, hegemony-family specs by
     AS hegemony (honouring a variant's ``weighting``); other families
@@ -91,27 +91,20 @@ def stability_curve(
     trials: int = 10,
     seed: int = 0,
     k: int = 10,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> StabilityCurve:
     """Downsample a view's VPs and score each sample against the full
     ranking (the machinery behind Figures 4 and 5).
 
-    Each trial view is :meth:`View.restrict_vps` — the view's positions
-    masked by the sampled VPs' ids, over the same store — ranked
-    through :func:`metric_ranking`.
-
-    ``workers`` (default: the pipeline config's ``workers``) fans the
-    NDCG trials out across a process pool. Every VP sample is drawn
-    up front from a single serial RNG stream, so the curve is identical
-    for any worker count; ``workers=1`` computes the trials inline.
-    The config's retry policy and fault plan apply to the fan-out.
+    Every VP sample is drawn up front from one RNG stream seeded by
+    ``seed``; each trial view is :meth:`View.restrict_vps` — the view's
+    positions masked by the sampled VPs' ids, over the same store —
+    ranked through :func:`metric_ranking`, one trial after another.
+    ``workers`` (validated ``>= 1``) is accepted for callers that still
+    pass it and changes nothing.
     """
-    from repro.perf.parallel import stability_trials
-
     if trials < 1:
         raise ValueError("need at least one trial per size")
-    if workers is None:
-        workers = result.config.workers
     if workers < 1:
         raise ValueError("workers must be >= 1")
     vps = [vp.ip for vp in view.vps()]
@@ -125,19 +118,12 @@ def stability_curve(
     samples: list[list[str]] = [
         rng.sample(vps, size) for size in valid_sizes for _ in range(trials)
     ]
-    if workers > 1 and samples:
-        scores = stability_trials(
-            metric, view, oracle, trim, full, k, samples, workers,
-            tracer=result._tracer, policy=result.config.retry,
-            faults=result.config.faults, pool=result._pool,
-        )
-    else:
-        scores = [
-            ndcg(full, metric_ranking(
-                metric, view.restrict_vps(sample), oracle, trim
-            ), k)
-            for sample in samples
-        ]
+    scores = [
+        ndcg(full, metric_ranking(
+            metric, view.restrict_vps(sample), oracle, trim
+        ), k)
+        for sample in samples
+    ]
     points: list[StabilityPoint] = []
     for index, size in enumerate(valid_sizes):
         batch = scores[index * trials:(index + 1) * trials]
@@ -167,7 +153,7 @@ def national_stability(
     sizes: list[int] | None = None,
     trials: int = 10,
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> StabilityCurve:
     """Figure 4: stability of a country's national ranking (AHN/CCN)."""
     view = result.view("national", country)
@@ -181,7 +167,7 @@ def international_stability(
     sizes: list[int] | None = None,
     trials: int = 10,
     seed: int = 0,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> StabilityCurve:
     """Figure 5: stability of a country's international ranking (AHI/CCI)."""
     view = result.view("international", country)

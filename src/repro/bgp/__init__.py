@@ -3,13 +3,7 @@
 from repro.bgp.announcement import Announcement, RibRecord
 from repro.bgp.collectors import Collector, CollectorProject, CollectorSet, VantagePoint
 from repro.bgp.policy import Route, RouteClass
-from repro.bgp.propagation import (
-    PropagationBasis,
-    RoutingOutcome,
-    adjacency_delta,
-    propagate,
-    propagate_all,
-)
+from repro.bgp.propagation import RoutingOutcome, propagate, propagate_all
 from repro.bgp.rib import RibDump, RibGenerationConfig, RibSeries, generate_rib_days
 from repro.bgp.updates import (
     ChurnSummary,
@@ -29,7 +23,6 @@ __all__ = [
     "CollectorProject",
     "CollectorSet",
     "InjectionSummary",
-    "PropagationBasis",
     "RibDump",
     "RibGenerationConfig",
     "RibRecord",
@@ -40,7 +33,6 @@ __all__ = [
     "Update",
     "UpdateKind",
     "VantagePoint",
-    "adjacency_delta",
     "churn_profile",
     "daily_updates",
     "diff_ribs",

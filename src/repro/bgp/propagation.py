@@ -20,8 +20,8 @@ different equally-good egresses instead of the whole world converging
 on the lowest ASN).
 
 **One array pass for every origin.** The production sweep
-(:func:`propagate_all`, :func:`propagate`, the incremental basis and
-the fan-out chunks) runs the three phases for all its origins at once,
+(:func:`propagate_all` and :func:`propagate`) runs the three phases for
+all its origins at once, in one process,
 over an (origin × AS) grid of path length, next hop and route class
 and CSR adjacency held on the version-cached :class:`_Adjacency`. Each
 breadth-first level expands every (origin, AS) cell settled at the
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
@@ -57,10 +57,8 @@ from repro.obs.metrics import NULL_HISTOGRAM
 from repro.obs.trace import NULL_TRACER
 from repro.topology.model import ASGraph
 
-if TYPE_CHECKING:  # the fan-out wrapper is imported lazily at runtime
+if TYPE_CHECKING:
     from repro.perf.pool import WorkerPool
-    from repro.resilience.faults import FaultPlan
-    from repro.resilience.retry import RetryPolicy
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -107,32 +105,6 @@ class RouteColumns:
     def route_origin(self) -> np.ndarray:
         """The origin ASN of every route."""
         return np.repeat(self.origins, np.diff(self.starts))
-
-    def take(self, rows: np.ndarray) -> "RouteColumns":
-        """The columns of the origins at ``rows`` (in that order)."""
-        picked, counts = runs(
-            np.arange(len(self), dtype=np.int64), self.starts[:-1],
-            np.diff(self.starts), rows,
-        )
-        tokens, lengths = runs(self.tokens, self.offsets, self.lengths, picked)
-        return RouteColumns.build(
-            self.origins[rows], counts, self.holder[picked],
-            self.route_class[picked], lengths, tokens,
-        )
-
-    @staticmethod
-    def merge(parts: "list[RouteColumns]") -> "RouteColumns":
-        """One set of columns holding every part's origins (distinct
-        across parts), in ascending origin order."""
-        joined = RouteColumns.build(
-            np.concatenate([part.origins for part in parts]),
-            np.concatenate([np.diff(part.starts) for part in parts]),
-            np.concatenate([part.holder for part in parts]),
-            np.concatenate([part.route_class for part in parts]),
-            np.concatenate([part.lengths for part in parts]),
-            np.concatenate([part.tokens for part in parts]),
-        )
-        return joined.take(np.argsort(joined.origins, kind="stable"))
 
 
 class RouteMap(Mapping):
@@ -194,54 +166,16 @@ class OriginRoutes(Mapping):
 
 
 @dataclass(frozen=True, slots=True)
-class PropagationBasis:
-    """Everything needed to re-propagate a *changed* graph incrementally.
-
-    Captured by :func:`propagate_all` with ``capture_basis=True`` and fed
-    back on the next snapshot via ``basis=``. ``holders[origin]`` is the
-    set of ASes the (possibly keep-pruned) sweep assigned a route toward
-    ``origin`` — the exact set of nodes whose adjacency rows that
-    origin's sweep ever read, which is what makes the reuse criterion
-    sound: if none of those rows changed (and the keep closure is
-    unchanged), rerunning the sweep would reproduce the same routes
-    byte for byte.
-    """
-
-    adjacency: "_Adjacency"
-    tiebreak: str
-    salt: int
-    keep: frozenset[int] | None
-    relevant: frozenset[int] | None
-    routes: RouteMap
-    holders: Mapping[int, frozenset[int]]
-
-    def compatible(
-        self, tiebreak: str, salt: int, keep: frozenset[int] | None
-    ) -> bool:
-        """Whether this basis describes the same propagation problem."""
-        return (
-            self.tiebreak == tiebreak
-            and self.salt == salt
-            and self.keep == keep
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class RoutingOutcome:
     """Best routes toward each origin, restricted to the ASes kept.
 
     ``routes[origin][asn]`` is the best :class:`Route` held by ``asn``
     toward ``origin``; absent keys mean the origin was unreachable.
     ``routes.columns`` holds the same routes as columns — what the RIB
-    series reads. ``basis`` is populated only when
-    :func:`propagate_all` ran with ``capture_basis=True`` (it does not
-    participate in equality).
+    series reads.
     """
 
     routes: RouteMap
-    basis: "PropagationBasis | None" = field(
-        default=None, compare=False, repr=False
-    )
 
     def path(self, origin: int, asn: int) -> tuple[int, ...] | None:
         """Convenience lookup of the AS path or ``None``."""
@@ -273,7 +207,7 @@ def _csr(
 
 class _Adjacency:
     """Adjacency snapshot for fast inner loops: plain-dict rows (the
-    reference sweep, deltas and keep closures read them) and the same
+    reference sweep and keep closures read them) and the same
     rows as CSR over AS indices in ascending ASN order (the array
     pass)."""
 
@@ -302,13 +236,7 @@ _adjacency_cache = weakref.WeakKeyDictionary()
 
 def _adjacency_of(graph: ASGraph) -> _Adjacency:
     """The adjacency snapshot for ``graph``, cached per structural
-    version.
-
-    Sharing one snapshot object across calls is what lets the worker
-    pool broadcast it once for all salt planes (the broadcast registry
-    memoizes by identity) and what makes the incremental delta check
-    between unchanged snapshots trivial.
-    """
+    version, so every salt plane of one run shares one snapshot."""
     cached = _adjacency_cache.get(graph)
     version = graph.version
     if cached is not None and cached[0] == version:
@@ -346,27 +274,6 @@ def keep_closure(
                     next_frontier.append(provider)
         frontier = next_frontier
     return frozenset(relevant)
-
-
-def adjacency_delta(old: _Adjacency, new: _Adjacency) -> frozenset[int]:
-    """ASNs whose adjacency rows differ between two snapshots.
-
-    An edge change marks *both* endpoints (each endpoint's row lists the
-    other); an added or removed AS marks itself and, through their rows,
-    every neighbor. Rows are sorted tuples, so comparison is exact.
-    """
-    old_rows = old.providers
-    changed: set[int] = {asn for asn in old.asns if asn not in new.providers}
-    for asn in new.asns:
-        if asn not in old_rows:
-            changed.add(asn)
-        elif (
-            old.providers[asn] != new.providers[asn]
-            or old.customers[asn] != new.customers[asn]
-            or old.peers[asn] != new.peers[asn]
-        ):
-            changed.add(asn)
-    return frozenset(changed)
 
 
 def _hash_mix(holder: int, next_hop: int, origin: int, salt: int = 0) -> int:
@@ -610,25 +517,15 @@ def _route_pass(
     salt: int,
     keep: frozenset[int] | None,
     relevant: frozenset[int] | None,
-    capture: bool,
     frontier_hist=NULL_HISTOGRAM,
-) -> tuple[RouteColumns, dict[int, frozenset[int]]]:
+) -> RouteColumns:
     """The array pass over ascending ``origins``: their routes at the
-    ``keep`` ASes, and (when ``capture``) per origin the holder set a
-    :class:`PropagationBasis` records."""
+    ``keep`` ASes."""
     origin_array = np.asarray(origins, dtype=np.int64)
     grid = _sweep(
         adjacency, origin_array, tiebreak, salt, relevant, frontier_hist
     )
-    holders: dict[int, frozenset[int]] = {}
-    if capture:
-        size = len(adjacency.index)
-        rows, at = np.divmod(np.flatnonzero(grid.length), size)
-        bounds = np.searchsorted(rows, np.arange(len(origins) + 1))
-        asns = adjacency.index[at].tolist()
-        for row, origin in enumerate(origins):
-            holders[origin] = frozenset(asns[bounds[row]:bounds[row + 1]])
-    return _kept_routes(adjacency.index, origin_array, grid, keep), holders
+    return _kept_routes(adjacency.index, origin_array, grid, keep)
 
 
 def propagate(
@@ -642,8 +539,8 @@ def propagate(
     """
     if origin not in graph:
         raise KeyError(f"origin AS{origin} not in graph")
-    columns, _ = _route_pass(
-        _adjacency_of(graph), [origin], tiebreak, salt, None, None, False
+    columns = _route_pass(
+        _adjacency_of(graph), [origin], tiebreak, salt, None, None
     )
     return dict(RouteMap(columns)[origin].items())
 
@@ -656,11 +553,6 @@ def propagate_all(
     salt: int = 0,
     tracer=NULL_TRACER,
     workers: int = 1,
-    policy: "RetryPolicy | None" = None,
-    faults: "FaultPlan | None" = None,
-    basis: "PropagationBasis | None" = None,
-    capture_basis: bool = False,
-    delta_threshold: float = 0.5,
     pool: "WorkerPool | None" = None,
 ) -> RoutingOutcome:
     """Propagate every origin and keep routes only at ``keep`` ASes.
@@ -670,40 +562,18 @@ def propagate_all(
     ``len(origins) * len(keep)``, so pass the VP ASes when you only
     need collector views).
 
-    ``workers > 1`` chunks the origins across a process pool, each
-    chunk running the same array pass, with a deterministic by-origin
-    merge — the outcome is identical for any worker count, and
-    ``workers=1`` never leaves this process (the byte-identical serial
-    path). Per-level frontier telemetry is only sampled on the serial
-    path; the aggregate span counts are recorded either way.
-
-    ``policy`` (retry/timeout bounds) and ``faults`` (an injection
-    plan) shape the fan-out's failure behavior, never its output: a
-    killed or hung chunk is replayed until the merged result matches
-    the fault-free run (see :mod:`repro.resilience`).
+    The sweep is one array pass in this process. ``workers`` (validated
+    ``>= 1``) and ``pool`` are accepted for callers that still pass
+    them and change nothing.
 
     ``tracer`` wraps the sweep in a ``propagate.plane`` span, counts
     origins and kept routes, and samples per-level up-phase frontier
     sizes into the ``propagate.frontier`` histogram.
-
-    ``basis`` (a :class:`PropagationBasis` from a previous snapshot)
-    turns the sweep incremental: origins whose sweep never touched a
-    changed adjacency row reuse their stored routes verbatim, the rest
-    recompute against the new graph in one array pass. The output is
-    byte-identical to a full sweep; if more than ``delta_threshold`` of
-    the origins are dirty the basis is abandoned and the sweep runs in
-    full. ``capture_basis=True`` stores a fresh basis on the returned
-    outcome (``outcome.basis``) for the next snapshot.
-
-    ``pool`` lends a persistent :class:`repro.perf.pool.WorkerPool` to
-    the fan-out (the adjacency is broadcast to it once and reused
-    across planes); without one, the fan-out runs on a transient pool
-    scoped to this call.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     with tracer.span(
-        "propagate.plane", tiebreak=tiebreak, salt=salt, workers=workers,
+        "propagate.plane", tiebreak=tiebreak, salt=salt,
     ) as span:
         adjacency = _adjacency_of(graph)
         if origins is None:
@@ -716,78 +586,15 @@ def propagate_all(
         relevant = (
             keep_closure(adjacency, keep_set) if keep_set is not None else None
         )
-
-        # Incremental reuse: an origin is clean iff no AS its previous
-        # sweep assigned a route to has a changed adjacency row — then
-        # the sweep would read exactly the same rows and rebuild exactly
-        # the same routes. The keep closure must also be unchanged,
-        # because phase-3 pruning reads it.
-        reused: list[int] = []
-        dirty_origins = origin_list
-        if (
-            basis is not None
-            and basis.compatible(tiebreak, salt, keep_set)
-            and basis.relevant == relevant
-        ):
-            changed = adjacency_delta(basis.adjacency, adjacency)
-            dirty = [
-                origin for origin in origin_list
-                if origin not in basis.holders
-                or not changed.isdisjoint(basis.holders[origin])
-            ]
-            if len(dirty) <= delta_threshold * len(origin_list):
-                dirty_set = set(dirty)
-                dirty_origins = dirty
-                reused = [
-                    origin for origin in origin_list if origin not in dirty_set
-                ]
-
-        if workers > 1 and len(dirty_origins) > 1:
-            from repro.perf.parallel import propagate_origins
-
-            columns, holders = propagate_origins(
-                adjacency, dirty_origins, tiebreak, salt, keep_set, workers,
-                tracer=tracer, policy=policy, faults=faults,
-                relevant=relevant, capture_holders=capture_basis, pool=pool,
-            )
-        else:
-            columns, holders = _route_pass(
-                adjacency, dirty_origins, tiebreak, salt, keep_set, relevant,
-                capture_basis, tracer.metrics.histogram("propagate.frontier"),
-            )
-        if reused and basis is not None:
-            previous = basis.routes.columns
-            columns = RouteColumns.merge([columns, previous.take(
-                np.searchsorted(previous.origins, np.asarray(reused))
-            )])
-        kept_routes = len(columns)
-
-        outcome_basis: PropagationBasis | None = None
-        routes = RouteMap(columns)
-        if capture_basis:
-            if reused and basis is not None:
-                for origin in reused:
-                    holders[origin] = basis.holders[origin]
-            outcome_basis = PropagationBasis(
-                adjacency=adjacency, tiebreak=tiebreak, salt=salt,
-                keep=keep_set, relevant=relevant,
-                routes=routes, holders=holders,
-            )
-
-        span.set(
-            origins=len(origin_list), routes=kept_routes,
-            reused=len(reused), recomputed=len(dirty_origins),
+        columns = _route_pass(
+            adjacency, origin_list, tiebreak, salt, keep_set, relevant,
+            tracer.metrics.histogram("propagate.frontier"),
         )
+        span.set(origins=len(origin_list), routes=len(columns))
         tracer.metrics.counter("propagate.origins").inc(len(origin_list))
-        tracer.metrics.counter("propagate.routes").inc(kept_routes)
-        if basis is not None:
-            tracer.metrics.counter("propagate.incremental.reused").inc(
-                len(reused)
-            )
-            tracer.metrics.counter("propagate.incremental.recomputed").inc(
-                len(dirty_origins)
-            )
-    return RoutingOutcome(routes, basis=outcome_basis)
+        tracer.metrics.counter("propagate.routes").inc(len(columns))
+    return RoutingOutcome(RouteMap(columns))
+
 
 def _propagate(
     adjacency: _Adjacency,

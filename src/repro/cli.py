@@ -36,8 +36,9 @@ Subcommands mirror the paper's workflow:
   deterministic JSONL event stream (``--json``), a Prometheus
   exposition (``--prom``), or a human-readable drift summary.
 
-``--workers N`` (global flag) fans route propagation and stability
-trials out across N processes; results are identical for any N.
+``--workers N`` (global flag) is validated (``N >= 1``, else exit 2)
+and otherwise ignored: the pipeline and the stability trials run
+serially in one process.
 
 Worlds: ``small`` (seconds), ``default`` (the generated ~1000-AS world),
 ``paper2021`` / ``paper2023`` (the curated case-study snapshots).
@@ -224,7 +225,6 @@ def _run_watch(args: argparse.Namespace) -> int:
             tau_threshold=args.tau_threshold,
             ndcg_threshold=args.ndcg_threshold,
             seed=args.seed,
-            workers=args.workers,
         )
         refs = resolve_snapshots(args.snapshots)
     except WatchError as error:
@@ -268,8 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="process fan-out for propagation and stability trials "
-             "(results are identical for any value)",
+        help="accepted for compatibility (must be >= 1); the pipeline "
+             "and stability trials run serially",
     )
     parser.add_argument(
         "--store", choices=("memory", "mmap"), default="memory",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
-from repro.bgp.propagation import PropagationBasis, RoutingOutcome, propagate_all
+from repro.bgp.propagation import RoutingOutcome, propagate_all
 from repro.bgp.rib import RibGenerationConfig, RibSeries, generate_rib_days
 from repro.core.ranking import Ranking
 from repro.core.registry import (
@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.pool import WorkerPool
     from repro.resilience.checkpoint import Checkpoint
     from repro.resilience.faults import FaultPlan
-    from repro.resilience.retry import RetryPolicy
 
 #: Metrics the pipeline can compute, derived from the registry
 #: (:mod:`repro.core.registry` is the single source of truth — adding a
@@ -77,20 +76,14 @@ class PipelineConfig:
     #: (and IHR) treat IPv4 and IPv6 as separate ranking universes
     family: int = 4
     seed: int = 0
-    #: process fan-out for the heavy loops (propagation origins, NDCG
-    #: stability trials). 1 = fully serial, byte-identical to the
-    #: pre-fan-out pipeline; N > 1 chunks work across a process pool
-    #: with a deterministic merge, so results never depend on N.
+    #: accepted (validated >= 1) for callers that still set it; the
+    #: pipeline runs serially in one process whatever its value
     workers: int = 1
     #: collect per-stage telemetry (spans + metrics) into
     #: ``PipelineResult.trace``; ``"memory"`` additionally captures
     #: tracemalloc peaks per stage. ``False`` keeps the no-op tracer on
     #: every hook (near-zero overhead).
     trace: bool | str = False
-    #: retry/timeout bounds for the process fan-out (None = the
-    #: resilience layer's defaults: 3 attempts, no timeout, serial
-    #: fallback on) — shapes failure behavior, never output values
-    retry: "RetryPolicy | None" = None
     #: deterministic fault-injection plan (tests and ``make faults``
     #: exercise failure paths with it; None injects nothing)
     faults: "FaultPlan | None" = None
@@ -148,11 +141,9 @@ class PipelineResult:
         self.world = world
         self.config = config
         self.outcome = outcome
-        #: all routing planes (``outcome`` is ``outcomes[0]``)
+        #: all routing planes (``outcome`` is ``outcomes[0]``); ``pool``
+        #: is accepted for callers that still pass one and ignored
         self.outcomes = outcomes if outcomes is not None else [outcome]
-        #: the persistent worker pool the run's fan-outs shared (None
-        #: when the run was serial); stability sweeps reuse it
-        self._pool = pool
         #: run-owned temp spill directory (mmap backend with no
         #: explicit ``spill_dir``); removed by :meth:`close`
         self._spill_tmp = spill_tmp
@@ -178,23 +169,12 @@ class PipelineResult:
         ``None`` when the run was not traced."""
         return self._tracer if self._tracer.enabled else None
 
-    def propagation_bases(self) -> "list[PropagationBasis | None]":
-        """Per-plane :class:`repro.bgp.propagation.PropagationBasis`
-        captured by the run (``None`` entries when the run was not
-        asked to capture them) — feed these to the next snapshot's
-        ``run_pipeline(..., propagation_bases=...)`` for incremental
-        re-propagation."""
-        return [outcome.basis for outcome in self.outcomes]
-
     def close(self) -> None:
-        """Release the run's worker pool and any run-owned spill temp
-        directory (idempotent; the result's cached views and rankings
-        stay usable — on POSIX even the already-mapped spill columns
-        stay readable until the process exits, but nothing new can be
-        opened from the removed directory)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
+        """Remove any run-owned spill temp directory (idempotent; the
+        result's cached views and rankings stay usable — on POSIX even
+        the already-mapped spill columns stay readable until the
+        process exits, but nothing new can be opened from the removed
+        directory)."""
         if self._spill_tmp is not None:
             import shutil
 
@@ -408,26 +388,12 @@ class Pipeline:
         self,
         world: World,
         tracer: "Tracer | None" = None,
-        propagation_bases: "list[PropagationBasis | None] | None" = None,
-        capture_bases: bool = False,
     ) -> PipelineResult:
-        """Execute every stage of Figure 6 on one world.
+        """Execute every stage of Figure 6 on one world, serially.
 
         ``tracer`` overrides the tracer built from ``config.trace``
         (pass a preconfigured :class:`repro.obs.Tracer` to share one
         registry across runs or to tune memory capture).
-
-        ``propagation_bases`` (one per salt plane, from a previous
-        snapshot's :meth:`PipelineResult.propagation_bases`) makes the
-        propagate stage incremental: only origins whose reachable
-        region changed re-run, with byte-identical output.
-        ``capture_bases`` records fresh bases on this run's outcomes
-        for the *next* snapshot.
-
-        When ``config.workers > 1`` the run creates one persistent
-        :class:`repro.perf.pool.WorkerPool` that every fan-out shares —
-        all propagation planes and, later, the result's stability
-        sweeps. Call :meth:`PipelineResult.close` to release it.
         """
         config = self.config
         if tracer is None:
@@ -435,11 +401,6 @@ class Pipeline:
                 Tracer(capture_memory=config.trace == "memory")
                 if config.trace else NULL_TRACER
             )
-        pool: "WorkerPool | None" = None
-        if config.workers > 1:
-            from repro.perf.pool import WorkerPool
-
-            pool = WorkerPool(config.workers)
         with tracer.span(
             "pipeline", world=world.name, seed=config.seed, family=config.family,
         ):
@@ -448,15 +409,6 @@ class Pipeline:
                     propagate_all(
                         world.graph, keep=world.vp_asns(),
                         tiebreak=config.tiebreak, salt=salt, tracer=tracer,
-                        workers=config.workers, policy=config.retry,
-                        faults=config.faults,
-                        basis=(
-                            propagation_bases[salt]
-                            if propagation_bases is not None
-                            and salt < len(propagation_bases) else None
-                        ),
-                        capture_basis=capture_bases,
-                        pool=pool,
                     )
                     for salt in range(config.path_diversity)
                 ]
@@ -509,8 +461,7 @@ class Pipeline:
                 oracle = inferred
         return PipelineResult(
             world, config, outcome, ribs, geodb, prefix_geo, vp_geo, paths,
-            oracle, inferred, tracer, outcomes=outcomes, pool=pool,
-            spill_tmp=spill_tmp,
+            oracle, inferred, tracer, outcomes=outcomes, spill_tmp=spill_tmp,
         )
 
 
@@ -518,11 +469,6 @@ def run_pipeline(
     world: World,
     config: PipelineConfig | None = None,
     tracer: "Tracer | None" = None,
-    propagation_bases: "list[PropagationBasis | None] | None" = None,
-    capture_bases: bool = False,
 ) -> PipelineResult:
     """One-shot convenience wrapper around :class:`Pipeline`."""
-    return Pipeline(config or PipelineConfig()).run(
-        world, tracer,
-        propagation_bases=propagation_bases, capture_bases=capture_bases,
-    )
+    return Pipeline(config or PipelineConfig()).run(world, tracer)

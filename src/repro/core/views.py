@@ -82,12 +82,6 @@ class View:
 
         return cls(name, country, PathStore(records))
 
-    def __reduce__(self):
-        # the memoised intermediates are derived state: never pickled
-        return (
-            type(self), (self.name, self.country, self.store, self.positions)
-        )
-
     def __len__(self) -> int:
         return len(self.positions)
 

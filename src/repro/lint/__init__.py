@@ -1,7 +1,7 @@
 """repro.lint — an AST-based invariant checker for the pipeline.
 
-The reproduction guarantees byte-identical rankings for any worker
-count and exact cross-metric caches; those invariants are one unseeded
+The reproduction guarantees byte-identical rankings across runs and
+processes and exact cross-metric caches; those invariants are one unseeded
 ``random.Random()``, one hash-ordered iteration, or one float ``==`` on
 a hegemony score away from silently breaking. This package turns them
 into machine-checked rules that run as ``repro-lint`` /
@@ -9,12 +9,11 @@ into machine-checked rules that run as ``repro-lint`` /
 
 * **per-file** (R001–R008, :mod:`repro.lint.visitors`) — one AST at a
   time;
-* **whole-program** (R009–R012, :mod:`repro.lint.wprules`) — a symbol
+* **whole-program** (R011–R012, :mod:`repro.lint.wprules`) — a symbol
   table and conservative call graph over every module at once
   (:mod:`repro.lint.callgraph`), answering reachability questions the
-  per-file tier cannot: fork-safety of worker-reachable code, broadcast
-  token discipline, memo/version coherence, and transitive purity of
-  registry compute callables.
+  per-file tier cannot: memo/version coherence and transitive purity
+  of registry compute callables.
 
 Library use::
 

@@ -1,14 +1,11 @@
 """Whole-program symbol table, conservative call graph, reachability.
 
-The per-file rules (R001–R008) see one module at a time, which is
-exactly the blind spot the parallel/caching work opened up: the
-fork-inherited broadcast registry lives in :mod:`repro.perf.pool`, the
-worker chunk functions in :mod:`repro.perf.parallel`, and the code they
-ultimately execute anywhere in ``repro.*``. The whole-program tier
-(rules R009–R012 in :mod:`repro.lint.wprules`) asks questions no single
-AST can answer — *can this function execute inside a worker process?*,
-*can this metric compute callable reach an RNG?* — so it needs a
-program-wide view:
+The per-file rules (R001–R008) see one module at a time. The
+whole-program tier (rules R011–R012 in :mod:`repro.lint.wprules`) asks
+questions no single AST can answer — *can this metric compute callable
+reach an RNG, through calls into other modules?*, *does this method
+bump the version its class's memo is keyed on, directly or through a
+helper?* — so it needs a program-wide view:
 
 * a **symbol table** over every module handed to :class:`Program` —
   functions, methods (with their classes and bases), module-level
@@ -73,16 +70,10 @@ class FunctionInfo:
     name: str
     cls: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
-    #: qname of the enclosing function for nested defs (closures)
-    parent: str | None = None
 
     @property
     def is_method(self) -> bool:
         return self.cls is not None
-
-    @property
-    def is_nested(self) -> bool:
-        return self.parent is not None
 
 
 @dataclass(slots=True)
@@ -114,7 +105,7 @@ class CallEdge:
 class Hazard:
     """One per-function fact a whole-program rule cares about."""
 
-    kind: str  # ``module-write`` / ``rng`` / ``clock`` / ``param-mutation``
+    kind: str  # ``rng`` / ``clock`` / ``param-mutation``
     lineno: int
     col: int
     detail: str
@@ -124,14 +115,9 @@ class Hazard:
 class FunctionFacts:
     """Everything extracted from one function body in a single pass."""
 
-    #: writes to module-level state: (hazard, written name, verb)
-    module_writes: list[tuple[Hazard, str, str]] = field(default_factory=list)
     rng: list[Hazard] = field(default_factory=list)
     clocks: list[Hazard] = field(default_factory=list)
     param_mutations: list[Hazard] = field(default_factory=list)
-    #: terminal names of callables this function calls (for cheap
-    #: "does it ever call X" checks without graph traversal)
-    called_names: frozenset[str] = frozenset()
 
 
 def body_nodes(
@@ -199,15 +185,10 @@ class Program:
         }
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        #: module -> names assigned at module level
-        self.module_globals: dict[str, frozenset[str]] = {}
         #: module -> (alias -> module), (alias -> (module, original))
         self.imports: dict[
             str, tuple[dict[str, str], dict[str, tuple[str, str]]]
         ] = {}
-        #: module -> name -> value expr of a module-level assignment
-        #: (type aliases like ``PropagatePayload = tuple[...]``)
-        self.module_assigns: dict[str, dict[str, ast.expr]] = {}
         #: terminal name -> sorted qnames (the dynamic-dispatch fallback)
         self.by_name: dict[str, tuple[str, ...]] = {}
         self._edges: dict[str, tuple[CallEdge, ...]] = {}
@@ -224,11 +205,8 @@ class Program:
     # -- symbol table ---------------------------------------------------------
 
     def _index_module(self, info: ModuleInfo) -> None:
-        module = info.module
-        globals_: set[str] = set()
         module_aliases: dict[str, str] = {}
         from_aliases: dict[str, tuple[str, str]] = {}
-        assigns: dict[str, ast.expr] = {}
         for stmt in info.tree.body:
             if isinstance(stmt, ast.Import):
                 for alias in stmt.names:
@@ -238,26 +216,11 @@ class Program:
                     from_aliases[alias.asname or alias.name] = (
                         stmt.module, alias.name,
                     )
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        globals_.add(target.id)
-                        assigns[target.id] = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                globals_.add(stmt.target.id)
-                if stmt.value is not None:
-                    assigns[stmt.target.id] = stmt.value
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                globals_.add(stmt.name)
-                self._index_function(info, stmt, cls=None, parent=None)
+                self._index_function(info, stmt, cls=None)
             elif isinstance(stmt, ast.ClassDef):
-                globals_.add(stmt.name)
                 self._index_class(info, stmt)
-        self.module_globals[module] = frozenset(globals_)
-        self.imports[module] = (module_aliases, from_aliases)
-        self.module_assigns[module] = assigns
+        self.imports[info.module] = (module_aliases, from_aliases)
 
     def _index_class(self, info: ModuleInfo, node: ast.ClassDef) -> None:
         qname = f"{info.module}.{node.name}"
@@ -275,7 +238,7 @@ class Program:
         self.classes[qname] = cls
         for stmt in node.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                fn = self._index_function(info, stmt, cls=node.name, parent=None)
+                fn = self._index_function(info, stmt, cls=node.name)
                 cls.methods[stmt.name] = fn.qname
 
     def _index_function(
@@ -283,20 +246,14 @@ class Program:
         info: ModuleInfo,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
         cls: str | None,
-        parent: str | None,
     ) -> FunctionInfo:
-        if parent is not None:
-            qname = f"{parent}.<locals>.{node.name}"
-        elif cls is not None:
-            qname = f"{info.module}.{cls}.{node.name}"
-        else:
-            qname = f"{info.module}.{node.name}"
+        owner = f"{info.module}.{cls}" if cls is not None else info.module
+        qname = f"{owner}.{node.name}"
         fn = FunctionInfo(
-            qname=qname, module=info.module, name=node.name,
-            cls=cls, node=node, parent=parent,
+            qname=qname, module=info.module, name=node.name, cls=cls, node=node,
         )
         self.functions[qname] = fn
-        # nested defs are their own nodes (closures R010 cares about)
+        # nested defs are their own nodes (dynamic edges reach them)
         for stmt in ast.walk(node):
             if stmt is node:
                 continue
@@ -305,7 +262,7 @@ class Program:
                 if nested_q not in self.functions:
                     self.functions[nested_q] = FunctionInfo(
                         qname=nested_q, module=info.module, name=stmt.name,
-                        cls=None, node=stmt, parent=qname,
+                        cls=None, node=stmt,
                     )
         return fn
 
@@ -320,9 +277,8 @@ class Program:
         """A bare name in ``module`` → the function/class qname it
         denotes, through module-level defs and from-imports.
 
-        ``extra_from`` supplies function-local from-imports — the
-        worker chunk functions import ``broadcast_get`` lazily inside
-        their bodies, and those edges matter most of all.
+        ``extra_from`` supplies function-local from-imports (lazy
+        imports inside function bodies, common across ``repro.*``).
         """
         candidate = f"{module}.{name}"
         if candidate in self.functions or candidate in self.classes:
@@ -355,18 +311,6 @@ class Program:
                     stack.append(resolved)
         return None
 
-    def expand_annotation(self, module: str, node: ast.AST | None) -> set[str]:
-        """Identifiers in an annotation, with module-level type aliases
-        expanded one level (``payload: Payload`` where ``Payload =
-        tuple["View", ...]`` surfaces ``View``)."""
-        idents = _annotation_idents(node)
-        assigns = self.module_assigns.get(module, {})
-        for name in tuple(idents):
-            alias_value = assigns.get(name)
-            if alias_value is not None:
-                idents |= _annotation_idents(alias_value)
-        return idents
-
     # -- call edges -----------------------------------------------------------
 
     def edges_of(self, qname: str) -> tuple[CallEdge, ...]:
@@ -398,7 +342,7 @@ class Program:
     def _function_imports(
         self, fn: FunctionInfo
     ) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
-        """Function-local import aliases (lazy worker-side imports)."""
+        """Function-local import aliases (lazy imports)."""
         local_mod: dict[str, str] = {}
         local_from: dict[str, tuple[str, str]] = {}
         for node in body_nodes(fn.node):
@@ -482,7 +426,7 @@ class Program:
         if not isinstance(func, ast.Attribute):
             return []
         owner = func.value
-        # module alias: ``pool.broadcast_get(...)`` via ``import m``
+        # module alias: ``m.func(...)`` via ``import m``
         if isinstance(owner, ast.Name):
             module_aliases, _ = self.imports.get(fn.module, ({}, {}))
             target_module = module_aliases.get(owner.id)
@@ -591,8 +535,6 @@ class Program:
 
     def _extract_facts(self, fn: FunctionInfo, facts: FunctionFacts) -> None:
         info = self.modules[fn.module]
-        globals_ = self.module_globals.get(fn.module, frozenset())
-        declared_global: set[str] = set()
         params = {
             arg.arg
             for arg in (
@@ -600,10 +542,6 @@ class Program:
                 *fn.node.args.kwonlyargs,
             )
         } - {"self", "cls"}
-        called: set[str] = set()
-
-        def local_source(lineno: int) -> str:
-            return info.source_line(lineno).strip()
 
         def hazard(node: ast.AST, kind: str, detail: str) -> Hazard:
             return Hazard(
@@ -613,36 +551,17 @@ class Program:
                 detail=detail,
             )
 
-        for node in body_nodes(fn.node):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-
         def record_write(node: ast.AST, target: ast.AST, verb: str) -> None:
-            if isinstance(target, ast.Name):
-                if target.id in declared_global and target.id in globals_:
-                    facts.module_writes.append((
-                        hazard(node, "module-write",
-                               f"{verb} module-level {target.id!r}"),
-                        target.id, verb,
-                    ))
-                elif target.id in params:
-                    pass  # rebinding a parameter is a local rebind
+            # rebinding a bare parameter name is a local rebind; writing
+            # through one (attribute or subscript) mutates the caller's
+            if not isinstance(target, (ast.Attribute, ast.Subscript)):
                 return
             name = root_name(target)
-            if name is None:
-                return
-            if isinstance(target, (ast.Attribute, ast.Subscript)):
-                if name in globals_ and name not in params and name != "self":
-                    facts.module_writes.append((
-                        hazard(node, "module-write",
-                               f"{verb} module-level {name!r}"),
-                        name, verb,
-                    ))
-                elif name in params:
-                    facts.param_mutations.append(
-                        hazard(node, "param-mutation",
-                               f"{verb} parameter {name!r}")
-                    )
+            if name is not None and name in params:
+                facts.param_mutations.append(
+                    hazard(node, "param-mutation",
+                           f"{verb} parameter {name!r}")
+                )
 
         for node in body_nodes(fn.node):
             if isinstance(node, ast.Assign):
@@ -655,28 +574,17 @@ class Program:
                     record_write(node, target, "deletes from")
             elif isinstance(node, ast.Call):
                 func = node.func
-                if isinstance(func, ast.Attribute):
-                    called.add(func.attr)
-                    if func.attr in _MUTATING_METHODS:
-                        name = root_name(func.value)
-                        if name is not None and name in globals_ and (
-                            name not in params
-                        ):
-                            facts.module_writes.append((
-                                hazard(node, "module-write",
-                                       f"calls .{func.attr}() on "
-                                       f"module-level {name!r}"),
-                                name, f"calls .{func.attr}() on",
-                            ))
-                        elif name is not None and name in params:
-                            facts.param_mutations.append(
-                                hazard(node, "param-mutation",
-                                       f"calls .{func.attr}() on "
-                                       f"parameter {name!r}")
-                            )
-                elif isinstance(func, ast.Name):
-                    called.add(func.id)
-        facts.called_names = frozenset(called)
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in _MUTATING_METHODS
+                ):
+                    name = root_name(func.value)
+                    if name is not None and name in params:
+                        facts.param_mutations.append(
+                            hazard(node, "param-mutation",
+                                   f"calls .{func.attr}() on "
+                                   f"parameter {name!r}")
+                        )
 
         # RNG / clock facts reuse the per-file checkers, pre-seeded with
         # the module's import aliases so a function body resolves the
@@ -696,25 +604,3 @@ class Program:
                     kind=kind, lineno=finding.line, col=finding.col,
                     detail=finding.message,
                 ))
-
-    # -- call-site scans ------------------------------------------------------
-
-    def call_sites(
-        self, terminal_names: frozenset[str]
-    ) -> Iterator[tuple[FunctionInfo, ast.Call, str]]:
-        """Every call whose callee's terminal name is in the given set,
-        across every function, in deterministic (module, qname) order.
-        Yields ``(enclosing function, call node, terminal name)``."""
-        for qname in sorted(self.functions):
-            fn = self.functions[qname]
-            for node in body_nodes(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = (
-                    func.id if isinstance(func, ast.Name)
-                    else func.attr if isinstance(func, ast.Attribute)
-                    else None
-                )
-                if name in terminal_names:
-                    yield fn, node, name

@@ -186,7 +186,7 @@ def lint_source(
     otherwise — ``# repro: noqa`` directives and the baseline apply at
     :func:`run_lint` level.
 
-    When any whole-program rule (R009–R012) is active and the module is
+    When any whole-program rule (R011, R012) is active and the module is
     in the ``repro`` namespace, the file is also checked as a one-module
     program — which is how the fixture corpus exercises the program
     tier file by file. :func:`run_lint` passes ``program_tier=False``
@@ -226,8 +226,8 @@ def lint_source(
 
 def _in_program(module: str) -> bool:
     """Whether a module participates in the whole-program tier: the
-    production ``repro`` namespace (tests and scripts dispatch workers
-    too, but their module state is not the pipeline's)."""
+    production ``repro`` namespace (tests and scripts are not the
+    pipeline's code)."""
     return module == "repro" or module.startswith("repro.")
 
 
@@ -237,7 +237,7 @@ def _run_program_checkers(
     tracer=NULL_TRACER,
 ) -> list[Finding]:
     """Run every active whole-program checker, one tracer span each
-    (``lint.rule.r009`` … — per-rule timing in the stage report)."""
+    (``lint.rule.r011`` … — per-rule timing in the stage report)."""
     findings: list[Finding] = []
     for checker_cls in PROGRAM_CHECKERS:
         if checker_cls.rule_id not in active:

@@ -2,12 +2,13 @@
 
 Each rule is a :class:`Rule` record plus a checker class in
 :mod:`repro.lint.visitors` (per-file rules, ``R001``–``R008``) or
-:mod:`repro.lint.wprules` (whole-program rules, ``R009``–``R012``,
+:mod:`repro.lint.wprules` (whole-program rules ``R011`` and ``R012``,
 which run over the call graph built by :mod:`repro.lint.callgraph`).
 The catalog is the single source of truth: reporters, the CLI's
 ``--list-rules``, suppression validation, the SARIF ``rules`` array,
 and the fixture tests all read it. Rule ids are stable; retired ids
-are never reused.
+are never reused (``R009`` and ``R010``, the fork-safety and broadcast
+rules of the retired process fan-out, stay unassigned).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ RULES: dict[str, Rule] = {
             "unordered-iteration",
             "set/frozenset iteration feeding returned or yielded "
             "ordered data without sorted(...)",
-            "workers=N byte-identical guarantee: ordered output must "
+            "byte-identical output guarantee: ordered output must "
             "never depend on hash iteration order",
         ),
         Rule(
@@ -93,28 +94,6 @@ RULES: dict[str, Rule] = {
             "source of truth (the registry); names must stay resolvable",
         ),
         Rule(
-            "R009",
-            "fork-safety",
-            "write to module-level state in a function reachable from "
-            "a worker-pool chunk entry point",
-            "fork isolation: a worker's module state dies with the "
-            "worker, so writes there are silently lost (or, under a "
-            "respawned pool, silently different per replay) — only "
-            "the sanctioned broadcast registry in repro.perf.pool may "
-            "hold cross-process state",
-        ),
-        Rule(
-            "R010",
-            "broadcast-discipline",
-            "worker payload carrying a heavy world object instead of "
-            "a broadcast token, or broadcast_get with no broadcast "
-            "producer on the dispatch path",
-            "ship-once economics and replay correctness: heavy state "
-            "(ASGraph/PathSet/View/PathStore) crosses the process "
-            "boundary exactly once via pool.broadcast, and every "
-            "token a worker resolves must have a parent-side producer",
-        ),
-        Rule(
             "R011",
             "memo-coherence",
             "method mutating a field consulted by a version-memoised "
@@ -143,7 +122,7 @@ RULES: dict[str, Rule] = {
 ALL_RULE_IDS: tuple[str, ...] = tuple(RULES)
 
 #: the whole-program tier (checked via the call graph, not per file)
-PROGRAM_RULE_IDS: tuple[str, ...] = ("R009", "R010", "R011", "R012")
+PROGRAM_RULE_IDS: tuple[str, ...] = ("R011", "R012")
 
 
 @dataclass(frozen=True, slots=True)

@@ -358,7 +358,7 @@ class UnorderedIterationChecker(BaseChecker):
 
     Set iteration order depends on hash values (randomized per process
     for strings), so feeding it into a list, tuple, or yield sequence
-    breaks the byte-identical-for-any-``--workers`` guarantee. The
+    breaks the byte-identical-output guarantee across processes. The
     checker resolves set-typed expressions syntactically per scope —
     set literals/comprehensions, ``set()``/``frozenset()`` calls,
     set-returning methods, names consistently assigned those, and

@@ -1,19 +1,9 @@
-"""Whole-program rules R009–R012 over the conservative call graph.
+"""Whole-program rules R011–R012 over the conservative call graph.
 
 Where :mod:`repro.lint.visitors` checks one file at a time, these
 checkers receive a :class:`repro.lint.callgraph.Program` — every module
 under lint at once — and answer cross-module questions:
 
-* **R009 fork-safety** — no function reachable from a worker-pool chunk
-  entry point may write module-level state, except inside the
-  sanctioned broadcast registry (:mod:`repro.perf.pool`). A worker's
-  module state dies with the worker; under pool respawn it differs per
-  replay.
-* **R010 broadcast discipline** — worker payloads must carry broadcast
-  *tokens*, not the heavy world objects themselves (``ASGraph`` /
-  ``PathSet`` / ``View`` / ``PathStore``); and a worker that resolves
-  tokens via ``broadcast_get`` must be dispatched by code that actually
-  ``broadcast(...)``\\ s something.
 * **R011 memo-coherence** — classes annotate their version-memoised
   caches with ``# repro: memo-guard version=<attr> fields=<f1>,<f2>``;
   every method mutating a guarded field must bump the version attr
@@ -44,30 +34,11 @@ from repro.lint.callgraph import (
 from repro.lint.rules import RULES, Finding
 from repro.lint.visitors import _CLOCK_ALLOWED, _MUTATING_METHODS
 
-#: the only module allowed to hold cross-process module state (the
-#: broadcast registry itself: ``_BROADCAST``, ``_token_counter``)
-_SANCTIONED_MODULES = ("repro.perf.pool",)
-
-#: world objects that must cross the process boundary via broadcast
-_HEAVY_TYPES = frozenset(
-    ("ASGraph", "PathSet", "View", "PathStore", "MmapPathStore")
-)
-
-#: receiver names that smell like an executor/pool for ``.submit``/``.map``
-_POOL_RECEIVER_RE = re.compile(r"(?:^|_)(?:pool|executor|ex)(?:_|$|\d)")
-
 _MEMO_GUARD_RE = re.compile(
     r"#\s*repro:\s*memo-guard\s+"
     r"version=([A-Za-z_]\w*)\s+"
     r"fields=([A-Za-z_]\w*(?:\s*,\s*[A-Za-z_]\w*)*)"
 )
-
-
-def _is_sanctioned(module: str) -> bool:
-    return any(
-        module == allowed or module.startswith(allowed + ".")
-        for allowed in _SANCTIONED_MODULES
-    )
 
 
 def _clock_allowed(module: str) -> bool:
@@ -84,70 +55,6 @@ def _short_chain(parents: dict[str, str | None], target: str) -> str:
         chain = [chain[0], "…", chain[-2], chain[-1]]
     return " → ".join(part.rsplit(".", 1)[-1] if part != "…" else part
                       for part in chain)
-
-
-@dataclass(frozen=True, slots=True)
-class WorkerDispatch:
-    """One place a function is handed to a worker pool."""
-
-    #: qname of the chunk entry function (or None for a lambda)
-    entry: str | None
-    #: the function containing the dispatch call
-    dispatcher: str
-    #: the dispatch call node (for locations)
-    node: ast.Call
-    #: True when the dispatched callable is a lambda / nested def
-    closure: bool
-
-
-def find_worker_dispatches(program: Program) -> list[WorkerDispatch]:
-    """Every spot a callable is handed to a pool for worker execution.
-
-    Two shapes, matching the repo's fan-out idiom:
-
-    * ``resilient_map(stage, fn, payloads, workers, ...)`` — ``fn`` is
-      the second positional argument;
-    * ``<pool-ish>.submit(fn, ...)`` / ``<pool-ish>.map(fn, ...)`` —
-      first argument, when the receiver name smells like a pool or
-      executor.
-    """
-    dispatches: list[WorkerDispatch] = []
-    for fn, node, name in program.call_sites(
-        frozenset(("resilient_map", "submit", "map"))
-    ):
-        if name == "resilient_map":
-            if len(node.args) < 2:
-                continue
-            target = node.args[1]
-        else:
-            func = node.func
-            if not isinstance(func, ast.Attribute):
-                continue  # bare ``map(...)`` builtin, not a pool method
-            receiver = func.value
-            receiver_name = (
-                receiver.id if isinstance(receiver, ast.Name)
-                else receiver.attr if isinstance(receiver, ast.Attribute)
-                else None
-            )
-            if receiver_name is None or not _POOL_RECEIVER_RE.search(
-                receiver_name.lower()
-            ):
-                continue
-            if not node.args:
-                continue
-            target = node.args[0]
-        if isinstance(target, ast.Lambda):
-            dispatches.append(WorkerDispatch(None, fn.qname, node, True))
-            continue
-        if not isinstance(target, ast.Name):
-            continue
-        _, local_from = program._function_imports(fn)
-        resolved = program.resolve_name(fn.module, target.id, local_from)
-        if resolved is None or resolved not in program.functions:
-            continue
-        closure = program.functions[resolved].is_nested
-        dispatches.append(WorkerDispatch(resolved, fn.qname, node, closure))
-    return dispatches
 
 
 class ProgramChecker:
@@ -183,129 +90,6 @@ class ProgramChecker:
         self, fn: FunctionInfo, hazard: Hazard, message: str
     ) -> None:
         self.report(fn.module, hazard.lineno, hazard.col, message)
-
-
-# -- R009: fork-safety --------------------------------------------------------
-
-
-class ForkSafetyChecker(ProgramChecker):
-    """R009 — no module-state writes on any worker-reachable path.
-
-    Entries are the chunk functions handed to ``resilient_map`` /
-    ``pool.submit``; the reachable set includes dynamic-dispatch
-    fallback edges (over-approximation: a write we cannot rule out is
-    a write we flag). The broadcast registry module itself is
-    sanctioned — holding cross-process state is its whole job.
-    """
-
-    rule_id = "R009"
-
-    def check(self) -> None:
-        entries = sorted({
-            d.entry for d in find_worker_dispatches(self.program)
-            if d.entry is not None
-        })
-        if not entries:
-            return
-        parents = self.program.reachable(entries)
-        for qname in sorted(parents):
-            fn = self.program.functions[qname]
-            if _is_sanctioned(fn.module):
-                continue
-            facts = self.program.facts(qname)
-            for hazard, name, verb in facts.module_writes:
-                chain = _short_chain(parents, qname)
-                self.report_hazard(
-                    fn, hazard,
-                    f"{verb} module-level {name!r} inside a worker-"
-                    f"reachable function ({chain}) — worker module "
-                    "state is lost on exit and diverges across pool "
-                    "respawns; route shared state through "
-                    "pool.broadcast",
-                )
-
-
-# -- R010: broadcast discipline -----------------------------------------------
-
-
-class BroadcastDisciplineChecker(ProgramChecker):
-    """R010 — heavy state crosses the fork boundary as tokens only.
-
-    Three shapes are flagged: a chunk entry whose parameter annotations
-    (with module-level payload type aliases expanded) mention a heavy
-    world type — that object would be pickled into every chunk; a
-    lambda or nested function dispatched to a pool — its closure ships
-    (and re-ships) whatever it captured; and a chunk entry that
-    resolves broadcast tokens while its dispatcher never calls
-    ``broadcast(...)`` — tokens with no producer fail only at worker
-    runtime, on every replay.
-    """
-
-    rule_id = "R010"
-
-    def check(self) -> None:
-        dispatches = find_worker_dispatches(self.program)
-        seen_entries: set[str] = set()
-        for dispatch in dispatches:
-            dispatcher = self.program.functions[dispatch.dispatcher]
-            if dispatch.closure:
-                label = (
-                    "a lambda" if dispatch.entry is None
-                    else f"nested function "
-                         f"{dispatch.entry.rsplit('.', 1)[-1]!r}"
-                )
-                self.report(
-                    dispatcher.module,
-                    dispatch.node.lineno, dispatch.node.col_offset + 1,
-                    f"dispatches {label} to a worker pool — its closure "
-                    "is pickled into every chunk; use a top-level "
-                    "function taking a broadcast token",
-                )
-                continue
-            entry = self.program.functions[dispatch.entry]
-            if dispatch.entry not in seen_entries:
-                seen_entries.add(dispatch.entry)
-                self._check_entry_payload(entry)
-            self._check_token_producer(entry, dispatcher, dispatch)
-
-    def _check_entry_payload(self, entry: FunctionInfo) -> None:
-        args = entry.node.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            heavy = self.program.expand_annotation(
-                entry.module, arg.annotation
-            ) & _HEAVY_TYPES
-            if heavy:
-                names = ", ".join(sorted(heavy))
-                self.report(
-                    entry.module, arg.lineno, arg.col_offset + 1,
-                    f"worker payload parameter {arg.arg!r} carries "
-                    f"{names} — heavy world objects are pickled per "
-                    "chunk; broadcast once and pass the token",
-                )
-
-    def _check_token_producer(
-        self,
-        entry: FunctionInfo,
-        dispatcher: FunctionInfo,
-        dispatch: WorkerDispatch,
-    ) -> None:
-        parents = self.program.reachable([entry.qname])
-        resolves_tokens = any(
-            "broadcast_get" in self.program.facts(qname).called_names
-            for qname in parents
-        )
-        if not resolves_tokens:
-            return
-        if "broadcast" in self.program.facts(dispatcher.qname).called_names:
-            return
-        self.report(
-            dispatcher.module,
-            dispatch.node.lineno, dispatch.node.col_offset + 1,
-            f"worker entry {entry.name!r} resolves broadcast tokens "
-            f"but {dispatcher.name!r} never calls broadcast(...) — "
-            "tokens without a parent-side producer fail only at "
-            "worker runtime",
-        )
 
 
 # -- R011: memo-coherence -----------------------------------------------------
@@ -626,8 +410,6 @@ class SpecPurityChecker(ProgramChecker):
 
 #: every whole-program checker, in rule-id order
 PROGRAM_CHECKERS: tuple[type[ProgramChecker], ...] = (
-    ForkSafetyChecker,
-    BroadcastDisciplineChecker,
     MemoCoherenceChecker,
     SpecPurityChecker,
 )

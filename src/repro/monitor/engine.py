@@ -71,14 +71,8 @@ class WatchConfig:
     ndcg_threshold: float = 0.9
     #: pipeline seed for world snapshots without an explicit ``@seed``
     seed: int = 0
-    #: process fan-out for world pipelines (never changes outputs)
-    workers: int = 1
     #: trimmed-mean fraction for the hegemony/CTI family
     trim: float = 0.1
-    #: thread propagation bases between consecutive world snapshots so
-    #: only origins whose reachable region changed re-propagate; like
-    #: ``workers``, byte-identical output, so excluded from watch_key
-    incremental: bool = True
 
     def __post_init__(self) -> None:
         if not self.metrics:
@@ -101,8 +95,7 @@ def watch_key(identities: Sequence[str], config: WatchConfig) -> str:
     """The checkpoint content key for one watch run: the snapshot
     stream (each ref's :meth:`~repro.monitor.snapshots.SnapshotRef.identity`,
     so a rewritten release file never resumes its old rankings) plus
-    every config knob that shapes events (``workers`` is deliberately
-    excluded — fan-out never changes outputs)."""
+    every config knob."""
     stream = ",".join(identities)
     grid = ",".join(config.countries) if config.countries is not None else "<auto>"
     return (
@@ -185,10 +178,6 @@ def watch(
     events: list[dict] = []
     previous: dict[tuple[str, str | None], Ranking] | None = None
     previous_label: str | None = None
-    #: per-plane propagation bases handed from one world snapshot's
-    #: pipeline to the next (None after a release snapshot, a resume
-    #: hit, or with config.incremental off)
-    bases: list | None = None
     computed_units = 0
     resumed_units = 0
 
@@ -212,12 +201,7 @@ def watch(
                         "watch.load", snapshot=ref.label, kind=ref.kind,
                     ):
                         provider = ref.load(
-                            config.seed, config.workers, config.trim,
-                            tracer=tracer,
-                            propagation_bases=(
-                                bases if config.incremental else None
-                            ),
-                            capture_bases=config.incremental,
+                            config.seed, config.trim, tracer=tracer,
                         )
                     metrics.counter("monitor.snapshots.loaded").inc()
                 return provider
@@ -329,14 +313,9 @@ def watch(
 
             previous = current
             previous_label = ref.label
-            # hand this snapshot's propagation bases to the next one
-            # (and release its worker pool — only one provider's
-            # resources stay live at a time)
-            bases = None
+            # release this snapshot's resources (its spill, if any):
+            # only one provider stays live at a time
             if provider is not None:
-                basis_getter = getattr(provider, "propagation_bases", None)
-                if config.incremental and basis_getter is not None:
-                    bases = basis_getter()
                 closer = getattr(provider, "close", None)
                 if closer is not None:
                     closer()

@@ -21,8 +21,8 @@ event types, emitted in processing order:
 Every event has a monotonically increasing ``seq`` and a 12-hex-char
 ``id`` derived from the event's identifying content (never from a
 clock or RNG), so the stream is **byte-identical** for a fixed
-snapshot set and config — rerun, reseeded worker counts, and
-checkpoint-resumed runs all reproduce it exactly. Floats are rounded
+snapshot set and config — reruns and checkpoint-resumed runs both
+reproduce it exactly. Floats are rounded
 to 6 places before serialization so the bytes never depend on
 intermediate summation noise in renderers.
 

@@ -67,35 +67,20 @@ class SnapshotRef:
                 digest.update(block)
         return f"{self.label}@sha256:{digest.hexdigest()}"
 
-    def load(
-        self,
-        seed: int,
-        workers: int,
-        trim: float,
-        tracer=None,
-        propagation_bases=None,
-        capture_bases: bool = False,
-    ):
+    def load(self, seed: int, trim: float, tracer=None):
         """Materialize the snapshot's ranking provider.
 
         World refs run the full pipeline (under ``tracer`` so its
         stages appear as spans of the surrounding watch.load span);
         release refs open a :class:`ReplaySession` over the file.
-
-        ``propagation_bases``/``capture_bases`` thread incremental
-        propagation state between consecutive world snapshots (see
-        :meth:`repro.core.pipeline.PipelineResult.propagation_bases`);
-        release refs ignore both.
         """
         if self.kind == "world":
             from repro.core.pipeline import PipelineConfig, run_pipeline
 
             effective = self.seed if self.seed is not None else seed
-            config = PipelineConfig(seed=effective, workers=workers, trim=trim)
+            config = PipelineConfig(seed=effective, trim=trim)
             return run_pipeline(
                 build_world(self.world, effective), config, tracer=tracer,
-                propagation_bases=propagation_bases,
-                capture_bases=capture_bases,
             )
         return ReplaySession.from_file(self.path, trim=trim)
 

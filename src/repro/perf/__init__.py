@@ -16,12 +16,9 @@ Three layers, designed to compose (see DESIGN.md §4):
 * :mod:`repro.perf.hegemony` — the columnar hegemony kernel: AH* and
   AHC tables straight from the store's columns, bit-identical to
   :func:`repro.core.hegemony.hegemony_scores`.
-* :mod:`repro.perf.parallel` — deterministic process fan-out for
-  propagation origins and stability trials (``workers=1`` stays the
-  byte-identical serial path).
-* :mod:`repro.perf.pool` — :class:`WorkerPool`, the persistent
-  process pool under both fan-outs, with ship-once broadcast of heavy
-  shared state (zero-copy under ``fork``).
+* :mod:`repro.perf.pool` — :class:`WorkerPool`, a pool handle that
+  starts no process: the engine runs serially in one process, and the
+  handle only keeps callers that still pass ``pool`` working.
 * :mod:`repro.perf.pathstore` — :class:`PathStore`, the
   structure-of-arrays form of the sanitized records (flat interned
   token arrays, filled by the one ``ColumnBuilder``) feeding the
@@ -39,9 +36,8 @@ points.
 
 from repro.perf.cache import ViewComputation
 from repro.perf.index import PathIndex
-from repro.perf.parallel import chunked, propagate_origins, stability_trials
 from repro.perf.pathstore import PathStore
-from repro.perf.pool import WorkerPool, broadcast_get
+from repro.perf.pool import WorkerPool
 from repro.perf.spill import MmapPathStore, open_spill, sanitize_to_store
 
 __all__ = [
@@ -50,10 +46,6 @@ __all__ = [
     "PathStore",
     "ViewComputation",
     "WorkerPool",
-    "broadcast_get",
-    "chunked",
     "open_spill",
-    "propagate_origins",
     "sanitize_to_store",
-    "stability_trials",
 ]

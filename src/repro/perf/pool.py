@@ -1,173 +1,32 @@
-"""Persistent worker pools with broadcast (ship-once) world state.
+"""``WorkerPool``: a pool that starts no process.
 
-The fan-outs in :mod:`repro.perf.parallel` used to pickle their heavy
-shared state — the adjacency snapshot, the country view — into every
-chunk payload, so a sweep over ``C`` chunks serialized the same
-multi-megabyte object ``C`` times. A :class:`WorkerPool` fixes both
-halves of that cost:
-
-* **Broadcast state.** Shared objects are registered once in a parent-
-  side module-level registry and referenced from payloads by token.
-  On ``fork`` start (Linux default) the registry is inherited by the
-  worker processes for free — zero pickling, copy-on-write pages. On
-  ``spawn``/``forkserver`` the registry is shipped once per *worker*
-  through the pool initializer — still once per worker instead of once
-  per chunk.
-* **Pool persistence.** The executor is created lazily and survives
-  across calls (all propagation planes, then every stability sweep),
-  so pool startup is paid once per pipeline rather than once per
-  fan-out. Broadcasting *new* state to a live pool marks it stale and
-  the next use respawns it (cheap under ``fork``); re-broadcasting the
-  same object is recognized by identity and costs nothing.
-
-Fault semantics are unchanged: :func:`repro.resilience.resilient_map`
-treats an external pool exactly like its own, except that a poisoned
-pool is handed back via :meth:`WorkerPool.invalidate` — the broken
-executor is terminated and never reused, and the respawned one
-reinstalls the full registry (replayed chunks resolve their tokens
-identically).
-
-The registry is also consulted in-process (the parent), which is what
-keeps ``resilient_map``'s serial fallback and the ``workers=1`` path
-token-compatible: :func:`broadcast_get` works on both sides of the
-fork.
+Propagation and the stability trials run serially in the calling
+process (DESIGN.md §4 records the measurements that retired the
+process fan-out). This class remains so callers written against the
+old pool keep working: it validates ``workers``, reports zeroed
+``stats`` and closes as a context manager, and every function that
+accepts a ``pool`` ignores it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any
-
-#: parent-side broadcast registry; fork children inherit it, spawn
-#: children receive a copy through :func:`_install_broadcast`
-_BROADCAST: dict[str, Any] = {}
-
-_token_counter = 0
-
-
-def _install_broadcast(state: dict[str, Any]) -> None:
-    """Pool initializer for non-fork start methods: install the
-    broadcast registry once per worker process (top-level for
-    pickling)."""
-    _BROADCAST.clear()
-    _BROADCAST.update(state)
-
-
-def broadcast_get(token: str) -> Any:
-    """Resolve a broadcast token (worker- or parent-side)."""
-    try:
-        return _BROADCAST[token]
-    except KeyError:
-        raise KeyError(
-            f"broadcast token {token!r} not installed in this process"
-        ) from None
-
 
 class WorkerPool:
-    """A lazily-started, restartable process pool sharing broadcast
-    state with its workers.
+    """A pool handle with nothing behind it (see the module docstring)."""
 
-    ``executor()`` (re)creates the underlying ``ProcessPoolExecutor``
-    on demand; ``invalidate()`` abandons a poisoned one (terminate,
-    never reuse); ``close()`` ends the pool's life. The ``stats``
-    dict feeds the benchmark report (spawn count measures how well
-    persistence is working: one pipeline should spawn O(1) pools,
-    not one per fan-out).
-    """
-
-    __slots__ = ("workers", "_executor", "_dirty", "_tokens", "_mine", "stats")
+    __slots__ = ("workers", "stats")
 
     def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self._executor: ProcessPoolExecutor | None = None
-        self._dirty = False
-        #: id(value) -> token, so re-broadcasting the same object is free
-        self._tokens: dict[int, str] = {}
-        #: tokens owned by this pool, dropped from the registry on close
-        self._mine: list[str] = []
         self.stats = {"spawns": 0, "respawns": 0, "broadcasts": 0}
 
-    def broadcast(self, name: str, value: Any) -> str:
-        """Register ``value`` for worker access; returns its token.
-
-        Identity-memoized: broadcasting the same object again returns
-        the existing token without touching the pool. A genuinely new
-        object on a live pool marks it stale — the next ``executor()``
-        respawns workers so they see the updated registry.
-        """
-        global _token_counter
-        token = self._tokens.get(id(value))
-        if token is not None:
-            return token
-        _token_counter += 1
-        token = f"{name}#{_token_counter}"
-        _BROADCAST[token] = value
-        self._tokens[id(value)] = token
-        self._mine.append(token)
-        self.stats["broadcasts"] += 1
-        if self._executor is not None:
-            self._dirty = True
-        return token
-
-    def executor(self) -> ProcessPoolExecutor:
-        """The live executor, (re)spawning it if absent or stale."""
-        if self._executor is not None and self._dirty:
-            self._shutdown(abandon=False)
-        if self._executor is None:
-            if multiprocessing.get_start_method() == "fork":
-                # children fork off this process and inherit _BROADCAST
-                self._executor = ProcessPoolExecutor(max_workers=self.workers)
-            else:
-                self._executor = ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_install_broadcast,
-                    initargs=(dict(_BROADCAST),),
-                )
-            self._dirty = False
-            self.stats["spawns"] += 1
-        return self._executor
-
-    def invalidate(self) -> None:
-        """Abandon a poisoned executor (killed/hung worker): terminate
-        its processes and forget it. The next ``executor()`` call
-        starts fresh — a broken pool is never reused."""
-        if self._executor is not None:
-            self._shutdown(abandon=True)
-            self.stats["respawns"] += 1
-
     def close(self) -> None:
-        """Shut the pool down and drop its broadcast registrations."""
-        self._shutdown(abandon=False)
-        for token in self._mine:
-            _BROADCAST.pop(token, None)
-        self._mine.clear()
-        self._tokens.clear()
-
-    def _shutdown(self, abandon: bool) -> None:
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        if abandon:
-            processes = getattr(executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                process.terminate()
-            executor.shutdown(wait=False, cancel_futures=True)
-        else:
-            executor.shutdown(wait=True, cancel_futures=True)
+        """Nothing to release."""
 
     def __enter__(self) -> "WorkerPool":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        # last-resort cleanup for dropped results: terminate idle
-        # workers without waiting (never hangs a GC pass)
-        try:
-            self._shutdown(abandon=True)
-        except Exception:  # repro: noqa[R006] — GC-time teardown must never raise
-            pass

@@ -175,9 +175,9 @@ class Checkpoint:
 
 # -- content keys -------------------------------------------------------------
 
-#: Config attributes that shape ranking *values*. Telemetry, fan-out
-#: (``workers``), and resilience knobs are deliberately excluded — they
-#: never change output bytes. Shared by every content key (the
+#: Config attributes that shape ranking *values*. Telemetry,
+#: ``workers`` (accepted and ignored), the fault plan and the store
+#: backend are deliberately excluded — they never change output bytes. Shared by every content key (the
 #: sweep's and the serving layer's artifact store).
 SEMANTIC_KNOBS = (
     "rib", "geo_noise_rate", "geo_miss_rate", "geo_threshold", "trim",

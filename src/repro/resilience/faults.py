@@ -1,52 +1,30 @@
 """Deterministic fault injection for the pipeline's failure paths.
 
-A :class:`FaultPlan` decides, as a pure function of ``(seed, stage,
-chunk index, attempt)``, whether a fan-out work unit fails, stalls, or
-— on the ingestion path — whether a dump line is corrupted. Two runs
-with the same plan inject exactly the same faults, so every failure
-scenario the test suite (and ``make faults``) exercises is replayable.
-
-Fault kinds:
-
-* ``"raise"`` — the worker raises :class:`InjectedFault`, the soft
-  failure a real chunk hits when its input is bad;
-* ``"exit"``  — the worker process dies via ``os._exit``, which the
-  parent observes as a ``BrokenProcessPool`` (a killed worker, the hard
-  failure mode of OOM kills and segfaults).
-
-Stalls (``delay_chunks``/``delay_s``) only fire on a unit's *first*
-attempt, so a per-chunk timeout plus one retry always completes — the
-scenario the timeout tests pin down. Failures fire on the first
-``attempts`` attempts of a chosen unit and then stop, so bounded
-retries always converge on the fault-free result.
+A :class:`FaultPlan` decides, as a pure function of its seed, which
+ingested dump lines are corrupted (the quarantine path) and after how
+many newly computed sweep units the sweep crashes (the
+checkpoint/resume path). Two runs with the same plan inject exactly
+the same faults, so every failure scenario the test suite (and ``make
+faults``) exercises is replayable.
 
 Nothing here reads a clock or an unseeded RNG: choice is driven by a
-CRC-based integer mix of the plan's seed and the unit's coordinates.
+CRC-based integer mix of the plan's seed and the line's position.
 """
 
 from __future__ import annotations
 
-import os
-import time
 import zlib
-from dataclasses import dataclass, field
-
-
-class InjectedFault(RuntimeError):
-    """A soft worker failure injected by a :class:`FaultPlan`."""
+from dataclasses import dataclass
 
 
 class InjectedCrash(RuntimeError):
     """An injected mid-sweep process crash (checkpoint/resume tests)."""
 
 
-#: exit status an ``"exit"``-kind fault kills the worker with
-KILLED_EXIT_CODE = 113
-
-
-def _mix(seed: int, stage: str, index: int, attempt: int = 0) -> int:
-    """Deterministic 32-bit mix of a work unit's coordinates."""
-    value = zlib.crc32(f"{seed}:{stage}:{index}:{attempt}".encode())
+def _mix(seed: int, stage: str, index: int) -> int:
+    """Deterministic 32-bit mix of a unit's coordinates (the trailing
+    ``:0`` keeps every seed's choices what earlier plans chose)."""
+    value = zlib.crc32(f"{seed}:{stage}:{index}:0".encode())
     value ^= value >> 16
     value = (value * 2654435761) & 0xFFFFFFFF
     return value ^ (value >> 13)
@@ -57,84 +35,20 @@ class FaultPlan:
     """A seeded, replayable set of faults to inject.
 
     The default plan injects nothing; tests and ``make faults`` build
-    plans targeting specific stages/chunks or sampling by rate.
+    plans that corrupt dump lines or crash a sweep.
     """
 
     seed: int = 0
-    #: probability any (stage, chunk) unit is chosen to fail
-    fail_rate: float = 0.0
-    #: explicit (stage, chunk index) units that always fail
-    fail_chunks: frozenset = field(default_factory=frozenset)
-    #: how a chosen unit fails: "raise" (InjectedFault) or "exit"
-    #: (``os._exit`` — observed as BrokenProcessPool by the parent)
-    kind: str = "raise"
-    #: a chosen unit fails on its first N attempts, then succeeds
-    attempts: int = 1
-    #: (stage, chunk index) units stalled for ``delay_s`` on attempt 0
-    delay_chunks: frozenset = field(default_factory=frozenset)
-    delay_s: float = 0.0
     #: probability an ingested dump line is corrupted (quarantine path)
     corrupt_rate: float = 0.0
     #: raise InjectedCrash after this many newly-computed sweep units
     crash_after_units: int | None = None
-    #: restrict worker faults to these stages (None = every stage)
-    stages: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("raise", "exit"):
-            raise ValueError(f"unknown fault kind {self.kind!r}")
-        if not 0.0 <= self.fail_rate <= 1.0:
-            raise ValueError(f"fail_rate out of range: {self.fail_rate}")
         if not 0.0 <= self.corrupt_rate <= 1.0:
             raise ValueError(f"corrupt_rate out of range: {self.corrupt_rate}")
-        if self.attempts < 1:
-            raise ValueError("attempts must be >= 1")
-        if self.delay_s < 0.0:
-            raise ValueError("delay_s must be >= 0")
         if self.crash_after_units is not None and self.crash_after_units < 1:
             raise ValueError("crash_after_units must be >= 1")
-
-    # -- worker-side faults ---------------------------------------------------
-
-    def in_stage(self, stage: str) -> bool:
-        """Whether worker faults apply to this stage."""
-        return self.stages is None or stage in self.stages
-
-    def chosen(self, stage: str, index: int) -> bool:
-        """Whether a (stage, chunk) unit is selected for failure."""
-        if not self.in_stage(stage):
-            return False
-        if (stage, index) in self.fail_chunks:
-            return True
-        if self.fail_rate <= 0.0:
-            return False
-        return _mix(self.seed, stage, index) / 2**32 < self.fail_rate
-
-    def fails(self, stage: str, index: int, attempt: int) -> bool:
-        """Whether this attempt of a unit fails (first ``attempts``
-        attempts of a chosen unit do, later ones succeed)."""
-        return attempt < self.attempts and self.chosen(stage, index)
-
-    def stall_s(self, stage: str, index: int, attempt: int) -> float:
-        """Injected stall for this attempt (attempt 0 only)."""
-        if attempt > 0 or not self.in_stage(stage):
-            return 0.0
-        if (stage, index) in self.delay_chunks:
-            return self.delay_s
-        return 0.0
-
-    def apply(self, stage: str, index: int, attempt: int) -> None:
-        """Inject this unit's faults; called inside the worker before
-        the chunk's real work."""
-        stall = self.stall_s(stage, index, attempt)
-        if stall > 0.0:
-            time.sleep(stall)
-        if self.fails(stage, index, attempt):
-            if self.kind == "exit":
-                os._exit(KILLED_EXIT_CODE)
-            raise InjectedFault(
-                f"injected fault: stage={stage} chunk={index} attempt={attempt}"
-            )
 
     # -- ingestion-side faults ------------------------------------------------
 

@@ -18,7 +18,7 @@ The serving layer turns the batch pipeline into a long-lived daemon
 Coherence invariant (DESIGN.md §9): the store keys on world *content*
 (:meth:`~repro.topology.world.World.fingerprint`) and the semantic
 config knobs only — a regenerated world with different content misses
-the cache; fan-out/telemetry knobs never cause one.
+the cache; the ignored ``workers`` and telemetry knobs never cause one.
 """
 
 from repro.serve.http import RankingServer, ServeHandler

@@ -7,7 +7,9 @@ registry compute. Validation follows the CLI-wide discipline: bad
 input gets a one-line stderr message and exit status 2, never a
 traceback (``tests/test_cli.py`` pins the cases).
 
-Flags (plus the global ``--world/--seed/--workers``):
+Flags (plus the global ``--world/--seed``, and ``--workers``, which is
+validated ``>= 1`` and otherwise ignored — the startup pipeline runs
+serially):
 
 * ``--host`` / ``--port`` — bind address (``--port 0`` picks an
   ephemeral port and prints it, which the smoke tests rely on);
@@ -179,7 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="process fan-out for the startup pipeline run",
+        help="accepted for compatibility (must be >= 1); the startup "
+             "pipeline runs serially",
     )
     add_serve_arguments(parser)
     return run_serve(parser.parse_args(argv), prog="repro-serve")

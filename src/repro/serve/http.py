@@ -17,7 +17,8 @@ path            query parameters                              status
 ``/case-study`` ``country``                                   200
 ==============  ============================================  =======
 
-A :class:`~repro.serve.service.QueryError` maps to 400 with an
+A :class:`~repro.serve.service.QueryError` — a bad parameter or a
+request target that does not parse — maps to 400 with an
 ``{"error": ...}`` body, an unknown path to 404, and any unexpected
 failure to 500 — one bad request must never take the daemon down.
 Response bodies are serialized with ``sort_keys=True`` so identical
@@ -90,10 +91,10 @@ class ServeHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_GET(self) -> None:
-        url = urlsplit(self.path)
-        params = parse_qs(url.query)
+        path = ""
         try:
-            payload = self._dispatch(url.path, params)
+            path, params = self._parse(self.path)
+            payload = self._dispatch(path, params)
             status = 200
         except QueryError as error:
             payload = {"error": str(error)}
@@ -103,7 +104,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             status = 500
         if payload is None:
             payload = {
-                "error": f"unknown path {url.path!r}",
+                "error": f"unknown path {path!r}",
                 "routes": list(ROUTES),
             }
             status = 404
@@ -111,6 +112,17 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.server.request_served()
 
     # -- routing -------------------------------------------------------------
+
+    @staticmethod
+    def _parse(target: str) -> tuple[str, dict[str, list[str]]]:
+        """The request target's path and query parameters; a target
+        ``urlsplit`` cannot parse (``http://[/rank``) is a
+        :class:`QueryError`."""
+        try:
+            url = urlsplit(target)
+        except ValueError as error:
+            raise QueryError(f"malformed request target: {error}") from None
+        return url.path, parse_qs(url.query)
 
     def _dispatch(
         self, path: str, params: Mapping[str, list[str]]

@@ -19,9 +19,9 @@ Key derivation — the cache-coherence invariant (DESIGN.md §9):
   rankings.
 * the config contributes exactly the
   :data:`repro.resilience.checkpoint.SEMANTIC_KNOBS` — the knobs that
-  shape ranking values. ``workers``, ``trace``, ``retry``, and
-  ``faults`` are excluded: they never change output bytes, so a store
-  warmed at ``workers=8`` serves a ``workers=1`` daemon and vice versa.
+  shape ranking values. ``workers``, ``trace`` and ``faults`` are
+  excluded: they never change output bytes, so a store warmed at
+  ``workers=8`` serves a ``workers=1`` daemon and vice versa.
 
 Units inside the store are :meth:`MetricSpec.unit_key` strings, the
 same stable names ``repro-rank sweep --checkpoint`` banks under.
@@ -47,7 +47,7 @@ def store_key(world: World, config: object) -> str:
     """The artifact-store content key for one (world, config) pair.
 
     Keys on :meth:`World.fingerprint` (content, not name) plus the
-    semantic config knobs; fan-out and telemetry knobs never appear.
+    semantic config knobs; ``workers`` and telemetry knobs never appear.
     """
     return f"serve/world={world.fingerprint()}/{config_knobs(config)}"
 

@@ -81,7 +81,7 @@ def stream_world_records(
     propagation + RIB generation by hand, but no stage ever holds the
     record list. This is the only supported way to consume the
     ``large`` tier. Extra keyword arguments (``rib``, ``tiebreak``,
-    ``path_diversity``, ``workers``, ``tracer``) pass through.
+    ``path_diversity``, ``tracer``) pass through.
     """
     config = world_config(kind)
     if config is None:

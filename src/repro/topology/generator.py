@@ -628,7 +628,6 @@ def iter_world_records(
     rib: "object | None" = None,
     tiebreak: str = "hash",
     path_diversity: int = 1,
-    workers: int = 1,
     tracer=None,
 ) -> "object":
     """Stream a generated world's deduplicated RIB records lazily.
@@ -663,7 +662,7 @@ def iter_world_records(
     outcomes = [
         propagate_all(
             world.graph, keep=world.vp_asns(), tiebreak=tiebreak,
-            salt=salt, tracer=tracer, workers=workers,
+            salt=salt, tracer=tracer,
         )
         for salt in range(path_diversity)
     ]

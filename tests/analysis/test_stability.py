@@ -22,11 +22,23 @@ def result():
 
 
 class TestCurve:
-    def test_full_sample_scores_one(self, result):
-        view = result.view("national", "NL")
+    @pytest.mark.parametrize("metric, kind, country", [
+        pytest.param(metric, kind, country, id=metric)
+        for metrics, kind, country in (
+            (("CCN", "AHN", "AHN-P"), "national", "NL"),
+            (("CCI", "AHI", "AHI-P"), "international", "AU"),
+        )
+        for metric in metrics
+    ])
+    def test_full_sample_scores_one(self, result, metric, kind, country):
+        """A trial that keeps every VP ranks the full view itself, so
+        every trial scores NDCG exactly 1."""
+        view = result.view(kind, country)
         total = len(view.vps())
-        curve = stability_curve(result, "AHN", view, sizes=[total], trials=2)
-        assert curve.points[-1].mean_ndcg == pytest.approx(1.0)
+        curve = stability_curve(result, metric, view, sizes=[total], trials=2)
+        assert [(p.sample_size, p.mean_ndcg, p.std_ndcg) for p in curve.points] == [
+            (total, 1.0, 0.0)
+        ]
 
     def test_ndcg_grows_with_sample_size(self, result):
         curve = international_stability(

@@ -1,8 +1,7 @@
 """The all-origin array pass against the per-origin reference sweep.
 
 ``_propagate`` is the per-origin reference; every production route —
-``propagate``, ``propagate_all`` (serial, fanned out and incremental)
-— comes from the array pass. Hypothesis relabels random economies into
+``propagate`` and ``propagate_all`` — comes from the array pass. Hypothesis relabels random economies into
 public ASNs up to 2^32 - 1 so that the ``hash`` tie-break's 32-bit mix wraps,
 and draws the tie-break, the salt, the origins and a keep set (which
 prunes the down phase).
@@ -56,14 +55,13 @@ def problems(draw):
 
 
 def reference(graph, origin, keep, tiebreak, salt):
-    """The per-origin sweep's routes at ``keep`` and its holder set."""
+    """The per-origin sweep's routes at ``keep``."""
     adjacency = _adjacency_of(graph)
     relevant = keep_closure(adjacency, keep) if keep is not None else None
     routes = _propagate(adjacency, origin, tiebreak, salt, relevant=relevant)
-    holders = frozenset(routes)
     if keep is not None:
         routes = {asn: route for asn, route in routes.items() if asn in keep}
-    return routes, holders
+    return routes
 
 
 class TestArrayPassParity:
@@ -73,13 +71,11 @@ class TestArrayPassParity:
         graph, origins, keep, tiebreak, salt = problem
         outcome = propagate_all(
             graph, origins=origins, keep=keep, tiebreak=tiebreak, salt=salt,
-            capture_basis=True,
         )
         assert outcome.origins() == sorted(origins)
         for origin in origins:
-            routes, holders = reference(graph, origin, keep, tiebreak, salt)
+            routes = reference(graph, origin, keep, tiebreak, salt)
             assert dict(outcome.routes[origin]) == routes
-            assert outcome.basis.holders[origin] == holders
 
     @settings(max_examples=100, deadline=None)
     @given(problems())
@@ -88,30 +84,41 @@ class TestArrayPassParity:
         for origin in origins:
             assert propagate(graph, origin, tiebreak, salt) == reference(
                 graph, origin, None, tiebreak, salt
-            )[0]
+            )
 
-    def test_fan_out_and_basis_equal_serial(self):
-        world = build_world("small", 0)
-        keep = world.vp_asns()
-        serial = propagate_all(world.graph, keep=keep, tiebreak="hash", salt=2)
-        fanned = propagate_all(
-            world.graph, keep=keep, tiebreak="hash", salt=2, workers=2
-        )
-        basis = propagate_all(
-            world.graph, keep=keep, tiebreak="hash", salt=2,
-            capture_basis=True,
-        ).basis
-        reused = propagate_all(
-            world.graph, keep=keep, tiebreak="hash", salt=2, basis=basis
-        )
-        for outcome in (fanned, reused):
-            assert outcome.routes == serial.routes
-            columns, expected = outcome.routes.columns, serial.routes.columns
-            for name in ("origins", "starts", "holder", "route_class",
-                         "offsets", "lengths", "tokens"):
-                assert getattr(columns, name).tolist() == (
-                    getattr(expected, name).tolist()
-                ), name
+
+class TestAdjacency:
+    def test_same_version_snapshot_is_cached(self):
+        graph = build_world("small", 0).graph
+        assert _adjacency_of(graph) is _adjacency_of(graph)
+
+    def test_mutation_invalidates_snapshot(self):
+        graph = build_world("small", 0).graph
+        before = _adjacency_of(graph)
+        asns = list(graph.asns())
+        graph.add_p2p(asns[0], asns[-1])
+        after = _adjacency_of(graph)
+        assert after is not before
+        assert asns[-1] in after.peers[asns[0]]
+        assert asns[-1] not in before.peers[asns[0]]
+
+    def test_closure_climbs_provider_chains(self):
+        graph = ASGraph()
+        for asn in (1, 2, 3, 4):
+            graph.add_as(asn)
+        graph.add_p2c(1, 2)  # 1 provides 2
+        graph.add_p2c(2, 3)  # 2 provides 3
+        graph.add_p2c(1, 4)
+        closure = keep_closure(_adjacency_of(graph), {3})
+        assert closure == frozenset({3, 2, 1})
+
+    def test_peers_are_not_pulled_in(self):
+        graph = ASGraph()
+        for asn in (1, 2, 3):
+            graph.add_as(asn)
+        graph.add_p2c(1, 2)
+        graph.add_p2p(2, 3)
+        assert keep_closure(_adjacency_of(graph), {2}) == frozenset({2, 1})
 
 
 class TestTelemetry:
@@ -142,8 +149,7 @@ class TestTelemetry:
         }
         assert attrs["propagate"] == {"planes": 1}
         assert attrs["propagate.plane"] == {
-            "origins": 67, "recomputed": 67, "reused": 0, "routes": 1809,
-            "salt": 0, "tiebreak": "hash", "workers": 1,
+            "origins": 67, "routes": 1809, "salt": 0, "tiebreak": "hash",
         }
         assert attrs["ribs"] == {
             "days": 5, "missing": 29, "overrides": 82, "paths": 1809,

@@ -17,8 +17,7 @@ tie-breaks agree.
 Keeping only AS 13 prunes the down phase to its keep closure {1, 5,
 13} (the ASes that have 13 in their customer cone): the sweep still
 settles the up and across phases (8, 3, 1 and 2 for origin 8) and the
-down chain 1 → 5 → 13, so the captured holders are {1, 2, 3, 5, 8,
-13}, and the route at 13 is the unpruned one.
+down chain 1 → 5 → 13, so the route at 13 is the unpruned one.
 """
 
 import pytest
@@ -94,20 +93,16 @@ class TestTree:
         for origin, expected in EXPECTED.items():
             assert propagate(tree, origin, tiebreak) == expected
 
-    @pytest.mark.parametrize("options", [
-        {}, {"workers": 2}, {"capture_basis": True},
-    ])
+    @pytest.mark.parametrize("options", [{}, {"workers": 2}])
     def test_all_origins(self, tree, tiebreak, options):
         outcome = propagate_all(
             tree, origins=[6, 8], tiebreak=tiebreak, **options
         )
         assert outcome.routes == EXPECTED
 
-    def test_keep_closure_and_holders(self, tree, tiebreak):
+    def test_keep_closure(self, tree, tiebreak):
         assert keep_closure(_adjacency_of(tree), {13}) == {1, 5, 13}
         outcome = propagate_all(
             tree, origins=[8], keep={13}, tiebreak=tiebreak,
-            capture_basis=True,
         )
-        assert outcome.basis.holders[8] == {1, 2, 3, 5, 8, 13}
         assert outcome.routes == {8: {13: TOWARD_8[13]}}

@@ -1,8 +1,8 @@
-"""Whole-program rules (R009–R012) across module boundaries: the
-scenarios the per-file tier cannot see — a worker chunk in one module
-writing another module's state, heavy types smuggled through imported
-annotations, sanctioned-module exemptions, and suppression of program
-findings through the ordinary noqa machinery.
+"""Whole-program rules (R011, R012) across module boundaries: the
+scenarios the per-file tier cannot see — a compute callable reaching
+an unseeded RNG through a helper in another module, memo guards and
+their version bumps — and suppression of program findings through the
+ordinary noqa machinery.
 """
 
 import textwrap
@@ -11,8 +11,6 @@ import pytest
 
 from repro.lint import LintConfig, lint_source, run_lint
 
-R009 = LintConfig(select=frozenset({"R009"}))
-R010 = LintConfig(select=frozenset({"R010"}))
 R011 = LintConfig(select=frozenset({"R011"}))
 R012 = LintConfig(select=frozenset({"R012"}))
 
@@ -25,113 +23,50 @@ def write(tmp_path, name, module, body):
     return target
 
 
-class TestForkSafetyAcrossModules:
+class TestSpecPurityAcrossModules:
     def _tree(self, tmp_path, noqa=""):
-        write(tmp_path, "chunks.py", "repro.wfix.chunks", f"""\
-            _SEEN = {{}}
+        write(tmp_path, "helpers.py", "repro.wfix.helpers", f"""\
+            import random
 
-            def chunk(payload):
-                _SEEN[payload] = True{noqa}
-                return payload
+            def jitter(values):
+                return [v + random.random() for v in values]{noqa}
             """)
-        write(tmp_path, "dispatch.py", "repro.wfix.dispatch", """\
-            from repro.wfix.chunks import chunk
+        write(tmp_path, "specs.py", "repro.wfix.specs", """\
+            from repro.wfix.helpers import jitter
 
-            def resilient_map(stage, fn, payloads, workers):
-                return [fn(p) for p in payloads]
+            class MetricSpec:
+                def __init__(self, name, compute):
+                    self.name = name
+                    self.compute = compute
 
-            def run(payloads):
-                return resilient_map("stage", chunk, payloads, 2)
+            def _compute(spec, ctx):
+                return jitter(ctx)
+
+            SPEC = MetricSpec(name="m", compute=_compute)
             """)
         return tmp_path
 
-    def test_write_in_another_module_is_flagged(self, tmp_path):
-        result = run_lint([str(self._tree(tmp_path))], R009)
-        assert [f.rule_id for f in result.findings] == ["R009"]
+    def test_rng_in_another_module_is_flagged(self, tmp_path):
+        result = run_lint([str(self._tree(tmp_path))], R012)
+        assert [f.rule_id for f in result.findings] == ["R012"]
         finding = result.findings[0]
-        assert "chunks.py" in finding.path
-        assert "_SEEN" in finding.message
-        # the chain names the dispatch entry, cross-module
-        assert "chunk" in finding.message
+        assert "helpers.py" in finding.path
+        # the chain names the compute entry, cross-module
+        assert "_compute → jitter" in finding.message
 
     def test_noqa_suppresses_program_finding(self, tmp_path):
-        tree = self._tree(tmp_path, noqa="  # repro: noqa[R009]")
-        result = run_lint([str(tree)], R009)
+        tree = self._tree(tmp_path, noqa="  # repro: noqa[R012]")
+        result = run_lint([str(tree)], R012)
         assert result.findings == []
         assert result.suppressed_noqa == 1
 
-    def test_sanctioned_module_is_exempt(self):
-        source = textwrap.dedent("""\
-            _BROADCAST = {}
-
-            def resilient_map(stage, fn, payloads, workers):
-                return [fn(p) for p in payloads]
-
-            def chunk(payload):
-                _BROADCAST[payload] = True
-                return payload
-
-            def run(payloads):
-                return resilient_map("s", chunk, payloads, 2)
-            """)
-        assert lint_source(
-            source, "pool.py", R009, module="repro.perf.pool",
-        ) == []
-        flagged = lint_source(
-            source, "other.py", R009, module="repro.perf.other",
-        )
-        assert [f.rule_id for f in flagged] == ["R009"]
-
     def test_runs_are_deterministic(self, tmp_path):
         tree = self._tree(tmp_path)
-        first = run_lint([str(tree)], R009)
-        second = run_lint([str(tree)], R009)
+        first = run_lint([str(tree)], R012)
+        second = run_lint([str(tree)], R012)
         assert [f.as_dict() for f in first.findings] == [
             f.as_dict() for f in second.findings
         ]
-
-
-class TestBroadcastDisciplineAcrossModules:
-    def test_imported_heavy_annotation_is_flagged(self, tmp_path):
-        write(tmp_path, "world.py", "repro.wfix.world", """\
-            class View:
-                pass
-            """)
-        write(tmp_path, "jobs.py", "repro.wfix.jobs", """\
-            from repro.wfix.world import View
-
-            def resilient_map(stage, fn, payloads, workers):
-                return [fn(p) for p in payloads]
-
-            def chunk(view: View):
-                return view
-
-            def run(payloads):
-                return resilient_map("stage", chunk, payloads, 2)
-            """)
-        result = run_lint([str(tmp_path)], R010)
-        assert [f.rule_id for f in result.findings] == ["R010"]
-        assert "View" in result.findings[0].message
-
-    def test_token_discipline_with_producer_is_quiet(self, tmp_path):
-        write(tmp_path, "jobs.py", "repro.wfix.jobs", """\
-            def resilient_map(stage, fn, payloads, workers):
-                return [fn(p) for p in payloads]
-
-            def broadcast_get(token):
-                return token
-
-            def chunk(payload):
-                return broadcast_get(payload)
-
-            def run(pool, payloads):
-                token = pool.broadcast("view", object())
-                return resilient_map(
-                    "stage", chunk, [token for _ in payloads], 2,
-                )
-            """)
-        result = run_lint([str(tmp_path)], R010)
-        assert result.findings == []
 
 
 class TestMemoCoherence:
@@ -217,42 +152,15 @@ class TestSpecPurity:
 
 
 class TestRealTree:
-    """The rules against the actual src/repro tree: R009/R010/R012 pass
-    clean by design (the perf layer already follows the disciplines the
-    rules encode) and R011 exercises the real ASGraph memo-guard."""
+    """The rules against the actual src/repro tree: R012 passes clean by
+    design and R011 exercises the real ASGraph memo-guard."""
 
     @pytest.fixture(scope="class")
     def result(self):
         return run_lint(
-            ["src/repro"],
-            LintConfig(select=frozenset(
-                {"R009", "R010", "R011", "R012"}
-            )),
+            ["src/repro"], LintConfig(select=frozenset({"R011", "R012"})),
         )
 
     def test_src_repro_is_clean(self, result):
         assert result.findings == []
         assert result.files_scanned > 40
-
-
-class TestMmapStoreIsHeavy:
-    def test_r010_flags_mmap_store_fanout(self, tmp_path):
-        write(tmp_path, "spill.py", "repro.wfix.spill", """\
-            class MmapPathStore:
-                pass
-            """)
-        write(tmp_path, "jobs.py", "repro.wfix.jobs", """\
-            from repro.wfix.spill import MmapPathStore
-
-            def resilient_map(stage, fn, payloads, workers):
-                return [fn(p) for p in payloads]
-
-            def chunk(store: MmapPathStore):
-                return store
-
-            def run(payloads):
-                return resilient_map("stage", chunk, payloads, 2)
-            """)
-        result = run_lint([str(tmp_path)], R010)
-        assert [f.rule_id for f in result.findings] == ["R010"]
-        assert "MmapPathStore" in result.findings[0].message

@@ -71,12 +71,6 @@ class TestDeterminism:
         for name in ("watch", "watch.snapshot", "watch.ranking", "watch.drift"):
             assert name in span_names
 
-    def test_workers_do_not_change_stream(self, small_run):
-        config = WatchConfig(
-            metrics=CONFIG.metrics, countries=CONFIG.countries, workers=2,
-        )
-        assert watch(resolve_snapshots(SMALL), config).jsonl() == small_run.jsonl()
-
 
 class TestCheckpointResume:
     def _checkpoint(self, path, resume):
@@ -243,12 +237,6 @@ class TestWatchKey:
             ["a", "b"], WatchConfig(metrics=CONFIG.metrics,
                                     countries=CONFIG.countries, top=5),
         ) != base
-
-    def test_workers_excluded(self):
-        wide = WatchConfig(
-            metrics=CONFIG.metrics, countries=CONFIG.countries, workers=4,
-        )
-        assert watch_key(["a", "b"], wide) == watch_key(["a", "b"], CONFIG)
 
 
 class TestTable10Russia:

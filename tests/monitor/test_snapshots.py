@@ -100,11 +100,11 @@ class TestStreamRules:
 class TestLoad:
     def test_world_ref_load_runs_pipeline(self):
         ref = resolve_snapshots(["small@0", "small@1"])[0]
-        result = ref.load(seed=99, workers=1, trim=0.1)
+        result = ref.load(seed=99, trim=0.1)
         assert result.world.name == "small"
         assert result.config.seed == 0  # explicit @seed wins over run seed
 
     def test_unseeded_world_uses_run_seed(self):
         ref = SnapshotRef(label="small", kind="world", spec="small", world="small")
-        result = ref.load(seed=5, workers=1, trim=0.1)
+        result = ref.load(seed=5, trim=0.1)
         assert result.config.seed == 5

@@ -5,7 +5,6 @@ byte-identical spill, and a damaged spill must fail with a typed
 error, whether it is opened or resumed."""
 
 import json
-import pickle
 import shutil
 
 import numpy as np
@@ -279,6 +278,27 @@ class TestDamagedSpill:
         corrupt_length(spill)
         self.assert_rejected(spill, "lengths.i64")
 
+    def test_record_vp_past_the_vp_table(self, spill):
+        rewrite_column(spill, "record_vp", lambda ids: ids.put(0, 10**6))
+        self.assert_rejected(spill, "record_vp.i64")
+
+    def test_negative_record_prefix(self, spill):
+        rewrite_column(spill, "record_prefix", lambda ids: ids.put(0, -5))
+        self.assert_rejected(spill, "record_prefix.i64")
+
+    def test_record_path_past_the_paths(self, spill):
+        rewrite_column(spill, "record_path", lambda ids: ids.put(-1, 10**9))
+        self.assert_rejected(spill, "record_path.i64")
+
+    def test_non_integer_addresses(self, spill):
+        path = spill / "prefixes.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[0])
+        row["addresses"] = "x"
+        lines[0] = json.dumps(row, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        self.assert_rejected(spill, "prefixes.jsonl")
+
 
 def rewrite_column(spill, name, change):
     """Rewrite one int64 column file in place, its size unchanged."""
@@ -396,17 +416,8 @@ class TestDamagedResume:
 
 
 class TestWorkerTransport:
-    def test_store_pickles_as_directory(self, mmap_result):
-        store = mmap_result.paths.store()
-        payload = pickle.dumps(store)
-        # the payload must be the path, not the mapped pages
-        assert len(payload) < 4096
-        clone = pickle.loads(payload)
-        assert isinstance(clone, MmapPathStore)
-        assert clone.record_count == store.record_count
-        assert [int(v) for v in clone.offsets[:10]] == [
-            int(v) for v in store.offsets[:10]
-        ]
+    """``workers`` is accepted and ignored: a spill-backed run that
+    sets it ranks exactly as the in-memory serial run."""
 
     def test_sweep_with_workers_matches_serial(self, world, memory_result):
         result = run_pipeline(

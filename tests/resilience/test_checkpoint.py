@@ -184,11 +184,11 @@ class TestContentKeys:
         )
 
     def test_sweep_key_ignores_resilience_knobs(self):
-        from repro.resilience import RetryPolicy
+        from repro.resilience import FaultPlan
 
         base = PipelineConfig(seed=0)
         tweaked = PipelineConfig(
-            seed=0, workers=8, retry=RetryPolicy(max_attempts=5)
+            seed=0, workers=8, faults=FaultPlan(corrupt_rate=0.5)
         )
         metrics = ("AHN",)
         assert sweep_key("small", base, metrics, None) == sweep_key(

@@ -2,25 +2,13 @@
 
 import pytest
 
-from repro.resilience import FaultPlan, InjectedFault
+from repro.resilience import FaultPlan
 
 
 class TestValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan(kind="segfault")
-
-    def test_fail_rate_range(self):
-        with pytest.raises(ValueError):
-            FaultPlan(fail_rate=1.5)
-
     def test_corrupt_rate_range(self):
         with pytest.raises(ValueError):
             FaultPlan(corrupt_rate=-0.1)
-
-    def test_attempts_positive(self):
-        with pytest.raises(ValueError):
-            FaultPlan(attempts=0)
 
     def test_crash_after_units_positive(self):
         with pytest.raises(ValueError):
@@ -30,24 +18,18 @@ class TestValidation:
 class TestDeterminism:
     def test_default_plan_injects_nothing(self):
         plan = FaultPlan()
-        assert not any(plan.chosen("propagate", i) for i in range(100))
         assert not any(plan.corrupts_line(i) for i in range(100))
-
-    def test_same_seed_same_choices(self):
-        a = FaultPlan(seed=7, fail_rate=0.3)
-        b = FaultPlan(seed=7, fail_rate=0.3)
-        picks = [(s, i) for s in ("propagate", "stability") for i in range(50)]
-        assert [a.chosen(*p) for p in picks] == [b.chosen(*p) for p in picks]
+        assert not plan.crashes_after(100)
 
     def test_different_seeds_differ(self):
-        picks = [("propagate", i) for i in range(200)]
-        a = [FaultPlan(seed=1, fail_rate=0.5).chosen(*p) for p in picks]
-        b = [FaultPlan(seed=2, fail_rate=0.5).chosen(*p) for p in picks]
+        lines = range(200)
+        a = [FaultPlan(seed=1, corrupt_rate=0.5).corrupts_line(n) for n in lines]
+        b = [FaultPlan(seed=2, corrupt_rate=0.5).corrupts_line(n) for n in lines]
         assert a != b
 
     def test_rate_roughly_respected(self):
-        plan = FaultPlan(seed=3, fail_rate=0.25)
-        hits = sum(plan.chosen("propagate", i) for i in range(1000))
+        plan = FaultPlan(seed=3, corrupt_rate=0.25)
+        hits = sum(plan.corrupts_line(n) for n in range(1000))
         assert 150 < hits < 350
 
     def test_corruption_is_deterministic(self):
@@ -61,40 +43,6 @@ class TestDeterminism:
 
 
 class TestBehavior:
-    def test_explicit_chunks_always_fail(self):
-        plan = FaultPlan(fail_chunks=frozenset({("propagate", 2)}))
-        assert plan.fails("propagate", 2, attempt=0)
-        assert not plan.fails("propagate", 1, attempt=0)
-        assert not plan.fails("stability", 2, attempt=0)
-
-    def test_failures_stop_after_attempts(self):
-        plan = FaultPlan(fail_chunks=frozenset({("s", 0)}), attempts=2)
-        assert plan.fails("s", 0, attempt=0)
-        assert plan.fails("s", 0, attempt=1)
-        assert not plan.fails("s", 0, attempt=2)
-
-    def test_stage_restriction(self):
-        plan = FaultPlan(
-            fail_chunks=frozenset({("propagate", 0), ("stability", 0)}),
-            stages=("stability",),
-        )
-        assert not plan.fails("propagate", 0, attempt=0)
-        assert plan.fails("stability", 0, attempt=0)
-
-    def test_stall_only_on_first_attempt(self):
-        plan = FaultPlan(
-            delay_chunks=frozenset({("s", 1)}), delay_s=5.0
-        )
-        assert plan.stall_s("s", 1, attempt=0) == 5.0
-        assert plan.stall_s("s", 1, attempt=1) == 0.0
-        assert plan.stall_s("s", 0, attempt=0) == 0.0
-
-    def test_apply_raises_injected_fault(self):
-        plan = FaultPlan(fail_chunks=frozenset({("s", 0)}), kind="raise")
-        with pytest.raises(InjectedFault):
-            plan.apply("s", 0, attempt=0)
-        plan.apply("s", 0, attempt=1)  # no-op past the fault window
-
     def test_corrupt_breaks_json(self):
         import json
 

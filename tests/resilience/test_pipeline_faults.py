@@ -1,10 +1,6 @@
-"""Failure-path integration: the three recovery scenarios end to end.
-
-1. a killed fan-out worker → pool respawn → byte-identical pipeline
-   output;
-2. a hung chunk → per-chunk timeout → retry → identical output;
-3. a mid-sweep crash → checkpoint resume → output identical to an
-   uninterrupted sweep.
+"""Failure-path integration: a mid-sweep crash → checkpoint resume →
+output identical to an uninterrupted sweep, with and without global
+metrics, and duplicate sweep units computed and banked once.
 """
 
 import pytest
@@ -16,13 +12,7 @@ from repro import (
     run_pipeline,
     small_profiles,
 )
-from repro.resilience import (
-    Checkpoint,
-    FaultPlan,
-    InjectedCrash,
-    RetryPolicy,
-    sweep_key,
-)
+from repro.resilience import Checkpoint, FaultPlan, InjectedCrash, sweep_key
 
 SMALL = GeneratorConfig(
     profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP")
@@ -36,37 +26,7 @@ def world():
 
 @pytest.fixture(scope="module")
 def clean(world):
-    return run_pipeline(world, PipelineConfig(workers=2))
-
-
-class TestWorkerKillRecovery:
-    def test_killed_worker_yields_identical_routes(self, world, clean):
-        faults = FaultPlan(
-            fail_chunks=frozenset({("propagate", 0)}), kind="exit"
-        )
-        faulty = run_pipeline(
-            world, PipelineConfig(workers=2, faults=faults)
-        )
-        assert faulty.outcome.routes == clean.outcome.routes
-
-    def test_soft_faults_yield_identical_routes(self, world, clean):
-        faults = FaultPlan(seed=3, fail_rate=1.0, kind="raise", attempts=1)
-        faulty = run_pipeline(
-            world, PipelineConfig(workers=2, faults=faults)
-        )
-        assert faulty.outcome.routes == clean.outcome.routes
-
-
-class TestTimeoutRecovery:
-    def test_hung_chunk_times_out_and_matches(self, world, clean):
-        faults = FaultPlan(
-            delay_chunks=frozenset({("propagate", 1)}), delay_s=60.0
-        )
-        policy = RetryPolicy(timeout_s=2.0)
-        faulty = run_pipeline(
-            world, PipelineConfig(workers=2, retry=policy, faults=faults)
-        )
-        assert faulty.outcome.routes == clean.outcome.routes
+    return run_pipeline(world, PipelineConfig())
 
 
 class TestSweepCheckpointResume:
@@ -80,13 +40,13 @@ class TestSweepCheckpointResume:
 
         crashing = run_pipeline(
             world,
-            PipelineConfig(workers=2, faults=FaultPlan(crash_after_units=2)),
+            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
         )
         with Checkpoint.open(path, key) as checkpoint:
             with pytest.raises(InjectedCrash):
                 crashing.rank_all(self.METRICS, countries, checkpoint=checkpoint)
 
-        resumed_result = run_pipeline(world, PipelineConfig(workers=2))
+        resumed_result = run_pipeline(world, PipelineConfig())
         with Checkpoint.open(path, key) as checkpoint:
             assert checkpoint.loaded == 2  # the units banked before the crash
             resumed = resumed_result.rank_all(
@@ -100,7 +60,7 @@ class TestSweepCheckpointResume:
         key = sweep_key(world.name, clean.config, self.METRICS, countries)
         with Checkpoint.open(path, key) as checkpoint:
             full = clean.rank_all(self.METRICS, countries, checkpoint=checkpoint)
-        fresh = run_pipeline(world, PipelineConfig(workers=2))
+        fresh = run_pipeline(world, PipelineConfig())
         with Checkpoint.open(path, key) as checkpoint:
             assert checkpoint.loaded == len(full)
             assert fresh.rank_all(
@@ -126,13 +86,13 @@ class TestGlobalMetricCheckpointResume:
 
         crashing = run_pipeline(
             world,
-            PipelineConfig(workers=2, faults=FaultPlan(crash_after_units=2)),
+            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
         )
         with Checkpoint.open(path, key) as checkpoint:
             with pytest.raises(InjectedCrash):
                 crashing.rank_all(self.METRICS, countries, checkpoint=checkpoint)
 
-        resumed_result = run_pipeline(world, PipelineConfig(workers=2))
+        resumed_result = run_pipeline(world, PipelineConfig())
         with Checkpoint.open(path, key) as checkpoint:
             assert checkpoint.loaded == 2  # CCG + AHG banked pre-crash
             assert checkpoint.get("ranking:CCG:<global>") is not None
@@ -157,7 +117,7 @@ class TestSweepUnitDedupe:
         # per-request counting would have crashed on the repeat
         country_result = run_pipeline(
             world,
-            PipelineConfig(workers=2, faults=FaultPlan(crash_after_units=2)),
+            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
         )
         country = country_result.countries_with_national_view()[0]
         rankings = country_result.rank_all(["CCI", "CCI"], [country])

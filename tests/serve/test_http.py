@@ -3,18 +3,23 @@
 import http.client
 import json
 import socket
+import string
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import quote
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.registry import metric_names
 from repro.serve import ArtifactStore, RankingServer, RankingService
+from repro.serve.http import ROUTES
 
 
-@pytest.fixture()
-def server(small_result):
-    service = RankingService(small_result, ArtifactStore("key-http"))
+def serving(small_result, key):
+    """A live server on an ephemeral port, shut down on exit."""
+    service = RankingService(small_result, ArtifactStore(key))
     httpd = RankingServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
@@ -22,6 +27,30 @@ def server(small_result):
     httpd.shutdown()
     httpd.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture()
+def server(small_result):
+    yield from serving(small_result, "key-http")
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(small_result):
+    yield from serving(small_result, "key-fuzz")
+
+
+def raw_get(port, target):
+    """``GET target`` written to a raw socket, so the target reaches the
+    server exactly as given; returns (status, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(
+            f"GET {target} HTTP/1.1\r\nHost: localhost\r\n"
+            "Connection: close\r\n\r\n".encode("ascii")
+        )
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        assert response.getheader("Content-Type").startswith("application/json")
+        return response.status, json.loads(response.read())
 
 
 def get(server, path):
@@ -75,6 +104,50 @@ class TestRoutes:
         status, payload = get(server, "/nope")
         assert status == 404
         assert "/rank" in payload["routes"]
+
+    def test_malformed_target_is_400(self, server):
+        """``urlsplit`` rejects the bracket; the handler answers 400
+        instead of dropping the connection."""
+        status, payload = raw_get(server.port, "http://[/rank?metric=AHN")
+        assert status == 400
+        assert "Invalid IPv6 URL" in payload["error"]
+        # the daemon keeps serving
+        assert get(server, "/healthz")[0] == 200
+
+
+#: request-target characters: printable ASCII without whitespace
+TARGET_CHARS = "".join(
+    c for c in string.printable if not c.isspace()
+)
+
+
+@st.composite
+def targets(draw):
+    """A request target: a known route, a near miss or random text, with
+    an optional query of known and random keys and values (raw or
+    percent-encoded)."""
+    path = draw(st.sampled_from(ROUTES + ("/", "/nope", "http://[", "//"))
+                | st.text(TARGET_CHARS, max_size=20))
+    words = st.sampled_from(metric_names() + ("AU", "NL", "zz", "10", "0", "-3"))
+    keys = st.sampled_from(("metric", "country", "k")) | st.text(
+        TARGET_CHARS, max_size=8
+    )
+    values = words | st.text(TARGET_CHARS, max_size=12) | st.text(
+        max_size=6
+    ).map(quote)
+    pairs = draw(st.lists(st.tuples(keys, values), max_size=4))
+    query = "&".join(f"{key}={value}" for key, value in pairs)
+    target = path + (("?" + query) if draw(st.booleans()) else "")
+    return target or "/"
+
+
+class TestQueryFuzzing:
+    @settings(max_examples=150, deadline=None)
+    @given(targets())
+    def test_every_response_is_a_json_verdict(self, fuzz_server, target):
+        status, payload = raw_get(fuzz_server.port, target)
+        assert status in (200, 400, 404), (target, payload)
+        assert isinstance(payload, dict)
 
 
 class TestKeepAlive:

@@ -3,7 +3,7 @@
 The coherence satellite: the store must key on world *content*, never
 the catalog name — a regenerated ``name@seed`` world whose content
 changed misses the cache — and on the semantic config knobs only, so
-fan-out (``workers``) never causes a miss.
+the ignored ``workers`` never causes a miss.
 """
 
 from repro.core.pipeline import PipelineConfig
