@@ -1,20 +1,22 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-wp lint-sarif faults bench bench-smoke bench-serve bench-large bench-large-smoke bench-e2e-smoke watch-smoke serve-smoke profile
+.PHONY: test lint lint-sarif faults bench bench-smoke bench-serve bench-large bench-large-smoke bench-e2e-smoke watch-smoke serve-smoke profile
 
-## Default verification: static analysis first (per-file and
-## whole-program tiers, then the R011/R012 self-check and the SARIF
-## artifact), then the test suite (which includes the fault-injection
-## suite), then the benchmark's own self-tests (bench/ sits outside
-## the suite's testpaths), then the fault suite once more on its own
-## so a recovery regression is named explicitly, then the watch smoke
-## (monitoring engine end-to-end + event schema), then the serve smoke
-## (daemon end-to-end over a real socket + warm-hit floor), then the
-## benchmark's smoke run (every workload and both store backends with
-## their output checks), then the out-of-core smoke (spill-backed
-## pipeline + RSS gate at reduced scale).
-test: lint lint-wp lint-sarif
+## Default verification: static analysis first (the lint gate, then
+## the SARIF artifact), then the test suite (which includes the
+## fault-injection suite and the behavioural checks of the invariants
+## no per-file rule can see: tests/topology/test_graph_version.py and
+## tests/core/test_compute_purity.py), then the benchmark's own
+## self-tests (bench/ sits outside the suite's testpaths), then the
+## fault suite once more on its own so a recovery regression is named
+## explicitly, then the watch smoke (monitoring engine end-to-end +
+## event schema), then the serve smoke (daemon end-to-end over a real
+## socket + warm-hit floor), then the benchmark's smoke run (every
+## workload and both store backends with their output checks), then
+## the out-of-core smoke (spill-backed pipeline + RSS gate at reduced
+## scale).
+test: lint lint-sarif
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest bench -q
 	$(MAKE) faults
@@ -30,7 +32,9 @@ test: lint lint-wp lint-sarif
 ## window boundary and mid-window (TestCrashResume, which checks each
 ## torn run left a checkpoint), and at random points
 ## (test_column_builder.py) -- resumes to byte-identical spill files,
-## and a damaged spill fails with a typed error on open or resume.
+## and a damaged spill (hand-picked damage, and generated byte flips,
+## truncations, retyped fields and out-of-range column values) fails
+## with a typed error on open or resume, never with another one later.
 ## Last, the MRT boundary suite (tests/io/test_mrt_boundary.py):
 ## +-Infinity, NaN, huge and over-long integers, 100,000-deep nesting,
 ## numeric peer IPs, out-of-range ASNs, dayless headers, and dropped,
@@ -46,11 +50,11 @@ faults:
 	$(PYTHON) -m pytest -q tests/io/test_mrt_boundary.py
 
 ## Static analysis gate: the repro-lint invariant checker over the
-## whole source + test tree (per-file rules R001-R008 plus the
-## whole-program tier R011-R012, findings vs the checked-in
-## lint-baseline.json, runtime guard of 5s so it stays cheap enough to
-## run always), then mypy when available (lenient globally, strict for
-## repro.perf and repro.core -- see [tool.mypy] in pyproject.toml).
+## whole source + test tree (rules R001-R008, each file parsed and
+## walked once, findings vs the checked-in lint-baseline.json, runtime
+## guard of 5s so it stays cheap enough to run always), then mypy when
+## available (lenient globally, strict for repro.perf and repro.core --
+## see [tool.mypy] in pyproject.toml).
 lint:
 	$(PYTHON) -m repro.lint src tests --stats --max-seconds 5
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \
@@ -58,14 +62,6 @@ lint:
 	else \
 		echo "mypy not installed -- type check skipped"; \
 	fi
-
-## Whole-program self-check: just the call-graph rules (R011 memo
-## coherence, R012 spec purity) over the library source, with no
-## baseline — asserts the tree carries zero unbaselined whole-program
-## findings.
-lint-wp:
-	$(PYTHON) -m repro.lint src/repro --no-baseline \
-		--select R011,R012 --stats --max-seconds 5
 
 ## SARIF artifact for CI annotation tooling: the full rule set over
 ## src + tests as a SARIF 2.1.0 log at benchmarks/output/lint.sarif.

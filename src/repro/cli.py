@@ -437,8 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     add_serve_arguments(serve)
 
     lint = sub.add_parser(
-        "lint", help="run the repro-lint static analyzer (rules R001-R012, "
-                     "including the whole-program tier)"
+        "lint", help="run the repro-lint static analyzer (rules R001-R008)"
     )
     lint.add_argument(
         "paths", nargs="*", default=["src", "tests"],

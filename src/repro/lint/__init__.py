@@ -4,16 +4,15 @@ The reproduction guarantees byte-identical rankings across runs and
 processes and exact cross-metric caches; those invariants are one unseeded
 ``random.Random()``, one hash-ordered iteration, or one float ``==`` on
 a hegemony score away from silently breaking. This package turns them
-into machine-checked rules that run as ``repro-lint`` /
-``repro-rank lint`` / ``make lint``, in two tiers:
-
-* **per-file** (R001–R008, :mod:`repro.lint.visitors`) — one AST at a
-  time;
-* **whole-program** (R011–R012, :mod:`repro.lint.wprules`) — a symbol
-  table and conservative call graph over every module at once
-  (:mod:`repro.lint.callgraph`), answering reachability questions the
-  per-file tier cannot: memo/version coherence and transitive purity
-  of registry compute callables.
+into machine-checked rules (R001–R008, :mod:`repro.lint.visitors`)
+that run as ``repro-lint`` / ``repro-rank lint`` / ``make lint``. Each
+file is parsed once and walked once (:func:`repro.lint.engine.walk`),
+every rule reading the node types it needs from that one pass. The
+cross-module invariants a per-file rule cannot see — every
+``ASGraph`` mutation bumps the structural version its memos key on,
+and every registered metric compute is pure — are behavioural tests
+(``tests/topology/test_graph_version.py``,
+``tests/core/test_compute_purity.py``).
 
 Library use::
 
@@ -24,7 +23,6 @@ Library use::
     assert result.ok(), result.findings
 """
 
-from repro.lint.callgraph import ModuleInfo, Program
 from repro.lint.engine import (
     DEFAULT_EXCLUDES,
     LintConfig,
@@ -33,12 +31,10 @@ from repro.lint.engine import (
     lint_file,
     lint_source,
     module_name,
-    parse_cached,
     run_lint,
 )
 from repro.lint.rules import (
     ALL_RULE_IDS,
-    PROGRAM_RULE_IDS,
     RULES,
     Finding,
     Rule,
@@ -53,15 +49,11 @@ __all__ = [
     "Finding",
     "LintConfig",
     "LintResult",
-    "ModuleInfo",
-    "PROGRAM_RULE_IDS",
-    "Program",
     "RULES",
     "Rule",
     "iter_python_files",
     "lint_file",
     "lint_source",
     "module_name",
-    "parse_cached",
     "run_lint",
 ]

@@ -1,4 +1,4 @@
-"""The lint engine: file discovery, rule dispatch, suppression.
+"""The lint engine: file discovery, one walk per file, suppression.
 
 ``run_lint`` is the library entry point used by the ``repro-lint`` CLI,
 the ``repro-rank lint`` subcommand, and the self-lint test::
@@ -6,11 +6,11 @@ the ``repro-rank lint`` subcommand, and the self-lint test::
     result = run_lint(["src", "tests"], LintConfig(baseline=baseline))
     assert result.ok()
 
-Pipeline per file: parse once, run every applicable checker over the
-tree, then filter findings through inline ``# repro: noqa[...]``
-directives and the baseline. Everything is deterministic: files are
-visited in sorted path order and findings are reported in
-(path, line, col, rule) order.
+Pipeline per file: parse once, walk the tree once (:func:`walk`) with
+the hooks of every applicable checker, then filter findings through
+inline ``# repro: noqa[...]`` directives and the baseline. Everything
+is deterministic: files are visited in sorted path order and findings
+are reported in (path, line, col, rule) order.
 
 Module scoping: rules like R002 (exempt ``repro.obs``) and R007 (only
 ``repro.perf``) need a dotted module name. It is derived from the path
@@ -23,16 +23,14 @@ from outside the package tree.
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
-from repro.lint.callgraph import ModuleInfo, Program
-from repro.lint.rules import ALL_RULE_IDS, PROGRAM_RULE_IDS, Finding
+from repro.lint.rules import ALL_RULE_IDS, Finding
 from repro.lint.suppress import Baseline, is_suppressed
 from repro.lint.visitors import ALL_CHECKERS, FileContext
-from repro.lint.wprules import PROGRAM_CHECKERS
 from repro.obs.trace import NULL_TRACER
 
 #: directory-name components skipped during directory expansion
@@ -45,25 +43,8 @@ _MODULE_DIRECTIVE_RE = re.compile(
 #: how many leading lines may carry a ``repro-lint:`` directive
 _DIRECTIVE_WINDOW = 5
 
-#: content-hash AST cache: the whole-program tier re-reads the same
-#: files the per-file tier just parsed, and the self-lint test plus the
-#: CLI lint the tree back to back — identical content must parse once
-_AST_CACHE: dict[str, ast.Module] = {}
-_AST_CACHE_MAX = 1024
-
-
-def parse_cached(source: str, path: str) -> ast.Module:
-    """``ast.parse`` memoised on a content hash (not the path: a file
-    touched but unchanged, or fixture content duplicated under two
-    paths, still hits)."""
-    key = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    tree = _AST_CACHE.get(key)
-    if tree is None:
-        if len(_AST_CACHE) >= _AST_CACHE_MAX:
-            _AST_CACHE.clear()
-        tree = ast.parse(source, filename=path)
-        _AST_CACHE[key] = tree
-    return tree
+#: node type → the hooks to call for it
+Hooks = dict[type[ast.AST], list[Callable[[Any], None]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,79 +154,79 @@ def module_name(path: Path, source: str | None = None) -> str:
     return parts[-1] if parts else ""
 
 
+def walk(tree: ast.AST, enter: Hooks, leave: Hooks) -> None:
+    """One pre-order traversal of ``tree``.
+
+    For each node: the ``enter`` hooks registered for its type, then
+    its children in field order (the order :class:`ast.NodeVisitor`
+    visits them in), then its ``leave`` hooks.
+    """
+    stack: list[Any] = [tree]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            # a node whose subtree is done: run its leave hooks
+            hooks, node = node
+            for hook in hooks:
+                hook(node)
+            continue
+        kind = type(node)
+        hooks = enter.get(kind)
+        if hooks is not None:
+            for hook in hooks:
+                hook(node)
+        hooks = leave.get(kind)
+        if hooks is not None:
+            stack.append((hooks, node))
+        children: list[ast.AST] = []
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                children.extend(
+                    item for item in value if isinstance(item, ast.AST)
+                )
+            elif isinstance(value, ast.AST):
+                children.append(value)
+        children.reverse()
+        stack.extend(children)
+
+
 def lint_source(
     source: str,
     path: str,
     config: LintConfig | None = None,
     module: str | None = None,
-    program_tier: bool = True,
 ) -> list[Finding]:
     """Lint one source string (raises ``SyntaxError`` on parse failure).
 
     Findings are rule-filtered (``select`` / ``ignore``) but raw
     otherwise — ``# repro: noqa`` directives and the baseline apply at
     :func:`run_lint` level.
-
-    When any whole-program rule (R011, R012) is active and the module is
-    in the ``repro`` namespace, the file is also checked as a one-module
-    program — which is how the fixture corpus exercises the program
-    tier file by file. :func:`run_lint` passes ``program_tier=False``
-    and runs one program pass over all files instead.
     """
     if config is None:
         config = LintConfig()
-    tree = parse_cached(source, path)
-    resolved_module = (
-        module if module is not None else module_name(Path(path), source)
-    )
-    ctx = FileContext(
-        path=path,
-        module=resolved_module,
-        lines=source.splitlines(),
-    )
+    tree = ast.parse(source, filename=path)
+    if module is None:
+        module = module_name(Path(path), source)
+    ctx = FileContext(path=path, module=module, lines=source.splitlines())
+    enter: Hooks = {
+        ast.Import: [ctx.record_import], ast.ImportFrom: [ctx.record_import],
+    }
+    leave: Hooks = {}
     active = set(config.active_rule_ids())
-    findings: list[Finding] = []
-    for checker_cls in ALL_CHECKERS:
-        if checker_cls.rule_id not in active:
-            continue
-        if not checker_cls.applies_to(ctx.module):
-            continue
-        findings.extend(checker_cls(ctx).run(tree))
-    if (
-        program_tier
-        and active & set(PROGRAM_RULE_IDS)
-        and _in_program(resolved_module)
-    ):
-        program = Program([ModuleInfo(
-            module=resolved_module, path=path, tree=tree, lines=ctx.lines,
-        )])
-        findings.extend(_run_program_checkers(program, active))
+    checkers = [
+        checker_cls(ctx) for checker_cls in ALL_CHECKERS
+        if checker_cls.rule_id in active and checker_cls.applies_to(ctx.module)
+    ]
+    for checker in checkers:
+        for hooks, names in (
+            (enter, checker.entry_hooks), (leave, checker.exit_hooks)
+        ):
+            for node_type, method in names.items():
+                hooks.setdefault(node_type, []).append(getattr(checker, method))
+    walk(tree, enter, leave)
+    findings = [finding for checker in checkers for finding in checker.findings]
     findings.sort(key=Finding.sort_key)
-    return findings
-
-
-def _in_program(module: str) -> bool:
-    """Whether a module participates in the whole-program tier: the
-    production ``repro`` namespace (tests and scripts are not the
-    pipeline's code)."""
-    return module == "repro" or module.startswith("repro.")
-
-
-def _run_program_checkers(
-    program: Program,
-    active: set[str],
-    tracer=NULL_TRACER,
-) -> list[Finding]:
-    """Run every active whole-program checker, one tracer span each
-    (``lint.rule.r011`` … — per-rule timing in the stage report)."""
-    findings: list[Finding] = []
-    for checker_cls in PROGRAM_CHECKERS:
-        if checker_cls.rule_id not in active:
-            continue
-        with tracer.span(f"lint.rule.{checker_cls.rule_id.lower()}") as span:
-            rule_findings = checker_cls(program).run()
-            span.set(findings=len(rule_findings))
-        findings.extend(rule_findings)
     return findings
 
 
@@ -275,45 +256,17 @@ def run_lint(
     if config is None:
         config = LintConfig()
     result = LintResult()
-    active = set(config.active_rule_ids())
-    program_modules: list[ModuleInfo] = []
-    lines_by_path: dict[str, list[str]] = {}
     with tracer.span("lint", paths=",".join(paths)) as span:
         for path in iter_python_files(paths, config.exclude):
             result.files_scanned += 1
             try:
-                source = path.read_text(encoding="utf-8")
-                raw = lint_source(
-                    source, path.as_posix(), config, program_tier=False
-                )
+                raw = lint_file(path, config)
             except SyntaxError as error:
                 result.parse_errors.append((path.as_posix(), str(error)))
                 continue
-            lines = source.splitlines()
-            lines_by_path[path.as_posix()] = lines
-            if active & set(PROGRAM_RULE_IDS):
-                module = module_name(path, source)
-                if _in_program(module):
-                    program_modules.append(ModuleInfo(
-                        module=module,
-                        path=path.as_posix(),
-                        tree=parse_cached(source, path.as_posix()),
-                        lines=lines,
-                    ))
-            _apply_suppressions(result, raw, lines, config)
-        if program_modules:
-            with tracer.span(
-                "lint.program", modules=len(program_modules)
-            ):
-                program = Program(program_modules)
-            raw = _run_program_checkers(program, active, tracer)
             for finding in raw:
-                finding_lines = lines_by_path.get(finding.path, [])
-                line = (
-                    finding_lines[finding.line - 1]
-                    if 1 <= finding.line <= len(finding_lines) else ""
-                )
-                if is_suppressed(finding, line):
+                # ``code`` is the flagged line, any noqa comment included
+                if is_suppressed(finding, finding.code):
                     result.suppressed_noqa += 1
                 elif config.baseline is not None and (
                     config.baseline.suppresses(finding)
@@ -330,24 +283,3 @@ def run_lint(
             suppressed=result.suppressed_noqa + result.suppressed_baseline,
         )
     return result
-
-
-def _apply_suppressions(
-    result: LintResult,
-    raw: list[Finding],
-    lines: list[str],
-    config: LintConfig,
-) -> None:
-    for finding in raw:
-        line = (
-            lines[finding.line - 1]
-            if 1 <= finding.line <= len(lines) else ""
-        )
-        if is_suppressed(finding, line):
-            result.suppressed_noqa += 1
-        elif config.baseline is not None and (
-            config.baseline.suppresses(finding)
-        ):
-            result.suppressed_baseline += 1
-        else:
-            result.findings.append(finding)

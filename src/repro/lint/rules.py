@@ -1,14 +1,15 @@
 """The rule catalog: ids, names, and the invariants they protect.
 
 Each rule is a :class:`Rule` record plus a checker class in
-:mod:`repro.lint.visitors` (per-file rules, ``R001``–``R008``) or
-:mod:`repro.lint.wprules` (whole-program rules ``R011`` and ``R012``,
-which run over the call graph built by :mod:`repro.lint.callgraph`).
-The catalog is the single source of truth: reporters, the CLI's
-``--list-rules``, suppression validation, the SARIF ``rules`` array,
-and the fixture tests all read it. Rule ids are stable; retired ids
-are never reused (``R009`` and ``R010``, the fork-safety and broadcast
-rules of the retired process fan-out, stay unassigned).
+:mod:`repro.lint.visitors` (``R001``–``R008``). The catalog is the
+single source of truth: reporters, the CLI's ``--list-rules``,
+suppression validation, the SARIF ``rules`` array, and the fixture
+tests all read it. Rule ids are stable; retired ids are never reused:
+``R009`` and ``R010``, the fork-safety and broadcast rules of the
+retired process fan-out, and ``R011`` and ``R012``, the memo-coherence
+and spec-purity rules of the retired call-graph tier (their invariants
+are now checked by ``tests/topology/test_graph_version.py`` and
+``tests/core/test_compute_purity.py``), stay unassigned.
 """
 
 from __future__ import annotations
@@ -93,36 +94,12 @@ RULES: dict[str, Rule] = {
             "consumed (Prometheus export) and ranking metrics have one "
             "source of truth (the registry); names must stay resolvable",
         ),
-        Rule(
-            "R011",
-            "memo-coherence",
-            "method mutating a field consulted by a version-memoised "
-            "property without bumping the version "
-            "(# repro: memo-guard)",
-            "cache coherence: version-memoised products (p2c_edges, "
-            "the adjacency snapshot) must be recomputed after any "
-            "mutation of the fields they read — a missed version bump "
-            "serves stale bytes forever",
-        ),
-        Rule(
-            "R012",
-            "spec-purity",
-            "MetricSpec.compute callable transitively reaching "
-            "unseeded RNG, a wall-clock read, or a parameter mutation",
-            "registry purity: every metric compute is a pure function "
-            "of (spec, ctx), so cached/checkpointed rankings are "
-            "byte-identical to a fresh compute — checked by call-graph "
-            "reachability, not per-module scoping",
-        ),
     )
 }
 
 
 #: all rule ids, in catalog order
 ALL_RULE_IDS: tuple[str, ...] = tuple(RULES)
-
-#: the whole-program tier (checked via the call graph, not per file)
-PROGRAM_RULE_IDS: tuple[str, ...] = ("R011", "R012")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,16 +1,22 @@
 """Per-rule AST checkers.
 
-Each rule is an :class:`ast.NodeVisitor` subclass bound to one
-:class:`repro.lint.rules.Rule`. Checkers are deliberately heuristic —
-they resolve names syntactically, not through type inference — and every
-checker documents the shape it recognises. The escape hatches
+Each rule is a :class:`BaseChecker` subclass bound to one
+:class:`repro.lint.rules.Rule`. A checker reads the node types it
+names in ``enter_<Type>`` and ``leave_<Type>`` methods; the engine's
+single pre-order walk (:func:`repro.lint.engine.walk`) calls every
+active checker's ``enter_`` hooks for a node before its children and
+the ``leave_`` hooks after them, so one pass over the file serves every
+rule. Checkers are deliberately heuristic — they resolve names
+syntactically, not through type inference — and every checker
+documents the shape it recognises. The escape hatches
 (``# repro: noqa[...]`` and the baseline) absorb the residual false
 positives; the fixture corpus under ``tests/lint/fixtures/`` pins down
 exactly what fires and what stays quiet.
 
-Checkers receive a :class:`FileContext` (path, dotted module name,
-source lines) so module-scoped rules (R002 exempts ``repro.obs``, R007
-applies only inside ``repro.perf``) can tell where they are.
+Checkers share one :class:`FileContext` per file: path, dotted module
+name, source lines — so module-scoped rules (R002 exempts
+``repro.obs``, R007 applies only inside ``repro.perf``) can tell where
+they are — and the import aliases the walk has passed so far.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.lint.rules import RULES, Finding, Rule
 
@@ -29,6 +36,30 @@ class FileContext:
     path: str
     module: str
     lines: list[str] = field(default_factory=list)
+    #: alias → imported module (``import numpy as np`` → np: numpy)
+    module_aliases: dict[str, str] = field(default_factory=dict)
+    #: alias → (module, original name) from ``from m import n as a``
+    from_aliases: dict[str, tuple[str, str]] = field(default_factory=dict)
+
+    def record_import(self, node: ast.Import | ast.ImportFrom) -> None:
+        """Note an import's aliases (the walk calls this on entering
+        each import, so a checker sees the imports that precede the
+        node it is reading)."""
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                self.module_aliases[alias.asname or alias.name] = alias.name
+        elif node.module:
+            for alias in node.names:
+                self.from_aliases[alias.asname or alias.name] = (
+                    node.module, alias.name,
+                )
+
+    def is_module_alias(self, name: str, module: str) -> bool:
+        """Whether ``name`` is bound to ``module`` by an import."""
+        return self.module_aliases.get(name) == module
+
+    def from_import_origin(self, name: str) -> tuple[str, str] | None:
+        return self.from_aliases.get(name)
 
     def source_line(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -90,55 +121,41 @@ def annotation_names(node: ast.AST | None) -> set[str]:
     return names
 
 
-class BaseChecker(ast.NodeVisitor):
-    """Common machinery: finding collection and import alias tracking."""
+def _hooks(cls: type, prefix: str) -> dict[type[ast.AST], str]:
+    """Node type → method name for a checker's ``enter_`` or
+    ``leave_`` methods."""
+    return {
+        getattr(ast, name[len(prefix):]): name
+        for name in dir(cls) if name.startswith(prefix)
+    }
+
+
+class BaseChecker:
+    """Common machinery: finding collection and hook registration."""
 
     rule_id = ""
+    #: node type → name of the method called on entering / leaving a
+    #: node of that type, collected from the subclass's method names
+    entry_hooks: ClassVar[dict[type[ast.AST], str]] = {}
+    exit_hooks: ClassVar[dict[type[ast.AST], str]] = {}
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.entry_hooks = _hooks(cls, "enter_")
+        cls.exit_hooks = _hooks(cls, "leave_")
 
     def __init__(self, ctx: FileContext) -> None:
         self.ctx = ctx
         self.rule = RULES[self.rule_id]
         self.findings: list[Finding] = []
-        #: alias → imported module (``import numpy as np`` → np: numpy)
-        self.module_aliases: dict[str, str] = {}
-        #: alias → (module, original name) from ``from m import n as a``
-        self.from_aliases: dict[str, tuple[str, str]] = {}
 
     @classmethod
     def applies_to(cls, module: str) -> bool:
         """Whether the rule runs at all for the given dotted module."""
         return True
 
-    def run(self, tree: ast.AST) -> list[Finding]:
-        self.visit(tree)
-        return self.findings
-
     def report(self, node: ast.AST, message: str) -> None:
         self.findings.append(self.ctx.finding(self.rule, node, message))
-
-    # -- import bookkeeping (shared by every checker) ------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.module_aliases[alias.asname or alias.name] = alias.name
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module:
-            for alias in node.names:
-                self.from_aliases[alias.asname or alias.name] = (
-                    node.module, alias.name,
-                )
-        self.generic_visit(node)
-
-    def aliases_of_module(self, module: str) -> set[str]:
-        return {
-            alias for alias, target in self.module_aliases.items()
-            if target == module
-        }
-
-    def from_import_origin(self, name: str) -> tuple[str, str] | None:
-        return self.from_aliases.get(name)
 
 
 # -- R001: unseeded RNG -------------------------------------------------------
@@ -165,16 +182,15 @@ class UnseededRngChecker(BaseChecker):
 
     rule_id = "R001"
 
-    def visit_Call(self, node: ast.Call) -> None:
+    def enter_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            owner = func.value.id
-            if owner in self.aliases_of_module("random"):
+            if self.ctx.is_module_alias(func.value.id, "random"):
                 self._check_stdlib(node, func.attr)
         if isinstance(func, ast.Attribute):
             self._check_numpy(node, func)
         if isinstance(func, ast.Name):
-            origin = self.from_import_origin(func.id)
+            origin = self.ctx.from_import_origin(func.id)
             if origin == ("random", "Random") and not _has_args(node):
                 self.report(
                     node,
@@ -196,7 +212,6 @@ class UnseededRngChecker(BaseChecker):
                     "SystemRandom is OS-entropy backed and cannot be "
                     "seeded — use random.Random(seed)",
                 )
-        self.generic_visit(node)
 
     def _check_stdlib(self, node: ast.Call, attr: str) -> None:
         if attr == "Random" and not _has_args(node):
@@ -225,7 +240,7 @@ class UnseededRngChecker(BaseChecker):
             isinstance(value, ast.Attribute)
             and value.attr == "random"
             and isinstance(value.value, ast.Name)
-            and value.value.id in self.aliases_of_module("numpy")
+            and self.ctx.is_module_alias(value.value.id, "numpy")
         ):
             return
         if func.attr in ("default_rng", "RandomState", "Generator"):
@@ -286,13 +301,13 @@ class WallClockChecker(BaseChecker):
             for allowed in _CLOCK_ALLOWED
         )
 
-    def visit_Call(self, node: ast.Call) -> None:
+    def enter_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
             owner = func.value
             if (
                 isinstance(owner, ast.Name)
-                and owner.id in self.aliases_of_module("time")
+                and self.ctx.is_module_alias(owner.id, "time")
                 and func.attr in _CLOCK_FNS
             ):
                 self.report(
@@ -308,7 +323,7 @@ class WallClockChecker(BaseChecker):
                     "wall-clock values make output runs diverge",
                 )
         elif isinstance(func, ast.Name):
-            origin = self.from_import_origin(func.id)
+            origin = self.ctx.from_import_origin(func.id)
             if origin is not None and origin[0] == "time" and (
                 origin[1] in _CLOCK_FNS
             ):
@@ -317,19 +332,18 @@ class WallClockChecker(BaseChecker):
                     f"time.{origin[1]}() read outside repro.obs — route "
                     "timing through the observability layer",
                 )
-        self.generic_visit(node)
 
     def _is_datetime(self, owner: ast.AST) -> bool:
         # ``datetime.now()`` via ``from datetime import datetime/date``
         if isinstance(owner, ast.Name):
-            origin = self.from_import_origin(owner.id)
+            origin = self.ctx.from_import_origin(owner.id)
             return origin is not None and origin[0] == "datetime" and (
                 origin[1] in ("datetime", "date")
             )
         # ``datetime.datetime.now()`` via ``import datetime``
         if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name):
             return (
-                owner.value.id in self.aliases_of_module("datetime")
+                self.ctx.is_module_alias(owner.value.id, "datetime")
                 and owner.attr in ("datetime", "date")
             )
         return False
@@ -351,6 +365,9 @@ _SET_ANNOTATIONS = frozenset((
 ))
 #: loop-body calls that build ordered output
 _ORDERED_BUILDERS = frozenset(("append", "extend", "insert"))
+
+#: one plain-name binding in a scope: (name, value, annotation)
+_Binding = tuple[str, ast.expr | None, ast.expr | None]
 
 
 class UnorderedIterationChecker(BaseChecker):
@@ -387,47 +404,41 @@ class UnorderedIterationChecker(BaseChecker):
 
     rule_id = "R003"
 
-    def visit_Module(self, node: ast.Module) -> None:
-        # Resolve imports first so nothing depends on statement order.
-        for stmt in node.body:
-            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                self.visit(stmt)
+    def enter_Module(self, node: ast.Module) -> None:
         self._analyze_scope(node.body, params=None)
-        for child in ast.walk(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._analyze_scope(child.body, params=child.args)
+
+    def enter_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        self._analyze_scope(node.body, params=node.args)
+
+    enter_AsyncFunctionDef = enter_FunctionDef
 
     # -- set-typed name resolution -------------------------------------------
 
     def _scope_set_names(
-        self, body: list[ast.stmt], params: ast.arguments | None
+        self,
+        assigned: list[_Binding],
+        loop_bound: set[str],
+        params: ast.arguments | None,
     ) -> set[str]:
         """Names that are set-typed for the whole scope: annotated set
         parameters, plus names only ever assigned set expressions."""
         set_votes: set[str] = set()
-        poisoned: set[str] = set()
+        # loop targets rebind names arbitrarily: never set-typed
+        poisoned = set(loop_bound)
         if params is not None:
             for arg in _all_args(params):
                 if annotation_names(arg.annotation) & _SET_ANNOTATIONS:
                     set_votes.add(arg.arg)
         assigns: list[tuple[str, ast.expr]] = []
-        for stmt in _walk_scope(body):
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        assigns.append((target.id, stmt.value))
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
+        for name, value, annotation in assigned:
+            if annotation is not None and (
+                annotation_names(annotation) & _SET_ANNOTATIONS
             ):
-                if annotation_names(stmt.annotation) & _SET_ANNOTATIONS:
-                    set_votes.add(stmt.target.id)
-                elif stmt.value is not None:
-                    assigns.append((stmt.target.id, stmt.value))
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                # loop targets rebind names arbitrarily: never set-typed
-                for target_node in ast.walk(stmt.target):
-                    if isinstance(target_node, ast.Name):
-                        poisoned.add(target_node.id)
+                set_votes.add(name)
+            elif value is not None:
+                assigns.append((name, value))
         # two passes so ``a = set(...); b = a`` resolves
         for _ in range(2):
             for name, value in assigns:
@@ -464,31 +475,22 @@ class UnorderedIterationChecker(BaseChecker):
     # -- hash-ordered dicts (dicts whose insertion order came from a set) ----
 
     def _scope_hash_dict_names(
-        self, body: list[ast.stmt], set_names: set[str]
+        self,
+        assigned: list[_Binding],
+        loop_bound: set[str],
+        set_names: set[str],
     ) -> set[str]:
         """Names only ever assigned dicts built from set iteration —
         their insertion order IS the set's hash order."""
         votes: set[str] = set()
-        poisoned: set[str] = set()
-        for stmt in _walk_scope(body):
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        if self._is_hash_dict_expr(stmt.value, set_names):
-                            votes.add(target.id)
-                        else:
-                            poisoned.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ) and stmt.value is not None:
-                if self._is_hash_dict_expr(stmt.value, set_names):
-                    votes.add(stmt.target.id)
-                else:
-                    poisoned.add(stmt.target.id)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                for target_node in ast.walk(stmt.target):
-                    if isinstance(target_node, ast.Name):
-                        poisoned.add(target_node.id)
+        poisoned = set(loop_bound)
+        for name, value, _ in assigned:
+            if value is None:
+                continue
+            if self._is_hash_dict_expr(value, set_names):
+                votes.add(name)
+            else:
+                poisoned.add(name)
         return votes - poisoned
 
     def _is_hash_dict_expr(
@@ -553,10 +555,41 @@ class UnorderedIterationChecker(BaseChecker):
     def _analyze_scope(
         self, body: list[ast.stmt], params: ast.arguments | None
     ) -> None:
-        set_names = self._scope_set_names(body, params)
-        dict_names = self._scope_hash_dict_names(body, set_names)
-        sorted_names = self._normalized_names(body)
-        for stmt in _walk_scope(body):
+        stmts = list(_walk_scope(body))
+        assigned: list[_Binding] = []
+        loop_bound: set[str] = set()
+        # names whose accumulated order the scope normalizes afterwards:
+        # a ``name.sort()`` call or a ``name = sorted(...)`` rebind
+        sorted_names: set[str] = set()
+        for stmt in stmts:
+            if isinstance(stmt, ast.Assign):
+                rebinds_sorted = isinstance(stmt.value, ast.Call) and (
+                    call_func_name(stmt.value) == "sorted"
+                )
+                for target in stmt.targets:
+                    if isinstance(target, ast.Name):
+                        assigned.append((target.id, stmt.value, None))
+                        if rebinds_sorted:
+                            sorted_names.add(target.id)
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(
+                stmt.target, ast.Name
+            ):
+                assigned.append((stmt.target.id, stmt.value, stmt.annotation))
+            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+                for target_node in ast.walk(stmt.target):
+                    if isinstance(target_node, ast.Name):
+                        loop_bound.add(target_node.id)
+            elif isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+                func = stmt.value.func
+                if isinstance(func, ast.Attribute) and func.attr == "sort":
+                    name = root_name(func.value)
+                    if name is not None:
+                        sorted_names.add(name)
+        set_names = self._scope_set_names(assigned, loop_bound, params)
+        dict_names = self._scope_hash_dict_names(
+            assigned, loop_bound, set_names
+        )
+        for stmt in stmts:
             if isinstance(stmt, (ast.For, ast.AsyncFor)):
                 self._check_for(stmt, set_names, dict_names, sorted_names)
             elif isinstance(stmt, ast.Return) and stmt.value is not None:
@@ -597,26 +630,6 @@ class UnorderedIterationChecker(BaseChecker):
                     stmt.iter, f"{child.func.attr}s to a list", dict_names
                 )
                 return
-
-    def _normalized_names(self, body: list[ast.stmt]) -> set[str]:
-        """Names whose accumulated order the scope normalizes: targets
-        of a ``name.sort()`` call or a ``name = sorted(...)`` rebind."""
-        names: set[str] = set()
-        for stmt in _walk_scope(body):
-            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-                func = stmt.value.func
-                if isinstance(func, ast.Attribute) and func.attr == "sort":
-                    name = root_name(func.value)
-                    if name is not None:
-                        names.add(name)
-            elif isinstance(stmt, ast.Assign) and isinstance(
-                stmt.value, ast.Call
-            ):
-                if call_func_name(stmt.value) == "sorted":
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            names.add(target.id)
-        return names
 
     def _check_ordered_expr(
         self,
@@ -735,12 +748,13 @@ class FloatEqualityChecker(BaseChecker):
         super().__init__(ctx)
         self._assert_depth = 0
 
-    def visit_Assert(self, node: ast.Assert) -> None:
+    def enter_Assert(self, node: ast.Assert) -> None:
         self._assert_depth += 1
-        self.generic_visit(node)
+
+    def leave_Assert(self, node: ast.Assert) -> None:
         self._assert_depth -= 1
 
-    def visit_Compare(self, node: ast.Compare) -> None:
+    def enter_Compare(self, node: ast.Compare) -> None:
         if self._assert_depth == 0:
             operands = [node.left, *node.comparators]
             for index, op in enumerate(node.ops):
@@ -755,7 +769,6 @@ class FloatEqualityChecker(BaseChecker):
                             "accounting",
                         )
                         break
-        self.generic_visit(node)
 
     def _float_like(self, node: ast.expr) -> str | None:
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
@@ -788,19 +801,10 @@ class MutableDefaultChecker(BaseChecker):
 
     rule_id = "R005"
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check(node.args)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check(node.args)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check(node.args)
-        self.generic_visit(node)
-
-    def _check(self, params: ast.arguments) -> None:
+    def enter_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
+    ) -> None:
+        params = node.args
         for default in (*params.defaults, *params.kw_defaults):
             if default is None:
                 continue
@@ -823,6 +827,8 @@ class MutableDefaultChecker(BaseChecker):
                         "and create the container inside the function",
                     )
 
+    enter_AsyncFunctionDef = enter_Lambda = enter_FunctionDef
+
 
 # -- R006: swallowed exceptions ----------------------------------------------
 
@@ -838,7 +844,7 @@ class SwallowedExceptionChecker(BaseChecker):
 
     rule_id = "R006"
 
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+    def enter_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
             self.report(
                 node,
@@ -851,7 +857,6 @@ class SwallowedExceptionChecker(BaseChecker):
                 "overbroad except without re-raise swallows errors — "
                 "catch the specific exception or re-raise",
             )
-        self.generic_visit(node)
 
     @staticmethod
     def _overbroad(node: ast.expr) -> bool:
@@ -895,56 +900,61 @@ class PerfMutationChecker(BaseChecker):
 
     rule_id = "R007"
 
+    def __init__(self, ctx: FileContext) -> None:
+        super().__init__(ctx)
+        #: the protected parameter names of every enclosing function,
+        #: outermost first
+        self._frames: list[set[str]] = []
+
     @classmethod
     def applies_to(cls, module: str) -> bool:
         return module == "repro.perf" or module.startswith("repro.perf.")
 
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_function(node)
-        self.generic_visit(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_function(node)
-        self.generic_visit(node)
-
-    def _check_function(
+    def enter_FunctionDef(
         self, node: ast.FunctionDef | ast.AsyncFunctionDef
     ) -> None:
-        protected = {
+        self._frames.append({
             arg.arg
             for arg in _all_args(node.args)
             if annotation_names(arg.annotation) & _PROTECTED_TYPES
-        }
-        if not protected:
-            return
-        for child in ast.walk(node):
-            self._check_node(child, protected)
+        })
 
-    def _check_node(self, node: ast.AST, protected: set[str]) -> None:
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
+    def leave_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        self._frames.pop()
+
+    enter_AsyncFunctionDef = enter_FunctionDef
+    leave_AsyncFunctionDef = leave_FunctionDef
+
+    def enter_Assign(self, node: ast.Assign) -> None:
+        self._check_targets(node, node.targets, "assigns into")
+
+    def enter_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_targets(node, [node.target], "assigns into")
+
+    def enter_Delete(self, node: ast.Delete) -> None:
+        self._check_targets(node, node.targets, "deletes from")
+
+    def enter_Call(self, node: ast.Call) -> None:
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
+            name = root_name(func.value)
+            for protected in self._frames:
+                if name in protected:
+                    self._report_mutation(
+                        node, name, f"calls .{func.attr}() on"
+                    )
+
+    def _check_targets(
+        self, node: ast.stmt, targets: list[ast.expr], verb: str
+    ) -> None:
+        for protected in self._frames:
             for target in targets:
                 if isinstance(target, (ast.Attribute, ast.Subscript)):
                     name = root_name(target)
                     if name in protected:
-                        self._report_mutation(node, name, "assigns into")
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    name = root_name(target)
-                    if name in protected:
-                        self._report_mutation(node, name, "deletes from")
-        elif isinstance(node, ast.Call) and isinstance(
-            node.func, ast.Attribute
-        ):
-            if node.func.attr in _MUTATING_METHODS:
-                name = root_name(node.func.value)
-                if name in protected:
-                    self._report_mutation(
-                        node, name, f"calls .{node.func.attr}() on"
-                    )
+                        self._report_mutation(node, name, verb)
 
     def _report_mutation(self, node: ast.AST, name: str, verb: str) -> None:
         self.report(
@@ -998,7 +1008,7 @@ class MetricNameChecker(BaseChecker):
     def applies_to(cls, module: str) -> bool:
         return module == "repro" or module.startswith("repro.")
 
-    def visit_Call(self, node: ast.Call) -> None:
+    def enter_Call(self, node: ast.Call) -> None:
         func = node.func
         if (
             isinstance(func, ast.Attribute)
@@ -1028,7 +1038,6 @@ class MetricNameChecker(BaseChecker):
                         "repro.core.registry (register the spec, or fix "
                         "the name)",
                     )
-        self.generic_visit(node)
 
 
 #: every checker, in rule-id order

@@ -45,7 +45,9 @@ sealed, complete spill. A damaged directory — a missing or short column
 file, an unreadable manifest, checkpoint or side table, side tables
 whose row counts disagree with them, path columns that are not whole
 non-empty paths back to back, a prefix row whose address count is not a
-non-negative integer — raises :class:`SpillFormatError` naming the
+non-negative integer, a VP row whose address does not parse or whose
+AS number is not a non-negative integer, a prefix, collector or country
+that is not a string — raises :class:`SpillFormatError` naming the
 file, on open and on resume; a record id outside its table raises it
 on open.
 
@@ -72,7 +74,7 @@ from repro.core.sanitize import (
     PathSet,
     sanitize_into,
 )
-from repro.net.prefix import Prefix
+from repro.net.prefix import Prefix, parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.perf.pathstore import COLUMNS, ColumnBuilder, PathStore
 
@@ -176,17 +178,27 @@ def _truncated_table(path: Path, rows: int, build: Callable[[Any], Any]) -> list
 
 
 def _vp_row(row: dict) -> tuple[VantagePoint, str]:
-    vp = VantagePoint(
-        ip=row["ip"], asn=int(row["asn"]), collector=row["collector"]
-    )
-    return vp, row["country"]
+    ip, asn = _text(row, "ip"), row["asn"]
+    parse_address(ip)
+    if type(asn) is not int or asn < 0:
+        raise ValueError(f"asn {asn!r} is not an AS number")
+    vp = VantagePoint(ip=ip, asn=asn, collector=_text(row, "collector"))
+    return vp, _text(row, "country")
 
 
 def _prefix_row(row: dict) -> tuple[Prefix, str, int]:
     addresses = row["addresses"]
     if type(addresses) is not int or addresses < 0:
         raise ValueError(f"addresses {addresses!r} is not a count")
-    return Prefix.parse(row["prefix"]), row["country"], addresses
+    return Prefix.parse(_text(row, "prefix")), _text(row, "country"), addresses
+
+
+def _text(row: dict, key: str) -> str:
+    """``row[key]``, which must be a string."""
+    value = row[key]
+    if type(value) is not str:
+        raise ValueError(f"{key} {value!r} is not a string")
+    return value
 
 
 def _vp_json(entry: tuple[VantagePoint, str]) -> dict:

@@ -262,9 +262,10 @@ class ASGraph:
 
     # The structural memos keyed on _version — the p2c edge set below
     # and the external adjacency snapshot in repro.bgp.propagation —
-    # read exactly these fields; R011 statically checks that every
-    # method mutating one of them also bumps the version.
-    # repro: memo-guard version=_version fields=_nodes,_providers,_customers,_peers
+    # read _nodes, _providers, _customers and _peers, so every method
+    # mutating one of them must bump the version;
+    # tests/topology/test_graph_version.py checks both memos against a
+    # fresh copy after random sequences of mutations.
 
     def p2c_edges(self) -> frozenset[tuple[int, int]]:
         """Every (provider, customer) transit pair as a flat edge set.

@@ -9,6 +9,8 @@ the gate cheap enough to chain into ``make test`` always.
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint import Baseline, LintConfig, run_lint
 from repro.obs.trace import Tracer
 
@@ -18,7 +20,9 @@ REPO = Path(__file__).parents[2]
 MAX_SECONDS = 5.0
 
 
-def _run():
+@pytest.fixture(scope="module")
+def self_lint():
+    """One lint run over the tree, shared by every test here."""
     baseline = Baseline.load(REPO / "lint-baseline.json")
     tracer = Tracer()
     result = run_lint(
@@ -29,14 +33,14 @@ def _run():
     return result, tracer
 
 
-def test_repo_is_lint_clean():
-    result, _ = _run()
+def test_repo_is_lint_clean(self_lint):
+    result, _ = self_lint
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.ok(), f"self-lint found violations:\n{rendered}"
 
 
-def test_baseline_has_no_stale_entries_and_justifications():
-    result, _ = _run()
+def test_baseline_has_no_stale_entries_and_justifications(self_lint):
+    result, _ = self_lint
     assert result.stale_baseline == [], (
         "baseline entries no longer match any finding — remove them: "
         f"{result.stale_baseline}"
@@ -47,13 +51,13 @@ def test_baseline_has_no_stale_entries_and_justifications():
         )
 
 
-def test_self_lint_covers_the_whole_tree():
-    result, _ = _run()
+def test_self_lint_covers_the_whole_tree(self_lint):
+    result, _ = self_lint
     assert result.files_scanned > 100
 
 
-def test_self_lint_is_fast_enough_to_gate_every_run():
-    _, tracer = _run()
+def test_self_lint_is_fast_enough_to_gate_every_run(self_lint):
+    _, tracer = self_lint
     elapsed = tracer.find("lint")[0].dur_s
     assert elapsed < MAX_SECONDS, (
         f"self-lint took {elapsed:.2f}s — over the {MAX_SECONDS}s "

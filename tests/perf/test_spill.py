@@ -9,12 +9,16 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import PipelineConfig, run_pipeline
+from repro.core.registry import MetricContext, get_spec
 from repro.geo.database import GeoDatabase
 from repro.geo.prefix_geo import geolocate_prefixes
 from repro.geo.vp_geo import VPGeolocator
 from repro.perf.index import PathIndex
+from repro.perf.pathstore import COLUMNS
 from repro.perf.spill import (
     MmapPathStore,
     SpillFormatError,
@@ -227,6 +231,48 @@ class TestCrashResume:
             MmapPathStore(str(tmp_path))
 
 
+#: values a damaged JSON field may hold instead of its own
+RETYPED = st.sampled_from(
+    ("", "1.3.0.#1", "x", -1, 1.9, None, True, [], {"x": 1}, 2**64)
+)
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+SPILL_FILES = (
+    *(f"{name}.i64" for name in COLUMNS),
+    "vps.jsonl", "prefixes.jsonl", "manifest.json",
+)
+MANIFEST_FIELDS = (
+    "format", "version", "records", "paths", "tokens", "vps", "prefixes",
+    "report", "report.total", "report.accepted", "report.rejected",
+    "report.rejected.loop",
+)
+#: (kind, target, where, value), applied by :func:`apply_damage`; for a
+#: side-table row, ``kind`` names the table and ``target`` picks the
+#: field. ``where`` is reduced modulo the size of what it indexes once
+#: the spill is on disk
+DAMAGES = st.one_of(
+    st.tuples(
+        st.just("flip"), st.sampled_from(SPILL_FILES),
+        st.integers(min_value=0), st.integers(1, 255),
+    ),
+    st.tuples(
+        st.just("truncate"), st.sampled_from(SPILL_FILES),
+        st.integers(min_value=0), st.none(),
+    ),
+    st.tuples(
+        st.just("manifest"), st.sampled_from(MANIFEST_FIELDS),
+        st.none(), RETYPED,
+    ),
+    st.tuples(
+        st.sampled_from(("vps.jsonl", "prefixes.jsonl")),
+        st.integers(0, 3), st.integers(min_value=0), RETYPED,
+    ),
+    st.tuples(
+        st.just("column"), st.sampled_from(COLUMNS),
+        st.integers(min_value=0), INT64,
+    ),
+)
+
+
 class TestDamagedSpill:
     """Every way a sealed spill can be damaged on disk surfaces as a
     SpillFormatError naming the damaged file, at open time."""
@@ -291,13 +337,88 @@ class TestDamagedSpill:
         self.assert_rejected(spill, "record_path.i64")
 
     def test_non_integer_addresses(self, spill):
-        path = spill / "prefixes.jsonl"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        row = json.loads(lines[0])
-        row["addresses"] = "x"
-        lines[0] = json.dumps(row, sort_keys=True)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rewrite_row(spill / "prefixes.jsonl", 0, "addresses", "x")
         self.assert_rejected(spill, "prefixes.jsonl")
+
+    @pytest.mark.parametrize("field,value", [
+        ("ip", ""), ("ip", "1.3.0.#1"), ("ip", 7), ("asn", 1.9),
+        ("asn", -1), ("collector", None), ("country", ["AU"]),
+    ])
+    def test_bad_vp_row(self, spill, field, value):
+        rewrite_row(spill / "vps.jsonl", 0, field, value)
+        self.assert_rejected(spill, "vps.jsonl")
+
+    @pytest.mark.parametrize("field,value", [("prefix", 5), ("country", 5)])
+    def test_bad_prefix_row(self, spill, field, value):
+        rewrite_row(spill / "prefixes.jsonl", 0, field, value)
+        self.assert_rejected(spill, "prefixes.jsonl")
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(damage=DAMAGES)
+    def test_any_damage_fails_typed_or_not_at_all(
+        self, sealed, tmp_path, damage
+    ):
+        """A damaged spill either opens and ranks, or raises
+        SpillFormatError — never another exception, at open or later."""
+        spill = tmp_path / "fuzzed"
+        shutil.rmtree(spill, ignore_errors=True)
+        shutil.copytree(sealed, spill)
+        apply_damage(spill, damage)
+        try:
+            paths = open_spill(str(spill))
+        except SpillFormatError:
+            return
+        index = PathIndex.from_paths(paths)
+        index.view("global").vps()
+        for kind, metric in (("national", "AHN"), ("international", "AHI")):
+            view = index.view(kind, "US")
+            view.vps()
+            get_spec(metric).build(MetricContext(
+                view=view, oracle=None, trim=PipelineConfig().trim,
+                country="US",
+            ))
+
+
+def apply_damage(spill, damage):
+    kind, target, where, value = damage
+    if kind in ("flip", "truncate"):
+        path = spill / target
+        data = bytearray(path.read_bytes())
+        if not data:
+            return
+        if kind == "flip":
+            data[where % len(data)] ^= value
+        else:
+            del data[where % len(data):]
+        path.write_bytes(bytes(data))
+    elif kind == "manifest":
+        path = spill / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        *parents, leaf = target.split(".")
+        owner = manifest
+        for key in parents:
+            owner = owner[key]
+        owner[leaf] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+    elif kind == "column":
+        rewrite_column(spill, target, lambda ids: ids.put(where % len(ids), value))
+    else:
+        path = spill / kind
+        rows = path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(rows[where % len(rows)])
+        rewrite_row(path, where % len(rows), sorted(row)[target % len(row)], value)
+
+
+def rewrite_row(path, index, field, value):
+    """Set one field of one side-table row."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = json.loads(lines[index])
+    row[field] = value
+    lines[index] = json.dumps(row, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def rewrite_column(spill, name, change):
