@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-sarif faults bench bench-smoke bench-serve bench-large bench-large-smoke bench-e2e-smoke watch-smoke serve-smoke profile
+.PHONY: test lint lint-sarif faults drift bench bench-smoke bench-serve bench-large bench-large-smoke bench-e2e-smoke watch-smoke serve-smoke profile
 
 ## Default verification: static analysis first (the lint gate, then
 ## the SARIF artifact), then the test suite (which includes the
@@ -9,6 +9,7 @@ export PYTHONPATH := src
 ## no per-file rule can see: tests/topology/test_graph_version.py and
 ## tests/core/test_compute_purity.py), then the benchmark's own
 ## self-tests (bench/ sits outside the suite's testpaths), then the
+## paper-output drift check, then the
 ## fault suite once more on its own so a recovery regression is named
 ## explicitly, then the watch smoke (monitoring engine end-to-end +
 ## event schema), then the serve smoke (daemon end-to-end over a real
@@ -19,21 +20,24 @@ export PYTHONPATH := src
 test: lint lint-sarif
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest bench -q
+	$(MAKE) drift
 	$(MAKE) faults
 	$(MAKE) watch-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) bench-e2e-smoke
 	$(MAKE) bench-large-smoke
 
-## Fault-injection suite: deterministic mid-sweep crashes and
-## corrupted dump lines, each required to recover to byte-identical
+## Fault-injection suite: deterministic mid-sweep crashes, corrupted
+## dump lines and damaged banked rankings (truncated, retyped, moved
+## under another unit), each required to recover to byte-identical
 ## output (DESIGN.md section 6), plus spill recovery: a
 ## torn ingestion -- torn at the middle of the input, exactly at a
 ## window boundary and mid-window (TestCrashResume, which checks each
 ## torn run left a checkpoint), and at random points
 ## (test_column_builder.py) -- resumes to byte-identical spill files,
 ## and a damaged spill (hand-picked damage, and generated byte flips,
-## truncations, retyped fields and out-of-range column values) fails
+## truncations, retyped fields, Table-1 counts that are not
+## non-negative ints adding up, and out-of-range column values) fails
 ## with a typed error on open or resume, never with another one later.
 ## Last, the MRT boundary suite (tests/io/test_mrt_boundary.py):
 ## +-Infinity, NaN, huge and over-long integers, 100,000-deep nesting,
@@ -49,14 +53,27 @@ faults:
 		tests/perf/test_column_builder.py
 	$(PYTHON) -m pytest -q tests/io/test_mrt_boundary.py
 
+## Paper-output drift check: rerun the 30 paper benchmarks (tables,
+## figures, ablations, extensions) untimed, then fail when a tracked
+## benchmarks/output/*.txt they write differs from the checked-in copy
+## -- no reproduced table or figure can go stale unnoticed. The timing
+## harnesses and pipeline_trace.json (timings) are not compared.
+PAPER_BENCHMARKS := $(wildcard benchmarks/bench_table*.py benchmarks/bench_fig*.py \
+	benchmarks/bench_ablation*.py benchmarks/bench_ext*.py)
+drift:
+	$(PYTHON) -m pytest -q --benchmark-disable $(PAPER_BENCHMARKS)
+	git diff --exit-code -- \
+		$(patsubst benchmarks/bench_%.py,benchmarks/output/%.txt,$(PAPER_BENCHMARKS))
+
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (rules R001-R008, each file parsed and
 ## walked once, findings vs the checked-in lint-baseline.json, runtime
-## guard of 5s so it stays cheap enough to run always), then mypy when
+## guard of 3s so it stays cheap enough to run always and a rule that
+## brings back a second walk per file fails it), then mypy when
 ## available (lenient globally, strict for repro.perf and repro.core --
 ## see [tool.mypy] in pyproject.toml).
 lint:
-	$(PYTHON) -m repro.lint src tests --stats --max-seconds 5
+	$(PYTHON) -m repro.lint src tests --stats --max-seconds 3
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \
 		$(PYTHON) -m mypy src/repro; \
 	else \
@@ -69,7 +86,7 @@ lint:
 lint-sarif:
 	mkdir -p benchmarks/output
 	$(PYTHON) -m repro.lint src tests --format sarif \
-		--max-seconds 5 > benchmarks/output/lint.sarif
+		--max-seconds 3 > benchmarks/output/lint.sarif
 
 ## Full scaling benchmark (small + medium worlds); writes
 ## BENCH_pipeline.json at the repo root and fails below the 2.5x

@@ -89,6 +89,7 @@ from repro.obs.export import (
     validate_jsonl,
 )
 from repro.obs.trace import Tracer
+from repro.resilience import ArtifactStore, Checkpoint, CheckpointError, store_key
 from repro.topology.catalog import WORLD_CHOICES, build_world
 from repro.topology.world import World
 
@@ -192,7 +193,6 @@ def _run_watch(args: argparse.Namespace) -> int:
         render_watch,
         resolve_snapshots,
         watch,
-        watch_key,
     )
 
     metric_list = [m for m in args.metrics.split(",") if m.strip()]
@@ -231,13 +231,10 @@ def _run_watch(args: argparse.Namespace) -> int:
         return _fail(str(error))
     checkpoint = None
     if args.checkpoint is not None:
-        from repro.resilience.checkpoint import Checkpoint
-
-        checkpoint = Checkpoint.open(
-            args.checkpoint,
-            watch_key([ref.identity() for ref in refs], config),
-            resume=args.resume,
-        )
+        try:
+            checkpoint = Checkpoint.open(args.checkpoint, resume=args.resume)
+        except CheckpointError as error:
+            return _fail(str(error))
     tracer = Tracer()
     try:
         run = watch(refs, config, tracer=tracer, checkpoint=checkpoint)
@@ -598,13 +595,19 @@ def main(argv: list[str] | None = None) -> int:
         tracer.close()
         return 0
 
-    result = run_pipeline(
-        world,
-        PipelineConfig(
-            seed=args.seed, workers=args.workers,
-            store_backend=args.store, spill_dir=args.spill_dir,
-        ),
+    config = PipelineConfig(
+        seed=args.seed, workers=args.workers,
+        store_backend=args.store, spill_dir=args.spill_dir,
     )
+    store = None
+    if args.command == "sweep" and args.checkpoint is not None:
+        try:
+            store = ArtifactStore(
+                store_key(world, config), args.checkpoint, resume=args.resume
+            )
+        except CheckpointError as error:
+            return _fail(str(error))
+    result = run_pipeline(world, config)
     if args.command == "rank":
         ranking = result.ranking(args.metric, args.country)
         print(ranking.render(args.k, result.as_name))
@@ -613,20 +616,11 @@ def main(argv: list[str] | None = None) -> int:
         countries = (
             tuple(args.countries.split(",")) if args.countries else None
         )
-        checkpoint = None
-        if args.checkpoint is not None:
-            from repro.resilience.checkpoint import Checkpoint, sweep_key
-
-            checkpoint = Checkpoint.open(
-                args.checkpoint,
-                sweep_key(world.fingerprint(), result.config, metrics, countries),
-                resume=args.resume,
-            )
         try:
-            rankings = result.rank_all(metrics, countries, checkpoint=checkpoint)
+            rankings = result.rank_all(metrics, countries, store=store)
         finally:
-            if checkpoint is not None:
-                checkpoint.close()
+            if store is not None:
+                store.close()
         if not rankings:
             print("(no qualifying countries — pass --countries)")
         for ranking in rankings.values():

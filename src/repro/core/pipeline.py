@@ -38,7 +38,7 @@ from repro.topology.world import World
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.index import PathIndex
     from repro.perf.pool import WorkerPool
-    from repro.resilience.checkpoint import Checkpoint
+    from repro.resilience.checkpoint import ArtifactStore
     from repro.resilience.faults import FaultPlan
 
 #: Metrics the pipeline can compute, derived from the registry
@@ -262,7 +262,7 @@ class PipelineResult:
         self,
         metrics: Iterable[str] | None = None,
         countries: Iterable[str] | None = None,
-        checkpoint: "Checkpoint | None" = None,
+        store: "ArtifactStore | None" = None,
     ) -> dict[tuple[str, str | None], Ranking]:
         """Batch API: every requested metric for every requested country.
 
@@ -280,18 +280,19 @@ class PipelineResult:
         in (metric, country) iteration order; values are the same
         memoised rankings :meth:`ranking` returns.
 
-        ``checkpoint`` (a :class:`repro.resilience.Checkpoint`) makes
-        the sweep resumable: every completed unit is persisted as it
-        finishes, units already on disk are loaded instead of
-        recomputed, and a resumed sweep's output is value-identical to
-        an uninterrupted one (the serialization is value-exact). The
-        config's fault plan may inject a mid-sweep crash
-        (``crash_after_units``) to exercise exactly that recovery.
+        ``store`` (a :class:`repro.resilience.ArtifactStore` under
+        ``store_key(world, config)``, which holds no request) makes the
+        sweep resumable: banked units are read back, computed ones
+        banked as they finish, and a resumed — or reordered, or
+        narrowed — sweep's output is value-identical to an
+        uninterrupted one. The config's fault plan may inject a
+        mid-sweep crash (``crash_after_units``) to exercise exactly
+        that recovery.
 
-        Duplicate ``(metric, country)`` units are computed (and
-        checkpointed) once: repeats in ``metrics``/``countries`` do not
-        inflate the ``computed`` counter — which would skew
-        ``FaultPlan.crashes_after`` — or double-write checkpoint units.
+        Duplicate ``(metric, country)`` units are computed (and banked)
+        once: repeats in ``metrics``/``countries`` do not inflate the
+        ``computed`` counter — which would skew
+        ``FaultPlan.crashes_after`` — or double-write banked units.
         """
         spec_list = [get_spec(m) for m in (
             metrics if metrics is not None else paper_metrics()
@@ -314,23 +315,22 @@ class PipelineResult:
         computed = 0
         with self._tracer.span(
             "sweep", metrics=len(spec_list), countries=len(country_list),
-            resumed=checkpoint.loaded if checkpoint is not None else 0,
+            resumed=store.persisted if store is not None else 0,
         ):
             for spec, country in units:
-                if checkpoint is not None:
-                    ranking = self._resume_unit(checkpoint, spec, country)
-                    if ranking is not None:
-                        rankings[(spec.name, country)] = ranking
-                        continue
+                unit = (spec.name, country)
+                banked = store.lookup(spec, country) if store is not None else None
+                if banked is not None:
+                    # seeded into the memo table so later ranking()
+                    # calls agree with it
+                    self._tracer.metrics.counter("resilience.checkpoint_hit").inc()
+                    rankings[unit] = self._rankings.setdefault(unit, banked)
+                    continue
                 ranking = self.ranking(spec.name, country)
-                rankings[(spec.name, country)] = ranking
+                rankings[unit] = ranking
                 computed += 1
-                if checkpoint is not None:
-                    from repro.resilience.checkpoint import ranking_to_payload
-
-                    checkpoint.put(
-                        spec.unit_key(country), ranking_to_payload(ranking)
-                    )
+                if store is not None:
+                    store.put(spec, country, ranking)
                 if faults is not None and faults.crashes_after(computed):
                     from repro.resilience.faults import InjectedCrash
 
@@ -338,21 +338,6 @@ class PipelineResult:
                         f"injected sweep crash after {computed} units"
                     )
         return rankings
-
-    def _resume_unit(
-        self, checkpoint: "Checkpoint", spec: MetricSpec, country: str | None
-    ) -> Ranking | None:
-        """A previously-checkpointed ranking, also seeded into the
-        memo table so later :meth:`ranking` calls agree with it."""
-        payload = checkpoint.get(spec.unit_key(country))
-        if payload is None:
-            return None
-        from repro.resilience.checkpoint import ranking_from_payload
-
-        ranking = ranking_from_payload(payload)  # type: ignore[arg-type]
-        self._tracer.metrics.counter("resilience.checkpoint_hit").inc()
-        self._rankings.setdefault((spec.name, country), ranking)
-        return self._rankings[(spec.name, country)]
 
     # -- conveniences ---------------------------------------------------------------
 

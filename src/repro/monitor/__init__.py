@@ -22,7 +22,6 @@ from repro.monitor.engine import (
     WatchRun,
     render_watch,
     watch,
-    watch_key,
 )
 from repro.monitor.events import (
     EVENT_TYPES,
@@ -53,5 +52,4 @@ __all__ = [
     "validate_watch_events",
     "validate_watch_jsonl",
     "watch",
-    "watch_key",
 ]

@@ -16,17 +16,20 @@ Determinism contract (pinned by ``tests/monitor/test_engine.py``):
 * it is also byte-identical across a ``--resume`` from any checkpoint
   prefix: resumed rankings are value-exact
   (:func:`repro.resilience.checkpoint.ranking_to_payload`), snapshot
-  metadata (record counts, the resolved country grid) is banked in the
-  checkpoint so a fully-banked snapshot is never reloaded, and event
-  ids hash stream position + content, never provenance;
+  metadata (record count, the auto-resolved country grid) is banked in
+  the checkpoint so a fully-banked snapshot is never reloaded, and
+  event ids hash stream position + content, never provenance;
 * the tracer is observe-only: running under a real
   :class:`repro.obs.Tracer` versus :data:`NULL_TRACER` changes spans
   and ``monitor.*`` instruments, never one byte of the stream.
 
-Checkpoint units (stable names — resumable files depend on them):
-``watch-snapshot:{label}`` holds ``{"records", "countries"}``;
-``watch-ranking:{label}:{spec.unit_key(country)}`` holds the ranking
-payload.
+Checkpoint units are keyed per snapshot by
+:func:`repro.resilience.store_key` of its content and config and named
+by :func:`repro.resilience.unit_name`, as a sweep's are:
+``<key>|snapshot`` holds ``{"records", "countries"}``, ``<key>|<unit>``
+a ranking. Labels, the grid, ``top`` and the thresholds key nothing,
+so changing them resumes every unit; a regenerated world or a
+rewritten release recomputes only its own snapshot.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from repro.monitor.events import (
 )
 from repro.monitor.snapshots import SnapshotRef, WatchError
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.resilience.checkpoint import ranking_from_payload, ranking_to_payload
+from repro.resilience.checkpoint import ranking_to_payload, store_key, unit_name
 
 if TYPE_CHECKING:
     from repro.resilience.checkpoint import Checkpoint
@@ -56,8 +59,9 @@ if TYPE_CHECKING:
 class WatchConfig:
     """Everything that shapes a watch run's event stream.
 
-    Every field participates in :func:`watch_key` — a checkpoint
-    written under one config never resumes a run under another.
+    Only ``seed`` and ``trim`` reach a banked ranking (through each
+    snapshot's :meth:`~repro.monitor.snapshots.SnapshotRef.config`);
+    the other fields choose what is read and how it is compared.
     """
 
     metrics: tuple[str, ...] = ("CCI", "AHI")
@@ -89,21 +93,6 @@ class WatchConfig:
             raise WatchError(
                 f"ndcg threshold out of [0, 1]: {self.ndcg_threshold}"
             )
-
-
-def watch_key(identities: Sequence[str], config: WatchConfig) -> str:
-    """The checkpoint content key for one watch run: the snapshot
-    stream (each ref's :meth:`~repro.monitor.snapshots.SnapshotRef.identity`,
-    so a rewritten release file never resumes its old rankings) plus
-    every config knob."""
-    stream = ",".join(identities)
-    grid = ",".join(config.countries) if config.countries is not None else "<auto>"
-    return (
-        f"watch/stream={stream}/metrics={','.join(config.metrics)}"
-        f"/countries={grid}/top={config.top}"
-        f"/tau={config.tau_threshold!r}/ndcg={config.ndcg_threshold!r}"
-        f"/seed={config.seed}/trim={config.trim!r}"
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +136,24 @@ def _resolve_specs(
     return specs
 
 
+def _snapshot_record(checkpoint: "Checkpoint | None", key: str) -> dict | None:
+    """The record count and country grid banked for the snapshot of
+    ``key``, or ``None`` (a record of any other shape is discarded)."""
+    if checkpoint is None:
+        return None
+    unit = unit_name(key)
+    meta = checkpoint.get(unit)
+    if meta is None or (
+        isinstance(meta, dict)
+        and type(meta.get("records")) is int and meta["records"] >= 0
+        and isinstance(meta.get("countries"), list)
+        and all(isinstance(code, str) for code in meta["countries"])
+    ):
+        return meta  # type: ignore[return-value]
+    checkpoint.discard(unit, "not a snapshot record")
+    return None
+
+
 def _provider_countries(provider: object) -> list[str]:
     """The auto-resolved country grid for the first snapshot: countries
     with a qualifying national view for pipeline snapshots, every
@@ -187,8 +194,12 @@ def watch(
 
     with tracer.span("watch", snapshots=len(refs), metrics=len(specs)):
         for index, ref in enumerate(refs):
-            meta_unit = f"watch-snapshot:{ref.label}"
-            meta = checkpoint.get(meta_unit) if checkpoint is not None else None
+            ranked_under = ref.config(config.seed, config.trim)
+            # keyed only when banking: without a checkpoint a release
+            # is never hashed, and a world is built inside its load
+            content = ref.content(ranked_under) if checkpoint is not None else None
+            key = "" if content is None else store_key(content, ranked_under)
+            meta = _snapshot_record(checkpoint, key)
 
             # Load lazily: a fully-banked snapshot never materializes
             # its pipeline/replay provider on resume.
@@ -200,21 +211,20 @@ def watch(
                     with tracer.span(
                         "watch.load", snapshot=ref.label, kind=ref.kind,
                     ):
-                        provider = ref.load(
-                            config.seed, config.trim, tracer=tracer,
-                        )
+                        provider = ref.load(ranked_under, content, tracer=tracer)
                     metrics.counter("monitor.snapshots.loaded").inc()
                 return provider
 
+            banked_meta = meta is not None
+            if meta is None:
+                meta = {
+                    "records": len(load().paths.records),
+                    "countries": sorted(
+                        normalize_country(c) for c in _provider_countries(load())
+                    ),
+                }
             if countries is None:
-                countries = (
-                    [normalize_country(c) for c in meta["countries"]]
-                    if meta is not None
-                    else sorted(
-                        normalize_country(c)
-                        for c in _provider_countries(load())
-                    )
-                )
+                countries = list(meta["countries"])
                 if not countries:
                     raise WatchError(
                         f"snapshot {ref.label!r} yields no monitorable "
@@ -233,30 +243,21 @@ def watch(
             with tracer.span(
                 "watch.snapshot", snapshot=ref.label, pairs=len(units),
             ):
-                records = (
-                    meta["records"] if meta is not None
-                    else len(load().paths.records)
-                )
                 emit(snapshot_event(
                     seq=len(events), index=index, label=ref.label,
-                    source=ref.kind, records=records, pairs=len(units),
+                    source=ref.kind, records=meta["records"], pairs=len(units),
                 ))
-                if checkpoint is not None and meta is None:
-                    checkpoint.put(meta_unit, {
-                        "records": records, "countries": list(countries),
-                    })
+                if checkpoint is not None and not banked_meta:
+                    checkpoint.put(unit_name(key), meta)
 
                 current: dict[tuple[str, str | None], Ranking] = {}
                 for spec, country in units:
-                    unit_name = (
-                        f"watch-ranking:{ref.label}:{spec.unit_key(country)}"
-                    )
-                    payload = (
-                        checkpoint.get(unit_name)
+                    name = unit_name(key, spec, country)
+                    ranking = (
+                        checkpoint.ranking(name, spec, country)
                         if checkpoint is not None else None
                     )
-                    if payload is not None:
-                        ranking = ranking_from_payload(payload)
+                    if ranking is not None:
                         resumed_units += 1
                         metrics.counter("monitor.rankings.resumed").inc()
                     else:
@@ -268,9 +269,7 @@ def watch(
                         computed_units += 1
                         metrics.counter("monitor.rankings.computed").inc()
                         if checkpoint is not None:
-                            checkpoint.put(
-                                unit_name, ranking_to_payload(ranking)
-                            )
+                            checkpoint.put(name, ranking_to_payload(ranking))
                     current[(spec.name, country)] = ranking
                     emit(ranking_event(
                         seq=len(events), label=ref.label, ranking=ranking,

@@ -16,11 +16,12 @@ once):
   (= chronological, for date-stamped names) order.
 
 Labels are derived from the spec alone, before any loading, because
-they key the checkpoint units and the event stream: the label must be
-identical on resume. What the rankings depend on is a ref's
-:meth:`SnapshotRef.identity` — the label of a world ref, and for a
-release ref its label plus a sha256 of the file's bytes — so a release
-rewritten in place under the same name keys a different checkpoint.
+they name the snapshots in the event stream: the label must be
+identical on resume. Labels key nothing: a snapshot's banked rankings
+are keyed by :meth:`SnapshotRef.content` — a world ref's built world,
+a release ref's streamed sha256 — and :meth:`SnapshotRef.config`, so a
+world regenerated or a release rewritten under the same label keys
+fresh units.
 """
 
 from __future__ import annotations
@@ -28,19 +29,18 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable
 
+from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.io.replay import ReplaySession
 from repro.topology.catalog import WORLD_CHOICES, build_world
+
+if TYPE_CHECKING:
+    from repro.topology.world import World
 
 
 class WatchError(ValueError):
     """Raised for unresolvable snapshot specs and invalid watch input."""
-
-
-#: what :meth:`SnapshotRef.load` yields — both expose
-#: ``.ranking(metric, country)`` and ``.paths``
-SnapshotProvider = Union["ReplaySession", "object"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,35 +54,49 @@ class SnapshotRef:
     seed: int | None = None  # per-snapshot seed, world refs only
     path: str | None = None  # paths.jsonl location, release refs only
 
-    def identity(self) -> str:
-        """What this snapshot's rankings are a function of: a world
-        ref's label (its seed is in the label or the run's config), a
-        release ref's label plus the sha256 of the file's bytes —
-        streamed, so identifying a snapshot never loads it."""
-        if self.kind != "release":
-            return self.label
+    def config(self, seed: int, trim: float) -> PipelineConfig:
+        """The config this snapshot is ranked under: a world ref's
+        pipeline config (its own seed, else ``seed``), or — for a
+        release, which only ``trim`` reaches — the default config at
+        ``trim``."""
+        if self.kind == "world":
+            return PipelineConfig(
+                seed=self.seed if self.seed is not None else seed, trim=trim
+            )
+        return PipelineConfig(trim=trim)
+
+    def content(self, config: PipelineConfig) -> "World | str":
+        """What this snapshot's rankings are computed from: a world
+        ref's world, built once at ``config.seed``, or the sha256 of a
+        release file's bytes — streamed, so keying a release never
+        loads it."""
+        if self.kind == "world":
+            return build_world(self.world, config.seed)
         digest = hashlib.sha256()
         with open(self.path, "rb") as handle:
             for block in iter(lambda: handle.read(1 << 20), b""):
                 digest.update(block)
-        return f"{self.label}@sha256:{digest.hexdigest()}"
+        return digest.hexdigest()
 
-    def load(self, seed: int, trim: float, tracer=None):
-        """Materialize the snapshot's ranking provider.
+    def load(
+        self,
+        config: PipelineConfig,
+        content: "World | str | None" = None,
+        tracer=None,
+    ):
+        """Materialize the snapshot's ranking provider under its
+        :meth:`config`.
 
         World refs run the full pipeline (under ``tracer`` so its
-        stages appear as spans of the surrounding watch.load span);
-        release refs open a :class:`ReplaySession` over the file.
+        stages appear as spans of the surrounding watch.load span) on
+        ``content`` — the world already built to key the snapshot —
+        or on a freshly built one; release refs open a
+        :class:`ReplaySession` over the file.
         """
         if self.kind == "world":
-            from repro.core.pipeline import PipelineConfig, run_pipeline
-
-            effective = self.seed if self.seed is not None else seed
-            config = PipelineConfig(seed=effective, trim=trim)
-            return run_pipeline(
-                build_world(self.world, effective), config, tracer=tracer,
-            )
-        return ReplaySession.from_file(self.path, trim=trim)
+            world = content if content is not None else self.content(config)
+            return run_pipeline(world, config, tracer=tracer)
+        return ReplaySession.from_file(self.path, trim=config.trim)
 
 
 def _world_ref(spec: str) -> SnapshotRef | None:

@@ -266,15 +266,23 @@ def _report_payload(report: FilterReport) -> dict:
 
 def _restore_report(report: FilterReport, payload: dict, path: Path) -> None:
     """Load the Table-1 counts the manifest or checkpoint at ``path``
-    holds."""
-    try:
-        counts = payload["report"]
-        report.total = int(counts["total"])
-        report.accepted = int(counts["accepted"])
-        for category in REJECT_CATEGORIES:
-            report.rejected[category] = int(counts["rejected"].get(category, 0))
-    except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise SpillFormatError(f"{path}: malformed report ({error!r})") from error
+    holds: non-negative ints, one per reject category, adding up with
+    ``accepted`` to ``total`` as :meth:`FilterReport.note_window` keeps
+    them."""
+    counts = payload.get("report")
+    rejected = counts.get("rejected") if isinstance(counts, dict) else None
+    if not (
+        isinstance(rejected, dict) and set(rejected) == set(REJECT_CATEGORIES)
+        and all(
+            type(count) is int and count >= 0 for count in (
+                counts.get("total"), counts.get("accepted"), *rejected.values()
+            )
+        )
+        and counts["total"] == counts["accepted"] + sum(rejected.values())
+    ):
+        raise SpillFormatError(f"{path}: malformed report counts")
+    report.total, report.accepted = counts["total"], counts["accepted"]
+    report.rejected.update(rejected)
 
 
 class SpillWriter(ColumnBuilder):

@@ -5,9 +5,9 @@ The layer has three pieces, all deterministic by construction:
 * :class:`FaultPlan` — seeded, replayable fault injection (dump-line
   corruption and mid-sweep crashes), wired behind
   ``PipelineConfig(faults=...)`` and ``make faults``;
-* :class:`Checkpoint` — content-keyed, append-only persistence of
-  completed sweep units, the engine behind
-  ``repro-rank sweep --resume``;
+* :class:`Checkpoint` files and the :class:`ArtifactStore` over them —
+  every persisted ranking (sweep, watch, serve) banked under the one
+  content key :func:`store_key`;
 * :class:`Quarantine` — the malformed-line sink behind
   ``load_rib(strict=False)``.
 
@@ -18,25 +18,29 @@ the same surviving input.
 """
 
 from repro.resilience.checkpoint import (
+    SEMANTIC_KNOBS,
+    ArtifactStore,
     Checkpoint,
     CheckpointError,
-    config_knobs,
     ranking_from_payload,
     ranking_to_payload,
-    sweep_key,
+    store_key,
+    unit_name,
 )
 from repro.resilience.faults import FaultPlan, InjectedCrash
 from repro.resilience.quarantine import Quarantine, QuarantinedLine
 
 __all__ = [
+    "ArtifactStore",
     "Checkpoint",
     "CheckpointError",
     "FaultPlan",
     "InjectedCrash",
     "Quarantine",
     "QuarantinedLine",
-    "config_knobs",
+    "SEMANTIC_KNOBS",
     "ranking_from_payload",
     "ranking_to_payload",
-    "sweep_key",
+    "store_key",
+    "unit_name",
 ]

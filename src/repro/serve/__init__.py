@@ -3,10 +3,9 @@
 The serving layer turns the batch pipeline into a long-lived daemon
 (``repro-serve`` / ``repro-rank serve``) with three layers:
 
-* :mod:`repro.serve.store` — the content-keyed :class:`ArtifactStore`
-  memoising rankings per ``(world content, semantic config, metric,
-  country)``, optionally persisted in the resilience checkpoint
-  format so precomputed sweeps survive restarts;
+* :class:`~repro.resilience.ArtifactStore` (re-exported here) — the
+  one ranking store, optionally persisted in the checkpoint format so
+  banked rankings survive restarts; a sweep's file warms it;
 * :mod:`repro.serve.service` — :class:`RankingService`, the pure
   application API over one :class:`~repro.core.pipeline.PipelineResult`
   (validation, store lookup, on-demand registry compute, ``serve.*``
@@ -21,9 +20,9 @@ config knobs only — a regenerated world with different content misses
 the cache; the ignored ``workers`` and telemetry knobs never cause one.
 """
 
+from repro.resilience.checkpoint import ArtifactStore, store_key
 from repro.serve.http import RankingServer, ServeHandler
 from repro.serve.service import QueryError, RankingService
-from repro.serve.store import ArtifactStore, store_key
 
 __all__ = [
     "ArtifactStore",

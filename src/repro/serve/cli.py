@@ -14,8 +14,10 @@ serially):
 * ``--host`` / ``--port`` — bind address (``--port 0`` picks an
   ephemeral port and prints it, which the smoke tests rely on);
 * ``--store PATH`` — persist the artifact store in the resilience
-  checkpoint format; a restart under the same world/config resumes
-  every banked ranking (``--no-resume`` starts cold);
+  checkpoint format, opened before the pipeline runs; a restart under
+  the same world content and semantic config — or a sweep's
+  ``--checkpoint`` file — serves every banked ranking warm
+  (``--no-resume`` starts cold);
 * ``--precompute METRICS`` — bank a sweep before binding (``all`` =
   every registry metric), optionally narrowed by ``--countries``;
 * ``--max-requests N`` — serve N requests then exit (smoke/bench);
@@ -32,9 +34,9 @@ from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.registry import maybe_spec, metric_names, normalize_country
 from repro.obs.export import stage_report
 from repro.obs.trace import Tracer
+from repro.resilience.checkpoint import ArtifactStore, CheckpointError, store_key
 from repro.serve.http import RankingServer
 from repro.serve.service import RankingService
-from repro.serve.store import ArtifactStore, store_key
 from repro.topology.catalog import WORLD_CHOICES, build_world
 
 #: exit status for input-validation failures (argparse uses 2 as well)
@@ -132,15 +134,17 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         countries = tuple(normalized)
 
     tracer = Tracer()
-    result = run_pipeline(
-        world, PipelineConfig(seed=args.seed, workers=args.workers), tracer
-    )
-    store = ArtifactStore(
-        store_key(world, result.config),
-        path=args.store,
-        tracer=tracer,
-        resume=not args.no_resume,
-    )
+    config = PipelineConfig(seed=args.seed, workers=args.workers)
+    try:
+        store = ArtifactStore(
+            store_key(world, config),
+            path=args.store,
+            tracer=tracer,
+            resume=not args.no_resume,
+        )
+    except CheckpointError as error:
+        return _fail(str(error), prog)
+    result = run_pipeline(world, config, tracer)
     service = RankingService(result, store, tracer)
     if args.precompute is not None:
         banked = service.precompute(metrics, countries)

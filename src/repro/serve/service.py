@@ -39,13 +39,12 @@ from repro.analysis.reports import country_report
 from repro.core.pipeline import PipelineResult
 from repro.core.registry import (
     MetricSpec,
-    get_spec,
     maybe_spec,
     metric_names,
     normalize_country,
 )
 from repro.obs.trace import NULL_TRACER, AnyTracer
-from repro.serve.store import ArtifactStore
+from repro.resilience.checkpoint import ArtifactStore
 
 
 class QueryError(ValueError):
@@ -117,14 +116,12 @@ class RankingService:
         countries: tuple[str, ...] | list[str] | None = None,
     ) -> int:
         """Bank a full sweep into the store (the warm-start path a
-        daemon runs before binding). Returns the number of units
-        banked. Counters are untouched — precompute is provisioning,
-        not traffic."""
+        daemon runs before binding); units the store already banks are
+        read back, not recomputed. Returns the number of units banked.
+        Counters are untouched — precompute is provisioning, not
+        traffic."""
         with self._lock:
-            rankings = self.result.rank_all(metrics, countries)
-            for (metric, country), ranking in rankings.items():
-                self.store.put(get_spec(metric), country, ranking)
-            return len(rankings)
+            return len(self.result.rank_all(metrics, countries, store=self.store))
 
     # -- internals -----------------------------------------------------------
 

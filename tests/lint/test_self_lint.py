@@ -17,7 +17,7 @@ from repro.obs.trace import Tracer
 REPO = Path(__file__).parents[2]
 
 #: the `make lint` budget; the lint span must come in under this
-MAX_SECONDS = 5.0
+MAX_SECONDS = 3.0
 
 
 @pytest.fixture(scope="module")

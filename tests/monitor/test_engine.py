@@ -14,10 +14,9 @@ from repro.monitor import (
     resolve_snapshots,
     validate_watch_events,
     watch,
-    watch_key,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.resilience.checkpoint import Checkpoint
+from repro.resilience.checkpoint import Checkpoint, store_key
 from repro.topology.catalog import build_world
 
 SMALL = ["small@0", "small@1", "small@2"]
@@ -74,10 +73,7 @@ class TestDeterminism:
 
 class TestCheckpointResume:
     def _checkpoint(self, path, resume):
-        refs = resolve_snapshots(SMALL)
-        return refs, Checkpoint.open(
-            path, watch_key([r.identity() for r in refs], CONFIG), resume=resume,
-        )
+        return resolve_snapshots(SMALL), Checkpoint.open(path, resume=resume)
 
     def test_full_resume_recomputes_nothing(self, tmp_path, small_run):
         path = tmp_path / "watch.ck"
@@ -115,15 +111,14 @@ class TestCheckpointResume:
         assert resumed.computed_units > 0
 
     def test_foreign_key_discards_checkpoint(self, tmp_path, small_run):
+        """A version-1 file, keyed as a whole, is foreign."""
         path = tmp_path / "watch.ck"
         path.write_text(json.dumps({
             "type": "header", "format": "repro-checkpoint", "version": 1,
             "key": "watch/other-stream",
         }) + "\n")
         refs = resolve_snapshots(SMALL)
-        checkpoint = Checkpoint.open(
-            path, watch_key([r.identity() for r in refs], CONFIG), resume=True,
-        )
+        checkpoint = Checkpoint.open(path, resume=True)
         run = watch(refs, CONFIG, checkpoint=checkpoint)
         checkpoint.close()
         assert run.resumed_units == 0
@@ -137,22 +132,21 @@ def write_release(path, seed):
 
 
 class TestReleaseResume:
-    """A release ref's checkpoint key covers the file's bytes, not only
-    its name."""
+    """A release ref's units are keyed by the file's bytes, not its
+    name."""
 
     CONFIG = WatchConfig(metrics=("AHN", "CCI"), countries=("AU",))
 
     def _bank(self, path, specs, resume, tracer=NULL_TRACER):
         refs = resolve_snapshots(specs)
-        with Checkpoint.open(
-            path, watch_key([r.identity() for r in refs], self.CONFIG),
-            resume=resume,
-        ) as checkpoint:
+        with Checkpoint.open(path, resume=resume) as checkpoint:
             return watch(
                 refs, self.CONFIG, tracer=tracer, checkpoint=checkpoint
             )
 
     def test_rewritten_release_recomputes_every_unit(self, tmp_path):
+        """Every unit of the rewritten release is recomputed, and only
+        those: the untouched release resumes."""
         day1, day2 = tmp_path / "day1.jsonl", tmp_path / "day2.jsonl"
         write_release(day1, 0)
         write_release(day2, 1)
@@ -164,8 +158,8 @@ class TestReleaseResume:
         resumed = self._bank(path, specs, resume=True)
         fresh = watch(resolve_snapshots(specs), self.CONFIG)
         assert fresh.jsonl() != banked.jsonl()
-        assert resumed.resumed_units == 0
-        assert resumed.computed_units == banked.computed_units
+        assert resumed.computed_units == banked.computed_units // 2
+        assert resumed.resumed_units == banked.computed_units // 2
         assert resumed.jsonl() == fresh.jsonl()
 
     def test_unchanged_releases_resume_without_loading(self, tmp_path):
@@ -182,14 +176,24 @@ class TestReleaseResume:
         assert "monitor.snapshots.loaded" not in tracer.metrics.counters()
 
     def test_identity(self, tmp_path):
+        """A snapshot is identified by its content: a world ref by its
+        built world, a release by the sha256 of its bytes."""
+        import hashlib
+
         day = tmp_path / "day1.jsonl"
         day.write_text("one\n")
         world, release = resolve_snapshots(["small@3", str(day)])
-        assert world.identity() == "small@3"
-        before = release.identity()
-        assert before.startswith("day1@sha256:")
+        config = world.config(seed=0, trim=0.1)
+        assert config == PipelineConfig(seed=3, trim=0.1)
+        assert world.content(config).fingerprint() == (
+            build_world("small", 3).fingerprint()
+        )
+        config = release.config(seed=5, trim=0.2)
+        assert config == PipelineConfig(trim=0.2)
+        before = release.content(config)
+        assert before == hashlib.sha256(b"one\n").hexdigest()
         day.write_text("two\n")
-        assert release.identity() != before
+        assert release.content(config) != before
 
 
 class TestValidationErrors:
@@ -226,17 +230,45 @@ class TestValidationErrors:
             watch(refs, WatchConfig(metrics=("CTI",)))
 
 
-class TestWatchKey:
-    def test_same_inputs_same_key(self):
-        assert watch_key(["a", "b"], CONFIG) == watch_key(["a", "b"], CONFIG)
+def banked_keys(path):
+    """The content keys of every unit a checkpoint file banks."""
+    lines = path.read_text().splitlines()[1:]
+    return {json.loads(line)["unit"].partition("|")[0] for line in lines}
 
-    def test_stream_and_knobs_in_key(self):
-        base = watch_key(["a", "b"], CONFIG)
-        assert watch_key(["a", "c"], CONFIG) != base
-        assert watch_key(
-            ["a", "b"], WatchConfig(metrics=CONFIG.metrics,
-                                    countries=CONFIG.countries, top=5),
-        ) != base
+
+class TestWatchKey:
+    """Each snapshot banks under ``store_key`` of its content and the
+    config it is ranked under — nothing from the watch request."""
+
+    def _keys(self, path, specs, config):
+        with Checkpoint.open(path, resume=False) as checkpoint:
+            watch(resolve_snapshots(specs), config, checkpoint=checkpoint)
+        return banked_keys(path)
+
+    def test_same_inputs_same_key(self, tmp_path):
+        path = tmp_path / "watch.ck"
+        keys = self._keys(path, SMALL[:2], CONFIG)
+        assert keys == {
+            store_key(build_world("small", seed), PipelineConfig(seed=seed))
+            for seed in (0, 1)
+        }
+        assert self._keys(path, SMALL[:2], CONFIG) == keys
+
+    def test_stream_and_knobs_in_key(self, tmp_path):
+        """Content, seed and trim key a snapshot; the labels, grid,
+        ``top`` and thresholds do not."""
+        path = tmp_path / "watch.ck"
+        keys = self._keys(path, SMALL[:2], CONFIG)
+        assert self._keys(path, SMALL[1:], CONFIG) & keys == {
+            store_key(build_world("small", 1), PipelineConfig(seed=1))
+        }
+        assert self._keys(path, ["small", "small@1"], WatchConfig(
+            metrics=("CCI",), countries=("US",), top=5, tau_threshold=0.1,
+            ndcg_threshold=0.2,
+        )) == keys
+        assert not self._keys(path, SMALL[:2], WatchConfig(
+            metrics=CONFIG.metrics, countries=CONFIG.countries, trim=0.2,
+        )) & keys
 
 
 class TestTable10Russia:

@@ -100,11 +100,15 @@ class TestStreamRules:
 class TestLoad:
     def test_world_ref_load_runs_pipeline(self):
         ref = resolve_snapshots(["small@0", "small@1"])[0]
-        result = ref.load(seed=99, trim=0.1)
+        config = ref.config(seed=99, trim=0.1)
+        world = ref.content(config)
+        result = ref.load(config, world)
+        assert result.world is world  # built once, handed to the pipeline
         assert result.world.name == "small"
         assert result.config.seed == 0  # explicit @seed wins over run seed
 
     def test_unseeded_world_uses_run_seed(self):
         ref = SnapshotRef(label="small", kind="world", spec="small", world="small")
-        result = ref.load(seed=5, trim=0.1)
+        config = ref.config(seed=5, trim=0.1)
+        result = ref.load(config)
         assert result.config.seed == 5

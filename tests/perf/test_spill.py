@@ -273,6 +273,20 @@ DAMAGES = st.one_of(
 )
 
 
+#: damage to the Table-1 counts a manifest or checkpoint holds: each
+#: count must be a non-negative int, the reject categories exactly
+#: REJECT_CATEGORIES, and ``total`` their sum plus ``accepted``
+REPORT_DAMAGES = {
+    "fractional-total": lambda report: report.update(total=1.9),
+    "negative-accepted": lambda report: report.update(accepted=-5),
+    "boolean-count": lambda report: report["rejected"].update(loop=True),
+    "string-count": lambda report: report["rejected"].update(loop="7"),
+    "missing-category": lambda report: report["rejected"].pop("loop"),
+    "unknown-category": lambda report: report["rejected"].update(leak=0),
+    "counts-off-by-one": lambda report: report.update(total=report["total"] + 1),
+}
+
+
 class TestDamagedSpill:
     """Every way a sealed spill can be damaged on disk surfaces as a
     SpillFormatError naming the damaged file, at open time."""
@@ -352,6 +366,14 @@ class TestDamagedSpill:
     def test_bad_prefix_row(self, spill, field, value):
         rewrite_row(spill / "prefixes.jsonl", 0, field, value)
         self.assert_rejected(spill, "prefixes.jsonl")
+
+    @pytest.mark.parametrize("damage", REPORT_DAMAGES.values(), ids=REPORT_DAMAGES)
+    def test_bad_report_counts(self, spill, damage):
+        path = spill / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        damage(manifest["report"])
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        self.assert_rejected(spill, "manifest.json")
 
     @settings(
         max_examples=200, deadline=None,
@@ -508,6 +530,11 @@ class TestDamagedResume:
         self.rewrite_progress(
             spill, lambda progress: progress.update(report={"total": "many"})
         )
+        self.assert_resume_rejected(inputs, spill, "progress.json")
+
+    @pytest.mark.parametrize("damage", REPORT_DAMAGES.values(), ids=REPORT_DAMAGES)
+    def test_progress_with_bad_report_counts(self, inputs, spill, damage):
+        self.rewrite_progress(spill, lambda progress: damage(progress["report"]))
         self.assert_resume_rejected(inputs, spill, "progress.json")
 
     def test_garbage_vp_table(self, inputs, spill):

@@ -1,14 +1,51 @@
 """Tests for the repro-rank command-line interface."""
 
 import json
+import threading
+import urllib.request
+import warnings
 
 import pytest
 
 from repro import cli
 from repro.cli import build_world, main
-from repro.core.pipeline import PipelineConfig, run_pipeline
+from repro.core.pipeline import Pipeline, PipelineConfig, PipelineResult, run_pipeline
 from repro.core.sanitize import REJECT_CATEGORIES
 from repro.obs.export import validate_jsonl
+from repro.serve.cli import main as serve_main
+from repro.serve.http import RankingServer
+
+
+def serve_and_query(monkeypatch, targets):
+    """Patch the daemon so that, once started, it answers ``targets``
+    over HTTP and shuts down instead of serving forever; returns the
+    JSON bodies it answered."""
+    bodies = []
+    serve = RankingServer.serve_forever
+
+    def serve_forever(server):
+        thread = threading.Thread(target=serve, args=(server,), daemon=True)
+        thread.start()
+        for target in targets:
+            url = f"http://127.0.0.1:{server.port}{target}"
+            with urllib.request.urlopen(url) as response:
+                bodies.append(json.loads(response.read()))
+        server.shutdown()
+        thread.join(timeout=5)
+
+    monkeypatch.setattr(RankingServer, "serve_forever", serve_forever)
+    return bodies
+
+
+def count_computed(monkeypatch):
+    """Record every ranking the pipeline computes from here on."""
+    computed = []
+    compute = PipelineResult._compute_ranking
+    monkeypatch.setattr(
+        PipelineResult, "_compute_ranking",
+        lambda self, *unit: computed.append(unit) or compute(self, *unit),
+    )
+    return computed
 
 
 class TestBuildWorld:
@@ -201,6 +238,73 @@ class TestSweepCheckpoint:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(args + ["--checkpoint", str(path), "--resume"]) == 0
+        assert capsys.readouterr().out == first
+
+
+    def test_reordered_and_narrowed_sweeps_resume_shared_units(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "sweep.ck"
+        sweep = ["--world", "small", "sweep", "-k", "2"]
+        assert main(sweep + [
+            "--metrics", "AHN,CCN", "--countries", "AU,US",
+            "--checkpoint", str(path),
+        ]) == 0
+        for request in (
+            ["--metrics", "CCN,AHN", "--countries", "US,AU"],
+            ["--metrics", "AHN", "--countries", "AU,US"],
+            ["--metrics", "CCN", "--countries", "US"],
+        ):
+            capsys.readouterr()
+            assert main(sweep + request) == 0
+            uninterrupted = capsys.readouterr().out
+            computed = count_computed(monkeypatch)
+            assert main(sweep + request + [
+                "--checkpoint", str(path), "--resume",
+            ]) == 0
+            assert capsys.readouterr().out == uninterrupted
+            assert computed == []
+            monkeypatch.undo()
+
+    def test_checkpoint_warms_the_daemon(self, capsys, tmp_path, monkeypatch):
+        """A sweep's file is a ``repro-serve --store`` file: every unit
+        it banks is answered from the store."""
+        path = tmp_path / "sweep.ck"
+        assert main([
+            "--world", "small", "sweep", "--metrics", "AHN,CCN",
+            "--countries", "AU,US", "--checkpoint", str(path),
+        ]) == 0
+        targets = [
+            f"/rank?metric={metric}&country={country}"
+            for metric in ("AHN", "CCN") for country in ("AU", "US")
+        ]
+        bodies = serve_and_query(monkeypatch, targets)
+        assert serve_main([
+            "--world", "small", "--port", "0", "--store", str(path),
+        ]) == 0
+        assert [body["source"] for body in bodies] == ["store"] * 4
+
+    @pytest.mark.parametrize("field,value", [
+        ("entries", "garbage"), ("metric", "CCN:US"),
+    ])
+    def test_damaged_unit_is_recomputed(self, capsys, tmp_path, field, value):
+        """A banked unit that does not decode as its own ranking counts
+        as missing: it is recomputed and banked again, and the later
+        line wins on the next open."""
+        path = tmp_path / "sweep.ck"
+        args = self.ARGS + ["--checkpoint", str(path)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        header, unit = path.read_text().splitlines()
+        entry = json.loads(unit)
+        entry["payload"][field] = value
+        path.write_text(f"{header}\n{json.dumps(entry)}\n")
+        with pytest.warns(RuntimeWarning, match="damaged"):
+            assert main(args + ["--resume"]) == 0
+        assert capsys.readouterr().out == first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args + ["--resume"]) == 0
         assert capsys.readouterr().out == first
 
 
@@ -397,6 +501,79 @@ class TestWatchResume:
         fresh = capsys.readouterr().out
         assert fresh != banked
         assert resumed == fresh
+
+
+    ARGS = ["watch", "small@0", "small@1", "--metrics", "AHN", "--countries", "AU"]
+
+    def test_regenerated_world_recomputes_its_snapshot(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A world regenerated with other content under the same label
+        is ranked afresh, not replayed from the bank."""
+        from repro.monitor import snapshots
+
+        argv = self.ARGS + ["--json"]
+        checkpoint = ["--checkpoint", str(tmp_path / "watch.ck")]
+        assert main(argv + checkpoint) == 0
+        banked = capsys.readouterr().out
+        build = snapshots.build_world
+        monkeypatch.setattr(
+            snapshots, "build_world",
+            lambda name, seed: build(name, seed + 7 if seed == 0 else seed),
+        )
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        assert fresh != banked
+        assert main(argv + checkpoint + ["--resume"]) == 0
+        assert capsys.readouterr().out == fresh
+
+    def test_changed_top_or_threshold_resumes_every_unit(self, capsys, tmp_path):
+        checkpoint = ["--checkpoint", str(tmp_path / "watch.ck")]
+        assert main(self.ARGS + ["--top", "5"] + checkpoint) == 0
+        changed = self.ARGS + [
+            "--top", "6", "--tau-threshold", "0.5", "--ndcg-threshold", "0.5",
+        ]
+        assert main(changed + ["--json"]) == 0
+        capsys.readouterr()
+        assert main(changed + checkpoint + ["--resume"]) == 0
+        assert "rankings: 0 computed, 2 resumed" in capsys.readouterr().out
+        assert main(changed + ["--json"]) == 0
+        fresh = capsys.readouterr().out
+        assert main(changed + ["--json"] + checkpoint + ["--resume"]) == 0
+        assert capsys.readouterr().out == fresh
+
+
+class TestUnusableStorePath:
+    """An unusable ``--checkpoint``/``--store`` path exits 2 with one
+    line on stderr before the pipeline runs."""
+
+    @pytest.fixture(params=["missing/store.ck", "."])
+    def bad_path(self, request, tmp_path, monkeypatch):
+        def ran(*args, **kwargs):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(Pipeline, "run", ran)
+        monkeypatch.setattr(RankingServer, "serve_forever", lambda server: None)
+        return str(tmp_path / request.param)
+
+    @pytest.mark.parametrize("argv", [
+        ["--world", "small", "sweep", "--countries", "AU", "--checkpoint"],
+        ["watch", "small@0", "small@1", "--checkpoint"],
+        ["--world", "small", "serve", "--port", "0", "--store"],
+    ], ids=["sweep", "watch", "serve"])
+    def test_repro_rank(self, capsys, bad_path, argv):
+        assert main(argv + [bad_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-rank: error: checkpoint ")
+        assert "cannot open" in err and err.count("\n") == 1
+
+    def test_repro_serve(self, capsys, bad_path):
+        assert serve_main([
+            "--world", "small", "--port", "0", "--store", bad_path,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-serve: error: checkpoint ")
+        assert "cannot open" in err and err.count("\n") == 1
 
 
 class TestTraceDiff:
