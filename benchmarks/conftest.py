@@ -75,8 +75,10 @@ def pipeline_trace_artifact():
     session (``benchmarks/output/pipeline_trace.json``, JSONL events).
 
     This is the perf-trajectory baseline: each benchmark run leaves
-    behind per-stage wall/CPU times and volume counters that future
-    optimization PRs diff against.
+    behind per-stage wall/CPU times and volume counters that a later
+    optimisation diffs against. The timings change on every run, so
+    the file is untracked (``benchmarks/output/`` is ignored; only the
+    paper's table and figure outputs there are tracked).
     """
     yield
     from repro.cli import run_traced

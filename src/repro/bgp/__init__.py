@@ -13,7 +13,7 @@ from repro.bgp.updates import (
     daily_updates,
     diff_ribs,
 )
-from repro.bgp.anomalies import AnomalyConfig, InjectionSummary, inject_anomalies
+from repro.bgp.anomalies import AnomalyConfig, InjectionSummary
 
 __all__ = [
     "AnomalyConfig",
@@ -37,7 +37,6 @@ __all__ = [
     "daily_updates",
     "diff_ribs",
     "generate_rib_days",
-    "inject_anomalies",
     "propagate",
     "propagate_all",
 ]

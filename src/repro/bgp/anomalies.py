@@ -8,19 +8,32 @@ ASNs. This module deliberately plants each pathology into otherwise
 clean simulated paths so the pipeline filters real positives, and so
 tests can assert both directions (planted anomalies are caught, clean
 paths survive).
+
+:func:`plant_anomalies` plants straight into token columns. Every
+planted path is its clean path with ``copies`` copies of one ASN
+inserted at one position, so a cell's category is an array operation,
+only its draws take a Python loop (one generator, reseeded per cell),
+and all planted runs are spliced from the clean tokens in one pass.
+The per-path reference it is held to — one ``ASPath`` and one
+``random.Random`` per rolled cell — lives with the tests
+(``tests/bgp/anomaly_oracle.py``).
 """
 
 from __future__ import annotations
 
-import random
+import _random
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from typing import Callable, Sequence
 
-from repro.net.aspath import ASPath
+import numpy as np
 
+from repro.net.aspath import ASPathError, PathColumns
 
-class AnomalyInjectionError(RuntimeError):
-    """Raised when an anomaly cannot be planted into a given path."""
+#: a cell's category: how many of the cumulative rate bounds (loop,
+#: poison, unallocated, prepend, route server) its roll reaches;
+#: ``SKIP`` when nothing is planted there
+LOOP, POISON, UNALLOCATED, PREPEND, ROUTE_SERVER, SKIP = range(6)
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,79 +73,6 @@ class AnomalyConfig:
         return cls(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def make_loop(path: ASPath, rng: random.Random) -> ASPath:
-    """Insert a nonadjacent duplicate (``A C A`` pattern).
-
-    Requires at least two ASes on the path; re-inserts an upstream ASN
-    two or more hops later.
-    """
-    asns = list(path.asns)
-    if len(asns) < 2:
-        raise AnomalyInjectionError("path too short for a loop")
-    victim_index = rng.randrange(len(asns) - 1)
-    insert_at = rng.randrange(victim_index + 2, len(asns) + 1)
-    asns.insert(insert_at, asns[victim_index])
-    return ASPath(tuple(asns))
-
-
-def make_poisoned(
-    path: ASPath, clique: frozenset[int], rng: random.Random, filler: int
-) -> ASPath:
-    """Wedge a non-clique AS between two adjacent clique ASes.
-
-    This reproduces the paper's poisoning signature ("non-top-tier AS
-    between top-tier ASes"). Requires an adjacent clique pair on the
-    path; raises otherwise.
-    """
-    if filler in clique:
-        raise AnomalyInjectionError("filler AS must be outside the clique")
-    asns = list(path.asns)
-    pairs = [
-        index
-        for index, (left, right) in enumerate(zip(asns, asns[1:]))
-        if left in clique and right in clique
-    ]
-    if not pairs:
-        raise AnomalyInjectionError("no adjacent clique pair on path")
-    index = rng.choice(pairs)
-    asns.insert(index + 1, filler)
-    return ASPath(tuple(asns))
-
-
-def make_unallocated(path: ASPath, unallocated_asn: int, rng: random.Random) -> ASPath:
-    """Insert an IANA-unassigned ASN at a random interior position."""
-    asns = list(path.asns)
-    position = rng.randrange(1, len(asns)) if len(asns) > 1 else 1
-    asns.insert(position, unallocated_asn)
-    return ASPath(tuple(asns))
-
-
-def make_prepended(path: ASPath, rng: random.Random) -> ASPath:
-    """Repeat one AS 2–4 times (traffic-engineering prepending).
-
-    The sanitizer collapses this without rejecting the path.
-    """
-    asns = list(path.asns)
-    index = rng.randrange(len(asns))
-    repeats = rng.randint(1, 3)
-    for _ in range(repeats):
-        asns.insert(index, asns[index])
-    return ASPath(tuple(asns))
-
-
-def make_route_server(path: ASPath, route_server_asn: int) -> ASPath:
-    """Insert an IXP route-server ASN after the VP-side AS.
-
-    Mimics route servers that do not strip their own ASN; the sanitizer
-    removes the ASN and keeps the path.
-    """
-    asns = list(path.asns)
-    if len(asns) < 2:
-        raise AnomalyInjectionError("path too short for a route-server hop")
-    asns.insert(1, route_server_asn)
-    return ASPath(tuple(asns))
-
-
 @dataclass(frozen=True, slots=True)
 class InjectionSummary:
     """What the injector actually planted (ground truth for tests)."""
@@ -154,80 +94,169 @@ class InjectionSummary:
         )
 
 
-def inject_anomalies(
-    records: "Iterable[tuple[tuple[int, int], ASPath]]",
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A uniform int in ``[0, n)`` taken exactly as
+    ``random.Random._randbelow_with_getrandbits`` takes it, so it
+    consumes the draws ``randrange``, ``randint`` and ``choice`` do."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def plant_anomalies(
+    paths: PathColumns,
+    ids: np.ndarray,
+    rolls: np.ndarray,
+    seeds: np.ndarray,
     config: AnomalyConfig,
     clique: frozenset[int],
-    unallocated_pool: list[int],
+    unallocated_pool: Sequence[int],
     route_servers: frozenset[int],
-    rng: random.Random,
-    filler_pool: list[int] | None = None,
-    roll_for=None,
-    rng_for=None,
-) -> tuple[dict[tuple[int, int], ASPath], InjectionSummary]:
-    """Plant anomalies into a stream of keyed clean paths.
+    filler_pool: Sequence[int],
+) -> tuple[np.ndarray, PathColumns, InjectionSummary]:
+    """Plant anomalies into rolled cells, in token space.
 
-    ``records`` yields ``(key, clean_path)`` pairs (we key by
-    ``(vp_index, prefix_index)``). Returns only the overridden entries
-    plus a summary. Each record receives at most one anomaly (draws are
-    ordered: loop, poison, unallocated, prepend, route server) so the
-    filter categories stay disjoint, as in Table 1.
+    Cell ``i`` has the clean path ``paths[ids[i]]``, the uniform roll
+    ``rolls[i]`` and the RNG seed ``seeds[i]``. A cell whose roll falls
+    under the total rate gets at most one anomaly, by the first
+    cumulative bound it falls under, so the filter categories stay
+    disjoint, as in Table 1:
 
-    ``filler_pool`` provides non-clique ASNs used as poisoning filler;
-    when omitted it is built lazily from paths already seen.
+    * a loop re-inserts an upstream ASN two or more hops later (a path
+      shorter than two ASes falls through to poisoning);
+    * poisoning wedges a filler between an adjacent clique pair. The
+      filler comes from ``filler_pool`` outside the clique, else from
+      the first cell's path with an ASN outside it, else it is AS 0.
+      The cell is skipped when its path has no such pair or the filler
+      is in the clique;
+    * an unallocated ASN from ``unallocated_pool`` goes at an interior
+      position;
+    * prepending repeats one AS one to three more times;
+    * a route server's ASN goes after the VP-side AS (skipped on a
+      one-AS path or with no route servers).
 
-    ``roll_for``/``rng_for`` optionally supply a hash-stable uniform
-    draw and a record-keyed RNG per record key, so the injected set
-    does not depend on iteration order (used by the RIB series).
+    Cell ``i``'s draws are the ones ``random.Random(seeds[i])`` gives,
+    taken in the order the list above names them, from one generator
+    reseeded per cell.
+
+    Returns the planted cells (ascending indices into the cells), their
+    paths in that order, and the per-category counts.
     """
     if not unallocated_pool and config.unallocated_rate > 0:
         raise ValueError("unallocated_rate > 0 requires an unallocated ASN pool")
-    overrides: dict[tuple[int, int], ASPath] = {}
-    counts = {"loops": 0, "poisoned": 0, "unallocated": 0,
-              "prepended": 0, "route_server": 0}
-    route_server_list = sorted(route_servers)
-    non_clique_fillers = sorted(set(filler_pool) - clique) if filler_pool else []
-    total_rate = config.total_rate
-    for key, path in records:
-        if not non_clique_fillers:
-            non_clique_fillers = sorted(path.unique_asns() - clique)
-        roll = roll_for(key) if roll_for is not None else rng.random()
-        if roll >= total_rate:
-            # the overwhelmingly common case: nothing planted, so the
-            # record-keyed RNG (an expensive Random() construction) is
-            # never needed — rng_for is pure in key, so deferring it
-            # cannot change which draws a planted record sees
+    ids = np.asarray(ids, dtype=np.int64)
+    starts, sizes = paths.offsets[ids], paths.lengths[ids]
+    tokens = paths.tokens
+    bounds = list(accumulate((
+        config.loop_rate, config.poison_rate, config.unallocated_rate,
+        config.prepend_rate, config.route_server_rate,
+    )))
+    kind = np.searchsorted(bounds, rolls, side="right")
+    kind[(kind == LOOP) & (sizes < 2)] = POISON
+    servers = sorted(route_servers)
+    kind[(kind == ROUTE_SERVER) & ((sizes < 2) | (not servers))] = SKIP
+
+    # per cell: the ASN inserted, the position it goes before, and how
+    # many copies of it
+    asn = np.zeros(len(ids), dtype=np.int64)
+    spot = np.zeros(len(ids), dtype=np.int64)
+    copies = np.ones(len(ids), dtype=np.int64)
+    rng = _random.Random(0)
+    seed, bits = rng.seed, rng.getrandbits
+
+    def cells_of(category: int) -> tuple[np.ndarray, list[int], list[int]]:
+        cells = np.flatnonzero(kind == category)
+        return cells, seeds[cells].tolist(), sizes[cells].tolist()
+
+    cells, cell_seeds, lengths = cells_of(LOOP)
+    victims, spots = [], []
+    for cell_seed, length in zip(cell_seeds, lengths):
+        seed(cell_seed)
+        victim = _below(bits, length - 1)
+        victims.append(victim)
+        spots.append(victim + 2 + _below(bits, length - 1 - victim))
+    asn[cells] = tokens[starts[cells] + np.asarray(victims, dtype=np.int64)]
+    spot[cells] = spots
+
+    cells, cell_seeds, lengths = cells_of(POISON)
+    fillers, first = sorted(set(filler_pool) - clique), 0
+    if not fillers and len(cells):
+        # the first cell whose path has an ASN outside the clique
+        outside = ~np.isin(paths.columns(ids)[0], sorted(clique))
+        found = np.flatnonzero(np.add.reduceat(outside, np.cumsum(sizes) - sizes))
+        first = int(found[0]) if len(found) else len(ids)
+        fillers = sorted(
+            set(paths.columns(ids[first:first + 1])[0].tolist()) - clique
+        )
+    values, spots = [], []
+    for cell, cell_seed, length in zip(cells.tolist(), cell_seeds, lengths):
+        seed(cell_seed)
+        choices = fillers if cell >= first else []
+        filler = choices[_below(bits, len(choices))] if choices else 0
+        head = int(starts[cell])
+        path = tokens[head:head + length].tolist()
+        pairs = [
+            index for index, (left, right) in enumerate(zip(path, path[1:]))
+            if left in clique and right in clique
+        ]
+        if filler in clique or not pairs:
+            kind[cell] = SKIP
+            values.append(0)
+            spots.append(0)
             continue
-        local_rng = rng_for(key) if rng_for is not None else rng
-        try:
-            if roll < config.loop_rate and len(path) >= 2:
-                overrides[key] = make_loop(path, local_rng)
-                counts["loops"] += 1
-            elif roll < config.loop_rate + config.poison_rate:
-                filler = (
-                    local_rng.choice(non_clique_fillers)
-                    if non_clique_fillers else 0
-                )
-                overrides[key] = make_poisoned(path, clique, local_rng, filler)
-                counts["poisoned"] += 1
-            elif roll < (config.loop_rate + config.poison_rate
-                         + config.unallocated_rate):
-                unallocated = local_rng.choice(unallocated_pool)
-                overrides[key] = make_unallocated(path, unallocated, local_rng)
-                counts["unallocated"] += 1
-            elif roll < (config.loop_rate + config.poison_rate
-                         + config.unallocated_rate + config.prepend_rate):
-                overrides[key] = make_prepended(path, local_rng)
-                counts["prepended"] += 1
-            elif (roll < (config.loop_rate + config.poison_rate
-                          + config.unallocated_rate + config.prepend_rate
-                          + config.route_server_rate)
-                  and route_server_list and len(path) >= 2):
-                overrides[key] = make_route_server(
-                    path, local_rng.choice(route_server_list)
-                )
-                counts["route_server"] += 1
-        except AnomalyInjectionError:
-            continue
-    summary = InjectionSummary(**counts)
-    return overrides, summary
+        values.append(filler)
+        spots.append(pairs[_below(bits, len(pairs))] + 1)
+    asn[cells], spot[cells] = values, spots
+
+    cells, cell_seeds, lengths = cells_of(UNALLOCATED)
+    values, spots = [], []
+    for cell_seed, length in zip(cell_seeds, lengths):
+        seed(cell_seed)
+        values.append(unallocated_pool[_below(bits, len(unallocated_pool))])
+        spots.append(1 + _below(bits, length - 1) if length > 1 else 1)
+    asn[cells], spot[cells] = values, spots
+
+    cells, cell_seeds, lengths = cells_of(PREPEND)
+    repeats, spots = [], []
+    for cell_seed, length in zip(cell_seeds, lengths):
+        seed(cell_seed)
+        spots.append(_below(bits, length))
+        repeats.append(1 + _below(bits, 3))
+    spot[cells], copies[cells] = spots, repeats
+    asn[cells] = tokens[starts[cells] + spot[cells]]
+
+    cells, cell_seeds, _ = cells_of(ROUTE_SERVER)
+    values = []
+    for cell_seed in cell_seeds:
+        seed(cell_seed)
+        values.append(servers[_below(bits, len(servers))])
+    asn[cells], spot[cells] = values, 1
+
+    planted = np.flatnonzero(kind < SKIP)
+    counts = np.bincount(kind[planted], minlength=SKIP).tolist()
+    return planted, _splice(
+        paths, ids[planted], asn[planted], spot[planted], copies[planted]
+    ), InjectionSummary(*counts)
+
+
+def _splice(
+    paths: PathColumns,
+    ids: np.ndarray,
+    asn: np.ndarray,
+    spot: np.ndarray,
+    copies: np.ndarray,
+) -> PathColumns:
+    """The paths at ``ids``, path ``i`` with ``copies[i]`` copies of
+    ``asn[i]`` inserted before its position ``spot[i]``, as one path
+    table. The table is held to ``ASPath``'s rule: each path is
+    non-empty by construction, and every ASN must be an int ≥ 0."""
+    clean, sizes = paths.columns(ids)
+    # insertions at one index keep their order, so a path's insert at
+    # its end precedes the next path's insert at its start
+    where = np.repeat(np.cumsum(sizes) - sizes + spot, copies)
+    planted = np.insert(clean, where, np.repeat(asn, copies))
+    if len(planted) and planted.min() < 0:
+        raise ASPathError(f"invalid ASN in path: {int(planted.min())}")
+    return PathColumns(planted, sizes + copies)

@@ -20,9 +20,12 @@ shared stream, so editing one AS in a world never reshuffles the noise
 applied to unrelated VPs and prefixes. The per-(VP, prefix) draws
 (visibility and the anomaly roll) are computed a block of VP rows at a
 time as :func:`crc32_grid` matrices — bit-identical to one
-``zlib.crc32`` per cell — so visibility is one mask per block and only
-the cells whose roll falls under the anomaly rate reach the per-record
-injector.
+``zlib.crc32`` per cell — so visibility is one mask per block, and the
+same block pass that reads the rolls counts the carried cells. The
+cells whose roll falls under the anomaly rate are planted in token
+space (:func:`~repro.bgp.anomalies.plant_anomalies`): their RNG seeds
+are gathered from a CRC grid, their planted paths are spliced from the
+clean tokens, and no path object is built for them.
 
 Announcements are never materialised en masse: iterate
 :meth:`RibSeries.windows` for the deduplicated per-(VP, prefix) view as
@@ -35,15 +38,13 @@ grid, one VP row at a time.
 
 from __future__ import annotations
 
-import random
 import zlib
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.bgp.anomalies import AnomalyConfig, InjectionSummary, inject_anomalies
+from repro.bgp.anomalies import AnomalyConfig, InjectionSummary, plant_anomalies
 from repro.bgp.announcement import (
     WINDOW,
     Announcement,
@@ -93,16 +94,13 @@ def _stable_uniform(seed: int, kind: str, key: str) -> float:
 _DRAW_ROWS = 128
 
 
-def crc32_grid(heads: Sequence[bytes], tails: Sequence[bytes]) -> np.ndarray:
-    """``zlib.crc32(head + tail)`` for every (head, tail) pair, as a
-    ``uint32`` (heads × tails) matrix.
-
-    CRC-32 is affine in its starting value: for a tail ``t`` of ``n``
-    bytes, ``crc32(h + t) == crc32(bytes(n), crc32(h)) ^
-    crc32(bytes(n)) ^ crc32(t)``. So the grid takes one ``zlib.crc32``
-    per head, one per tail and one per (head, distinct tail length),
-    then one XOR broadcast — bit-identical to the per-cell calls.
-    """
+def _crc32_terms(
+    heads: Sequence[bytes], tails: Sequence[bytes]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The terms ``zlib.crc32(head + tail)`` is the XOR of: per head
+    and distinct tail length ``n``, ``crc32(bytes(n), crc32(head)) ^
+    crc32(bytes(n))``; per tail, the code of its length among the
+    distinct ones, and ``crc32(tail)``."""
     sizes = np.fromiter(map(len, tails), dtype=np.int64, count=len(tails))
     distinct, size_code = np.unique(sizes, return_inverse=True)
     zeros = [bytes(size) for size in distinct.tolist()]
@@ -117,7 +115,34 @@ def crc32_grid(heads: Sequence[bytes], tails: Sequence[bytes]) -> np.ndarray:
     tail_crc = np.fromiter(
         map(zlib.crc32, tails), dtype=np.uint32, count=len(tails)
     )
+    return shifted, size_code, tail_crc
+
+
+def crc32_grid(heads: Sequence[bytes], tails: Sequence[bytes]) -> np.ndarray:
+    """``zlib.crc32(head + tail)`` for every (head, tail) pair, as a
+    ``uint32`` (heads × tails) matrix.
+
+    CRC-32 is affine in its starting value: for a tail ``t`` of ``n``
+    bytes, ``crc32(h + t) == crc32(bytes(n), crc32(h)) ^
+    crc32(bytes(n)) ^ crc32(t)``. So the grid takes one ``zlib.crc32``
+    per head, one per tail and one per (head, distinct tail length),
+    then one XOR broadcast — bit-identical to the per-cell calls.
+    """
+    shifted, size_code, tail_crc = _crc32_terms(heads, tails)
     return shifted[:, size_code] ^ tail_crc
+
+
+def crc32_cells(
+    heads: Sequence[bytes],
+    tails: Sequence[bytes],
+    rows: np.ndarray,
+    cols: np.ndarray,
+) -> np.ndarray:
+    """``zlib.crc32(heads[r] + tails[c])`` for each ``(r, c)`` of
+    ``zip(rows, cols)``, as ``uint32`` — the cells of
+    :func:`crc32_grid` gathered without building the grid."""
+    shifted, size_code, tail_crc = _crc32_terms(heads, tails)
+    return shifted[rows, size_code[cols]] ^ tail_crc[cols]
 
 
 class RibSeries:
@@ -182,43 +207,38 @@ class RibSeries:
                 self._prefix_days = np.full(width, config.days, dtype=np.int64)
                 for prefix_index, absent in self.unstable_days.items():
                     self._prefix_days[prefix_index] = config.days - len(absent)
-            with tracer.span("ribs.inject"):
-                self.overrides, self.injection_summary = self._inject(paths)
-                # override paths follow the clean paths in the windows'
-                # path table, in cell-key order; the table is built once
-                # at its final size, with no growth slack
-                cells = sorted(self.overrides)
-                self._override_keys = np.asarray(
-                    [vp * width + prefix for vp, prefix in cells], dtype=np.int64
+            with tracer.span("ribs.inject") as inject:
+                rolled, rolls, ids, records = self._roll()
+                self._override_keys, planted, self.injection_summary = (
+                    self._inject(paths, rolled, rolls, ids)
                 )
-                planted = [self.overrides[cell].asns for cell in cells]
+                # the planted paths follow the clean paths in the
+                # windows' path table, in cell-key order; the table is
+                # built once at its final size, with no growth slack
                 paths = PathColumns(
-                    np.concatenate((
-                        paths.tokens,
-                        np.fromiter(chain.from_iterable(planted), dtype=np.int64),
-                    )),
-                    np.concatenate((
-                        paths.lengths,
-                        np.fromiter(
-                            map(len, planted), dtype=np.int64, count=len(planted)
-                        ),
-                    )),
+                    np.concatenate((paths.tokens, planted.tokens)),
+                    np.concatenate((paths.lengths, planted.lengths)),
                 )
                 self._tables = RecordTables(
                     self.vps, [prefix for prefix, _ in self.prefix_table], paths
                 )
+                inject.set(
+                    input=len(rolled), output=self.injection_summary.total(),
+                    **asdict(self.injection_summary),
+                )
             span.set(
+                records=records,
                 paths=self._clean_paths,
                 missing=len(self._missing_keys),
                 unstable=len(self.unstable_days),
-                overrides=len(self.overrides),
+                overrides=len(self._override_keys),
             )
             metrics = tracer.metrics
             metrics.gauge("ribs.vps").set(len(self.vps))
             metrics.gauge("ribs.prefixes").set(len(self.prefix_table))
             metrics.gauge("ribs.paths").set(self._clean_paths)
             metrics.gauge("ribs.unstable_prefixes").set(len(self.unstable_days))
-            metrics.gauge("ribs.overrides").set(len(self.overrides))
+            metrics.gauge("ribs.overrides").set(len(self._override_keys))
 
     # -- construction ------------------------------------------------------
 
@@ -328,62 +348,74 @@ class RibSeries:
             unstable[prefix_index] = frozenset(ranked[:absent])
         return unstable
 
-    def _inject(
-        self, paths: PathColumns
-    ) -> tuple[dict[tuple[int, int], ASPath], InjectionSummary]:
-        """Plant anomalies into the carried cells whose roll falls under
-        the total anomaly rate. Each carried cell's roll is read from
-        its block of the roll draw grid; only those cells (their clean
-        path built once per distinct path) reach
-        :func:`~repro.bgp.anomalies.inject_anomalies`, which skips every
-        other cell anyway, and whose record-keyed RNG is per cell."""
-        graph = self.world.graph
-        clique = graph.clique()
-        route_servers = graph.route_servers()
-        pool = graph.asn_registry.unallocated_sample(16)
-        filler_pool = [asn for asn in graph.asns() if asn not in clique]
-
+    def _roll(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The carried cells whose anomaly roll falls under the total
+        rate, read a block of the roll draw grid at a time: their
+        ``vp_index * width + prefix_index`` keys (ascending), rolls and
+        clean path ids, plus the count of all carried cells — the
+        series' record count, taken in the same pass."""
         total_rate = self.config.anomalies.total_rate
         width = len(self.prefix_table)
         missing = self._missing_keys
-        #: the rolled cells' rolls, in grid order
-        rolls: dict[tuple[int, int], float] = {}
-        ids = []
+        carried = 0
+        keys, rolls, ids = [], [], []
         for first, draws in self._draws("anom"):
-            block = self._route[self._vp_row[first:first + len(draws)]]
-            hit = (block[:, self._prefix_origin] >= 0) & (draws < total_rate)
+            route = self._route[self._vp_row[first:first + len(draws)]]
+            route = route[:, self._prefix_origin]
+            hit = route >= 0
             low, high = np.searchsorted(
                 missing, (first * width, (first + len(draws)) * width)
             )
             hit.flat[missing[low:high] - first * width] = False
-            cells = np.flatnonzero(hit)
-            vp, prefix = np.divmod(cells, width)
-            ids.append(block[vp, self._prefix_origin[prefix]])
-            rolls.update(zip(
-                zip((vp + first).tolist(), prefix.tolist()),
-                draws.flat[cells].tolist(),
-            ))
-        clean = paths.objects(np.concatenate(ids)) if ids else []
-
-        # the record-keyed RNG seeds on crc32(f"{seed}:anom-rng:{vp.ip}|{prefix}")
-        seed = self._seed
-        rng_heads = [f"{seed}:anom-rng:{vp.ip}|".encode() for vp in self.vps]
-        tails = [text.encode() for text in self._prefix_strs]
-
-        def rng_for(key: tuple[int, int]) -> random.Random:
-            return random.Random(zlib.crc32(rng_heads[key[0]] + tails[key[1]]))
-
-        return inject_anomalies(
-            zip(rolls, clean),
-            self.config.anomalies,
-            clique,
-            pool,
-            route_servers,
-            random.Random(self._seed),
-            filler_pool=filler_pool,
-            roll_for=rolls.__getitem__,
-            rng_for=rng_for,
+            carried += int(np.count_nonzero(hit))
+            cells = np.flatnonzero(hit & (draws < total_rate))
+            keys.append(cells + first * width)
+            rolls.append(draws.flat[cells])
+            ids.append(route.flat[cells])
+        if not keys:
+            none = np.empty(0, dtype=np.int64)
+            return none, np.empty(0), none, carried
+        return (
+            np.concatenate(keys), np.concatenate(rolls), np.concatenate(ids),
+            carried,
         )
+
+    def _inject(
+        self,
+        paths: PathColumns,
+        rolled: np.ndarray,
+        rolls: np.ndarray,
+        ids: np.ndarray,
+    ) -> tuple[np.ndarray, PathColumns, InjectionSummary]:
+        """Plant anomalies into the rolled cells (keys ``rolled``, with
+        their rolls and clean path ids) in token space: each cell's RNG
+        seed is ``crc32(f"{seed}:anom-rng:{vp.ip}|{prefix}")``, gathered
+        from a CRC grid. Returns the planted cells' keys, their paths in
+        that order, and what was planted."""
+        graph = self.world.graph
+        clique = graph.clique()
+        seeds = crc32_cells(
+            [f"{self._seed}:anom-rng:{vp.ip}|".encode() for vp in self.vps],
+            [text.encode() for text in self._prefix_strs],
+            *np.divmod(rolled, len(self.prefix_table)),
+        )
+        planted, planted_paths, summary = plant_anomalies(
+            paths, ids, rolls, seeds, self.config.anomalies, clique,
+            graph.asn_registry.unallocated_sample(16), graph.route_servers(),
+            [asn for asn in graph.asns() if asn not in clique],
+        )
+        return rolled[planted], planted_paths, summary
+
+    def overrides(self) -> dict[tuple[int, int], ASPath]:
+        """The planted paths keyed by ``(vp_index, prefix_index)``, in
+        cell-key order — built on each call from the override keys and
+        the tail of the path table (the pipeline never calls it)."""
+        paths, clean = self._tables.paths, self._clean_paths
+        vp, prefix = np.divmod(self._override_keys, len(self.prefix_table))
+        return {
+            cell: paths[clean + at]
+            for at, cell in enumerate(zip(vp.tolist(), prefix.tolist()))
+        }
 
     # -- iteration ----------------------------------------------------------
 

@@ -153,9 +153,13 @@ class TestTelemetry:
         }
         assert attrs["ribs"] == {
             "days": 5, "missing": 29, "overrides": 82, "paths": 1809,
-            "prefixes": 85, "unstable": 12, "vps": 30,
+            "prefixes": 85, "records": 2521, "unstable": 12, "vps": 30,
         }
-        for name in ("ribs.paths", "ribs.visibility", "ribs.churn", "ribs.inject"):
+        assert attrs["ribs.inject"] == {
+            "input": 82, "output": 82, "loops": 1, "poisoned": 0,
+            "unallocated": 9, "prepended": 55, "route_server": 17,
+        }
+        for name in ("ribs.paths", "ribs.visibility", "ribs.churn"):
             assert attrs[name] == {}
         assert attrs["sanitize"] == {
             "input": 12253, "output": 9045, "records": 1809,

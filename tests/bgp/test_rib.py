@@ -1,5 +1,6 @@
 """Tests for the lazy RIB series."""
 
+import numpy as np
 import pytest
 
 from repro.bgp.anomalies import AnomalyConfig
@@ -39,7 +40,7 @@ class TestSeries:
         b = generate_rib_days(world, outcome, seed=9)
         assert a.num_records() == b.num_records()
         assert a.unstable_days == b.unstable_days
-        assert a.overrides.keys() == b.overrides.keys()
+        assert a.overrides() == b.overrides()
 
     def test_seed_changes_noise(self, world, outcome):
         a = generate_rib_days(world, outcome, seed=9)
@@ -100,7 +101,7 @@ class TestSeries:
             RibGenerationConfig(anomalies=AnomalyConfig.none()),
             seed=9,
         )
-        assert not series.overrides
+        assert not series.overrides()
         assert series.injection_summary.total() == 0
 
     def test_full_visibility_no_missing(self, world, outcome):
@@ -143,13 +144,19 @@ def test_path_table_holds_no_growth_slack(tier):
     result = run_pipeline(build_world(tier, 42), PipelineConfig(seed=42))
     series = result.ribs
     paths = next(series.windows()).tables.paths
-    # the override paths close the table, in cell order
-    cells = sorted(series.overrides)
-    assert cells
-    tail = len(paths) - len(cells)
-    assert [paths[tail + at] for at in range(len(cells))] == [
-        series.overrides[cell] for cell in cells
-    ]
+    # the override paths close the table: the windows read path
+    # ``tail + k`` at the k-th planted cell, in cell order
+    tail = len(paths) - series.injection_summary.total()
+    vp, prefix, ids = (
+        np.concatenate(column)
+        for column in zip(*((w.vp, w.prefix, w.path) for w in series.windows()))
+    )
+    planted = ids >= tail
+    assert planted.any()
+    assert ids[planted].tolist() == list(range(tail, len(paths)))
+    assert list(zip(vp[planted].tolist(), prefix[planted].tolist())) == list(
+        series.overrides()
+    )
     # the columns' capacity (private) equals their used length
     assert len(paths._tokens) == len(paths.tokens)
     assert len(paths._offsets) == len(paths._lengths) == len(paths)

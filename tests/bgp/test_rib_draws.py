@@ -1,12 +1,14 @@
 """The RIB series' grid draws against one ``zlib.crc32`` per cell.
 
 :func:`repro.bgp.rib.crc32_grid` computes a whole draw grid from
-CRC-32's affinity; the series reads visibility and anomaly rolls from
-it. The reference below is the per-cell definition: a
-``_stable_uniform`` per (VP, prefix) cell for visibility and the roll,
-the clean path of every carried cell from the routes' façade, and the
-record-keyed RNG — so the missing cells, the planted overrides and the
-injection summary must come out equal.
+CRC-32's affinity, and :func:`repro.bgp.rib.crc32_cells` gathers cells
+of one; the series reads visibility and anomaly rolls from the first
+and the planted cells' RNG seeds from the second. The reference below
+is the per-cell definition: a ``_stable_uniform`` per (VP, prefix)
+cell for visibility and the roll, the clean path of every carried cell
+from the routes' façade, and the record-keyed RNG fed to the per-path
+injector (``tests/bgp/anomaly_oracle.py``) — so the missing cells, the
+planted overrides and the injection summary must come out equal.
 """
 
 import random
@@ -16,12 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bgp.anomalies import inject_anomalies
 from repro.bgp.propagation import propagate_all
-from repro.bgp.rib import _stable_uniform, crc32_grid, generate_rib_days
+from repro.bgp.rib import _stable_uniform, crc32_cells, crc32_grid, generate_rib_days
 from repro.core.pipeline import PipelineConfig
 from repro.net.aspath import ASPath
 from repro.topology.catalog import build_world
+from tests.bgp.anomaly_oracle import inject_anomalies
 
 blobs = st.lists(st.binary(max_size=40), max_size=8)
 
@@ -34,6 +36,21 @@ def test_crc_grid_equals_per_cell_crc(heads, tails):
     assert grid.shape == (len(heads), len(tails))
     assert grid.tolist() == [
         [zlib.crc32(head + tail) for tail in tails] for head in heads
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), blobs.filter(bool), blobs.filter(bool))
+def test_crc_cells_equal_per_cell_crc(data, heads, tails):
+    cells = data.draw(st.lists(st.tuples(
+        st.integers(0, len(heads) - 1), st.integers(0, len(tails) - 1)
+    )))
+    rows = np.asarray([row for row, _ in cells], dtype=np.int64)
+    cols = np.asarray([col for _, col in cells], dtype=np.int64)
+    values = crc32_cells(heads, tails, rows, cols)
+    assert values.dtype == np.uint32
+    assert values.tolist() == [
+        zlib.crc32(heads[row] + tails[col]) for row, col in cells
     ]
 
 
@@ -97,7 +114,8 @@ def test_series_draws_equal_per_cell_reference(name, planes):
     assert series._missing_keys.tolist() == sorted(
         vp * width + prefix for vp, prefix in missing
     )
-    assert series.overrides == overrides
-    assert list(series.overrides) == list(overrides)
+    planted = series.overrides()
+    assert planted == overrides
+    assert list(planted) == list(overrides)
     assert series.injection_summary == summary
     assert summary.total() > 0

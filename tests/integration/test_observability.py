@@ -2,11 +2,14 @@
 with the pipeline's own reports, and a traced run must cover every
 Figure-6 stage with schema-valid events."""
 
+from dataclasses import asdict
+
 import pytest
 
+from repro.bgp.rib import _stable_uniform
 from repro.cli import run_traced
 from repro.core.sanitize import REJECT_CATEGORIES
-from repro.obs.export import to_jsonl, trace_events, validate_jsonl
+from repro.obs.export import stage_report, to_jsonl, trace_events, validate_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +68,7 @@ class TestCountersMatchReports:
         gauges = tracer.metrics.gauges()
         assert gauges["ribs.vps"] == len(result.ribs.vps)
         assert gauges["ribs.prefixes"] == len(result.ribs.prefix_table)
-        assert gauges["ribs.overrides"] == len(result.ribs.overrides)
+        assert gauges["ribs.overrides"] == result.ribs.injection_summary.total()
 
 
 class TestStageCoverage:
@@ -133,6 +136,50 @@ class TestSanitizeSpans:
         report = result.paths.report
         assert sanitize.attrs["input"] == report.total
         assert sanitize.attrs["output"] == report.accepted
+
+
+class TestRibsSpans:
+    """The ``ribs`` span counts the records it carries, and
+    ``ribs.inject`` says how many cells it rolled, how many it planted
+    and of which kind."""
+
+    def test_ribs_records_are_the_carried_cells(self, traced):
+        result, tracer = traced
+        [ribs] = tracer.find("ribs")
+        assert ribs.attrs["records"] == result.ribs.num_records()
+        assert ribs.attrs["records"] == sum(
+            len(window) for window in result.ribs.windows()
+        )
+
+    def test_inject_counts_rolled_and_planted_cells(self, traced):
+        result, tracer = traced
+        ribs = result.ribs
+        [inject] = tracer.find("ribs.inject")
+        # a carried cell is rolled when its own roll falls under the rate
+        rate = ribs.config.anomalies.total_rate
+        rolled = sum(
+            _stable_uniform(
+                ribs._seed, "anom",
+                f"{ribs.vps[vp].ip}|{ribs.prefix_table[prefix][0]}",
+            ) < rate
+            for window in ribs.windows()
+            for vp, prefix in zip(window.vp.tolist(), window.prefix.tolist())
+        )
+        summary = ribs.injection_summary
+        assert inject.attrs == {
+            "input": rolled, "output": summary.total(), **asdict(summary),
+        }
+        assert 0 < inject.attrs["output"] <= inject.attrs["input"]
+        assert summary.total() == len(ribs.overrides())
+
+    def test_stage_report_shows_inject_in_and_out(self, traced):
+        _, tracer = traced
+        [inject] = tracer.find("ribs.inject")
+        [row] = [
+            line for line in stage_report(tracer).splitlines()
+            if line.strip().startswith("ribs.inject")
+        ]
+        assert f"{inject.attrs['input']:>9}{inject.attrs['output']:>9}" in row
 
 
 class TestTraceKnob:
