@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-sarif faults drift bench bench-smoke bench-serve bench-large bench-large-smoke bench-e2e-smoke watch-smoke serve-smoke profile
+.PHONY: test lint lint-sarif faults drift bench-serve bench-large bench-large-smoke bench-e2e-smoke serve-smoke
 
 ## Default verification: static analysis first (the lint gate, then
 ## the SARIF artifact), then the test suite (which includes the
@@ -11,18 +11,16 @@ export PYTHONPATH := src
 ## self-tests (bench/ sits outside the suite's testpaths), then the
 ## paper-output drift check, then the
 ## fault suite once more on its own so a recovery regression is named
-## explicitly, then the watch smoke (monitoring engine end-to-end +
-## event schema), then the serve smoke (daemon end-to-end over a real
+## explicitly, then the serve smoke (daemon end-to-end over a real
 ## socket + warm-hit floor), then the benchmark's smoke run (every
 ## workload and both store backends with their output checks), then
-## the out-of-core smoke (spill-backed pipeline + RSS gate at reduced
-## scale).
+## the out-of-core smoke (spill-backed pipeline + RSS and record gates
+## at reduced scale, read from the run's trace).
 test: lint lint-sarif
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest bench -q
 	$(MAKE) drift
 	$(MAKE) faults
-	$(MAKE) watch-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) bench-e2e-smoke
 	$(MAKE) bench-large-smoke
@@ -54,16 +52,14 @@ faults:
 	$(PYTHON) -m pytest -q tests/io/test_mrt_boundary.py
 
 ## Paper-output drift check: rerun the 30 paper benchmarks (tables,
-## figures, ablations, extensions) untimed, then fail when a tracked
-## benchmarks/output/*.txt they write differs from the checked-in copy
-## -- no reproduced table or figure can go stale unnoticed. The timing
-## harnesses and pipeline_trace.json (timings) are not compared.
-PAPER_BENCHMARKS := $(wildcard benchmarks/bench_table*.py benchmarks/bench_fig*.py \
-	benchmarks/bench_ablation*.py benchmarks/bench_ext*.py)
+## figures, ablations, extensions -- the only tests under benchmarks/)
+## untimed, then fail when a tracked file under benchmarks/output/
+## differs from the checked-in copy -- no reproduced table or figure
+## can go stale unnoticed. The untracked files there (lint.sarif,
+## pipeline_trace.json, the serve records) are not compared.
 drift:
-	$(PYTHON) -m pytest -q --benchmark-disable $(PAPER_BENCHMARKS)
-	git diff --exit-code -- \
-		$(patsubst benchmarks/bench_%.py,benchmarks/output/%.txt,$(PAPER_BENCHMARKS))
+	$(PYTHON) -m pytest -q --benchmark-disable benchmarks
+	git diff --exit-code -- benchmarks/output
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (rules R001-R008, each file parsed and
@@ -88,35 +84,27 @@ lint-sarif:
 	$(PYTHON) -m repro.lint src tests --format sarif \
 		--max-seconds 3 > benchmarks/output/lint.sarif
 
-## Full scaling benchmark (small + medium worlds); writes
-## BENCH_pipeline.json at the repo root and fails below the 2.5x
-## indexed-vs-naive floor on the medium world.
-bench:
-	$(PYTHON) benchmarks/bench_pipeline_scaling.py --min-speedup 2.5
-
 ## Serving benchmark (medium world): cold-vs-warm /rank latency, QPS,
 ## and the store hit rate through a real daemon on an ephemeral port;
-## writes BENCH_serve.json at the repo root and fails when a warm hit
-## is not >= 100x faster than a cold compute.
+## writes benchmarks/output/BENCH_serve.json (untracked) and fails when
+## a warm hit is not >= 100x faster than a cold compute.
 bench-serve:
 	$(PYTHON) benchmarks/bench_serve.py --warm-floor 100
 
 ## Out-of-core gate, full scale: the catalog's `large` tier (5M+ RIB
 ## records) through the mmap spill backend, ranked under a peak-RSS
-## ceiling and a record-count floor; merges a `large_tier` entry into
-## BENCH_pipeline.json. Takes minutes — the smoke variant below is the
-## per-change gate.
+## ceiling and a record-count floor, both read from the run's own
+## trace (the `ribs` span's records, the tracer's peak-RSS gauge);
+## prints the stage report and writes nothing. The smoke variant below
+## is the per-change gate.
 bench-large:
 	$(PYTHON) benchmarks/bench_large_tier.py
 
 ## Out-of-core gate, smoke scale: default-world volume through the
-## same spill path and gates (reduced floors), fast enough for `make
-## test`. Writes its entry to benchmarks/output/BENCH_large_smoke.json
-## so the checked-in BENCH_pipeline.json stays the full-tier record.
+## same spill path and gates (reduced bounds), fast enough for `make
+## test`.
 bench-large-smoke:
-	mkdir -p benchmarks/output
-	$(PYTHON) benchmarks/bench_large_tier.py --smoke \
-		--output benchmarks/output/BENCH_large_smoke.json
+	$(PYTHON) benchmarks/bench_large_tier.py --smoke
 
 ## End-to-end benchmark smoke: `python -m bench run --smoke` runs all
 ## three workloads (rank, spill, serve) on the small world, untraced and
@@ -124,24 +112,6 @@ bench-large-smoke:
 ## traced and untraced runs, a serve text mismatch).
 bench-e2e-smoke:
 	$(PYTHON) -m bench run --smoke
-
-## Quick perf gate: small world under a time ceiling plus the
-## indexed-vs-naive floor (see benchmarks/smoke.sh); writes
-## benchmarks/output/BENCH_smoke.json.
-bench-smoke:
-	sh benchmarks/smoke.sh
-
-## Hotspot profile: cProfile over the pipeline + ranking sweep, printed
-## as the obs stage report followed by the pstats top-N tables; writes
-## benchmarks/output/profile.txt.
-profile:
-	$(PYTHON) benchmarks/profile_pipeline.py
-
-## Monitoring gate: 3-snapshot small-world watch run under a time
-## ceiling + schema check of the emitted event stream (see
-## benchmarks/watch_smoke.sh); writes benchmarks/output/watch_smoke.jsonl.
-watch-smoke:
-	sh benchmarks/watch_smoke.sh
 
 ## Serving gate: a real repro-serve daemon on the small world under a
 ## time ceiling, driven cold then warm; every response's `source` is

@@ -1,27 +1,29 @@
 """Out-of-core gate: the ``large`` tier must rank under a bounded RSS.
 
-Runs the full pipeline on the catalog's ``large`` world (5M+ RIB
-records at the default scale factors) with the mmap spill backend
+Runs the pipeline once on the catalog's ``large`` world (5M+ RIB
+records at the default scale factors) through the mmap spill backend
 (``store_backend="mmap"``), sweeps a cross-family set of rankings, and
-enforces two gates:
+reads every number it checks from the run's own trace:
 
-* **record floor** — the ingested record stream must be at least
-  ``--min-records`` (the tier must actually be large, not silently
-  shrunken by a profile regression);
-* **RSS ceiling** — the process peak RSS over the whole run must stay
-  under ``--rss-ceiling`` bytes. This is the out-of-core contract: the
-  record set never lives in memory, so peak RSS is bounded by the
-  streaming working set (interning tables, propagation state, bucket
-  arrays), not by record volume.
+* **record floor** — the ``ribs`` span's ``records`` (the deduplicated
+  RIB records the series carries) must be at least the floor, so the
+  tier is actually large, not silently shrunken by a profile
+  regression;
+* **RSS ceiling** — the tracer's ``obs.memory.peak_rss_bytes`` gauge
+  (the process peak, sampled at every span close through the end of
+  the sweep) must stay under the ceiling. This is the out-of-core
+  contract: the record set never lives in memory, so peak RSS is
+  bounded by the streaming working set (interning tables, propagation
+  state, bucket arrays), not by record volume.
+
+The times printed are the ``pipeline`` and ``sweep`` spans, and the
+tracer's stage report follows them with the per-stage RSS peaks. The
+harness reads no clock and writes no file.
 
 ``--smoke`` swaps in an unscaled profile set (the default world's
-shape through the same spill path) with proportionally reduced gates —
-the mechanism check ``make test`` runs on every change; ``make
-bench-large`` runs the real tier.
-
-The result is merged into ``BENCH_pipeline.json`` (schema
-``bench_pipeline/4``) under the ``large_tier`` key, preserving
-whatever the scaling benchmark already recorded there.
+shape through the same spill path) with reduced bounds — the mechanism
+check ``make test`` runs on every change; ``make bench-large`` runs the
+real tier.
 
 Run:  PYTHONPATH=src python benchmarks/bench_large_tier.py [--smoke]
 """
@@ -29,16 +31,17 @@ Run:  PYTHONPATH=src python benchmarks/bench_large_tier.py [--smoke]
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from pathlib import Path
 
-from repro import GeneratorConfig, PipelineConfig, generate_world, run_pipeline
-from repro.obs.trace import Tracer, peak_rss_bytes
+from repro import (
+    GeneratorConfig,
+    PipelineConfig,
+    Tracer,
+    generate_world,
+    run_pipeline,
+    stage_report,
+)
 from repro.topology.profiles import large_profiles
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: one metric per family, over the paper's case-study countries — wide
 #: enough to touch every engine path (index, suffix cache, cones,
@@ -46,21 +49,22 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_METRICS = ("CCI", "AHN", "AHC", "CTI")
 SWEEP_COUNTRIES = ("US", "GB", "NL", "JP", "BR")
 
-#: full-tier gates: the tier definition (>= 5M records) and a ceiling
-#: ~35% above the measured peak on the reference container (1.26GB at
-#: seed 0), so real regressions (records materializing in RAM would
-#: add gigabytes) trip it while allocator noise does not
+#: full-tier bounds: the tier definition (>= 5M records) and a ceiling
+#: ~35% above the 1.26GB peak measured at seed 0 when the gate was set,
+#: so real regressions (records materializing in RAM would add
+#: gigabytes) trip it while allocator noise does not
 FULL_MIN_RECORDS = 5_000_000
 FULL_RSS_CEILING = 1_700_000_000
 
-#: smoke gates: default-world volume through the same spill machinery
-#: (measured peak 0.31GB; the ceiling leaves ~2.5x for interpreter
-#: noise across hosts)
+#: smoke bounds: default-world volume through the same spill machinery
+#: (the ceiling leaves over 2.5x the 0.31GB peak measured when it was
+#: set, for interpreter noise across hosts)
 SMOKE_MIN_RECORDS = 200_000
 SMOKE_RSS_CEILING = 800_000_000
 
 
-def bench_large(seed: int, smoke: bool) -> dict:
+def traced_run(seed: int, smoke: bool) -> Tracer:
+    """One spill-backed pipeline run plus the sweep, under one tracer."""
     if smoke:
         profiles = large_profiles(vp_scale=1, block_scale=1)
         name = "large-smoke"
@@ -70,67 +74,15 @@ def bench_large(seed: int, smoke: bool) -> dict:
     world = generate_world(
         GeneratorConfig(profiles=profiles), seed=seed, name=name
     )
-
-    stream_records = None
-    if not smoke:
-        # the tier definition is "at least --min-records deduplicated
-        # RIB records"; count the stream itself (lazily — this is the
-        # exact iterator the pipeline consumes, so it never costs RAM)
-        from repro.topology.generator import iter_world_records
-
-        t0 = time.perf_counter()
-        stream_records = sum(
-            1 for _ in iter_world_records(world=world, seed=seed)
-        )
-        print(
-            f"[large:full] stream: {stream_records} records in "
-            f"{time.perf_counter() - t0:.1f}s",
-            flush=True,
-        )
-
     tracer = Tracer()
-    t0 = time.perf_counter()
     result = run_pipeline(
         world, PipelineConfig(seed=seed, store_backend="mmap"), tracer=tracer
     )
-    pipeline_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     rankings = result.rank_all(SWEEP_METRICS, SWEEP_COUNTRIES)
-    sweep_s = time.perf_counter() - t0
+    result.close()
     if not rankings:
         raise AssertionError("large-tier sweep produced no rankings")
-
-    report = result.paths.report
-    peak = peak_rss_bytes() or 0
-    entry = {
-        "mode": "smoke" if smoke else "full",
-        "seed": seed,
-        "store_backend": "mmap",
-        #: deduplicated RIB records in the world's stream (full mode
-        #: only — the number the tier's >= 5M definition is about)
-        "stream_records": stream_records,
-        #: Table-1 announcement units in/out of sanitization
-        "world_records": report.total,
-        "accepted_records": report.accepted,
-        "rankings": len(rankings),
-        "pipeline_s": round(pipeline_s, 2),
-        "sweep_s": round(sweep_s, 2),
-        "peak_rss_bytes": peak,
-        "per_stage_peak_rss_bytes": dict(sorted(tracer.rss_peaks.items())),
-    }
-    result.close()
-    return entry
-
-
-def merge_report(path: Path, entry: dict) -> None:
-    """Fold the large-tier entry into the shared benchmark report."""
-    report: dict = {}
-    if path.exists():
-        report = json.loads(path.read_text())
-    report.setdefault("schema", "bench_pipeline/4")
-    report["large_tier"] = entry
-    path.write_text(json.dumps(report, indent=2) + "\n")
+    return tracer
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,63 +91,37 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--smoke", action="store_true",
         help="unscaled profiles through the same spill path, with "
-             "proportionally reduced gates (the make-test mode)",
-    )
-    parser.add_argument(
-        "--min-records", type=int, default=None,
-        help="fail when the ingested record stream is smaller than this "
-             f"(default {FULL_MIN_RECORDS} full, {SMOKE_MIN_RECORDS} smoke)",
-    )
-    parser.add_argument(
-        "--rss-ceiling", type=int, default=None,
-        help="fail when process peak RSS exceeds this many bytes "
-             f"(default {FULL_RSS_CEILING} full, {SMOKE_RSS_CEILING} smoke)",
-    )
-    parser.add_argument(
-        "--output", default=str(REPO_ROOT / "BENCH_pipeline.json")
+             "reduced bounds (the make-test mode)",
     )
     args = parser.parse_args(argv)
-
-    min_records = args.min_records if args.min_records is not None else (
-        SMOKE_MIN_RECORDS if args.smoke else FULL_MIN_RECORDS
-    )
-    rss_ceiling = args.rss_ceiling if args.rss_ceiling is not None else (
-        SMOKE_RSS_CEILING if args.smoke else FULL_RSS_CEILING
-    )
-
     mode = "smoke" if args.smoke else "full"
+    min_records = SMOKE_MIN_RECORDS if args.smoke else FULL_MIN_RECORDS
+    rss_ceiling = SMOKE_RSS_CEILING if args.smoke else FULL_RSS_CEILING
+
     print(f"[large:{mode}] running …", flush=True)
-    entry = bench_large(args.seed, args.smoke)
+    tracer = traced_run(args.seed, args.smoke)
+    [ribs] = tracer.find("ribs")
+    [pipeline] = tracer.find("pipeline")
+    [sweep] = tracer.find("sweep")
+    records = ribs.attrs["records"]
+    peak = tracer.metrics.gauges()["obs.memory.peak_rss_bytes"]
+    print(stage_report(tracer, title=f"large:{mode} stage report"))
 
     failures: list[str] = []
-    measured_records = (
-        entry["stream_records"] if entry["stream_records"] is not None
-        else entry["world_records"]
-    )
-    if measured_records < min_records:
+    if records < min_records:
         failures.append(
-            f"record stream {measured_records} is below the "
+            f"ribs span carries {records} records, below the "
             f"{min_records} floor"
         )
-    if entry["peak_rss_bytes"] > rss_ceiling:
+    if peak > rss_ceiling:
         failures.append(
-            f"peak RSS {entry['peak_rss_bytes']} exceeds the "
-            f"{rss_ceiling} ceiling"
+            f"peak RSS {peak:.0f} exceeds the {rss_ceiling} ceiling"
         )
-    entry["gates"] = {
-        "min_records": min_records,
-        "rss_ceiling_bytes": rss_ceiling,
-        "status": "failed" if failures else "passed",
-    }
-    merge_report(Path(args.output), entry)
-
     print(
-        f"[large:{mode}] {measured_records} records  "
-        f"pipeline {entry['pipeline_s']:.1f}s  sweep {entry['sweep_s']:.1f}s  "
-        f"peak RSS {entry['peak_rss_bytes'] / 1e9:.2f}GB "
-        f"(ceiling {rss_ceiling / 1e9:.2f}GB)  "
-        f"{entry['rankings']} rankings  gate "
-        f"{entry['gates']['status']}",
+        f"[large:{mode}] {records} records  "
+        f"pipeline {pipeline.dur_s:.1f}s  sweep {sweep.dur_s:.1f}s  "
+        f"peak RSS {peak / 1e9:.2f}GB (ceiling {rss_ceiling / 1e9:.2f}GB)  "
+        f"gate {'failed' if failures else 'passed'}",
         flush=True,
     )
     for failure in failures:

@@ -13,7 +13,8 @@ stdlib HTTP client in two phases:
   metric math.
 
 Client-side p50/p99 latency, throughput, and the store hit rate land
-in ``BENCH_serve.json`` (override with ``--output``). The gate:
+in ``benchmarks/output/BENCH_serve.json``, an untracked record
+(override with ``--output``). The gate:
 ``--warm-floor R`` fails (exit 1) when cold-mean / warm-p50 falls
 below R — the "a warm hit must be at least R× faster than a cold
 compute" contract. The cold side is the *mean*, not the p50: the
@@ -112,7 +113,10 @@ def main(argv: list[str] | None = None) -> int:
         help="fail (exit 1) when cold-p50/warm-p50 is below this "
              "ratio (0 disables)",
     )
-    parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_serve.json"))
+    parser.add_argument(
+        "--output",
+        default=str(REPO_ROOT / "benchmarks" / "output" / "BENCH_serve.json"),
+    )
     args = parser.parse_args(argv)
 
     world = build_world(args.world, args.seed)
@@ -190,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         "gate": gate,
     }
     out = Path(args.output)
+    out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(report, indent=2) + "\n")
 
     print(

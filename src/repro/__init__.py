@@ -38,11 +38,7 @@ from repro.core.ndcg import dcg, ndcg
 from repro.obs import Tracer, stage_report, to_jsonl, to_prometheus
 from repro.perf import PathIndex, ViewComputation
 from repro.resilience import Checkpoint, FaultPlan, Quarantine
-from repro.topology.generator import (
-    GeneratorConfig,
-    generate_world,
-    iter_world_records,
-)
+from repro.topology.generator import GeneratorConfig, generate_world
 from repro.topology.profiles import (
     default_profiles,
     large_profiles,
@@ -76,7 +72,6 @@ __all__ = [
     "default_profiles",
     "generate_world",
     "get_spec",
-    "iter_world_records",
     "large_profiles",
     "metric_names",
     "ndcg",

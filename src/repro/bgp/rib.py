@@ -94,31 +94,46 @@ def _stable_uniform(seed: int, kind: str, key: str) -> float:
 _DRAW_ROWS = 128
 
 
-def _crc32_terms(
-    heads: Sequence[bytes], tails: Sequence[bytes]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The terms ``zlib.crc32(head + tail)`` is the XOR of: per head
-    and distinct tail length ``n``, ``crc32(bytes(n), crc32(head)) ^
-    crc32(bytes(n))``; per tail, the code of its length among the
-    distinct ones, and ``crc32(tail)``."""
+@dataclass(frozen=True, slots=True)
+class CrcTails:
+    """The terms ``zlib.crc32(head + tail)`` takes from a list of tails,
+    for any head: the zero blocks ``bytes(n)`` per distinct tail length
+    ``n`` and their ``crc32``, per tail the code of its length among
+    the distinct ones, and ``crc32(tail)``. Built once
+    (:func:`crc32_tails`), they serve every grid over the same tails."""
+
+    zeros: list[bytes]
+    blank: list[int]
+    size_code: np.ndarray
+    crc: np.ndarray
+
+    def shifted(self, heads: Sequence[bytes]) -> np.ndarray:
+        """Per head and distinct tail length ``n``, ``crc32(bytes(n),
+        crc32(head)) ^ crc32(bytes(n))`` — the only per-head work."""
+        return np.asarray(
+            [
+                [zlib.crc32(zero, start) ^ base
+                 for zero, base in zip(self.zeros, self.blank)]
+                for start in map(zlib.crc32, heads)
+            ],
+            dtype=np.uint32,
+        ).reshape(len(heads), len(self.zeros))
+
+
+def crc32_tails(tails: Sequence[bytes]) -> CrcTails:
+    """The :class:`CrcTails` of ``tails``."""
     sizes = np.fromiter(map(len, tails), dtype=np.int64, count=len(tails))
     distinct, size_code = np.unique(sizes, return_inverse=True)
     zeros = [bytes(size) for size in distinct.tolist()]
-    blank = [zlib.crc32(zero) for zero in zeros]
-    shifted = np.asarray(
-        [
-            [zlib.crc32(zero, start) ^ base for zero, base in zip(zeros, blank)]
-            for start in map(zlib.crc32, heads)
-        ],
-        dtype=np.uint32,
-    ).reshape(len(heads), len(zeros))
-    tail_crc = np.fromiter(
-        map(zlib.crc32, tails), dtype=np.uint32, count=len(tails)
+    return CrcTails(
+        zeros, [zlib.crc32(zero) for zero in zeros], size_code,
+        np.fromiter(map(zlib.crc32, tails), dtype=np.uint32, count=len(tails)),
     )
-    return shifted, size_code, tail_crc
 
 
-def crc32_grid(heads: Sequence[bytes], tails: Sequence[bytes]) -> np.ndarray:
+def crc32_grid(
+    heads: Sequence[bytes], tails: "Sequence[bytes] | CrcTails"
+) -> np.ndarray:
     """``zlib.crc32(head + tail)`` for every (head, tail) pair, as a
     ``uint32`` (heads × tails) matrix.
 
@@ -126,23 +141,24 @@ def crc32_grid(heads: Sequence[bytes], tails: Sequence[bytes]) -> np.ndarray:
     bytes, ``crc32(h + t) == crc32(bytes(n), crc32(h)) ^
     crc32(bytes(n)) ^ crc32(t)``. So the grid takes one ``zlib.crc32``
     per head, one per tail and one per (head, distinct tail length),
-    then one XOR broadcast — bit-identical to the per-cell calls.
+    then one XOR broadcast — bit-identical to the per-cell calls. Pass
+    the tails' :class:`CrcTails` to reuse their terms across grids.
     """
-    shifted, size_code, tail_crc = _crc32_terms(heads, tails)
-    return shifted[:, size_code] ^ tail_crc
+    terms = tails if isinstance(tails, CrcTails) else crc32_tails(tails)
+    return terms.shifted(heads)[:, terms.size_code] ^ terms.crc
 
 
 def crc32_cells(
     heads: Sequence[bytes],
-    tails: Sequence[bytes],
+    tails: "Sequence[bytes] | CrcTails",
     rows: np.ndarray,
     cols: np.ndarray,
 ) -> np.ndarray:
     """``zlib.crc32(heads[r] + tails[c])`` for each ``(r, c)`` of
     ``zip(rows, cols)``, as ``uint32`` — the cells of
     :func:`crc32_grid` gathered without building the grid."""
-    shifted, size_code, tail_crc = _crc32_terms(heads, tails)
-    return shifted[rows, size_code[cols]] ^ tail_crc[cols]
+    terms = tails if isinstance(tails, CrcTails) else crc32_tails(tails)
+    return terms.shifted(heads)[rows, terms.size_code[cols]] ^ terms.crc[cols]
 
 
 class RibSeries:
@@ -169,6 +185,11 @@ class RibSeries:
         self._prefix_strs: list[str] = [
             str(prefix) for prefix, _ in self.prefix_table
         ]
+        #: the CRC-32 terms of the prefix strings, the tail of every
+        #: per-(VP, prefix) draw key, built once for all three grids
+        self._prefix_tails = crc32_tails(
+            [text.encode() for text in self._prefix_strs]
+        )
         #: the grid's columns: the origins announcing a prefix
         #: (ascending), and per prefix index its origin's code (position
         #: there) and its address family
@@ -307,13 +328,12 @@ class RibSeries:
         at a time: ``(first, draws)`` where ``draws[i, p]`` equals
         ``_stable_uniform(seed, kind, f"{vp.ip}|{prefix}")`` for VP
         ``first + i`` and prefix index ``p``."""
-        tails = [text.encode() for text in self._prefix_strs]
         for first in range(0, len(self.vps), _DRAW_ROWS):
             heads = [
                 f"{self._seed}:{kind}:{vp.ip}|".encode()
                 for vp in self.vps[first:first + _DRAW_ROWS]
             ]
-            yield first, crc32_grid(heads, tails) / 4294967296.0
+            yield first, crc32_grid(heads, self._prefix_tails) / 4294967296.0
 
     def _sample_visibility(self) -> np.ndarray:
         """The (vp_index, prefix_index) cells the VP does not carry, as
@@ -396,7 +416,7 @@ class RibSeries:
         clique = graph.clique()
         seeds = crc32_cells(
             [f"{self._seed}:anom-rng:{vp.ip}|".encode() for vp in self.vps],
-            [text.encode() for text in self._prefix_strs],
+            self._prefix_tails,
             *np.divmod(rolled, len(self.prefix_table)),
         )
         planted, planted_paths, summary = plant_anomalies(

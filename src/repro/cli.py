@@ -148,8 +148,10 @@ def run_traced(
 ) -> tuple[PipelineResult, Tracer]:
     """Run the full pipeline under a tracer, then compute one ranking
     per metric family (cone, hegemony, AHC, CTI) so the trace covers
-    every Figure-6 stage. Shared by ``repro-rank trace`` and the
-    benchmark harness (which persists the trace as the perf baseline).
+    every Figure-6 stage. Shared by ``repro-rank trace``, the
+    observability tests and the paper benchmarks' session fixture
+    (which writes the trace to the untracked
+    ``benchmarks/output/pipeline_trace.json``).
     """
     if world is None:
         world = build_world(world_kind, seed)

@@ -272,39 +272,6 @@ def load_rib(
         divert("missing-trailer", f"{count} entries read")
 
 
-def load_rib_windows(
-    path: str | Path,
-    window: int = 50_000,
-    strict: bool = True,
-    quarantine: Quarantine | None = None,
-    faults: "FaultPlan | None" = None,
-    tracer: "AnyTracer" = NULL_TRACER,
-) -> Iterator[list[Announcement]]:
-    """:func:`load_rib`, delivered as bounded-size batches.
-
-    Yields lists of at most ``window`` announcements in file order —
-    the chunked-ingestion shape the out-of-core spill path
-    (:func:`repro.perf.spill.store_from_dumps`) feeds into incremental
-    :class:`~repro.perf.pathstore.PathStore` construction, so no stage
-    ever holds a dump-sized announcement list. Error handling,
-    quarantine diversion, and the ``io.quarantine.*`` counters are
-    exactly :func:`load_rib`'s (the stream is shared underneath).
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    batch: list[Announcement] = []
-    for announcement in load_rib(
-        path, strict=strict, quarantine=quarantine, faults=faults,
-        tracer=tracer,
-    ):
-        batch.append(announcement)
-        if len(batch) >= window:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
 def dump_series(series, directory: str | Path, stem: str = "rib") -> list[Path]:
     """Write every day of a :class:`~repro.bgp.rib.RibSeries` to a
     directory (``rib.day0.jsonl.gz`` …), one lazily-streamed day at a

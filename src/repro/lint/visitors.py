@@ -272,18 +272,13 @@ _CLOCK_FNS = frozenset((
 _DATETIME_CLASS_FNS = frozenset(("now", "utcnow", "today", "fromtimestamp"))
 
 
-#: Modules allowed to read clocks: the observability layer itself, and
-#: the watch benchmark helper (`repro.monitor.bench`), whose whole job
-#: is timing watch runs — its readings route into the tracer's
-#: registry, and the monitor *engine* stays clock-free (the event
-#: stream's byte-identity depends on it, so it is deliberately NOT
-#: exempt).
-_CLOCK_ALLOWED = ("repro.obs", "repro.monitor.bench")
+#: Modules allowed to read clocks: the observability layer alone; every
+#: timing elsewhere is a span of its tracer.
+_CLOCK_ALLOWED = ("repro.obs",)
 
 
 class WallClockChecker(BaseChecker):
-    """R002 — only ``repro.obs`` (and the watch benchmark helper
-    ``repro.monitor.bench``) may read clocks.
+    """R002 — only ``repro.obs`` may read clocks.
 
     Pipeline stages must not branch on, store, or emit wall-clock time:
     metric values are deterministic for a fixed seed, and only span

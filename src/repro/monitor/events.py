@@ -26,9 +26,9 @@ reproduce it exactly. Floats are rounded
 to 6 places before serialization so the bytes never depend on
 intermediate summation noise in renderers.
 
-:func:`validate_watch_events` is the schema check ``make watch-smoke``
-and the monitor tests run over emitted streams (the watch counterpart
-of :func:`repro.obs.export.validate_events`).
+:func:`validate_watch_events` is the schema check the monitor and CLI
+tests run over emitted streams (the watch counterpart of
+:func:`repro.obs.export.validate_events`).
 """
 
 from __future__ import annotations

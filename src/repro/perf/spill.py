@@ -81,7 +81,6 @@ from repro.perf.pathstore import COLUMNS, ColumnBuilder, PathStore
 if TYPE_CHECKING:
     from repro.geo.prefix_geo import PrefixGeolocation
     from repro.geo.vp_geo import VPGeolocator
-    from repro.resilience.quarantine import Quarantine
 
 FORMAT_NAME = "repro-spill"
 FORMAT_VERSION = 1
@@ -569,56 +568,4 @@ def sanitize_to_store(
         clique=clique, is_allocated=is_allocated,
         route_servers=route_servers, vp_geo=vp_geo, prefix_geo=prefix_geo,
         directory=directory, tracer=tracer,
-    )
-
-
-def store_from_dumps(
-    dump_paths: Iterable[str | Path],
-    *,
-    clique: frozenset[int],
-    is_allocated: Callable[[int], bool],
-    route_servers: frozenset[int],
-    vp_geo: "VPGeolocator",
-    prefix_geo: "PrefixGeolocation",
-    directory: str | Path,
-    window: int = 50_000,
-    strict: bool = False,
-    quarantine: "Quarantine | None" = None,
-    tracer: AnyTracer = NULL_TRACER,
-    flush_every: int = FLUSH_EVERY,
-) -> PathSet:
-    """Windowed MRT ingestion into a spill store.
-
-    Streams each dump through
-    :func:`repro.io.mrt.load_rib_windows` (bounded batches; lenient
-    lines land in ``quarantine`` and the ``io.quarantine.*`` counters)
-    and sanitizes straight into ``directory`` — no materialized
-    announcement list or :class:`PathSet` at any point. Each dump is
-    treated as a self-contained single-day RIB (``days_present =
-    total_days = 1``), so the multi-day "unstable" filter does not
-    apply to file ingestion; day merging stays upstream in
-    :class:`~repro.bgp.rib.RibSeries`.
-    """
-    from repro.io.mrt import load_rib_windows
-
-    def stream() -> Iterator[RibRecord]:
-        for path in dump_paths:
-            for batch in load_rib_windows(
-                path, window=window, strict=strict,
-                quarantine=quarantine, tracer=tracer,
-            ):
-                for announcement in batch:
-                    yield RibRecord(
-                        vp=announcement.vp,
-                        prefix=announcement.prefix,
-                        path=announcement.path,
-                        days_present=1,
-                        total_days=1,
-                    )
-
-    return sanitize_to_store(
-        stream(),
-        clique=clique, is_allocated=is_allocated,
-        route_servers=route_servers, vp_geo=vp_geo, prefix_geo=prefix_geo,
-        directory=directory, tracer=tracer, flush_every=flush_every,
     )

@@ -9,22 +9,15 @@ generated worlds take the seed through
 :func:`repro.topology.generator.generate_world`.
 
 The ``large`` tier is the out-of-core world: its topology is cheap
-(default-world AS counts), but its record stream — five-million-plus
-RIB records at the default scale factors — is only meant to be
-consumed through :func:`stream_world_records`, never materialized.
-Pair it with the pipeline's ``store_backend="mmap"`` spill path to
-keep peak RSS bounded.
+(default-world AS counts), but its RIB series — five-million-plus
+records at the default scale factors — is only meant to be ingested
+by ``run_pipeline(..., store_backend="mmap")``, which sanitizes it
+window by window into spill files, so peak RSS stays bounded.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
-
-from repro.topology.generator import (
-    GeneratorConfig,
-    generate_world,
-    iter_world_records,
-)
+from repro.topology.generator import GeneratorConfig, generate_world
 from repro.topology.paper_world import (
     SNAPSHOT_2021,
     SNAPSHOT_2023,
@@ -32,9 +25,6 @@ from repro.topology.paper_world import (
 )
 from repro.topology.profiles import large_profiles, small_profiles
 from repro.topology.world import World
-
-if TYPE_CHECKING:
-    from repro.bgp.announcement import RibRecord
 
 WORLD_CHOICES = ("small", "default", "paper2021", "paper2023", "large")
 
@@ -60,32 +50,11 @@ def build_world(kind: str, seed: int) -> World:
 
     For ``large`` this builds only the *topology* (graph, collectors,
     prefix originations) — still laptop-sized; the record volume
-    appears downstream, which is why the large tier should be consumed
-    via :func:`stream_world_records` plus the spill-backed store.
+    appears downstream, which is why the large tier should run through
+    the spill-backed store (``store_backend="mmap"``).
     """
     if kind == "paper2021":
         return build_paper_world(SNAPSHOT_2021)
     if kind == "paper2023":
         return build_paper_world(SNAPSHOT_2023)
     return generate_world(world_config(kind), seed=seed, name=kind)
-
-
-def stream_world_records(
-    kind: str, seed: int, *, world: World | None = None, **kwargs: object
-) -> "Iterator[RibRecord]":
-    """Stream a named generated world's RIB records lazily.
-
-    Thin catalog front-end to
-    :func:`repro.topology.generator.iter_world_records`: same record
-    stream, byte-for-byte, as materializing the world and running
-    propagation + RIB generation by hand, but no stage ever holds the
-    record list. This is the only supported way to consume the
-    ``large`` tier. Extra keyword arguments (``rib``, ``tiebreak``,
-    ``path_diversity``, ``tracer``) pass through.
-    """
-    config = world_config(kind)
-    if config is None:
-        raise ValueError(f"world {kind!r} is hand-curated, not streamable")
-    if world is None:
-        world = generate_world(config, seed=seed, name=kind)
-    return iter_world_records(world=world, seed=seed, **kwargs)  # type: ignore[arg-type]

@@ -616,61 +616,3 @@ class _Builder:
         count = min(max(2, len(collector.vps) + 3), len(foreign))
         for asn in rng.sample(foreign, k=count):
             collector.add_vp(self._vp_ip(asn), asn)
-
-
-def iter_world_records(
-    config: GeneratorConfig | None = None,
-    seed: int = 0,
-    countries: CountryRegistry | None = None,
-    name: str = "generated",
-    *,
-    world: World | None = None,
-    rib: "object | None" = None,
-    tiebreak: str = "hash",
-    path_diversity: int = 1,
-    tracer=None,
-) -> "object":
-    """Stream a generated world's deduplicated RIB records lazily.
-
-    This is the streaming record protocol of the out-of-core engine:
-    generate (or accept) a world, propagate routes toward its VP ASes,
-    build the daily RIB series, and yield its
-    :class:`~repro.bgp.announcement.RibRecord` stream — without ever
-    materializing the record list. The stream is seed-deterministic and
-    record-for-record identical to running the same stages by hand and
-    iterating :meth:`~repro.bgp.rib.RibSeries.records` (the tests in
-    ``tests/topology/test_streaming.py`` pin this), so the catalog's
-    ``large`` tier can be consumed at bounded memory.
-
-    Propagation holds routes for ``VP ASes × origin ASes`` — medium
-    scale even when ``VPs × prefixes`` (the record volume) is in the
-    millions; that asymmetry is what makes streaming sufficient.
-
-    ``world`` short-circuits generation (the ``config`` / ``seed`` /
-    ``countries`` / ``name`` arguments are then ignored for world
-    construction, but ``seed`` still seeds the RIB noise, matching
-    :class:`repro.core.pipeline.Pipeline`).
-    """
-    from repro.bgp.propagation import propagate_all
-    from repro.bgp.rib import RibGenerationConfig, generate_rib_days
-    from repro.obs.trace import NULL_TRACER
-
-    if tracer is None:
-        tracer = NULL_TRACER
-    if world is None:
-        world = generate_world(config, seed=seed, countries=countries, name=name)
-    outcomes = [
-        propagate_all(
-            world.graph, keep=world.vp_asns(), tiebreak=tiebreak,
-            salt=salt, tracer=tracer,
-        )
-        for salt in range(path_diversity)
-    ]
-    series = generate_rib_days(
-        world,
-        outcomes,
-        rib if rib is not None else RibGenerationConfig(),
-        seed,
-        tracer=tracer,
-    )
-    yield from series.records()

@@ -158,38 +158,6 @@ class TestCorruptInputWrapped:
         assert f"{path}:1" in str(excinfo.value)
 
 
-class TestWindowedLoading:
-    def test_batches_cover_the_stream_in_order(self, tmp_path):
-        from repro.io.mrt import load_rib_windows
-
-        announcements = sample_announcements(17)
-        path = dump_rib(announcements, tmp_path / "rib.jsonl.gz")
-        batches = list(load_rib_windows(path, window=5))
-        assert [len(batch) for batch in batches] == [5, 5, 5, 2]
-        flattened = [a for batch in batches for a in batch]
-        assert flattened == announcements
-
-    def test_single_batch_when_window_exceeds_stream(self, tmp_path):
-        from repro.io.mrt import load_rib_windows
-
-        announcements = sample_announcements(3)
-        path = dump_rib(announcements, tmp_path / "rib.jsonl.gz")
-        assert list(load_rib_windows(path, window=100)) == [announcements]
-
-    def test_empty_dump_yields_no_batches(self, tmp_path):
-        from repro.io.mrt import load_rib_windows
-
-        path = dump_rib([], tmp_path / "empty.jsonl.gz")
-        assert list(load_rib_windows(path, window=4)) == []
-
-    def test_window_must_be_positive(self, tmp_path):
-        from repro.io.mrt import load_rib_windows
-
-        path = dump_rib(sample_announcements(), tmp_path / "rib.jsonl.gz")
-        with pytest.raises(ValueError):
-            list(load_rib_windows(path, window=0))
-
-
 class TestQuarantineCounters:
     def _broken_dump(self, tmp_path):
         """A lenient-mode dump with one bad JSON line and one bad entry."""

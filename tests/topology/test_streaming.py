@@ -1,74 +1,16 @@
-"""The streaming record protocol must be invisible: a world's lazily
-streamed RIB record stream is record-for-record identical to running
-generation → propagation → RIB materialization by hand, and the
-catalog's ``large`` tier scales record volume without scaling the AS
-topology."""
-
-from itertools import islice
+"""The catalog's named worlds, and the ``large`` tier's profiles: the
+tier scales record volume (VPs and address blocks) without scaling the
+AS topology."""
 
 import pytest
 
-from repro.bgp.propagation import propagate_all
-from repro.bgp.rib import RibGenerationConfig, generate_rib_days
-from repro.topology.catalog import (
-    WORLD_CHOICES,
-    build_world,
-    stream_world_records,
-    world_config,
-)
-from repro.topology.generator import GeneratorConfig, generate_world, iter_world_records
-from repro.topology.profiles import default_profiles, large_profiles, small_profiles
-
-SMALL = GeneratorConfig(
-    profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP")
-)
-
-
-class TestIterWorldRecords:
-    def test_identical_to_materialized_path(self):
-        world = generate_world(SMALL, seed=3, name="small")
-        outcomes = [
-            propagate_all(
-                world.graph, keep=world.vp_asns(), tiebreak="hash", salt=0
-            )
-        ]
-        series = generate_rib_days(world, outcomes, RibGenerationConfig(), 3)
-        materialized = list(series.records())
-        assert list(iter_world_records(SMALL, seed=3)) == materialized
-        assert list(iter_world_records(world=world, seed=3)) == materialized
-
-    def test_is_lazy(self):
-        stream = iter_world_records(SMALL, seed=1)
-        first = list(islice(stream, 10))
-        assert len(first) == 10
-        assert first == list(iter_world_records(SMALL, seed=1))[:10]
-
-    def test_deterministic_across_calls(self):
-        assert (
-            list(iter_world_records(SMALL, seed=5))
-            == list(iter_world_records(SMALL, seed=5))
-        )
-
-    def test_seed_changes_stream(self):
-        assert (
-            list(iter_world_records(SMALL, seed=1))
-            != list(iter_world_records(SMALL, seed=2))
-        )
+from repro.topology.catalog import WORLD_CHOICES, build_world, world_config
+from repro.topology.profiles import default_profiles, large_profiles
 
 
 class TestCatalogStreaming:
     def test_large_is_a_world_choice(self):
         assert "large" in WORLD_CHOICES
-
-    def test_stream_matches_iter(self):
-        streamed = list(stream_world_records("small", 2))
-        config = world_config("small")
-        direct = list(iter_world_records(config, seed=2, name="small"))
-        assert streamed == direct
-
-    def test_paper_worlds_not_streamable(self):
-        with pytest.raises(ValueError):
-            stream_world_records("paper2023", 0)
 
     def test_unknown_world_rejected(self):
         with pytest.raises(ValueError):
