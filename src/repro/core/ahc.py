@@ -21,10 +21,13 @@ from __future__ import annotations
 
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.hegemony import hegemony_scores, validate_trim
-from repro.core.ranking import Ranking
+from repro.core.ranking import Ranking, ScoreColumns, no_scores
 from repro.core.sanitize import PathRecord
 from repro.core.views import View
+from repro.net.aspath import dense_codes
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
 AHC_WEIGHTINGS = ("as_count", "addresses")
@@ -65,9 +68,8 @@ def _weighted_origin_average(
     weights: Mapping[int, float],
     hegemony_of: Callable[[int], Mapping[int, float]],
 ) -> dict[int, float]:
-    """The AHC step 2 shared by the reference and the ranking: a
-    weighted average of per-origin hegemony tables, accumulated in
-    sorted-origin order (so both produce bit-identical floats)."""
+    """The reference's AHC step 2: a weighted average of per-origin
+    hegemony tables, accumulated in sorted-origin order."""
     totals: dict[int, float] = {}
     weight_sum = 0.0
     contributing = 0
@@ -84,6 +86,41 @@ def _weighted_origin_average(
         # nothing to average (weight_sum is untouched — never compared)
         return {}
     return {asn: value / weight_sum for asn, value in totals.items()}
+
+
+def _column_average(
+    origins: Sequence[int],
+    weights: Mapping[int, float],
+    table_of: Callable[[int], ScoreColumns],
+) -> ScoreColumns:
+    """AHC step 2 over column tables, bit-identical to
+    :func:`_weighted_origin_average`.
+
+    The contributing origins' columns are concatenated in
+    ascending-origin order, each value times its origin's weight, and
+    one ``np.bincount`` adds every AS's terms one at a time from 0.0 in
+    that order — the reference's ``totals.get(asn, 0.0) + weight *
+    value`` sequence. The weight sum is accumulated origin by origin
+    as a Python float, as there. Every AS in a contributing table keeps
+    its row, 0.0 rows included.
+    """
+    weight_sum = 0.0
+    asns, terms = [], []
+    for origin in origins:
+        weight = weights.get(origin)
+        if weight is None:
+            continue
+        weight_sum += weight
+        table = table_of(origin)
+        asns.append(table.asns)
+        terms.append(weight * table.values)
+    if not asns:
+        return no_scores()
+    distinct, code = dense_codes(np.concatenate(asns))
+    totals = np.bincount(
+        code, weights=np.concatenate(terms), minlength=len(distinct)
+    )
+    return ScoreColumns(distinct, totals / weight_sum)
 
 
 def ahc_scores(
@@ -140,9 +177,10 @@ def ahc_ranking(
     store's origin column, and every repeated (origin, trim) table is a
     ``perf.view.hit``. Values are bit-identical to :func:`ahc_scores`
     over the view's records: the kernel matches
-    :func:`~repro.core.hegemony.hegemony_scores` and the weighting and
-    averaging loops are shared. ``metric`` overrides the ranking label
-    (variants like ``AHC-A`` pass theirs).
+    :func:`~repro.core.hegemony.hegemony_scores`, the weighting loop
+    is shared and :func:`_column_average` adds the reference's terms in
+    its order. ``metric`` overrides the ranking label (variants like
+    ``AHC-A`` pass theirs).
     """
     _check_weighting(weighting)
     validate_trim(trim)
@@ -159,11 +197,10 @@ def ahc_ranking(
         weights = _origin_weights(
             origins, weighting, tables, footprints.__getitem__
         )
-        scores = _weighted_origin_average(origins, weights, tables.__getitem__)
-        span.set(output=len(scores))
+        asns, scores = _column_average(origins, weights, tables.__getitem__)
+        span.set(output=len(asns))
         tracer.metrics.histogram("ahc.origins").observe(len(origins))
-        shares: Mapping[int, float] = scores
-        return Ranking.from_scores(
+        return Ranking.from_columns(
             metric if metric is not None else f"AHC:{country}",
-            scores, shares, country,
+            asns, scores, scores, country,
         )

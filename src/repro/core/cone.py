@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.ranking import Ranking
 from repro.core.sanitize import PathRecord, RelationshipOracle
 from repro.core.views import View
@@ -58,9 +60,10 @@ def cones_from_suffixes(
     Walks each suffix origin-first, accumulating the downstream set
     once per suffix instead of allocating a ``suffix[position + 1:]``
     tuple per position. A repeated suffix contributes nothing new (the
-    updates are idempotent), so callers holding interned suffixes may
-    pass each *distinct* suffix once — the columnar kernel
-    (:func:`repro.perf.cone.view_cones`) does exactly that.
+    updates are idempotent), so each *distinct* suffix may be passed
+    once. The columnar kernel (:func:`repro.perf.cone.cone_pairs`)
+    builds the same cones as the distinct (AS, downstream AS) pairs of
+    a view's distinct suffixes.
     """
     cones: dict[int, set[int]] = {}
     setdefault = cones.setdefault
@@ -148,7 +151,8 @@ def cone_ranking(
     Cone addresses and the address total come from (and populate) the
     view's :meth:`~repro.core.views.View.computation`, the columnar
     kernel's memoised intermediates — equal to :func:`cone_addresses`
-    and ``View.total_addresses`` over the view's records.
+    and ``View.total_addresses`` over the view's records. Each value
+    is ``float(count)`` and each share ``count / denominator``.
     """
     if metric is None:
         metric = "CC" if view.country is None else f"CC:{view.country}"
@@ -159,14 +163,33 @@ def cone_ranking(
             total_addresses if total_addresses is not None
             else compute.total_addresses()
         )
-        shares = (
-            {asn: count / denominator for asn, count in addresses.items()}
-            if denominator
-            else None
+        values, shares = _cone_scores(addresses.values, denominator)
+        span.set(output=len(values))
+        tracer.metrics.histogram("cone.ases").observe(len(values))
+        return Ranking.from_columns(
+            metric, addresses.asns, values, shares, view.country,
         )
-        span.set(output=len(addresses))
-        tracer.metrics.histogram("cone.ases").observe(len(addresses))
-        return Ranking.from_scores(
-            metric, {asn: float(count) for asn, count in addresses.items()},
-            shares, view.country,
-        )
+
+
+def _cone_scores(
+    counts: np.ndarray, denominator: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per exact address count, ``float(count)`` and its share
+    ``count / denominator`` (no shares when the denominator is 0).
+
+    While the counts are int64 — every count below 2**53 — and the
+    denominator is below 2**53 too, float64 holds each exactly, so
+    numpy's conversion and division are Python's correctly rounded
+    ``float(count)`` and ``count / denominator``. Otherwise Python's
+    own int arithmetic computes them.
+    """
+    if counts.dtype == np.int64 and abs(denominator) < 2**53:
+        values = counts.astype(np.float64)
+        return values, (values / denominator if denominator else None)
+    exact = counts.tolist()
+    values = np.array([float(count) for count in exact], dtype=np.float64)
+    if not denominator:
+        return values, None
+    return values, np.array(
+        [count / denominator for count in exact], dtype=np.float64
+    )

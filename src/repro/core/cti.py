@@ -17,7 +17,7 @@ discounting the origin's own large prefixes (AOLP behaviour).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.core.cone import transit_suffix
 from repro.core.hegemony import trimmed_mean, validate_trim
@@ -81,10 +81,10 @@ def cti_ranking(
     """CTI ranking over a country's international view.
 
     The table comes from the view's
-    :meth:`~repro.core.views.View.computation` — the columnar kernel,
-    memoised per oracle and trim, equal to :func:`cti_scores` over the
-    view's records — and the address total is shared with the cone
-    metrics.
+    :meth:`~repro.core.views.View.computation` — the columnar kernel's
+    columns, memoised per oracle and trim, equal to :func:`cti_scores`
+    over the view's records — and the address total is shared with
+    the cone metrics.
     """
     validate_trim(trim)
     country = view.country
@@ -92,8 +92,7 @@ def cti_ranking(
     with tracer.span(
         "cti", metric=metric, trim=trim, input=len(view),
     ) as span:
-        scores = view.computation(tracer).cti(oracle, trim)
-        span.set(output=len(scores))
-        tracer.metrics.histogram("cti.universe").observe(len(scores))
-        shares: Mapping[int, float] = scores
-        return Ranking.from_scores(metric, scores, shares, country)
+        asns, scores = view.computation(tracer).cti(oracle, trim)
+        span.set(output=len(asns))
+        tracer.metrics.histogram("cti.universe").observe(len(asns))
+        return Ranking.from_columns(metric, asns, scores, scores, country)

@@ -19,7 +19,7 @@ pulls down ASes visible from only a few VPs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.core.ranking import Ranking
 from repro.core.sanitize import PathRecord
@@ -155,9 +155,9 @@ def hegemony_ranking(
     case-study tables report AH percentages.
 
     The table comes from the view's
-    :meth:`~repro.core.views.View.computation` — the columnar kernel,
-    memoised per (trim, weighting), equal to :func:`hegemony_scores`
-    over the view's records.
+    :meth:`~repro.core.views.View.computation` — the columnar kernel's
+    columns, memoised per (trim, weighting), equal to
+    :func:`hegemony_scores` over the view's records.
     """
     validate_trim(trim)
     if metric is None:
@@ -165,8 +165,7 @@ def hegemony_ranking(
     with tracer.span(
         "hegemony", metric=metric, trim=trim, input=len(view),
     ) as span:
-        scores = view.computation(tracer).hegemony(trim, weighting)
-        span.set(output=len(scores))
-        tracer.metrics.histogram("hegemony.universe").observe(len(scores))
-        shares: Mapping[int, float] = scores
-        return Ranking.from_scores(metric, scores, shares, view.country)
+        asns, scores = view.computation(tracer).hegemony(trim, weighting)
+        span.set(output=len(asns))
+        tracer.metrics.histogram("hegemony.universe").observe(len(asns))
+        return Ranking.from_columns(metric, asns, scores, scores, view.country)

@@ -5,14 +5,45 @@ entries. ``value`` is the metric's raw score (addresses in a cone,
 average betweenness, …); ``share`` is the paper's percentage — of a
 country's address space for CC metrics, of observed paths for AH
 metrics — and is what the case-study tables print.
+
+A score table travels from the kernels to its ranking as
+:class:`ScoreColumns`, an ``(asns, values)`` column pair;
+:meth:`Ranking.from_columns` ranks it without a per-AS dict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
+
+
+class ScoreColumns(NamedTuple):
+    """A score table as columns: row ``i`` scores AS ``asns[i]``.
+
+    Every kernel product (hegemony, CTI, AHC's average, the cone
+    closure) takes this form, its rows in ascending ASN order.
+    """
+
+    #: distinct int64 ASNs
+    asns: np.ndarray
+    #: float64 scores; the cone closure holds exact address counts
+    #: instead (int64, or Python ints in an object array)
+    values: np.ndarray
+
+
+def no_scores() -> ScoreColumns:
+    """The empty score table."""
+    return ScoreColumns(np.empty(0, dtype=np.int64), np.empty(0))
+
+
+def _rank_order(asns: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The row order by descending value, ties on ascending ASN: one
+    ``np.lexsort``, exactly as ``sorted`` on the key ``(-value, asn)``
+    would order the rows (``-0.0`` ties ``0.0``; an int value ranks by
+    its float, exact up to 2**53)."""
+    return np.lexsort((asns, -values))
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,11 +72,40 @@ class Ranking:
         self.metric = metric
         self.country = country
         self.entries = entries
-        self._rank_of = {entry.asn: entry.rank for entry in entries}
-        self._value_of = {entry.asn: entry.value for entry in entries}
-        self._share_of = {entry.asn: entry.share for entry in entries}
+        #: ASN → entry, built on the first lookup
+        self._by_asn: dict[int, RankEntry] | None = None
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def from_columns(
+        cls,
+        metric: str,
+        asns: np.ndarray,
+        values: np.ndarray,
+        shares: np.ndarray | None = None,
+        country: str | None = None,
+    ) -> "Ranking":
+        """Rank a column table by descending value; ties break on
+        ascending ASN.
+
+        The entries hold the ordered columns' ``.tolist()`` items —
+        Python ints and floats. ``shares`` is a float64 column aligned
+        with ``asns`` (``None`` leaves every share unknown); passing
+        ``values`` itself shares the value objects.
+        """
+        order = _rank_order(asns, values)
+        ranked = values[order].tolist()
+        if shares is values:
+            share_list = ranked
+        elif shares is None:
+            share_list = [None] * len(ranked)
+        else:
+            share_list = shares[order].tolist()
+        return cls(metric, list(map(
+            RankEntry, range(1, len(ranked) + 1), asns[order].tolist(),
+            ranked, share_list,
+        )), country)
 
     @classmethod
     def from_scores(
@@ -55,19 +115,14 @@ class Ranking:
         shares: Mapping[int, float] | None = None,
         country: str | None = None,
     ) -> "Ranking":
-        """Rank by descending value; ties break on ascending ASN.
-
-        One ``np.lexsort`` orders the table, exactly as ``sorted`` on
-        the key ``(-value, asn)`` would (``-0.0`` ties ``0.0``; an int
-        value ranks by its float, exact up to 2**53); the entries keep
-        the table's own Python values.
-        """
+        """:meth:`from_columns` for a dict table: the same order, and
+        each entry keeps the table's own value object and
+        ``shares.get(asn)``."""
         asns = list(scores)
         values = list(scores.values())
-        order = np.lexsort((
-            np.array(asns, dtype=np.int64),
-            -np.array(values, dtype=np.float64),
-        )).tolist()
+        order = _rank_order(
+            np.array(asns, dtype=np.int64), np.array(values, dtype=np.float64)
+        ).tolist()
         share = shares.get if shares is not None else lambda asn: None
         entries = [
             RankEntry(rank, asns[at], values[at], share(asns[at]))
@@ -85,17 +140,25 @@ class Ranking:
         """Just the ASNs of the top-k."""
         return [entry.asn for entry in self.entries[:k]]
 
+    def _entry(self, asn: int) -> RankEntry | None:
+        if self._by_asn is None:
+            self._by_asn = {entry.asn: entry for entry in self.entries}
+        return self._by_asn.get(asn)
+
     def rank_of(self, asn: int) -> int | None:
         """1-based rank, or ``None`` when the AS is unranked."""
-        return self._rank_of.get(asn)
+        entry = self._entry(asn)
+        return entry.rank if entry is not None else None
 
     def value_of(self, asn: int) -> float:
         """Raw metric value (0.0 when unranked)."""
-        return self._value_of.get(asn, 0.0)
+        entry = self._entry(asn)
+        return entry.value if entry is not None else 0.0
 
     def share_of(self, asn: int) -> float | None:
         """Share (0..1), or ``None`` when unknown/unranked."""
-        return self._share_of.get(asn)
+        entry = self._entry(asn)
+        return entry.share if entry is not None else None
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -10,12 +10,15 @@ Three layers, designed to compose (see DESIGN.md §4):
   totals, CTI and hegemony tables), with hit/miss observability
   counters: the one path every ranking takes.
 * :mod:`repro.perf.cone` — the columnar cone and CTI kernel: interned
-  transit suffixes, CC* closure totals and CTI tables straight from
-  the store's columns, bit-identical to :mod:`repro.core.cone` and
-  :func:`repro.core.cti.cti_scores`.
+  transit suffixes with their cone pairs, CC* closure totals and CTI
+  tables straight from the store's columns, bit-identical to
+  :mod:`repro.core.cone` and :func:`repro.core.cti.cti_scores`.
 * :mod:`repro.perf.hegemony` — the columnar hegemony kernel: AH* and
   AHC tables straight from the store's columns, bit-identical to
   :func:`repro.core.hegemony.hegemony_scores`.
+
+Every kernel hands its score table to the ranking as
+:class:`~repro.core.ranking.ScoreColumns` columns.
 * :mod:`repro.perf.pool` — :class:`WorkerPool`, a pool handle that
   starts no process: the engine runs serially in one process, and the
   handle only keeps callers that still pass ``pool`` working.

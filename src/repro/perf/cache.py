@@ -9,7 +9,10 @@ hegemony tables (AH*, and AHC's per-origin tables). The columnar
 kernels (:mod:`repro.perf.cone`, :mod:`repro.perf.hegemony`) compute
 them from the view's record positions in its
 :class:`~repro.perf.pathstore.PathStore`; this is the one path every
-ranking takes.
+ranking takes. Every product is columns: cones are (holder, member)
+ASN pairs and every score table is a
+:class:`~repro.core.ranking.ScoreColumns` pair, which
+:meth:`~repro.core.ranking.Ranking.from_columns` ranks directly.
 
 Cones, closure and CTI depend on the relationship oracle as well as the
 view, so they are memoised per oracle: one view ranked under ground
@@ -20,9 +23,9 @@ Hit/miss counters go into the first caller's metrics registry
 exactly how much recomputation the cache absorbed.
 
 Determinism: a cache never changes *what* is computed, only how often.
-Every product equals the reference :mod:`repro.core` scorer over the
-view's records (the equivalence tests in ``tests/perf/test_cache.py``,
-``tests/perf/test_cone_kernel.py`` and
+Every product holds the reference :mod:`repro.core` scorer's table over
+the view's records, row for row (the equivalence tests in
+``tests/perf/test_cache.py``, ``tests/perf/test_cone_kernel.py`` and
 ``tests/perf/test_hegemony_kernel.py`` compare them value-for-value,
 and the analytic oracles in ``tests/core`` hold both to hand-derived
 values).
@@ -34,8 +37,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
-from repro.core.cone import cones_from_suffixes
 from repro.core.hegemony import validate_trim
+from repro.core.ranking import ScoreColumns
 from repro.core.sanitize import RelationshipOracle
 from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.perf import cone
@@ -104,27 +107,31 @@ class ViewComputation:
         """The view's distinct destination address total (memoised)."""
         return self._address_profile().total
 
-    def cones(self, oracle: RelationshipOracle) -> dict[int, set[int]]:
-        """AS-level customer cones over the view (memoised per oracle):
-        exactly :func:`repro.core.cone.customer_cones`, accumulated from
-        the view's distinct transit suffixes."""
+    def cone_pairs(
+        self, oracle: RelationshipOracle
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """AS-level customer cones over the view (memoised per oracle)
+        as distinct ``(holder, member)`` ASN pairs
+        (:func:`repro.perf.cone.cone_pairs`): exactly the cones of
+        :func:`repro.core.cone.customer_cones`."""
         view = self.view
         return self._cached(
             ("cones", self._oracle_key(oracle)),
-            lambda: cones_from_suffixes(cone.view_suffixes(
+            lambda: cone.cone_pairs(
                 view.store, view.positions, self.suffixes(oracle)
-            )),
+            ),
         )
 
-    def cone_addresses(self, oracle: RelationshipOracle) -> dict[int, int]:
+    def cone_addresses(self, oracle: RelationshipOracle) -> ScoreColumns:
         """Cone address closure over the view (memoised per oracle):
-        exactly :func:`repro.core.cone.cone_addresses` — per-origin
-        totals summed over each cone, or, when a prefix in the view has
-        two origins, each cone's union of prefix ids."""
+        per AS, exactly :func:`repro.core.cone.cone_addresses`'s count —
+        per-origin totals summed over each cone, or, when a prefix in
+        the view has two origins, over each cone's distinct prefix ids
+        (:func:`repro.perf.cone.closure`)."""
         return self._cached(
             ("closure", self._oracle_key(oracle)),
-            lambda: cone.closure_totals(
-                self.cones(oracle), self._address_profile()
+            lambda: cone.closure(
+                *self.cone_pairs(oracle), self._address_profile()
             ),
         )
 
@@ -171,11 +178,14 @@ class ViewComputation:
         if not groups:
             return {}
         positions = np.sort(np.concatenate(list(groups.values())))
-        return cone.address_profile(self.view.store, positions).per_origin
+        found, totals = cone.address_profile(
+            self.view.store, positions
+        ).per_origin()
+        return dict(zip(found.tolist(), totals.tolist()))
 
     def local_hegemonies(
         self, origins: Iterable[int], trim: float
-    ) -> dict[int, dict[int, float]]:
+    ) -> dict[int, ScoreColumns]:
         """IHR's per-origin network dependency (AHC's step 1): for every
         requested origin with records in the view (the others are
         absent), hegemony over the view's paths toward it — memoised
@@ -201,7 +211,7 @@ class ViewComputation:
             if table is not None
         }
 
-    def cti(self, oracle: RelationshipOracle, trim: float) -> dict[int, float]:
+    def cti(self, oracle: RelationshipOracle, trim: float) -> ScoreColumns:
         """The view's CTI table from the columnar kernel
         (:func:`repro.perf.cone.cti_scores`), memoised per oracle and
         trim; equal to :func:`repro.core.cti.cti_scores` over the view's
@@ -218,7 +228,7 @@ class ViewComputation:
 
     def hegemony(
         self, trim: float, weighting: str = "addresses"
-    ) -> dict[int, float]:
+    ) -> ScoreColumns:
         """The view's hegemony table from the columnar kernel
         (:func:`repro.perf.hegemony.hegemony_tables`, the view as one
         group), memoised per (trim, weighting)."""

@@ -20,27 +20,35 @@ record object is built and no ``ASPath`` is hashed.
   origin first, one :func:`~repro.net.aspath.dense_codes` per depth
   over ``(id of the suffix one hop shorter) * n + code``, so two paths
   share an id exactly when their suffixes are equal tuples, and the
-  ids follow (shorter id, ASN) order as before.
-  :meth:`repro.perf.pathstore.PathStore.transit_suffixes` memoises the
-  table on the store.
+  ids follow (shorter id, ASN) order as before. Each suffix's cone
+  pairs are built with it: every AS on the suffix paired with itself
+  and every AS after it (toward the origin), packed ``holder * n +
+  member``. :meth:`repro.perf.pathstore.PathStore.transit_suffixes`
+  memoises the table on the store.
 
-Why the values cannot differ from the reference:
+Every product is columns — (holder, member) pairs, an
+:class:`AddressProfile`, :class:`~repro.core.ranking.ScoreColumns` —
+never a per-AS dict or set. Why the values cannot differ from the
+reference:
 
-* **Cones.** :func:`repro.core.cone.cones_from_suffixes` is idempotent
-  per suffix, so feeding it each of a view's *distinct* suffixes once
-  (:func:`view_suffixes`) builds exactly ``customer_cones(view.records)``.
-* **Closure addresses.** :func:`address_profile` reads each distinct
-  (origin, prefix) of a view once, through the ``record_prefix``
-  column and the prefix side table, which holds the one count every
-  record of the prefix carries. When every prefix has a single origin
-  in the view, cone members own disjoint prefix sets, so an AS's
-  closure total is the sum of its members' per-origin totals
-  (:func:`closure_totals`). A view in which some prefix has two
-  origins (MOAS) keeps each origin's prefix ids instead, and an AS's
-  total is over the union of its members' ids — the reference
-  :func:`repro.core.cone.cone_addresses`'s prefix-set union. All sums
-  are Python ints — IPv6 counts exceed int64 and float64 would round
-  them.
+* **Cones** (:func:`cone_pairs`). The reference
+  :func:`repro.core.cone.cones_from_suffixes` adds, per suffix, each
+  AS and everything after it to that AS's cone: exactly the suffix's
+  pairs. Its updates are idempotent, so a view's cones are the
+  distinct pairs of its distinct suffix ids, which a presence table
+  over the ids marks.
+* **Closure addresses** (:func:`closure`). :func:`address_profile`
+  reads each distinct (origin, prefix) of a view once, through the
+  ``record_prefix`` column and the prefix side table, which holds the
+  one count every record of the prefix carries. When every prefix has
+  a single origin in the view, cone members own disjoint prefix sets,
+  so an AS's closure total is the sum of its members' per-origin
+  totals. A view in which some prefix has two origins (MOAS) sums
+  over its distinct (holder, prefix id) pairs instead — the reference
+  :func:`repro.core.cone.cone_addresses`'s prefix-set union. Every
+  sum is exact: in int64 while the view's address total is below
+  2**53 (no closure exceeds it), and in Python ints otherwise — IPv6
+  counts exceed int64, and float64 would round them.
 * **CTI** (:func:`cti_scores`). Every record's transit hops expand, in
   record order and suffix order, into ``weight / k`` terms, each the
   same float division the reference performs; one ``np.bincount`` over
@@ -62,7 +70,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from repro.core.hegemony import validate_trim
-from repro.net.aspath import dense_codes
+from repro.core.ranking import ScoreColumns, no_scores
+from repro.net.aspath import dense_codes, runs
 from repro.perf.hegemony import _trimmed
 
 if TYPE_CHECKING:
@@ -88,6 +97,22 @@ class SuffixTable(NamedTuple):
     hop_k: np.ndarray
     #: the sorted distinct transit ASNs
     asns: np.ndarray
+    #: suffix id → its cone pairs as the range ``[pair_offsets,
+    #: pair_offsets + pair_lengths)`` of ``pair_codes``: each AS on the
+    #: suffix with itself and every AS after it, packed ``holder * n +
+    #: member`` over the store's ``n`` AS codes
+    pair_offsets: np.ndarray
+    pair_lengths: np.ndarray
+    pair_codes: np.ndarray
+
+
+def _within(sizes: np.ndarray) -> np.ndarray:
+    """Each item's index inside its run, for consecutive runs of
+    ``sizes`` items."""
+    ends = np.cumsum(sizes)
+    return np.arange(int(ends[-1]) if len(ends) else 0) - np.repeat(
+        ends - sizes, sizes
+    )
 
 
 def _pair_codes(codes: np.ndarray, offsets: np.ndarray, width: int) -> np.ndarray:
@@ -194,15 +219,20 @@ def intern_suffixes(
         for lo, hi in zip(begin.tolist(), (begin + size).tolist())
     ]
     hop_lengths = size - 1
-    hop_ends = np.cumsum(hop_lengths)
-    hop_offsets = hop_ends - hop_lengths
-    within = np.arange(int(hop_lengths.sum())) - np.repeat(
-        hop_offsets, hop_lengths
-    )
+    hop_offsets = np.cumsum(hop_lengths) - hop_lengths
+    within = _within(hop_lengths)
     hop_k = (np.repeat(hop_lengths, hop_lengths) - within).astype(np.float64)
     transit, hop_asn = dense_codes(tokens[np.repeat(begin, hop_lengths) + within])
+    # cone pairs: per suffix AS (a token position), itself and the
+    # ASes after it
+    members = np.repeat(size, size) - _within(size)
+    holder = np.repeat(np.repeat(begin, size) + _within(size), members)
+    member = holder + _within(members)
+    pair_lengths = size * (size + 1) // 2
     return SuffixTable(
         path_suffix, suffixes, hop_offsets, hop_lengths, hop_asn, hop_k, transit,
+        np.cumsum(pair_lengths) - pair_lengths, pair_lengths,
+        codes[holder].astype(np.int64) * width + codes[member],
     )
 
 
@@ -227,95 +257,117 @@ def p2c_edges(
     )
 
 
-def view_suffixes(
+def view_suffix_ids(
     store: "PathStore", positions: np.ndarray, table: SuffixTable
-) -> list[tuple[int, ...]]:
-    """The distinct transit suffixes of the records at ``positions``."""
-    ids = np.unique(table.path_suffix[store.record_path[positions]])
-    return list(map(table.suffixes.__getitem__, ids.tolist()))
+) -> np.ndarray:
+    """The ascending distinct suffix ids of the records at
+    ``positions``, marked in a presence table over the ids."""
+    present = np.zeros(len(table.suffixes), dtype=bool)
+    present[table.path_suffix[store.record_path[positions]]] = True
+    return np.flatnonzero(present)
+
+
+def cone_pairs(
+    store: "PathStore", positions: np.ndarray, table: SuffixTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The customer cones of the records at ``positions`` as their
+    distinct ``(holder, member)`` ASN pairs, ascending by holder, then
+    member: ``customer_cones`` holds ``member`` in ``holder``'s cone
+    exactly for these pairs."""
+    asns = store.asn_codes()[0]
+    ids = view_suffix_ids(store, positions, table)
+    codes, _ = runs(table.pair_codes, table.pair_offsets, table.pair_lengths, ids)
+    holder, member = np.divmod(np.unique(codes), max(len(asns), 1))
+    return asns[holder], asns[member]
 
 
 class AddressProfile(NamedTuple):
     """A view's destination addresses, read from its distinct (origin,
     prefix) pairs."""
 
-    #: per origin AS, the addresses of the distinct prefixes it
-    #: originates in the view
-    per_origin: dict[int, int]
+    #: the distinct (origin AS, prefix id) pairs, ascending, and each
+    #: pair's prefix address count: int64 while :attr:`total` is below
+    #: 2**53, Python ints in an object array otherwise
+    origin: np.ndarray
+    prefix: np.ndarray
+    count: np.ndarray
     #: the address total of the view's distinct prefixes
     total: int
-    #: per origin AS, its prefix ids with their addresses — only when
-    #: some prefix has two origins (MOAS), which makes the per-origin
-    #: totals overlap; ``None`` otherwise
-    moas: dict[int, dict[int, int]] | None
+    #: whether some prefix has two origins in the view (MOAS), so the
+    #: per-origin totals overlap
+    moas: bool
+
+    def per_origin(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct origins, ascending, and per origin the
+        addresses of the distinct prefixes it originates."""
+        starts = np.flatnonzero(np.diff(self.origin, prepend=-1))
+        return self.origin[starts], np.add.reduceat(self.count, starts)
 
 
 def address_profile(store: "PathStore", positions: np.ndarray) -> AddressProfile:
     """The :class:`AddressProfile` of the records at ``positions``
     (ascending): every distinct (origin, prefix) pair counts its
-    prefix's addresses once, every distinct prefix once in the total."""
+    prefix's addresses once, every distinct prefix once in the total.
+
+    The counts are float64 ``prefix_weight`` values cast back to int64
+    when the float64 sum of the distinct prefixes' weights is below
+    2**53. That test is exact: the weights are non-negative, and a
+    float sum of integers is exact while it stays below 2**53 and cannot
+    fall below 2**53 once the exact sum reaches it; every count of such
+    a view is below 2**53, so its float64 weight is the count itself.
+    """
     origins = store.record_origin[positions]
     fids = store.record_prefix[positions]
     order = np.lexsort((fids, origins))
     origins, fids = origins[order], fids[order]
-    pairs = np.flatnonzero(
-        (np.diff(origins, prepend=-1) != 0) | (np.diff(fids, prepend=-1) != 0)
-    )
-    table = store.prefix_table
-    rows = [
-        (origin, fid, table[fid][2])
-        for origin, fid in zip(origins[pairs].tolist(), fids[pairs].tolist())
-    ]
-    per_origin: dict[int, int] = {}
-    prefixes: dict[int, int] = {}
-    for origin, fid, count in rows:
-        per_origin[origin] = per_origin.get(origin, 0) + count
-        prefixes[fid] = count
-    total = sum(prefixes.values())
-    if len(prefixes) == len(rows):
-        return AddressProfile(per_origin, total, None)
-    moas: dict[int, dict[int, int]] = {}
-    for origin, fid, count in rows:
-        moas.setdefault(origin, {})[fid] = count
-    return AddressProfile(per_origin, total, moas)
+    first = (np.diff(origins, prepend=-1) != 0) | (np.diff(fids, prepend=-1) != 0)
+    origin, prefix = origins[first], fids[first]
+    present = np.zeros(len(store.prefix_table), dtype=bool)
+    present[prefix] = True
+    distinct = np.flatnonzero(present)
+    weight = store.prefix_weight
+    if weight[distinct].sum() < 2**53:
+        count = weight[prefix].astype(np.int64)
+        total = int(weight[distinct].astype(np.int64).sum())
+    else:
+        table = store.prefix_table
+        count = np.empty(len(prefix), dtype=object)
+        count[:] = [table[fid][2] for fid in prefix.tolist()]
+        total = sum(table[fid][2] for fid in distinct.tolist())
+    return AddressProfile(origin, prefix, count, total, len(distinct) < len(prefix))
 
 
-def closure_totals(
-    cones: dict[int, set[int]], profile: AddressProfile
-) -> dict[int, int]:
-    """Per AS in ``cones``, the addresses of the prefixes its members
-    originate: the sum of its members' per-origin totals, or under
-    MOAS the union of their prefix ids (overlapping member prefix sets
-    must not double count).
-
-    Sums over the smaller side: a big cone holds many ASes that
-    originate nothing in the view, so testing the (few) origins
-    against its member set beats probing every member."""
-    if profile.moas is not None:
-        by_origin = profile.moas
-        unions: dict[int, int] = {}
-        for asn, members in cones.items():
-            union: dict[int, int] = {}
-            for member in members:
-                union.update(by_origin.get(member, {}))
-            unions[asn] = sum(union.values())
-        return unions
-    origin_addresses = profile.per_origin
-    get = origin_addresses.get
-    origin_items = list(origin_addresses.items())
-    pivot = len(origin_items)
-    totals: dict[int, int] = {}
-    for asn, members in cones.items():
-        size = len(members)
-        if size == 1:
-            totals[asn] = get(asn, 0)
-        elif size <= pivot:
-            totals[asn] = sum(get(member, 0) for member in members)
-        else:
-            totals[asn] = sum(
-                count for origin, count in origin_items if origin in members
-            )
-    return totals
+def closure(
+    holders: np.ndarray, members: np.ndarray, profile: AddressProfile
+) -> ScoreColumns:
+    """Per cone holder of the :func:`cone_pairs` ``(holders,
+    members)``, the addresses of the distinct prefixes its members
+    originate in the view — :func:`repro.core.cone.cone_addresses` —
+    summed exactly in the profile's count dtype (see the module
+    docstring)."""
+    if not len(holders):
+        return ScoreColumns(holders, profile.count[:0])
+    first = np.diff(holders, prepend=-1) != 0
+    starts = np.flatnonzero(first)
+    if not profile.moas:
+        origins, totals = profile.per_origin()
+        at = np.minimum(np.searchsorted(origins, members), len(origins) - 1)
+        counts = np.where(origins[at] == members, totals[at], 0)
+        return ScoreColumns(holders[starts], np.add.reduceat(counts, starts))
+    # MOAS: every (holder, member) pair expands into the member's
+    # prefix ids; the distinct (holder, prefix id) pairs are summed
+    lo = np.searchsorted(profile.origin, members, "left")
+    spread = np.searchsorted(profile.origin, members, "right") - lo
+    owner = np.repeat(np.cumsum(first) - 1, spread)
+    prefix = profile.prefix[np.repeat(lo, spread) + _within(spread)]
+    width = int(profile.prefix.max()) + 1
+    owner, prefix = np.divmod(np.unique(owner * width + prefix), width)
+    count = np.zeros(width, dtype=profile.count.dtype)
+    count[profile.prefix] = profile.count
+    runs_at = np.flatnonzero(np.diff(owner, prepend=-1))
+    sums = np.zeros(len(starts), dtype=profile.count.dtype)
+    sums[owner[runs_at]] = np.add.reduceat(count[prefix], runs_at)
+    return ScoreColumns(holders[starts], sums)
 
 
 def cti_scores(
@@ -324,12 +376,12 @@ def cti_scores(
     table: SuffixTable,
     total: int,
     trim: float,
-) -> dict[int, float]:
+) -> ScoreColumns:
     """``repro.core.cti.cti_scores`` over the records at ``positions``
-    (ascending), with ``total`` the view's address total."""
+    (ascending), with ``total`` the view's address total, as columns."""
     validate_trim(trim)
     if total <= 0 or len(positions) == 0:
-        return {}
+        return no_scores()
     vps = np.asarray(store.record_vp, dtype=np.int64)[positions]
     vp_count = int(np.count_nonzero(np.bincount(vps)))
     sids = table.path_suffix[store.record_path[positions]]

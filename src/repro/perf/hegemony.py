@@ -3,10 +3,11 @@
 :func:`hegemony_tables` takes groups of record positions in a
 :class:`~repro.perf.pathstore.PathStore` and returns, per group, exactly
 the table :func:`repro.core.hegemony.hegemony_scores` builds from the
-records at those positions — every value bit-identical — without
-materialising a record, a per-VP dict or a per-AS list. A group is one
-view (AHG/AHI/AHN/AHO and the ``-P`` variants) or the records toward
-one origin AS (AHC's per-origin local hegemony).
+records at those positions — every value bit-identical — as a
+:class:`~repro.core.ranking.ScoreColumns` pair (rows in ascending ASN
+order), without materialising a record, a per-VP dict or a per-AS
+dict. A group is one view (AHG/AHI/AHN/AHO and the ``-P`` variants) or
+the records toward one origin AS (AHC's per-origin local hegemony).
 
 Why the values cannot differ from the reference:
 
@@ -54,6 +55,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.core.hegemony import check_weighting, validate_trim
+from repro.core.ranking import ScoreColumns, no_scores
 
 if TYPE_CHECKING:
     from repro.perf.pathstore import PathStore
@@ -78,12 +80,13 @@ def hegemony_tables(
     groups: Sequence[np.ndarray],
     trim: float,
     weighting: str = "addresses",
-) -> list[dict[int, float]]:
+) -> list[ScoreColumns]:
     """One hegemony table per group of ascending store positions.
 
-    Table ``i`` equals ``hegemony_scores([store.records[p] for p in
-    groups[i]], trim, weighting)`` value for value; an out-of-range
-    trim or an unknown weighting raises the reference's ``ValueError``.
+    Table ``i`` holds ``hegemony_scores([store.records[p] for p in
+    groups[i]], trim, weighting)``'s keys in ascending order and its
+    values bit for bit; an out-of-range trim or an unknown weighting
+    raises the reference's ``ValueError``.
     """
     validate_trim(trim)
     check_weighting(weighting)
@@ -105,7 +108,7 @@ def hegemony_tables(
     else:
         weights = np.ones(len(positions))
     if len(positions) == 0:
-        return [{} for _ in groups]
+        return [no_scores() for _ in groups]
     vps = np.asarray(store.record_vp, dtype=np.int64)[positions]
     width = int(vps.max()) + 1
     keys = group_of * width + vps
@@ -189,9 +192,9 @@ def _trimmed(
     values: np.ndarray,
     vp_counts: np.ndarray,
     trim: float,
-) -> list[dict[int, float]]:
+) -> list[ScoreColumns]:
     """Step 2: per (group, AS), the trimmed mean over the group's
-    ``n`` VPs, a missing cell counting as a 0."""
+    ``n`` VPs, a missing cell counting as a 0; one table per group."""
     order = np.lexsort((values, asns, groups))
     groups = groups[order]
     asns = asns[order]
@@ -211,11 +214,11 @@ def _trimmed(
     low = np.maximum(k - zeros, 0)
     high = np.maximum(n - k - zeros, 0)
     sums = _window_sums(values, row_start + low, high - low)
-    scores = (sums / (n - 2 * k)).tolist()
-    row_asns = asns[row_start].tolist()
+    scores = sums / (n - 2 * k)
+    row_asns = asns[row_start].astype(np.int64, copy=False)
     bounds = np.searchsorted(row_group, np.arange(len(vp_counts) + 1)).tolist()
     return [
-        dict(zip(row_asns[lo:hi], scores[lo:hi]))
+        ScoreColumns(row_asns[lo:hi], scores[lo:hi])
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
 

@@ -19,8 +19,9 @@ store (:mod:`repro.perf.spill`) persists:
 * ``record_addresses`` — per-record address counts, read through the
   prefix side table: IPv6 prefixes carry counts far beyond int64
   range;
-* ``record_weight`` — ``float(addresses)`` per record, which only the
-  hegemony and CTI kernels read, derived on first use;
+* ``prefix_weight`` / ``record_weight`` — ``float(addresses)`` per
+  prefix and per record, which only the kernels read (the cone
+  kernel's address profiles, hegemony and CTI), derived on first use;
 * :meth:`PathStore.asn_codes` — the sorted distinct ASNs and one code
   per token in the smallest unsigned dtype (``uint16`` for the medium
   world's 949 ASNs), memoised on first use: the one AS numbering the
@@ -368,7 +369,8 @@ class PathStore:
     __slots__ = (
         "paths", "tokens", "offsets", "lengths",
         "record_path", "record_origin", "record_vp",
-        "record_prefix", "record_weight", "vp_table", "prefix_table",
+        "record_prefix", "prefix_weight", "record_weight", "vp_table",
+        "prefix_table",
         "_token_list", "_pair_buckets", "_suffix_memo", "_asn_codes",
         "_distinct",
     )
@@ -403,14 +405,17 @@ class PathStore:
             paths = _paths(self.token_list(), self.offsets, self.lengths)
             self.paths = paths
             return paths
-        # the kernels' weight column: float() per prefix, then one
+        # the kernels' weight columns: float() per prefix, and its
         # gather through the prefix ids
-        if name == "record_weight":
-            prefix_weight = np.asarray(
+        if name == "prefix_weight":
+            weights = np.asarray(
                 [float(addresses) for _, _, addresses in self.prefix_table],
                 dtype=np.float64,
             )
-            weights = prefix_weight[self.record_prefix]
+            self.prefix_weight = weights
+            return weights
+        if name == "record_weight":
+            weights = self.prefix_weight[self.record_prefix]
             self.record_weight = weights
             return weights
         raise AttributeError(name)

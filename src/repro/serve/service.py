@@ -128,20 +128,31 @@ class RankingService:
     def _observed(self, endpoint: str, thunk: Callable[[], dict]) -> dict:
         """Run one query under the request span/counters; the latency
         histogram is fed from the span's own duration so the service
-        never reads a clock itself."""
+        never reads a clock itself.
+
+        A request that opened no span of its own (a store hit, a health
+        check, a rejected query) leaves no span record behind: the
+        request counters count it, the latency histogram too when it
+        succeeds, and the daemon's span list grows only with the work it
+        computes, not with its traffic."""
         tracer = self._tracer
         self.requests += 1
         tracer.metrics.counter("serve.requests").inc()
         tracer.metrics.counter(f"serve.requests.{endpoint}").inc()
+        before = len(tracer.spans)
         try:
             with tracer.span("serve.request", endpoint=endpoint):
                 payload = thunk()
         except QueryError:
             tracer.metrics.counter("serve.errors").inc()
             raise
-        if tracer.enabled:
+        finally:
+            request = tracer.spans[-1] if tracer.enabled else None
+            if len(tracer.spans) == before + 1:
+                del tracer.spans[-1]
+        if request is not None:
             tracer.metrics.histogram("serve.latency_ms").observe(
-                tracer.spans[-1].dur_s * 1000.0
+                request.dur_s * 1000.0
             )
         return payload
 

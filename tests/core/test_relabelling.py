@@ -29,6 +29,7 @@ from repro.net.aspath import ASPath
 from repro.perf.pathstore import PathStore
 from repro.topology.catalog import build_world
 
+from tests.perf.columns import as_table
 from tests.perf.test_cone_kernel import EdgeOracle
 
 TRIM = 0.1
@@ -70,10 +71,10 @@ def tables(view, oracle, origins):
     each table an ``{asn: value}`` dict, and the rankings they yield."""
     compute = view.computation()
     products = {
-        "hegemony-addresses": compute.hegemony(TRIM, "addresses"),
-        "hegemony-prefixes": compute.hegemony(TRIM, "prefixes"),
-        "closure": compute.cone_addresses(oracle),
-        "cti": compute.cti(oracle, TRIM),
+        "hegemony-addresses": as_table(compute.hegemony(TRIM, "addresses")),
+        "hegemony-prefixes": as_table(compute.hegemony(TRIM, "prefixes")),
+        "closure": as_table(compute.cone_addresses(oracle)),
+        "cti": as_table(compute.cti(oracle, TRIM)),
     }
     rankings = {
         "hegemony-addresses": hegemony_ranking(view, trim=TRIM),
@@ -85,7 +86,7 @@ def tables(view, oracle, origins):
     }
     for country, registered in origins.items():
         for origin, table in compute.local_hegemonies(registered, TRIM).items():
-            products[f"local {country} {origin}"] = table
+            products[f"local {country} {origin}"] = as_table(table)
         for weighting in AHC_WEIGHTINGS:
             ranking = ahc_ranking(view, country, registered, TRIM, weighting)
             rankings[f"ahc {country} {weighting}"] = ranking

@@ -25,8 +25,10 @@ from repro.core.views import View, international_view
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.perf import ViewComputation
-from repro.perf.cone import view_suffixes
+from repro.perf.cone import view_suffix_ids
 from repro.relationships.inference import infer_relationships
+
+from tests.perf.columns import as_cones, as_table
 
 SMALL = GeneratorConfig(profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP"))
 
@@ -62,10 +64,10 @@ class TestSuffixTable:
             assert table.suffixes[sid] == transit_suffix(rec.path, result.oracle)
 
     def test_view_suffixes_are_the_distinct_record_suffixes(self, result, view):
-        compute = view.computation()
-        suffixes = view_suffixes(
-            view.store, view.positions, compute.suffixes(result.oracle)
-        )
+        table = view.computation().suffixes(result.oracle)
+        ids = view_suffix_ids(view.store, view.positions, table)
+        assert ids.tolist() == sorted(set(ids.tolist()))
+        suffixes = [table.suffixes[sid] for sid in ids.tolist()]
         expected = {transit_suffix(r.path, result.oracle) for r in view.records}
         assert len(suffixes) == len(expected)
         assert set(suffixes) == expected
@@ -102,7 +104,7 @@ class TestViewComputation:
 
     def test_cones_match_customer_cones(self, result, view):
         compute = ViewComputation(view)
-        assert compute.cones(result.oracle) == customer_cones(
+        assert as_cones(compute.cone_pairs(result.oracle)) == customer_cones(
             view.records, result.oracle
         )
 
@@ -112,7 +114,7 @@ class TestViewComputation:
 
     def test_cone_addresses_match_naive(self, result, view):
         compute = ViewComputation(view)
-        assert compute.cone_addresses(result.oracle) == cone_addresses(
+        assert as_table(compute.cone_addresses(result.oracle)) == cone_addresses(
             view.records, result.oracle
         )
 
@@ -126,7 +128,7 @@ class TestViewComputation:
         )
         view = View.of("international:AU", "AU", records)
         compute = ViewComputation(view)
-        assert compute.cone_addresses(result.oracle) == cone_addresses(
+        assert as_table(compute.cone_addresses(result.oracle)) == cone_addresses(
             records, result.oracle
         )
         assert compute.total_addresses() == 2 * 65536
@@ -135,8 +137,8 @@ class TestViewComputation:
         compute = ViewComputation(view)
         for trim in (0.0, 0.1, 0.25):
             for weighting in ("addresses", "prefixes"):
-                assert compute.hegemony(trim, weighting) == hegemony_scores(
-                    view.records, trim, weighting
+                assert as_table(compute.hegemony(trim, weighting)) == (
+                    hegemony_scores(view.records, trim, weighting)
                 )
 
     def test_hegemony_through_shared_store(self, result, view):
@@ -147,7 +149,7 @@ class TestViewComputation:
         shared = result.view("international", code)
         assert shared.store is result.paths.store()
         private = View.of(view.name, code, view.records)
-        assert shared.computation().hegemony(0.1) == (
+        assert as_table(shared.computation().hegemony(0.1)) == as_table(
             private.computation().hegemony(0.1)
         )
 
@@ -155,15 +157,15 @@ class TestViewComputation:
         compute = ViewComputation(view)
         total = view.total_addresses()
         for trim in (0.0, 0.1):
-            assert compute.cti(result.oracle, trim) == cti_scores(
+            assert as_table(compute.cti(result.oracle, trim)) == cti_scores(
                 view.records, result.oracle, total, trim
             )
 
     def test_view_cache_counters(self, result, view):
         tracer = Tracer()
         compute = ViewComputation(view, tracer=tracer)
-        compute.cones(result.oracle)
-        compute.cones(result.oracle)
+        compute.cone_pairs(result.oracle)
+        compute.cone_pairs(result.oracle)
         counters = tracer.metrics.counters()
         assert counters["perf.view.miss"] >= 1
         assert counters["perf.view.hit"] >= 1
@@ -190,7 +192,8 @@ class TestAhcThroughCache:
         tables = compute.local_hegemonies(origins, 0.1)
         for origin in origins:
             expected = hegemony_scores(buckets.get(origin, ()), 0.1)
-            assert tables.get(origin, {}) == expected
+            table = tables.get(origin)
+            assert (as_table(table) if table is not None else {}) == expected
 
     def test_origin_positions_match_records(self, result, global_view, origins):
         compute = global_view.computation()

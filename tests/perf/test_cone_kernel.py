@@ -1,7 +1,8 @@
 """The columnar cone and CTI kernel must equal the reference bit for
-bit: the cone addresses, address totals and CTI tables
+bit: the cone pairs, cone addresses, address totals and CTI tables
 :class:`repro.perf.cache.ViewComputation` computes through
 :mod:`repro.perf.cone` are compared by ``repr`` against
+:func:`repro.core.cone.customer_cones`,
 :func:`repro.core.cone.cone_addresses`, the records' distinct prefix
 addresses and :func:`repro.core.cti.cti_scores` over the same records,
 on an in-memory and an mmap-backed store."""
@@ -28,6 +29,7 @@ from repro.perf.pathstore import PathStore, _LazyRecords
 from repro.perf.spill import MmapPathStore, SpillWriter
 from repro.topology.catalog import build_world
 
+from tests.perf.columns import as_cones, as_table
 from tests.perf.test_hegemony_kernel import relabelled, wide_labels
 
 TRIMS = (0.0, 0.1, 0.25, 0.49)
@@ -102,12 +104,19 @@ def assert_kernel_matches(records, oracle, backend, positions=None):
         compute = ViewComputation(view)
         total = sum({r.prefix: r.addresses for r in subset}.values())
         assert compute.total_addresses() == total
-        assert compute.cones(oracle) == customer_cones(subset, oracle)
-        assert compute.cone_addresses(oracle) == cone_addresses(subset, oracle)
+        assert as_cones(compute.cone_pairs(oracle)) == customer_cones(
+            subset, oracle
+        )
+        assert as_table(compute.cone_addresses(oracle)) == cone_addresses(
+            subset, oracle
+        )
         for trim in TRIMS:
-            assert reprs(compute.cti(oracle, trim)) == reprs(
+            assert reprs(as_table(compute.cti(oracle, trim))) == reprs(
                 cti_scores(subset, oracle, total, trim)
             )
+        # the products are memoised: callers may read them after the
+        # store's directory is gone
+        return compute
 
 
 @st.composite
@@ -203,16 +212,19 @@ EDGES = {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)}
 class TestCorners:
     def test_moas_prefix(self, backend):
         # 10.1/16 is originated by 4 and by 5: cone members' prefix sets
-        # overlap, so the closure falls back to the union
+        # overlap, so the closure sums distinct (holder, prefix) pairs
         records = [
             record("10.0.0.1", [1, 2, 4], "10.1.0.0/16"),
             record("10.0.0.2", [1, 2, 5], "10.1.0.0/16"),
             record("10.0.0.2", [1, 2, 5], "10.2.0.0/16", 768),
         ]
-        assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        compute = ViewComputation(View.of("v", None, records))
-        # not 256 * 2 + 768
-        assert compute.cone_addresses(EdgeOracle(EDGES))[2] == 256 + 768
+        oracle = EdgeOracle(EDGES)
+        compute = assert_kernel_matches(records, oracle, backend)
+        asns, counts = compute.cone_addresses(oracle)
+        assert asns.tolist() == [1, 2, 4, 5]
+        assert counts.dtype == np.int64
+        # AS 2: not 256 * 2 + 768
+        assert counts.tolist() == [256 + 768, 256 + 768, 256, 256 + 768]
 
     def test_conflicting_address_counts(self, backend):
         # one prefix, two counts: the store keeps the first, and the
@@ -234,7 +246,7 @@ class TestCorners:
         ]
         assert_kernel_matches(records, EdgeOracle(EDGES), backend)
         compute = ViewComputation(View.of("v", None, records))
-        assert compute.cti(EdgeOracle(EDGES), 0.1)[3] == 0.0
+        assert as_table(compute.cti(EdgeOracle(EDGES), 0.1))[3] == 0.0
 
     def test_vp_with_only_origin_only_suffixes(self, backend):
         # VP .3 reaches everything over peer links: all its suffixes are
@@ -247,7 +259,7 @@ class TestCorners:
         assert_kernel_matches(records, EdgeOracle(EDGES), backend)
         compute = ViewComputation(View.of("v", None, records))
         # AS 2's per-VP values are 1, 1 and 0 (addresses over the total)
-        assert compute.cti(EdgeOracle(EDGES), 0.0)[2] == 2 / 3
+        assert as_table(compute.cti(EdgeOracle(EDGES), 0.0))[2] == 2 / 3
 
     def test_ipv6_counts_beyond_two_to_the_64(self, backend):
         records = [
@@ -255,19 +267,44 @@ class TestCorners:
             record("10.0.0.1", [1, 2, 5], "10.5.0.0/16", 2 ** 64 + 3),
             record("10.0.0.2", [1, 3, 6], "10.6.0.0/16", 2 ** 96),
         ]
-        assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        closure = ViewComputation(View.of("v", None, records)).cone_addresses(
-            EdgeOracle(EDGES)
-        )
-        # exact integer closure: float64 would drop the +1 and +3
-        assert closure[1] == 2 ** 100 + 2 ** 96 + 2 ** 64 + 4
-        assert closure[2] == 2 ** 100 + 2 ** 64 + 4
+        oracle = EdgeOracle(EDGES)
+        compute = assert_kernel_matches(records, oracle, backend)
+        asns, closure = compute.cone_addresses(oracle)
+        # past 2**53 the closure column holds Python ints: float64
+        # would drop the +1 and +3, int64 would overflow
+        assert asns.tolist() == [1, 2, 3, 4, 5, 6]
+        assert closure.dtype == object
+        assert all(type(count) is int for count in closure)
+        assert closure.tolist() == [
+            2 ** 100 + 2 ** 96 + 2 ** 64 + 4, 2 ** 100 + 2 ** 64 + 4,
+            2 ** 96, 2 ** 100 + 1, 2 ** 64 + 3, 2 ** 96,
+        ]
+
+    def test_counts_just_below_two_to_the_53(self, backend):
+        # a total one below 2**53 still sums in int64, exactly
+        records = [
+            record("10.0.0.1", [1, 2, 4], "10.4.0.0/16", 2 ** 52),
+            record("10.0.0.2", [1, 3, 6], "10.6.0.0/16", 2 ** 52 - 1),
+        ]
+        oracle = EdgeOracle(EDGES)
+        compute = assert_kernel_matches(records, oracle, backend)
+        asns, closure = compute.cone_addresses(oracle)
+        assert compute.total_addresses() == 2 ** 53 - 1
+        assert closure.dtype == np.int64
+        assert as_table((asns, closure))[1] == 2 ** 53 - 1
 
     def test_empty_view(self, backend):
         records = [record("10.0.0.1", [1, 2, 4], "10.4.0.0/16")]
-        assert_kernel_matches(
-            records, EdgeOracle(EDGES), backend, np.empty(0, dtype=np.int64),
+        oracle = EdgeOracle(EDGES)
+        compute = assert_kernel_matches(
+            records, oracle, backend, np.empty(0, dtype=np.int64),
         )
+        for asns, values in (
+            compute.cone_addresses(oracle), compute.cti(oracle, 0.1),
+        ):
+            assert asns.dtype == np.int64 and len(asns) == len(values) == 0
+        holders, members = compute.cone_pairs(oracle)
+        assert len(holders) == len(members) == 0
 
     def test_relationship_only_oracle(self, backend):
         records = [
@@ -331,8 +368,8 @@ class TestPipelineStores:
         store = spilled.paths.store()
         for kind, (addresses, cti) in expected.items():
             compute = ViewComputation(spilled.view(kind, code))
-            assert compute.cone_addresses(spilled.oracle) == addresses
-            assert reprs(compute.cti(spilled.oracle, 0.1)) == reprs(cti)
+            assert as_table(compute.cone_addresses(spilled.oracle)) == addresses
+            assert reprs(as_table(compute.cti(spilled.oracle, 0.1))) == reprs(cti)
         with pytest.raises(AttributeError):  # never built by the sweep
             PathStore.path_ids.__get__(store)
 

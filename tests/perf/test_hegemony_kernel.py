@@ -27,6 +27,8 @@ from repro.perf.pathstore import PathStore, _LazyRecords
 from repro.perf.spill import MmapPathStore, SpillWriter
 from repro.topology.catalog import build_world
 
+from tests.perf.columns import as_table
+
 TRIMS = (0.0, 0.05, 0.1, 0.25, 0.49)
 WEIGHTINGS = ("addresses", "prefixes")
 #: per-prefix address counts: zero, small, and IPv6 counts past 2^64
@@ -112,14 +114,19 @@ def assert_kernel_matches(records, trim, weighting, backend):
         store = build_store(records, backend, directory)
         everything = np.arange(len(records))
         [table] = hegemony_tables(store, [everything], trim, weighting)
-        assert reprs(table) == reprs(hegemony_scores(records, trim, weighting))
+        assert reprs(as_table(table)) == reprs(
+            hegemony_scores(records, trim, weighting)
+        )
         # per-origin groups in one call: AHC's local hegemony tables
         origins = sorted({rec.origin for rec in records})
         groups = [
             np.array([p for p, rec in enumerate(records) if rec.origin == origin])
             for origin in origins
         ]
-        tables = hegemony_tables(store, groups, trim, weighting)
+        tables = [
+            as_table(table)
+            for table in hegemony_tables(store, groups, trim, weighting)
+        ]
         for origin, got in zip(origins, tables):
             expected = hegemony_scores(
                 [rec for rec in records if rec.origin == origin],
@@ -176,7 +183,7 @@ class TestParity:
         store = PathStore(records)
         [table] = hegemony_tables(store, [positions], 0.1)
         subset = [records[p] for p in positions]
-        assert reprs(table) == reprs(hegemony_scores(subset, 0.1))
+        assert reprs(as_table(table)) == reprs(hegemony_scores(subset, 0.1))
 
 
 @pytest.mark.parametrize("backend", ["memory", "mmap"])
@@ -254,7 +261,7 @@ class TestFigure2:
     @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_hegemony_two_thirds(self, backend, tmp_path):
         store = build_store(self.RECORDS, backend, str(tmp_path))
-        [table] = hegemony_tables(store, [np.arange(9)], 0.1)
+        [table] = map(as_table, hegemony_tables(store, [np.arange(9)], 0.1))
         assert table[1] == pytest.approx(2 / 3)
         assert reprs(table) == reprs(hegemony_scores(self.RECORDS, 0.1))
 
@@ -281,7 +288,10 @@ class TestValidation:
         store = PathStore(TestFigure2.RECORDS)
         empty = np.empty(0, dtype=np.int64)
         assert hegemony_tables(store, [], 0.1) == []
-        assert hegemony_tables(store, [empty, empty], 0.1) == [{}, {}]
+        assert [
+            as_table(table)
+            for table in hegemony_tables(store, [empty, empty], 0.1)
+        ] == [{}, {}]
 
 
 class TestStoreBackends:
@@ -323,12 +333,12 @@ class TestStoreBackends:
         code = memory.countries_with_national_view()[0]
         for kind in ("national", "international", "outbound"):
             for weighting in WEIGHTINGS:
-                base = memory.view(kind, code).computation().hegemony(
+                base = as_table(memory.view(kind, code).computation().hegemony(
                     0.1, weighting
-                )
-                got = spilled.view(kind, code).computation().hegemony(
+                ))
+                got = as_table(spilled.view(kind, code).computation().hegemony(
                     0.1, weighting
-                )
+                ))
                 assert reprs(got) == reprs(base)
                 assert reprs(base) == reprs(hegemony_scores(
                     memory.view(kind, code).records, 0.1, weighting

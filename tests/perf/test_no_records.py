@@ -25,6 +25,8 @@ from repro.perf.pathstore import _LazyRecords
 from repro.relationships.inference import infer_relationships
 from repro.topology.catalog import build_world
 
+from tests.perf.columns import as_cones
+
 
 def forbidden(*args):
     raise AssertionError("a record object was built")
@@ -117,4 +119,6 @@ def test_one_view_under_two_oracles():
         oracle = (truth, inferred)[which]
         ranking = cone_ranking(view, oracle, "CCG")
         assert {e.asn: e.value for e in ranking.entries} == expected[which]
-        assert view.computation().cones(oracle) == customer_cones(records, oracle)
+        assert as_cones(view.computation().cone_pairs(oracle)) == customer_cones(
+            records, oracle
+        )

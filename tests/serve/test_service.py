@@ -12,8 +12,11 @@ import threading
 import pytest
 
 from repro.cli import main
+from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.registry import iter_specs
+from repro.obs.trace import Tracer
 from repro.serve import ArtifactStore, QueryError, RankingService
+from repro.topology.catalog import build_world
 
 
 @pytest.fixture()
@@ -152,3 +155,32 @@ class TestConcurrency:
         assert not errors
         assert len(set(bodies)) == 1
         assert service.requests == 8
+
+
+class TestSpans:
+    """The daemon's tracer lives as long as the process: a request that
+    computes nothing must not grow its span list."""
+
+    @pytest.fixture()
+    def traced(self):
+        tracer = Tracer()
+        result = run_pipeline(build_world("small", 0), PipelineConfig(seed=0), tracer)
+        return RankingService(result, ArtifactStore("key-spans"), tracer), tracer
+
+    def test_warm_hits_leave_the_span_list_unchanged(self, traced):
+        service, tracer = traced
+        started = len(tracer.spans)
+        assert service.rank("AHN", "AU")["source"] == "computed"
+        computed = tracer.spans[started:]
+        # the computed unit keeps its request span and the spans under it
+        assert computed[-1].name == "serve.request"
+        assert any(record.name == "hegemony" for record in computed)
+        settled = len(tracer.spans)
+        for _ in range(200):
+            assert service.rank("AHN", "AU")["source"] == "store"
+        service.health()
+        with pytest.raises(QueryError):
+            service.rank("NOPE", "AU")
+        assert len(tracer.spans) == settled
+        assert tracer.metrics.counters()["serve.requests"] == 203
+        assert tracer.metrics.histograms()["serve.latency_ms"].count == 202
