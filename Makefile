@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-sarif faults drift bench-serve bench-large bench-large-smoke bench-e2e-smoke serve-smoke
+.PHONY: test lint lint-sarif faults serve-dev drift bench-serve bench-large bench-large-smoke bench-e2e-smoke serve-smoke
 
 ## Default verification: static analysis first (the lint gate, then
 ## the SARIF artifact), then the test suite (which includes the
@@ -11,7 +11,9 @@ export PYTHONPATH := src
 ## self-tests (bench/ sits outside the suite's testpaths), then the
 ## paper-output drift check, then the
 ## fault suite once more on its own so a recovery regression is named
-## explicitly, then the serve smoke (daemon end-to-end over a real
+## explicitly, then the serve suite under `-X dev` (a resource left
+## open or an exception lost on a thread fails it), then the serve
+## smoke (daemon end-to-end over a real
 ## socket + warm-hit floor), then the benchmark's smoke run (every
 ## workload and both store backends with their output checks), then
 ## the out-of-core smoke (spill-backed pipeline + RSS and record gates
@@ -21,6 +23,7 @@ test: lint lint-sarif
 	$(PYTHON) -m pytest bench -q
 	$(MAKE) drift
 	$(MAKE) faults
+	$(MAKE) serve-dev
 	$(MAKE) serve-smoke
 	$(MAKE) bench-e2e-smoke
 	$(MAKE) bench-large-smoke
@@ -50,6 +53,18 @@ faults:
 		tests/perf/test_spill.py::TestDamagedResume \
 		tests/perf/test_column_builder.py
 	$(PYTHON) -m pytest -q tests/io/test_mrt_boundary.py
+
+## The serve suite in the interpreter's development mode (`-X dev`:
+## ResourceWarning for every file and socket never closed), failing on
+## any ResourceWarning, on an exception raised where nothing could
+## catch it (a finalizer) and on an exception that ended a thread --
+## so a store left open, a compute thread left running or a failure
+## dropped on one fails it.
+serve-dev:
+	$(PYTHON) -X dev -m pytest -q tests/serve \
+		-W error::ResourceWarning \
+		-W error::pytest.PytestUnraisableExceptionWarning \
+		-W error::pytest.PytestUnhandledThreadExceptionWarning
 
 ## Paper-output drift check: rerun the 30 paper benchmarks (tables,
 ## figures, ablations, extensions -- the only tests under benchmarks/)

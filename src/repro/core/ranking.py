@@ -13,7 +13,6 @@ A score table travels from the kernels to its ranking as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 import numpy as np
@@ -46,9 +45,13 @@ def _rank_order(asns: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.lexsort((asns, -values))
 
 
-@dataclass(frozen=True, slots=True)
-class RankEntry:
-    """One ranked AS."""
+class RankEntry(NamedTuple):
+    """One ranked AS.
+
+    A named tuple rather than a frozen dataclass: a sweep builds one
+    per ranked AS, and a frozen dataclass's ``__init__`` sets each
+    field through ``object.__setattr__`` (about twice the cost).
+    """
 
     rank: int
     asn: int

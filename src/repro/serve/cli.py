@@ -3,7 +3,13 @@ subcommand runner.
 
 Startup is the expensive part — build the world, run the pipeline once
 — and every request after that is a store lookup or an incremental
-registry compute. Validation follows the CLI-wide discipline: bad
+registry compute. The main thread runs the pipeline and then stays the
+daemon's compute thread (:class:`~repro.serve.service.ComputeThread`):
+every miss, report, case study and the ``--precompute`` sweep runs
+there, so all of them allocate from the malloc arena the pipeline
+filled, while the accept loop runs on a side thread and each
+connection thread only parses, reads the store, renders and writes.
+Validation follows the CLI-wide discipline: bad
 input gets a one-line stderr message and exit status 2, never a
 traceback (``tests/test_cli.py`` pins the cases).
 
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.registry import maybe_spec, metric_names, normalize_country
@@ -36,7 +43,7 @@ from repro.obs.export import stage_report
 from repro.obs.trace import Tracer
 from repro.resilience.checkpoint import ArtifactStore, CheckpointError, store_key
 from repro.serve.http import RankingServer
-from repro.serve.service import RankingService
+from repro.serve.service import ComputeThread, RankingService
 from repro.topology.catalog import WORLD_CHOICES, build_world
 
 #: exit status for input-validation failures (argparse uses 2 as well)
@@ -88,7 +95,13 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
-    """Validate, build the world once, then serve until shutdown."""
+    """Validate, build the world once, then serve until shutdown.
+
+    The calling thread runs the pipeline and then every computation a
+    request needs; the accept loop runs on a side thread. SIGINT
+    (``KeyboardInterrupt`` on the calling thread), ``--max-requests``
+    and a failed accept loop each end both, and every thread this
+    started has exited when it returns."""
     if not 0 <= args.port <= 65535:
         return _fail(f"--port must be in 0..65535 (got {args.port})", prog)
     if args.max_requests is not None and args.max_requests < 1:
@@ -144,8 +157,9 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         )
     except CheckpointError as error:
         return _fail(str(error), prog)
+    compute = ComputeThread()
     result = run_pipeline(world, config, tracer)
-    service = RankingService(result, store, tracer)
+    service = RankingService(result, store, tracer, compute)
     if args.precompute is not None:
         banked = service.precompute(metrics, countries)
         print(f"{prog}: precomputed {banked} ranking(s) "
@@ -160,14 +174,21 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         f"on http://{args.host}:{server.port}",
         file=sys.stderr, flush=True,
     )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        store.close()
-        result.close()
+    with ThreadPoolExecutor(1, thread_name_prefix="repro-serve-accept") as pool:
+        accepting = pool.submit(server.serve_forever)
+        accepting.add_done_callback(lambda _: compute.stop())
+        try:
+            compute.run()
+        except KeyboardInterrupt:
+            pass
+        finally:
+            if not accepting.done():
+                server.shutdown()
+            compute.close()
+            server.server_close()
+            store.close()
+            result.close()
+        accepting.result()
     if args.trace:
         print(stage_report(tracer, title="serve stage report"))
     tracer.close()

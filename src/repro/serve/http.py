@@ -6,6 +6,13 @@ and turns the returned dict into a JSON body — every domain decision
 unit-testable without sockets. Built on the stdlib
 :class:`~http.server.ThreadingHTTPServer`; no third-party deps.
 
+Each connection gets its own thread, which parses, calls the service
+and writes the response. In the daemon those threads compute nothing:
+the service hands every computation to its
+:class:`~repro.serve.service.ComputeThread`, the thread that ran the
+pipeline, and a connection thread waits for the answer (see
+:mod:`repro.serve.service` for why).
+
 Routes (all ``GET``, all ``application/json``):
 
 ==============  ============================================  =======

@@ -20,7 +20,20 @@ Contract (pinned by ``tests/serve/``):
   increments, ``PipelineResult`` memos stay cold);
 * responses are deterministic under concurrency: N threads issuing
   the same query receive identical bodies (one lock serialises
-  compute; the store makes the repeats cheap).
+  queries; the store makes the repeats cheap).
+
+Where work runs: a service built with a :class:`ComputeThread` (the
+daemon's, see :func:`repro.serve.cli.run_serve`) hands every
+computation — a ranking miss and its banking, a report, a case study,
+the precompute sweep — to that one thread, the thread that ran the
+pipeline. The calling (connection) thread keeps validation, the store
+read, the top-k rendering and the JSON. glibc gives each thread that
+allocates its own malloc arena, and memory freed in one arena is not
+reused by another thread's allocations: computed on a fresh connection
+thread per request, ``serve-medium``'s cold pass left the daemon at a
+median 279 MB of peak RSS, against 187 MB computed where the pipeline
+ran (DESIGN.md §9). Without a compute thread the service computes on
+the calling thread.
 
 Telemetry (all under the obs layer, observe-only):
 ``serve.requests`` / ``serve.computed`` / ``serve.errors`` counters,
@@ -31,12 +44,15 @@ the clock stays inside :mod:`repro.obs`.
 
 from __future__ import annotations
 
+import queue
 import threading
-from typing import Callable
+from concurrent.futures import Future
+from typing import Any, Callable, TypeVar
 
 from repro.analysis.case_studies import case_study_table, render_case_study
 from repro.analysis.reports import country_report
 from repro.core.pipeline import PipelineResult
+from repro.core.ranking import Ranking
 from repro.core.registry import (
     MetricSpec,
     maybe_spec,
@@ -47,9 +63,94 @@ from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.resilience.checkpoint import ArtifactStore
 
 
+T = TypeVar("T")
+
+#: longest a waiting compute thread goes without running Python code
+#: (and with it, any signal handler due); as ``serve_forever``'s poll
+WAIT_S = 0.5
+
+
 class QueryError(ValueError):
     """An invalid query: HTTP 400 at the presentation layer, exit 2
     at the CLI."""
+
+
+class ComputeThread:
+    """One thread that runs every computation handed to it: the thread
+    that created this object, once it calls :meth:`run`.
+
+    :meth:`call` from any other thread queues the work and waits for
+    its answer; a call made on the compute thread itself runs at once.
+    Calls are answered one at a time, in the order they were queued.
+    """
+
+    def __init__(self) -> None:
+        self._owner = threading.get_ident()
+        self._work: queue.SimpleQueue[
+            tuple[Callable[[], Any], Future] | None
+        ] = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        #: every queued call's future until its caller has read it, so
+        #: :meth:`close` can answer one that ``run`` dropped on an
+        #: interrupt
+        self._pending: set[Future] = set()
+        self._closed = False
+
+    def call(self, thunk: Callable[[], T]) -> T:
+        """``thunk()``, run on the compute thread; whatever it raises is
+        raised here unchanged."""
+        if threading.get_ident() == self._owner:
+            return thunk()
+        future: Future = Future()
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("the daemon is shutting down")
+            self._pending.add(future)
+        self._work.put((thunk, future))
+        try:
+            return future.result()
+        finally:
+            with self._lock:
+                self._pending.discard(future)
+
+    def run(self) -> None:
+        """Answer queued calls on this thread until :meth:`stop`. An
+        interrupt (``KeyboardInterrupt``) propagates; :meth:`close`
+        then answers the calls left waiting.
+
+        The wait for work wakes every :data:`WAIT_S` seconds: a signal
+        that arrives just before the thread blocks is handled only once
+        it runs Python code again, so an unbounded wait could hold a
+        SIGINT back for good."""
+        if threading.get_ident() != self._owner:
+            raise RuntimeError("run() belongs to the thread that made it")
+        while True:
+            try:
+                item = self._work.get(timeout=WAIT_S)
+            except queue.Empty:
+                continue
+            if item is None:
+                return
+            thunk, future = item
+            try:
+                future.set_result(thunk())
+            except Exception as error:  # repro: noqa[R006] — handed to the caller's thread, which re-raises it from future.result()
+                future.set_exception(error)
+
+    def stop(self) -> None:
+        """Make :meth:`run` return after the call in progress (from any
+        thread)."""
+        self._work.put(None)
+
+    def close(self) -> None:
+        """Refuse further calls and fail every call still unanswered
+        with ``RuntimeError``; on the compute thread, after :meth:`run`
+        returned."""
+        with self._lock:
+            self._closed = True
+            unanswered = [f for f in self._pending if not f.done()]
+        for future in unanswered:
+            future.set_exception(RuntimeError("the daemon is shutting down"))
 
 
 class RankingService:
@@ -62,6 +163,9 @@ class RankingService:
     share the result's path index and cross-metric
     :class:`~repro.perf.cache.ViewComputation` caches, so even misses
     amortise across metrics on the same view.
+
+    ``compute`` is the thread every computation runs on (the module
+    docstring says why); ``None`` computes on the calling thread.
     """
 
     def __init__(
@@ -69,11 +173,13 @@ class RankingService:
         result: PipelineResult,
         store: ArtifactStore,
         tracer: AnyTracer = NULL_TRACER,
+        compute: ComputeThread | None = None,
     ) -> None:
         self.result = result
         self.store = store
         self.fingerprint = result.world.fingerprint()
         self._tracer = tracer
+        self._compute = compute
         self._lock = threading.Lock()
         self.requests = 0
 
@@ -121,9 +227,18 @@ class RankingService:
         Counters are untouched — precompute is provisioning, not
         traffic."""
         with self._lock:
-            return len(self.result.rank_all(metrics, countries, store=self.store))
+            return len(self._computed(
+                lambda: self.result.rank_all(metrics, countries, store=self.store)
+            ))
 
     # -- internals -----------------------------------------------------------
+
+    def _computed(self, thunk: Callable[[], T]) -> T:
+        """``thunk()`` on the compute thread (the caller's without
+        one)."""
+        if self._compute is None:
+            return thunk()
+        return self._compute.call(thunk)
 
     def _observed(self, endpoint: str, thunk: Callable[[], dict]) -> dict:
         """Run one query under the request span/counters; the latency
@@ -164,10 +279,8 @@ class RankingService:
         ranking = self.store.get(spec, code)
         source = "store"
         if ranking is None:
-            ranking = self.result.ranking(spec.name, code)
-            self.store.put(spec, code, ranking)
+            ranking = self._computed(lambda: self._bank(spec, code))
             source = "computed"
-            self._tracer.metrics.counter("serve.computed").inc()
         return {
             "metric": spec.name,
             "country": code,
@@ -187,15 +300,25 @@ class RankingService:
             "text": ranking.render(k, self.result.as_name),
         }
 
+    def _bank(self, spec: MetricSpec, code: str | None) -> Ranking:
+        """Compute one missed unit and bank it."""
+        ranking = self.result.ranking(spec.name, code)
+        self.store.put(spec, code, ranking)
+        self._tracer.metrics.counter("serve.computed").inc()
+        return ranking
+
     def _report(self, country: str | None) -> dict:
         code = self._known_country(country)
-        return {
+        return self._computed(lambda: {
             "country": code,
             "markdown": country_report(self.result, code).markdown,
-        }
+        })
 
     def _case_study(self, country: str | None) -> dict:
         code = self._known_country(country)
+        return self._computed(lambda: self._case_study_payload(code))
+
+    def _case_study_payload(self, code: str) -> dict:
         rows = case_study_table(self.result, code)
         return {
             "country": code,

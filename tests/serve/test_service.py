@@ -78,10 +78,8 @@ class TestRank:
         service = RankingService(small_result, store)
         cold = service.rank("AHN", "AU")
         store.close()
-        reopened = RankingService(
-            small_result, ArtifactStore("key-p", path=path)
-        )
-        warm = reopened.rank("AHN", "AU")
+        with ArtifactStore("key-p", path=path) as store:
+            warm = RankingService(small_result, store).rank("AHN", "AU")
         assert warm["source"] == "store"
         assert warm["text"] == cold["text"]
 
