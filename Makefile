@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-sarif faults serve-dev drift bench-serve bench-large bench-large-smoke bench-e2e-smoke serve-smoke
+.PHONY: test lint lint-sarif faults serve-dev drift examples bench-serve bench-large bench-large-smoke bench-e2e-smoke serve-smoke
 
 ## Default verification: static analysis first (the lint gate, then
 ## the SARIF artifact), then the test suite (which includes the
@@ -9,7 +9,7 @@ export PYTHONPATH := src
 ## no per-file rule can see: tests/topology/test_graph_version.py and
 ## tests/core/test_compute_purity.py), then the benchmark's own
 ## self-tests (bench/ sits outside the suite's testpaths), then the
-## paper-output drift check, then the
+## paper-output drift check, then the eight example scripts, then the
 ## fault suite once more on its own so a recovery regression is named
 ## explicitly, then the serve suite under `-X dev` (a resource left
 ## open or an exception lost on a thread fails it), then the serve
@@ -22,6 +22,7 @@ test: lint lint-sarif
 	$(PYTHON) -m pytest -x -q
 	$(PYTHON) -m pytest bench -q
 	$(MAKE) drift
+	$(MAKE) examples
 	$(MAKE) faults
 	$(MAKE) serve-dev
 	$(MAKE) serve-smoke
@@ -75,6 +76,20 @@ serve-dev:
 drift:
 	$(PYTHON) -m pytest -q --benchmark-disable benchmarks
 	git diff --exit-code -- benchmarks/output
+
+## The example scripts, each run once (stdout discarded; any failure
+## stops the target), so a public name an example imports cannot go
+## away unnoticed. release_dataset.py writes its bundle into a
+## temporary directory, removed afterwards, not into ./release.
+examples:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for script in examples/*.py; do \
+		echo "$$script"; \
+		case $$script in \
+		*/release_dataset.py) $(PYTHON) $$script "$$tmp/release" > /dev/null ;; \
+		*) $(PYTHON) $$script > /dev/null ;; \
+		esac || exit 1; \
+	done
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (rules R001-R008, each file parsed and

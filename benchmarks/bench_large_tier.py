@@ -120,7 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"[large:{mode}] {records} records  "
         f"pipeline {pipeline.dur_s:.1f}s  sweep {sweep.dur_s:.1f}s  "
-        f"peak RSS {peak / 1e9:.2f}GB (ceiling {rss_ceiling / 1e9:.2f}GB)  "
+        f"peak RSS {peak / 2**30:.2f}GiB "
+        f"(ceiling {rss_ceiling / 2**30:.2f}GiB)  "
         f"gate {'failed' if failures else 'passed'}",
         flush=True,
     )

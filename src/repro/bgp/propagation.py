@@ -27,14 +27,14 @@ and CSR adjacency held on the version-cached :class:`_Adjacency`. Each
 breadth-first level expands every (origin, AS) cell settled at the
 previous level through the CSR rows, computes every candidate's
 tie-break key as an int64 (``asn``: the next hop's index, which sorts
-as its ASN; ``hash``: :func:`_hash_mix` in wrapping ``uint64``
-arithmetic, then the next hop — :func:`_key_factory`'s order), and
-keeps the minimum per cell with one ``np.minimum.at``. Levels run
-across all origins together, but no origin's level reads another
-origin's cells, so every cell settles exactly as the per-origin sweep
-:func:`_propagate` (kept as the reference the tests compare against)
-settles it. Paths are rebuilt from the next hops only at kept ASes,
-straight into token columns (:class:`RouteColumns`); no
+as its ASN; ``hash``: a 32-bit mix of holder, next hop, origin and salt
+in wrapping ``uint64`` arithmetic, then the next hop), and keeps the
+minimum per cell with one ``np.minimum.at``. Levels run across all
+origins together, but no origin's level reads another origin's cells,
+so every cell settles exactly as a per-origin sweep settles it
+(``tests/oracles/propagation.py`` is that sweep, and the tests hold
+the array pass to it). Paths are rebuilt from the next hops only at
+kept ASes, straight into token columns (:class:`RouteColumns`); no
 :class:`~repro.bgp.policy.Route` is built unless a caller indexes
 :attr:`RoutingOutcome.routes`.
 
@@ -47,7 +47,7 @@ from __future__ import annotations
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -206,9 +206,8 @@ def _csr(
 
 
 class _Adjacency:
-    """Adjacency snapshot for fast inner loops: plain-dict rows (the
-    reference sweep and keep closures read them) and the same
-    rows as CSR over AS indices in ascending ASN order (the array
+    """Adjacency snapshot for fast inner loops: plain-dict rows (keep
+    closures read the provider rows) and the same rows as CSR over AS indices in ascending ASN order (the array
     pass)."""
 
     __slots__ = (
@@ -276,30 +275,7 @@ def keep_closure(
     return frozenset(relevant)
 
 
-def _hash_mix(holder: int, next_hop: int, origin: int, salt: int = 0) -> int:
-    """Deterministic 32-bit mix used by the "hash" tie-break."""
-    value = (
-        holder * 2654435761 + next_hop * 2246822519
-        + origin * 3266489917 + salt * 374761393
-    ) & 0xFFFFFFFF
-    value ^= value >> 16
-    value = (value * 2654435761) & 0xFFFFFFFF
-    return value ^ (value >> 13)
-
-
-def _key_factory(
-    tiebreak: str, origin: int, salt: int = 0
-) -> Callable[[int, int], tuple[int, int]]:
-    if tiebreak == "asn":
-        return lambda holder, next_hop: (next_hop, 0)
-    if tiebreak == "hash":
-        return lambda holder, next_hop: (
-            _hash_mix(holder, next_hop, origin, salt), next_hop,
-        )
-    raise ValueError(f"unknown tiebreak {tiebreak!r} (expected one of {TIEBREAKS})")
-
-
-#: ``_hash_mix``'s multipliers and its 32-bit mask
+#: the ``hash`` tie-break's multipliers and its 32-bit mask
 _HOLDER, _HOP, _ORIGIN, _SALT = 2654435761, 2246822519, 3266489917, 374761393
 _MASK = 0xFFFFFFFF
 #: ``np.minimum.at``'s identity: a cell no candidate reached
@@ -308,8 +284,8 @@ _NO_KEY = np.iinfo(np.int64).max
 
 class _Keys:
     """Tie-break keys of (origin row, holder index, next-hop index)
-    candidates as int64, ordered as :func:`_key_factory`'s tuples. A
-    key ends in the next hop's index (``key % size`` recovers it), and
+    candidates as int64, ordered as ``asn``'s next hop or ``hash``'s
+    (mix, next hop) pairs. A key ends in the next hop's index (``key % size`` recovers it), and
     ``width`` bounds every key, so ``rank * width + key`` orders by
     rank first. (``width`` is at most 2^32 × the AS count, so a rank up
     to a path length stays far inside int64 for any graph with fewer
@@ -343,7 +319,7 @@ class _Keys:
     ) -> np.ndarray:
         if self._holder is None:
             return hop
-        # _hash_mix in wrapping uint64: only the low 32 bits survive
+        # the 32-bit mix in wrapping uint64: only the low 32 bits survive
         value = (self._holder[holder] + self._hop[hop] + self._origin[row]) & _MASK
         value ^= value >> 16
         value = (value * _HOLDER) & _MASK
@@ -379,9 +355,10 @@ def _sweep(
     frontier_hist=NULL_HISTOGRAM,
 ) -> _Grid:
     """The three phases for every origin at once (see the module
-    docstring). ``relevant`` prunes the down phase as in
-    :func:`_propagate`; the up phase observes, per origin and level,
-    the size of the frontier it settles."""
+    docstring). ``relevant`` (a :func:`keep_closure`) prunes the down
+    phase to the ASes that have a kept AS in their customer cone; the
+    up phase observes, per origin and level, the size of the frontier
+    it settles."""
     index = adjacency.index
     size = len(index)
     keys = _Keys(index, origins, tiebreak, salt)
@@ -594,106 +571,3 @@ def propagate_all(
         tracer.metrics.counter("propagate.origins").inc(len(origin_list))
         tracer.metrics.counter("propagate.routes").inc(len(columns))
     return RoutingOutcome(RouteMap(columns))
-
-
-def _propagate(
-    adjacency: _Adjacency,
-    origin: int,
-    tiebreak: str = "asn",
-    salt: int = 0,
-    frontier_hist=NULL_HISTOGRAM,
-    relevant: frozenset[int] | None = None,
-) -> dict[int, Route]:
-    """Full three-phase sweep for one origin: the per-origin reference
-    the array pass (:func:`_sweep`) is held to.
-
-    ``relevant`` (a :func:`keep_closure` of the caller's keep set)
-    prunes the down phase: customers outside it never enter the route
-    map or the frontier. Phases 1–2 always run in full — their routes
-    fix every AS's export and any of them may be an ancestor of a kept
-    AS. Routes at relevant ASes are byte-identical to the unpruned
-    sweep because a relevant AS's candidate providers are themselves
-    relevant (or up/across holders), so its candidate set — and the
-    strict-min selection over it — never changes.
-    """
-    providers = adjacency.providers
-    customers = adjacency.customers
-    peers = adjacency.peers
-    key_of = _key_factory(tiebreak, origin, salt)
-
-    # Phase 1 (up): customer routes climb provider links, breadth-first.
-    up_paths: dict[int, tuple[int, ...]] = {origin: (origin,)}
-    frontier: list[int] = [origin]
-    while frontier:
-        candidates: dict[int, tuple[tuple[int, int], int]] = {}
-        for asn in frontier:
-            for provider in providers[asn]:
-                if provider in up_paths:
-                    continue
-                key = key_of(provider, asn)
-                best = candidates.get(provider)
-                if best is None or key < best[0]:
-                    candidates[provider] = (key, asn)
-        next_frontier: list[int] = []
-        for provider, (_, next_hop) in candidates.items():
-            up_paths[provider] = (provider,) + up_paths[next_hop]
-            next_frontier.append(provider)
-        if next_frontier:
-            frontier_hist.observe(len(next_frontier))
-        frontier = next_frontier
-
-    # Phase 2 (across): the best customer route crosses one peer link.
-    peer_paths: dict[int, tuple[int, ...]] = {}
-    # asn -> ((len, key), next_hop)
-    peer_candidates: dict[int, tuple[tuple[int, tuple[int, int]], int]] = {}
-    for asn, path in up_paths.items():
-        cost = len(path) + 1
-        for peer in peers[asn]:
-            if peer in up_paths:
-                continue
-            rank = (cost, key_of(peer, asn))
-            best = peer_candidates.get(peer)
-            if best is None or rank < best[0]:
-                peer_candidates[peer] = (rank, asn)
-    for asn, (_, next_hop) in peer_candidates.items():
-        peer_paths[asn] = (asn,) + up_paths[next_hop]
-
-    # Assemble the routes selected so far; they fix each AS's export.
-    routes: dict[int, Route] = {origin: Route((origin,), RouteClass.ORIGIN)}
-    for asn, path in up_paths.items():
-        if asn != origin:
-            routes[asn] = Route(path, RouteClass.CUSTOMER)
-    for asn, path in peer_paths.items():
-        routes[asn] = Route(path, RouteClass.PEER)
-
-    # Phase 3 (down): any selected route descends to customers,
-    # breadth-first by the exported route's length.
-    buckets: dict[int, list[int]] = {}
-    for asn, route in routes.items():
-        buckets.setdefault(len(route.path), []).append(asn)
-    length = min(buckets) if buckets else 0
-    max_settled = max(buckets) if buckets else 0
-    while length <= max_settled:
-        batch = buckets.get(length)
-        if batch:
-            candidates = {}
-            for asn in batch:
-                for customer in customers[asn]:
-                    if customer in routes or (
-                        relevant is not None and customer not in relevant
-                    ):
-                        continue
-                    key = key_of(customer, asn)
-                    best = candidates.get(customer)
-                    if best is None or key < best[0]:
-                        candidates[customer] = (key, asn)
-            if candidates:
-                new_bucket = buckets.setdefault(length + 1, [])
-                for customer, (_, next_hop) in candidates.items():
-                    routes[customer] = Route(
-                        (customer,) + routes[next_hop].path, RouteClass.PROVIDER
-                    )
-                    new_bucket.append(customer)
-                max_settled = max(max_settled, length + 1)
-        length += 1
-    return routes

@@ -36,10 +36,6 @@ Subcommands mirror the paper's workflow:
   deterministic JSONL event stream (``--json``), a Prometheus
   exposition (``--prom``), or a human-readable drift summary.
 
-``--workers N`` (global flag) is validated (``N >= 1``, else exit 2)
-and otherwise ignored: the pipeline and the stability trials run
-serially in one process.
-
 Worlds: ``small`` (seconds), ``default`` (the generated ~1000-AS world),
 ``paper2021`` / ``paper2023`` (the curated case-study snapshots).
 
@@ -217,8 +213,6 @@ def _run_watch(args: argparse.Namespace) -> int:
         countries = tuple(normalize_country(code) for code in codes)
     if args.resume and args.checkpoint is None:
         return _fail("--resume requires --checkpoint")
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1 (got {args.workers})")
     try:
         config = WatchConfig(
             metrics=tuple(canonical),
@@ -265,11 +259,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--world", choices=WORLD_CHOICES, default="small")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted for compatibility (must be >= 1); the pipeline "
-             "and stability trials run serially",
-    )
     parser.add_argument(
         "--store", choices=("memory", "mmap"), default="memory",
         help="path-store backend: 'mmap' spills sanitized records to "
@@ -537,8 +526,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "rank":
         if get_spec(args.metric).needs_country and args.country is None:
             return _fail(f"metric {args.metric} requires a country code")
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1 (got {args.workers})")
     if (
         args.command in ("concentration", "sweep", "release")
         and args.countries is not None
@@ -598,8 +585,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     config = PipelineConfig(
-        seed=args.seed, workers=args.workers,
-        store_backend=args.store, spill_dir=args.spill_dir,
+        seed=args.seed, store_backend=args.store, spill_dir=args.spill_dir,
     )
     store = None
     if args.command == "sweep" and args.checkpoint is not None:
@@ -642,10 +628,7 @@ def main(argv: list[str] | None = None) -> int:
             if get_spec(metric).view_kind == "national"
             else international_stability
         )
-        curve = runner(
-            result, args.country, metric, trials=args.trials,
-            workers=args.workers,
-        )
+        curve = runner(result, args.country, metric, trials=args.trials)
         for size, mean, std in curve.as_rows():
             print(f"{size:>5} VPs  NDCG {mean:.3f} ±{std:.3f}")
         print(f">=0.8 from {curve.min_vps_for(0.8)} VPs, "

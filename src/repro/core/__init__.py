@@ -2,16 +2,10 @@
 country-level ranking metrics (CCI, CCN, AHI, AHN) plus the global and
 baseline metrics they are compared against (CCG, AHG, AHC, CTI)."""
 
-from repro.core.ahc import ahc_ranking, ahc_scores
-from repro.core.cone import (
-    cone_addresses,
-    cone_ranking,
-    customer_cones,
-    prefix_cones,
-    transit_suffix,
-)
-from repro.core.cti import cti_ranking, cti_scores
-from repro.core.hegemony import hegemony_ranking, hegemony_scores, local_hegemony
+from repro.core.ahc import ahc_ranking
+from repro.core.cone import cone_ranking
+from repro.core.cti import cti_ranking
+from repro.core.hegemony import hegemony_ranking
 from repro.core.ndcg import dcg, ndcg
 from repro.core.pipeline import Pipeline, PipelineConfig, PipelineResult, run_pipeline
 from repro.core.ranking import RankEntry, Ranking
@@ -22,13 +16,7 @@ from repro.core.sanitize import (
     RelationshipOracle,
     sanitize,
 )
-from repro.core.views import (
-    View,
-    global_view,
-    international_view,
-    national_view,
-    outbound_view,
-)
+from repro.core.views import View
 
 __all__ = [
     "FilterReport",
@@ -42,23 +30,11 @@ __all__ = [
     "RelationshipOracle",
     "View",
     "ahc_ranking",
-    "ahc_scores",
-    "cone_addresses",
     "cone_ranking",
     "cti_ranking",
-    "cti_scores",
-    "customer_cones",
     "dcg",
-    "global_view",
     "hegemony_ranking",
-    "hegemony_scores",
-    "international_view",
-    "local_hegemony",
-    "national_view",
-    "outbound_view",
     "ndcg",
-    "prefix_cones",
     "run_pipeline",
     "sanitize",
-    "transit_suffix",
 ]

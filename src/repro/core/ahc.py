@@ -15,6 +15,9 @@ exactly so the Table 9 comparison is meaningful:
   domestic AS originates abroad);
 * no national/international split (all VPs mixed together);
 * equal weighting of origin ASes regardless of address footprint.
+
+``tests/oracles/hegemony.py`` spells AHC out record by record, and the
+test matrix holds :func:`ahc_ranking` to it.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from typing import Callable, Container, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.hegemony import hegemony_scores, validate_trim
+from repro.core.hegemony import validate_trim
 from repro.core.ranking import Ranking, ScoreColumns, no_scores
-from repro.core.sanitize import PathRecord
 from repro.core.views import View
 from repro.net.aspath import dense_codes
 from repro.obs.trace import NULL_TRACER, AnyTracer
@@ -45,10 +47,9 @@ def _origin_weights(
     observed: Container[int],
     footprint: Callable[[int], int],
 ) -> dict[int, float]:
-    """Each contributing origin's weight, shared by the reference and
-    the ranking: 1.0 per ``observed`` origin (``as_count``), or its observed
-    address ``footprint`` (``addresses``, where a zero footprint drops
-    the origin).
+    """Each contributing origin's weight: 1.0 per ``observed`` origin
+    (``as_count``), or its observed address ``footprint``
+    (``addresses``, where a zero footprint drops the origin).
 
     Origins with no observed paths contribute nothing (and do not
     dilute the average), mirroring IHR's per-AS daily computation.
@@ -63,46 +64,21 @@ def _origin_weights(
     return weights
 
 
-def _weighted_origin_average(
-    origins: Sequence[int],
-    weights: Mapping[int, float],
-    hegemony_of: Callable[[int], Mapping[int, float]],
-) -> dict[int, float]:
-    """The reference's AHC step 2: a weighted average of per-origin
-    hegemony tables, accumulated in sorted-origin order."""
-    totals: dict[int, float] = {}
-    weight_sum = 0.0
-    contributing = 0
-    for origin in origins:
-        weight = weights.get(origin)
-        if weight is None:
-            continue
-        weight_sum += weight
-        contributing += 1
-        for asn, value in hegemony_of(origin).items():
-            totals[asn] = totals.get(asn, 0.0) + weight * value
-    if contributing == 0:
-        # exact-integer accounting: no origin contributed, so there is
-        # nothing to average (weight_sum is untouched — never compared)
-        return {}
-    return {asn: value / weight_sum for asn, value in totals.items()}
-
-
 def _column_average(
     origins: Sequence[int],
     weights: Mapping[int, float],
     table_of: Callable[[int], ScoreColumns],
 ) -> ScoreColumns:
-    """AHC step 2 over column tables, bit-identical to
-    :func:`_weighted_origin_average`.
+    """AHC step 2 over column tables: the weighted average of the
+    contributing origins' tables.
 
     The contributing origins' columns are concatenated in
     ascending-origin order, each value times its origin's weight, and
     one ``np.bincount`` adds every AS's terms one at a time from 0.0 in
-    that order — the reference's ``totals.get(asn, 0.0) + weight *
-    value`` sequence. The weight sum is accumulated origin by origin
-    as a Python float, as there. Every AS in a contributing table keeps
-    its row, 0.0 rows included.
+    that order — the definition's running ``total + weight * value``
+    sequence per AS. The weight sum is accumulated origin by origin as
+    a Python float. Every AS in a contributing table keeps its row, 0.0
+    rows included.
     """
     weight_sum = 0.0
     asns, terms = [], []
@@ -123,42 +99,6 @@ def _column_average(
     return ScoreColumns(distinct, totals / weight_sum)
 
 
-def ahc_scores(
-    records: Iterable[PathRecord],
-    country_origins: Iterable[int],
-    trim: float = 0.1,
-    weighting: str = "as_count",
-) -> dict[int, float]:
-    """Weighted average of per-origin local hegemony.
-
-    ``country_origins`` are the ASNs registered in the target country.
-
-    ``weighting`` selects IHR's two published schemes (§1.2.1):
-    ``"as_count"`` weights every origin AS equally (what the paper
-    uses); ``"addresses"`` weights each origin by its observed address
-    footprint — our stand-in for IHR's APNIC user-population weights.
-    """
-    _check_weighting(weighting)
-    validate_trim(trim)
-    origins = sorted(set(country_origins))
-    by_origin: dict[int, list[PathRecord]] = {origin: [] for origin in origins}
-    for record in records:
-        bucket = by_origin.get(record.origin)
-        if bucket is not None:
-            bucket.append(record)
-    observed = {origin for origin, bucket in by_origin.items() if bucket}
-    weights = _origin_weights(
-        origins, weighting, observed,
-        lambda origin: sum({
-            record.prefix: record.addresses for record in by_origin[origin]
-        }.values()),
-    )
-    return _weighted_origin_average(
-        origins, weights,
-        lambda origin: hegemony_scores(by_origin[origin], trim),
-    )
-
-
 def ahc_ranking(
     view: View,
     country: str,
@@ -175,11 +115,12 @@ def ahc_ranking(
     :meth:`~repro.core.views.View.computation`: one columnar kernel
     call per country computes every registered origin's table from the
     store's origin column, and every repeated (origin, trim) table is a
-    ``perf.view.hit``. Values are bit-identical to :func:`ahc_scores`
-    over the view's records: the kernel matches
-    :func:`~repro.core.hegemony.hegemony_scores`, the weighting loop
-    is shared and :func:`_column_average` adds the reference's terms in
-    its order. ``metric`` overrides the ranking label (variants like
+    ``perf.view.hit``. ``country_origins`` are the ASNs registered in
+    the country; ``weighting`` selects IHR's two published schemes
+    (§1.2.1): ``"as_count"`` weights every origin AS equally (what the
+    paper uses), ``"addresses"`` weights each origin by its observed
+    address footprint — a stand-in for IHR's APNIC user-population
+    weights. ``metric`` overrides the ranking label (variants like
     ``AHC-A`` pass theirs).
     """
     _check_weighting(weighting)

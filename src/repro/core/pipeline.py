@@ -199,8 +199,8 @@ class PipelineResult:
 
         Views come from :meth:`path_index` bucket lookups — O(selected
         records) after the index's one-time O(all records) build — and
-        hold the same store positions as the naive filters in
-        :mod:`repro.core.views`. A view memoises its kernel
+        hold the same store positions as a full scan of the records
+        would. A view memoises its kernel
         intermediates, so every metric over it shares them.
         """
         country = normalize_country(country)

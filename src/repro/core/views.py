@@ -14,23 +14,21 @@ global view). Its size, VPs and address total read the store's id
 columns and side tables; every metric ranks it through its memoised
 :meth:`View.computation`, the columnar kernels' intermediates.
 ``view.records`` is the store's record façade at those positions, for
-the code that iterates records: the reference scorers, exports and
-tests.
+the code that iterates records: exports and tests.
 
 The pipeline builds views from :class:`repro.perf.index.PathIndex`
-bucket lookups. The builders below filter every record of a path set
-one by one — the naive references the index is held to, used by tests
-only.
+bucket lookups; ``tests/oracles/views.py`` builds each by testing every
+record, and the test matrix holds the index to it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.bgp.collectors import VantagePoint
-from repro.core.sanitize import PathRecord, PathSet
+from repro.core.sanitize import PathRecord
 from repro.net.prefix import parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
@@ -129,87 +127,3 @@ class View:
             f"{self.name}|{len(keep)}vps", self.country, self.store,
             positions[kept[self.store.record_vp[positions]]],
         )
-
-
-def _build_view(
-    paths: PathSet,
-    kind: str,
-    country: str | None,
-    keep: Callable[[PathRecord], bool] | None,
-    tracer: AnyTracer,
-) -> View:
-    """Construct a view by testing every record, under a ``views``
-    span; record its size/VP distributions (VP counting only runs when
-    tracing is on — it is pure telemetry, never on the disabled
-    path)."""
-    name = kind if country is None else f"{kind}:{country}"
-    with tracer.span(
-        "views", kind=kind, country=country, input=len(paths),
-    ) as span:
-        positions = None if keep is None else [
-            position for position, record in enumerate(paths.records)
-            if keep(record)
-        ]
-        view = View(name, country, paths.store(), positions)
-        span.set(output=len(view))
-        if tracer.enabled:
-            tracer.metrics.histogram("views.size").observe(len(view))
-            tracer.metrics.histogram("views.vps").observe(len(view.vps()))
-    return view
-
-
-def national_view(
-    paths: PathSet, country: str, tracer: AnyTracer = NULL_TRACER
-) -> View:
-    """Paths from in-country VPs to in-country prefixes (CCN/AHN input)."""
-    return _build_view(
-        paths, "national", country,
-        lambda r: r.vp_country == country and r.prefix_country == country,
-        tracer,
-    )
-
-
-def international_view(
-    paths: PathSet, country: str, tracer: AnyTracer = NULL_TRACER
-) -> View:
-    """Paths from out-of-country VPs to in-country prefixes (CCI/AHI)."""
-    return _build_view(
-        paths, "international", country,
-        lambda r: r.vp_country != country and r.prefix_country == country,
-        tracer,
-    )
-
-
-def global_view(paths: PathSet, tracer: AnyTracer = NULL_TRACER) -> View:
-    """Every sanitized path (CCG/AHG baselines)."""
-    return _build_view(paths, "global", None, None, tracer)
-
-
-def outbound_view(
-    paths: PathSet, country: str, tracer: AnyTracer = NULL_TRACER
-) -> View:
-    """Paths from in-country VPs to out-of-country prefixes.
-
-    The paper's §7 names "a metric that characterizes paths *out of* a
-    country" as future work; this view is its input — how the country
-    reaches the rest of the world. Feeding it to the cone/hegemony
-    metrics yields CCO/AHO, the outbound analogues of CCI/AHI.
-    """
-    return _build_view(
-        paths, "outbound", country,
-        lambda r: r.vp_country == country and r.prefix_country != country,
-        tracer,
-    )
-
-
-def destination_view(paths: PathSet, origins: Iterable[int]) -> View:
-    """Paths toward prefixes originated by the given ASes, from all VPs.
-
-    This is the AHC selector: IHR keys on the *origin AS's registration
-    country*, not on where the prefix geolocates (§1.2.1).
-    """
-    wanted = frozenset(origins)
-    return _build_view(
-        paths, f"destination:{len(wanted)}ases", None,
-        lambda r: r.origin in wanted, NULL_TRACER,
-    )

@@ -1,9 +1,11 @@
-"""Network primitives: ASNs, prefixes, radix tries, blocks, AS paths.
+"""Network primitives: ASNs, prefixes, AS paths.
 
 This subpackage is the foundation layer of the reproduction. It contains
 no paper-specific logic; everything here is a general-purpose building
-block (CIDR arithmetic, most-specific matching, AS-path hygiene) used by
-the BGP simulator, the geolocation pipeline, and the ranking metrics.
+block (ASN classes, CIDR arithmetic, AS-path hygiene) used by the BGP
+simulator, the geolocation pipeline, and the ranking metrics. The radix
+trie and the §3.2.1 block splitter that the geolocation tests check the
+interval pass against live in ``tests/oracles/prefixes.py``.
 """
 
 from repro.net.asn import (
@@ -17,29 +19,21 @@ from repro.net.asn import (
     is_reserved_asn,
 )
 from repro.net.aspath import ASPath, ASPathError
-from repro.net.blocks import Block, covered_by_more_specifics, split_into_blocks
 from repro.net.prefix import Prefix, PrefixError, format_address, parse_address
-from repro.net.prefixset import PrefixSet
-from repro.net.prefixtrie import PrefixTrie
 
 __all__ = [
     "AS_TRANS",
     "ASNRegistry",
     "ASPath",
     "ASPathError",
-    "Block",
     "PRIVATE_ASN_RANGES",
     "Prefix",
     "PrefixError",
-    "PrefixSet",
-    "PrefixTrie",
     "RESERVED_ASNS",
-    "covered_by_more_specifics",
     "format_address",
     "is_documentation_asn",
     "is_private_asn",
     "is_public_asn",
     "is_reserved_asn",
     "parse_address",
-    "split_into_blocks",
 ]

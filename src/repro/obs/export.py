@@ -254,6 +254,12 @@ def _fmt_volume(value: object) -> str:
     return f"{'-':>9}"
 
 
+def _mib(size: float) -> str:
+    """A byte count in MiB (2**20 bytes), the unit ``ru_maxrss / 1024``
+    reads on Linux."""
+    return f"{size / 2**20:.1f}MiB"
+
+
 #: span attributes that say *which* unit a span computed; their values
 #: follow the span name in the row label, so a sweep's rows differ
 _IDENTITY_ATTRS = ("snapshot", "stage", "endpoint", "kind", "metric", "country")
@@ -284,7 +290,7 @@ def _span_row(record: SpanRecord, depth: int, self_s: float) -> str:
         drop = f"{100.0 * (1.0 - out / inp):.1f}%"
     mem = ""
     if record.mem_peak is not None:
-        mem = f"  peak {record.mem_peak / 1e6:.1f}MB"
+        mem = f"  peak {_mib(record.mem_peak)}"
     return (
         f"{_span_label(record, depth):<{_LABEL_WIDTH}}"
         f"{_fmt_duration(record.dur_s)}{_fmt_duration(self_s)}"
@@ -363,11 +369,14 @@ def stage_report(tracer: Tracer, title: str = "pipeline stage report") -> str:
         lines.append("")
         lines.append("-- memory (process peak RSS) --")
         for key in memory_keys:
-            lines.append(f"  {key:<28}{gauges[key] / 1e6:>9.1f}MB")
+            lines.append(f"  {key:<28}{_mib(gauges[key]):>12}")
+        # every span name, lowest peak first: the process peak only
+        # rises, so the earliest stages (``pipeline`` before a daemon's
+        # requests) read where the process stood when they closed
         for name, peak in sorted(
-            tracer.rss_peaks.items(), key=lambda item: -item[1]
-        )[:8]:
-            lines.append(f"    at {name:<24}{peak / 1e6:>9.1f}MB")
+            tracer.rss_peaks.items(), key=lambda item: (item[1], item[0])
+        ):
+            lines.append(f"    at {name:<24}{_mib(peak):>12}")
     lint_counters = [key for key in counters if key.startswith("lint.")]
     if lint_counters:
         lines.append("")

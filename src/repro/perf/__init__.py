@@ -11,11 +11,12 @@ Three layers, designed to compose (see DESIGN.md §4):
   counters: the one path every ranking takes.
 * :mod:`repro.perf.cone` — the columnar cone and CTI kernel: interned
   transit suffixes with their cone pairs, CC* closure totals and CTI
-  tables straight from the store's columns, bit-identical to
-  :mod:`repro.core.cone` and :func:`repro.core.cti.cti_scores`.
+  tables straight from the store's columns, bit-identical to the
+  record-by-record oracles in ``tests/oracles/cone.py`` and
+  ``tests/oracles/cti.py``.
 * :mod:`repro.perf.hegemony` — the columnar hegemony kernel: AH* and
   AHC tables straight from the store's columns, bit-identical to
-  :func:`repro.core.hegemony.hegemony_scores`.
+  ``tests/oracles/hegemony.py``.
 
 Every kernel hands its score table to the ranking as
 :class:`~repro.core.ranking.ScoreColumns` columns.

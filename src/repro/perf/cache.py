@@ -23,12 +23,10 @@ Hit/miss counters go into the first caller's metrics registry
 exactly how much recomputation the cache absorbed.
 
 Determinism: a cache never changes *what* is computed, only how often.
-Every product holds the reference :mod:`repro.core` scorer's table over
-the view's records, row for row (the equivalence tests in
-``tests/perf/test_cache.py``, ``tests/perf/test_cone_kernel.py`` and
-``tests/perf/test_hegemony_kernel.py`` compare them value-for-value,
-and the analytic oracles in ``tests/core`` hold both to hand-derived
-values).
+Every product holds the metric's definition over the view's records,
+row for row: ``tests/oracles/test_matrix.py`` compares each with the
+record-by-record oracles of ``tests/oracles`` by ``repr``, and the
+analytic oracles in ``tests/core`` hold both to hand-derived values.
 """
 
 from __future__ import annotations
@@ -112,8 +110,7 @@ class ViewComputation:
     ) -> tuple[np.ndarray, np.ndarray]:
         """AS-level customer cones over the view (memoised per oracle)
         as distinct ``(holder, member)`` ASN pairs
-        (:func:`repro.perf.cone.cone_pairs`): exactly the cones of
-        :func:`repro.core.cone.customer_cones`."""
+        (:func:`repro.perf.cone.cone_pairs`)."""
         view = self.view
         return self._cached(
             ("cones", self._oracle_key(oracle)),
@@ -124,8 +121,7 @@ class ViewComputation:
 
     def cone_addresses(self, oracle: RelationshipOracle) -> ScoreColumns:
         """Cone address closure over the view (memoised per oracle):
-        per AS, exactly :func:`repro.core.cone.cone_addresses`'s count —
-        per-origin totals summed over each cone, or, when a prefix in
+        per AS, the addresses its prefix cone owns — per-origin totals summed over each cone, or, when a prefix in
         the view has two origins, over each cone's distinct prefix ids
         (:func:`repro.perf.cone.closure`)."""
         return self._cached(
@@ -214,8 +210,7 @@ class ViewComputation:
     def cti(self, oracle: RelationshipOracle, trim: float) -> ScoreColumns:
         """The view's CTI table from the columnar kernel
         (:func:`repro.perf.cone.cti_scores`), memoised per oracle and
-        trim; equal to :func:`repro.core.cti.cti_scores` over the view's
-        records."""
+        trim."""
         validate_trim(trim)
         view = self.view
         return self._cached(

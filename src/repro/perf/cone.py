@@ -29,13 +29,13 @@ record object is built and no ``ASPath`` is hashed.
 Every product is columns — (holder, member) pairs, an
 :class:`AddressProfile`, :class:`~repro.core.ranking.ScoreColumns` —
 never a per-AS dict or set. Why the values cannot differ from the
-reference:
+definition (``tests/oracles/cone.py`` and ``tests/oracles/cti.py``,
+which walk the records one by one):
 
-* **Cones** (:func:`cone_pairs`). The reference
-  :func:`repro.core.cone.cones_from_suffixes` adds, per suffix, each
-  AS and everything after it to that AS's cone: exactly the suffix's
-  pairs. Its updates are idempotent, so a view's cones are the
-  distinct pairs of its distinct suffix ids, which a presence table
+* **Cones** (:func:`cone_pairs`). The definition adds, per suffix,
+  each AS and everything after it to that AS's cone: exactly the
+  suffix's pairs. Those updates are idempotent, so a view's cones are
+  the distinct pairs of its distinct suffix ids, which a presence table
   over the ids marks.
 * **Closure addresses** (:func:`closure`). :func:`address_profile`
   reads each distinct (origin, prefix) of a view once, through the
@@ -44,17 +44,17 @@ reference:
   a single origin in the view, cone members own disjoint prefix sets,
   so an AS's closure total is the sum of its members' per-origin
   totals. A view in which some prefix has two origins (MOAS) sums
-  over its distinct (holder, prefix id) pairs instead — the reference
-  :func:`repro.core.cone.cone_addresses`'s prefix-set union. Every
+  over its distinct (holder, prefix id) pairs instead — the
+  definition's prefix-set union. Every
   sum is exact: in int64 while the view's address total is below
   2**53 (no closure exceeds it), and in Python ints otherwise — IPv6
   counts exceed int64, and float64 would round them.
 * **CTI** (:func:`cti_scores`). Every record's transit hops expand, in
   record order and suffix order, into ``weight / k`` terms, each the
-  same float division the reference performs; one ``np.bincount`` over
+  float division the definition performs; one ``np.bincount`` over
   the (VP, AS) cells ``np.unique`` numbers adds every cell's terms one
-  at a time from 0.0, the reference's ``dict.get(asn, 0.0) + weight /
-  k`` sequence. Zero-address records
+  at a time from 0.0, the definition's running ``total + weight / k``
+  sequence. Zero-address records
   keep their 0.0 cells, so their ASes keep a row. ``n`` counts every
   VP with a record in the view, even one whose suffixes are all
   origin-only. Cells are divided by the view's address total, then
@@ -272,8 +272,8 @@ def cone_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The customer cones of the records at ``positions`` as their
     distinct ``(holder, member)`` ASN pairs, ascending by holder, then
-    member: ``customer_cones`` holds ``member`` in ``holder``'s cone
-    exactly for these pairs."""
+    member: ``member`` is in ``holder``'s cone exactly for these
+    pairs."""
     asns = store.asn_codes()[0]
     ids = view_suffix_ids(store, positions, table)
     codes, _ = runs(table.pair_codes, table.pair_offsets, table.pair_lengths, ids)
@@ -342,8 +342,7 @@ def closure(
 ) -> ScoreColumns:
     """Per cone holder of the :func:`cone_pairs` ``(holders,
     members)``, the addresses of the distinct prefixes its members
-    originate in the view — :func:`repro.core.cone.cone_addresses` —
-    summed exactly in the profile's count dtype (see the module
+    originate in the view, summed exactly in the profile's count dtype (see the module
     docstring)."""
     if not len(holders):
         return ScoreColumns(holders, profile.count[:0])
@@ -377,8 +376,8 @@ def cti_scores(
     total: int,
     trim: float,
 ) -> ScoreColumns:
-    """``repro.core.cti.cti_scores`` over the records at ``positions``
-    (ascending), with ``total`` the view's address total, as columns."""
+    """The CTI table of the records at ``positions`` (ascending), with
+    ``total`` the view's address total, as columns."""
     validate_trim(trim)
     if total <= 0 or len(positions) == 0:
         return no_scores()

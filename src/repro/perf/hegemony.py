@@ -2,24 +2,25 @@
 
 :func:`hegemony_tables` takes groups of record positions in a
 :class:`~repro.perf.pathstore.PathStore` and returns, per group, exactly
-the table :func:`repro.core.hegemony.hegemony_scores` builds from the
-records at those positions — every value bit-identical — as a
+the hegemony table of the records at those positions — every value
+bit-identical to the estimator's definition, which
+``tests/oracles/hegemony.py`` walks record by record — as a
 :class:`~repro.core.ranking.ScoreColumns` pair (rows in ascending ASN
 order), without materialising a record, a per-VP dict or a per-AS
 dict. A group is one view (AHG/AHI/AHN/AHO and the ``-P`` variants) or
 the records toward one origin AS (AHC's per-origin local hegemony).
 
-Why the values cannot differ from the reference:
+Why the values cannot differ from the definition:
 
 * **Step 1, per-VP betweenness.** Records weighing 0 are dropped
   before anything is counted, so a VP whose records all weigh 0 never
   counts in ``n``. The rest are ordered by (group, VP) with a stable
   sort, so each (group, VP) cell keeps its records in ascending
-  position order — the reference's record order. ``np.bincount`` adds
+  position order — the records' order. ``np.bincount`` adds
   every bin's terms one at a time in input order starting from 0.0, so
   the cell totals and the per-(cell, AS) weights are the same sequence
-  of float additions as the reference's ``dict.get(key, 0.0) + w``
-  loop, and dividing one by the other is the same division. A cell's
+  of float additions as the definition's running ``total + w`` per
+  key, and dividing one by the other is the same division. A cell's
   terms are never split across two ``bincount`` calls: chunks hold
   whole cells. Each path contributes its *distinct* ASNs
   (:meth:`~repro.perf.pathstore.PathStore.distinct_asns`), like
@@ -83,10 +84,10 @@ def hegemony_tables(
 ) -> list[ScoreColumns]:
     """One hegemony table per group of ascending store positions.
 
-    Table ``i`` holds ``hegemony_scores([store.records[p] for p in
-    groups[i]], trim, weighting)``'s keys in ascending order and its
-    values bit for bit; an out-of-range trim or an unknown weighting
-    raises the reference's ``ValueError``.
+    Table ``i`` holds the hegemony of every AS on the records at
+    ``groups[i]`` (with ``trim`` and ``weighting``), keys ascending;
+    an out-of-range trim or an unknown weighting raises the
+    ``ValueError`` every ranking entry point raises.
     """
     validate_trim(trim)
     check_weighting(weighting)

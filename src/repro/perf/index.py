@@ -10,11 +10,12 @@ the :class:`~repro.perf.pathstore.PathStore`'s id columns and shared by
 every index over that store — and a view is then the merged positions
 of the selected buckets, over the same store. No record is built.
 
-Invariant: an indexed view is **identical** to its naive counterpart —
-same name, same country, and the same positions (so the same records
-in the same ``PathSet`` order) — because buckets store record positions
-and every selection is emitted in ascending position order. The
-equivalence tests in ``tests/perf/test_index.py`` pin this down.
+Invariant: an indexed view is **identical** to a full scan that tests
+every record (``tests/oracles/views.py``) — same name, same country,
+and the same positions (so the same records in the same ``PathSet``
+order) — because buckets store record positions and every selection is
+emitted in ascending position order. The test matrix
+(``tests/oracles/test_matrix.py``) pins this down.
 VP downsampling (the stability analysis) is
 :meth:`repro.core.views.View.restrict_vps`, a mask over the view's VP
 ids.
@@ -103,8 +104,8 @@ class PathIndex:
         """Build a view from bucket lookups.
 
         Produces the same :class:`View` (name, country, positions) as
-        the naive builders in :mod:`repro.core.views`, under the same
-        ``views`` span (tagged ``indexed=True``).
+        a full scan of the records, under a ``views`` span (tagged
+        ``indexed=True``).
         """
         name = kind if country is None else f"{kind}:{country}"
         with tracer.span(

@@ -44,7 +44,7 @@ Neither backend keeps record objects. ``records`` (every record) and
 :meth:`PathStore.records_at` (the records at some positions, what
 ``View.records`` returns) are a façade that rebuilds
 :class:`~repro.core.sanitize.PathRecord` objects from the columns on
-access — for the reference scorers, exports and tests; the ranking
+access — for exports and tests; the ranking
 path reads columns only. A store built from a record sequence
 (``PathStore(records)``) adds them to a fresh builder one by one.
 

@@ -13,9 +13,7 @@ Validation follows the CLI-wide discipline: bad
 input gets a one-line stderr message and exit status 2, never a
 traceback (``tests/test_cli.py`` pins the cases).
 
-Flags (plus the global ``--world/--seed``, and ``--workers``, which is
-validated ``>= 1`` and otherwise ignored — the startup pipeline runs
-serially):
+Flags (plus the global ``--world/--seed``):
 
 * ``--host`` / ``--port`` — bind address (``--port 0`` picks an
   ephemeral port and prints it, which the smoke tests rely on);
@@ -108,8 +106,6 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         return _fail(
             f"--max-requests must be >= 1 (got {args.max_requests})", prog
         )
-    if args.workers < 1:
-        return _fail(f"--workers must be >= 1 (got {args.workers})", prog)
     if args.no_resume and args.store is None:
         return _fail("--no-resume requires --store", prog)
     metrics: tuple[str, ...] | None = None
@@ -147,7 +143,7 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         countries = tuple(normalized)
 
     tracer = Tracer()
-    config = PipelineConfig(seed=args.seed, workers=args.workers)
+    config = PipelineConfig(seed=args.seed)
     try:
         store = ArtifactStore(
             store_key(world, config),
@@ -204,11 +200,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--world", choices=WORLD_CHOICES, default="small")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--workers", type=int, default=1,
-        help="accepted for compatibility (must be >= 1); the startup "
-             "pipeline runs serially",
-    )
     add_serve_arguments(parser)
     return run_serve(parser.parse_args(argv), prog="repro-serve")
 

@@ -14,10 +14,11 @@ from repro.analysis.sovereignty import (
     dependency_matrix,
     render_dependencies,
 )
-from repro.core.ahc import ahc_scores
+from repro.core.ahc import ahc_ranking
 from repro.core.ranking import Ranking
-from repro.core.views import outbound_view
 from repro.topology.paper_world import build_paper_world
+
+from tests.oracles.views import outbound_view
 
 
 @pytest.fixture(scope="module")
@@ -131,9 +132,8 @@ class TestConcentration:
 
 class TestAhcWeighting:
     def test_address_weighting_reweights(self, result):
-        origins = result.world.graph.by_registry_country("AU")
-        equal = ahc_scores(result.paths.records, origins, weighting="as_count")
-        weighted = ahc_scores(result.paths.records, origins, weighting="addresses")
+        equal = {e.asn: e.value for e in result.ranking("AHC", "AU").entries}
+        weighted = {e.asn: e.value for e in result.ranking("AHC-A", "AU").entries}
         assert equal and weighted
         # The transit AS above the biggest eyeball (Telstra's 4637)
         # gains relative weight under address weighting.
@@ -141,4 +141,4 @@ class TestAhcWeighting:
 
     def test_unknown_weighting_rejected(self, result):
         with pytest.raises(ValueError):
-            ahc_scores(result.paths.records, [1221], weighting="users")
+            ahc_ranking(result.view("global"), "AU", [1221], weighting="users")

@@ -1,6 +1,7 @@
 """The all-origin array pass against the per-origin reference sweep.
 
-``_propagate`` is the per-origin reference; every production route —
+``tests/oracles/propagation.py`` is the per-origin reference; every
+production route —
 ``propagate`` and ``propagate_all`` — comes from the array pass. Hypothesis relabels random economies into
 public ASNs up to 2^32 - 1 so that the ``hash`` tie-break's 32-bit mix wraps,
 and draws the tie-break, the salt, the origins and a keep set (which
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.bgp.propagation import (
     TIEBREAKS,
     _adjacency_of,
-    _propagate,
     keep_closure,
     propagate,
     propagate_all,
@@ -25,6 +25,7 @@ from repro.topology.catalog import build_world
 from repro.topology.model import ASGraph
 
 from tests.bgp.test_propagation_properties import economies
+from tests.oracles import propagation as oracle
 
 
 @st.composite
@@ -56,9 +57,10 @@ def problems(draw):
 
 def reference(graph, origin, keep, tiebreak, salt):
     """The per-origin sweep's routes at ``keep``."""
-    adjacency = _adjacency_of(graph)
-    relevant = keep_closure(adjacency, keep) if keep is not None else None
-    routes = _propagate(adjacency, origin, tiebreak, salt, relevant=relevant)
+    relevant = (
+        keep_closure(_adjacency_of(graph), keep) if keep is not None else None
+    )
+    routes = oracle.propagate(graph, origin, tiebreak, salt, relevant=relevant)
     if keep is not None:
         routes = {asn: route for asn, route in routes.items() if asn in keep}
     return routes
@@ -132,7 +134,7 @@ class TestTelemetry:
         adjacency = _adjacency_of(graph)
         relevant = keep_closure(adjacency, keep)
         for origin in sorted(a for a in graph.asns() if graph.node(a).prefixes):
-            _propagate(adjacency, origin, "hash", 0, expected, relevant)
+            oracle.propagate(graph, origin, "hash", 0, expected, relevant)
         assert (observed.count, observed.total, observed.min, observed.max) == (
             expected.count, expected.total, expected.min, expected.max
         )

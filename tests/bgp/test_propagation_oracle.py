@@ -1,8 +1,7 @@
 """Routes on the bgpsim 13-AS tree against values derived by hand
 (analytic oracle).
 
-The tree is ``tests/core/test_cone_oracle.py``'s (SNIPPETS.md,
-snippet 3): AS 1 provides transit to 2-5, 2-3 and 4-5 are peers, and
+The tree is ``tests/oracles/inputs.py``'s (SNIPPETS.md, snippet 3): AS 1 provides transit to 2-5, 2-3 and 4-5 are peers, and
 2, 3, 4, 5 provide transit to the leaves 6-7, 8-9, 10-11 and 12-13.
 
 Toward origin 8, the route climbs 8 → 3 → 1 (customer routes at 3 and
@@ -25,14 +24,14 @@ import pytest
 from repro.bgp.policy import Route, RouteClass
 from repro.bgp.propagation import (
     _adjacency_of,
-    _propagate,
     keep_closure,
     propagate,
     propagate_all,
 )
 from repro.topology.model import ASGraph
 
-from tests.core.test_cone_oracle import AS_REL
+from tests.oracles import propagation as oracle
+from tests.oracles.inputs import AS_REL
 
 C, P, V = RouteClass.CUSTOMER, RouteClass.PEER, RouteClass.PROVIDER
 
@@ -85,9 +84,8 @@ def tree():
 @pytest.mark.parametrize("tiebreak", TIEBREAKS)
 class TestTree:
     def test_reference(self, tree, tiebreak):
-        adjacency = _adjacency_of(tree)
         for origin, expected in EXPECTED.items():
-            assert _propagate(adjacency, origin, tiebreak) == expected
+            assert oracle.propagate(tree, origin, tiebreak) == expected
 
     def test_single_origin(self, tree, tiebreak):
         for origin, expected in EXPECTED.items():

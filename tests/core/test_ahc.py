@@ -2,23 +2,18 @@
 
 import pytest
 
-from repro.bgp.collectors import VantagePoint
-from repro.core.ahc import ahc_ranking, ahc_scores
-from repro.core.sanitize import FilterReport, PathRecord, PathSet
-from repro.core.views import global_view
-from repro.net.aspath import ASPath
+from repro.core.ahc import ahc_ranking
+from repro.core.sanitize import FilterReport, PathSet
+from repro.perf.index import PathIndex
 from repro.net.prefix import Prefix
+
+from tests.oracles import inputs
+from tests.oracles.hegemony import ahc_scores
 
 
 def record(vp_ip, path, prefix, prefix_country="AU"):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, int(path.split()[0]), "c"),
-        vp_country="US",
-        prefix=Prefix.parse(prefix),
-        prefix_country=prefix_country,
-        path=ASPath.parse(path),
-        addresses=Prefix.parse(prefix).num_addresses(),
-    )
+    addresses = Prefix.parse(prefix).num_addresses()
+    return inputs.record(vp_ip, path, prefix, addresses, prefix_country=prefix_country)
 
 
 class TestAhcScores:
@@ -69,7 +64,8 @@ class TestAhcRanking:
             record("10.0.0.1", "1 6 9", "3.0.0.0/24"),
         ]
         paths = PathSet(records=records, report=FilterReport())
-        ranking = ahc_ranking(global_view(paths), "AU", [8, 9])
+        view = PathIndex.from_paths(paths).view("global")
+        ranking = ahc_ranking(view, "AU", [8, 9])
         assert ranking.metric == "AHC:AU"
         assert ranking.rank_of(5) is not None
         assert ranking.rank_of(1) == 1  # the VP-side AS is on every path

@@ -1,12 +1,11 @@
-"""AHC's column average is the reference average bit for bit.
+"""AHC's column average is the definition's average bit for bit.
 
 ``ahc_ranking`` averages the per-origin hegemony columns with one
-``np.bincount`` (``core.ahc._column_average``); the reference
-``ahc_scores`` adds dict entries one at a time
-(``_weighted_origin_average``). Both are compared by ``repr`` on
-generated tables whose origins share ASes, whose rows include 0.0
-values, and whose origins include zero address footprints, under both
-weightings.
+``np.bincount`` (``core.ahc._column_average``); the oracle
+(``tests/oracles/hegemony.py``) adds dict entries one at a time
+(``weighted_average``). Both are compared by ``repr`` on generated
+tables whose origins share ASes, whose rows include 0.0 values, and
+whose origins include zero address footprints, under both weightings.
 """
 
 import numpy as np
@@ -17,14 +16,13 @@ from repro.core.ahc import (
     AHC_WEIGHTINGS,
     _column_average,
     _origin_weights,
-    _weighted_origin_average,
     ahc_ranking,
-    ahc_scores,
 )
 from repro.core.ranking import ScoreColumns
 from repro.core.views import View
 
-from tests.perf.test_hegemony_kernel import record_sets
+from tests.oracles.hegemony import ahc_scores, weighted_average
+from tests.oracles.inputs import record_sets
 
 #: a few recurring values, 0.0 among them, and arbitrary floats
 VALUES = st.sampled_from((0.0, 1.0, 0.5, 1 / 3, 2 / 3, 0.1)) | st.floats(
@@ -71,7 +69,7 @@ def test_column_average_equals_reference(drawn, weighting):
     weights = _origin_weights(
         origins, weighting, tables, footprints.__getitem__
     )
-    expected = _weighted_origin_average(origins, weights, tables.__getitem__)
+    expected = weighted_average(tables, weights)
     asns, values = _column_average(
         origins, weights, lambda origin: columns(tables[origin])
     )
@@ -83,19 +81,19 @@ def test_column_average_equals_reference(drawn, weighting):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    records=record_sets(),
+    drawn=record_sets(),
     registered=st.sets(st.integers(min_value=1, max_value=9), min_size=1),
     trim=st.sampled_from((0.0, 0.1, 0.25, 0.49)),
     weighting=st.sampled_from(AHC_WEIGHTINGS),
 )
-def test_ranking_equals_ahc_scores(records, registered, trim, weighting):
+def test_ranking_equals_ahc_scores(drawn, registered, trim, weighting):
     """Through the kernel: random record sets (paths over ASes 1-8, so
     origins share transit ASes; zero-address prefixes give zero
     footprints), registered origins that may be unobserved."""
-    ranking = ahc_ranking(
-        View.of("global", None, records), "XX", registered, trim, weighting
-    )
-    expected = ahc_scores(records, registered, trim, weighting)
+    view = View.of("global", None, drawn[0])
+    ranking = ahc_ranking(view, "XX", registered, trim, weighting)
+    # the records as the store holds them: a prefix keeps its first count
+    expected = ahc_scores(view.records, registered, trim, weighting)
     assert {entry.asn: repr(entry.value) for entry in ranking} == reprs(
         expected, expected.values()
     )

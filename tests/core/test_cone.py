@@ -3,18 +3,19 @@
 import pytest
 
 from repro.bgp.collectors import VantagePoint
-from repro.core.cone import (
-    cone_addresses,
-    cone_ranking,
-    customer_cones,
-    prefix_cones,
-    transit_suffix,
-)
+from repro.core.cone import cone_ranking
 from repro.core.sanitize import PathRecord
 from repro.core.views import View
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.topology.model import ASGraph
+
+from tests.oracles.cone import (
+    cone_addresses,
+    customer_cones,
+    prefix_cones,
+    transit_suffix,
+)
 
 
 def record(vp_asn, path, prefix="10.0.0.0/24", country="US", addresses=None):

@@ -1,7 +1,7 @@
 """Customer cones against values derived by hand (analytic oracle).
 
 The topology is the 13-AS tree of the bgpsim ``as-rel.txt`` fixture
-(SNIPPETS.md, snippet 3)::
+(SNIPPETS.md, snippet 3; ``tests/oracles/inputs.py`` builds it)::
 
             _________1_________
            /       /   \\       \\
@@ -38,84 +38,13 @@ an AS's cone is itself plus every AS below it on some suffix (§3):
 
 import pytest
 
-from repro.bgp.collectors import VantagePoint
-from repro.core.cone import cone_addresses, cone_ranking
+from repro.core.cone import cone_ranking
 from repro.core.ranking import Ranking
-from repro.core.sanitize import FilterReport, PathRecord, PathSet
-from repro.core.views import global_view, international_view, national_view
-from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
-from repro.relationships.inference import InferredRelationships
+from repro.perf.index import PathIndex
 
-#: the fixture's relationship lines: ``a|b|-1`` = a provides transit
-#: to b, ``a|b|0`` = peers
-AS_REL = """\
-1|2|-1
-1|3|-1
-1|4|-1
-1|5|-1
-2|3|0
-4|5|0
-2|6|-1
-2|7|-1
-3|8|-1
-3|9|-1
-4|10|-1
-4|11|-1
-5|12|-1
-5|13|-1
-"""
-
-BB = {4, 5, 10, 11, 12, 13}
-
-#: each VP's valley-free path to every origin AS
-PATHS = {
-    1: {
-        1: "1", 2: "1 2", 3: "1 3", 4: "1 4", 5: "1 5",
-        6: "1 2 6", 7: "1 2 7", 8: "1 3 8", 9: "1 3 9",
-        10: "1 4 10", 11: "1 4 11", 12: "1 5 12", 13: "1 5 13",
-    },
-    6: {
-        6: "6", 2: "6 2", 7: "6 2 7", 3: "6 2 3", 8: "6 2 3 8",
-        9: "6 2 3 9", 1: "6 2 1", 4: "6 2 1 4", 10: "6 2 1 4 10",
-        11: "6 2 1 4 11", 5: "6 2 1 5", 12: "6 2 1 5 12",
-        13: "6 2 1 5 13",
-    },
-    12: {
-        12: "12", 5: "12 5", 13: "12 5 13", 4: "12 5 4",
-        10: "12 5 4 10", 11: "12 5 4 11", 1: "12 5 1", 2: "12 5 1 2",
-        6: "12 5 1 2 6", 7: "12 5 1 2 7", 3: "12 5 1 3",
-        8: "12 5 1 3 8", 9: "12 5 1 3 9",
-    },
-}
-
-
-def country(asn):
-    return "BB" if asn in BB else "AA"
-
-
-def tree_oracle():
-    labels = {}
-    for line in AS_REL.splitlines():
-        left, right, kind = (int(field) for field in line.split("|"))
-        labels[(left, right)] = "p2c" if kind == -1 else "p2p"
-    return InferredRelationships(clique=frozenset({1}), labels=labels)
-
-
-def tree_paths():
-    records = [
-        PathRecord(
-            vp=VantagePoint(f"10.0.0.{vp}", vp, "rrc00"),
-            vp_country=country(vp),
-            prefix=Prefix.parse(f"10.{origin}.0.0/24"),
-            prefix_country=country(origin),
-            path=ASPath.parse(path),
-            addresses=256,
-        )
-        for vp, paths in PATHS.items()
-        for origin, path in paths.items()
-    ]
-    return PathSet(records=records, report=FilterReport())
+from tests.oracles import views as oracle_views
+from tests.oracles.cone import cone_addresses, total_addresses
+from tests.oracles.inputs import tree_oracle, tree_paths
 
 
 LEAVES = (6, 7, 8, 9, 10, 11, 12, 13)
@@ -128,24 +57,34 @@ EXPECTED = {
 }
 
 
-def views():
+def views(path):
+    """The tree's three views: full scans (``naive``) or path-index
+    lookups (``kernel``)."""
     paths = tree_paths()
+    if path == "naive":
+        return {
+            "CCG": oracle_views.global_view(paths),
+            "CCI:BB": oracle_views.international_view(paths, "BB"),
+            "CCN:BB": oracle_views.national_view(paths, "BB"),
+        }
+    index = PathIndex.from_paths(paths)
     return {
-        "CCG": global_view(paths),
-        "CCI:BB": international_view(paths, "BB"),
-        "CCN:BB": national_view(paths, "BB"),
+        "CCG": index.view("global"),
+        "CCI:BB": index.view("international", "BB"),
+        "CCN:BB": index.view("national", "BB"),
     }
 
 
-def ranked(path, view, oracle, metric):
-    """``view``'s CC ranking: from the reference
-    :func:`~repro.core.cone.cone_addresses` over its records
+def ranked(path, metric):
+    """The CC ranking of the view named ``metric``: from the oracle's
+    :func:`~tests.oracles.cone.cone_addresses` over its records
     (``naive``), or through :func:`~repro.core.cone.cone_ranking`, the
     one ranking path (``kernel``)."""
+    view, oracle = views(path)[metric], tree_oracle()
     if path == "kernel":
         return cone_ranking(view, oracle, metric)
     addresses = cone_addresses(view.records, oracle)
-    total = sum({r.prefix: r.addresses for r in view.records}.values())
+    total = total_addresses(view.records)
     return Ranking.from_scores(
         metric, {asn: float(n) for asn, n in addresses.items()},
         {asn: n / total for asn, n in addresses.items()},
@@ -155,14 +94,14 @@ def ranked(path, view, oracle, metric):
 @pytest.mark.parametrize("metric", sorted(EXPECTED))
 @pytest.mark.parametrize("path", ["naive", "kernel"])
 def test_cone_addresses_match_hand_derivation(metric, path):
-    ranking = ranked(path, views()[metric], tree_oracle(), metric)
+    ranking = ranked(path, metric)
     got = {entry.asn: entry.value for entry in ranking.entries}
     assert got == EXPECTED[metric]
 
 
 @pytest.mark.parametrize("path", ["naive", "kernel"])
 def test_shares_divide_by_the_view_space(path):
-    ranking = ranked(path, views()["CCI:BB"], tree_oracle(), "CCI:BB")
+    ranking = ranked(path, "CCI:BB")
     assert ranking.top_asns(1) == [1]
     assert ranking.entries[0].share == 1.0  # all six BB prefixes
     assert ranking.entries[1].share == 0.5  # AS 4: three of six

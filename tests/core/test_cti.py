@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.bgp.collectors import VantagePoint
-from repro.core.cti import cti_ranking, cti_scores
-from repro.core.sanitize import PathRecord
+from repro.core.cti import cti_ranking
 from repro.core.views import View
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.topology.model import ASGraph
+
+from tests.oracles import inputs
+from tests.oracles.cone import cone_addresses
+from tests.oracles.cti import cti_scores
+from tests.oracles.hegemony import hegemony_scores
 
 
 def graph_chain():
@@ -23,14 +25,8 @@ def graph_chain():
 
 
 def record(vp_ip, path, prefix, country="AU"):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, int(path.split()[0]), "c"),
-        vp_country="US",
-        prefix=Prefix.parse(prefix),
-        prefix_country=country,
-        path=ASPath.parse(path),
-        addresses=Prefix.parse(prefix).num_addresses(),
-    )
+    addresses = Prefix.parse(prefix).num_addresses()
+    return inputs.record(vp_ip, path, prefix, addresses, prefix_country=country)
 
 
 class TestCtiScores:
@@ -94,9 +90,6 @@ class TestPaperOrderingClaim:
         """§1.3: for an AS originating large prefixes (AOLP), CTI scores
         the origin lower than CC/AH would, and its adjacent provider
         relatively higher."""
-        from repro.core.cone import cone_addresses
-        from repro.core.hegemony import hegemony_scores
-
         graph = graph_chain()
         records = [record("10.0.0.1", "1 2 3", "1.0.0.0/24")]
         cti = cti_scores(records, graph, total_addresses=256)

@@ -1,11 +1,12 @@
 """CTI and AHC against values derived by hand (analytic oracle).
 
 Same topology, VPs and paths as the cone and hegemony oracles
-(``tests/core/test_cone_oracle.py``): the bgpsim 13-AS tree, one /24
+(``tests/core/test_cone_oracle.py``, built by
+``tests/oracles/inputs.py``): the bgpsim 13-AS tree, one /24
 (256 addresses) per AS, VPs at AS 1 (AA), AS 6 (AA) and AS 12 (BB),
 country BB = {4, 5, 10-13}. Each expectation is checked on the
-reference scorer over the view's records and through the one ranking
-path, on an in-memory and on an mmap-backed store.
+oracle over the view's records and through the one ranking path, on
+an in-memory and on an mmap-backed store.
 
 * **CTI:BB** (Gamero-Garrido et al., paper §1.3; the international
   view: the two AA VPs → the six BB prefixes, 1,536 addresses). Per VP,
@@ -43,14 +44,14 @@ import dataclasses
 
 import pytest
 
-from repro.core.ahc import ahc_ranking, ahc_scores
-from repro.core.cti import cti_ranking, cti_scores
-from repro.core.sanitize import FilterReport
+from repro.core.ahc import ahc_ranking
+from repro.core.cti import cti_ranking
 from repro.net.prefix import Prefix
 from repro.perf.index import PathIndex
-from repro.perf.pathstore import PathStore
-from repro.perf.spill import MmapPathStore, SpillWriter
-from tests.core.test_cone_oracle import BB, tree_oracle, tree_paths
+
+from tests.oracles.cti import cti_scores
+from tests.oracles.hegemony import ahc_scores
+from tests.oracles.inputs import BACKENDS, BB, build_store, tree_oracle, tree_records
 
 LEAVES = {leaf: 1 / 6 for leaf in (10, 11, 12, 13)}
 
@@ -77,26 +78,18 @@ def with_big_prefix(records):
 
 def tree_index(records, backend, directory):
     """A path index over ``records`` in a store of the given backend."""
-    if backend == "memory":
-        return PathIndex(PathStore(records))
-    writer = SpillWriter(directory)
-    report = FilterReport()
-    writer.prepare(report)
-    for record in records:
-        writer.add(record)
-    writer.seal(len(records), report)
-    return PathIndex(MmapPathStore(directory))
+    return PathIndex(build_store(records, backend, directory))
 
 
 def values(ranking):
     return {entry.asn: entry.value for entry in ranking.entries}
 
 
-@pytest.mark.parametrize("backend", ["memory", "mmap"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("path", ["reference", "ranking"])
 def test_cti_matches_hand_derivation(path, backend, tmp_path):
     oracle = tree_oracle()
-    view = tree_index(tree_paths().records, backend, tmp_path).view(
+    view = tree_index(tree_records(), backend, tmp_path).view(
         "international", "BB"
     )
     if path == "reference":
@@ -108,11 +101,11 @@ def test_cti_matches_hand_derivation(path, backend, tmp_path):
     assert got == EXPECTED_CTI
 
 
-@pytest.mark.parametrize("backend", ["memory", "mmap"])
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("path", ["reference", "ranking"])
 @pytest.mark.parametrize("weighting", sorted(EXPECTED_AHC))
 def test_ahc_matches_hand_derivation(weighting, path, backend, tmp_path):
-    records = with_big_prefix(tree_paths().records)
+    records = with_big_prefix(tree_records())
     view = tree_index(records, backend, tmp_path).view("global")
     if path == "reference":
         got = ahc_scores(view.records, BB, trim=0.1, weighting=weighting)

@@ -2,31 +2,23 @@
 
 import pytest
 
-from repro.bgp.collectors import VantagePoint
-from repro.core.hegemony import (
-    hegemony_ranking,
+from repro.core.hegemony import hegemony_ranking, validate_trim
+from repro.core.views import View
+
+from tests.oracles import inputs
+from tests.oracles.cti import cti_scores
+from tests.oracles.hegemony import (
+    ahc_scores,
+    betweenness,
     hegemony_scores,
     local_hegemony,
-    per_vp_scores,
     trimmed_mean,
-    trimmed_scores,
-    validate_trim,
+    trimmed_over_vps,
 )
-from repro.core.sanitize import PathRecord
-from repro.core.views import View
-from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
 
 
 def record(vp_ip, path, prefix, addresses=256, country="US"):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, int(path.split()[0]), "c"),
-        vp_country=country,
-        prefix=Prefix.parse(prefix),
-        prefix_country=country,
-        path=ASPath.parse(path),
-        addresses=addresses,
-    )
+    return inputs.record(vp_ip, path, prefix, addresses, country, country)
 
 
 class TestTrimmedMean:
@@ -128,13 +120,13 @@ class TestTrimEquivalence:
                    f"10.{j}.{i}.0/24", addresses=128 * (1 + (i * j) % 5))
             for j in range(3) for i in range(1, 8)
         ]
-        return per_vp_scores(records)
+        return betweenness(records)
 
     @pytest.mark.parametrize("trim", [-0.01, 0.5, 0.6, 1.0])
     def test_both_paths_reject_identically(self, trim):
-        per_vp, universe = self.build_table()
+        per_vp = self.build_table()
         with pytest.raises(ValueError, match="trim out of range"):
-            trimmed_scores(per_vp, universe, trim)
+            trimmed_over_vps(per_vp, trim)
 
     def test_validate_trim_accepts_valid_range(self):
         assert validate_trim(0.0) == 0.0
@@ -147,8 +139,6 @@ class TestTrimEquivalence:
             hegemony_ranking(view, trim=0.5)
 
     def test_cti_and_ahc_entry_points_reject(self):
-        from repro.core.ahc import ahc_scores
-        from repro.core.cti import cti_scores
         from repro.relationships.inference import infer_relationships
 
         records = [record("10.0.0.1", "9 5 8", "10.8.0.0/24")]

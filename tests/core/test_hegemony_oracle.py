@@ -1,7 +1,8 @@
 """AS hegemony against values derived by hand (analytic oracle).
 
 Same topology, VPs and paths as the cone oracle
-(``tests/core/test_cone_oracle.py``): the bgpsim 13-AS tree, one /24
+(``tests/core/test_cone_oracle.py``, built by
+``tests/oracles/inputs.py``): the bgpsim 13-AS tree, one /24
 per AS (so every path weighs the same and each per-VP score is a
 fraction of that VP's path count), VPs at AS 1 (AA), AS 6 (AA) and
 AS 12 (BB), country BB = {4, 5, 10-13}.
@@ -42,9 +43,10 @@ values are compared exactly.
 
 import pytest
 
-from repro.core.hegemony import hegemony_ranking, hegemony_scores
-from repro.core.views import global_view, international_view, national_view
-from tests.core.test_cone_oracle import tree_paths
+from repro.core.hegemony import hegemony_ranking
+
+from tests.core.test_cone_oracle import views
+from tests.oracles.hegemony import hegemony_scores
 
 EXPECTED = {
     "AHG": {
@@ -59,20 +61,16 @@ EXPECTED = {
 }
 
 
-def views():
-    paths = tree_paths()
-    return {
-        "AHG": global_view(paths),
-        "AHI:BB": international_view(paths, "BB"),
-        "AHN:BB": national_view(paths, "BB"),
-    }
+#: the hegemony metric → the tree view (named by its cone metric)
+VIEW_OF = {"AHG": "CCG", "AHI:BB": "CCI:BB", "AHN:BB": "CCN:BB"}
 
 
-def scores(path, view):
-    """``view``'s AS hegemony: the reference
-    :func:`~repro.core.hegemony.hegemony_scores` over its records
+def scores(path, metric):
+    """The AS hegemony of the view of ``metric``: the oracle's
+    :func:`~tests.oracles.hegemony.hegemony_scores` over its records
     (``naive``), or :func:`~repro.core.hegemony.hegemony_ranking`, the
     one ranking path (``kernel``)."""
+    view = views(path)[VIEW_OF[metric]]
     if path == "naive":
         return hegemony_scores(view.records, trim=0.1)
     ranking = hegemony_ranking(view, view.name, trim=0.1)
@@ -82,7 +80,7 @@ def scores(path, view):
 @pytest.mark.parametrize("metric", sorted(EXPECTED))
 @pytest.mark.parametrize("path", ["naive", "kernel"])
 def test_hegemony_matches_hand_derivation(metric, path):
-    assert scores(path, views()[metric]) == EXPECTED[metric]
+    assert scores(path, metric) == EXPECTED[metric]
 
 
 @pytest.mark.parametrize("path", ["naive", "kernel"])
@@ -90,7 +88,7 @@ def test_three_vp_trim_keeps_the_median(path):
     """The paper's Figure-2 shape: with three VPs the 10% trim drops
     one score from each end, so AS 1's global hegemony is its median
     per-VP score, not the mean (1 + 7/13 + 7/13)/3."""
-    got = scores(path, views()["AHG"])
+    got = scores(path, "AHG")
     assert max(got, key=got.get) == 1
     assert got[1] == 7 / 13
     assert got[1] != (1 + 7 / 13 + 7 / 13) / 3

@@ -1,13 +1,21 @@
 """Property-based invariants of the ranking metrics over a real
-pipeline run (cheap to check, strong to hold)."""
+pipeline run (cheap to check, strong to hold), and the cone's
+monotonicity in its relationship labels over generated worlds."""
 
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro import GeneratorConfig, generate_world, run_pipeline, small_profiles
-from repro.core.cone import cone_addresses, customer_cones, prefix_cones, transit_suffix
-from repro.core.hegemony import hegemony_scores, local_hegemony
+from repro.bgp.propagation import propagate_all
+from repro.core.views import View
+
+from tests.bgp.test_propagation_properties import economies
+from tests.oracles.inputs import EdgeOracle, as_cones, record
+from tests.oracles.cone import cone_addresses, customer_cones, prefix_cones, transit_suffix
+from tests.oracles.hegemony import hegemony_scores, local_hegemony
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +111,60 @@ class TestHegemonyInvariants:
         ) / len(result.paths.records)
         assert total <= mean_path_len + 1.0
         assert math.isfinite(total)
+
+
+@st.composite
+def labelled_worlds(draw):
+    """Every AS's route to every origin over a random valley-free
+    economy, as records (one /24 per origin, a VP at every AS); a
+    random subset of the economy's provider→customer pairs labelled;
+    and one adjacent pair of an observed path that no label covers."""
+    graph, _, tiebreak = draw(economies())
+    routes = propagate_all(graph, origins=graph.asns(), tiebreak=tiebreak).routes
+    records = [
+        record(f"10.0.{holder}.1", route.path, f"10.{origin}.0.0/24")
+        for origin in sorted(routes)
+        for holder, route in sorted(routes[origin].items())
+    ]
+    edges = sorted(graph.p2c_edges())
+    labelled = draw(st.sets(st.sampled_from(edges))) if edges else set()
+    unlabelled = sorted({
+        (left, right)
+        for rec in records
+        for left, right in zip(rec.path.asns, rec.path.asns[1:])
+        if (left, right) not in labelled and (right, left) not in labelled
+    })
+    assume(unlabelled)
+    return records, labelled, draw(st.sampled_from(unlabelled))
+
+
+def grows(before, after):
+    """Every cone of ``before`` is inside its holder's cone in ``after``."""
+    return all(members <= after.get(holder, set())
+               for holder, members in before.items())
+
+
+class TestConeMonotonicity:
+    """Labelling a previously unlabelled pair p2c never shrinks any
+    customer cone: a transit suffix is the longest p2c tail of its
+    path, and a new p2c label can only let a tail grow."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_worlds())
+    def test_production_cones_grow(self, world):
+        records, labelled, pair = world
+
+        def cones(edges):
+            view = View.of("global", None, records)
+            return as_cones(view.computation().cone_pairs(EdgeOracle(edges)))
+
+        assert grows(cones(labelled), cones(labelled | {pair}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(labelled_worlds())
+    def test_oracle_cones_grow(self, world):
+        records, labelled, pair = world
+        assert grows(
+            customer_cones(records, EdgeOracle(labelled)),
+            customer_cones(records, EdgeOracle(labelled | {pair})),
+        )

@@ -7,7 +7,7 @@ country exactly as the pipeline does. Three seeded shuffles of the
 ``small`` world's records, each stored as ``PathStore(shuffled)``,
 rebuild every registered metric for every home country.
 
-CTI is the one exception to exact equality: ``per_vp_transit`` and the
+CTI is the one exception to exact equality: its definition and the
 columnar kernel sum ``addresses / k`` per (VP, AS) in record order, so
 its float values may move by an ulp with the order. Its ASNs must
 still match, and its values agree to ``rel_tol=1e-12``.

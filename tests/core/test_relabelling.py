@@ -29,8 +29,7 @@ from repro.net.aspath import ASPath
 from repro.perf.pathstore import PathStore
 from repro.topology.catalog import build_world
 
-from tests.perf.columns import as_table
-from tests.perf.test_cone_kernel import EdgeOracle
+from tests.oracles.inputs import EdgeOracle, as_table
 
 TRIM = 0.1
 KINDS = ("national", "international", "outbound")

@@ -1,26 +1,21 @@
-"""Tests for national/international/global views (Table 2 semantics)."""
+"""The Table 2 view definitions (``tests/oracles/views.py``) on a
+hand-built path set, and the views' VP, address and subset queries."""
 
-from repro.bgp.collectors import VantagePoint
-from repro.core.sanitize import FilterReport, PathRecord, PathSet
-from repro.core.views import (
+from repro.core.sanitize import FilterReport, PathSet
+from repro.net.prefix import Prefix
+
+from tests.oracles import inputs
+from tests.oracles.views import (
     destination_view,
     global_view,
     international_view,
     national_view,
 )
-from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
 
 
 def record(vp_ip, vp_country, prefix, prefix_country, path):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, int(path.split()[0]), "c"),
-        vp_country=vp_country,
-        prefix=Prefix.parse(prefix),
-        prefix_country=prefix_country,
-        path=ASPath.parse(path),
-        addresses=Prefix.parse(prefix).num_addresses(),
-    )
+    addresses = Prefix.parse(prefix).num_addresses()
+    return inputs.record(vp_ip, path, prefix, addresses, vp_country, prefix_country)
 
 
 def make_paths():

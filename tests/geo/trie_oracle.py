@@ -4,7 +4,7 @@ in ``repro.geo``.
 :class:`TrieGeoDatabase` stores geo-blocks in a radix trie and
 integrates one prefix's country shares by building a small trie per
 query; :func:`trie_geolocate` splits the announced prefixes into owned
-CIDR blocks (:func:`repro.net.blocks.split_into_blocks`) and sums each
+CIDR blocks (:func:`tests.oracles.prefixes.split_into_blocks`) and sums each
 block's shares weighted by its size. Both walk tries block by block, a
 different algorithm from painted intervals, so an equal answer is an
 independent check.
@@ -17,10 +17,10 @@ import zlib
 from typing import Iterable, Mapping
 
 from repro.geo.prefix_geo import PrefixGeolocation
-from repro.net.blocks import Block, split_into_blocks
 from repro.net.prefix import Prefix
-from repro.net.prefixtrie import PrefixTrie
 from repro.topology.world import World
+
+from tests.oracles.prefixes import Block, PrefixTrie, split_into_blocks
 
 #: each origination is split into 2**_SPLIT_BITS chunks for shares/noise
 _SPLIT_BITS = 4

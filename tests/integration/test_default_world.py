@@ -1,18 +1,17 @@
 """Integration checks on the generated default world (the one the
 stability benchmarks use). Heavier than the small-world tests — one
-pipeline run shared across the module."""
+pipeline run shared across the module. The Tables 9–12 sweep over this
+world is held to the record-by-record oracles by the test matrix's
+``default`` rows (``tests/oracles/matrix.py``), here and on both store
+backends in ``tests/oracles/test_matrix.py``."""
 
 import pytest
 
 from repro import PipelineConfig, generate_world, run_pipeline
 from repro.analysis.vp_distribution import single_vp_share, vp_census
-from repro.core.cone import cone_addresses
-from repro.core.cti import cti_scores
-from repro.core.hegemony import hegemony_scores
-from repro.core.ranking import Ranking
-from repro.core.registry import get_spec
-from repro.topology.model import ASRole
 from repro.topology.validator import validate_realism
+
+from tests.oracles.matrix import check, world_case
 
 
 @pytest.fixture(scope="module")
@@ -80,58 +79,11 @@ class TestPipelineScale:
                 assert len(result.ranking(metric, code)) > 0
 
 
-#: the paper's four country metrics plus the CTI baseline — the
-#: composition of the Tables 9–12 sweeps
-SWEEP_METRICS = ("CCI", "CCN", "AHI", "AHN", "CTI")
-
-#: full-scan view selectors, keyed by the registry's view kind: does a
-#: record belong to the view of ``country``?
-NAIVE_VIEWS = {
-    "international": lambda r, country: (
-        r.vp_country != country and r.prefix_country == country
-    ),
-    "national": lambda r, country: (
-        r.vp_country == country and r.prefix_country == country
-    ),
-}
-
-
-def naive_ranking(result, records, metric, country):
-    """One ranking with no engine: the view is a full scan of the
-    record list, every intermediate comes from the reference scorers."""
-    spec = get_spec(metric)
-    keep = NAIVE_VIEWS[spec.view_kind]
-    view = [record for record in records if keep(record, country)]
-    label = f"{metric}:{country}"
-    trim = result.config.trim
-    total = sum({record.prefix: record.addresses for record in view}.values())
-    if spec.family == "cone":
-        addresses = cone_addresses(view, result.oracle)
-        return Ranking.from_scores(
-            label, {asn: float(n) for asn, n in addresses.items()},
-            {asn: n / total for asn, n in addresses.items()} if total else None,
-            country,
-        )
-    if spec.family == "hegemony":
-        scores = hegemony_scores(view, trim)
-    else:
-        scores = cti_scores(view, result.oracle, total, trim)
-    return Ranking.from_scores(label, scores, scores, country)
-
-
 class TestIndexedSweep:
     def test_rank_all_equals_a_full_scan_sweep(self, result):
         """``rank_all`` (shared path index, per-view caches, columnar
         kernels) over the Tables 9–12 metrics and five qualifying
-        countries equals a sweep that rescans every record per unit."""
-        countries = result.countries_with_national_view()[:5]
-        assert len(countries) == 5
-        indexed = result.rank_all(SWEEP_METRICS, countries)
-        records = list(result.paths.records)
-        for metric in SWEEP_METRICS:
-            for country in countries:
-                naive = naive_ranking(result, records, metric, country)
-                assert [(e.asn, e.value, e.share) for e in naive.entries] == [
-                    (e.asn, e.value, e.share)
-                    for e in indexed[metric, country].entries
-                ], (metric, country)
+        countries equals the oracles' record-by-record rankings."""
+        case = world_case(result, "default")
+        for family in ("cone", "cti", "hegemony"):
+            assert check(family, case) > 0

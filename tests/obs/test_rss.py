@@ -67,6 +67,29 @@ class TestReporting:
         assert "obs.memory.peak_rss_bytes" in report
         assert "at sanitize" in report
 
+    def test_memory_lines_in_mib_lowest_peak_first(self):
+        """Every span name is listed, lowest peak first, and every
+        figure is bytes / 2**20 labelled MiB (the unit ``ru_maxrss /
+        1024`` reads)."""
+        tracer = Tracer()
+        names = [f"stage{i}" for i in range(10)]
+        for name in names:
+            with tracer.span(name):
+                pass
+        tracer.rss_peaks = {
+            name: (10 - i) * 2**20 + 2**19 for i, name in enumerate(names)
+        }
+        tracer.metrics.gauge("obs.memory.peak_rss_bytes").set(3 * 2**30)
+        report = stage_report(tracer)
+        section = report.split("-- memory (process peak RSS) --\n")[1]
+        lines = section.split("\n\n")[0].splitlines()
+        assert lines[0].split() == ["obs.memory.peak_rss_bytes", "3072.0MiB"]
+        assert [line.split() for line in lines[1:]] == [
+            ["at", name, f"{10 - i}.5MiB"]
+            for i, name in reversed(list(enumerate(names)))
+        ]
+        assert "MB" not in section.replace("MiB", "")
+
     def test_gauge_in_event_stream(self):
         tracer = Tracer()
         with tracer.span("stage"):

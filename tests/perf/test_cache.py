@@ -1,34 +1,28 @@
-"""ViewComputation equivalence with the reference scorers.
+"""ViewComputation equivalence with the oracles, its memoisation and
+its suffix table.
 
 A cache may change how often something is computed, never what: every
-product must equal the object the plain :mod:`repro.core` reference
-functions build from the same view's records. Exercised on a full
-small-world pipeline and on synthetic corner cases (MOAS union, trim
-edges).
+product equals what the record-by-record oracles of ``tests/oracles/``
+build from the same view's records (on every input and backend in
+``tests/oracles/test_matrix.py``; here on one ``small`` world view).
+Also: the interned suffix table against the oracle's transit suffixes,
+the bulk ``p2c_edges()`` forms against ``relationship()``, the hit/miss
+counters, the shared store behind the pipeline's views, and AHC through
+the memoised per-origin tables.
 """
 
 import pytest
 
 from repro import GeneratorConfig, Tracer, generate_world, run_pipeline, small_profiles
-from repro.bgp.collectors import VantagePoint
-from repro.core.ahc import ahc_ranking, ahc_scores
-from repro.core.cone import (
-    cone_addresses,
-    cones_from_suffixes,
-    customer_cones,
-    transit_suffix,
-)
-from repro.core.cti import cti_scores
-from repro.core.hegemony import hegemony_scores
-from repro.core.sanitize import PathRecord
-from repro.core.views import View, international_view
-from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
+from repro.core.ahc import ahc_ranking
+from repro.core.views import View
 from repro.perf import ViewComputation
 from repro.perf.cone import view_suffix_ids
 from repro.relationships.inference import infer_relationships
 
-from tests.perf.columns import as_cones, as_table
+from tests.oracles import cone, cti, hegemony
+from tests.oracles.cone import transit_suffix
+from tests.oracles.inputs import EdgeOracle, as_cones, as_table, record
 
 SMALL = GeneratorConfig(profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP"))
 
@@ -41,17 +35,9 @@ def result():
 @pytest.fixture(scope="module")
 def view(result):
     country = result.countries_with_national_view()[0]
-    return international_view(result.paths, country)
-
-
-def record(vp_ip, prefix, path, prefix_country="AU", vp_country="US"):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, int(path.split()[0]), "c"),
-        vp_country=vp_country,
-        prefix=Prefix.parse(prefix),
-        prefix_country=prefix_country,
-        path=ASPath.parse(path),
-        addresses=Prefix.parse(prefix).num_addresses(),
+    return View(
+        f"international:{country}", country, result.paths.store(),
+        result.view("international", country).positions,
     )
 
 
@@ -96,49 +82,55 @@ class TestSuffixTable:
 
 
 class TestViewComputation:
-    def test_total_addresses(self, result, view):
+    def test_total_addresses(self, view):
         compute = ViewComputation(view)
-        assert compute.total_addresses() == sum(
-            {r.prefix: r.addresses for r in view.records}.values()
-        )
+        assert compute.total_addresses() == cone.total_addresses(view.records)
 
     def test_cones_match_customer_cones(self, result, view):
         compute = ViewComputation(view)
-        assert as_cones(compute.cone_pairs(result.oracle)) == customer_cones(
-            view.records, result.oracle
+        assert as_cones(compute.cone_pairs(result.oracle)) == (
+            cone.customer_cones(view.records, result.oracle)
         )
 
     def test_cones_from_unique_suffixes_identical(self, result, view):
-        suffixes = [transit_suffix(r.path, result.oracle) for r in view.records]
-        assert cones_from_suffixes(suffixes) == cones_from_suffixes(set(suffixes))
+        """The kernel closes cones over the view's distinct suffixes:
+        one record per distinct transit suffix gives every record's
+        cones."""
+        distinct = {
+            transit_suffix(r.path, result.oracle): r for r in view.records
+        }
+        assert cone.customer_cones(distinct.values(), result.oracle) == (
+            cone.customer_cones(view.records, result.oracle)
+        )
 
     def test_cone_addresses_match_naive(self, result, view):
         compute = ViewComputation(view)
-        assert as_table(compute.cone_addresses(result.oracle)) == cone_addresses(
-            view.records, result.oracle
+        assert as_table(compute.cone_addresses(result.oracle)) == (
+            cone.cone_addresses(view.records, result.oracle)
         )
 
-    def test_moas_view_falls_back_exactly(self, result):
+    def test_moas_view_falls_back_exactly(self):
         # same prefix announced by two different origins: member prefix
         # sets overlap, so the closure must not double count
         records = (
-            record("9.0.0.1", "1.0.0.0/16", "10 20 30"),
-            record("9.0.0.2", "1.0.0.0/16", "10 20 31"),
-            record("9.0.0.2", "1.1.0.0/16", "10 31"),
+            record("9.0.0.1", "10 20 30", "1.0.0.0/16", 65536),
+            record("9.0.0.2", "10 20 31", "1.0.0.0/16", 65536),
+            record("9.0.0.2", "10 31", "1.1.0.0/16", 65536),
         )
-        view = View.of("international:AU", "AU", records)
-        compute = ViewComputation(view)
-        assert as_table(compute.cone_addresses(result.oracle)) == cone_addresses(
-            records, result.oracle
-        )
+        oracle = EdgeOracle({(10, 20), (20, 30), (20, 31)})
+        compute = ViewComputation(View.of("international:NL", "NL", records))
         assert compute.total_addresses() == 2 * 65536
+        # AS 20's members 30 and 31 both originate 1.0/16: it counts once
+        assert as_table(compute.cone_addresses(oracle)) == {
+            10: 2 * 65536, 20: 2 * 65536, 30: 65536, 31: 2 * 65536,
+        }
 
-    def test_hegemony_matches_naive(self, result, view):
+    def test_hegemony_matches_naive(self, view):
         compute = ViewComputation(view)
         for trim in (0.0, 0.1, 0.25):
             for weighting in ("addresses", "prefixes"):
                 assert as_table(compute.hegemony(trim, weighting)) == (
-                    hegemony_scores(view.records, trim, weighting)
+                    hegemony.hegemony_scores(view.records, trim, weighting)
                 )
 
     def test_hegemony_through_shared_store(self, result, view):
@@ -157,7 +149,7 @@ class TestViewComputation:
         compute = ViewComputation(view)
         total = view.total_addresses()
         for trim in (0.0, 0.1):
-            assert as_table(compute.cti(result.oracle, trim)) == cti_scores(
+            assert as_table(compute.cti(result.oracle, trim)) == cti.cti_scores(
                 view.records, result.oracle, total, trim
             )
 
@@ -172,8 +164,8 @@ class TestViewComputation:
 
 
 class TestAhcThroughCache:
-    """AHC ranked through the view's computation equals the reference
-    exactly."""
+    """AHC ranked through the view's memoised per-origin tables equals
+    the oracle exactly."""
 
     @pytest.fixture(scope="class")
     def global_view(self, result):
@@ -184,16 +176,13 @@ class TestAhcThroughCache:
         code = result.countries_with_national_view()[0]
         return sorted(result.world.graph.by_registry_country(code))
 
-    def test_local_hegemony_matches_naive(self, result, global_view, origins):
-        compute = ViewComputation(global_view)
-        buckets = {}
-        for rec in global_view.records:
-            buckets.setdefault(rec.origin, []).append(rec)
-        tables = compute.local_hegemonies(origins, 0.1)
+    def test_local_hegemony_matches_naive(self, global_view, origins):
+        tables = ViewComputation(global_view).local_hegemonies(origins, 0.1)
         for origin in origins:
-            expected = hegemony_scores(buckets.get(origin, ()), 0.1)
             table = tables.get(origin)
-            assert (as_table(table) if table is not None else {}) == expected
+            assert (as_table(table) if table is not None else {}) == (
+                hegemony.local_hegemony(global_view.records, origin, 0.1)
+            )
 
     def test_origin_positions_match_records(self, result, global_view, origins):
         compute = global_view.computation()
@@ -211,7 +200,7 @@ class TestAhcThroughCache:
     def test_scores_cached_equals_naive(self, result, global_view, origins):
         code = result.countries_with_national_view()[0]
         for weighting in ("as_count", "addresses"):
-            naive = ahc_scores(
+            naive = hegemony.ahc_scores(
                 global_view.records, origins, 0.1, weighting=weighting
             )
             ranking = ahc_ranking(

@@ -1,13 +1,18 @@
-"""The columnar cone and CTI kernel must equal the reference bit for
-bit: the cone pairs, cone addresses, address totals and CTI tables
-:class:`repro.perf.cache.ViewComputation` computes through
-:mod:`repro.perf.cone` are compared by ``repr`` against
-:func:`repro.core.cone.customer_cones`,
-:func:`repro.core.cone.cone_addresses`, the records' distinct prefix
-addresses and :func:`repro.core.cti.cti_scores` over the same records,
-on an in-memory and an mmap-backed store."""
+"""The columnar cone and CTI kernel against the oracles and on
+hand-checked corners.
 
-import tempfile
+The kernel's products — cone pairs, cone addresses, address totals and
+CTI tables, computed by :class:`repro.perf.cache.ViewComputation`
+through :mod:`repro.perf.cone` — are held to the record-by-record
+oracles by the test matrix's rows (``tests/oracles/matrix.py``): on
+generated record sets here, and on every input of
+``tests/oracles/test_matrix.py``, the corners of
+``tests/oracles/inputs.py`` among them. Here too each corner's hand-derived values: the count dtypes past 2**53,
+the closure over a MOAS prefix, the store's first count for a prefix,
+the relationship questions asked, and the kernel reading store columns
+only.
+"""
+
 from unittest.mock import patch
 
 import numpy as np
@@ -15,152 +20,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp.collectors import VantagePoint
-from repro.core.cone import cone_addresses, customer_cones
-from repro.core.cti import cti_scores
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.core.sanitize import FilterReport, PathRecord
 from repro.core.views import View
 from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
 from repro.perf.cache import ViewComputation
 from repro.perf.cone import p2c_edges
 from repro.perf.pathstore import PathStore, _LazyRecords
-from repro.perf.spill import MmapPathStore, SpillWriter
 from repro.topology.catalog import build_world
 
-from tests.perf.columns import as_cones, as_table
-from tests.perf.test_hegemony_kernel import relabelled, wide_labels
-
-TRIMS = (0.0, 0.1, 0.25, 0.49)
-BACKENDS = ("memory", "mmap")
-#: per-prefix address counts: zero, small, and IPv6 counts past 2^64
-ADDRESSES = (0, 1, 256, 768, 2 ** 64 + 3, 2 ** 96, 2 ** 100 + 1)
-
-
-class EdgeOracle:
-    """A relationship oracle over an explicit provider→customer set."""
-
-    def __init__(self, edges):
-        self.edges = frozenset(edges)
-
-    def relationship(self, left, right):
-        if (left, right) in self.edges:
-            return "p2c"
-        if (right, left) in self.edges:
-            return "c2p"
-        return None
-
-    def p2c_edges(self):
-        return self.edges
-
-
-class RelationshipOnly:
-    """The same oracle without the bulk ``p2c_edges()`` form."""
-
-    def __init__(self, edges):
-        self._oracle = EdgeOracle(edges)
-
-    def relationship(self, left, right):
-        return self._oracle.relationship(left, right)
-
-
-def record(vp_ip, path, prefix, addresses=256):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, path[0], "c"),
-        vp_country="US",
-        prefix=Prefix.parse(prefix),
-        prefix_country="NL",
-        path=ASPath(tuple(path)),
-        addresses=addresses,
-    )
-
-
-def build_store(records, backend, directory):
-    if backend == "memory":
-        return PathStore(records)
-    writer = SpillWriter(directory)
-    report = FilterReport()
-    writer.prepare(report)
-    for rec in records:
-        writer.add(rec)
-    writer.seal(len(records), report)
-    return MmapPathStore(directory)
-
-
-def reprs(table):
-    return {asn: repr(value) for asn, value in table.items()}
+from tests.oracles.inputs import (
+    BACKENDS,
+    CORNERS,
+    EDGES,
+    EdgeOracle,
+    RelationshipOnly,
+    as_table,
+    build_store,
+    record,
+    record_sets,
+    relabelled,
+    wide_labels,
+)
+from tests.oracles.matrix import check_records
 
 
 def assert_kernel_matches(records, oracle, backend, positions=None):
-    """Every kernel product over the store's records at ``positions``
-    (all by default) equals the reference over those same records."""
-    with tempfile.TemporaryDirectory() as directory:
-        store = build_store(records, backend, directory)
-        view = View("international:NL", "NL", store, positions)
-        # a store holds each prefix with its first count; the reference
-        # reads the records the store actually holds
-        subset = tuple(view.records)
-        compute = ViewComputation(view)
-        total = sum({r.prefix: r.addresses for r in subset}.values())
-        assert compute.total_addresses() == total
-        assert as_cones(compute.cone_pairs(oracle)) == customer_cones(
-            subset, oracle
-        )
-        assert as_table(compute.cone_addresses(oracle)) == cone_addresses(
-            subset, oracle
-        )
-        for trim in TRIMS:
-            assert reprs(as_table(compute.cti(oracle, trim))) == reprs(
-                cti_scores(subset, oracle, total, trim)
-            )
-        # the products are memoised: callers may read them after the
-        # store's directory is gone
-        return compute
-
-
-@st.composite
-def record_sets(draw):
-    """Small random record sets over ASNs 1-8: up to twelve VPs, up to
-    six prefixes each with a home origin and an address count, and a
-    random provider→customer edge set. Some draws give a prefix
-    several origins (MOAS) or its records different counts."""
-    prefixes = draw(st.integers(min_value=1, max_value=6))
-    counts = draw(st.lists(
-        st.sampled_from(ADDRESSES), min_size=prefixes, max_size=prefixes,
-    ))
-    homes = draw(st.lists(
-        st.integers(min_value=1, max_value=8),
-        min_size=prefixes, max_size=prefixes,
-    ))
-    moas = draw(st.booleans())
-    conflicting = draw(st.booleans())
-    vps = draw(st.integers(min_value=1, max_value=12))
-    rows = draw(st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=vps - 1),
-            st.lists(st.integers(min_value=1, max_value=8),
-                     min_size=1, max_size=5),
-            st.integers(min_value=0, max_value=prefixes - 1),
-            st.sampled_from(ADDRESSES),
-        ),
-        max_size=60,
-    ))
-    edges = draw(st.sets(
-        st.tuples(st.integers(min_value=1, max_value=8),
-                  st.integers(min_value=1, max_value=8)),
-        max_size=24,
-    ))
-    records = [
-        record(
-            f"10.0.0.{vp + 1}",
-            path if moas else path[:-1] + [homes[prefix]],
-            f"10.{prefix}.0.0/16",
-            own if conflicting else counts[prefix],
-        )
-        for vp, path, prefix, own in rows
-    ]
-    return records, edges
+    """The matrix's views, cone and CTI rows over the records' index
+    views, or over the view at ``positions``: every product by
+    ``repr``."""
+    check_records(("views", "cone", "cti"), records, oracle, backend, positions)
 
 
 class TestParity:
@@ -192,84 +80,68 @@ class TestParity:
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=record_sets(), backend=st.sampled_from(BACKENDS),
-           data=st.data())
-    def test_position_subsets(self, drawn, backend, data):
+           bulk=st.booleans(), data=st.data())
+    def test_position_subsets(self, drawn, backend, bulk, data):
         """A view is any ascending subset of the store's positions."""
         records, edges = drawn
         keep = data.draw(st.lists(
             st.booleans(), min_size=len(records), max_size=len(records),
         ))
-        assert_kernel_matches(
-            records, EdgeOracle(edges), backend, np.flatnonzero(keep),
-        )
+        oracle = EdgeOracle(edges) if bulk else RelationshipOnly(edges)
+        assert_kernel_matches(records, oracle, backend, np.flatnonzero(keep))
 
 
-#: 1 provides transit to 2 and 3, 2 to 4 and 5, 3 to 6
-EDGES = {(1, 2), (1, 3), (2, 4), (2, 5), (3, 6)}
+@pytest.fixture
+def computed(backend, tmp_path):
+    """``ViewComputation`` over ``records`` in a store of ``backend``
+    (every record, or those at ``positions``)."""
+
+    def compute(records, positions=None):
+        directory = tmp_path / str(len(list(tmp_path.iterdir())))
+        directory.mkdir()
+        store = build_store(records, backend, directory)
+        return ViewComputation(View("international:NL", "NL", store, positions))
+
+    return compute
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestCorners:
-    def test_moas_prefix(self, backend):
+    def test_moas_prefix(self, computed):
         # 10.1/16 is originated by 4 and by 5: cone members' prefix sets
         # overlap, so the closure sums distinct (holder, prefix) pairs
-        records = [
-            record("10.0.0.1", [1, 2, 4], "10.1.0.0/16"),
-            record("10.0.0.2", [1, 2, 5], "10.1.0.0/16"),
-            record("10.0.0.2", [1, 2, 5], "10.2.0.0/16", 768),
-        ]
-        oracle = EdgeOracle(EDGES)
-        compute = assert_kernel_matches(records, oracle, backend)
-        asns, counts = compute.cone_addresses(oracle)
+        compute = computed(CORNERS["moas"])
+        asns, counts = compute.cone_addresses(EdgeOracle(EDGES))
         assert asns.tolist() == [1, 2, 4, 5]
         assert counts.dtype == np.int64
         # AS 2: not 256 * 2 + 768
         assert counts.tolist() == [256 + 768, 256 + 768, 256, 256 + 768]
 
-    def test_conflicting_address_counts(self, backend):
-        # one prefix, two counts: the store keeps the first, and the
-        # reference reads the records the store holds
-        records = [
-            record("10.0.0.1", [1, 2, 4], "10.1.0.0/16", 256),
-            record("10.0.0.2", [3, 6], "10.6.0.0/16", 768),
-            record("10.0.0.2", [1, 2, 4], "10.1.0.0/16", 1024),
-        ]
-        assert_kernel_matches(records, EdgeOracle(EDGES), backend)
+    def test_conflicting_address_counts(self, computed):
+        # one prefix, two counts: the store keeps the first, so 10.1/16
+        # counts 256 in the total and in every closure holding it
+        compute = computed(CORNERS["conflicting_counts"])
+        assert compute.total_addresses() == 256 + 768
+        assert as_table(compute.cone_addresses(EdgeOracle(EDGES))) == {
+            1: 256, 2: 256, 3: 768, 4: 256, 6: 768,
+        }
 
-    def test_zero_address_records(self, backend):
+    def test_zero_address_records(self, computed):
         # AS 3 transits only toward an empty prefix: its CTI cells are
         # 0.0, and it keeps its row
-        records = [
-            record("10.0.0.1", [1, 3, 6], "10.6.0.0/16", 0),
-            record("10.0.0.1", [1, 2, 4], "10.4.0.0/16", 256),
-            record("10.0.0.2", [2, 5], "10.5.0.0/16", 0),
-        ]
-        assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        compute = ViewComputation(View.of("v", None, records))
+        compute = computed(CORNERS["zero_addresses"])
         assert as_table(compute.cti(EdgeOracle(EDGES), 0.1))[3] == 0.0
 
-    def test_vp_with_only_origin_only_suffixes(self, backend):
+    def test_vp_with_only_origin_only_suffixes(self, computed):
         # VP .3 reaches everything over peer links: all its suffixes are
         # the bare origin, yet it is one of the n = 3 VPs
-        records = [
-            record("10.0.0.1", [1, 2, 4], "10.4.0.0/16"),
-            record("10.0.0.2", [2, 4], "10.4.0.0/16"),
-            record("10.0.0.3", [6, 4], "10.4.0.0/16"),
-        ]
-        assert_kernel_matches(records, EdgeOracle(EDGES), backend)
-        compute = ViewComputation(View.of("v", None, records))
+        compute = computed(CORNERS["origin_only_suffixes"])
         # AS 2's per-VP values are 1, 1 and 0 (addresses over the total)
         assert as_table(compute.cti(EdgeOracle(EDGES), 0.0))[2] == 2 / 3
 
-    def test_ipv6_counts_beyond_two_to_the_64(self, backend):
-        records = [
-            record("10.0.0.1", [1, 2, 4], "10.4.0.0/16", 2 ** 100 + 1),
-            record("10.0.0.1", [1, 2, 5], "10.5.0.0/16", 2 ** 64 + 3),
-            record("10.0.0.2", [1, 3, 6], "10.6.0.0/16", 2 ** 96),
-        ]
-        oracle = EdgeOracle(EDGES)
-        compute = assert_kernel_matches(records, oracle, backend)
-        asns, closure = compute.cone_addresses(oracle)
+    def test_ipv6_counts_beyond_two_to_the_64(self, computed):
+        compute = computed(CORNERS["ipv6_counts"])
+        asns, closure = compute.cone_addresses(EdgeOracle(EDGES))
         # past 2**53 the closure column holds Python ints: float64
         # would drop the +1 and +3, int64 would overflow
         assert asns.tolist() == [1, 2, 3, 4, 5, 6]
@@ -280,25 +152,17 @@ class TestCorners:
             2 ** 96, 2 ** 100 + 1, 2 ** 64 + 3, 2 ** 96,
         ]
 
-    def test_counts_just_below_two_to_the_53(self, backend):
+    def test_counts_just_below_two_to_the_53(self, computed):
         # a total one below 2**53 still sums in int64, exactly
-        records = [
-            record("10.0.0.1", [1, 2, 4], "10.4.0.0/16", 2 ** 52),
-            record("10.0.0.2", [1, 3, 6], "10.6.0.0/16", 2 ** 52 - 1),
-        ]
-        oracle = EdgeOracle(EDGES)
-        compute = assert_kernel_matches(records, oracle, backend)
-        asns, closure = compute.cone_addresses(oracle)
+        compute = computed(CORNERS["below_2_53"])
+        asns, closure = compute.cone_addresses(EdgeOracle(EDGES))
         assert compute.total_addresses() == 2 ** 53 - 1
         assert closure.dtype == np.int64
         assert as_table((asns, closure))[1] == 2 ** 53 - 1
 
-    def test_empty_view(self, backend):
-        records = [record("10.0.0.1", [1, 2, 4], "10.4.0.0/16")]
+    def test_empty_view(self, computed):
         oracle = EdgeOracle(EDGES)
-        compute = assert_kernel_matches(
-            records, oracle, backend, np.empty(0, dtype=np.int64),
-        )
+        compute = computed(CORNERS["empty_view"], np.empty(0, dtype=np.int64))
         for asns, values in (
             compute.cone_addresses(oracle), compute.cti(oracle, 0.1),
         ):
@@ -306,13 +170,14 @@ class TestCorners:
         holders, members = compute.cone_pairs(oracle)
         assert len(holders) == len(members) == 0
 
-    def test_relationship_only_oracle(self, backend):
-        records = [
-            record("10.0.0.1", [1, 2, 4], "10.4.0.0/16"),
-            record("10.0.0.2", [3, 1, 2, 5], "10.5.0.0/16", 768),
-            record("10.0.0.3", [6, 3, 1, 2, 4], "10.4.0.0/16"),
+    def test_relationship_only_oracle(self, computed):
+        records = CORNERS["relationship_only"]
+        # without p2c_edges(), the same cones as with it
+        with_edges = computed(records).cone_pairs(EdgeOracle(EDGES))
+        without = computed(records).cone_pairs(RelationshipOnly(EDGES))
+        assert [column.tolist() for column in without] == [
+            column.tolist() for column in with_edges
         ]
-        assert_kernel_matches(records, RelationshipOnly(EDGES), backend)
         asked = []
         oracle = RelationshipOnly(EDGES)
         ask = oracle.relationship
@@ -323,14 +188,13 @@ class TestCorners:
         assert p2c_edges(PathStore(records), oracle) == {(1, 2), (2, 4), (2, 5)}
         assert sorted(asked) == [(1, 2), (2, 4), (2, 5), (3, 1), (6, 3)]
 
-    def test_terms_add_one_at_a_time(self, backend):
+    def test_terms_add_one_at_a_time(self, computed):
         # one cell with 2^53 then fifteen 1s: added in order each 1 is
-        # lost to rounding, a pairwise sum would keep some of them
-        records = [record("10.0.0.1", [1, 2], "10.0.0.0/16", 2 ** 53)] + [
-            record("10.0.0.1", [1, 2], f"10.{i}.0.0/16", 1)
-            for i in range(1, 16)
-        ]
-        assert_kernel_matches(records, EdgeOracle(EDGES), backend)
+        # lost to rounding (2^53 + 1 rounds to even), a pairwise sum
+        # would keep some of them
+        compute = computed(CORNERS["terms_in_order"])
+        cti = as_table(compute.cti(EdgeOracle(EDGES), 0.0))
+        assert cti == {1: float(2 ** 53) / (2 ** 53 + 15)}
 
 
 class TestPipelineStores:
@@ -352,12 +216,10 @@ class TestPipelineStores:
         code = memory.countries_with_national_view()[0]
         expected = {}
         for kind in ("international", "national", "outbound"):
-            view = memory.view(kind, code)
+            compute = ViewComputation(memory.view(kind, code))
             expected[kind] = (
-                cone_addresses(view.records, memory.oracle),
-                cti_scores(
-                    view.records, memory.oracle, view.total_addresses(), 0.1
-                ),
+                as_table(compute.cone_addresses(memory.oracle)),
+                repr(as_table(compute.cti(memory.oracle, 0.1))),
             )
 
         def forbidden(self, *args):
@@ -369,7 +231,7 @@ class TestPipelineStores:
         for kind, (addresses, cti) in expected.items():
             compute = ViewComputation(spilled.view(kind, code))
             assert as_table(compute.cone_addresses(spilled.oracle)) == addresses
-            assert reprs(as_table(compute.cti(spilled.oracle, 0.1))) == reprs(cti)
+            assert repr(as_table(compute.cti(spilled.oracle, 0.1))) == cti
         with pytest.raises(AttributeError):  # never built by the sweep
             PathStore.path_ids.__get__(store)
 

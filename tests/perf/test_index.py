@@ -1,38 +1,27 @@
-"""PathIndex and VP-downsampling equivalence with the naive view
-builders.
+"""PathIndex lookups against full scans, VP ordering and VP
+downsampling.
 
 The batch engine's contract is that indexed construction is invisible:
-same view names, same countries, same positions (so the same records in
-the same order) as :mod:`repro.core.views`. These tests pin that down
-on a full small-world pipeline plus hand-built corner cases.
+every indexed view equals the full scan of ``tests/oracles/views.py``
+(same name, country, store and positions), here on the ``small`` world
+and on every input of ``tests/oracles/test_matrix.py``. Also: the
+index's argument checks, the numeric VP order, and ``restrict_vps``
+against a per-record filter on VP IP.
 """
 
 import random
 
 import pytest
 
-from repro import GeneratorConfig, PipelineConfig, generate_world, run_pipeline, small_profiles
-from repro.bgp.collectors import VantagePoint
-from repro.core.sanitize import FilterReport, PathRecord, PathSet
-from repro.core.views import (
-    View,
-    global_view,
-    international_view,
-    ip_sort_key,
-    national_view,
-    outbound_view,
-)
-from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
+from repro import GeneratorConfig, generate_world, run_pipeline, small_profiles
+from repro.core.sanitize import FilterReport, PathSet
+from repro.core.views import View, ip_sort_key
 from repro.perf import PathIndex
 
-SMALL = GeneratorConfig(profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP"))
+from tests.oracles import views
+from tests.oracles.inputs import record
 
-NAIVE_BUILDERS = {
-    "national": national_view,
-    "international": international_view,
-    "outbound": outbound_view,
-}
+SMALL = GeneratorConfig(profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP"))
 
 
 @pytest.fixture(scope="module")
@@ -45,21 +34,10 @@ def index(result):
     return PathIndex.from_paths(result.paths)
 
 
-def record(vp_ip, vp_country, prefix, prefix_country, path):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, int(path.split()[0]), "c"),
-        vp_country=vp_country,
-        prefix=Prefix.parse(prefix),
-        prefix_country=prefix_country,
-        path=ASPath.parse(path),
-        addresses=Prefix.parse(prefix).num_addresses(),
-    )
-
-
 class TestIndexedViews:
     def test_country_views_match_naive(self, result, index):
         for country in result.paths.countries():
-            for kind, build in NAIVE_BUILDERS.items():
+            for kind, build in views.BUILDERS.items():
                 naive = build(result.paths, country)
                 indexed = index.view(kind, country)
                 assert indexed.name == naive.name
@@ -68,7 +46,7 @@ class TestIndexedViews:
                 assert indexed.positions.tolist() == naive.positions.tolist()
 
     def test_global_view_matches_naive(self, result, index):
-        naive = global_view(result.paths)
+        naive = views.global_view(result.paths)
         indexed = index.view("global")
         assert indexed.name == naive.name
         assert indexed.country is None
@@ -86,8 +64,8 @@ class TestIndexedViews:
 class TestVPOrdering:
     def test_vps_sorted_numerically_not_lexicographically(self):
         records = [
-            record("10.0.0.1", "AU", "1.0.0.0/16", "AU", "1 2 3"),
-            record("9.0.0.1", "AU", "1.0.0.0/16", "AU", "4 2 3"),
+            record("10.0.0.1", "1 2 3", "1.0.0.0/16", 65536, "AU", "AU"),
+            record("9.0.0.1", "4 2 3", "1.0.0.0/16", 65536, "AU", "AU"),
         ]
         view = View.of("national:AU", "AU", records)
         ips = [vp.ip for vp in view.vps()]

@@ -13,19 +13,19 @@ import pytest
 from repro.analysis.case_studies import case_study_table
 from repro.analysis.reports import country_report
 from repro.analysis.stability import international_stability, national_stability
-from repro.bgp.collectors import VantagePoint
-from repro.core.cone import cone_addresses, cone_ranking, customer_cones
+from repro.core.cone import cone_ranking
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.registry import metric_names
-from repro.core.sanitize import Judge, PathRecord
+from repro.core.sanitize import Judge
 from repro.core.views import View
-from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
 from repro.perf.pathstore import _LazyRecords
 from repro.relationships.inference import infer_relationships
 from repro.topology.catalog import build_world
 
-from tests.perf.columns import as_cones
+from tests.oracles.cone import cone_addresses, customer_cones
+from tests.oracles import inputs
+from tests.oracles.inputs import as_cones
 
 
 def forbidden(*args):
@@ -68,14 +68,8 @@ def test_pipeline_sweep_curves_and_reports(backend, no_records):
 
 
 def record(vp_ip, prefix, path):
-    return PathRecord(
-        vp=VantagePoint(vp_ip, int(path.split()[0]), "c"),
-        vp_country="US",
-        prefix=Prefix.parse(prefix),
-        prefix_country="AU",
-        path=ASPath.parse(path),
-        addresses=Prefix.parse(prefix).num_addresses(),
-    )
+    addresses = Prefix.parse(prefix).num_addresses()
+    return inputs.record(vp_ip, path, prefix, addresses, prefix_country="AU")
 
 
 class ChainOracle:

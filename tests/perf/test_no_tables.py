@@ -6,21 +6,16 @@ averages its per-origin columns with one ``np.bincount``, and
 ``Ranking.from_columns`` ranks the columns. These tests run the
 pipeline, the full ``rank_all`` sweep, a stability curve per family and
 view side and the report builders on the ``small`` world, on both store
-backends, with the dict and set builders the columns replaced raising:
-the reference cone accumulator ``cones_from_suffixes``, the reference
-AHC average ``_weighted_origin_average`` and ``Ranking.from_scores`` —
-in the modules that define them and wherever a ``repro`` module
-imported them by name.
+backends, with ``Ranking.from_scores``, the dict-table constructor,
+raising. (The dict-building definitions of the metrics live in
+``tests/oracles``, out of reach of the package.)
 """
-
-import sys
 
 import pytest
 
 from repro.analysis.case_studies import case_study_table
 from repro.analysis.reports import country_report
 from repro.analysis.stability import international_stability, national_stability
-from repro.core import ahc, cone
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.ranking import Ranking
 from repro.core.registry import metric_names
@@ -33,17 +28,7 @@ def forbidden(*args, **kwargs):
 
 @pytest.fixture()
 def no_tables(monkeypatch):
-    """Replace every dict- and set-table builder with ``forbidden``."""
-    for owner, name in (
-        (cone, "cones_from_suffixes"), (ahc, "_weighted_origin_average"),
-    ):
-        original = getattr(owner, name)
-        for module in list(sys.modules.values()):
-            if (
-                getattr(module, "__name__", "").startswith("repro")
-                and getattr(module, name, None) is original
-            ):
-                monkeypatch.setattr(module, name, forbidden)
+    """Replace the dict-table ranking constructor with ``forbidden``."""
     monkeypatch.setattr(Ranking, "from_scores", classmethod(forbidden))
 
 

@@ -10,13 +10,12 @@ from repro import (
     run_pipeline,
     small_profiles,
 )
-from repro.bgp.collectors import VantagePoint
-from repro.core.cone import transit_suffix
-from repro.core.sanitize import PathRecord
 from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
 from repro.perf.cone import suffix_starts
 from repro.perf.pathstore import PathStore
+
+from tests.oracles import inputs
+from tests.oracles.cone import transit_suffix
 
 SMALL = GeneratorConfig(
     profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP")
@@ -34,10 +33,8 @@ def store(result):
 
 
 def record(path, addresses=1):
-    return PathRecord(
-        vp=VantagePoint("10.0.0.1", path.asns[0], "c"), vp_country="US",
-        prefix=Prefix.parse("10.1.0.0/16"), prefix_country="US",
-        path=path, addresses=addresses,
+    return inputs.record(
+        "10.0.0.1", path.asns, "10.1.0.0/16", addresses, prefix_country="US",
     )
 
 

@@ -1,10 +1,10 @@
-"""One serial engine: the pipeline, propagation, the stability curves
-and the CLI run in the calling process whatever ``workers`` says.
+"""One serial engine: the pipeline, propagation and the stability
+curves run in the calling process whatever ``workers`` says.
 
-``workers`` (and ``pool``) stay accepted where callers still pass them
-and are validated ``>= 1``; with every way of starting a process
-patched to raise, ``workers=4`` must still produce the ``workers=1``
-bytes. Also the batch API the engine serves, ``rank_all``.
+The library's ``workers`` (and ``pool``) stay accepted where callers
+still pass them and are validated ``>= 1``; with every way of starting
+a process patched to raise, ``workers=4`` must still produce the
+``workers=1`` bytes. Also the batch API the engine serves, ``rank_all``.
 """
 
 import multiprocessing.process
@@ -16,7 +16,6 @@ import pytest
 from repro import PipelineConfig, run_pipeline
 from repro.analysis.stability import international_stability, national_stability
 from repro.bgp.propagation import propagate_all
-from repro.cli import main
 from repro.perf.pool import WorkerPool
 from repro.topology.catalog import build_world
 
@@ -72,7 +71,7 @@ def _curve_rows(result, workers):
 
 
 class TestWorkersChangeNothing:
-    def test_workers_four_is_serial(self, world, result, no_processes, capsys):
+    def test_workers_four_is_serial(self, world, result, no_processes):
         fanned = run_pipeline(world, PipelineConfig(seed=0, workers=4))
         for metric, country in (("AHN", "NL"), ("CCI", "AU"), ("CCG", None)):
             assert fanned.ranking(metric, country).entries == (
@@ -86,24 +85,14 @@ class TestWorkersChangeNothing:
             )
         assert _columns(pooled) == _columns(serial)
         assert _curve_rows(fanned, 4) == _curve_rows(result, 1)
-        outputs = []
-        for workers in ("1", "4"):
-            assert main([
-                "--world", "small", "--workers", workers,
-                "stability", "NL", "AHN", "--trials", "2",
-            ]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
 
-    def test_workers_validated(self, world, result, capsys):
+    def test_workers_validated(self, world, result):
         with pytest.raises(ValueError, match="workers"):
             propagate_all(world.graph, workers=0)
         with pytest.raises(ValueError, match="workers"):
             national_stability(result, "NL", "AHN", sizes=[2], workers=0)
         with pytest.raises(ValueError, match="workers"):
             WorkerPool(0)
-        assert main(["--world", "small", "--workers", "0", "stability", "NL"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_pool_shell(self):
         with WorkerPool(3) as pool:

@@ -14,6 +14,7 @@ import pytest
 from repro.cli import main
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.registry import iter_specs
+from repro.obs.export import stage_report
 from repro.obs.trace import Tracer
 from repro.serve import ArtifactStore, QueryError, RankingService
 from repro.topology.catalog import build_world
@@ -182,3 +183,22 @@ class TestSpans:
         assert len(tracer.spans) == settled
         assert tracer.metrics.counters()["serve.requests"] == 203
         assert tracer.metrics.histograms()["serve.latency_ms"].count == 202
+
+    def test_report_keeps_the_pipeline_after_a_cold_pass(self, traced):
+        """A cold pass adds request spans whose peaks are the highest;
+        the memory section still shows the daemon after its pipeline,
+        and every line of it in MiB."""
+        service, tracer = traced
+        for spec in iter_specs():
+            codes = service.result.countries_with_national_view()
+            for code in codes if spec.needs_country else [None]:
+                service.rank(spec.name, code)
+        service.report("NL")
+        service.case_study("NL")
+        report = stage_report(tracer, title="serve stage report")
+        section = report.split("-- memory (process peak RSS) --\n")[1]
+        lines = section.split("\n\n")[0].splitlines()
+        assert any(line.split()[:2] == ["at", "pipeline"] for line in lines)
+        assert all(line.endswith("MiB") for line in lines)
+        peaks = [float(line.split()[-1][:-3]) for line in lines[1:]]
+        assert peaks == sorted(peaks)

@@ -641,12 +641,12 @@ class TestFlagSanity:
          "-k must be >= 1"),  # rejected before the paths file is touched
         (["--world", "small", "stability", "AU", "--trials", "0"],
          "--trials must be >= 1"),
-        (["--world", "small", "--workers", "0", "rank", "AHN", "AU"],
-         "--workers must be >= 1"),
+        (["--world", "small", "sweep", "--metrics", ","],
+         "--metrics needs at least one metric name"),
         (["watch", "small@0", "small@1", "--top", "0"],
          "top must be >= 1"),
-        (["--workers", "0", "watch", "small@0", "small@1"],
-         "--workers must be >= 1"),
+        (["watch", "small@0", "small@1", "--countries", ","],
+         "--countries needs at least one country code"),
     ])
     def test_exit_2_with_message(self, capsys, argv, message):
         assert main(argv) == 2
@@ -674,10 +674,6 @@ class TestServeValidation:
         err = capsys.readouterr().err
         assert "repro-rank: error:" in err
         assert message in err
-
-    def test_workers_validated_before_serving(self, capsys):
-        assert main(["--world", "small", "--workers", "0", "serve"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_standalone_entry_point(self, capsys):
         from repro.serve.cli import main as serve_main
