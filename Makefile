@@ -29,31 +29,24 @@ test: lint lint-sarif
 	$(MAKE) bench-e2e-smoke
 	$(MAKE) bench-large-smoke
 
-## Fault-injection suite: deterministic mid-sweep crashes, corrupted
-## dump lines and damaged banked rankings (truncated, retyped, moved
-## under another unit), each required to recover to byte-identical
-## output (DESIGN.md section 6), plus spill recovery: a
-## torn ingestion -- torn at the middle of the input, exactly at a
-## window boundary and mid-window (TestCrashResume, which checks each
-## torn run left a checkpoint), and at random points
+## Fault-injection suite: deterministic mid-sweep crashes (a store
+## that raises after banking two units) and damaged banked rankings
+## (truncated, retyped, moved under another unit), each required to
+## recover to byte-identical output (DESIGN.md section 6), plus spill
+## recovery: a torn ingestion -- torn at the middle of the input,
+## exactly at a window boundary and mid-window (TestCrashResume, which
+## checks each torn run left a checkpoint), and at random points
 ## (test_column_builder.py) -- resumes to byte-identical spill files,
 ## and a damaged spill (hand-picked damage, and generated byte flips,
 ## truncations, retyped fields, Table-1 counts that are not
 ## non-negative ints adding up, and out-of-range column values) fails
 ## with a typed error on open or resume, never with another one later.
-## Last, the MRT boundary suite (tests/io/test_mrt_boundary.py):
-## +-Infinity, NaN, huge and over-long integers, 100,000-deep nesting,
-## numeric peer IPs, out-of-range ASNs, dayless headers, and dropped,
-## retyped and truncated fields -- strict ingestion raises only
-## MrtFormatError, lenient ingestion quarantines the line and yields
-## only well-formed announcements.
 faults:
 	$(PYTHON) -m pytest tests/resilience -q
 	$(PYTHON) -m pytest -q tests/perf/test_spill.py::TestCrashResume \
 		tests/perf/test_spill.py::TestDamagedSpill \
 		tests/perf/test_spill.py::TestDamagedResume \
 		tests/perf/test_column_builder.py
-	$(PYTHON) -m pytest -q tests/io/test_mrt_boundary.py
 
 ## The serve suite in the interpreter's development mode (`-X dev`:
 ## ResourceWarning for every file and socket never closed), failing on

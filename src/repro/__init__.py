@@ -37,7 +37,7 @@ from repro.core.registry import (
 from repro.core.ndcg import dcg, ndcg
 from repro.obs import Tracer, stage_report, to_jsonl, to_prometheus
 from repro.perf import PathIndex, ViewComputation
-from repro.resilience import Checkpoint, FaultPlan, Quarantine
+from repro.resilience import Checkpoint
 from repro.topology.generator import GeneratorConfig, generate_world
 from repro.topology.profiles import (
     default_profiles,
@@ -52,7 +52,6 @@ __all__ = [
     "ALL_METRICS",
     "COUNTRY_METRICS",
     "Checkpoint",
-    "FaultPlan",
     "GLOBAL_METRICS",
     "GeneratorConfig",
     "METRICS",
@@ -61,7 +60,6 @@ __all__ = [
     "Pipeline",
     "PipelineConfig",
     "PipelineResult",
-    "Quarantine",
     "RankEntry",
     "Ranking",
     "Tracer",

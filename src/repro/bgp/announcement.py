@@ -1,10 +1,9 @@
 """BGP announcement records as consumed by the sanitization pipeline.
 
 The paper's unit of input is one (VP, prefix, AS path) observation from
-one daily RIB (248M of them in April 2021). :class:`Announcement` is
-that unit; :class:`RibRecord` is the deduplicated form our lazy RIB
-series exposes (one per VP × prefix, annotated with how many of the
-five days it appeared in).
+one daily RIB (248M of them in April 2021). :class:`RibRecord` is the
+deduplicated form our lazy RIB series exposes: one per VP × prefix,
+annotated with how many of the five days it appeared in.
 
 :class:`RecordWindow` is the columnar form of a block of RibRecords —
 int64 VP, prefix and path ids over shared entity tables, plus the day
@@ -33,23 +32,6 @@ from repro.net.prefix import Prefix
 
 
 @dataclass(frozen=True, slots=True)
-class Announcement:
-    """One observed route: a VP reported this path to this prefix."""
-
-    vp: VantagePoint
-    prefix: Prefix
-    path: ASPath
-
-    @property
-    def origin(self) -> int:
-        """The AS originating the prefix (last ASN on the path)."""
-        return self.path.origin
-
-    def __str__(self) -> str:
-        return f"{self.vp.ip} {self.prefix} [{self.path}]"
-
-
-@dataclass(frozen=True, slots=True)
 class RibRecord:
     """A deduplicated announcement with day-level presence metadata."""
 
@@ -63,10 +45,6 @@ class RibRecord:
     def stable(self) -> bool:
         """Whether the prefix appeared in every daily RIB (paper §3.1)."""
         return self.days_present == self.total_days
-
-    def to_announcement(self) -> Announcement:
-        """Collapse back to a single announcement record."""
-        return Announcement(self.vp, self.prefix, self.path)
 
 
 #: Records per :class:`RecordWindow` unless a caller asks otherwise —

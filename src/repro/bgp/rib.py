@@ -30,10 +30,9 @@ clean tokens, and no path object is built for them.
 Announcements are never materialised en masse: iterate
 :meth:`RibSeries.windows` for the deduplicated per-(VP, prefix) view as
 columnar :class:`~repro.bgp.announcement.RecordWindow` blocks (what the
-pipeline sanitizes), :meth:`RibSeries.records` for the same view as
-record objects, or :meth:`RibSeries.announcements` for a specific
-day's stream. All three come from one enumeration of the VP × prefix
-grid, one VP row at a time.
+pipeline sanitizes), or :meth:`RibSeries.records` for the same view as
+record objects. Both come from one enumeration of the VP × prefix grid,
+one VP row at a time.
 """
 
 from __future__ import annotations
@@ -45,13 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.bgp.anomalies import AnomalyConfig, InjectionSummary, plant_anomalies
-from repro.bgp.announcement import (
-    WINDOW,
-    Announcement,
-    RecordTables,
-    RecordWindow,
-    RibRecord,
-)
+from repro.bgp.announcement import WINDOW, RecordTables, RecordWindow, RibRecord
 from repro.bgp.collectors import VantagePoint
 from repro.bgp.propagation import RoutingOutcome
 from repro.net.aspath import ASPath, PathColumns, runs
@@ -505,36 +498,6 @@ class RibSeries:
         for window in self.windows():
             yield from window.records()
 
-    def announcements(self, day: int) -> Iterator[Announcement]:
-        """Stream one day's RIB (0-based day index)."""
-        if not 0 <= day < self.config.days:
-            raise ValueError(f"day {day} outside 0..{self.config.days - 1}")
-        absent = np.zeros(len(self.prefix_table), dtype=bool)
-        for prefix_index, days in self.unstable_days.items():
-            absent[prefix_index] = day in days
-        tables = self._tables
-        vps, prefixes = tables.vps, tables.prefixes
-        for window in self.windows():
-            present = ~absent[window.prefix]
-            for vp, prefix, path in zip(
-                window.vp[present].tolist(), window.prefix[present].tolist(),
-                tables.paths.objects(window.path[present]),
-            ):
-                yield Announcement(vps[vp], prefixes[prefix], path)
-
-    def days(self) -> Iterator["RibDump"]:
-        """The series day by day, lazily.
-
-        Yields one lightweight :class:`RibDump` handle per day — no
-        announcement list is ever materialized; each dump streams its
-        day's announcements on iteration. This is the temporal
-        counterpart of the streaming record protocol: consumers that
-        used to build the full multi-day list (serialization, replay)
-        hold one day handle at a time instead.
-        """
-        for day in range(self.config.days):
-            yield RibDump(self, day)
-
     def total_announcements(self) -> int:
         """Announcement count across all days (Table 1's "total" row)."""
         return sum(
@@ -580,13 +543,3 @@ def generate_rib_days(
     """Build the daily RIB series for one or more routing planes."""
     return RibSeries(world, outcome, config or RibGenerationConfig(), seed, tracer)
 
-
-@dataclass(frozen=True, slots=True)
-class RibDump:
-    """A single day's view over a series (convenience wrapper)."""
-
-    series: RibSeries
-    day: int
-
-    def __iter__(self) -> Iterator[Announcement]:
-        return self.series.announcements(self.day)

@@ -39,7 +39,6 @@ if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.index import PathIndex
     from repro.perf.pool import WorkerPool
     from repro.resilience.checkpoint import ArtifactStore
-    from repro.resilience.faults import FaultPlan
 
 #: Metrics the pipeline can compute, derived from the registry
 #: (:mod:`repro.core.registry` is the single source of truth — adding a
@@ -84,9 +83,6 @@ class PipelineConfig:
     #: tracemalloc peaks per stage. ``False`` keeps the no-op tracer on
     #: every hook (near-zero overhead).
     trace: bool | str = False
-    #: deterministic fault-injection plan (tests and ``make faults``
-    #: exercise failure paths with it; None injects nothing)
-    faults: "FaultPlan | None" = None
     #: sanitized-record store backend: ``"memory"`` keeps the store's
     #: numpy columns in RAM (the default), ``"mmap"`` streams accepted
     #: rows into an on-disk spill and maps it read-only (bounded RSS —
@@ -285,14 +281,11 @@ class PipelineResult:
         sweep resumable: banked units are read back, computed ones
         banked as they finish, and a resumed — or reordered, or
         narrowed — sweep's output is value-identical to an
-        uninterrupted one. The config's fault plan may inject a
-        mid-sweep crash (``crash_after_units``) to exercise exactly
-        that recovery.
+        uninterrupted one, wherever the interrupted sweep stopped.
 
         Duplicate ``(metric, country)`` units are computed (and banked)
-        once: repeats in ``metrics``/``countries`` do not inflate the
-        ``computed`` counter — which would skew
-        ``FaultPlan.crashes_after`` — or double-write banked units.
+        once: repeats in ``metrics``/``countries`` never double-write a
+        banked unit.
         """
         spec_list = [get_spec(m) for m in (
             metrics if metrics is not None else paper_metrics()
@@ -311,8 +304,6 @@ class PipelineResult:
                 seen.add(unit)
                 units.append((spec, country))
         rankings: dict[tuple[str, str | None], Ranking] = {}
-        faults = self.config.faults
-        computed = 0
         with self._tracer.span(
             "sweep", metrics=len(spec_list), countries=len(country_list),
             resumed=store.persisted if store is not None else 0,
@@ -328,15 +319,8 @@ class PipelineResult:
                     continue
                 ranking = self.ranking(spec.name, country)
                 rankings[unit] = ranking
-                computed += 1
                 if store is not None:
                     store.put(spec, country, ranking)
-                if faults is not None and faults.crashes_after(computed):
-                    from repro.resilience.faults import InjectedCrash
-
-                    raise InjectedCrash(
-                        f"injected sweep crash after {computed} units"
-                    )
         return rankings
 
     # -- conveniences ---------------------------------------------------------------

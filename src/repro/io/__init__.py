@@ -1,8 +1,7 @@
 """Dataset export: the artifacts the paper promises to share
-(rankings, input AS paths, VP geolocations, filtering reports), plus an
-MRT-style RIB dump format."""
+(rankings, input AS paths, VP geolocations, filtering reports), and the
+replay that recomputes rankings from a released bundle."""
 
-from repro.io.mrt import MrtFormatError, dump_rib, dump_series, load_rib, read_header
 from repro.io.replay import ReplayError, ReplaySession, load_pathset_jsonl
 from repro.io.export import (
     export_filter_report,
@@ -14,18 +13,13 @@ from repro.io.export import (
 )
 
 __all__ = [
-    "MrtFormatError",
     "ReplayError",
     "ReplaySession",
-    "dump_rib",
-    "dump_series",
     "export_filter_report",
     "export_ixp_csv",
     "export_pathset_jsonl",
     "export_rankings_csv",
     "export_vp_locations_csv",
     "load_pathset_jsonl",
-    "load_rib",
-    "read_header",
     "release_dataset",
 ]

@@ -1,10 +1,9 @@
 """IP prefixes as immutable value objects.
 
 A :class:`Prefix` is a CIDR block in either address family, stored as a
-``(version, network_int, length)`` triple. All arithmetic (containment,
-splitting, supernets, address counting) is integer arithmetic on the
-network value, which keeps the hot paths used by the radix trie and the
-geolocation block splitter fast and allocation-free.
+``(version, network_int, length)`` triple. Its arithmetic (splitting,
+subnetting, address counting) is integer arithmetic on the network
+value; the world generators carve their address plans with it.
 
 The paper's pipeline handles hundreds of millions of announcements keyed
 by prefix; our simulator handles millions, so prefixes are hashable and
@@ -14,7 +13,6 @@ interned-friendly (two equal prefixes always compare and hash equal).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 
 class PrefixError(ValueError):
@@ -142,7 +140,7 @@ class Prefix:
     """A CIDR block: ``version`` (4 or 6), network ``value``, and ``length``.
 
     Instances are canonical: host bits below ``length`` must be zero
-    (``Prefix.parse`` raises otherwise; ``Prefix.from_host`` masks).
+    (``Prefix.parse`` raises otherwise).
     """
 
     version: int
@@ -173,24 +171,6 @@ class Prefix:
         version, value = parse_address(addr_text)
         return cls(version, value, int(len_text))
 
-    @classmethod
-    def from_host(cls, text: str, length: int) -> "Prefix":
-        """Build a prefix from any in-block address, masking host bits."""
-        version, value = parse_address(text)
-        bits = _bits(version)
-        if not 0 <= length <= bits:
-            raise PrefixError(f"invalid prefix length /{length} for v{version}")
-        mask = ((1 << length) - 1) << (bits - length) if length else 0
-        return cls(version, value & mask, length)
-
-    @classmethod
-    def v4(cls, text: str) -> "Prefix":
-        """Shorthand strict IPv4 parse with a family check."""
-        prefix = cls.parse(text)
-        if prefix.version != 4:
-            raise PrefixError(f"expected IPv4 prefix, got {text!r}")
-        return prefix
-
     # -- arithmetic ------------------------------------------------------
 
     def bits(self) -> int:
@@ -201,10 +181,6 @@ class Prefix:
         """Integer mask of the host bits."""
         return (1 << (self.bits() - self.length)) - 1
 
-    def netmask(self) -> int:
-        """Integer mask of the network bits."""
-        return ((1 << self.bits()) - 1) ^ self.hostmask()
-
     def num_addresses(self) -> int:
         """Number of addresses covered by this prefix."""
         return 1 << (self.bits() - self.length)
@@ -212,26 +188,6 @@ class Prefix:
     def first_address(self) -> int:
         """Lowest address in the block, as an integer."""
         return self.value
-
-    def last_address(self) -> int:
-        """Highest address in the block, as an integer."""
-        return self.value | self.hostmask()
-
-    def contains_address(self, version: int, value: int) -> bool:
-        """Whether the integer address falls inside this prefix."""
-        if version != self.version:
-            return False
-        return self.value <= value <= self.last_address()
-
-    def contains(self, other: "Prefix") -> bool:
-        """Whether ``other`` is equal to or more specific than this prefix."""
-        if other.version != self.version or other.length < self.length:
-            return False
-        return (other.value & self.netmask()) == self.value
-
-    def overlaps(self, other: "Prefix") -> bool:
-        """Whether the two blocks share any address."""
-        return self.contains(other) or other.contains(self)
 
     def split(self) -> tuple["Prefix", "Prefix"]:
         """The two halves one bit more specific than this prefix."""
@@ -255,25 +211,6 @@ class Prefix:
             for index in range(count)
         ]
 
-    def supernet(self, new_length: int | None = None) -> "Prefix":
-        """The covering prefix at ``new_length`` (default: one bit shorter)."""
-        if new_length is None:
-            new_length = self.length - 1
-        if new_length < 0 or new_length > self.length:
-            raise PrefixError(f"cannot supernet /{self.length} to /{new_length}")
-        mask = ((1 << new_length) - 1) << (self.bits() - new_length) if new_length else 0
-        return Prefix(self.version, self.value & mask, new_length)
-
-    def bit_at(self, depth: int) -> int:
-        """The address bit at ``depth`` (0 = most significant)."""
-        if not 0 <= depth < self.bits():
-            raise PrefixError(f"bit depth {depth} out of range")
-        return (self.value >> (self.bits() - 1 - depth)) & 1
-
-    def addresses(self) -> range:
-        """Iterate the integer addresses of the block (careful with size)."""
-        return range(self.first_address(), self.last_address() + 1)
-
     # -- ordering & rendering ---------------------------------------------
 
     def sort_key(self) -> tuple[int, int, int]:
@@ -291,8 +228,3 @@ class Prefix:
     def __repr__(self) -> str:
         return f"Prefix({str(self)!r})"
 
-
-@lru_cache(maxsize=65536)
-def cached_prefix(text: str) -> Prefix:
-    """Parse-with-memoisation for hot loops over repeated literals."""
-    return Prefix.parse(text)

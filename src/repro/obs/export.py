@@ -354,15 +354,6 @@ def stage_report(tracer: Tracer, title: str = "pipeline stage report") -> str:
         for key in geo_keys:
             lines.append(f"  {key:<28}{counters[key]:>10}")
 
-    quarantine_keys = [
-        key for key in counters if key.startswith("io.quarantine.")
-    ]
-    if quarantine_keys:
-        lines.append("")
-        lines.append("-- io quarantine (lenient-mode diverted lines) --")
-        for key in quarantine_keys:
-            lines.append(f"  {key:<28}{counters[key]:>10}")
-
     gauges = tracer.metrics.gauges()
     memory_keys = [key for key in gauges if key.startswith("obs.memory.")]
     if memory_keys:

@@ -203,9 +203,9 @@ def _banked_units(path: Path) -> dict[str, object]:
 # -- the content key ----------------------------------------------------------
 
 #: Config attributes that shape ranking *values*, the only config
-#: fields in a key (``workers``, ``trace``, ``faults``, ``store_backend``
-#: and ``spill_dir`` never change output bytes; a ``PipelineConfig``
-#: field in neither list fails ``tests/resilience/test_checkpoint.py``).
+#: fields in a key (``workers``, ``trace``, ``store_backend`` and
+#: ``spill_dir`` never change output bytes; a ``PipelineConfig`` field in
+#: neither list fails ``tests/resilience/test_checkpoint.py``).
 SEMANTIC_KNOBS = (
     "rib", "geo_noise_rate", "geo_miss_rate", "geo_threshold", "trim",
     "use_inferred_relationships", "tiebreak", "path_diversity",

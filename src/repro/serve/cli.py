@@ -171,20 +171,24 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         file=sys.stderr, flush=True,
     )
     with ThreadPoolExecutor(1, thread_name_prefix="repro-serve-accept") as pool:
-        accepting = pool.submit(server.serve_forever)
-        accepting.add_done_callback(lambda _: compute.stop())
+        accepting = None
         try:
+            # started inside the try: a SIGINT that lands while the loop
+            # starts still reaches server.stop(), or the pool's exit
+            # would wait for an accept loop nothing ends
+            accepting = pool.submit(server.serve)
+            accepting.add_done_callback(lambda _: compute.stop())
             compute.run()
         except KeyboardInterrupt:
             pass
         finally:
-            if not accepting.done():
-                server.shutdown()
+            server.stop()
             compute.close()
             server.server_close()
             store.close()
             result.close()
-        accepting.result()
+        if accepting is not None:
+            accepting.result()
     if args.trace:
         print(stage_report(tracer, title="serve stage report"))
     tracer.close()

@@ -51,6 +51,10 @@ class RankingServer(ThreadingHTTPServer):
     ``max_requests`` (used by smoke tests and the load generator)
     shuts the server down after that many requests have been answered;
     ``None`` serves forever.
+
+    The daemon runs the accept loop through :meth:`serve` and ends it
+    with :meth:`stop`, which may come first: ``shutdown`` alone waits
+    forever for a loop that never started.
     """
 
     daemon_threads = True
@@ -65,11 +69,37 @@ class RankingServer(ThreadingHTTPServer):
         self.service = service
         self._remaining = max_requests
         self._countdown = threading.Lock()
+        #: orders :meth:`serve`'s start against :meth:`stop`
+        self._lifecycle = threading.Lock()
+        self._serving = False
+        self._stopped = False
 
     @property
     def port(self) -> int:
         """The bound port (useful with ephemeral ``port=0``)."""
         return self.server_address[1]
+
+    def serve(self) -> None:
+        """Run the accept loop until shutdown; return at once if
+        :meth:`stop` came first."""
+        with self._lifecycle:
+            if self._stopped:
+                return
+            self._serving = True
+        try:
+            self.serve_forever()
+        finally:
+            with self._lifecycle:
+                self._serving = False
+
+    def stop(self) -> None:
+        """End the accept loop if :meth:`serve` runs it, and keep a
+        later :meth:`serve` from starting it (from any thread)."""
+        with self._lifecycle:
+            self._stopped = True
+            serving = self._serving
+        if serving:
+            self.shutdown()
 
     def request_served(self) -> None:
         """One response went out; shut down once the budget is spent.

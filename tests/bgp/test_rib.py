@@ -49,10 +49,7 @@ class TestSeries:
 
     def test_records_match_day_sum(self, world, outcome):
         series = generate_rib_days(world, outcome, seed=9)
-        per_day = sum(
-            sum(1 for _ in series.announcements(day))
-            for day in range(series.config.days)
-        )
+        per_day = sum(record.days_present for record in series.records())
         assert per_day == series.total_announcements()
 
     def test_record_day_counts(self, world, outcome):
@@ -70,11 +67,6 @@ class TestSeries:
         assert unstable_prefixes  # default churn produces some
         for record in series.records():
             assert record.stable == (record.prefix not in unstable_prefixes)
-
-    def test_bad_day_rejected(self, world, outcome):
-        series = generate_rib_days(world, outcome, seed=9)
-        with pytest.raises(ValueError):
-            list(series.announcements(99))
 
     def test_paths_end_at_prefix_origin(self, world, outcome):
         series = generate_rib_days(
@@ -118,22 +110,6 @@ class TestSeries:
                 if outcome.path(origin, vp.asn) is not None:
                     reachable += 1
         assert series.num_records() == reachable
-
-
-class TestLazyDays:
-    def test_days_cover_the_series_in_order(self, world, outcome):
-        series = generate_rib_days(world, outcome, seed=2)
-        dumps = list(series.days())
-        assert [dump.day for dump in dumps] == list(range(series.config.days))
-        for dump in dumps:
-            assert list(dump) == list(series.announcements(dump.day))
-
-    def test_days_is_a_generator(self, world, outcome):
-        series = generate_rib_days(world, outcome, seed=2)
-        stream = series.days()
-        first = next(stream)
-        assert first.day == 0
-        assert list(first) == list(series.announcements(0))
 
 
 @pytest.mark.parametrize("tier", ["small", "default"])

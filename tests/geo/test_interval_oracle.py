@@ -16,6 +16,7 @@ from repro.net.prefix import Prefix, PrefixError
 from repro.topology import GeneratorConfig, generate_world
 from repro.topology.catalog import build_world
 from tests.geo.trie_oracle import TrieGeoDatabase, trie_geolocate
+from tests.oracles.prefixes import last_address
 
 COUNTRIES = ("AU", "JP", "NL", "US")
 THRESHOLDS = (0.0, 0.25, 0.4, 0.5, 0.75)
@@ -65,8 +66,8 @@ def geo_cases(draw):
         ops.append((country, prefix))
     announced = [nested() for _ in range(draw(st.integers(0, 10)))]
     probes = [
-        draw(st.integers(base.value, base.last_address())) for _ in range(4)
-    ] + [p.value for p in pool] + [p.last_address() for p in pool]
+        draw(st.integers(base.value, last_address(base))) for _ in range(4)
+    ] + [p.value for p in pool] + [last_address(p) for p in pool]
     return version, ops, announced, probes
 
 

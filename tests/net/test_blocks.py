@@ -5,6 +5,7 @@ from repro.net.prefix import Prefix
 from tests.oracles.prefixes import (
     Block,
     covered_by_more_specifics,
+    overlaps,
     split_into_blocks,
     total_addresses,
 )
@@ -88,4 +89,4 @@ class TestSplitIntoBlocks:
         blocks = split_into_blocks(prefixes)
         for left, right in zip(blocks, blocks[1:]):
             assert left.prefix.sort_key() < right.prefix.sort_key()
-            assert not left.prefix.overlaps(right.prefix)
+            assert not overlaps(left.prefix, right.prefix)

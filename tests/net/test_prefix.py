@@ -1,9 +1,12 @@
-"""Unit and property tests for repro.net.prefix."""
+"""Unit and property tests for repro.net.prefix, and for the prefix
+arithmetic the oracle trie keeps in ``tests/oracles/prefixes.py``."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.net.prefix import Prefix, PrefixError, format_address, parse_address
+
+from tests.oracles.prefixes import bit_at, contains, last_address, netmask, overlaps
 
 
 class TestParseAddress:
@@ -72,18 +75,11 @@ class TestPrefixConstruction:
         with pytest.raises(PrefixError):
             Prefix.parse("10.0.0.1/8")
 
-    def test_from_host_masks(self):
-        assert Prefix.from_host("10.1.2.3", 8) == Prefix.parse("10.0.0.0/8")
-
     def test_bad_length(self):
         with pytest.raises(PrefixError):
             Prefix.parse("10.0.0.0/33")
         with pytest.raises(PrefixError):
             Prefix.parse("10.0.0.0/-1")
-
-    def test_v4_helper_rejects_v6(self):
-        with pytest.raises(PrefixError):
-            Prefix.v4("2001:db8::/32")
 
     def test_str_roundtrip(self):
         for text in ("0.0.0.0/0", "10.0.0.0/8", "192.168.1.0/24", "2001:db8::/32"):
@@ -98,33 +94,27 @@ class TestPrefixArithmetic:
     def test_first_last(self):
         prefix = Prefix.parse("10.0.0.0/24")
         assert prefix.first_address() == 10 << 24
-        assert prefix.last_address() == (10 << 24) + 255
+        assert last_address(prefix) == (10 << 24) + 255
 
     def test_contains_prefix(self):
         big = Prefix.parse("10.0.0.0/8")
         small = Prefix.parse("10.1.0.0/16")
-        assert big.contains(small)
-        assert not small.contains(big)
-        assert big.contains(big)
+        assert contains(big, small)
+        assert not contains(small, big)
+        assert contains(big, big)
 
     def test_contains_disjoint(self):
-        assert not Prefix.parse("10.0.0.0/8").contains(Prefix.parse("11.0.0.0/8"))
+        assert not contains(Prefix.parse("10.0.0.0/8"), Prefix.parse("11.0.0.0/8"))
 
     def test_contains_cross_family(self):
-        assert not Prefix.parse("10.0.0.0/8").contains(Prefix.parse("::/8"))
-
-    def test_contains_address(self):
-        prefix = Prefix.parse("10.0.0.0/24")
-        assert prefix.contains_address(4, (10 << 24) + 7)
-        assert not prefix.contains_address(4, (10 << 24) + 256)
-        assert not prefix.contains_address(6, 10 << 24)
+        assert not contains(Prefix.parse("10.0.0.0/8"), Prefix.parse("::/8"))
 
     def test_overlaps(self):
         a = Prefix.parse("10.0.0.0/8")
         b = Prefix.parse("10.5.0.0/16")
         c = Prefix.parse("11.0.0.0/8")
-        assert a.overlaps(b) and b.overlaps(a)
-        assert not a.overlaps(c)
+        assert overlaps(a, b) and overlaps(b, a)
+        assert not overlaps(a, c)
 
     def test_split(self):
         low, high = Prefix.parse("10.0.0.0/8").split()
@@ -145,14 +135,10 @@ class TestPrefixArithmetic:
         with pytest.raises(PrefixError):
             Prefix.parse("10.0.0.0/24").subnets(8)
 
-    def test_supernet(self):
-        assert str(Prefix.parse("10.128.0.0/9").supernet()) == "10.0.0.0/8"
-        assert str(Prefix.parse("10.1.2.0/24").supernet(8)) == "10.0.0.0/8"
-
     def test_bit_at(self):
         prefix = Prefix.parse("128.0.0.0/1")
-        assert prefix.bit_at(0) == 1
-        assert Prefix.parse("0.0.0.0/0").bit_at(0) == 0
+        assert bit_at(prefix, 0) == 1
+        assert bit_at(Prefix.parse("0.0.0.0/0"), 0) == 0
 
     def test_ordering(self):
         prefixes = [
@@ -180,22 +166,17 @@ class TestPrefixProperties:
     @given(prefixes_v4(max_length=27))
     def test_split_partitions(self, prefix):
         low, high = prefix.split()
-        assert prefix.contains(low) and prefix.contains(high)
+        assert contains(prefix, low) and contains(prefix, high)
         assert low.num_addresses() + high.num_addresses() == prefix.num_addresses()
-        assert low.last_address() + 1 == high.first_address()
-        assert not low.overlaps(high)
-
-    @given(prefixes_v4(max_length=24))
-    def test_supernet_contains(self, prefix):
-        if prefix.length > 0:
-            assert prefix.supernet().contains(prefix)
+        assert last_address(low) + 1 == high.first_address()
+        assert not overlaps(low, high)
 
     @given(prefixes_v4(), prefixes_v4())
     def test_contains_antisymmetric(self, a, b):
-        if a.contains(b) and b.contains(a):
+        if contains(a, b) and contains(b, a):
             assert a == b
 
     @given(prefixes_v4())
     def test_netmask_hostmask_disjoint(self, prefix):
-        assert prefix.netmask() & prefix.hostmask() == 0
-        assert prefix.netmask() | prefix.hostmask() == (1 << 32) - 1
+        assert netmask(prefix) & prefix.hostmask() == 0
+        assert netmask(prefix) | prefix.hostmask() == (1 << 32) - 1

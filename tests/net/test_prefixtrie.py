@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.prefix import Prefix, PrefixError
 
-from tests.oracles.prefixes import PrefixTrie
+from tests.oracles.prefixes import PrefixTrie, contains, overlaps
 
 
 def p(text):
@@ -136,16 +136,16 @@ class TestDecomposeProperties:
         # Blocks never overlap.
         for i, (left, _) in enumerate(blocks):
             for right, _ in blocks[i + 1 :]:
-                assert not left.overlaps(right)
+                assert not overlaps(left, right)
         # Owners are stored prefixes containing their block.
         for block, owner in blocks:
             assert owner in set(prefixes)
-            assert owner.contains(block)
+            assert contains(owner, block)
         # Total block addresses == addresses of the union of prefixes
         # (computed independently via toplevel prefixes).
         tops = [
             q for q in prefixes
-            if not any(o.contains(q) and o != q for o in prefixes)
+            if not any(contains(o, q) and o != q for o in prefixes)
         ]
         expected = sum(t.num_addresses() for t in tops)
         assert sum(b.num_addresses() for b, _ in blocks) == expected
@@ -158,5 +158,5 @@ class TestDecomposeProperties:
             trie.insert(prefix, prefix)
         for block, owner in trie.decompose():
             for other in prefixes:
-                if other.contains(block):
+                if contains(other, block):
                     assert other.length <= owner.length

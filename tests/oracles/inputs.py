@@ -183,12 +183,14 @@ def tree_paths():
 
 
 @st.composite
-def record_sets(draw):
+def record_sets(draw, countries=None):
     """Small random record sets over ASNs 1-8 and a random
     provider→customer edge set: up to twelve VPs, up to six prefixes,
     each with a home origin and an address count. Some draws give a
     prefix several origins (MOAS) or its records different counts
-    (the store keeps the first)."""
+    (the store keeps the first). Every VP is located in US and every
+    prefix in NL, unless ``countries`` is given: then each VP and each
+    prefix is located in one of them, drawn."""
     prefixes = draw(st.integers(min_value=1, max_value=6))
     counts = draw(st.lists(
         st.sampled_from(ADDRESSES), min_size=prefixes, max_size=prefixes,
@@ -215,12 +217,23 @@ def record_sets(draw):
                   st.integers(min_value=1, max_value=8)),
         max_size=24,
     ))
+    if countries is None:
+        vp_homes, prefix_homes = ["US"] * vps, ["NL"] * prefixes
+    else:
+        vp_homes = draw(st.lists(
+            st.sampled_from(countries), min_size=vps, max_size=vps,
+        ))
+        prefix_homes = draw(st.lists(
+            st.sampled_from(countries), min_size=prefixes, max_size=prefixes,
+        ))
     records = [
         record(
             f"10.0.0.{vp + 1}",
             path if moas else path[:-1] + [homes[prefix]],
             f"10.{prefix}.0.0/16",
             own if conflicting else counts[prefix],
+            vp_country=vp_homes[vp],
+            prefix_country=prefix_homes[prefix],
         )
         for vp, path, prefix, own in rows
     ]

@@ -12,7 +12,10 @@ walks one trie of the announced prefixes into maximal CIDR
 announcement. The interval pass of :mod:`repro.geo` (painted address
 intervals) is held to these through ``tests/geo/trie_oracle.py``.
 
-One trie holds one address family; mixing families raises.
+One trie holds one address family; mixing families raises. The bit and
+containment arithmetic the trie and these checks need lives here too,
+as functions over :class:`~repro.net.prefix.Prefix`: no ``src/`` code
+asks whether one prefix contains another.
 """
 
 from __future__ import annotations
@@ -23,6 +26,35 @@ from typing import Generic, Iterable, Iterator, Sequence, TypeVar
 from repro.net.prefix import Prefix, PrefixError
 
 V = TypeVar("V")
+
+
+def netmask(prefix: Prefix) -> int:
+    """Integer mask of the network bits."""
+    return ((1 << prefix.bits()) - 1) ^ prefix.hostmask()
+
+
+def last_address(prefix: Prefix) -> int:
+    """Highest address in the block, as an integer."""
+    return prefix.value | prefix.hostmask()
+
+
+def contains(outer: Prefix, inner: Prefix) -> bool:
+    """Whether ``inner`` is equal to or more specific than ``outer``."""
+    if inner.version != outer.version or inner.length < outer.length:
+        return False
+    return (inner.value & netmask(outer)) == outer.value
+
+
+def overlaps(a: Prefix, b: Prefix) -> bool:
+    """Whether the two blocks share any address."""
+    return contains(a, b) or contains(b, a)
+
+
+def bit_at(prefix: Prefix, depth: int) -> int:
+    """The address bit at ``depth`` (0 = most significant)."""
+    if not 0 <= depth < prefix.bits():
+        raise PrefixError(f"bit depth {depth} out of range")
+    return (prefix.value >> (prefix.bits() - 1 - depth)) & 1
 
 
 @dataclass(slots=True)
@@ -60,7 +92,7 @@ class PrefixTrie(Generic[V]):
                 return
             yield node
             if depth < prefix.length:
-                node = node.children[prefix.bit_at(depth)]
+                node = node.children[bit_at(prefix, depth)]
 
     def _node(self, prefix: Prefix) -> _Node[V] | None:
         path = list(self._path(prefix))
@@ -71,7 +103,7 @@ class PrefixTrie(Generic[V]):
         self._check(prefix)
         node = self._root
         for depth in range(prefix.length):
-            bit = prefix.bit_at(depth)
+            bit = bit_at(prefix, depth)
             if node.children[bit] is None:
                 node.children[bit] = _Node()
             node = node.children[bit]  # type: ignore[assignment]

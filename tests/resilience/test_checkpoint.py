@@ -208,12 +208,8 @@ class TestContentKeys:
         assert store_key(world, base) == store_key(world, PipelineConfig(seed=0))
 
     def test_sweep_key_ignores_resilience_knobs(self):
-        from repro.resilience import FaultPlan
-
         world = build_world("small", 0)
-        tweaked = PipelineConfig(
-            seed=0, workers=8, faults=FaultPlan(corrupt_rate=0.5)
-        )
+        tweaked = PipelineConfig(seed=0, workers=8)
         assert store_key(world, PipelineConfig(seed=0)) == store_key(
             world, tweaked
         )
@@ -273,7 +269,7 @@ class TestStoreBackendIsNotSemantic:
 
 #: ``PipelineConfig`` fields that never change a ranking's bytes, so
 #: never enter a key
-NON_SEMANTIC_KNOBS = ("workers", "trace", "faults", "store_backend", "spill_dir")
+NON_SEMANTIC_KNOBS = ("workers", "trace", "store_backend", "spill_dir")
 
 
 class TestSemanticKnobs:

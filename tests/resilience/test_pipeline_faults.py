@@ -2,6 +2,10 @@
 output identical to an uninterrupted sweep, with and without global
 metrics; a reordered or narrowed sweep resumes the units it shares;
 and duplicate sweep units computed and banked once.
+
+The crash comes from :class:`CrashingStore`, a store that raises once
+it has banked two units, so the sweep stops between two units as a
+killed process would.
 """
 
 import pytest
@@ -15,11 +19,30 @@ from repro import (
 )
 from repro.core.pipeline import PipelineResult
 from repro.core.registry import get_spec
-from repro.resilience import ArtifactStore, FaultPlan, InjectedCrash, store_key
+from repro.resilience import ArtifactStore, store_key
 
 SMALL = GeneratorConfig(
     profiles=small_profiles(), clique_homes=("US", "US", "SE", "JP")
 )
+
+
+class Crash(Exception):
+    """What :class:`CrashingStore` raises."""
+
+
+class CrashingStore(ArtifactStore):
+    """An :class:`ArtifactStore` whose ``put`` raises :class:`Crash`
+    right after banking its second unit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.banked = 0
+
+    def put(self, spec, country, ranking):
+        super().put(spec, country, ranking)
+        self.banked += 1
+        if self.banked == 2:
+            raise Crash(f"crash after banking {spec.unit_key(country)}")
 
 
 @pytest.fixture(scope="module")
@@ -41,12 +64,9 @@ class TestSweepCheckpointResume:
         path = tmp_path / "sweep.ck"
         key = store_key(world, clean.config)
 
-        crashing = run_pipeline(
-            world,
-            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
-        )
-        with ArtifactStore(key, path=path) as store:
-            with pytest.raises(InjectedCrash):
+        crashing = run_pipeline(world, PipelineConfig())
+        with CrashingStore(key, path=path) as store:
+            with pytest.raises(Crash):
                 crashing.rank_all(self.METRICS, countries, store=store)
 
         resumed_result = run_pipeline(world, PipelineConfig())
@@ -120,12 +140,9 @@ class TestGlobalMetricCheckpointResume:
         path = tmp_path / "sweep.ck"
         key = store_key(world, clean.config)
 
-        crashing = run_pipeline(
-            world,
-            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
-        )
-        with ArtifactStore(key, path=path) as store:
-            with pytest.raises(InjectedCrash):
+        crashing = run_pipeline(world, PipelineConfig())
+        with CrashingStore(key, path=path) as store:
+            with pytest.raises(Crash):
                 crashing.rank_all(self.METRICS, countries, store=store)
 
         resumed_result = run_pipeline(world, PipelineConfig())
@@ -146,17 +163,6 @@ class TestSweepUnitDedupe:
         rankings = clean.rank_all(
             ["CCI", "CCI"], [country, country.lower(), f" {country} "]
         )
-        assert list(rankings) == [("CCI", country)]
-
-    def test_duplicates_do_not_trip_the_fault_plan(self, world):
-        # crash_after_units=2 with only one *distinct* unit: the old
-        # per-request counting would have crashed on the repeat
-        country_result = run_pipeline(
-            world,
-            PipelineConfig(faults=FaultPlan(crash_after_units=2)),
-        )
-        country = country_result.countries_with_national_view()[0]
-        rankings = country_result.rank_all(["CCI", "CCI"], [country])
         assert list(rankings) == [("CCI", country)]
 
     def test_duplicates_write_one_checkpoint_unit(self, world, clean, tmp_path):

@@ -142,6 +142,30 @@ ON_ONE_CPU = (
 )
 
 
+#: ``python -c`` body for a daemon interrupted while its accept loop
+#: starts: the executor ``run_serve`` starts the loop on waits
+#: ``sys.argv[1]`` seconds after queuing it, then sends its own process
+#: SIGINT and sleeps, so the interrupt lands on the main thread before
+#: ``submit`` returns
+INTERRUPTED_AS_THE_LOOP_STARTS = """
+import os, signal, sys, time
+from concurrent.futures import ThreadPoolExecutor
+from repro.serve import cli
+
+class Interrupting(ThreadPoolExecutor):
+    def submit(self, *args, **kwargs):
+        future = super().submit(*args, **kwargs)
+        time.sleep(float(sys.argv[1]))
+        os.kill(os.getpid(), signal.SIGINT)
+        time.sleep(0.2)
+        return future
+
+signal.signal(signal.SIGINT, signal.default_int_handler)
+cli.ThreadPoolExecutor = Interrupting
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
 def interrupt_after_a_miss(cpu, env, log):
     """Start a daemon on ``cpu``, ask it one miss, send SIGINT as soon
     as the answer arrives; its exit status."""
@@ -334,3 +358,25 @@ class TestShutdown:
                 assert interrupt_after_a_miss(cpu, env, log) == 0, log.read_text()
         finally:
             os.sched_setaffinity(0, cpus)
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2])
+    def test_sigint_while_the_accept_loop_starts(self, tmp_path, delay):
+        """SIGINT lands after the accept loop is queued (at once, or
+        once it has had time to run) and before the main thread waits
+        for work: the daemon still exits 0, stopping the loop only if
+        it started."""
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        log = tmp_path / "daemon.log"
+        with open(log, "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", INTERRUPTED_AS_THE_LOOP_STARTS, str(delay),
+                 "--world", "small", "--port", "0"],
+                stderr=stderr, env=env,
+            )
+        try:
+            assert proc.wait(timeout=20) == 0, log.read_text()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=TIMEOUT_S)
+        assert "serving world=small" in log.read_text()

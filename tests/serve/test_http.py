@@ -4,6 +4,7 @@ import http.client
 import json
 import socket
 import string
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -218,3 +219,36 @@ class TestMaxRequests:
         thread.join(timeout=5)
         assert not thread.is_alive()
         httpd.server_close()
+
+
+class TestServeAndStop:
+    def test_serve_and_stop_race_in_either_order(self, small_result):
+        """``serve`` and ``stop`` start together on four servers at a
+        time, in both orders, under a short switch interval: every
+        thread ends, and a ``serve`` after ``stop`` returns at once."""
+        service = RankingService(small_result, ArtifactStore("key-race"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                servers = [RankingServer(("127.0.0.1", 0), service) for _ in range(4)]
+                threads = []
+                for index, httpd in enumerate(servers):
+                    pair = [
+                        threading.Thread(target=httpd.serve, daemon=True),
+                        threading.Thread(target=httpd.stop, daemon=True),
+                    ]
+                    threads += pair if index % 2 else pair[::-1]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+                for httpd in servers:
+                    late = threading.Thread(target=httpd.serve, daemon=True)
+                    late.start()
+                    late.join(timeout=10)
+                    assert not late.is_alive()
+                    httpd.server_close()
+        finally:
+            sys.setswitchinterval(interval)
