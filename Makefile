@@ -40,13 +40,17 @@ test: lint lint-sarif
 ## and a damaged spill (hand-picked damage, and generated byte flips,
 ## truncations, retyped fields, Table-1 counts that are not
 ## non-negative ints adding up, and out-of-range column values) fails
-## with a typed error on open or resume, never with another one later.
+## with a typed error on open or resume, never with another one later;
+## and a damaged release (byte flips, truncation, retyped, out-of-range
+## and dropped fields in a released paths.jsonl) either replays or
+## fails with a ReplayError, exit status 2 from `repro-rank replay`.
 faults:
 	$(PYTHON) -m pytest tests/resilience -q
 	$(PYTHON) -m pytest -q tests/perf/test_spill.py::TestCrashResume \
 		tests/perf/test_spill.py::TestDamagedSpill \
 		tests/perf/test_spill.py::TestDamagedResume \
-		tests/perf/test_column_builder.py
+		tests/perf/test_column_builder.py \
+		tests/io/test_replay.py::TestDamagedRelease
 
 ## The serve suite in the interpreter's development mode (`-X dev`:
 ## ResourceWarning for every file and socket never closed), failing on

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.ndcg import ndcg
 from repro.core.pipeline import PipelineResult
 from repro.core.ranking import Ranking
-from repro.core.registry import MetricContext, maybe_spec
+from repro.core.registry import maybe_spec
 from repro.core.sanitize import RelationshipOracle
 from repro.core.views import View
 
@@ -78,9 +78,7 @@ def metric_ranking(
         raise ValueError(
             f"stability analysis supports CC*/AH* metrics, not {metric!r}"
         )
-    return spec.build(MetricContext(
-        view=view, oracle=oracle, trim=trim, country=view.country,
-    ))
+    return spec.rank(view, view.country, oracle, trim)
 
 
 def stability_curve(

@@ -61,14 +61,9 @@ from repro.analysis.sovereignty import dependency_matrix, render_dependencies
 from repro.analysis.stability import international_stability, national_stability
 from repro.analysis.vp_distribution import render_census, vp_census
 from repro.core.pipeline import PipelineConfig, PipelineResult, run_pipeline
-from repro.core.registry import (
-    get_spec,
-    maybe_spec,
-    metric_names,
-    normalize_country,
-)
+from repro.core.registry import get_spec, metric_names, normalize_country
 from repro.io.export import release_dataset
-from repro.io.replay import ReplaySession
+from repro.io.replay import ReplayError, ReplaySession
 from repro.lint import Baseline, LintConfig, run_lint
 from repro.lint.cli import DEFAULT_BASELINE
 from repro.lint.report import (
@@ -97,29 +92,6 @@ def _fail(message: str) -> int:
     """Print a one-line error and return the usage exit status."""
     print(f"repro-rank: error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _bad_metric(metric: str) -> str:
-    return (
-        f"unknown metric {metric!r} (valid: {', '.join(metric_names())})"
-    )
-
-
-def _bad_country(world: World, code: str) -> str:
-    known = ", ".join(world.countries.codes())
-    return f"unknown country {code!r} for world {world.name!r} (valid: {known})"
-
-
-def _normalize_metric(metric: str) -> str | None:
-    """The canonical registered metric name, or ``None`` when unknown."""
-    spec = maybe_spec(metric)
-    return spec.name if spec is not None else None
-
-
-def _normalize_country(world: World, code: str) -> str | None:
-    """The canonical country code, or ``None`` when not in the world."""
-    upper = normalize_country(code)
-    return upper if upper in world.countries else None
 
 
 def best_traced_country(result: PipelineResult) -> str:
@@ -196,10 +168,10 @@ def _run_watch(args: argparse.Namespace) -> int:
     metric_list = [m for m in args.metrics.split(",") if m.strip()]
     if not metric_list:
         return _fail("--metrics needs at least one metric name")
-    canonical = [_normalize_metric(m) for m in metric_list]
-    for name, norm in zip(metric_list, canonical):
-        if norm is None:
-            return _fail(_bad_metric(name))
+    try:
+        canonical = [get_spec(m).name for m in metric_list]
+    except ValueError as error:
+        return _fail(str(error))
     countries: tuple[str, ...] | None = None
     if args.countries is not None:
         codes = [c.strip() for c in args.countries.split(",") if c.strip()]
@@ -234,7 +206,7 @@ def _run_watch(args: argparse.Namespace) -> int:
     tracer = Tracer()
     try:
         run = watch(refs, config, tracer=tracer, checkpoint=checkpoint)
-    except WatchError as error:
+    except (WatchError, ReplayError) as error:
         return _fail(str(error))
     finally:
         if checkpoint is not None:
@@ -450,14 +422,18 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"--trials must be >= 1 (got {args.trials})")
 
     if args.command == "replay":
-        spec = maybe_spec(args.metric)
-        if spec is None:
-            return _fail(_bad_metric(args.metric))
+        try:
+            spec = get_spec(args.metric)
+        except ValueError as error:
+            return _fail(str(error))
         if not spec.replayable:
             return _fail(
                 f"metric {spec.name} cannot be replayed from released paths"
             )
-        session = ReplaySession.from_file(args.paths_file)
+        try:
+            session = ReplaySession.from_file(args.paths_file)
+        except ReplayError as error:
+            return _fail(str(error))
         country = normalize_country(args.country)
         if country is not None:
             known = session.paths.countries()
@@ -499,67 +475,57 @@ def main(argv: list[str] | None = None) -> int:
     world = build_world(args.world, args.seed)
 
     # -- input validation (before the expensive pipeline run) ---------------
-    metric_arg = getattr(args, "metric", None)
-    if args.command in ("rank", "stability", "concentration") and metric_arg:
-        metric = _normalize_metric(metric_arg)
-        if metric is None:
-            return _fail(_bad_metric(metric_arg))
-        args.metric = metric
+    # get_spec and World.country_code raise the one message for an
+    # unknown metric or country
+    try:
+        metric_arg = getattr(args, "metric", None)
+        if args.command in ("rank", "stability", "concentration") and metric_arg:
+            spec = get_spec(metric_arg)
+            args.metric = spec.name
+            if args.command == "stability" and spec.family not in (
+                "cone", "hegemony",
+            ):
+                return _fail(
+                    f"metric {spec.name} is not supported by stability analysis "
+                    "(needs a cone or hegemony metric)"
+                )
+        country_arg = getattr(args, "country", None)
+        if args.command in (
+            "case-study", "stability", "sovereignty", "report",
+        ) or (args.command in ("rank", "trace") and country_arg):
+            if country_arg is None:
+                return _fail("this command requires a country code")
+            args.country = world.country_code(country_arg)
+        if args.command == "rank":
+            if get_spec(args.metric).needs_country and args.country is None:
+                return _fail(f"metric {args.metric} requires a country code")
         if (
-            args.command == "stability"
-            and get_spec(metric).family not in ("cone", "hegemony")
+            args.command in ("concentration", "sweep", "release")
+            and args.countries is not None
         ):
-            return _fail(
-                f"metric {metric} is not supported by stability analysis "
-                "(needs a cone or hegemony metric)"
-            )
-    country_arg = getattr(args, "country", None)
-    if args.command in (
-        "case-study", "stability", "sovereignty", "report",
-    ) or (args.command in ("rank", "trace") and country_arg):
-        if country_arg is None:
-            return _fail("this command requires a country code")
-        country = _normalize_country(world, country_arg)
-        if country is None:
-            return _fail(_bad_country(world, country_arg))
-        args.country = country
-    if args.command == "rank":
-        if get_spec(args.metric).needs_country and args.country is None:
-            return _fail(f"metric {args.metric} requires a country code")
-    if (
-        args.command in ("concentration", "sweep", "release")
-        and args.countries is not None
-    ):
-        codes = [c for c in args.countries.split(",") if c]
-        if not codes:
-            return _fail("--countries needs at least one country code")
-        normalized = [_normalize_country(world, code) for code in codes]
-        for code, norm in zip(codes, normalized):
-            if norm is None:
-                return _fail(_bad_country(world, code))
-        args.countries = ",".join(normalized)
-    if args.command == "sweep":
-        metrics = [m for m in args.metrics.split(",") if m]
-        if not metrics:
-            return _fail("--metrics needs at least one metric name")
-        normalized_metrics = [_normalize_metric(m) for m in metrics]
-        for name, norm in zip(metrics, normalized_metrics):
-            if norm is None:
-                return _fail(_bad_metric(name))
-        args.metrics = ",".join(normalized_metrics)
-        if args.resume and args.checkpoint is None:
-            return _fail("--resume requires --checkpoint")
-    if args.command == "disconnect" and args.target.isalpha():
-        if len(args.target) != 2 or _normalize_country(world, args.target) is None:
-            return _fail(_bad_country(world, args.target))
-    if args.command == "disconnect" and not args.target.isalpha():
-        try:
-            [int(a) for a in args.target.split(",")]
-        except ValueError:
-            return _fail(
-                f"target {args.target!r} is neither a country code nor a "
-                "comma-separated ASN list"
-            )
+            codes = [c for c in args.countries.split(",") if c]
+            if not codes:
+                return _fail("--countries needs at least one country code")
+            args.countries = ",".join(world.country_code(code) for code in codes)
+        if args.command == "sweep":
+            metrics = [m for m in args.metrics.split(",") if m]
+            if not metrics:
+                return _fail("--metrics needs at least one metric name")
+            args.metrics = ",".join(get_spec(m).name for m in metrics)
+            if args.resume and args.checkpoint is None:
+                return _fail("--resume requires --checkpoint")
+        if args.command == "disconnect" and args.target.isalpha():
+            world.country_code(args.target)
+        if args.command == "disconnect" and not args.target.isalpha():
+            try:
+                [int(a) for a in args.target.split(",")]
+            except ValueError:
+                return _fail(
+                    f"target {args.target!r} is neither a country code nor a "
+                    "comma-separated ASN list"
+                )
+    except ValueError as error:
+        return _fail(str(error))
 
     if args.command == "world":
         for key, value in world.summary().items():
@@ -657,7 +623,13 @@ def main(argv: list[str] | None = None) -> int:
         ))
     elif args.command == "release":
         countries = [c for c in args.countries.split(",") if c]
-        written = release_dataset(result, args.directory, countries)
+        try:
+            written = release_dataset(result, args.directory, countries)
+        except OSError as error:
+            return _fail(
+                f"cannot write the release to {args.directory!r}: "
+                f"{error.strerror or error}"
+            )
         for key, path in written.items():
             print(f"{key:>14}: {path}")
     return 0

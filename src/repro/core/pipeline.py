@@ -18,16 +18,14 @@ from repro.bgp.propagation import RoutingOutcome, propagate_all
 from repro.bgp.rib import RibGenerationConfig, RibSeries, generate_rib_days
 from repro.core.ranking import Ranking
 from repro.core.registry import (
-    VIEW_KINDS,
-    MetricContext,
-    MetricSpec,
     get_spec,
     metric_names,
+    metric_units,
     normalize_country,
     paper_metrics,
 )
 from repro.core.sanitize import PathSet, RelationshipOracle, sanitize_windows
-from repro.core.views import View
+from repro.core.session import RankingSession
 from repro.geo.database import GeoDatabase
 from repro.geo.prefix_geo import PrefixGeolocation, geolocate_prefixes
 from repro.geo.vp_geo import VPGeolocator
@@ -36,7 +34,6 @@ from repro.relationships.inference import InferredRelationships, infer_relations
 from repro.topology.world import World
 
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
-    from repro.perf.index import PathIndex
     from repro.perf.pool import WorkerPool
     from repro.resilience.checkpoint import ArtifactStore
 
@@ -114,8 +111,10 @@ class PipelineConfig:
             )
 
 
-class PipelineResult:
-    """Everything one pipeline run produced, with memoised rankings."""
+class PipelineResult(RankingSession):
+    """Everything one pipeline run produced: a ranking session over its
+    sanitized paths that knows the world's countries and registered
+    origins."""
 
     def __init__(
         self,
@@ -134,6 +133,7 @@ class PipelineResult:
         pool: "WorkerPool | None" = None,
         spill_tmp: str | None = None,
     ) -> None:
+        super().__init__(paths, oracle, config.trim, tracer)
         self.world = world
         self.config = config
         self.outcome = outcome
@@ -147,17 +147,7 @@ class PipelineResult:
         self.geodb = geodb
         self.prefix_geo = prefix_geo
         self.vp_geo = vp_geo
-        self.paths = paths
-        self.oracle = oracle
         self.inferred = inferred
-        #: the tracer every lazily-computed view/ranking records into
-        #: (the shared no-op tracer when telemetry is off)
-        self._tracer = tracer
-        self._views: dict[tuple[str, str | None], View] = {}
-        self._rankings: dict[tuple[str, str | None], Ranking] = {}
-        #: the shared path index (repro.perf), built lazily; each view
-        #: carries its own cross-metric cache (View.computation)
-        self._index: "PathIndex | None" = None
 
     @property
     def trace(self) -> AnyTracer | None:
@@ -177,82 +167,13 @@ class PipelineResult:
             shutil.rmtree(self._spill_tmp, ignore_errors=True)
             self._spill_tmp = None
 
-    # -- views & batch-engine state -----------------------------------------
+    def country_code(self, code: str) -> str:
+        """A country of the world (``ValueError`` for any other)."""
+        return self.world.country_code(code)
 
-    def path_index(self) -> "PathIndex":
-        """The shared :class:`repro.perf.PathIndex` over the sanitized
-        records (built on first use, one O(n) pass)."""
-        if self._index is None:
-            from repro.perf.index import PathIndex
-
-            with self._tracer.span("index", input=len(self.paths)):
-                self._index = PathIndex.from_paths(self.paths)
-        return self._index
-
-    def view(self, kind: str, country: str | None = None) -> View:
-        """A memoised view: ``"national"``/``"international"``/
-        ``"outbound"`` (need a country) or ``"global"``.
-
-        Views come from :meth:`path_index` bucket lookups — O(selected
-        records) after the index's one-time O(all records) build — and
-        hold the same store positions as a full scan of the records
-        would. A view memoises its kernel
-        intermediates, so every metric over it shares them.
-        """
-        country = normalize_country(country)
-        key = (kind, country)
-        if key in self._views:
-            return self._views[key]
-        if kind not in VIEW_KINDS:
-            raise ValueError(f"unknown view kind {kind!r}")
-        if kind != "global":
-            self._need_country(country)
-        built = self.path_index().view(
-            kind, None if kind == "global" else country, tracer=self._tracer,
-        )
-        self._views[key] = built
-        return built
-
-    # -- rankings ---------------------------------------------------------------
-
-    def ranking(self, metric: str, country: str | None = None) -> Ranking:
-        """A memoised ranking for one metric (and country, if needed).
-
-        ``metric`` is any registered name (see
-        :mod:`repro.core.registry`); the spec decides whether
-        ``country`` is required, which view the metric consumes, and
-        how it is computed.
-        """
-        spec = get_spec(metric)
-        country = normalize_country(country) if spec.needs_country else None
-        key = (spec.name, country)
-        if key in self._rankings:
-            return self._rankings[key]
-        tracer = self._tracer
-        with tracer.span("ranking", metric=spec.name, country=country) as span:
-            built = self._compute_ranking(spec, country)
-            span.set(output=len(built.entries))
-            tracer.metrics.histogram("ranking.size").observe(len(built.entries))
-            tracer.metrics.counter("ranking.computed").inc()
-        self._rankings[key] = built
-        return built
-
-    def _compute_ranking(self, spec: MetricSpec, country: str | None) -> Ranking:
-        """Assemble the spec's :class:`MetricContext` and delegate —
-        the spec (not this method) knows how the metric is computed."""
-        code = self._need_country(country) if spec.needs_country else None
-        view_country = None if spec.view_kind == "global" else code
-        origins: tuple[int, ...] = ()
-        if spec.needs_origins and code is not None:
-            origins = tuple(self.world.graph.by_registry_country(code))
-        return spec.build(MetricContext(
-            view=self.view(spec.view_kind, view_country),
-            oracle=self.oracle,
-            trim=self.config.trim,
-            country=code,
-            origins=origins,
-            tracer=self._tracer,
-        ))
+    def origins(self, country: str) -> tuple[int, ...]:
+        """The ASNs registered in ``country`` (AHC's destinations)."""
+        return tuple(self.world.graph.by_registry_country(country))
 
     def rank_all(
         self,
@@ -294,15 +215,7 @@ class PipelineResult:
             countries if countries is not None
             else self.countries_with_national_view()
         )]
-        units: list[tuple[MetricSpec, str | None]] = []
-        seen: set[tuple[str, str | None]] = set()
-        for spec in spec_list:
-            for country in (country_list if spec.needs_country else [None]):
-                unit = (spec.name, country)
-                if unit in seen:
-                    continue
-                seen.add(unit)
-                units.append((spec, country))
+        units = metric_units(spec_list, country_list)
         rankings: dict[tuple[str, str | None], Ranking] = {}
         with self._tracer.span(
             "sweep", metrics=len(spec_list), countries=len(country_list),
@@ -339,12 +252,6 @@ class PipelineResult:
         """Display name for an AS (empty for unknown)."""
         node = self.world.graph.maybe_node(asn)
         return node.name if node is not None else ""
-
-    @staticmethod
-    def _need_country(country: str | None) -> str:
-        if country is None:
-            raise ValueError("this metric requires a country code")
-        return country
 
 
 @dataclass

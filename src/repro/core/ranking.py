@@ -199,14 +199,3 @@ class Ranking:
                 f"{entry.rank:>4}  {entry.asn:>8}  {entry.share_pct():>6.1f}%  {name}"
             )
         return "\n".join(lines)
-
-    def rank_changes(self, other: "Ranking", k: int = 10) -> list[tuple[int, int, int | None]]:
-        """(asn, rank_here, rank_in_other) for this ranking's top-k.
-
-        Used by the temporal tables (10 and 11): ``other`` is the later
-        snapshot; ``None`` means the AS dropped out of the other ranking.
-        """
-        return [
-            (entry.asn, entry.rank, other.rank_of(entry.asn))
-            for entry in self.top(k)
-        ]

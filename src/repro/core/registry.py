@@ -17,15 +17,21 @@ once, as a frozen :class:`MetricSpec`:
   ``replay`` subcommand;
 * its **label template** and **checkpoint unit key** — drive ranking
   labels and :class:`~repro.resilience.checkpoint.Checkpoint` units;
-* its **compute callable**, taking a uniform :class:`MetricContext`
-  (view / oracle / trim / tracer); every callable ranks the view
+* its **family** — :meth:`MetricSpec.rank` dispatches on it to the
+  family's ranking function (``cone_ranking``, ``hegemony_ranking``,
+  ``cti_ranking``, ``ahc_ranking``), each of which ranks the view
   through its memoised kernel intermediates
   (:meth:`~repro.core.views.View.computation`).
 
 Ablation variants are *data*, not forked code paths: the hegemony
 prefix-count weighting (``AHG-P``/``AHI-P``/``AHN-P``) and the AHC
 address weighting (``AHC-A``) are ordinary registered specs whose
-``weighting`` field parameterises the shared compute callable.
+``weighting`` field :meth:`MetricSpec.rank` passes to the family's
+ranking function.
+
+:func:`get_spec` is the one resolver of a metric name: every surface
+that rejects an unknown name (the CLIs, the daemon, the watch engine)
+shows the text it raises.
 
 Adding a metric is one :func:`register` call — the pipeline, the
 replay session, the CLI, checkpointing, and the lint rule R008 all
@@ -35,7 +41,7 @@ pick it up from here (see README "Adding a metric").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, overload
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.ahc import ahc_ranking
 from repro.core.cone import cone_ranking
@@ -45,50 +51,13 @@ from repro.core.ranking import Ranking
 from repro.core.sanitize import RelationshipOracle
 from repro.core.views import View
 from repro.obs.trace import NULL_TRACER, AnyTracer
+from repro.topology.countries import normalize_country  # re-exported
 
 #: the view vocabulary shared by the pipeline and the replay session
 VIEW_KINDS = ("global", "national", "international", "outbound")
 
-
-@overload
-def normalize_country(code: str) -> str: ...
-@overload
-def normalize_country(code: None) -> None: ...
-def normalize_country(code: str | None) -> str | None:
-    """The canonical form of a country-code argument (or ``None``).
-
-    Every layer that accepts a country — the CLI, ``PipelineResult``,
-    ``ReplaySession`` — funnels through this, so ``"au"``, ``" AU "``
-    and ``"AU"`` name the same ranking everywhere. Membership
-    validation stays contextual (a world's registry, a release's
-    observed countries); this only canonicalises the spelling.
-    """
-    if code is None:
-        return None
-    return code.strip().upper()
-
-
-@dataclass(frozen=True, slots=True)
-class MetricContext:
-    """The uniform inputs a metric's compute callable receives.
-
-    ``oracle`` may be ``None`` only for specs with
-    ``needs_oracle=False`` (the replay session skips relationship
-    inference for pure-path metrics). ``origins`` is populated only
-    for specs with ``needs_origins=True`` (the ASNs registered in the
-    target country, AHC's destination selector).
-    """
-
-    view: View
-    oracle: RelationshipOracle | None
-    trim: float
-    country: str | None = None
-    origins: tuple[int, ...] = ()
-    tracer: AnyTracer = NULL_TRACER
-
-
-#: a metric's compute entry point: ``(spec, context) -> Ranking``
-MetricCompute = Callable[["MetricSpec", MetricContext], Ranking]
+#: the metric families :meth:`MetricSpec.rank` dispatches on
+FAMILIES = ("cone", "hegemony", "cti", "ahc")
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +66,7 @@ class MetricSpec:
 
     #: canonical (upper-case) metric name, the CLI-facing identifier
     name: str
-    #: the metric family implementing it (cone / hegemony / cti / ahc)
+    #: the metric family ranking it (one of :data:`FAMILIES`)
     family: str
     #: which view the metric consumes (one of :data:`VIEW_KINDS`)
     view_kind: str
@@ -114,14 +83,8 @@ class MetricSpec:
     label: str
     #: one-line description (CLI help and docs are derived from it)
     description: str
-    #: the compute callable (receives the spec itself plus the context)
-    compute: MetricCompute
-    #: whether the compute callable reads ``ctx.oracle``
-    needs_oracle: bool = True
-    #: whether ``ctx.origins`` must carry the country's registered ASNs
-    needs_origins: bool = False
-    #: variant knob: the weighting scheme the compute callable passes
-    #: through (``None`` = the family's default)
+    #: variant knob: the weighting scheme :meth:`rank` passes to the
+    #: family's ranking function (``None`` = the family's default)
     weighting: str | None = None
     #: classification tags (``paper`` / ``baseline`` / ``outbound`` /
     #: ``variant``) consumed by the analysis and export layers
@@ -130,8 +93,16 @@ class MetricSpec:
     def __post_init__(self) -> None:
         if self.name != canonical_name(self.name):
             raise ValueError(f"metric name must be canonical: {self.name!r}")
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown metric family {self.family!r}")
         if self.view_kind not in VIEW_KINDS:
             raise ValueError(f"unknown view kind {self.view_kind!r}")
+
+    @property
+    def needs_oracle(self) -> bool:
+        """Whether :meth:`rank` reads the relationship oracle (the cone
+        and CTI families; replay skips inference for the others)."""
+        return self.family in ("cone", "cti")
 
     def label_for(self, country: str | None) -> str:
         """The ranking label (``"AHN:AU"``, ``"CCG"``)."""
@@ -151,9 +122,42 @@ class MetricSpec:
             raise ValueError("this metric requires a country code")
         return country
 
-    def build(self, ctx: MetricContext) -> Ranking:
-        """Compute this metric's ranking from a uniform context."""
-        return self.compute(self, ctx)
+    def rank(
+        self,
+        view: View,
+        country: str | None,
+        oracle: RelationshipOracle | None,
+        trim: float,
+        origins: Iterable[int] = (),
+        tracer: AnyTracer = NULL_TRACER,
+    ) -> Ranking:
+        """This metric's ranking of ``view``: the family's ranking
+        function, given the spec's label and ``weighting``.
+
+        ``oracle`` may be ``None`` unless :attr:`needs_oracle`;
+        ``origins`` are the ASNs registered in ``country`` (read by the
+        AHC family only, as its destination selector).
+        """
+        if self.family == "hegemony":
+            return hegemony_ranking(
+                view, self.label_for(country), trim,
+                weighting=self.weighting or "addresses", tracer=tracer,
+            )
+        if self.family == "ahc":
+            code = self.require_country(country)
+            assert code is not None  # require_country raised otherwise
+            return ahc_ranking(
+                view, code, origins, trim,
+                weighting=self.weighting or "as_count",
+                tracer=tracer, metric=self.label_for(code),
+            )
+        if oracle is None:
+            raise ValueError(f"{self.name} needs a relationship oracle")
+        if self.family == "cone":
+            return cone_ranking(
+                view, oracle, self.label_for(country), tracer=tracer,
+            )
+        return cti_ranking(view, oracle, trim, tracer=tracer)
 
 
 def canonical_name(name: str) -> str:
@@ -161,41 +165,20 @@ def canonical_name(name: str) -> str:
     return name.strip().upper()
 
 
-# -- compute callables --------------------------------------------------------
-#
-# One per metric family; the spec parameterises them (label, weighting),
-# so a registered variant is pure data.
-
-
-def _cone_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
-    if ctx.oracle is None:
-        raise ValueError(f"{spec.name} needs a relationship oracle")
-    return cone_ranking(
-        ctx.view, ctx.oracle, spec.label_for(ctx.country), tracer=ctx.tracer,
-    )
-
-
-def _hegemony_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
-    return hegemony_ranking(
-        ctx.view, spec.label_for(ctx.country), ctx.trim,
-        weighting=spec.weighting or "addresses", tracer=ctx.tracer,
-    )
-
-
-def _cti_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
-    if ctx.oracle is None:
-        raise ValueError(f"{spec.name} needs a relationship oracle")
-    return cti_ranking(ctx.view, ctx.oracle, ctx.trim, tracer=ctx.tracer)
-
-
-def _ahc_compute(spec: MetricSpec, ctx: MetricContext) -> Ranking:
-    country = spec.require_country(ctx.country)
-    assert country is not None  # require_country raised otherwise
-    return ahc_ranking(
-        ctx.view, country, ctx.origins, ctx.trim,
-        weighting=spec.weighting or "as_count",
-        tracer=ctx.tracer, metric=spec.label_for(country),
-    )
+def metric_units(
+    specs: Iterable[MetricSpec], countries: Sequence[str]
+) -> list[tuple[MetricSpec, str | None]]:
+    """The (spec, country) units of a metric × country grid, in
+    (metric, country) order: a global metric once, under ``None``, and
+    a repeated unit only where it first appears."""
+    units: list[tuple[MetricSpec, str | None]] = []
+    seen: set[tuple[str, str | None]] = set()
+    for spec in specs:
+        for country in (countries if spec.needs_country else (None,)):
+            if (spec.name, country) not in seen:
+                seen.add((spec.name, country))
+                units.append((spec, country))
+    return units
 
 
 # -- the registry -------------------------------------------------------------
@@ -220,10 +203,13 @@ def maybe_spec(name: str) -> MetricSpec | None:
 
 
 def get_spec(name: str) -> MetricSpec:
-    """The spec for a metric name, or ``ValueError`` for unknown."""
+    """The spec for a metric name (any case); ``ValueError`` naming
+    every registered metric for an unknown one."""
     spec = maybe_spec(name)
     if spec is None:
-        raise ValueError(f"unknown metric {name!r}")
+        raise ValueError(
+            f"unknown metric {name!r} (valid: {', '.join(metric_names())})"
+        )
     return spec
 
 
@@ -281,26 +267,24 @@ register(MetricSpec(
     name="CCI", family="cone", view_kind="international",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="customer-cone addresses over the international view",
-    compute=_cone_compute, tags=frozenset({"paper"}),
+    tags=frozenset({"paper"}),
 ))
 register(MetricSpec(
     name="CCN", family="cone", view_kind="national",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="customer-cone addresses over the national view",
-    compute=_cone_compute, tags=frozenset({"paper"}),
+    tags=frozenset({"paper"}),
 ))
 register(MetricSpec(
     name="AHI", family="hegemony", view_kind="international",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="AS hegemony over the international view",
-    compute=_hegemony_compute, needs_oracle=False,
     tags=frozenset({"paper"}),
 ))
 register(MetricSpec(
     name="AHN", family="hegemony", view_kind="national",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="AS hegemony over the national view",
-    compute=_hegemony_compute, needs_oracle=False,
     tags=frozenset({"paper"}),
 ))
 register(MetricSpec(
@@ -308,39 +292,36 @@ register(MetricSpec(
     needs_country=True, replayable=False, label="{name}:{country}",
     description="IHR's country hegemony baseline (registered-origin "
                 "average; release carries no registration countries)",
-    compute=_ahc_compute, needs_oracle=False, needs_origins=True,
     tags=frozenset({"baseline"}),
 ))
 register(MetricSpec(
     name="CTI", family="cti", view_kind="international",
     needs_country=True, replayable=False, label="{name}:{country}",
     description="country-level transit influence baseline",
-    compute=_cti_compute, tags=frozenset({"baseline"}),
+    tags=frozenset({"baseline"}),
 ))
 register(MetricSpec(
     name="CCO", family="cone", view_kind="outbound",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="customer-cone addresses over the outbound view (§7)",
-    compute=_cone_compute, tags=frozenset({"outbound"}),
+    tags=frozenset({"outbound"}),
 ))
 register(MetricSpec(
     name="AHO", family="hegemony", view_kind="outbound",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="AS hegemony over the outbound view (§7)",
-    compute=_hegemony_compute, needs_oracle=False,
     tags=frozenset({"outbound"}),
 ))
 register(MetricSpec(
     name="CCG", family="cone", view_kind="global",
     needs_country=False, replayable=True, label="{name}",
     description="global customer-cone baseline",
-    compute=_cone_compute, tags=frozenset({"baseline"}),
+    tags=frozenset({"baseline"}),
 ))
 register(MetricSpec(
     name="AHG", family="hegemony", view_kind="global",
     needs_country=False, replayable=True, label="{name}",
     description="global AS hegemony baseline",
-    compute=_hegemony_compute, needs_oracle=False,
     tags=frozenset({"baseline"}),
 ))
 
@@ -350,21 +331,18 @@ register(MetricSpec(
     name="AHG-P", family="hegemony", view_kind="global",
     needs_country=False, replayable=True, label="{name}",
     description="AHG with unweighted (per-prefix) path counting",
-    compute=_hegemony_compute, needs_oracle=False,
     weighting="prefixes", tags=frozenset({"variant"}),
 ))
 register(MetricSpec(
     name="AHI-P", family="hegemony", view_kind="international",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="AHI with unweighted (per-prefix) path counting",
-    compute=_hegemony_compute, needs_oracle=False,
     weighting="prefixes", tags=frozenset({"variant"}),
 ))
 register(MetricSpec(
     name="AHN-P", family="hegemony", view_kind="national",
     needs_country=True, replayable=True, label="{name}:{country}",
     description="AHN with unweighted (per-prefix) path counting",
-    compute=_hegemony_compute, needs_oracle=False,
     weighting="prefixes", tags=frozenset({"variant"}),
 ))
 register(MetricSpec(
@@ -372,6 +350,5 @@ register(MetricSpec(
     needs_country=True, replayable=False, label="{name}:{country}",
     description="AHC with address-footprint origin weighting (IHR's "
                 "user-population scheme)",
-    compute=_ahc_compute, needs_oracle=False, needs_origins=True,
     weighting="addresses", tags=frozenset({"variant"}),
 ))

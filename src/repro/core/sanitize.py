@@ -40,7 +40,7 @@ pass would, and the verdicts are the per-record definition's.
 Three drivers share the judge: :func:`sanitize` / :func:`sanitize_windows`
 (an in-memory store's columns, no record objects),
 :func:`sanitize_stream` (a generator of accepted records) and
-:func:`repro.perf.spill.sanitize_to_store` (a spill directory). The
+:func:`repro.perf.spill.spill_windows` (a spill directory). The
 record-taking entry points cut their input into windows with
 :func:`~repro.bgp.announcement.record_windows`; the pipeline hands in
 :meth:`~repro.bgp.rib.RibSeries.windows` directly, so no
@@ -684,7 +684,7 @@ def sanitize_stream(
     (:data:`~repro.bgp.announcement.WINDOW` records): ``report``
     accounts for every record of a window before that window's first
     accepted record is yielded. A consumer that checkpoints must do so
-    between windows — :func:`repro.perf.spill.sanitize_to_store` drives
+    between windows — :func:`repro.perf.spill.spill_windows` drives
     the judge itself and checkpoints at window ends.
     """
     judge = Judge(

@@ -1,0 +1,136 @@
+"""The one route from a metric name and a country to a ranking.
+
+:class:`RankingSession` resolves the name (:func:`get_spec`), builds
+the spec's view from a :class:`~repro.perf.index.PathIndex` over the
+path set's store and ranks it with :meth:`MetricSpec.rank`, memoising
+both. :class:`~repro.core.pipeline.PipelineResult` and
+:class:`~repro.io.replay.ReplaySession` are this class plus what their
+input adds: a world's countries and registered origins, or a release's
+inferred relationships and replay gate.
+"""
+
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro.core.ranking import Ranking
+from repro.core.registry import VIEW_KINDS, MetricSpec, get_spec, normalize_country
+from repro.core.sanitize import PathSet, RelationshipOracle
+from repro.core.views import View
+from repro.obs.trace import NULL_TRACER, AnyTracer
+
+if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
+    from repro.perf.index import PathIndex
+
+
+class RankingSession:
+    """Memoised views and rankings over ``paths``.
+
+    Telemetry goes to ``tracer``: the ``index`` span (the index build),
+    one ``views`` span per view and one ``ranking`` span per computed
+    ranking, with the ``ranking.size`` histogram and the
+    ``ranking.computed`` counter.
+    """
+
+    def __init__(
+        self,
+        paths: PathSet,
+        oracle: RelationshipOracle | None = None,
+        trim: float = 0.1,
+        tracer: AnyTracer = NULL_TRACER,
+    ) -> None:
+        self.paths = paths
+        self.trim = trim
+        self._oracle = oracle
+        #: the tracer every lazily-computed view/ranking records into
+        #: (the shared no-op tracer when telemetry is off)
+        self._tracer = tracer
+        #: the shared path index, built lazily; each view carries its
+        #: own cross-metric cache (View.computation)
+        self._index: "PathIndex | None" = None
+        self._views: dict[tuple[str, str | None], View] = {}
+        self._rankings: dict[tuple[str, str | None], Ranking] = {}
+
+    @property
+    def oracle(self) -> RelationshipOracle:
+        """The relationship oracle the cone and CTI families read."""
+        if self._oracle is None:
+            raise ValueError("this session has no relationship oracle")
+        return self._oracle
+
+    def country_code(self, code: str) -> str:
+        """The canonical spelling of a country argument."""
+        return normalize_country(code)
+
+    def origins(self, country: str) -> tuple[int, ...]:
+        """The ASNs registered in ``country`` (none for a path set)."""
+        return ()
+
+    def path_index(self) -> "PathIndex":
+        """The shared :class:`repro.perf.PathIndex` over the records
+        (built on first use, one O(n) pass)."""
+        if self._index is None:
+            from repro.perf.index import PathIndex
+
+            with self._tracer.span("index", input=len(self.paths)):
+                self._index = PathIndex.from_paths(self.paths)
+        return self._index
+
+    def view(self, kind: str, country: str | None = None) -> View:
+        """A memoised view: ``"national"``/``"international"``/
+        ``"outbound"`` (need a country) or ``"global"``.
+
+        Views come from :meth:`path_index` bucket lookups — O(selected
+        records) after the index's one-time O(all records) build — and
+        hold the same store positions as a full scan of the records
+        would. A view memoises its kernel intermediates, so every
+        metric over it shares them.
+        """
+        country = normalize_country(country)
+        key = (kind, country)
+        if key in self._views:
+            return self._views[key]
+        if kind not in VIEW_KINDS:
+            raise ValueError(f"unknown view kind {kind!r}")
+        if kind != "global" and country is None:
+            raise ValueError("this metric requires a country code")
+        built = self.path_index().view(
+            kind, None if kind == "global" else country, tracer=self._tracer,
+        )
+        self._views[key] = built
+        return built
+
+    def ranking(self, metric: str, country: str | None = None) -> Ranking:
+        """A memoised ranking for one metric (and country, if needed).
+
+        ``metric`` is any registered name (see
+        :mod:`repro.core.registry`); the spec decides whether
+        ``country`` is required, which view the metric consumes, and
+        how it is ranked.
+        """
+        spec = get_spec(metric)
+        country = normalize_country(country) if spec.needs_country else None
+        key = (spec.name, country)
+        if key in self._rankings:
+            return self._rankings[key]
+        tracer = self._tracer
+        with tracer.span("ranking", metric=spec.name, country=country) as span:
+            built = self._compute_ranking(spec, country)
+            span.set(output=len(built.entries))
+            tracer.metrics.histogram("ranking.size").observe(len(built.entries))
+            tracer.metrics.counter("ranking.computed").inc()
+        self._rankings[key] = built
+        return built
+
+    def _compute_ranking(self, spec: MetricSpec, country: str | None) -> Ranking:
+        code = spec.require_country(country)
+        if code is not None:
+            code = self.country_code(code)
+        view = self.view(
+            spec.view_kind, None if spec.view_kind == "global" else code
+        )
+        origins = self.origins(code) if code and spec.family == "ahc" else ()
+        oracle = self.oracle if spec.needs_oracle else None
+        return spec.rank(
+            view, code, oracle, self.trim, origins, tracer=self._tracer
+        )

@@ -12,19 +12,18 @@ the way real databases are:
 
 Entries are kept as columns in insertion order (network, length,
 country), and every query reads one memoised painted map
-(:class:`~repro.geo.intervals.IntervalMap`): the entries laid down
+(:meth:`GeoDatabase.painted`, an
+:class:`~repro.geo.intervals.IntervalMap`): the entries laid down
 shortest first, so the most specific entry owns each address and a
-re-assigned block keeps its last value. :meth:`lookup` bisects the
-map; :meth:`country_shares` clips it to the queried prefix and sums
-exact integer address counts per country — the operation the
-50 %-threshold prefix geolocation needs.
+re-assigned block keeps its last value. The 50 %-threshold prefix
+geolocation (:mod:`repro.geo.prefix_geo`) overlays that map with the
+announced prefixes' blocks.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from typing import Mapping
 
 import numpy as np
 
@@ -38,7 +37,7 @@ _SPLIT_BITS = 4
 
 
 class GeoDatabase:
-    """Country-of-address lookups over a painted interval map."""
+    """Country-of-address entries, painted into one interval map."""
 
     def __init__(self, version: int = 4) -> None:
         self._version = version
@@ -172,58 +171,6 @@ class GeoDatabase:
         rows = order[last]
         geo = IntervalMap.paint(starts[rows], lengths[rows], values[rows], width)
         return geo, countries
-
-    # -- queries ---------------------------------------------------------------
-
-    def lookup(self, version: int, value: int) -> str | None:
-        """Country of one integer address, or ``None`` when unknown."""
-        if version != self._version:
-            return None
-        if not 0 <= value < 1 << self._bits:
-            raise PrefixError(f"address value out of range for v{version}: {value}")
-        geo, countries = self.painted()
-        code = geo.at(value >> (self._bits - geo.width))
-        return countries[code] if code >= 0 else None
-
-    def lookup_text(self, address: str) -> str | None:
-        """Country of a textual address."""
-        from repro.net.prefix import parse_address
-
-        version, value = parse_address(address)
-        return self.lookup(version, value)
-
-    def country_shares(self, prefix: Prefix) -> Mapping[str | None, float]:
-        """Fraction of the prefix's addresses per country.
-
-        The ``None`` key collects addresses with no database entry.
-        Exact (not sampled): sums the painted map's address counts over
-        the queried prefix, keyed in address order of first appearance.
-        """
-        if prefix.version != self._version:
-            return {None: 1.0}
-        geo, countries = self.painted()
-        # A prefix finer than the map's unit lies inside one segment.
-        lo = prefix.value >> (self._bits - geo.width)
-        hi = lo + (1 << max(geo.width - prefix.length, 0))
-        totals: dict[str | None, int] = {}
-        for code, size in zip(*geo.clip(lo, hi)):
-            key = countries[code] if code >= 0 else None
-            totals[key] = totals.get(key, 0) + size
-        whole = hi - lo
-        return {country: count / whole for country, count in totals.items()}
-
-    def majority_country(
-        self, prefix: Prefix, threshold: float = 0.5
-    ) -> str | None:
-        """The country holding a strict-majority (> threshold) share."""
-        shares = self.country_shares(prefix)
-        best_country, best_share = None, 0.0
-        for country, share in shares.items():
-            if country is not None and share > best_share:
-                best_country, best_share = country, share
-        if best_country is not None and best_share > threshold:
-            return best_country
-        return None
 
     def __len__(self) -> int:
         """Distinct (network, length) entries."""

@@ -96,21 +96,6 @@ class IntervalMap(NamedTuple):
                               dtype=object)
         return IntervalMap(width, bounds, self.values)
 
-    def at(self, offset: int) -> int:
-        """The value of the segment holding one unit offset."""
-        return int(self.values[
-            np.searchsorted(self.bounds, offset, side="right") - 1
-        ])
-
-    def clip(self, lo: int, hi: int) -> tuple[list[int], list[int]]:
-        """Values and unit counts of the segments cut to ``[lo, hi)``,
-        in address order."""
-        first = int(np.searchsorted(self.bounds, lo, side="right")) - 1
-        last = int(np.searchsorted(self.bounds, hi, side="left"))
-        cuts = [lo, *self.bounds[first + 1:last].tolist(), hi]
-        sizes = [b - a for a, b in zip(cuts, cuts[1:])]
-        return self.values[first:last].tolist(), sizes
-
     def overlay(
         self, other: "IntervalMap"
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,6 +8,15 @@ reconstructs a :class:`~repro.core.sanitize.PathSet` and recomputes any
 metric — hegemony exactly (it needs only the paths), cones via
 relationships *inferred from the released paths themselves*, since the
 release carries no ground-truth relationship labels.
+
+:class:`ReplaySession` is the pipeline's ranking session
+(:class:`~repro.core.session.RankingSession`, the class
+:class:`~repro.core.pipeline.PipelineResult` extends) over the loaded
+path set: the same path index, view and ranking memos and
+:meth:`~repro.core.registry.MetricSpec.rank`, plus the inferred oracle
+and the gate on ``spec.replayable``. A released file is outside input:
+:func:`load_pathset_jsonl` holds every field to its type and range and
+raises :class:`ReplayError` naming the line.
 """
 
 from __future__ import annotations
@@ -17,18 +26,20 @@ from pathlib import Path
 
 from repro.bgp.collectors import VantagePoint
 from repro.core.ranking import Ranking
-from repro.core.registry import MetricContext, get_spec, normalize_country
+from repro.core.registry import MetricSpec
 from repro.core.sanitize import FilterReport, PathRecord, PathSet, RelationshipOracle
-from repro.core.views import View
+from repro.core.session import RankingSession
+from repro.net.asn import MAX_ASN
 from repro.net.aspath import ASPath
-from repro.net.prefix import Prefix
-from repro.perf.index import PathIndex
+from repro.net.prefix import Prefix, parse_address
 from repro.perf.pathstore import PathStore
-from repro.relationships.inference import InferredRelationships, infer_relationships
+from repro.relationships.inference import infer_relationships
 
 
 class ReplayError(ValueError):
-    """Raised for malformed released path files."""
+    """Raised for an unreadable or malformed released path file; the
+    message names the file and, for a bad line, its number."""
+
 
 _REQUIRED_FIELDS = (
     "vp_ip", "vp_asn", "vp_country", "prefix", "prefix_country",
@@ -40,39 +51,39 @@ def load_pathset_jsonl(path: str | Path) -> PathSet:
     """Rebuild a PathSet, over its store, from a released
     ``paths.jsonl``.
 
-    A store keeps one row per prefix and per VP IP, so a file in which
-    a prefix reappears with another country or address count, or a VP
-    IP with another ASN, collector or country, cannot be ranked
-    faithfully: it raises :class:`ReplayError` naming the line.
+    The file is outside input, so every field is held to its type and
+    range as it is read: integers that are not bools, ASNs within
+    ``0..MAX_ASN``, a non-empty list for the path, a parseable prefix
+    and VP address, an address count from 0 to the size of its
+    family's address space, and strings for the countries and the
+    collector. A store keeps one row per prefix and per VP IP, so a
+    file in which a prefix reappears with another country or address
+    count, or a VP IP with another ASN, collector or country, cannot be
+    ranked faithfully either. Any of these raises :class:`ReplayError`
+    naming ``file:line``; a file that cannot be read raises it naming
+    the file.
     """
     records: list[PathRecord] = []
     prefixes: dict[Prefix, tuple[str, int]] = {}
     vps: dict[str, tuple[VantagePoint, str]] = {}
-    with Path(path).open() as handle:
+    try:
+        handle = Path(path).open("rb")
+    except OSError as error:
+        raise ReplayError(
+            f"{path}: cannot read ({error.strerror or error})"
+        ) from None
+    with handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ReplayError(f"{path}:{line_number}: bad JSON") from exc
-            missing = [f for f in _REQUIRED_FIELDS if f not in entry]
-            if missing:
-                raise ReplayError(
-                    f"{path}:{line_number}: missing fields {missing}"
-                )
-            record = PathRecord(
-                vp=VantagePoint(
-                    ip=entry["vp_ip"],
-                    asn=int(entry["vp_asn"]),
-                    collector=entry.get("collector", "released"),
-                ),
-                vp_country=entry["vp_country"],
-                prefix=Prefix.parse(entry["prefix"]),
-                prefix_country=entry["prefix_country"],
-                path=ASPath(tuple(int(asn) for asn in entry["path"])),
-                addresses=int(entry["addresses"]),
-            )
+            except ValueError:  # JSON syntax, encoding or number size
+                raise ReplayError(f"{path}:{line_number}: bad JSON") from None
+            try:
+                record = _record(entry)
+            except ValueError as error:
+                raise ReplayError(f"{path}:{line_number}: {error}") from None
             prefix_row = (record.prefix_country, record.addresses)
             if prefixes.setdefault(record.prefix, prefix_row) != prefix_row:
                 raise ReplayError(
@@ -90,22 +101,53 @@ def load_pathset_jsonl(path: str | Path) -> PathSet:
     return PathSet(store.records, FilterReport(), store)
 
 
-class ReplaySession:
-    """Recompute views and rankings from released paths only."""
+def _record(entry: object) -> PathRecord:
+    """One released line as a record; ``ValueError`` for a missing,
+    mistyped or out-of-range field."""
+    if not isinstance(entry, dict):
+        raise ValueError("not a JSON object")
+    missing = [f for f in _REQUIRED_FIELDS if f not in entry]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    asns = entry["path"]
+    if not isinstance(asns, list) or not asns:
+        raise ValueError(f"path must be a non-empty list, got {asns!r:.40}")
+    prefix = Prefix.parse(_text(entry["prefix"], "prefix"))
+    vp_ip = _text(entry["vp_ip"], "vp_ip")
+    parse_address(vp_ip)
+    return PathRecord(
+        vp=VantagePoint(
+            ip=vp_ip,
+            asn=_integer(entry["vp_asn"], "vp_asn", MAX_ASN),
+            collector=_text(entry.get("collector", "released"), "collector"),
+        ),
+        vp_country=_text(entry["vp_country"], "vp_country"),
+        prefix=prefix,
+        prefix_country=_text(entry["prefix_country"], "prefix_country"),
+        path=ASPath(tuple(_integer(asn, "path ASN", MAX_ASN) for asn in asns)),
+        addresses=_integer(entry["addresses"], "addresses", 1 << prefix.bits()),
+    )
 
-    def __init__(
-        self,
-        paths: PathSet,
-        oracle: RelationshipOracle | None = None,
-        trim: float = 0.1,
-    ) -> None:
-        self.paths = paths
-        self.trim = trim
-        self._inferred: InferredRelationships | None = None
-        self._oracle = oracle
-        self._index: PathIndex | None = None
-        self._views: dict[tuple[str, str | None], View] = {}
-        self._rankings: dict[tuple[str, str | None], Ranking] = {}
+
+def _text(value: object, field: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r:.40}")
+    return value
+
+
+def _integer(value: object, field: str, top: int) -> int:
+    if type(value) is not int or not 0 <= value <= top:
+        raise ValueError(
+            f"{field} must be an integer in 0..{top}, got {value!r:.40}"
+        )
+    return value
+
+
+class ReplaySession(RankingSession):
+    """Recompute views and rankings from released paths only: a
+    :class:`~repro.core.session.RankingSession` over the released path
+    set, whose relationship oracle is inferred from the paths on first
+    use, that ranks only the registry's replayable metrics."""
 
     @classmethod
     def from_file(cls, path: str | Path, trim: float = 0.1) -> "ReplaySession":
@@ -116,55 +158,19 @@ class ReplaySession:
     def oracle(self) -> RelationshipOracle:
         """The relationship oracle: supplied, or inferred on first use."""
         if self._oracle is None:
-            if self._inferred is None:
-                self._inferred = infer_relationships(
-                    self.paths.store().record_paths()
-                )
-            return self._inferred
+            self._oracle = infer_relationships(
+                self.paths.store().record_paths()
+            )
         return self._oracle
 
-    def view(self, kind: str, country: str | None = None) -> View:
-        """Same view vocabulary as the pipeline, built the same way:
-        bucket lookups in a :class:`~repro.perf.index.PathIndex` over
-        the released paths' store."""
-        country = normalize_country(country)
-        key = (kind, country)
-        if key not in self._views:
-            if self._index is None:
-                self._index = PathIndex.from_paths(self.paths)
-            self._views[key] = self._index.view(
-                kind, None if kind == "global" else country
-            )
-        return self._views[key]
-
-    def ranking(self, metric: str, country: str | None = None) -> Ranking:
-        """Recompute one metric from the released paths.
-
-        Which metrics replay, which view each consumes, and how it is
-        computed all come from the registry
-        (:mod:`repro.core.registry`): ``spec.replayable`` gates the
-        request (AHC needs registration countries the release does not
-        carry; CTI is pinned non-replayable), and specs with
-        ``needs_oracle=False`` (the AH family) never trigger
-        relationship inference — they are exact from the paths alone.
-        CC metrics use inferred relationships unless an oracle was
-        supplied.
-        """
-        spec = get_spec(metric)
+    def _compute_ranking(self, spec: MetricSpec, country: str | None) -> Ranking:
+        """The replay gate: ``spec.replayable`` (AHC needs registration
+        countries the release does not carry; CTI is pinned
+        non-replayable). Specs that read no oracle (the AH family)
+        never trigger relationship inference — they are exact from the
+        paths alone."""
         if not spec.replayable:
             raise ValueError(
                 f"metric {spec.name!r} cannot be replayed from released paths"
             )
-        country = normalize_country(country) if spec.needs_country else None
-        key = (spec.name, country)
-        if key in self._rankings:
-            return self._rankings[key]
-        code = spec.require_country(country)
-        built = spec.build(MetricContext(
-            view=self.view(spec.view_kind, code),
-            oracle=self.oracle if spec.needs_oracle else None,
-            trim=self.trim,
-            country=code,
-        ))
-        self._rankings[key] = built
-        return built
+        return super()._compute_ranking(spec, country)

@@ -27,8 +27,6 @@ from repro.monitor.events import (
     EVENT_TYPES,
     event_id,
     events_to_jsonl,
-    validate_watch_events,
-    validate_watch_jsonl,
 )
 from repro.monitor.snapshots import SnapshotRef, WatchError, resolve_snapshots
 
@@ -49,7 +47,5 @@ __all__ = [
     "render_watch",
     "resolve_snapshots",
     "top_churn",
-    "validate_watch_events",
-    "validate_watch_jsonl",
     "watch",
 ]

@@ -38,7 +38,12 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.ranking import Ranking
-from repro.core.registry import MetricSpec, get_spec, normalize_country
+from repro.core.registry import (
+    MetricSpec,
+    get_spec,
+    metric_units,
+    normalize_country,
+)
 from repro.monitor.drift import alert_reasons, measure_drift
 from repro.monitor.events import (
     alert_event,
@@ -231,15 +236,7 @@ def watch(
                         "countries; pass --countries explicitly"
                     )
 
-            units: list[tuple[MetricSpec, str | None]] = []
-            seen: set[tuple[str, str | None]] = set()
-            for spec in specs:
-                for country in (countries if spec.needs_country else [None]):
-                    unit = (spec.name, country)
-                    if unit not in seen:
-                        seen.add(unit)
-                        units.append((spec, country))
-
+            units = metric_units(specs, countries)
             with tracer.span(
                 "watch.snapshot", snapshot=ref.label, pairs=len(units),
             ):
@@ -261,11 +258,16 @@ def watch(
                         resumed_units += 1
                         metrics.counter("monitor.rankings.resumed").inc()
                     else:
+                        session = load()
                         with tracer.span(
                             "watch.ranking", snapshot=ref.label,
                             metric=spec.name, country=country,
                         ):
-                            ranking = load().ranking(spec.name, country)
+                            try:
+                                ranking = session.ranking(spec.name, country)
+                            except ValueError as error:
+                                # a country the snapshot's world lacks
+                                raise WatchError(str(error)) from None
                         computed_units += 1
                         metrics.counter("monitor.rankings.computed").inc()
                         if checkpoint is not None:

@@ -31,7 +31,7 @@ _DOCUMENTATION_RANGES: tuple[tuple[int, int], ...] = (
     (65536, 65551),
 )
 
-_MAX_ASN = 4294967295
+MAX_ASN = 4294967295
 
 
 def is_private_asn(asn: int) -> bool:
@@ -51,7 +51,7 @@ def is_reserved_asn(asn: int) -> bool:
 
 def is_public_asn(asn: int) -> bool:
     """Whether ``asn`` is syntactically valid and publicly assignable."""
-    return 0 < asn <= _MAX_ASN and not is_reserved_asn(asn)
+    return 0 < asn <= MAX_ASN and not is_reserved_asn(asn)
 
 
 @dataclass
@@ -94,7 +94,7 @@ class ASNRegistry:
         sample: list[int] = []
         candidate = start
         while len(sample) < count:
-            if candidate > _MAX_ASN:
+            if candidate > MAX_ASN:
                 raise ValueError("exhausted ASN space looking for unallocated ASNs")
             if is_public_asn(candidate) and candidate not in self.allocated:
                 sample.append(candidate)

@@ -42,7 +42,7 @@ from repro.perf.cache import ViewComputation
 from repro.perf.index import PathIndex
 from repro.perf.pathstore import PathStore
 from repro.perf.pool import WorkerPool
-from repro.perf.spill import MmapPathStore, open_spill, sanitize_to_store
+from repro.perf.spill import MmapPathStore, open_spill
 
 __all__ = [
     "MmapPathStore",
@@ -51,5 +51,4 @@ __all__ = [
     "ViewComputation",
     "WorkerPool",
     "open_spill",
-    "sanitize_to_store",
 ]

@@ -28,8 +28,7 @@ engine:
   :func:`~repro.core.sanitize.sanitize_into`) over record windows into
   a spill directory and returns a :class:`~repro.core.sanitize.PathSet`
   over the mapped store — what the pipeline uses when
-  ``store_backend="mmap"``; :func:`sanitize_to_store` is the same over
-  a record stream cut into windows of ``flush_every`` records.
+  ``store_backend="mmap"``.
 
 Crash safety: at the end of every window the writer flushes its
 buffers and atomically rewrites ``progress.json`` (consumed input
@@ -65,7 +64,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from repro.bgp.announcement import RecordWindow, RibRecord, record_windows
+from repro.bgp.announcement import RecordWindow
 from repro.bgp.collectors import VantagePoint
 from repro.core.sanitize import (
     REJECT_CATEGORIES,
@@ -543,29 +542,3 @@ def _skip(windows: Iterable[RecordWindow], count: int) -> Iterator[RecordWindow]
             continue
         yield window.rows(count) if count else window
         count = 0
-
-
-def sanitize_to_store(
-    records: Iterable[RibRecord],
-    *,
-    clique: frozenset[int],
-    is_allocated: Callable[[int], bool],
-    route_servers: frozenset[int],
-    vp_geo: "VPGeolocator",
-    prefix_geo: "PrefixGeolocation",
-    directory: str | Path,
-    tracer: AnyTracer = NULL_TRACER,
-    flush_every: int = FLUSH_EVERY,
-) -> PathSet:
-    """:func:`repro.core.sanitize.sanitize`, spilled instead of held:
-    :func:`spill_windows` over ``records`` cut into windows of
-    ``flush_every`` records, so a checkpoint follows every
-    ``flush_every`` input records."""
-    if flush_every < 1:
-        raise ValueError("flush_every must be >= 1")
-    return spill_windows(
-        record_windows(records, flush_every),
-        clique=clique, is_allocated=is_allocated,
-        route_servers=route_servers, vp_geo=vp_geo, prefix_geo=prefix_geo,
-        directory=directory, tracer=tracer,
-    )

@@ -36,7 +36,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.core.registry import maybe_spec, metric_names, normalize_country
+from repro.core.registry import get_spec
 from repro.obs.export import stage_report
 from repro.obs.trace import Tracer
 from repro.resilience.checkpoint import ArtifactStore, CheckpointError, store_key
@@ -113,16 +113,10 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         names = [m for m in args.precompute.split(",") if m]
         if not names:
             return _fail("--precompute needs at least one metric name", prog)
-        canonical = []
-        for name in names:
-            spec = maybe_spec(name)
-            if spec is None:
-                return _fail(
-                    f"unknown metric {name!r} "
-                    f"(valid: {', '.join(metric_names())})", prog,
-                )
-            canonical.append(spec.name)
-        metrics = tuple(canonical)
+        try:
+            metrics = tuple(get_spec(name).name for name in names)
+        except ValueError as error:
+            return _fail(str(error), prog)
 
     world = build_world(args.world, args.seed)
     countries: tuple[str, ...] | None = None
@@ -130,17 +124,10 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         codes = [c for c in args.countries.split(",") if c]
         if not codes:
             return _fail("--countries needs at least one country code", prog)
-        normalized = []
-        for code in codes:
-            upper = normalize_country(code)
-            if upper not in world.countries:
-                known = ", ".join(world.countries.codes())
-                return _fail(
-                    f"unknown country {code!r} for world {world.name!r} "
-                    f"(valid: {known})", prog,
-                )
-            normalized.append(upper)
-        countries = tuple(normalized)
+        try:
+            countries = tuple(world.country_code(code) for code in codes)
+        except ValueError as error:
+            return _fail(str(error), prog)
 
     tracer = Tracer()
     config = PipelineConfig(seed=args.seed)

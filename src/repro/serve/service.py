@@ -53,12 +53,7 @@ from repro.analysis.case_studies import case_study_table, render_case_study
 from repro.analysis.reports import country_report
 from repro.core.pipeline import PipelineResult
 from repro.core.ranking import Ranking
-from repro.core.registry import (
-    MetricSpec,
-    maybe_spec,
-    metric_names,
-    normalize_country,
-)
+from repro.core.registry import MetricSpec, get_spec, metric_names
 from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.resilience.checkpoint import ArtifactStore
 
@@ -357,13 +352,10 @@ class RankingService:
     # -- validation ----------------------------------------------------------
 
     def _spec(self, metric: str) -> MetricSpec:
-        spec = maybe_spec(metric)
-        if spec is None:
-            raise QueryError(
-                f"unknown metric {metric!r} "
-                f"(valid: {', '.join(metric_names())})"
-            )
-        return spec
+        try:
+            return get_spec(metric)
+        except ValueError as error:
+            raise QueryError(str(error)) from None
 
     def _metric_country(
         self, spec: MetricSpec, country: str | None
@@ -377,11 +369,7 @@ class RankingService:
     def _known_country(self, country: str | None) -> str:
         if country is None:
             raise QueryError("this query requires a country code")
-        code = normalize_country(country)
-        world = self.result.world
-        if code not in world.countries:
-            raise QueryError(
-                f"unknown country {country!r} for world {world.name!r} "
-                f"(valid: {', '.join(world.countries.codes())})"
-            )
-        return code
+        try:
+            return self.result.world.country_code(country)
+        except ValueError as error:
+            raise QueryError(str(error)) from None

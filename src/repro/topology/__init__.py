@@ -16,7 +16,6 @@ from repro.topology.model import (
 )
 from repro.topology.generator import GeneratorConfig, generate_world
 from repro.topology.profiles import CountryProfile, default_profiles, small_profiles
-from repro.topology.validator import WorldRealismReport, validate_realism
 from repro.topology.world import World
 
 __all__ = [
@@ -32,10 +31,8 @@ __all__ = [
     "Relationship",
     "TopologyError",
     "World",
-    "WorldRealismReport",
     "default_profiles",
     "default_registry",
     "generate_world",
-    "validate_realism",
     "small_profiles",
 ]

@@ -9,7 +9,7 @@ exactly the attributes those analyses need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, overload
 
 #: Continent identifiers used by Table 12, in the paper's column order.
 CONTINENTS: tuple[str, ...] = (
@@ -20,6 +20,24 @@ CONTINENTS: tuple[str, ...] = (
     "Asia",
     "Oceania",
 )
+
+
+@overload
+def normalize_country(code: str) -> str: ...
+@overload
+def normalize_country(code: None) -> None: ...
+def normalize_country(code: str | None) -> str | None:
+    """The canonical form of a country-code argument (or ``None``).
+
+    Every layer that accepts a country — the CLI, the daemon, the
+    ranking sessions — funnels through this, so ``"au"``, ``" AU "`` and
+    ``"AU"`` name the same ranking everywhere. Membership is checked
+    where the known countries are (``World.country_code``, a release's
+    observed countries); this only canonicalises the spelling.
+    """
+    if code is None:
+        return None
+    return code.strip().upper()
 
 
 @dataclass(frozen=True, slots=True)

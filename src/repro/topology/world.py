@@ -16,7 +16,11 @@ from typing import Iterator
 
 from repro.bgp.collectors import CollectorSet
 from repro.net.prefix import Prefix
-from repro.topology.countries import CountryRegistry, default_registry
+from repro.topology.countries import (
+    CountryRegistry,
+    default_registry,
+    normalize_country,
+)
 from repro.topology.model import ASGraph, OriginatedPrefix
 
 
@@ -44,6 +48,17 @@ class World:
     def vp_asns(self) -> frozenset[int]:
         """ASes hosting at least one vantage point."""
         return self.collectors.vp_asns()
+
+    def country_code(self, code: str) -> str:
+        """The canonical spelling of a country of this world, else the
+        one ``ValueError`` every surface shows for an unknown country."""
+        canonical = normalize_country(code)
+        if canonical not in self.countries:
+            raise ValueError(
+                f"unknown country {code!r} for world {self.name!r} "
+                f"(valid: {', '.join(self.countries.codes())})"
+            )
+        return canonical
 
     def validate(self) -> None:
         """Cross-check graph, collectors, and countries.

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bgp.collectors import VantagePoint
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.core.registry import MetricContext, get_spec
+from repro.core.registry import get_spec
 from repro.core.sanitize import PathRecord
 from repro.core.views import View
 from repro.net.asn import is_public_asn
@@ -101,15 +101,11 @@ def national_positions(store, country):
 
 
 def national_ranking(store, metric, country, oracle, trim):
-    return get_spec(metric).build(MetricContext(
-        view=View(
-            f"national:{country}", country, store,
-            national_positions(store, country),
-        ),
-        oracle=oracle,
-        trim=trim,
-        country=country,
-    ))
+    view = View(
+        f"national:{country}", country, store,
+        national_positions(store, country),
+    )
+    return get_spec(metric).rank(view, country, oracle, trim)
 
 
 def described(ranking):

@@ -63,12 +63,6 @@ class TestPresentation:
         ranking = Ranking.from_scores("AHN:AU", {1: 1.0}, country="AU")
         assert "(AU)" not in ranking.render(1)
 
-    def test_rank_changes(self):
-        before = Ranking.from_scores("m", {1: 3.0, 2: 2.0, 3: 1.0})
-        after = Ranking.from_scores("m", {2: 3.0, 1: 2.0})
-        changes = before.rank_changes(after, k=3)
-        assert changes == [(1, 1, 2), (2, 2, 1), (3, 3, None)]
-
 
 class TestEquality:
     def test_value_equality_across_instances(self):

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.core.registry import MetricContext, iter_specs
+from repro.core.registry import iter_specs
 from repro.perf.index import PathIndex
 from repro.perf.pathstore import PathStore
 from repro.topology.catalog import build_world
@@ -34,16 +34,13 @@ def rebuilt(result, index, spec, country):
     """``spec``'s ranking for ``country`` over the views of ``index``,
     assembled as the pipeline assembles them."""
     origins = ()
-    if spec.needs_origins:
-        origins = tuple(result.world.graph.by_registry_country(country))
+    if spec.family == "ahc":
+        origins = result.origins(country)
     view_country = None if spec.view_kind == "global" else country
-    return spec.build(MetricContext(
-        view=index.view(spec.view_kind, view_country),
-        oracle=result.oracle,
-        trim=result.config.trim,
-        country=country,
-        origins=origins,
-    ))
+    return spec.rank(
+        index.view(spec.view_kind, view_country), country, result.oracle,
+        result.config.trim, origins,
+    )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

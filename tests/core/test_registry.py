@@ -71,8 +71,8 @@ class TestCatalog:
     def test_variants_are_data(self):
         assert get_spec("AHG-P").weighting == "prefixes"
         assert get_spec("AHC-A").weighting == "addresses"
-        assert get_spec("AHG-P").compute is get_spec("AHG").compute
-        assert get_spec("AHC-A").compute is get_spec("AHC").compute
+        assert get_spec("AHG-P").family == get_spec("AHG").family
+        assert get_spec("AHC-A").family == get_spec("AHC").family
         for name in ("AHG-P", "AHI-P", "AHN-P", "AHC-A"):
             assert "variant" in get_spec(name).tags
 
@@ -114,7 +114,7 @@ class TestSpecBehaviour:
             MetricSpec(
                 name="cci2", family=spec.family, view_kind=spec.view_kind,
                 needs_country=True, replayable=True, label=spec.label,
-                description="x", compute=spec.compute,
+                description="x",
             )
 
     def test_unknown_view_kind_rejected(self):
@@ -123,7 +123,17 @@ class TestSpecBehaviour:
             MetricSpec(
                 name="CCI2", family=spec.family, view_kind="sideways",
                 needs_country=True, replayable=True, label=spec.label,
-                description="x", compute=spec.compute,
+                description="x",
+            )
+
+
+    def test_unknown_family_rejected(self):
+        spec = get_spec("CCI")
+        with pytest.raises(ValueError, match="unknown metric family"):
+            MetricSpec(
+                name="CCI2", family="astrology", view_kind=spec.view_kind,
+                needs_country=True, replayable=True, label=spec.label,
+                description="x",
             )
 
 

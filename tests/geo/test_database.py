@@ -6,6 +6,8 @@ from repro.geo.database import GeoDatabase
 from repro.net.prefix import Prefix
 from repro.topology import GeneratorConfig, generate_world, small_profiles
 
+from tests.geo.queries import country_shares, lookup, lookup_text, majority_country
+
 
 def p(text):
     return Prefix.parse(text)
@@ -15,43 +17,43 @@ class TestAssignLookup:
     def test_basic(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
-        assert db.lookup(4, (10 << 24) + 1) == "US"
-        assert db.lookup(4, 11 << 24) is None
-        assert db.lookup_text("10.1.2.3") == "US"
+        assert lookup(db, 4, (10 << 24) + 1) == "US"
+        assert lookup(db, 4, 11 << 24) is None
+        assert lookup_text(db, "10.1.2.3") == "US"
 
     def test_most_specific_wins(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
         db.assign(p("10.1.0.0/16"), "CA")
-        assert db.lookup_text("10.1.0.1") == "CA"
-        assert db.lookup_text("10.2.0.1") == "US"
+        assert lookup_text(db, "10.1.0.1") == "CA"
+        assert lookup_text(db, "10.2.0.1") == "US"
 
     def test_unassign(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
         db.unassign(p("10.0.0.0/9"))
-        assert db.lookup_text("10.0.0.1") is None
-        assert db.lookup_text("10.128.0.1") == "US"
+        assert lookup_text(db, "10.0.0.1") is None
+        assert lookup_text(db, "10.128.0.1") == "US"
 
 
 class TestCountryShares:
     def test_homogeneous(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
-        shares = db.country_shares(p("10.0.0.0/16"))
+        shares = country_shares(db, p("10.0.0.0/16"))
         assert shares == {"US": 1.0}
 
     def test_split(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
         db.assign(p("10.0.0.0/9"), "CA")
-        shares = db.country_shares(p("10.0.0.0/8"))
+        shares = country_shares(db, p("10.0.0.0/8"))
         assert shares == {"US": 0.5, "CA": 0.5}
 
     def test_none_share_for_gaps(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/9"), "US")
-        shares = db.country_shares(p("10.0.0.0/8"))
+        shares = country_shares(db, p("10.0.0.0/8"))
         assert shares[None] == 0.5
         assert shares["US"] == 0.5
 
@@ -60,17 +62,17 @@ class TestCountryShares:
         db.assign(p("10.0.0.0/8"), "US")
         db.assign(p("10.64.0.0/10"), "CA")
         db.assign(p("10.64.0.0/12"), "MX")
-        shares = db.country_shares(p("10.0.0.0/8"))
+        shares = country_shares(db, p("10.0.0.0/8"))
         assert sum(shares.values()) == pytest.approx(1.0)
 
     def test_unknown_space(self):
         db = GeoDatabase()
-        assert db.country_shares(p("10.0.0.0/8")) == {None: 1.0}
+        assert country_shares(db, p("10.0.0.0/8")) == {None: 1.0}
 
     def test_wrong_family(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
-        assert db.country_shares(p("2001:db8::/32")) == {None: 1.0}
+        assert country_shares(db, p("2001:db8::/32")) == {None: 1.0}
 
 
 class TestMajority:
@@ -78,20 +80,20 @@ class TestMajority:
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
         db.assign(p("10.0.0.0/10"), "CA")  # 25 %
-        assert db.majority_country(p("10.0.0.0/8")) == "US"
+        assert majority_country(db, p("10.0.0.0/8")) == "US"
 
     def test_exact_half_fails_strict_threshold(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/9"), "US")
         db.assign(p("10.128.0.0/9"), "CA")
-        assert db.majority_country(p("10.0.0.0/8")) is None
+        assert majority_country(db, p("10.0.0.0/8")) is None
 
     def test_custom_threshold(self):
         db = GeoDatabase()
         db.assign(p("10.0.0.0/8"), "US")
         db.assign(p("10.0.0.0/10"), "CA")  # US has 75 %
-        assert db.majority_country(p("10.0.0.0/8"), threshold=0.8) is None
-        assert db.majority_country(p("10.0.0.0/8"), threshold=0.7) == "US"
+        assert majority_country(db, p("10.0.0.0/8"), threshold=0.8) is None
+        assert majority_country(db, p("10.0.0.0/8"), threshold=0.7) == "US"
 
 
 class TestFromWorld:
@@ -107,7 +109,7 @@ class TestFromWorld:
         for asn, record in world.graph.originations():
             if record.foreign_share:
                 continue
-            shares = db.country_shares(record.prefix)
+            shares = country_shares(db, record.prefix)
             # Same-country more specifics may overlay, so the home
             # country still holds everything.
             assert shares.get(record.country, 0.0) == pytest.approx(1.0)
@@ -118,7 +120,7 @@ class TestFromWorld:
         for asn, record in world.graph.originations():
             if not record.foreign_share:
                 continue
-            shares = db.country_shares(record.prefix)
+            shares = country_shares(db, record.prefix)
             foreign = shares.get(record.foreign_country, 0.0)
             if not foreign:
                 # A same-space more-specific origination may overwrite the
@@ -132,7 +134,7 @@ class TestFromWorld:
         a = GeoDatabase.from_world(world, seed=3)
         b = GeoDatabase.from_world(world, seed=3)
         probe = p("1.0.0.0/16")
-        assert a.country_shares(probe) == b.country_shares(probe)
+        assert country_shares(a, probe) == country_shares(b, probe)
         assert len(a) == len(b)
 
     def test_rates_validated(self, world):

@@ -6,6 +6,7 @@ from repro.geo.database import GeoDatabase
 from repro.geo.prefix_geo import geolocate_prefixes
 from repro.net.prefix import Prefix
 
+from tests.geo.queries import country_shares, majority_country
 from tests.oracles.prefixes import split_into_blocks, total_addresses
 
 COUNTRIES = ("US", "CA", "MX", "FR", "DE")
@@ -40,7 +41,7 @@ class TestGeoProperties:
     def test_shares_sum_to_one(self, case):
         db, prefixes = case
         for prefix in prefixes:
-            total = sum(db.country_shares(prefix).values())
+            total = sum(country_shares(db, prefix).values())
             assert abs(total - 1.0) < 1e-9
 
     @settings(max_examples=60, deadline=None)
@@ -86,7 +87,7 @@ class TestGeoProperties:
     def test_majority_country_agrees_with_shares(self, case):
         db, prefixes = case
         for prefix in prefixes:
-            majority = db.majority_country(prefix)
+            majority = majority_country(db, prefix)
             if majority is not None:
-                shares = db.country_shares(prefix)
+                shares = country_shares(db, prefix)
                 assert shares[majority] > 0.5

@@ -15,6 +15,7 @@ from repro.geo.prefix_geo import geolocate_prefixes
 from repro.net.prefix import Prefix, PrefixError
 from repro.topology import GeneratorConfig, generate_world
 from repro.topology.catalog import build_world
+from tests.geo.queries import country_shares, lookup, majority_country
 from tests.geo.trie_oracle import TrieGeoDatabase, trie_geolocate
 from tests.oracles.prefixes import last_address
 
@@ -90,13 +91,13 @@ class TestAgainstTrieOracle:
         interval, trie = build(version, ops)
         assert len(interval) == len(trie)
         for value in probes:
-            assert interval.lookup(version, value) == trie.lookup(version, value)
+            assert lookup(interval, version, value) == trie.lookup(version, value)
         for prefix in announced + [prefix for _, prefix in ops]:
-            assert list(interval.country_shares(prefix).items()) == list(
+            assert list(country_shares(interval, prefix).items()) == list(
                 trie.country_shares(prefix).items()
             )
             for threshold in (0.0, 0.25, 0.4):
-                assert interval.majority_country(prefix, threshold) == (
+                assert majority_country(interval, prefix, threshold) == (
                     trie.majority_country(prefix, threshold)
                 )
 
@@ -116,8 +117,8 @@ class TestAgainstTrieOracle:
         interval, trie = build(version, ops)
         other = 6 if version == 4 else 4
         probe = Prefix(other, 0, 0)
-        assert interval.country_shares(probe) == trie.country_shares(probe) == {None: 1.0}
-        assert interval.lookup(other, 0) is None
+        assert country_shares(interval, probe) == trie.country_shares(probe) == {None: 1.0}
+        assert lookup(interval, other, 0) is None
         with pytest.raises(PrefixError):
             interval.assign(probe, "US")
         assert outcome_fields(
@@ -145,6 +146,6 @@ class TestWorldsAgainstTrieOracle:
             geolocate_prefixes(prefixes, interval, 0.5, version)
         ) == outcome_fields(trie_geolocate(prefixes, trie, 0.5, version))
         for prefix in prefixes[::25]:
-            assert list(interval.country_shares(prefix).items()) == list(
+            assert list(country_shares(interval, prefix).items()) == list(
                 trie.country_shares(prefix).items()
             )

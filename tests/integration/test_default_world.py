@@ -9,9 +9,9 @@ import pytest
 
 from repro import PipelineConfig, generate_world, run_pipeline
 from repro.analysis.vp_distribution import single_vp_share, vp_census
-from repro.topology.validator import validate_realism
 
 from tests.oracles.matrix import check, world_case
+from tests.topology.validator import validate_realism
 
 
 @pytest.fixture(scope="module")

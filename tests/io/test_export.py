@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import GeneratorConfig, generate_world, run_pipeline, small_profiles
+from repro.cli import main
 from repro.io.export import (
     export_filter_report,
     export_ixp_csv,
@@ -79,3 +80,15 @@ class TestExports:
         assert "CCI:AU" in manifest["metrics"]
         for path in written.values():
             assert path.exists()
+
+    def test_release_into_unwritable_path_exits_2(self, tmp_path, capsys):
+        """A directory that cannot be made gets one error line, not a
+        traceback."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["--world", "small", "release", str(blocker / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"repro-rank: error: cannot write the release to "
+            f"{str(blocker / 'x')!r}: Not a directory\n"
+        )

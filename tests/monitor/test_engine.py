@@ -12,12 +12,13 @@ from repro.monitor import (
     WatchError,
     render_watch,
     resolve_snapshots,
-    validate_watch_events,
     watch,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.resilience.checkpoint import Checkpoint, store_key
 from repro.topology.catalog import build_world
+
+from tests.monitor.event_schema import validate_watch_events
 
 SMALL = ["small@0", "small@1", "small@2"]
 CONFIG = WatchConfig(metrics=("AHN", "CCI"), countries=("AU",))

@@ -11,9 +11,9 @@ from repro.monitor.events import (
     events_to_jsonl,
     ranking_event,
     snapshot_event,
-    validate_watch_events,
-    validate_watch_jsonl,
 )
+
+from tests.monitor.event_schema import validate_watch_events, validate_watch_jsonl
 
 
 def ranking(metric="AHN", scores=None, country="AU"):

@@ -73,7 +73,7 @@ def runs(draw):
 
 
 def ingest(writer, records, start=0):
-    """Feed ``records[start:]`` the way ``sanitize_to_store`` does:
+    """Feed ``records[start:]`` the way ``spill_windows`` does:
     one add per record, the consumed position at each checkpoint."""
     report = FilterReport()
     consumed = writer.prepare(report)

@@ -13,17 +13,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import PipelineConfig, run_pipeline
-from repro.core.registry import MetricContext, get_spec
+from repro.bgp.announcement import record_windows
+from repro.core.registry import get_spec
 from repro.geo.database import GeoDatabase
 from repro.geo.prefix_geo import geolocate_prefixes
 from repro.geo.vp_geo import VPGeolocator
 from repro.perf.index import PathIndex
 from repro.perf.pathstore import COLUMNS
 from repro.perf.spill import (
+    FLUSH_EVERY,
     MmapPathStore,
     SpillFormatError,
     open_spill,
-    sanitize_to_store,
+    spill_windows,
 )
 from repro.topology.catalog import build_world
 
@@ -54,7 +56,7 @@ def mmap_result(world):
 
 def _sanitize_inputs(world, seed=0):
     """The (records, kwargs) the pipeline hands to sanitization, built
-    stage by stage so tests can drive ``sanitize_to_store`` directly."""
+    stage by stage so tests can drive ``spill_windows`` directly."""
     from repro.bgp.propagation import propagate_all
     from repro.bgp.rib import RibGenerationConfig, generate_rib_days
 
@@ -158,9 +160,9 @@ class TestCrashResume:
         return self._ingest(records, kwargs, directory), directory
 
     def _ingest(self, records, kwargs, directory, **extra):
-        return sanitize_to_store(
-            iter(records), directory=str(directory),
-            flush_every=self.FLUSH, **kwargs, **extra,
+        return spill_windows(
+            record_windows(iter(records), self.FLUSH),
+            directory=str(directory), **kwargs, **extra,
         )
 
     def _spill_bytes(self, directory):
@@ -216,7 +218,7 @@ class TestCrashResume:
         again = open_spill(str(tmp_path / "spill"))
         assert len(again.records) == len(first.records)
         assert again.report.total == first.report.total
-        # a second sanitize_to_store on a sealed directory reopens it
+        # a second spill_windows on a sealed directory reopens it
         # without consuming the input stream at all
         def exploding():
             raise AssertionError("sealed spill must not re-ingest")
@@ -295,7 +297,10 @@ class TestDamagedSpill:
     def sealed(self, tmp_path_factory):
         records, kwargs = _sanitize_inputs(build_world("small", 0))
         directory = tmp_path_factory.mktemp("sealed")
-        sanitize_to_store(iter(records), directory=str(directory), **kwargs)
+        spill_windows(
+            record_windows(records, FLUSH_EVERY), directory=str(directory),
+            **kwargs,
+        )
         return directory
 
     @pytest.fixture
@@ -398,10 +403,7 @@ class TestDamagedSpill:
         for kind, metric in (("national", "AHN"), ("international", "AHI")):
             view = index.view(kind, "US")
             view.vps()
-            get_spec(metric).build(MetricContext(
-                view=view, oracle=None, trim=PipelineConfig().trim,
-                country="US",
-            ))
+            get_spec(metric).rank(view, "US", None, PipelineConfig().trim)
 
 
 def apply_damage(spill, damage):
@@ -480,8 +482,8 @@ class TestDamagedResume:
             raise OSError("injected crash")
 
         with pytest.raises(OSError):
-            sanitize_to_store(
-                torn_stream(), directory=str(directory), flush_every=500,
+            spill_windows(
+                record_windows(torn_stream(), 500), directory=str(directory),
                 **kwargs,
             )
         assert (directory / "progress.json").exists()
@@ -496,9 +498,8 @@ class TestDamagedResume:
     def assert_resume_rejected(self, inputs, spill, damaged):
         records, kwargs = inputs
         with pytest.raises(SpillFormatError, match=damaged):
-            sanitize_to_store(
-                iter(records), directory=str(spill), flush_every=500,
-                **kwargs,
+            spill_windows(
+                record_windows(records, 500), directory=str(spill), **kwargs,
             )
 
     def rewrite_progress(self, spill, change):

@@ -318,7 +318,7 @@ class TestWatch:
         assert "small@0 -> small@1" in out
 
     def test_json_mode_emits_schema_valid_events(self, capsys):
-        from repro.monitor import validate_watch_jsonl
+        from tests.monitor.event_schema import validate_watch_jsonl
 
         assert main(self.ARGS + ["--json"]) == 0
         out = capsys.readouterr().out

@@ -5,8 +5,9 @@ import pytest
 from repro.topology import GeneratorConfig, generate_world, small_profiles
 from repro.topology.model import ASGraph, ASRole
 from repro.topology.paper_world import build_paper_world
-from repro.topology.validator import validate_realism
 from repro.topology.world import World
+
+from tests.topology.validator import validate_realism
 
 
 class TestGeneratedWorlds:

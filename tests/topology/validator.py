@@ -1,4 +1,5 @@
-"""Topology realism validation.
+"""Topology realism validation, the checker the topology and
+default-world tests vet generated worlds with.
 
 Generated worlds are only useful if they look like the Internet in the
 ways the metrics care about. This module computes the structural
