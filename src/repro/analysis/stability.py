@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.core.ndcg import ndcg
 from repro.core.pipeline import PipelineResult
 from repro.core.ranking import Ranking
-from repro.core.registry import maybe_spec
+from repro.core.registry import MetricSpec, get_spec
 from repro.core.sanitize import RelationshipOracle
 from repro.core.views import View
 
@@ -62,23 +62,29 @@ class StabilityCurve:
         ]
 
 
+def stability_spec(metric: str) -> MetricSpec:
+    """The spec of a metric the stability analysis can downsample: a
+    cone or hegemony metric. AHC and CTI are not view-restrictable per
+    trial; an unknown name reads :func:`get_spec`'s text."""
+    spec = get_spec(metric)
+    if spec.family not in ("cone", "hegemony"):
+        raise ValueError(
+            f"metric {spec.name} is not supported by stability analysis "
+            "(needs a cone or hegemony metric)"
+        )
+    return spec
+
+
 def metric_ranking(
     metric: str, view: View, oracle: RelationshipOracle, trim: float = 0.1
 ) -> Ranking:
     """One CC*/AH* ranking over an arbitrary (possibly downsampled)
     view — the per-trial work unit — built by the metric's registered
-    spec, like every other ranking.
-
-    Cone-family specs rank by customer cone, hegemony-family specs by
-    AS hegemony (honouring a variant's ``weighting``); other families
-    (AHC, CTI) are not view-restrictable per trial and are rejected.
+    spec (:func:`stability_spec`), like every other ranking: cone specs
+    rank by customer cone, hegemony specs by AS hegemony (honouring a
+    variant's ``weighting``).
     """
-    spec = maybe_spec(metric)
-    if spec is None or spec.family not in ("cone", "hegemony"):
-        raise ValueError(
-            f"stability analysis supports CC*/AH* metrics, not {metric!r}"
-        )
-    return spec.rank(view, view.country, oracle, trim)
+    return stability_spec(metric).rank(view, view.country, oracle, trim)
 
 
 def stability_curve(

@@ -51,6 +51,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from repro.analysis.case_studies import case_study_table, render_case_study
 from repro.analysis.concentration import country_concentrations, render_concentrations
@@ -58,10 +59,14 @@ from repro.analysis.regions import continental_dominance, render_dominance_table
 from repro.analysis.reports import country_report
 from repro.analysis.resilience import ases_registered_in, disconnection_impact
 from repro.analysis.sovereignty import dependency_matrix, render_dependencies
-from repro.analysis.stability import international_stability, national_stability
+from repro.analysis.stability import (
+    international_stability,
+    national_stability,
+    stability_spec,
+)
 from repro.analysis.vp_distribution import render_census, vp_census
 from repro.core.pipeline import PipelineConfig, PipelineResult, run_pipeline
-from repro.core.registry import get_spec, metric_names, normalize_country
+from repro.core.registry import get_spec, metric_names
 from repro.io.export import release_dataset
 from repro.io.replay import ReplayError, ReplaySession
 from repro.lint import Baseline, LintConfig, run_lint
@@ -84,14 +89,26 @@ from repro.resilience import ArtifactStore, Checkpoint, CheckpointError, store_k
 from repro.topology.catalog import WORLD_CHOICES, build_world
 from repro.topology.world import World
 
-#: exit status for input-validation failures (argparse uses 2 as well)
+#: exit status for input-validation failures of both CLIs (argparse uses 2)
 EXIT_USAGE = 2
 
 
-def _fail(message: str) -> int:
+def _fail(message: str, prog: str = "repro-rank") -> int:
     """Print a one-line error and return the usage exit status."""
-    print(f"repro-rank: error: {message}", file=sys.stderr)
+    print(f"{prog}: error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def split_names(
+    value: str, flag: str, noun: str, resolve: Callable[[str], str] = str,
+) -> tuple[str, ...]:
+    """The items of a comma-separated flag value, empty ones dropped,
+    each through ``resolve``; ``ValueError`` if none is left, or with
+    ``resolve``'s text for an item it rejects."""
+    items = [item for item in value.split(",") if item.strip()]
+    if not items:
+        raise ValueError(f"{flag} needs at least one {noun}")
+    return tuple(resolve(item) for item in items)
 
 
 def best_traced_country(result: PipelineResult) -> str:
@@ -162,32 +179,23 @@ def _run_watch(args: argparse.Namespace) -> int:
         WatchError,
         render_watch,
         resolve_snapshots,
+        resolve_specs,
         watch,
     )
 
-    metric_list = [m for m in args.metrics.split(",") if m.strip()]
-    if not metric_list:
-        return _fail("--metrics needs at least one metric name")
+    # the countries are checked against the snapshots as they load
     try:
-        canonical = [get_spec(m).name for m in metric_list]
+        metrics = split_names(args.metrics, "--metrics", "metric name")
+        countries = None if args.countries is None else split_names(
+            args.countries, "--countries", "country code"
+        )
     except ValueError as error:
         return _fail(str(error))
-    countries: tuple[str, ...] | None = None
-    if args.countries is not None:
-        codes = [c.strip() for c in args.countries.split(",") if c.strip()]
-        if not codes:
-            return _fail("--countries needs at least one country code")
-        for code in codes:
-            if len(code) != 2 or not code.isalpha():
-                return _fail(
-                    f"country {code!r} is not a two-letter country code"
-                )
-        countries = tuple(normalize_country(code) for code in codes)
     if args.resume and args.checkpoint is None:
         return _fail("--resume requires --checkpoint")
     try:
         config = WatchConfig(
-            metrics=tuple(canonical),
+            metrics=metrics,
             countries=countries,
             top=args.top,
             tau_threshold=args.tau_threshold,
@@ -195,6 +203,8 @@ def _run_watch(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         refs = resolve_snapshots(args.snapshots)
+        # before the checkpoint is opened (without --resume, rewritten)
+        resolve_specs(refs, config)
     except WatchError as error:
         return _fail(str(error))
     checkpoint = None
@@ -422,29 +432,15 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"--trials must be >= 1 (got {args.trials})")
 
     if args.command == "replay":
+        # the gate before the file is read; then the request against
+        # the file's countries (the ranking itself is not a usage error)
         try:
-            spec = get_spec(args.metric)
-        except ValueError as error:
-            return _fail(str(error))
-        if not spec.replayable:
-            return _fail(
-                f"metric {spec.name} cannot be replayed from released paths"
-            )
-        try:
+            ReplaySession.gate(get_spec(args.metric))
             session = ReplaySession.from_file(args.paths_file)
-        except ReplayError as error:
+            spec, country = session.unit(args.metric, args.country)
+        except ValueError as error:  # ReplayError included
             return _fail(str(error))
-        country = normalize_country(args.country)
-        if country is not None:
-            known = session.paths.countries()
-            if country not in known:
-                return _fail(
-                    f"unknown country {args.country!r} in "
-                    f"{args.paths_file} (valid: {', '.join(known)})"
-                )
-        if spec.needs_country and country is None:
-            return _fail(f"metric {spec.name} requires a country code")
-        print(session.ranking(spec.name, country).render(args.k))
+        print(session.unit_ranking(spec, country).render(args.k))
         return 0
 
     if args.command == "watch":
@@ -475,47 +471,37 @@ def main(argv: list[str] | None = None) -> int:
     world = build_world(args.world, args.seed)
 
     # -- input validation (before the expensive pipeline run) ---------------
-    # get_spec and World.country_code raise the one message for an
-    # unknown metric or country
+    # each rule raises its one text: get_spec (or stability_spec),
+    # World.country_code, MetricSpec.require_country and split_names
     try:
-        metric_arg = getattr(args, "metric", None)
-        if args.command in ("rank", "stability", "concentration") and metric_arg:
-            spec = get_spec(metric_arg)
+        if args.command in ("rank", "stability", "concentration"):
+            spec = (
+                stability_spec if args.command == "stability" else get_spec
+            )(args.metric)
             args.metric = spec.name
-            if args.command == "stability" and spec.family not in (
-                "cone", "hegemony",
-            ):
-                return _fail(
-                    f"metric {spec.name} is not supported by stability analysis "
-                    "(needs a cone or hegemony metric)"
-                )
-        country_arg = getattr(args, "country", None)
         if args.command in (
             "case-study", "stability", "sovereignty", "report",
-        ) or (args.command in ("rank", "trace") and country_arg):
-            if country_arg is None:
-                return _fail("this command requires a country code")
-            args.country = world.country_code(country_arg)
+        ) or (args.command in ("rank", "trace") and args.country):
+            args.country = world.country_code(args.country)
         if args.command == "rank":
-            if get_spec(args.metric).needs_country and args.country is None:
-                return _fail(f"metric {args.metric} requires a country code")
+            spec.require_country(args.country)
         if (
             args.command in ("concentration", "sweep", "release")
             and args.countries is not None
         ):
-            codes = [c for c in args.countries.split(",") if c]
-            if not codes:
-                return _fail("--countries needs at least one country code")
-            args.countries = ",".join(world.country_code(code) for code in codes)
+            args.countries = split_names(
+                args.countries, "--countries", "country code",
+                world.country_code,
+            )
         if args.command == "sweep":
-            metrics = [m for m in args.metrics.split(",") if m]
-            if not metrics:
-                return _fail("--metrics needs at least one metric name")
-            args.metrics = ",".join(get_spec(m).name for m in metrics)
+            args.metrics = split_names(
+                args.metrics, "--metrics", "metric name",
+                lambda name: get_spec(name).name,
+            )
             if args.resume and args.checkpoint is None:
                 return _fail("--resume requires --checkpoint")
         if args.command == "disconnect" and args.target.isalpha():
-            world.country_code(args.target)
+            args.target = world.country_code(args.target)
         if args.command == "disconnect" and not args.target.isalpha():
             try:
                 [int(a) for a in args.target.split(",")]
@@ -566,12 +552,8 @@ def main(argv: list[str] | None = None) -> int:
         ranking = result.ranking(args.metric, args.country)
         print(ranking.render(args.k, result.as_name))
     elif args.command == "sweep":
-        metrics = tuple(args.metrics.split(","))
-        countries = (
-            tuple(args.countries.split(",")) if args.countries else None
-        )
         try:
-            rankings = result.rank_all(metrics, countries, store=store)
+            rankings = result.rank_all(args.metrics, args.countries, store=store)
         finally:
             if store is not None:
                 store.close()
@@ -588,13 +570,12 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "census":
         print(render_census(vp_census(result)))
     elif args.command == "stability":
-        metric = args.metric  # already canonical (validated above)
         runner = (
             national_stability
-            if get_spec(metric).view_kind == "national"
+            if spec.view_kind == "national"
             else international_stability
         )
-        curve = runner(result, args.country, metric, trials=args.trials)
+        curve = runner(result, args.country, args.metric, trials=args.trials)
         for size, mean, std in curve.as_rows():
             print(f"{size:>5} VPs  NDCG {mean:.3f} ±{std:.3f}")
         print(f">=0.8 from {curve.min_vps_for(0.8)} VPs, "
@@ -607,24 +588,23 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "report":
         print(country_report(result, args.country).markdown)
     elif args.command == "disconnect":
-        if args.target.isalpha() and len(args.target) == 2:
-            removal = ases_registered_in(result.world, normalize_country(args.target))
-        else:
-            removal = frozenset(int(a) for a in args.target.split(","))
+        removal = (
+            ases_registered_in(result.world, args.target)
+            if args.target.isalpha()
+            else frozenset(int(a) for a in args.target.split(","))
+        )
         impact = disconnection_impact(result.world, removal)
         print(impact.render())
         stranded = impact.stranded_countries()
         if stranded:
             print("stranded (>50% lost):", ", ".join(stranded))
     elif args.command == "concentration":
-        codes = tuple(c for c in args.countries.split(",") if c)
         print(render_concentrations(
-            country_concentrations(result, codes, args.metric)
+            country_concentrations(result, args.countries, args.metric)
         ))
     elif args.command == "release":
-        countries = [c for c in args.countries.split(",") if c]
         try:
-            written = release_dataset(result, args.directory, countries)
+            written = release_dataset(result, args.directory, args.countries)
         except OSError as error:
             return _fail(
                 f"cannot write the release to {args.directory!r}: "

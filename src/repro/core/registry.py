@@ -13,8 +13,9 @@ once, as a frozen :class:`MetricSpec`:
 * whether it **needs a country** — drives CLI validation, memo keys,
   and ``rank_all`` unit enumeration;
 * whether it is **replayable** from a released ``paths.jsonl`` —
-  drives :meth:`~repro.io.replay.ReplaySession.ranking` and the CLI's
-  ``replay`` subcommand;
+  drives the replay gate (:meth:`~repro.io.replay.ReplaySession.gate`)
+  that ``repro-rank replay``, ``repro-rank watch`` over release files
+  and :class:`~repro.io.replay.ReplaySession` apply;
 * its **label template** and **checkpoint unit key** — drive ranking
   labels and :class:`~repro.resilience.checkpoint.Checkpoint` units;
 * its **family** — :meth:`MetricSpec.rank` dispatches on it to the
@@ -29,9 +30,11 @@ address weighting (``AHC-A``) are ordinary registered specs whose
 ``weighting`` field :meth:`MetricSpec.rank` passes to the family's
 ranking function.
 
-:func:`get_spec` is the one resolver of a metric name: every surface
-that rejects an unknown name (the CLIs, the daemon, the watch engine)
-shows the text it raises.
+:meth:`~repro.core.session.RankingSession.unit` checks a ranking
+request, one rule and one text each: :func:`get_spec` (an unknown
+metric), the session's replay gate, its ``country_code`` (an unknown
+country) and :meth:`MetricSpec.require_country` (a missing one); the
+CLIs, the daemon and the watch engine show that text.
 
 Adding a metric is one :func:`register` call — the pipeline, the
 replay session, the CLI, checkpointing, and the lint rule R008 all
@@ -114,12 +117,12 @@ class MetricSpec:
         return f"ranking:{self.name}:{country if country is not None else '<global>'}"
 
     def require_country(self, country: str | None) -> str | None:
-        """Validate/normalise the country argument for this metric:
-        global metrics ignore it, country metrics require it."""
+        """The country this metric ranks: global metrics drop it,
+        country metrics require it."""
         if not self.needs_country:
             return None
         if country is None:
-            raise ValueError("this metric requires a country code")
+            raise ValueError(f"metric {self.name} requires a country code")
         return country
 
     def rank(

@@ -12,9 +12,10 @@ release carries no ground-truth relationship labels.
 :class:`ReplaySession` is the pipeline's ranking session
 (:class:`~repro.core.session.RankingSession`, the class
 :class:`~repro.core.pipeline.PipelineResult` extends) over the loaded
-path set: the same path index, view and ranking memos and
-:meth:`~repro.core.registry.MetricSpec.rank`, plus the inferred oracle
-and the gate on ``spec.replayable``. A released file is outside input:
+path set: the same request check, path index, view and ranking memos and
+:meth:`~repro.core.registry.MetricSpec.rank`, plus the inferred oracle,
+the gate on ``spec.replayable`` and the release's destination countries
+as the valid ones. A released file is outside input:
 :func:`load_pathset_jsonl` holds every field to its type and range and
 raises :class:`ReplayError` naming the line.
 """
@@ -25,7 +26,6 @@ import json
 from pathlib import Path
 
 from repro.bgp.collectors import VantagePoint
-from repro.core.ranking import Ranking
 from repro.core.registry import MetricSpec
 from repro.core.sanitize import FilterReport, PathRecord, PathSet, RelationshipOracle
 from repro.core.session import RankingSession
@@ -151,8 +151,9 @@ class ReplaySession(RankingSession):
 
     @classmethod
     def from_file(cls, path: str | Path, trim: float = 0.1) -> "ReplaySession":
-        """Open a released ``paths.jsonl``."""
-        return cls(load_pathset_jsonl(path), trim=trim)
+        """Open a released ``paths.jsonl`` (named in the message for a
+        country it does not hold)."""
+        return cls(load_pathset_jsonl(path), trim=trim, source=str(path))
 
     @property
     def oracle(self) -> RelationshipOracle:
@@ -163,7 +164,8 @@ class ReplaySession(RankingSession):
             )
         return self._oracle
 
-    def _compute_ranking(self, spec: MetricSpec, country: str | None) -> Ranking:
+    @classmethod
+    def gate(cls, spec: MetricSpec) -> MetricSpec:
         """The replay gate: ``spec.replayable`` (AHC needs registration
         countries the release does not carry; CTI is pinned
         non-replayable). Specs that read no oracle (the AH family)
@@ -171,6 +173,6 @@ class ReplaySession(RankingSession):
         paths alone."""
         if not spec.replayable:
             raise ValueError(
-                f"metric {spec.name!r} cannot be replayed from released paths"
+                f"metric {spec.name} cannot be replayed from released paths"
             )
-        return super()._compute_ranking(spec, country)
+        return spec

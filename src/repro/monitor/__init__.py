@@ -21,6 +21,7 @@ from repro.monitor.engine import (
     WatchConfig,
     WatchRun,
     render_watch,
+    resolve_specs,
     watch,
 )
 from repro.monitor.events import (
@@ -46,6 +47,7 @@ __all__ = [
     "measure_drift",
     "render_watch",
     "resolve_snapshots",
+    "resolve_specs",
     "top_churn",
     "watch",
 ]

@@ -44,6 +44,7 @@ from repro.core.registry import (
     metric_units,
     normalize_country,
 )
+from repro.io.replay import ReplaySession
 from repro.monitor.drift import alert_reasons, measure_drift
 from repro.monitor.events import (
     alert_event,
@@ -122,22 +123,20 @@ class WatchRun:
         return [e for e in self.events if e["type"] == "drift"]
 
 
-def _resolve_specs(
+def resolve_specs(
     refs: Sequence[SnapshotRef], config: WatchConfig
 ) -> list[MetricSpec]:
-    """Validate the metric list up front, before any loading."""
+    """The watched metrics' specs through :func:`get_spec` and, over a
+    stream with a release, :meth:`ReplaySession.gate`: checked before
+    anything loads (and by the CLI before it opens a checkpoint)."""
+    replaying = any(ref.kind == "release" for ref in refs)
     specs: list[MetricSpec] = []
-    for name in config.metrics:
-        try:
+    try:
+        for name in config.metrics:
             spec = get_spec(name)
-        except ValueError as error:
-            raise WatchError(str(error)) from None
-        if not spec.replayable and any(r.kind == "release" for r in refs):
-            raise WatchError(
-                f"metric {spec.name!r} cannot be replayed from released "
-                "snapshots"
-            )
-        specs.append(spec)
+            specs.append(ReplaySession.gate(spec) if replaying else spec)
+    except ValueError as error:
+        raise WatchError(str(error)) from None
     return specs
 
 
@@ -181,7 +180,7 @@ def watch(
         raise WatchError(
             f"need at least 2 snapshots to watch for drift (got {len(refs)})"
         )
-    specs = _resolve_specs(refs, config)
+    specs = resolve_specs(refs, config)
     countries = (
         None if config.countries is None
         else [normalize_country(c) for c in config.countries]
@@ -207,7 +206,10 @@ def watch(
             meta = _snapshot_record(checkpoint, key)
 
             # Load lazily: a fully-banked snapshot never materializes
-            # its pipeline/replay provider on resume.
+            # its pipeline/replay provider on resume. The first snapshot
+            # and every world check each grid country as a request would,
+            # also under global metrics; a later release that holds no
+            # paths to one still ranks it, so its drift is measured.
             provider: object | None = None
 
             def load() -> object:
@@ -218,6 +220,12 @@ def watch(
                     ):
                         provider = ref.load(ranked_under, content, tracer=tracer)
                     metrics.counter("monitor.snapshots.loaded").inc()
+                    if index == 0 or ref.kind == "world":
+                        try:
+                            for code in countries or ():
+                                provider.country_code(code)
+                        except ValueError as error:
+                            raise WatchError(str(error)) from None
                 return provider
 
             banked_meta = meta is not None
@@ -263,11 +271,7 @@ def watch(
                             "watch.ranking", snapshot=ref.label,
                             metric=spec.name, country=country,
                         ):
-                            try:
-                                ranking = session.ranking(spec.name, country)
-                            except ValueError as error:
-                                # a country the snapshot's world lacks
-                                raise WatchError(str(error)) from None
+                            ranking = session.unit_ranking(spec, country)
                         computed_units += 1
                         metrics.counter("monitor.rankings.computed").inc()
                         if checkpoint is not None:

@@ -27,16 +27,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.registry import VIEW_KINDS
 from repro.core.sanitize import PathSet
 from repro.core.views import View
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
 if TYPE_CHECKING:
     from repro.perf.pathstore import PathStore
-
-#: View kinds the index can build, with their (vp_in, prefix_in)
-#: country-membership selectors relative to the target country.
-VIEW_KINDS = ("national", "international", "outbound", "global")
 
 
 class PathIndex:

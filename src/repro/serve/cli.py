@@ -35,6 +35,7 @@ import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from repro.cli import _fail, split_names
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.registry import get_spec
 from repro.obs.export import stage_report
@@ -44,15 +45,7 @@ from repro.serve.http import RankingServer
 from repro.serve.service import ComputeThread, RankingService
 from repro.topology.catalog import WORLD_CHOICES, build_world
 
-#: exit status for input-validation failures (argparse uses 2 as well)
-EXIT_USAGE = 2
-
 DEFAULT_PORT = 8732
-
-
-def _fail(message: str, prog: str) -> int:
-    print(f"{prog}: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
@@ -108,26 +101,21 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         )
     if args.no_resume and args.store is None:
         return _fail("--no-resume requires --store", prog)
-    metrics: tuple[str, ...] | None = None
-    if args.precompute is not None and args.precompute != "all":
-        names = [m for m in args.precompute.split(",") if m]
-        if not names:
-            return _fail("--precompute needs at least one metric name", prog)
-        try:
-            metrics = tuple(get_spec(name).name for name in names)
-        except ValueError as error:
-            return _fail(str(error), prog)
+    try:
+        metrics = None if args.precompute in (None, "all") else split_names(
+            args.precompute, "--precompute", "metric name",
+            lambda name: get_spec(name).name,
+        )
+    except ValueError as error:
+        return _fail(str(error), prog)
 
     world = build_world(args.world, args.seed)
-    countries: tuple[str, ...] | None = None
-    if args.countries is not None:
-        codes = [c for c in args.countries.split(",") if c]
-        if not codes:
-            return _fail("--countries needs at least one country code", prog)
-        try:
-            countries = tuple(world.country_code(code) for code in codes)
-        except ValueError as error:
-            return _fail(str(error), prog)
+    try:
+        countries = None if args.countries is None else split_names(
+            args.countries, "--countries", "country code", world.country_code
+        )
+    except ValueError as error:
+        return _fail(str(error), prog)
 
     tracer = Tracer()
     config = PipelineConfig(seed=args.seed)

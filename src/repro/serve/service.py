@@ -53,7 +53,7 @@ from repro.analysis.case_studies import case_study_table, render_case_study
 from repro.analysis.reports import country_report
 from repro.core.pipeline import PipelineResult
 from repro.core.ranking import Ranking
-from repro.core.registry import MetricSpec, get_spec, metric_names
+from repro.core.registry import MetricSpec, metric_names
 from repro.obs.trace import NULL_TRACER, AnyTracer
 from repro.resilience.checkpoint import ArtifactStore
 
@@ -267,8 +267,10 @@ class RankingService:
         return payload
 
     def _rank(self, metric: str, country: str | None, k: int) -> dict:
-        spec = self._spec(metric)
-        code = self._metric_country(spec, country)
+        try:
+            spec, code = self.result.unit(metric, country)
+        except ValueError as error:
+            raise QueryError(str(error)) from None
         if k < 1:
             raise QueryError(f"k must be >= 1 (got {k})")
         ranking = self.store.get(spec, code)
@@ -351,25 +353,10 @@ class RankingService:
 
     # -- validation ----------------------------------------------------------
 
-    def _spec(self, metric: str) -> MetricSpec:
-        try:
-            return get_spec(metric)
-        except ValueError as error:
-            raise QueryError(str(error)) from None
-
-    def _metric_country(
-        self, spec: MetricSpec, country: str | None
-    ) -> str | None:
-        if not spec.needs_country:
-            return None
-        if country is None:
-            raise QueryError(f"metric {spec.name} requires a country code")
-        return self._known_country(country)
-
     def _known_country(self, country: str | None) -> str:
         if country is None:
             raise QueryError("this query requires a country code")
         try:
-            return self.result.world.country_code(country)
+            return self.result.country_code(country)
         except ValueError as error:
             raise QueryError(str(error)) from None

@@ -352,8 +352,11 @@ class TestWatch:
         assert "unknown metric" in capsys.readouterr().err
 
     def test_bad_country_shape(self, capsys):
+        """A code of any shape reads the grid's text: the world's."""
         assert main(self.ARGS[:-1] + ["AUS"]) == 2
-        assert "two-letter" in capsys.readouterr().err
+        with pytest.raises(ValueError) as caught:
+            build_world("small", 0).country_code("AUS")
+        assert capsys.readouterr().err == f"repro-rank: error: {caught.value}\n"
 
     def test_unresolvable_snapshot(self, capsys):
         assert main(["watch", "small@0", "nonexistent.jsonl"]) == 2
