@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.pipeline import PipelineResult
+from repro.net.aspath import sorted_distinct
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,7 +44,7 @@ def vp_census(result: PipelineResult, min_vps: int = 1) -> list[CountryVPStats]:
     # the distinct (prefix id, origin) pairs, read from the store's id
     # columns: a prefix id fits 31 bits and an origin ASN 32
     store = result.paths.store()
-    pairs = np.unique((store.record_prefix << 32) | store.record_origin)
+    pairs = sorted_distinct((store.record_prefix << 32) | store.record_origin)
     table = store.prefix_table
     origins: dict[str, set[int]] = {}
     prefixes: dict[str, set] = {}

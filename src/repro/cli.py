@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -91,6 +92,9 @@ from repro.topology.world import World
 
 #: exit status for input-validation failures of both CLIs (argparse uses 2)
 EXIT_USAGE = 2
+#: exit status when stdout's reader closed the pipe early: 128 + SIGPIPE,
+#: what a shell reports for a command that SIGPIPE ended
+EXIT_PIPE = 141
 
 
 def _fail(message: str, prog: str = "repro-rank") -> int:
@@ -234,7 +238,23 @@ def _run_watch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point (also exposed as the ``repro-rank`` script)."""
+    """Entry point (also exposed as the ``repro-rank`` script).
+
+    A reader that closes stdout early (``repro-rank ... | head -1``)
+    ends the run quietly with :data:`EXIT_PIPE`, after the Python docs'
+    SIGPIPE note: stdout is pointed at ``os.devnull``, so the
+    interpreter's last flush cannot fail again."""
+    try:
+        status = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
+    return status
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-rank",
         description="Country-level AS rankings over a simulated BGP substrate",

@@ -17,7 +17,7 @@ inferred relationships and replay gate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.ranking import Ranking
 from repro.core.registry import MetricSpec, get_spec, normalize_country
@@ -27,6 +27,20 @@ from repro.obs.trace import NULL_TRACER, AnyTracer
 
 if TYPE_CHECKING:  # perf imports core at runtime; the cycle is type-only
     from repro.perf.index import PathIndex
+
+
+def path_set_country(code: str, countries: Sequence[str], source: str) -> str:
+    """The canonical spelling of ``code`` when it is one of
+    ``countries``, the sorted destination countries of the path set
+    named ``source``; else the one ``ValueError`` that names the valid
+    ones."""
+    canonical = normalize_country(code)
+    if canonical not in countries:
+        raise ValueError(
+            f"unknown country {code!r} in {source} "
+            f"(valid: {', '.join(countries)})"
+        )
+    return canonical
 
 
 class RankingSession:
@@ -80,13 +94,7 @@ class RankingSession:
         the valid ones for any other)."""
         if self._countries is None:
             self._countries = self.paths.countries()
-        canonical = normalize_country(code)
-        if canonical not in self._countries:
-            raise ValueError(
-                f"unknown country {code!r} in {self.source} "
-                f"(valid: {', '.join(self._countries)})"
-            )
-        return canonical
+        return path_set_country(code, self._countries, self.source)
 
     def unit(
         self, metric: str, country: str | None = None

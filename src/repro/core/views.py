@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.bgp.collectors import VantagePoint
 from repro.core.sanitize import PathRecord
+from repro.net.aspath import sorted_distinct
 from repro.net.prefix import parse_address
 from repro.obs.trace import NULL_TRACER, AnyTracer
 
@@ -106,7 +107,7 @@ class View:
     def vps(self) -> list[VantagePoint]:
         """Distinct VPs contributing records, ordered by IP."""
         table = self.store.vp_table
-        ids = np.unique(self.store.record_vp[self.positions]).tolist()
+        ids = sorted_distinct(self.store.record_vp[self.positions]).tolist()
         return sorted(
             (table[vid][0] for vid in ids), key=lambda vp: ip_sort_key(vp.ip)
         )

@@ -21,6 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.net.aspath import sorted_distinct
+
 #: widest unit count whose offsets (up to ``2**width``) fit in int64
 INT64_WIDTH = 62
 
@@ -32,15 +34,6 @@ def offsets(networks: Sequence[int], bits: int, width: int) -> np.ndarray:
         return np.array(networks, dtype=np.int64) >> shift
     dtype = np.int64 if width <= INT64_WIDTH else object
     return np.array([n >> shift for n in networks], dtype=dtype)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values (a plain ``np.unique`` would import
-    ``numpy.ma`` on first use)."""
-    ordered = np.sort(values)
-    keep = np.ones(len(ordered), dtype=bool)
-    keep[1:] = ordered[1:] != ordered[:-1]
-    return ordered[keep]
 
 
 class IntervalMap(NamedTuple):
@@ -69,7 +62,7 @@ class IntervalMap(NamedTuple):
         else:
             sizes = np.left_shift(np.int64(1), width - lengths)
         ends = starts + sizes
-        bounds = _distinct(np.concatenate(
+        bounds = sorted_distinct(np.concatenate(
             [np.array([0, space], dtype=dtype), starts, ends]
         ))
         painted = np.full(len(bounds) - 1, -1, dtype=np.int64)
@@ -101,7 +94,7 @@ class IntervalMap(NamedTuple):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Both maps' values and the unit count of every segment of
         their common refinement (both maps of one ``width``)."""
-        cuts = _distinct(np.concatenate([self.bounds, other.bounds]))
+        cuts = sorted_distinct(np.concatenate([self.bounds, other.bounds]))
         left = cuts[:-1]
         mine = self.values[np.searchsorted(self.bounds, left, side="right") - 1]
         theirs = other.values[

@@ -44,6 +44,7 @@ from repro.core.registry import (
     metric_units,
     normalize_country,
 )
+from repro.core.session import path_set_country
 from repro.io.replay import ReplaySession
 from repro.monitor.drift import alert_reasons, measure_drift
 from repro.monitor.events import (
@@ -206,10 +207,7 @@ def watch(
             meta = _snapshot_record(checkpoint, key)
 
             # Load lazily: a fully-banked snapshot never materializes
-            # its pipeline/replay provider on resume. The first snapshot
-            # and every world check each grid country as a request would,
-            # also under global metrics; a later release that holds no
-            # paths to one still ranks it, so its drift is measured.
+            # its pipeline/replay provider on resume.
             provider: object | None = None
 
             def load() -> object:
@@ -220,12 +218,6 @@ def watch(
                     ):
                         provider = ref.load(ranked_under, content, tracer=tracer)
                     metrics.counter("monitor.snapshots.loaded").inc()
-                    if index == 0 or ref.kind == "world":
-                        try:
-                            for code in countries or ():
-                                provider.country_code(code)
-                        except ValueError as error:
-                            raise WatchError(str(error)) from None
                 return provider
 
             banked_meta = meta is not None
@@ -236,6 +228,22 @@ def watch(
                         normalize_country(c) for c in _provider_countries(load())
                     ),
                 }
+            # The first snapshot and every world check each grid country
+            # as a request would, also under global metrics, and without
+            # loading a banked snapshot: a world against the world its
+            # key was built from, a release against its snapshot record's
+            # destination countries. A later release that holds no paths
+            # to one still ranks it, so its drift is measured.
+            if countries is not None and (index == 0 or ref.kind == "world"):
+                try:
+                    for code in countries:
+                        if ref.kind == "world":
+                            world = content if content is not None else load().world
+                            world.country_code(code)
+                        else:
+                            path_set_country(code, meta["countries"], ref.path)
+                except ValueError as error:
+                    raise WatchError(str(error)) from None
             if countries is None:
                 countries = list(meta["countries"])
                 if not countries:

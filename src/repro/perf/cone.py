@@ -71,7 +71,7 @@ import numpy as np
 
 from repro.core.hegemony import validate_trim
 from repro.core.ranking import ScoreColumns, no_scores
-from repro.net.aspath import dense_codes, runs
+from repro.net.aspath import dense_codes, runs, sorted_distinct
 from repro.perf.hegemony import _trimmed
 
 if TYPE_CHECKING:
@@ -248,7 +248,7 @@ def p2c_edges(
     asns, codes = store.asn_codes()
     offsets = np.asarray(store.offsets, dtype=np.int64)
     lefts, rights = np.divmod(
-        np.unique(_pair_codes(codes, offsets, len(asns))), max(len(asns), 1)
+        sorted_distinct(_pair_codes(codes, offsets, len(asns))), max(len(asns), 1)
     )
     pairs = zip(asns[lefts].tolist(), asns[rights].tolist())
     return frozenset(
@@ -277,7 +277,7 @@ def cone_pairs(
     asns = store.asn_codes()[0]
     ids = view_suffix_ids(store, positions, table)
     codes, _ = runs(table.pair_codes, table.pair_offsets, table.pair_lengths, ids)
-    holder, member = np.divmod(np.unique(codes), max(len(asns), 1))
+    holder, member = np.divmod(sorted_distinct(codes), max(len(asns), 1))
     return asns[holder], asns[member]
 
 
@@ -360,7 +360,7 @@ def closure(
     owner = np.repeat(np.cumsum(first) - 1, spread)
     prefix = profile.prefix[np.repeat(lo, spread) + _within(spread)]
     width = int(profile.prefix.max()) + 1
-    owner, prefix = np.divmod(np.unique(owner * width + prefix), width)
+    owner, prefix = np.divmod(sorted_distinct(owner * width + prefix), width)
     count = np.zeros(width, dtype=profile.count.dtype)
     count[profile.prefix] = profile.count
     runs_at = np.flatnonzero(np.diff(owner, prepend=-1))
@@ -399,9 +399,10 @@ def cti_scores(
     sums = np.bincount(cell_of, weights=terms, minlength=len(cells))
     [scores] = _trimmed(
         np.zeros(len(cells), dtype=np.int64),
-        table.asns[cells % width],
+        cells % width,
         sums / float(total),
         np.array([vp_count]),
         trim,
+        table.asns,
     )
     return scores

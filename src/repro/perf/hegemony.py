@@ -25,7 +25,10 @@ Why the values cannot differ from the definition:
   whole cells. Each path contributes its *distinct* ASNs
   (:meth:`~repro.perf.pathstore.PathStore.distinct_asns`), like
   ``ASPath.unique_asns()``; address weights are Python ``float()`` of
-  the counts (IPv6 counts exceed int64).
+  the counts (IPv6 counts exceed int64). A (cell, AS) bin is numbered
+  over the store-wide AS codes, which ascend with the ASN, so a code
+  names one AS in every chunk and is turned into its ASN once per
+  output row.
 * **Step 2, trimmed mean.** Per (group, AS) the non-zero per-VP values
   are sorted ascending. The window left after trimming
   ``k = min(ceil(trim·n), (n - 1) // 2)`` values from each end of the
@@ -35,6 +38,14 @@ Why the values cannot differ from the definition:
   never by ``np.sum`` or ``np.add.reduceat``, whose pairwise summation
   can change the last bits. Leading zeros cannot perturb such a sum.
   Every AS with a non-zero cell keeps its row, even when it scores 0.0.
+  The sort into that order is stable by (group, AS code) but not among
+  equal values (one quicksort of the values, then stable sorts by AS
+  code and by group id, radix sorts while a key fits 16 bits). That
+  cannot change a sum or a row: every value is a finite share >= 0,
+  never NaN or ``-0.0``, so two equal values are the same float64 and
+  swapping them leaves every addition with the same operands in the
+  same order; a row is cut where the (group, code) key changes, which
+  the stable passes keep in order.
 
 Each path's distinct ASNs come from :func:`distinct_path_asns`, which
 scans the store's shared AS codes
@@ -57,6 +68,7 @@ import numpy as np
 
 from repro.core.hegemony import check_weighting, validate_trim
 from repro.core.ranking import ScoreColumns, no_scores
+from repro.net.aspath import sorted_distinct
 
 if TYPE_CHECKING:
     from repro.perf.pathstore import PathStore
@@ -127,9 +139,9 @@ def hegemony_tables(
     ]
     return _trimmed(
         np.concatenate([group for group, _, _ in cells]),
-        np.concatenate([asn for _, asn, _ in cells]),
+        np.concatenate([code for _, code, _ in cells]),
         np.concatenate([value for _, _, value in cells]),
-        vp_counts, trim,
+        vp_counts, trim, store.asn_codes()[0],
     )
 
 
@@ -138,7 +150,7 @@ def _chunks(starts: np.ndarray, size: int) -> list[tuple[int, int]]:
     only at the cell starts ``starts``."""
     targets = np.arange(CHUNK_RECORDS, size, CHUNK_RECORDS)
     nearest = np.minimum(np.searchsorted(starts, targets), len(starts) - 1)
-    bounds = np.unique(np.concatenate(([0], starts[nearest], [size])))
+    bounds = sorted_distinct(np.concatenate(([0], starts[nearest], [size])))
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
@@ -151,26 +163,26 @@ def _betweenness(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step 1 over whole (group, VP) cells sorted by ``keys``: per cell
     and AS on its paths, the AS's share of the cell's weight, as
-    ``(group, asn, value)`` columns."""
+    ``(group, code, value)`` columns, ``code`` the AS's store-wide code
+    (:meth:`~repro.perf.pathstore.PathStore.asn_codes`)."""
     ids, offsets, lengths, table = store.distinct_asns()
     first = np.diff(keys, prepend=-1) != 0
     cell = np.cumsum(first) - 1
     totals = np.bincount(cell, weights=weights)
     paths = np.asarray(store.record_path, dtype=np.int64)[positions]
     counts = lengths[paths]
-    record = np.repeat(np.arange(len(positions)), counts)
     ends = np.cumsum(counts)
     asn_ids = ids[
         np.repeat(offsets[paths] - (ends - counts), counts)
         + np.arange(int(ends[-1]))
     ]
-    # number the chunk's ASNs densely, then give each (cell, AS) pair
-    # one bin: a direct bincount when the bins are few, else bins
-    # numbered by np.unique — the same terms in the same order either way
-    present = np.bincount(asn_ids, minlength=len(table)) > 0
-    span = int(np.count_nonzero(present))
-    pair = cell[record] * span + (np.cumsum(present) - 1)[asn_ids]
-    terms = weights[record]
+    # each (cell, AS) pair gets one bin over the store-wide AS codes,
+    # so a code means one ASN in every chunk: a direct bincount when
+    # the bins are few, else bins numbered by np.unique — the same
+    # terms in the same order either way
+    span = len(table)
+    pair = np.repeat(cell * span, counts) + asn_ids
+    terms = np.repeat(weights, counts)
     bins = (int(cell[-1]) + 1) * span
     if bins <= DENSE_BINS_PER_PAIR * len(pair) + DENSE_BINS_FLOOR:
         sums = np.bincount(pair, weights=terms)
@@ -179,29 +191,34 @@ def _betweenness(
     else:
         pairs, pair_of = np.unique(pair, return_inverse=True)
         sums = np.bincount(pair_of, weights=terms)
-    pair_cell, pair_asn = np.divmod(pairs, span)
-    return (
-        keys[first][pair_cell] // width,
-        table[np.flatnonzero(present)[pair_asn]],
-        sums / totals[pair_cell],
-    )
+    pair_cell, pair_code = np.divmod(pairs, span)
+    return keys[first][pair_cell] // width, pair_code, sums / totals[pair_cell]
 
 
 def _trimmed(
     groups: np.ndarray,
-    asns: np.ndarray,
+    codes: np.ndarray,
     values: np.ndarray,
     vp_counts: np.ndarray,
     trim: float,
+    asns: np.ndarray,
 ) -> list[ScoreColumns]:
     """Step 2: per (group, AS), the trimmed mean over the group's
-    ``n`` VPs, a missing cell counting as a 0; one table per group."""
-    order = np.lexsort((values, asns, groups))
+    ``n`` VPs, a missing cell counting as a 0; one table per group.
+    ``codes`` index the sorted distinct ASNs ``asns``.
+
+    The cells are sorted by (group, code, value) in three passes: one
+    unstable sort of the values, then stable sorts by code and by
+    group, each key in the smallest unsigned dtype its range allows."""
+    order = np.argsort(values)
+    for key, bound in ((codes, len(asns)), (groups, len(vp_counts))):
+        key = key.astype(np.min_scalar_type(max(bound - 1, 0)))[order]
+        order = order[np.argsort(key, kind="stable")]
     groups = groups[order]
-    asns = asns[order]
+    codes = codes[order]
     values = values[order]
     row_start = np.flatnonzero(
-        (np.diff(groups, prepend=-1) != 0) | (np.diff(asns, prepend=-1) != 0)
+        (np.diff(groups, prepend=-1) != 0) | (np.diff(codes, prepend=-1) != 0)
     )
     row_group = groups[row_start]
     nonzero = np.diff(row_start, append=len(values))
@@ -216,7 +233,7 @@ def _trimmed(
     high = np.maximum(n - k - zeros, 0)
     sums = _window_sums(values, row_start + low, high - low)
     scores = sums / (n - 2 * k)
-    row_asns = asns[row_start].astype(np.int64, copy=False)
+    row_asns = asns[codes[row_start]].astype(np.int64, copy=False)
     bounds = np.searchsorted(row_group, np.arange(len(vp_counts) + 1)).tolist()
     return [
         ScoreColumns(row_asns[lo:hi], scores[lo:hi])

@@ -1,12 +1,17 @@
 """Tests for the repro-rank command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import urllib.request
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import cli
 from repro.cli import build_world, main
 from repro.core.pipeline import Pipeline, PipelineConfig, PipelineResult, run_pipeline
@@ -654,6 +659,24 @@ class TestFlagSanity:
     def test_exit_2_with_message(self, capsys, argv, message):
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    """A reader that closes stdout before ``repro-rank`` writes (``...
+    | head -1``) ends the run quietly with ``EXIT_PIPE``."""
+
+    @pytest.mark.parametrize("k", ["1", "5000"], ids=["buffered", "overflowing"])
+    def test_quiet_exit(self, tmp_path, k):
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        with open(tmp_path / "stderr", "wb") as stderr:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "--world", "small",
+                 "rank", "CCG", "-k", k],
+                stdout=subprocess.PIPE, stderr=stderr, env=env, cwd=tmp_path,
+            )
+        proc.stdout.close()  # the child is still building its world
+        assert proc.wait(timeout=120) == cli.EXIT_PIPE == 141
+        assert (tmp_path / "stderr").read_bytes() == b""
 
 
 class TestServeValidation:

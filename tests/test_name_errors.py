@@ -229,6 +229,28 @@ def test_watch_rejects_a_metric_before_its_checkpoint(
     assert path.read_bytes() == banked
 
 
+@pytest.mark.parametrize("snapshots", ["release", "worlds"])
+def test_watch_resume_checks_a_banked_grid(capsys, tmp_path, release, snapshots):
+    """A country added to the grid of a fully banked snapshot is
+    checked without loading it, with the fresh run's one line; the
+    checkpoint is left as it was, and the banked grid still resumes."""
+    streams = {"release": list(release), "worlds": ["small@0", "small@1"]}
+    watch_ = ["watch", *streams[snapshots], "--metrics", "CCG"]
+    checkpoint = ["--checkpoint", str(tmp_path / "w.ck")]
+    assert repro_rank(watch_ + ["--countries", "AU"] + checkpoint) == 0
+    banked = (tmp_path / "w.ck").read_bytes()
+    capsys.readouterr()
+    assert repro_rank(watch_ + ["--countries", "ZZ"]) == 2
+    fresh = capsys.readouterr()
+    assert fresh.out == "" and fresh.err.count("\n") == 1
+    resume = checkpoint + ["--resume"]
+    assert repro_rank(watch_ + ["--countries", "ZZ"] + resume) == 2
+    assert capsys.readouterr() == fresh
+    assert (tmp_path / "w.ck").read_bytes() == banked
+    assert repro_rank(watch_ + ["--countries", "AU"] + resume) == 0
+    assert "rankings: 0 computed, 2 resumed" in capsys.readouterr().out
+
+
 def test_watch_a_country_a_later_release_lacks(capsys, tmp_path):
     """The grid is checked against the first release only: a later
     release that holds no paths to one of its countries still ranks it,
