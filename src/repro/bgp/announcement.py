@@ -15,6 +15,12 @@ builds each distinct path of a window once.
 :meth:`repro.bgp.rib.RibSeries.windows` cuts them straight from its
 VP × prefix grid; :func:`record_windows` cuts them from any record
 stream.
+
+:class:`RecordTables` owns path identity: its ``paths`` hold each value
+at most once, so a path id *is* a value, and its ``intern`` answers the
+id of any value, appending the values it lacks. The Table-1 judge keys
+each accepted row on such an id, and the store builder appends by key
+with no lookup by value (:mod:`repro.perf.pathstore`).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,11 +65,18 @@ class RecordTables:
 
     A window source shares one tables object across all its windows;
     the tables may grow as later windows are cut, never change.
+    ``paths`` holds each path value at most once. ``intern(tokens,
+    lengths)`` takes paths as token columns (``lengths`` tokens each,
+    concatenated) and returns per path the id of the table path with
+    its value, appending to ``paths`` each value the table lacks — so a
+    growing table learns a value before any record carries it, and two
+    ids are equal exactly when their values are.
     """
 
     vps: Sequence[VantagePoint]
     prefixes: Sequence[Prefix]
     paths: PathColumns
+    intern: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,6 +128,38 @@ class RecordWindow:
         )
 
 
+def intern_paths(
+    by_value: dict[tuple[int, ...], int],
+    paths: PathColumns,
+    tokens: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """The ids of the paths ``tokens`` holds (``lengths`` tokens each,
+    concatenated) through ``by_value`` (ASN tuple → id in ``paths``): a
+    value it lacks takes the next id and is appended to both."""
+    ends = np.cumsum(lengths)
+    flat = tokens.tolist()
+    ids: list[int] = []
+    fresh: list[tuple[int, ...]] = []
+    for start, end in zip((ends - lengths).tolist(), ends.tolist()):
+        asns = tuple(flat[start:end])
+        pid = by_value.get(asns)
+        if pid is None:
+            pid = by_value[asns] = len(paths) + len(fresh)
+            fresh.append(asns)
+        ids.append(pid)
+    _append(paths, fresh)
+    return np.asarray(ids, dtype=np.int64)
+
+
+def _append(paths: PathColumns, fresh: list[tuple[int, ...]]) -> None:
+    """Append the ASN tuples ``fresh`` to ``paths``."""
+    paths.extend(
+        np.fromiter(chain.from_iterable(fresh), dtype=np.int64),
+        np.fromiter(map(len, fresh), dtype=np.int64, count=len(fresh)),
+    )
+
+
 def record_windows(
     records: Iterable[RibRecord], size: int = WINDOW
 ) -> Iterator[RecordWindow]:
@@ -122,7 +167,8 @@ def record_windows(
     be shorter), over tables interned from the stream: VPs, prefixes
     and paths by value, each in first-appearance order — the paths as
     the same token columns :meth:`repro.bgp.rib.RibSeries.windows`
-    hands out, appended a window at a time.
+    hands out, appended a window at a time. The tables' ``intern`` is
+    :func:`intern_paths` over the same ASN-tuple dict.
 
     Reads lazily, one window at a time — the adapter that lets every
     columnar consumer of :class:`RecordWindow` take plain records.
@@ -132,11 +178,15 @@ def record_windows(
     vps: list[VantagePoint] = []
     prefixes: list[Prefix] = []
     paths = PathColumns()
-    tables = RecordTables(vps, prefixes, paths)
     vp_ids: dict[VantagePoint, int] = {}
     prefix_ids: dict[Prefix, int] = {}
     #: paths by their ASN tuples (hashed in C, unlike ASPath's own hash)
     path_ids: dict[tuple[int, ...], int] = {}
+
+    tables = RecordTables(
+        vps, prefixes, paths,
+        lambda tokens, lengths: intern_paths(path_ids, paths, tokens, lengths),
+    )
     # streams run VP by VP, so the previous record's VP is the usual hit
     last_vp, last_vid = None, -1
     stream = iter(records)
@@ -171,10 +221,7 @@ def record_windows(
             total_col.append(record.total_days)
         if not vp_col:
             return
-        paths.extend(
-            np.fromiter(chain.from_iterable(fresh), dtype=np.int64),
-            np.fromiter(map(len, fresh), dtype=np.int64, count=len(fresh)),
-        )
+        _append(paths, fresh)
         yield RecordWindow(
             tables, *(np.frombuffer(column, dtype=np.int64) for column in columns)
         )

@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from repro.bgp.policy import Route, RouteClass
-from repro.net.aspath import runs
+from repro.net.aspath import runs, sorted_positions
 from repro.obs.metrics import NULL_HISTOGRAM
 from repro.obs.trace import NULL_TRACER
 from repro.topology.model import ASGraph
@@ -423,9 +423,9 @@ def _sweep(
     if relevant is not None:
         # only relevant customers ever enter the grid
         offsets, lengths, customers = down
-        allowed = np.isin(
-            index[customers], np.asarray(sorted(relevant), dtype=np.int64)
-        )
+        allowed = sorted_positions(
+            np.asarray(sorted(relevant), dtype=np.int64), index[customers]
+        ) >= 0
         kept = np.concatenate(([0], np.cumsum(allowed)))
         down = (
             kept[offsets], kept[offsets + lengths] - kept[offsets],
@@ -464,7 +464,7 @@ def _kept_routes(
     columns = None
     if keep is not None:
         columns = np.flatnonzero(
-            np.isin(index, np.asarray(sorted(keep), dtype=np.int64))
+            sorted_positions(np.asarray(sorted(keep), dtype=np.int64), index) >= 0
         )
         length = length[:, columns]
     rows, at = np.nonzero(length)

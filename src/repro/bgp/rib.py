@@ -27,6 +27,16 @@ space (:func:`~repro.bgp.anomalies.plant_anomalies`): their RNG seeds
 are gathered from a CRC grid, their planted paths are spliced from the
 clean tokens, and no path object is built for them.
 
+The windows' path table holds each value once (the
+:class:`~repro.bgp.announcement.RecordTables` contract): the clean
+paths, one per (VP AS, origin), then each planted value no clean path
+holds, found equal to another by one stable sort of the padded
+planted tokens (on ``default``@42, 10,187 planted paths hold 10,167
+values); ``_override_paths`` gives each override cell its path id. The
+tables' ``intern`` finds a clean value through the route matrix (a
+value's one candidate is its first AS's route to its last) and any
+other in a dict built on the first lookup that needs it.
+
 Announcements are never materialised en masse: iterate
 :meth:`RibSeries.windows` for the deduplicated per-(VP, prefix) view as
 columnar :class:`~repro.bgp.announcement.RecordWindow` blocks (what the
@@ -44,10 +54,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.bgp.anomalies import AnomalyConfig, InjectionSummary, plant_anomalies
-from repro.bgp.announcement import WINDOW, RecordTables, RecordWindow, RibRecord
+from repro.bgp.announcement import (
+    WINDOW, RecordTables, RecordWindow, RibRecord, intern_paths,
+)
 from repro.bgp.collectors import VantagePoint
 from repro.bgp.propagation import RoutingOutcome
-from repro.net.aspath import ASPath, PathColumns, runs
+from repro.net.aspath import ASPath, PathColumns, runs, sorted_positions
 from repro.net.prefix import Prefix
 from repro.obs.trace import NULL_TRACER
 from repro.topology.world import World
@@ -226,15 +238,21 @@ class RibSeries:
                 self._override_keys, planted, self.injection_summary = (
                     self._inject(paths, rolled, rolls, ids)
                 )
-                # the planted paths follow the clean paths in the
-                # windows' path table, in cell-key order; the table is
-                # built once at its final size, with no growth slack
+                #: per override cell (in key order), its path's id
+                self._override_paths, fresh = self._planted_ids(paths, planted)
+                # the planted values no clean path holds follow the
+                # clean paths, each once; the table is built once at
+                # its final size, with no growth slack
                 paths = PathColumns(
-                    np.concatenate((paths.tokens, planted.tokens)),
-                    np.concatenate((paths.lengths, planted.lengths)),
+                    np.concatenate((paths.tokens, fresh.tokens)),
+                    np.concatenate((paths.lengths, fresh.lengths)),
                 )
+                #: the values ``_route`` does not point at, by ASN tuple
+                #: (built by the first :meth:`_intern` that needs it)
+                self._by_value: dict[tuple[int, ...], int] | None = None
                 self._tables = RecordTables(
-                    self.vps, [prefix for prefix, _ in self.prefix_table], paths
+                    self.vps, [prefix for prefix, _ in self.prefix_table],
+                    paths, self._intern,
                 )
                 inject.set(
                     input=len(rolled), output=self.injection_summary.total(),
@@ -419,15 +437,78 @@ class RibSeries:
         )
         return rolled[planted], planted_paths, summary
 
+    def _planted_ids(
+        self, clean: PathColumns, planted: PathColumns
+    ) -> tuple[np.ndarray, PathColumns]:
+        """Per planted path (``clean`` is the clean path table), the id
+        its value takes in the windows' table, and the values no clean
+        path holds, each once, in the order of their first planted
+        path: they take the ids after the clean paths. Equal planted
+        paths are found by one stable sort of their padded tokens."""
+        ids = self._clean_ids(clean, planted.tokens, planted.lengths)
+        rest = np.flatnonzero(ids < 0)
+        first = _first_equal(*planted.columns(rest))
+        new = first == np.arange(len(rest))
+        ids[rest] = len(clean) + (np.cumsum(new) - 1)[first]
+        return ids, PathColumns(*planted.columns(rest[new]))
+
+    def _clean_ids(
+        self, table: PathColumns, tokens: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        """Per path (``lengths`` tokens each, concatenated), the id of
+        the clean path of ``table`` with its value, -1 where none: the
+        clean paths are one per (VP AS, origin), so a value's one
+        candidate is the route of its first AS to its last."""
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        row = sorted_positions(self._vp_asns, tokens[starts])
+        code = sorted_positions(self._origins, tokens[ends - 1])
+        ids = np.full(len(lengths), -1, dtype=np.int64)
+        routed = (row >= 0) & (code >= 0)
+        ids[routed] = self._route[row[routed], code[routed]]
+        held = np.flatnonzero(ids >= 0)
+        fits = table.lengths[ids[held]] == lengths[held]
+        ids[held[~fits]] = -1
+        held = held[fits]
+        theirs, sizes = table.columns(ids[held])
+        differs = np.repeat(np.arange(len(held)), sizes)[
+            theirs != runs(tokens, starts, lengths, held)[0]
+        ]
+        ids[held[differs]] = -1
+        return ids
+
+    def _intern(self, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The tables' ``intern``: a clean path's value is found through
+        the route matrix, any other through
+        :func:`~repro.bgp.announcement.intern_paths` over a dict of the
+        table paths the matrix does not point at, built on the first
+        such lookup."""
+        paths = self._tables.paths
+        ids = self._clean_ids(paths, tokens, lengths)
+        missed = np.flatnonzero(ids < 0)
+        if len(missed):
+            if self._by_value is None:
+                others = np.ones(len(paths), dtype=bool)
+                others[self._route[self._route >= 0]] = False
+                self._by_value = {
+                    paths[pid].asns: pid for pid in np.flatnonzero(others).tolist()
+                }
+            ids[missed] = intern_paths(self._by_value, paths, *runs(
+                tokens, np.cumsum(lengths) - lengths, lengths, missed
+            ))
+        return ids
+
     def overrides(self) -> dict[tuple[int, int], ASPath]:
         """The planted paths keyed by ``(vp_index, prefix_index)``, in
         cell-key order — built on each call from the override keys and
-        the tail of the path table (the pipeline never calls it)."""
-        paths, clean = self._tables.paths, self._clean_paths
+        their path ids (the pipeline never calls it)."""
+        paths = self._tables.paths
         vp, prefix = np.divmod(self._override_keys, len(self.prefix_table))
         return {
-            cell: paths[clean + at]
-            for at, cell in enumerate(zip(vp.tolist(), prefix.tolist()))
+            cell: paths[pid]
+            for pid, cell in zip(
+                self._override_paths.tolist(), zip(vp.tolist(), prefix.tolist())
+            )
         }
 
     # -- iteration ----------------------------------------------------------
@@ -457,8 +538,8 @@ class RibSeries:
         :class:`~repro.bgp.announcement.RecordWindow` blocks of ``size``
         rows (the last may be shorter), in :meth:`records` order, over
         the series' own tables: its VPs, its prefixes, and its clean
-        paths followed by the override paths. ``family`` keeps only
-        that address family's prefixes.
+        paths followed by the planted values no clean path holds.
+        ``family`` keeps only that address family's prefixes.
 
         Built lazily one VP row at a time: no :class:`RibRecord` is
         created and no whole-series column is ever held.
@@ -466,19 +547,18 @@ class RibSeries:
         if size < 1:
             raise ValueError("window size must be >= 1")
         width = len(self.prefix_table)
-        keys, clean = self._override_keys, self._clean_paths
+        keys, override_paths = self._override_keys, self._override_paths
         wanted = None if family is None else self._prefix_family == family
         days = self.config.days
 
         def rows() -> Iterator[tuple[np.ndarray, ...]]:
             for vp_index, prefixes, ids in self._grid():
-                # every override cell is a carried cell of its VP row;
-                # override ``k`` (in key order) is path ``clean + k``
+                # every override cell is a carried cell of its VP row
                 base = vp_index * width
                 low, high = np.searchsorted(keys, (base, base + width))
                 if high > low:
                     at = np.searchsorted(prefixes, keys[low:high] - base)
-                    ids[at] = clean + np.arange(low, high, dtype=np.int64)
+                    ids[at] = override_paths[low:high]
                 if wanted is not None:
                     keep = wanted[prefixes]
                     prefixes, ids = prefixes[keep], ids[keep]
@@ -507,6 +587,34 @@ class RibSeries:
     def num_records(self) -> int:
         """Deduplicated (VP, prefix) record count."""
         return sum(len(prefixes) for _, prefixes, _ in self._grid())
+
+
+def _first_equal(tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per path (``lengths`` tokens each, concatenated), the index of
+    the first path of equal value: the paths padded to one width, one
+    stable sort of the padded rows, then a comparison of neighbours."""
+    count = len(lengths)
+    if not count:
+        return np.empty(0, dtype=np.int64)
+    starts = np.cumsum(lengths) - lengths
+    padded = np.full((count, int(lengths.max())), -1, dtype=np.int64)
+    padded[
+        np.repeat(np.arange(count), lengths),
+        np.arange(len(tokens)) - np.repeat(starts, lengths),
+    ] = tokens
+    # each row sorts as one run of bytes: equal rows are equal bytes,
+    # and any order of unequal rows serves (one sort, where a lexsort
+    # takes one pass per column)
+    order = np.argsort(
+        padded.view(np.dtype((np.void, padded.shape[1] * 8))).ravel(),
+        kind="stable",
+    )
+    ordered = padded[order]
+    leads = np.ones(count, dtype=bool)
+    leads[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    first = np.empty(count, dtype=np.int64)
+    first[order] = order[leads][np.cumsum(leads) - 1]
+    return first
 
 
 def _blocks(

@@ -211,6 +211,16 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def sorted_positions(ordered: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per value, its index in the ascending, distinct ``ordered``, -1
+    where it is not there — ``np.isin`` and its positions by one binary
+    search, with no sort of either side."""
+    at = np.searchsorted(ordered, values)
+    found = at < len(ordered)
+    found[found] = ordered[at[found]] == values[found]
+    return np.where(found, at, -1)
+
+
 def runs(
     tokens: np.ndarray, offsets: np.ndarray, lengths: np.ndarray, ids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:

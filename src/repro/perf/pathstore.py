@@ -31,9 +31,12 @@ store (:mod:`repro.perf.spill`) persists:
 :class:`ColumnBuilder` is the one place these ids are assigned: it
 interns paths, VPs (by IP) and prefixes in first-appearance order,
 appending to one ``array('q')`` buffer per int64 column — record by
-record, or a window of accepted rows at a time keyed on the judge's
-table ids, interning by value only at an id's first appearance (how
-the sanitizer fills it). A ``PathStore`` adopts a builder's buffers as
+record (by value), or a window of accepted rows at a time keyed on the
+judge's table ids (how the sanitizer fills it). The judge keys each
+path on the table id of its clean value, so ``extend`` appends a new
+key's tokens with no lookup and no hash index; only paths the builder
+holds that no key brought in (a resumed spill's) are matched by value,
+once per new key. A ``PathStore`` adopts a builder's buffers as
 its columns; :class:`repro.perf.spill.SpillWriter` is the same builder
 flushing its buffers to the spill files — so both backends hold the
 same values, and differ only in where the columns live. On both, the
@@ -89,26 +92,29 @@ class ColumnBuilder:
 
     :meth:`add` appends one record's row, interning its path, VP and
     prefix by value. :meth:`extend` appends a block of rows given as
-    ids into one pass's entity tables (a :class:`~repro.core.sanitize.Judge`'s
-    tables): it keys on those ids, which are stable within the pass,
-    and interns by value only at an id's first appearance — so two
-    table paths that clean to the same ASNs still share one store id,
-    and the ids equal :meth:`add`'s row by row. Both append to
-    ``buffers`` — one ``array('q')`` per column, in :data:`COLUMNS`
-    order — and grow the ``vp_table`` / ``prefix_table`` side tables.
+    keys into one pass's entity tables (a
+    :class:`~repro.core.sanitize.Judge`'s tables, whose path keys are
+    equal exactly when the clean values are): a key seen in an earlier
+    block keeps its store id, and a new key's entity is interned — its
+    path's tokens copied, with no lookup by value — so the ids equal
+    :meth:`add`'s row by row. Both append to ``buffers`` — one
+    ``array('q')`` per column, in :data:`COLUMNS` order — and grow the
+    ``vp_table`` / ``prefix_table`` side tables.
 
     The path columns (``tokens``/``offsets``/``lengths``) hold every
-    interned path and are the only path state: the by-value indexes —
-    a dict on ASN tuples for :meth:`add`, sorted 64-bit hashes for
-    :meth:`extend`'s first appearances, each verified against the
-    tokens — catch up from them lazily. ``record_count`` counts every
-    row added, including rows a subclass has already flushed out of the
+    interned path and are the only path state: :meth:`add`'s dict on
+    ASN tuples catches up from them lazily. A path no key brought in —
+    a resumed spill's, or one :meth:`add` interned — may equal a new
+    key's value, so while the builder holds one, :meth:`extend` matches
+    each new key's path by value, once, through that dict; a builder
+    fed by keys alone does no lookup. ``record_count`` counts every row
+    added, including rows a subclass has already flushed out of the
     buffers.
     """
 
     __slots__ = (
         "buffers", "vp_ids", "prefix_ids", "vp_table", "prefix_table",
-        "record_count", "_origin", "_by_value", "_hashes", "_hash_ids",
+        "record_count", "_origin", "_by_value", "_keyed_paths",
         "_table_vp", "_table_prefix", "_table_path",
     )
 
@@ -123,9 +129,8 @@ class ColumnBuilder:
         self._origin = array("q")
         #: ASN tuple → path id, for the paths indexed so far
         self._by_value: dict[tuple[int, ...], int] = {}
-        #: path hashes, ascending, with their path ids
-        self._hashes = np.empty(0, dtype=np.uint64)
-        self._hash_ids = np.empty(0, dtype=np.int64)
+        #: the paths :meth:`extend` appended under a new key
+        self._keyed_paths = 0
         #: table id → store id (-1: not seen yet) for :meth:`extend`
         self._table_vp = np.empty(0, dtype=np.int64)
         self._table_prefix = np.empty(0, dtype=np.int64)
@@ -160,15 +165,16 @@ class ColumnBuilder:
         paths: np.ndarray,
         vp_rows: Callable[[np.ndarray], Iterable[tuple["VantagePoint", str]]],
         prefix_rows: Callable[[np.ndarray], Iterable[tuple["Prefix", str, int]]],
-        clean_paths: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+        path_columns: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Append a block of rows given as ids into one pass's entity
-        tables — ``vps``, ``prefixes`` and ``paths`` hold one int64 id
-        per row. Ids seen in an earlier block keep their store ids;
-        the rest are interned by value in first-appearance order. Given
-        an array of those first-appearing ids, ``vp_rows`` yields their
+        """Append a block of rows given as keys into one pass's entity
+        tables — ``vps``, ``prefixes`` and ``paths`` hold one int64 key
+        per row, and two path keys are equal exactly when their paths
+        are. Keys seen in an earlier block keep their store ids; the
+        rest are interned in first-appearance order. Given an array of
+        those first-appearing keys, ``vp_rows`` yields their
         ``(VantagePoint, country)``, ``prefix_rows`` their ``(Prefix,
-        country, addresses)`` and ``clean_paths`` their clean paths as
+        country, addresses)`` and ``path_columns`` their paths as
         ``(tokens, lengths)`` columns. Equal to :meth:`add` per row."""
         vp_id = self._keyed(
             "_table_vp", vps,
@@ -180,7 +186,7 @@ class ColumnBuilder:
         )
         path_id = self._keyed(
             "_table_path", paths,
-            lambda ids: self._intern_paths(*clean_paths(ids)),
+            lambda ids: self._append_paths(*path_columns(ids)),
         )
         origin = np.frombuffer(self._origin, dtype=np.int64)[path_id]
         record_path, record_vp, record_prefix, record_origin = self.buffers[3:]
@@ -210,13 +216,21 @@ class ColumnBuilder:
 
     # -- paths ---------------------------------------------------------------
 
+    def _index(self) -> dict[tuple[int, ...], int]:
+        """The ASN-tuple dict, caught up with every interned path."""
+        by_value = self._by_value
+        tokens, offsets, lengths = self.buffers[:3]
+        for pid in range(len(by_value), len(lengths)):
+            start = offsets[pid]
+            by_value[tuple(tokens[start:start + lengths[pid]])] = pid
+        return by_value
+
     def _path_id(self, asns: tuple[int, ...]) -> int:
         """The id of one path, interned by value."""
         by_value = self._by_value
         tokens, offsets, lengths = self.buffers[:3]
-        for pid in range(len(by_value), len(lengths)):  # catch up with extend
-            start = offsets[pid]
-            by_value[tuple(tokens[start:start + lengths[pid]])] = pid
+        if len(by_value) < len(lengths):  # catch up with extend
+            self._index()
         pid = by_value.get(asns)
         if pid is None:
             pid = by_value[asns] = len(lengths)
@@ -226,89 +240,35 @@ class ColumnBuilder:
             self._origin.append(asns[-1])
         return pid
 
-    def _intern_paths(self, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The ids of the paths ``tokens``/``lengths`` hold, in order,
-        interned by value: a path equal to an interned one, or to an
-        earlier one of the batch, takes its id; the rest take new ids
-        in order.
-
-        Hashes only narrow the search: a path whose hash no interned
-        path and no other path of the batch has is new, and the few
-        others are settled by comparing tokens.
-        """
-        self._index_hashes()
-        starts = np.cumsum(lengths) - lengths
-        hashes = _path_hashes(tokens, starts, lengths)
-        # sorted needles keep the index searches cache-friendly
-        order = np.argsort(hashes, kind="stable")
-        ordered = hashes[order]
-        low, high = np.empty_like(order), np.empty_like(order)
-        low[order] = np.searchsorted(self._hashes, ordered, "left")
-        high[order] = np.searchsorted(self._hashes, ordered, "right")
-        twin = np.zeros(len(order), dtype=bool)
-        twin[1:] = ordered[1:] == ordered[:-1]
-        twin[:-1] |= twin[1:]
-        shared = np.empty_like(twin)
-        shared[order] = twin
-        ids = np.full(len(lengths), -1, dtype=np.int64)
-        #: batch row → the earlier batch row it equals
-        same: dict[int, int] = {}
-        #: hash → the batch rows with it that are new so far
-        firsts: dict[int, list[int]] = {}
+    def _append_paths(self, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The ids of the distinct new keys' paths ``tokens``/``lengths``
+        hold, in order: each a new path, unless the builder holds a path
+        no key brought in and the value is among those."""
         stored, offsets, sizes = self.buffers[:3]
-        for row in np.flatnonzero((high > low) | shared).tolist():
-            start = int(starts[row])
-            path = array("q", tokens[start:start + int(lengths[row])].tobytes())
-            for pid in self._hash_ids[low[row]:high[row]].tolist():
-                if stored[offsets[pid]:offsets[pid] + sizes[pid]] == path:
-                    ids[row] = pid
-                    break
-            else:
-                rows = firsts.setdefault(int(hashes[row]), [])
-                for earlier in rows:
-                    begin = int(starts[earlier])
-                    if path == array("q", tokens[
-                        begin:begin + int(lengths[earlier])
-                    ].tobytes()):
-                        same[row] = earlier
-                        break
-                else:
-                    rows.append(row)
+        ends = np.cumsum(lengths)
+        if self.path_count > self._keyed_paths:
+            by_value, flat = self._index(), tokens.tolist()
+            ids = np.fromiter(
+                (
+                    by_value.get(tuple(flat[start:end]), -1)
+                    for start, end in zip((ends - lengths).tolist(), ends.tolist())
+                ),
+                dtype=np.int64, count=len(lengths),
+            )
+        else:
+            ids = np.full(len(lengths), -1, dtype=np.int64)
         new = ids < 0
-        new[list(same)] = False
-        ids[new] = len(sizes) + np.arange(int(np.count_nonzero(new)), dtype=np.int64)
-        for row, earlier in same.items():
-            ids[row] = ids[earlier]
-        self._insert_hashes(ordered[new[order]], ids[order][new[order]])
+        count = int(np.count_nonzero(new))
+        ids[new] = len(sizes) + np.arange(count, dtype=np.int64)
+        self._keyed_paths += count
         new_lengths = lengths[new]
-        ends = len(stored) + np.cumsum(new_lengths)
-        offsets.frombytes((ends - new_lengths).tobytes())
+        offsets.frombytes(
+            (len(stored) + np.cumsum(new_lengths) - new_lengths).tobytes()
+        )
         sizes.frombytes(new_lengths.tobytes())
         stored.frombytes(tokens[np.repeat(new, lengths)].tobytes())
-        self._origin.frombytes(tokens[(starts + lengths - 1)[new]].tobytes())
+        self._origin.frombytes(tokens[ends[new] - 1].tobytes())
         return ids
-
-    def _index_hashes(self) -> None:
-        """Bring the hash index up to every interned path."""
-        indexed = len(self._hash_ids)
-        if indexed == self.path_count:
-            return
-        tokens, offsets, lengths = (
-            np.frombuffer(buffer, dtype=np.int64) for buffer in self.buffers[:3]
-        )
-        first = int(offsets[indexed])
-        hashes = _path_hashes(
-            tokens[first:], offsets[indexed:] - first, lengths[indexed:]
-        )
-        del tokens, offsets, lengths  # release the buffers for appends
-        order = np.argsort(hashes, kind="stable")
-        self._insert_hashes(hashes[order], indexed + order)
-
-    def _insert_hashes(self, hashes: np.ndarray, ids: np.ndarray) -> None:
-        """Add paths (``hashes`` ascending) to the hash index."""
-        at = np.searchsorted(self._hashes, hashes, "right")
-        self._hashes = np.insert(self._hashes, at, hashes)
-        self._hash_ids = np.insert(self._hash_ids, at, ids)
 
     # -- VPs and prefixes --------------------------------------------------
 
@@ -325,32 +285,6 @@ class ColumnBuilder:
             fid = self.prefix_ids[prefix] = len(self.prefix_table)
             self.prefix_table.append((prefix, country, addresses))
         return fid
-
-
-#: odd 64-bit multipliers of the path hash
-_STEP, _MIX = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9
-
-
-def _path_hashes(
-    tokens: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> np.ndarray:
-    """A 64-bit hash per path (``lengths`` tokens from each of
-    ``starts``), in wrapping ``uint64`` arithmetic: a polynomial in the
-    tokens, mixed with the length."""
-    if not len(lengths):
-        return np.empty(0, dtype=np.uint64)
-    position = np.arange(len(tokens), dtype=np.int64) - np.repeat(starts, lengths)
-    powers = np.asarray(
-        [pow(_STEP, step, 1 << 64) for step in range(int(lengths.max()))],
-        dtype=np.uint64,
-    )
-    value = np.add.reduceat(
-        (tokens.astype(np.uint64) + np.uint64(1)) * powers[position], starts
-    )
-    value ^= lengths.astype(np.uint64) * np.uint64(_MIX)
-    value ^= value >> np.uint64(31)
-    value *= np.uint64(_MIX)
-    return value ^ (value >> np.uint64(29))
 
 
 def _paths(

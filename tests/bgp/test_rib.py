@@ -114,25 +114,36 @@ class TestSeries:
 
 @pytest.mark.parametrize("tier", ["small", "default"])
 def test_path_table_holds_no_growth_slack(tier):
-    """The windows' path table — clean paths, then the planted override
-    paths — is built at its final size: a pipeline result keeps no
-    spare capacity behind its columns for its whole life."""
+    """The windows' path table — clean paths, then the planted values
+    no clean path holds — holds each value once and is built at its
+    final size: a pipeline result keeps no spare capacity behind its
+    columns for its whole life."""
     result = run_pipeline(build_world(tier, 42), PipelineConfig(seed=42))
     series = result.ribs
     paths = next(series.windows()).tables.paths
-    # the override paths close the table: the windows read path
-    # ``tail + k`` at the k-th planted cell, in cell order
-    tail = len(paths) - series.injection_summary.total()
+    # the override cells read their paths at ``_override_paths``, in
+    # cell order
+    width = len(series.prefix_table)
     vp, prefix, ids = (
         np.concatenate(column)
         for column in zip(*((w.vp, w.prefix, w.path) for w in series.windows()))
     )
-    planted = ids >= tail
-    assert planted.any()
-    assert ids[planted].tolist() == list(range(tail, len(paths)))
-    assert list(zip(vp[planted].tolist(), prefix[planted].tolist())) == list(
+    at = np.searchsorted(vp * width + prefix, series._override_keys)
+    assert len(at)
+    assert ids[at].tolist() == series._override_paths.tolist()
+    assert list(zip(vp[at].tolist(), prefix[at].tolist())) == list(
         series.overrides()
     )
+    assert [paths[pid] for pid in ids[at].tolist()] == list(
+        series.overrides().values()
+    )
+    # each value once: planted duplicates share one id
+    tokens = paths.tokens.tolist()
+    values = {
+        tuple(tokens[start:start + length])
+        for start, length in zip(paths.offsets.tolist(), paths.lengths.tolist())
+    }
+    assert len(values) == len(paths)
     # the columns' capacity (private) equals their used length
     assert len(paths._tokens) == len(paths.tokens)
     assert len(paths._offsets) == len(paths._lengths) == len(paths)

@@ -11,7 +11,9 @@ the oracle says: the same accepted records in the same order, the same
 report counts and rejection samples, and an ``ASPathError`` on the same
 inputs. Neither the window size nor the input order may matter beyond
 what the rules say, and the store filled from the windows must equal
-one built from the accepted records one by one.
+one built from the accepted records one by one — also when paths that
+cleaning changes share their clean value with each other and with an
+unchanged twin that comes windows later.
 """
 
 import pytest
@@ -134,6 +136,61 @@ def record_streams(draw):
     ]
 
 
+#: the ASNs a twin's clean value is drawn from: outside the clique, so
+#: no dirtied copy is poisoned
+PLAIN = sorted(set(CLEAN) - CLIQUE)
+#: located VPs and located prefixes, so most twin records are accepted
+LOCATED_VPS = VPS[:3]
+LOCATED_PREFIXES = [PREFIXES[at] for at in (0, 2, 3, 4)]
+
+
+@st.composite
+def dirtied(draw, value):
+    """``value`` with one or two prepends or route-server hops planted:
+    a path that cleans back to ``value`` unless a hop splits a prepend
+    into a loop."""
+    asns = list(value)
+    for kind in draw(st.lists(
+        st.sampled_from(("prepend", "server")), min_size=1, max_size=2
+    )):
+        at = draw(st.integers(0, len(asns)))
+        if kind == "prepend":
+            asns.insert(at, asns[min(at, len(asns) - 1)])
+        else:
+            asns.insert(at, draw(st.sampled_from(sorted(ROUTE_SERVERS))))
+    return ASPath(tuple(asns))
+
+
+@st.composite
+def twin_streams(draw, twin=st.sampled_from(("before", "after", "never"))):
+    """``(records, size)``: stable records, on located VPs and
+    prefixes, whose paths are one clean value dirtied up to three ways
+    and repeated, shuffled among a few other paths; the value's
+    unchanged twin comes before them, after them or never; the stream
+    is cut into windows of ``size`` rows."""
+    value = tuple(draw(st.lists(
+        st.sampled_from(PLAIN), min_size=1, max_size=5, unique=True
+    )))
+    variants = draw(st.lists(dirtied(value), min_size=1, max_size=3))
+    others = paths().filter(lambda path: not set(path.asns) <= ROUTE_SERVERS)
+    middle = draw(st.lists(st.sampled_from(variants), min_size=2, max_size=6))
+    middle += draw(st.lists(others, max_size=6))
+    middle = draw(st.permutations(middle))
+    placed = draw(twin)
+    stream = (
+        [ASPath(value)] * (placed == "before") + middle
+        + [ASPath(value)] * (placed == "after")
+    )
+    records = [
+        RibRecord(
+            draw(st.sampled_from(LOCATED_VPS)),
+            draw(st.sampled_from(LOCATED_PREFIXES)), path, 5, 5,
+        )
+        for path in stream
+    ]
+    return records, draw(st.integers(1, len(records)))
+
+
 def oracle(records):
     """The seven rules applied record by record: ``(accepted records,
     report)``; raises ``ASPathError`` at the first stable record whose
@@ -194,6 +251,15 @@ def outcome(run):
         return run()
     except ASPathError:
         return ASPathError
+
+
+def same_store(store, expected):
+    """``store`` holds ``expected``'s columns, side tables and paths."""
+    for name in COLUMNS:
+        assert getattr(store, name).tolist() == getattr(expected, name).tolist(), name
+    assert store.paths == expected.paths
+    assert store.vp_table == expected.vp_table
+    assert store.prefix_table == expected.prefix_table
 
 
 def same_report(got, expected):
@@ -276,3 +342,32 @@ def test_route_server_only_path_raises_only_when_reached():
     assert sanitize([unstable], **FILTERS).report.rejected["unstable"] == 4
     with pytest.raises(ASPathError):
         sanitize([unstable, RibRecord(vp, prefix, only_servers, 5, 5)], **FILTERS)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_a_cleaned_value_is_stored_once(size):
+    """Route server 777's hop and a prepend both clean to ``1 2 3``,
+    which the stream carries unchanged only windows later: the store
+    holds it once, as one built from the accepted records does."""
+    records = [
+        RibRecord(VPS[0], PREFIXES[0], ASPath(asns), 5, 5)
+        for asns in (
+            (1, 1, 2, 3), (4, 5), (1, 777, 2, 3), (1, 2, 3), (1, 2, 3),
+            (1, 1, 2, 3),
+        )
+    ]
+    accepted, _ = oracle(records)
+    store = sanitize_windows(record_windows(records, size), **FILTERS).store()
+    same_store(store, PathStore(accepted))
+    assert store.paths == (ASPath.of(1, 2, 3), ASPath.of(4, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(twin_streams(twin=st.just("after")))
+def test_a_cleaned_path_windows_before_its_twin(case):
+    records, size = case
+    accepted, _ = oracle(records)
+    same_store(
+        sanitize_windows(record_windows(records, size), **FILTERS).store(),
+        PathStore(accepted),
+    )

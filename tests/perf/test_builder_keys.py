@@ -1,18 +1,27 @@
-"""``ColumnBuilder.extend`` keys on one pass's table ids and interns by
-value only at an id's first appearance: for any table whose paths may
-clean to the same ASNs (a collapsed prepend and its clean original),
-any windowing, and even when every path hash collides, its columns
-equal :meth:`ColumnBuilder.add`'s record by record."""
+"""``ColumnBuilder.extend`` appends by key, with no lookup by value:
+the Table-1 judge keys each passing path on the table id of its clean
+value, so keys are equal exactly when clean values are. For record
+streams in which several paths clean to one value, whose unchanged twin
+comes before them, after them or never, in any windowing, the store
+filled from the windows must equal :meth:`ColumnBuilder.add`'s, record
+by record."""
+
+import tempfile
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.bgp.announcement import record_windows
 from repro.bgp.collectors import VantagePoint
-from repro.core.sanitize import PathRecord
+from repro.core.sanitize import PathRecord, sanitize_windows
 from repro.net.aspath import ASPath
 from repro.net.prefix import Prefix
-from repro.perf import pathstore
-from repro.perf.pathstore import COLUMNS, ColumnBuilder, PathStore
+from repro.perf.pathstore import ColumnBuilder, PathStore
+from repro.perf.spill import spill_windows
+
+from tests.core.test_sanitize_oracle import FILTERS, oracle, same_store, twin_streams
 
 VPS = [
     (VantagePoint(f"10.0.0.{n}", 64500 + n, "rrc00"), "NL") for n in range(4)
@@ -22,88 +31,41 @@ PREFIXES = [
 ]
 
 
-@st.composite
-def passes(draw):
-    """``(clean, rows, windows)``: per table path its clean ASNs (few
-    distinct values, so table paths share them), the rows as (VP,
-    prefix, table path) ids, and where the rows are cut into windows."""
-    values = draw(st.lists(
-        st.lists(st.integers(1, 9), min_size=1, max_size=5).map(tuple),
-        min_size=1, max_size=6,
-    ))
-    clean = draw(st.lists(st.sampled_from(values), min_size=1, max_size=12))
-    rows = draw(st.lists(
-        st.tuples(
-            st.integers(0, len(VPS) - 1), st.integers(0, len(PREFIXES) - 1),
-            st.integers(0, len(clean) - 1),
-        ),
-        max_size=40,
-    ))
-    cuts = sorted(draw(st.lists(st.integers(0, len(rows)), max_size=4)))
-    return clean, rows, cuts
-
-
-def extended(clean, rows, cuts):
-    builder = ColumnBuilder()
-
-    def clean_paths(ids):
-        chosen = [clean[pid] for pid in ids.tolist()]
-        return (
-            np.asarray([asn for path in chosen for asn in path], dtype=np.int64),
-            np.asarray([len(path) for path in chosen], dtype=np.int64),
-        )
-
-    for start, stop in zip([0] + cuts, cuts + [len(rows)]):
-        block = np.asarray(rows[start:stop], dtype=np.int64).reshape(-1, 3)
-        builder.extend(
-            block[:, 0], block[:, 1], block[:, 2],
-            lambda ids: [VPS[i] for i in ids.tolist()],
-            lambda ids: [PREFIXES[i] for i in ids.tolist()],
-            clean_paths,
-        )
-    return PathStore(builder=builder)
-
-
-def added(clean, rows):
-    return PathStore([
-        PathRecord(
-            VPS[vp][0], VPS[vp][1], PREFIXES[prefix][0], PREFIXES[prefix][1],
-            ASPath(clean[path]), PREFIXES[prefix][2],
-        )
-        for vp, prefix, path in rows
-    ])
-
-
-def assert_same(store, expected):
-    for name in COLUMNS:
-        assert getattr(store, name).tolist() == getattr(expected, name).tolist()
-    assert store.vp_table == expected.vp_table
-    assert store.prefix_table == expected.prefix_table
-    assert store.paths == expected.paths
-
-
 @settings(max_examples=150, deadline=None)
-@given(passes())
+@given(twin_streams())
 def test_extend_equals_add(case):
-    clean, rows, cuts = case
-    assert_same(extended(clean, rows, cuts), added(clean, rows))
+    records, size = case
+    accepted, _ = oracle(records)
+    same_store(
+        sanitize_windows(record_windows(records, size), **FILTERS).store(),
+        PathStore(accepted),
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(passes())
-def test_colliding_hashes_are_settled_by_tokens(case):
-    clean, rows, cuts = case
-    original = pathstore._path_hashes
+@given(twin_streams(), st.data())
+def test_a_resumed_spill_matches_new_keys_by_value(case, data):
+    """A spill torn after a window and resumed holds paths no key of
+    the resumed pass brought in: each new key's value is matched
+    against them, so the store is still ``add``'s."""
+    records, size = case
+    assume(len(records) > size)
+    tear = data.draw(st.integers(size, len(records) - 1))
 
-    def colliding(tokens, starts, lengths):
-        return np.zeros_like(original(tokens, starts, lengths))
+    def torn():
+        for index, record in enumerate(records):
+            if index == tear:
+                raise OSError("torn")
+            yield record
 
-    pathstore._path_hashes = colliding
-    try:
-        store = extended(clean, rows, cuts)
-    finally:
-        pathstore._path_hashes = original
-    assert_same(store, added(clean, rows))
+    accepted, _ = oracle(records)
+    with tempfile.TemporaryDirectory() as directory:
+        with pytest.raises(OSError):
+            spill_windows(record_windows(torn(), size), directory=directory, **FILTERS)
+        resumed = spill_windows(
+            record_windows(iter(records), size), directory=directory, **FILTERS
+        )
+        same_store(resumed.store(), PathStore(accepted))
 
 
 def test_add_after_extend_shares_ids():
@@ -120,3 +82,31 @@ def test_add_after_extend_shares_ids():
     store = PathStore(builder=builder)
     assert store.record_path.tolist() == [0, 0]
     assert store.paths == (ASPath((3, 5)),)
+
+
+def test_extend_after_add_matches_by_value():
+    """A path no key brought in (here one ``add`` interned) is matched
+    by value when a new key carries it; other keys' paths are
+    appended."""
+    values = {0: (7,), 1: (3, 5)}
+
+    def path_columns(ids):
+        chosen = [values[key] for key in ids.tolist()]
+        return (
+            np.asarray([asn for path in chosen for asn in path], dtype=np.int64),
+            np.asarray([len(path) for path in chosen], dtype=np.int64),
+        )
+
+    builder = ColumnBuilder()
+    builder.add(PathRecord(
+        VPS[1][0], VPS[1][1], PREFIXES[1][0], PREFIXES[1][1],
+        ASPath((3, 5)), PREFIXES[1][2],
+    ))
+    builder.extend(
+        np.asarray([0, 0, 0]), np.asarray([0, 0, 0]), np.asarray([1, 0, 1]),
+        lambda ids: [VPS[0]], lambda ids: [PREFIXES[0]], path_columns,
+    )
+    store = PathStore(builder=builder)
+    assert store.record_path.tolist() == [0, 0, 1, 0]
+    assert store.record_origin.tolist() == [5, 5, 7, 5]
+    assert store.paths == (ASPath((3, 5)), ASPath((7,)))
