@@ -11,24 +11,23 @@ paths survive).
 
 :func:`plant_anomalies` plants straight into token columns. Every
 planted path is its clean path with ``copies`` copies of one ASN
-inserted at one position, so a cell's category is an array operation,
-only its draws take a Python loop (one generator, reseeded per cell),
-and all planted runs are spliced from the clean tokens in one pass.
-The per-path reference it is held to — one ``ASPath`` and one
-``random.Random`` per rolled cell — lives with the tests
-(``tests/bgp/anomaly_oracle.py``).
+inserted at one position, so a cell's category is an array operation.
+Its draws are counter-based hashes of its seed (:func:`below`), so
+each category's values take one array pass, and all planted runs are
+spliced from the clean tokens in one pass. The per-path reference it
+is held to — one ``ASPath`` and one scalar twin of the draws per
+rolled cell — lives with the tests (``tests/bgp/anomaly_oracle.py``).
 """
 
 from __future__ import annotations
 
-import _random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.net.aspath import ASPathError, PathColumns
+from repro.net.aspath import ASPathError, PathColumns, sorted_positions
 
 #: a cell's category: how many of the cumulative rate bounds (loop,
 #: poison, unallocated, prepend, route server) its roll reaches;
@@ -94,15 +93,31 @@ class InjectionSummary:
         )
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """A uniform int in ``[0, n)`` taken exactly as
-    ``random.Random._randbelow_with_getrandbits`` takes it, so it
-    consumes the draws ``randrange``, ``randint`` and ``choice`` do."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+#: the counter's step: draw ``j`` of a cell hashes its seed plus
+#: ``j`` times this odd constant (2**32 over the golden ratio)
+STEP = 0x9E3779B9
+MASK = np.uint64(0xFFFFFFFF)
+
+
+def below(seeds: np.ndarray, index, n) -> np.ndarray:
+    """Per cell, its draw ``index`` as an int in ``[0, n)``.
+
+    Draw ``j`` of seed ``s`` is ``h = fmix32((s + j * STEP) mod 2**32)``
+    (MurmurHash3's 32-bit finalizer) and its value below ``n`` is
+    ``(h * n) >> 32``, which is 0 for ``n`` of 0 or 1. Every step
+    wraps in ``uint64`` for all cells at once (``n`` up to ``2**32``);
+    ``index`` and ``n`` are scalars or per-cell arrays."""
+    h = np.asarray(seeds).astype(np.uint64)
+    h += np.asarray(index, dtype=np.uint64) * np.uint64(STEP)
+    h &= MASK
+    h ^= h >> np.uint64(16)
+    h *= np.uint64(0x85EBCA6B)
+    h &= MASK
+    h ^= h >> np.uint64(13)
+    h *= np.uint64(0xC2B2AE35)
+    h &= MASK
+    h ^= h >> np.uint64(16)
+    return ((h * np.asarray(n, dtype=np.uint64)) >> np.uint64(32)).astype(np.int64)
 
 
 def plant_anomalies(
@@ -119,10 +134,10 @@ def plant_anomalies(
     """Plant anomalies into rolled cells, in token space.
 
     Cell ``i`` has the clean path ``paths[ids[i]]``, the uniform roll
-    ``rolls[i]`` and the RNG seed ``seeds[i]``. A cell whose roll falls
-    under the total rate gets at most one anomaly, by the first
-    cumulative bound it falls under, so the filter categories stay
-    disjoint, as in Table 1:
+    ``rolls[i]`` and the 32-bit draw seed ``seeds[i]``. A cell whose
+    roll falls under the total rate gets at most one anomaly, by the
+    first cumulative bound it falls under, so the filter categories
+    stay disjoint, as in Table 1:
 
     * a loop re-inserts an upstream ASN two or more hops later (a path
       shorter than two ASes falls through to poisoning);
@@ -137,9 +152,10 @@ def plant_anomalies(
     * a route server's ASN goes after the VP-side AS (skipped on a
       one-AS path or with no route servers).
 
-    Cell ``i``'s draws are the ones ``random.Random(seeds[i])`` gives,
-    taken in the order the list above names them, from one generator
-    reseeded per cell.
+    Cell ``i``'s values are its successive draws (:func:`below`),
+    taken in the order the list above names them; a cell that draws no
+    filler takes its pair with its first draw. Which cells are planted,
+    and in which category, depends on the rolls alone.
 
     Returns the planted cells (ascending indices into the cells), their
     paths in that order, and the per-category counts.
@@ -155,84 +171,75 @@ def plant_anomalies(
     )))
     kind = np.searchsorted(bounds, rolls, side="right")
     kind[(kind == LOOP) & (sizes < 2)] = POISON
-    servers = sorted(route_servers)
-    kind[(kind == ROUTE_SERVER) & ((sizes < 2) | (not servers))] = SKIP
+    servers = np.asarray(sorted(route_servers), dtype=np.int64)
+    kind[(kind == ROUTE_SERVER) & ((sizes < 2) | (not len(servers)))] = SKIP
 
     # per cell: the ASN inserted, the position it goes before, and how
     # many copies of it
     asn = np.zeros(len(ids), dtype=np.int64)
     spot = np.zeros(len(ids), dtype=np.int64)
     copies = np.ones(len(ids), dtype=np.int64)
-    rng = _random.Random(0)
-    seed, bits = rng.seed, rng.getrandbits
 
-    def cells_of(category: int) -> tuple[np.ndarray, list[int], list[int]]:
+    def cells_of(category: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         cells = np.flatnonzero(kind == category)
-        return cells, seeds[cells].tolist(), sizes[cells].tolist()
+        return cells, seeds[cells], sizes[cells]
 
     cells, cell_seeds, lengths = cells_of(LOOP)
-    victims, spots = [], []
-    for cell_seed, length in zip(cell_seeds, lengths):
-        seed(cell_seed)
-        victim = _below(bits, length - 1)
-        victims.append(victim)
-        spots.append(victim + 2 + _below(bits, length - 1 - victim))
-    asn[cells] = tokens[starts[cells] + np.asarray(victims, dtype=np.int64)]
-    spot[cells] = spots
+    victim = below(cell_seeds, 0, lengths - 1)
+    asn[cells] = tokens[starts[cells] + victim]
+    spot[cells] = victim + 2 + below(cell_seeds, 1, lengths - 1 - victim)
 
     cells, cell_seeds, lengths = cells_of(POISON)
+    members = np.asarray(sorted(clique), dtype=np.int64)
     fillers, first = sorted(set(filler_pool) - clique), 0
     if not fillers and len(cells):
         # the first cell whose path has an ASN outside the clique
-        outside = ~np.isin(paths.columns(ids)[0], sorted(clique))
+        outside = sorted_positions(members, paths.columns(ids)[0]) < 0
         found = np.flatnonzero(np.add.reduceat(outside, np.cumsum(sizes) - sizes))
         first = int(found[0]) if len(found) else len(ids)
         fillers = sorted(
             set(paths.columns(ids[first:first + 1])[0].tolist()) - clique
         )
-    values, spots = [], []
-    for cell, cell_seed, length in zip(cells.tolist(), cell_seeds, lengths):
-        seed(cell_seed)
-        choices = fillers if cell >= first else []
-        filler = choices[_below(bits, len(choices))] if choices else 0
-        head = int(starts[cell])
-        path = tokens[head:head + length].tolist()
-        pairs = [
-            index for index, (left, right) in enumerate(zip(path, path[1:]))
-            if left in clique and right in clique
-        ]
-        if filler in clique or not pairs:
-            kind[cell] = SKIP
-            values.append(0)
-            spots.append(0)
-            continue
-        values.append(filler)
-        spots.append(pairs[_below(bits, len(pairs))] + 1)
-    asn[cells], spot[cells] = values, spots
+    # a cell before ``first`` draws no filler and takes AS 0
+    drawn = (cells >= first) & bool(fillers)
+    filler = np.zeros(len(cells), dtype=np.int64)
+    filler[drawn] = np.asarray(fillers, dtype=np.int64)[
+        below(cell_seeds[drawn], 0, len(fillers))
+    ]
+    # the adjacent clique pairs, by the flat position of their left AS
+    cell_tokens, _ = paths.columns(ids[cells])
+    ends = np.cumsum(lengths)
+    heads = ends - lengths
+    inside = sorted_positions(members, cell_tokens) >= 0
+    pairs = np.zeros(len(cell_tokens), dtype=bool)
+    pairs[:-1] = inside[:-1] & inside[1:]
+    pairs[ends - 1] = False
+    lefts = np.flatnonzero(pairs)
+    lead = np.searchsorted(lefts, heads)
+    count = np.searchsorted(lefts, ends) - lead
+    keep = (count > 0) & (sorted_positions(members, filler) < 0)
+    kind[cells[~keep]] = SKIP
+    # the pair is a cell's second draw, or its first if it drew no filler
+    pick = lead + below(cell_seeds, drawn.astype(np.int64), count)
+    asn[cells[keep]] = filler[keep]
+    spot[cells[keep]] = lefts[pick[keep]] - heads[keep] + 1
 
     cells, cell_seeds, lengths = cells_of(UNALLOCATED)
-    values, spots = [], []
-    for cell_seed, length in zip(cell_seeds, lengths):
-        seed(cell_seed)
-        values.append(unallocated_pool[_below(bits, len(unallocated_pool))])
-        spots.append(1 + _below(bits, length - 1) if length > 1 else 1)
-    asn[cells], spot[cells] = values, spots
+    asn[cells] = np.asarray(unallocated_pool, dtype=np.int64)[
+        below(cell_seeds, 0, len(unallocated_pool))
+    ]
+    # an interior position; a one-AS path takes position 1 (a draw
+    # below 0 is 0)
+    spot[cells] = 1 + below(cell_seeds, 1, lengths - 1)
 
     cells, cell_seeds, lengths = cells_of(PREPEND)
-    repeats, spots = [], []
-    for cell_seed, length in zip(cell_seeds, lengths):
-        seed(cell_seed)
-        spots.append(_below(bits, length))
-        repeats.append(1 + _below(bits, 3))
-    spot[cells], copies[cells] = spots, repeats
+    spot[cells] = below(cell_seeds, 0, lengths)
+    copies[cells] = 1 + below(cell_seeds, 1, 3)
     asn[cells] = tokens[starts[cells] + spot[cells]]
 
     cells, cell_seeds, _ = cells_of(ROUTE_SERVER)
-    values = []
-    for cell_seed in cell_seeds:
-        seed(cell_seed)
-        values.append(servers[_below(bits, len(servers))])
-    asn[cells], spot[cells] = values, 1
+    asn[cells] = servers[below(cell_seeds, 0, len(servers))]
+    spot[cells] = 1
 
     planted = np.flatnonzero(kind < SKIP)
     counts = np.bincount(kind[planted], minlength=SKIP).tolist()

@@ -23,9 +23,10 @@ time as :func:`crc32_grid` matrices — bit-identical to one
 ``zlib.crc32`` per cell — so visibility is one mask per block, and the
 same block pass that reads the rolls counts the carried cells. The
 cells whose roll falls under the anomaly rate are planted in token
-space (:func:`~repro.bgp.anomalies.plant_anomalies`): their RNG seeds
-are gathered from a CRC grid, their planted paths are spliced from the
-clean tokens, and no path object is built for them.
+space (:func:`~repro.bgp.anomalies.plant_anomalies`): their draw seeds
+are gathered from a CRC grid and hashed into their values, their
+planted paths are spliced from the clean tokens, and no path object
+or random generator is built for them.
 
 The windows' path table holds each value once (the
 :class:`~repro.bgp.announcement.RecordTables` contract): the clean
@@ -419,10 +420,12 @@ class RibSeries:
         ids: np.ndarray,
     ) -> tuple[np.ndarray, PathColumns, InjectionSummary]:
         """Plant anomalies into the rolled cells (keys ``rolled``, with
-        their rolls and clean path ids) in token space: each cell's RNG
-        seed is ``crc32(f"{seed}:anom-rng:{vp.ip}|{prefix}")``, gathered
-        from a CRC grid. Returns the planted cells' keys, their paths in
-        that order, and what was planted."""
+        their rolls and clean path ids) in token space: each cell's
+        draw seed is ``crc32(f"{seed}:anom-rng:{vp.ip}|{prefix}")``,
+        gathered from a CRC grid, and its draws are counter-based
+        hashes of that seed (:func:`~repro.bgp.anomalies.below`).
+        Returns the planted cells' keys, their paths in that order, and
+        what was planted."""
         graph = self.world.graph
         clique = graph.clique()
         seeds = crc32_cells(

@@ -2,25 +2,69 @@
 :func:`repro.bgp.anomalies.plant_anomalies`.
 
 Each rolled record gets its clean path as an :class:`ASPath`, its own
-``random.Random``, a ``make_*`` call that inserts the anomaly into a
-list of ASNs and a validated :class:`ASPath` back — the definition the
-token-space planter must equal cell for cell, token for token.
+:class:`Draws` (the scalar twin of the planter's counter-based draws,
+in pure-Python ints), a ``make_*`` call that inserts the anomaly into
+a list of ASNs and a validated :class:`ASPath` back — the definition
+the token-space planter must equal cell for cell, token for token.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.bgp.anomalies import AnomalyConfig, InjectionSummary
 from repro.net.aspath import ASPath
+
+MASK = 0xFFFFFFFF
+
+
+def fmix32(h: int) -> int:
+    """MurmurHash3's 32-bit finalizer."""
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & MASK
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & MASK
+    return h ^ (h >> 16)
+
+
+def draw_below(seed: int, index: int, n: int) -> int:
+    """Draw ``index`` of ``seed`` as an int in ``[0, n)``."""
+    return (fmix32((seed + index * 0x9E3779B9) & MASK) * n) >> 32
+
+
+class Draws:
+    """One cell's draws, taken in turn: the ``randrange``, ``randint``
+    and ``choice`` the ``make_*`` functions call, each spending the
+    cell's next draw."""
+
+    def __init__(self, seed: int) -> None:
+        self.seed = seed
+        self.taken = 0
+
+    def below(self, n: int) -> int:
+        value = draw_below(self.seed, self.taken, n)
+        self.taken += 1
+        return value
+
+    def randrange(self, start: int, stop: int | None = None) -> int:
+        if stop is None:
+            start, stop = 0, start
+        if stop <= start:
+            raise ValueError(f"empty range [{start}, {stop})")
+        return start + self.below(stop - start)
+
+    def randint(self, low: int, high: int) -> int:
+        return self.randrange(low, high + 1)
+
+    def choice(self, options: Sequence[int]) -> int:
+        return options[self.randrange(len(options))]
 
 
 class AnomalyInjectionError(RuntimeError):
     """Raised when an anomaly cannot be planted into a given path."""
 
 
-def make_loop(path: ASPath, rng: random.Random) -> ASPath:
+def make_loop(path: ASPath, draws: Draws) -> ASPath:
     """Insert a nonadjacent duplicate (``A C A`` pattern).
 
     Requires at least two ASes on the path; re-inserts an upstream ASN
@@ -29,14 +73,14 @@ def make_loop(path: ASPath, rng: random.Random) -> ASPath:
     asns = list(path.asns)
     if len(asns) < 2:
         raise AnomalyInjectionError("path too short for a loop")
-    victim_index = rng.randrange(len(asns) - 1)
-    insert_at = rng.randrange(victim_index + 2, len(asns) + 1)
+    victim_index = draws.randrange(len(asns) - 1)
+    insert_at = draws.randrange(victim_index + 2, len(asns) + 1)
     asns.insert(insert_at, asns[victim_index])
     return ASPath(tuple(asns))
 
 
 def make_poisoned(
-    path: ASPath, clique: frozenset[int], rng: random.Random, filler: int
+    path: ASPath, clique: frozenset[int], draws: Draws, filler: int
 ) -> ASPath:
     """Wedge a non-clique AS between two adjacent clique ASes.
 
@@ -54,27 +98,27 @@ def make_poisoned(
     ]
     if not pairs:
         raise AnomalyInjectionError("no adjacent clique pair on path")
-    index = rng.choice(pairs)
+    index = draws.choice(pairs)
     asns.insert(index + 1, filler)
     return ASPath(tuple(asns))
 
 
-def make_unallocated(path: ASPath, unallocated_asn: int, rng: random.Random) -> ASPath:
+def make_unallocated(path: ASPath, unallocated_asn: int, draws: Draws) -> ASPath:
     """Insert an IANA-unassigned ASN at a random interior position."""
     asns = list(path.asns)
-    position = rng.randrange(1, len(asns)) if len(asns) > 1 else 1
+    position = draws.randrange(1, len(asns)) if len(asns) > 1 else 1
     asns.insert(position, unallocated_asn)
     return ASPath(tuple(asns))
 
 
-def make_prepended(path: ASPath, rng: random.Random) -> ASPath:
+def make_prepended(path: ASPath, draws: Draws) -> ASPath:
     """Repeat one AS 2–4 times (traffic-engineering prepending).
 
     The sanitizer collapses this without rejecting the path.
     """
     asns = list(path.asns)
-    index = rng.randrange(len(asns))
-    repeats = rng.randint(1, 3)
+    index = draws.randrange(len(asns))
+    repeats = draws.randint(1, 3)
     for _ in range(repeats):
         asns.insert(index, asns[index])
     return ASPath(tuple(asns))
@@ -99,10 +143,9 @@ def inject_anomalies(
     clique: frozenset[int],
     unallocated_pool: list[int],
     route_servers: frozenset[int],
-    rng: random.Random,
+    roll_for,
+    seed_for,
     filler_pool: list[int] | None = None,
-    roll_for=None,
-    rng_for=None,
 ) -> tuple[dict[tuple[int, int], ASPath], InjectionSummary]:
     """Plant anomalies into a stream of keyed clean paths.
 
@@ -115,9 +158,9 @@ def inject_anomalies(
     ``filler_pool`` provides non-clique ASNs used as poisoning filler;
     when omitted it is built lazily from paths already seen.
 
-    ``roll_for``/``rng_for`` optionally supply a hash-stable uniform
-    draw and a record-keyed RNG per record key, so the injected set
-    does not depend on iteration order (used by the RIB series).
+    ``roll_for`` and ``seed_for`` give a record key its uniform roll
+    and the seed of its :class:`Draws`, so the injected set does not
+    depend on iteration order.
     """
     if not unallocated_pool and config.unallocated_rate > 0:
         raise ValueError("unallocated_rate > 0 requires an unallocated ASN pool")
@@ -130,40 +173,36 @@ def inject_anomalies(
     for key, path in records:
         if not non_clique_fillers:
             non_clique_fillers = sorted(path.unique_asns() - clique)
-        roll = roll_for(key) if roll_for is not None else rng.random()
+        roll = roll_for(key)
         if roll >= total_rate:
-            # the overwhelmingly common case: nothing planted, so the
-            # record-keyed RNG (an expensive Random() construction) is
-            # never needed — rng_for is pure in key, so deferring it
-            # cannot change which draws a planted record sees
             continue
-        local_rng = rng_for(key) if rng_for is not None else rng
+        draws = Draws(seed_for(key))
         try:
             if roll < config.loop_rate and len(path) >= 2:
-                overrides[key] = make_loop(path, local_rng)
+                overrides[key] = make_loop(path, draws)
                 counts["loops"] += 1
             elif roll < config.loop_rate + config.poison_rate:
                 filler = (
-                    local_rng.choice(non_clique_fillers)
+                    draws.choice(non_clique_fillers)
                     if non_clique_fillers else 0
                 )
-                overrides[key] = make_poisoned(path, clique, local_rng, filler)
+                overrides[key] = make_poisoned(path, clique, draws, filler)
                 counts["poisoned"] += 1
             elif roll < (config.loop_rate + config.poison_rate
                          + config.unallocated_rate):
-                unallocated = local_rng.choice(unallocated_pool)
-                overrides[key] = make_unallocated(path, unallocated, local_rng)
+                unallocated = draws.choice(unallocated_pool)
+                overrides[key] = make_unallocated(path, unallocated, draws)
                 counts["unallocated"] += 1
             elif roll < (config.loop_rate + config.poison_rate
                          + config.unallocated_rate + config.prepend_rate):
-                overrides[key] = make_prepended(path, local_rng)
+                overrides[key] = make_prepended(path, draws)
                 counts["prepended"] += 1
             elif (roll < (config.loop_rate + config.poison_rate
                           + config.unallocated_rate + config.prepend_rate
                           + config.route_server_rate)
                   and route_server_list and len(path) >= 2):
                 overrides[key] = make_route_server(
-                    path, local_rng.choice(route_server_list)
+                    path, draws.choice(route_server_list)
                 )
                 counts["route_server"] += 1
         except AnomalyInjectionError:

@@ -16,6 +16,7 @@ from repro.bgp.anomalies import (
     ROUTE_SERVER,
     UNALLOCATED,
     AnomalyConfig,
+    below,
     plant_anomalies,
 )
 from repro.bgp.propagation import propagate_all
@@ -25,6 +26,8 @@ from repro.net.aspath import ASPath, ASPathError, PathColumns
 from repro.topology.catalog import build_world
 from tests.bgp.anomaly_oracle import (
     AnomalyInjectionError,
+    Draws,
+    draw_below,
     inject_anomalies,
     make_loop,
     make_poisoned,
@@ -35,45 +38,51 @@ from tests.bgp.anomaly_oracle import (
 
 
 @pytest.fixture
-def rng():
-    return random.Random(42)
+def draws():
+    return Draws(42)
+
+
+def keyed(rng):
+    """Each record's roll taken from ``rng`` in turn, and its prefix
+    index as the seed of its draws."""
+    return dict(roll_for=lambda key: rng.random(), seed_for=lambda key: key[1])
 
 
 class TestMakers:
-    def test_loop(self, rng):
+    def test_loop(self, draws):
         path = ASPath.of(1, 2, 3, 4)
         assert not path.has_loop()
         for _ in range(20):
-            assert make_loop(path, rng).has_loop()
+            assert make_loop(path, draws).has_loop()
 
-    def test_loop_needs_two_ases(self, rng):
+    def test_loop_needs_two_ases(self, draws):
         with pytest.raises(AnomalyInjectionError):
-            make_loop(ASPath.of(1), rng)
+            make_loop(ASPath.of(1), draws)
 
-    def test_poisoned(self, rng):
+    def test_poisoned(self, draws):
         clique = frozenset({10, 11})
         path = ASPath.of(1, 10, 11, 2)
-        poisoned = make_poisoned(path, clique, rng, filler=99)
+        poisoned = make_poisoned(path, clique, draws, filler=99)
         asns = poisoned.asns
         index = asns.index(99)
         assert asns[index - 1] in clique and asns[index + 1] in clique
 
-    def test_poisoned_needs_clique_pair(self, rng):
+    def test_poisoned_needs_clique_pair(self, draws):
         with pytest.raises(AnomalyInjectionError):
-            make_poisoned(ASPath.of(1, 2, 3), frozenset({10}), rng, filler=99)
+            make_poisoned(ASPath.of(1, 2, 3), frozenset({10}), draws, filler=99)
 
-    def test_poisoned_filler_must_be_outside_clique(self, rng):
+    def test_poisoned_filler_must_be_outside_clique(self, draws):
         clique = frozenset({10, 11})
         with pytest.raises(AnomalyInjectionError):
-            make_poisoned(ASPath.of(10, 11), clique, rng, filler=10)
+            make_poisoned(ASPath.of(10, 11), clique, draws, filler=10)
 
-    def test_unallocated(self, rng):
-        modified = make_unallocated(ASPath.of(1, 2, 3), 500000, rng)
+    def test_unallocated(self, draws):
+        modified = make_unallocated(ASPath.of(1, 2, 3), 500000, draws)
         assert 500000 in modified
 
-    def test_prepended(self, rng):
+    def test_prepended(self, draws):
         path = ASPath.of(1, 2, 3)
-        modified = make_prepended(path, rng)
+        modified = make_prepended(path, draws)
         assert len(modified) > len(path)
         assert modified.collapse_prepending() == path
 
@@ -98,6 +107,10 @@ class TestConfig:
 
 
 class TestInjection:
+    @pytest.fixture
+    def rng(self):
+        return random.Random(42)
+
     def _records(self, count=2000):
         return [((0, i), ASPath.of(1, 10, 11, 2 + (i % 5))) for i in range(count)]
 
@@ -109,7 +122,7 @@ class TestInjection:
         overrides, summary = inject_anomalies(
             self._records(), config, clique=frozenset({10, 11}),
             unallocated_pool=[500000], route_servers=frozenset({777}),
-            rng=rng, filler_pool=[1, 2, 3, 4, 5, 6],
+            filler_pool=[1, 2, 3, 4, 5, 6], **keyed(rng),
         )
         assert summary.loops > 0
         assert summary.poisoned > 0
@@ -121,7 +134,7 @@ class TestInjection:
     def test_zero_config_injects_nothing(self, rng):
         overrides, summary = inject_anomalies(
             self._records(100), AnomalyConfig.none(), frozenset(), [1_000_000],
-            frozenset(), rng,
+            frozenset(), **keyed(rng),
         )
         assert not overrides and summary.total() == 0
 
@@ -129,7 +142,7 @@ class TestInjection:
         with pytest.raises(ValueError):
             inject_anomalies(
                 self._records(10), AnomalyConfig(unallocated_rate=0.5),
-                frozenset(), [], frozenset(), rng,
+                frozenset(), [], frozenset(), **keyed(rng),
             )
 
 
@@ -190,10 +203,9 @@ def reference(case):
     return inject_anomalies(
         [((0, i), ASPath(tuple(path))) for i, path in enumerate(paths)],
         case["config"], case["clique"], case["pool"], case["route_servers"],
-        random.Random(0),
-        filler_pool=case["fillers"],
         roll_for=lambda key: rolls[key[1]],
-        rng_for=lambda key: random.Random(seeds[key[1]]),
+        seed_for=lambda key: seeds[key[1]],
+        filler_pool=case["fillers"],
     )
 
 
@@ -221,6 +233,42 @@ def assert_same_planting(case):
     assert list(table) == list(overrides.values())
     assert counts == summary
     return counts, list(table)
+
+
+class TestDraws:
+    """The planter's vector draws against the oracle's scalar twin."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.integers(1, 16))
+    def test_vector_draw_equals_the_scalar_twin(self, data, count):
+        """Per cell, with ``index`` and ``n`` scalars or per-cell arrays
+        (the poison pair's draw index and the loop's spot bound are)."""
+
+        def cells(low, high):
+            return data.draw(st.lists(
+                st.integers(low, high), min_size=count, max_size=count
+            ))
+
+        seeds, indices, bounds = cells(0, 2**32 - 1), cells(0, 3), cells(1, 2**31)
+        vector = np.asarray(seeds, dtype=np.uint32)
+        drawn = below(vector, np.asarray(indices), np.asarray(bounds))
+        assert drawn.tolist() == [
+            draw_below(*cell) for cell in zip(seeds, indices, bounds)
+        ]
+        assert ((0 <= drawn) & (drawn < np.asarray(bounds))).all()
+        index, n = indices[0], bounds[0]
+        assert below(vector, index, n).tolist() == [
+            draw_below(seed, index, n) for seed in seeds
+        ]
+        assert not below(vector, index, 1).any()
+
+    def test_draws_are_taken_in_turn(self):
+        draws = Draws(12345)
+        taken = [draws.randrange(10), draws.randint(1, 3), draws.choice([7, 8])]
+        assert taken == [
+            draw_below(12345, 0, 10), 1 + draw_below(12345, 1, 3),
+            [7, 8][draw_below(12345, 2, 2)],
+        ]
 
 
 class TestPlanterAgainstReference:
@@ -266,6 +314,19 @@ class TestPlanterAgainstReference:
         assert counts.poisoned == poisoned
         assert table[-1] == ASPath.of(10, 1, 11)
         assert (table[0] == ASPath.of(10, 0, 11)) == (poisoned == 3)
+
+    def test_a_fillerless_cell_takes_its_pair_with_its_first_draw(self):
+        """Cells before the first path with an ASN outside the clique
+        draw no filler, so their pair is their first draw: sixteen
+        seeds over a path with three clique pairs reach all three."""
+        counts, table = assert_same_planting(dict(
+            paths=[[10, 11, 12, 13]] * 16 + [[1, 10, 11]], rolls=[0.0] * 17,
+            seeds=list(range(17)), config=AnomalyConfig(0.0, 1.0, 0.0, 0.0, 0.0),
+            clique=frozenset({10, 11, 12, 13}), pool=[],
+            route_servers=frozenset(), fillers=[],
+        ))
+        assert counts.poisoned == 17
+        assert len({path.asns for path in table[:16]}) == 3
 
     def test_negative_asn_is_rejected(self):
         case = dict(

@@ -3,15 +3,17 @@
 :func:`repro.bgp.rib.crc32_grid` computes a whole draw grid from
 CRC-32's affinity, and :func:`repro.bgp.rib.crc32_cells` gathers cells
 of one; the series reads visibility and anomaly rolls from the first
-and the planted cells' RNG seeds from the second. The reference below
+and the planted cells' draw seeds from the second. The reference below
 is the per-cell definition: a ``_stable_uniform`` per (VP, prefix)
 cell for visibility and the roll, the clean path of every carried cell
-from the routes' façade, and the record-keyed RNG fed to the per-path
-injector (``tests/bgp/anomaly_oracle.py``) — so the missing cells, the
-planted overrides and the injection summary must come out equal.
+from the routes' façade, and the record-keyed draw seed fed to the
+per-path injector (``tests/bgp/anomaly_oracle.py``) — so the missing
+cells, the planted overrides and the injection summary must come out
+equal.
 """
 
-import random
+import _random
+import sys
 import zlib
 
 import numpy as np
@@ -86,13 +88,12 @@ def per_cell(world, outcomes, config, seed):
     overrides, summary = inject_anomalies(
         cells, config.anomalies, clique,
         graph.asn_registry.unallocated_sample(16), graph.route_servers(),
-        random.Random(seed),
-        filler_pool=[asn for asn in graph.asns() if asn not in clique],
         roll_for=rolls.__getitem__,
-        rng_for=lambda key: random.Random(zlib.crc32(
+        seed_for=lambda key: zlib.crc32(
             f"{seed}:anom-rng:{vps[key[0]].ip}|{prefix_table[key[1]][0]}"
             .encode()
-        )),
+        ),
+        filler_pool=[asn for asn in graph.asns() if asn not in clique],
     )
     return missing, overrides, summary
 
@@ -119,3 +120,32 @@ def test_series_draws_equal_per_cell_reference(name, planes):
     assert list(planted) == list(overrides)
     assert series.injection_summary == summary
     assert summary.total() > 0
+
+
+def test_ribs_stage_seeds_no_generator():
+    """The ribs stage (visibility, churn, rolls and planting) calls no
+    method of a Mersenne Twister: every draw is a CRC-32 of its key or
+    a hash of one. The world generator and the geodb keep their own
+    ``random.Random``: the world is built and propagated before the
+    profiled stage, and the geodb is not part of it."""
+    world = build_world("default", 42)
+    config = PipelineConfig(seed=42)
+    outcome = propagate_all(
+        world.graph, keep=world.vp_asns(), tiebreak=config.tiebreak
+    )
+    calls = []
+
+    def watch(frame, event, arg):
+        if event == "c_call" and isinstance(
+            getattr(arg, "__self__", None), _random.Random
+        ):
+            calls.append(arg.__qualname__)
+
+    previous = sys.getprofile()
+    sys.setprofile(watch)
+    try:
+        series = generate_rib_days(world, outcome, config.rib, 42)
+    finally:
+        sys.setprofile(previous)
+    assert series.injection_summary.total() > 0
+    assert calls == []
