@@ -37,7 +37,10 @@ test: lint lint-sarif
 ## exactly at a window boundary and mid-window (TestCrashResume, which
 ## checks each torn run left a checkpoint), and at random points
 ## (test_column_builder.py) -- resumes to byte-identical spill files,
-## and a damaged spill (hand-picked damage, and generated byte flips,
+## a spill directory is reopened or resumed only for the world and
+## config that wrote it (TestSpillKey: another key, or none, is a
+## SpillFormatError, exit status 2 from `repro-rank`), and a damaged
+## spill (hand-picked damage, and generated byte flips,
 ## truncations, retyped fields, Table-1 counts that are not
 ## non-negative ints adding up, and out-of-range column values) fails
 ## with a typed error on open or resume, never with another one later;
@@ -47,6 +50,7 @@ test: lint lint-sarif
 faults:
 	$(PYTHON) -m pytest tests/resilience -q
 	$(PYTHON) -m pytest -q tests/perf/test_spill.py::TestCrashResume \
+		tests/perf/test_spill.py::TestSpillKey \
 		tests/perf/test_spill.py::TestDamagedSpill \
 		tests/perf/test_spill.py::TestDamagedResume \
 		tests/perf/test_column_builder.py \
@@ -90,9 +94,10 @@ examples:
 
 ## Static analysis gate: the repro-lint invariant checker over the
 ## whole source + test tree (rules R001-R008, each file parsed and
-## walked once, findings vs the checked-in lint-baseline.json, runtime
-## guard of 3s so it stays cheap enough to run always and a rule that
-## brings back a second walk per file fails it), then mypy when
+## walked once; a finding is silenced only by an inline
+## `# repro: noqa[R00x]` on its line; runtime guard of 3s so it stays
+## cheap enough to run always and a rule that brings back a second walk
+## per file fails it), then mypy when
 ## available (lenient globally, strict for repro.perf and repro.core --
 ## see [tool.mypy] in pyproject.toml).
 lint:

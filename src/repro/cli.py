@@ -20,9 +20,9 @@ Subcommands mirror the paper's workflow:
   print the Figure-6-style stage report (``--json`` for JSONL trace
   events, ``--prom`` for a Prometheus text exposition); ``--diff OLD
   NEW`` compares two ``--json`` traces span by span instead;
-* ``lint``        — run the repro-lint static analyzer (determinism /
-  purity / metric-correctness rules R001–R008) against the baseline;
-  ``--trace`` appends the obs stage report with the ``lint.*`` metrics;
+* ``lint``        — ``repro-rank lint ARGS`` is ``repro-lint ARGS``: the
+  static analyzer (determinism / purity / metric-correctness rules
+  R001–R008, :mod:`repro.lint.cli`);
 * ``serve``       — load the world once and answer ``/rank`` /
   ``/report`` / ``/case-study`` / ``/healthz`` over HTTP, warm queries
   served from the content-keyed artifact store (also installed as the
@@ -70,14 +70,6 @@ from repro.core.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from repro.core.registry import get_spec, metric_names
 from repro.io.export import release_dataset
 from repro.io.replay import ReplayError, ReplaySession
-from repro.lint import Baseline, LintConfig, run_lint
-from repro.lint.cli import DEFAULT_BASELINE
-from repro.lint.report import (
-    emit_metrics,
-    render_json,
-    render_sarif,
-    render_text,
-)
 from repro.obs.export import (
     stage_report,
     to_jsonl,
@@ -86,6 +78,7 @@ from repro.obs.export import (
     validate_jsonl,
 )
 from repro.obs.trace import Tracer
+from repro.perf.spill import SpillFormatError
 from repro.resilience import ArtifactStore, Checkpoint, CheckpointError, store_key
 from repro.topology.catalog import WORLD_CHOICES, build_world
 from repro.topology.world import World
@@ -271,8 +264,9 @@ def _main(argv: list[str] | None) -> int:
         "--spill-dir", default=None, metavar="DIR",
         help="spill directory for --store mmap (default: a temporary "
              "directory, removed when the run finishes; a named "
-             "directory persists and lets an interrupted ingestion "
-             "resume)",
+             "directory persists, and a later run of the same world, "
+             "seed and config reopens it or resumes an interrupted "
+             "ingestion)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -426,24 +420,20 @@ def _main(argv: list[str] | None) -> int:
 
     add_serve_arguments(serve)
 
-    lint = sub.add_parser(
-        "lint", help="run the repro-lint static analyzer (rules R001-R008)"
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src", "tests"],
-        help="files or directories to lint (default: src tests)",
-    )
-    lint.add_argument("--json", action="store_true", help="JSON report")
-    lint.add_argument(
-        "--sarif", action="store_true",
-        help="SARIF 2.1.0 report (for CI annotation tooling)",
-    )
-    lint.add_argument(
-        "--trace", action="store_true",
-        help="append the obs stage report with the lint.* metrics",
+    # every argument after `lint` is repro-lint's (`repro-rank lint -h`
+    # prints its help)
+    sub.add_parser(
+        "lint", add_help=False,
+        help="run repro-lint (rules R001-R008) with the arguments that follow",
     )
 
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "lint":
+        from repro.lint.cli import main as lint_main
+
+        return lint_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
 
     # -- flag sanity (before any file or pipeline work) ----------------------
     if getattr(args, "k", None) is not None and args.k < 1:
@@ -467,23 +457,12 @@ def _main(argv: list[str] | None) -> int:
         return _run_watch(args)
 
     if args.command == "serve":
+        if args.store != "memory" or args.spill_dir is not None:
+            return _fail(
+                "--store mmap and --spill-dir do not apply to serve "
+                "(it keeps its path store in memory)"
+            )
         return run_serve(args, prog="repro-rank")
-
-    if args.command == "lint":
-        baseline = (
-            Baseline.load(DEFAULT_BASELINE)
-            if Path(DEFAULT_BASELINE).is_file() else None
-        )
-        tracer = Tracer()
-        result = run_lint(args.paths, LintConfig(baseline=baseline), tracer)
-        emit_metrics(result, tracer.metrics)
-        if args.sarif:
-            print(render_sarif(result))
-        else:
-            print(render_json(result) if args.json else render_text(result))
-        if args.trace:
-            print(stage_report(tracer, title="lint stage report"))
-        return 0 if result.ok() else 1
 
     if args.command == "trace" and args.diff is not None:
         return _run_trace_diff(*args.diff)
@@ -539,11 +518,14 @@ def _main(argv: list[str] | None) -> int:
         return 0
 
     if args.command == "trace":
-        _, tracer = run_traced(
-            args.world, args.seed, args.country,
-            capture_memory=args.memory, world=world,
-            store_backend=args.store, spill_dir=args.spill_dir,
-        )
+        try:
+            _, tracer = run_traced(
+                args.world, args.seed, args.country,
+                capture_memory=args.memory, world=world,
+                store_backend=args.store, spill_dir=args.spill_dir,
+            )
+        except SpillFormatError as error:
+            return _fail(str(error))
         if args.json:
             print(to_jsonl(tracer))
         elif args.prom:
@@ -567,7 +549,12 @@ def _main(argv: list[str] | None) -> int:
             )
         except CheckpointError as error:
             return _fail(str(error))
-    result = run_pipeline(world, config)
+    try:
+        result = run_pipeline(world, config)
+    except SpillFormatError as error:
+        if store is not None:
+            store.close()
+        return _fail(str(error))
     if args.command == "rank":
         ranking = result.ranking(args.metric, args.country)
         print(ranking.render(args.k, result.as_name))

@@ -315,15 +315,20 @@ class Pipeline:
                 import tempfile
 
                 from repro.perf.spill import FLUSH_EVERY, spill_windows
+                from repro.resilience.checkpoint import store_key
 
-                spill_dir = config.spill_dir
+                # a named directory may hold an earlier run's spill: it
+                # is reused only under this run's content key
+                spill_dir, key = config.spill_dir, None
                 if spill_dir is None:
                     spill_dir = spill_tmp = tempfile.mkdtemp(
                         prefix="repro-spill-"
                     )
+                else:
+                    key = store_key(world, config)
                 paths = spill_windows(
                     ribs.windows(config.family, FLUSH_EVERY),
-                    directory=spill_dir, tracer=tracer, **filters,
+                    directory=spill_dir, key=key, tracer=tracer, **filters,
                 )
             else:
                 paths = sanitize_windows(

@@ -5,7 +5,7 @@ processes and exact cross-metric caches; those invariants are one unseeded
 ``random.Random()``, one hash-ordered iteration, or one float ``==`` on
 a hegemony score away from silently breaking. This package turns them
 into machine-checked rules (R001–R008, :mod:`repro.lint.visitors`)
-that run as ``repro-lint`` / ``repro-rank lint`` / ``make lint``. Each
+that run as ``repro-lint`` (also ``repro-rank lint``) and ``make lint``. Each
 file is parsed once and walked once (:func:`repro.lint.engine.walk`),
 every rule reading the node types it needs from that one pass. The
 cross-module invariants a per-file rule cannot see — every
@@ -16,10 +16,9 @@ and every registered metric compute is pure — are behavioural tests
 
 Library use::
 
-    from repro.lint import Baseline, LintConfig, run_lint
+    from repro.lint import run_lint
 
-    result = run_lint(["src", "tests"],
-                      LintConfig(baseline=Baseline.load("lint-baseline.json")))
+    result = run_lint(["src", "tests"])
     assert result.ok(), result.findings
 """
 
@@ -39,12 +38,9 @@ from repro.lint.rules import (
     Finding,
     Rule,
 )
-from repro.lint.suppress import Baseline, BaselineEntry
 
 __all__ = [
     "ALL_RULE_IDS",
-    "Baseline",
-    "BaselineEntry",
     "DEFAULT_EXCLUDES",
     "Finding",
     "LintConfig",

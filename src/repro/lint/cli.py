@@ -1,29 +1,28 @@
-"""The ``repro-lint`` command-line interface.
+"""The ``repro-lint`` command-line interface; ``repro-rank lint ARGS``
+runs :func:`main` on ``ARGS``.
 
-Exit codes: ``0`` clean (against the baseline), ``1`` findings or parse
-errors, ``2`` usage errors, ``3`` runtime-guard breach
-(``--max-seconds``). Typical invocations::
+Exit codes: ``0`` clean, ``1`` findings or parse errors, ``2`` usage
+errors, ``3`` runtime-guard breach (``--max-seconds``). Typical
+invocations::
 
-    repro-lint src tests                    # lint, text report
+    repro-lint                              # src and tests, text report
     repro-lint src --format json            # machine-readable
     repro-lint src --format sarif           # SARIF 2.1.0 for CI annotation
     repro-lint src --select R001,R003       # a subset of rules
-    repro-lint src --write-baseline         # grandfather current findings
     repro-lint --list-rules                 # the rule catalog
     repro-lint src tests --max-seconds 5    # CI runtime guard
+    repro-lint --trace                      # + the lint.* stage report
 
-The baseline defaults to ``lint-baseline.json`` in the current
-directory when it exists; ``--baseline`` points elsewhere and
-``--no-baseline`` disables it. The runtime guard reads its elapsed
-time from the run's obs tracer span — the linter itself obeys R002
-(no wall-clock reads outside ``repro.obs``).
+A finding is silenced only by an inline ``# repro: noqa[R00x]`` on its
+line. The runtime guard reads its elapsed time from the run's obs
+tracer span — the linter itself obeys R002 (no wall-clock reads outside
+``repro.obs``).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.lint.engine import DEFAULT_EXCLUDES, LintConfig, run_lint
 from repro.lint.report import (
@@ -35,15 +34,12 @@ from repro.lint.report import (
     render_text,
 )
 from repro.lint.rules import ALL_RULE_IDS
-from repro.lint.suppress import Baseline
+from repro.obs.export import stage_report
 from repro.obs.trace import Tracer
 
-#: exit statuses (0 = clean)
+#: exit statuses (0 = clean; argparse exits 2 on a usage error)
 EXIT_FINDINGS = 1
-EXIT_USAGE = 2
 EXIT_TOO_SLOW = 3
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _parse_rule_list(raw: str) -> frozenset[str]:
@@ -66,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
+        "paths", nargs="*", default=["src", "tests"],
+        help="files or directories to lint (default: src tests)",
     )
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -86,24 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
              f"(default: {', '.join(DEFAULT_EXCLUDES)})",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help=f"baseline file (default: {DEFAULT_BASELINE} if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
         "--max-seconds", type=float, default=None, metavar="S",
         help="fail (exit 3) if the lint run takes longer than S seconds",
     )
     parser.add_argument(
         "--stats", action="store_true",
         help="append the per-rule findings breakdown",
+    )
+    parser.add_argument(
+        "--trace", action="store_true",
+        help="append the obs stage report with the lint.* metrics",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -121,35 +109,14 @@ def main(argv: list[str] | None = None) -> int:
         print(render_rules())
         return 0
 
-    baseline: Baseline | None = None
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    if not args.no_baseline and not args.write_baseline:
-        if Path(baseline_path).is_file():
-            baseline = Baseline.load(baseline_path)
-        elif args.baseline is not None:
-            print(
-                f"repro-lint: error: baseline {args.baseline!r} not found",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-
     config = LintConfig(
         select=args.select,
         ignore=args.ignore,
         exclude=tuple(args.exclude) if args.exclude else DEFAULT_EXCLUDES,
-        baseline=baseline,
     )
     tracer = Tracer()
     result = run_lint(args.paths, config, tracer)
     emit_metrics(result, tracer.metrics)
-
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"wrote {len(result.findings)} finding(s) to {baseline_path} — "
-            "fill in the justification fields"
-        )
-        return 0
 
     if args.format == "json":
         print(render_json(result))
@@ -159,6 +126,8 @@ def main(argv: list[str] | None = None) -> int:
         print(render_text(result))
         if args.stats:
             print(render_stats(result))
+    if args.trace:
+        print(stage_report(tracer, title="lint stage report"))
 
     if args.max_seconds is not None:
         elapsed = tracer.find("lint")[0].dur_s

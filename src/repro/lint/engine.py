@@ -1,14 +1,14 @@
 """The lint engine: file discovery, one walk per file, suppression.
 
-``run_lint`` is the library entry point used by the ``repro-lint`` CLI,
-the ``repro-rank lint`` subcommand, and the self-lint test::
+``run_lint`` is the library entry point used by the ``repro-lint`` CLI
+(which ``repro-rank lint`` runs) and the self-lint test::
 
-    result = run_lint(["src", "tests"], LintConfig(baseline=baseline))
+    result = run_lint(["src", "tests"])
     assert result.ok()
 
 Pipeline per file: parse once, walk the tree once (:func:`walk`) with
-the hooks of every applicable checker, then filter findings through
-inline ``# repro: noqa[...]`` directives and the baseline. Everything
+the hooks of every applicable checker, then drop the findings an
+inline ``# repro: noqa[...]`` directive covers. Everything
 is deterministic: files are visited in sorted path order and findings
 are reported in (path, line, col, rule) order.
 
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.lint.rules import ALL_RULE_IDS, Finding
-from repro.lint.suppress import Baseline, is_suppressed
+from repro.lint.suppress import is_suppressed
 from repro.lint.visitors import ALL_CHECKERS, FileContext
 from repro.obs.trace import NULL_TRACER
 
@@ -54,7 +54,6 @@ class LintConfig:
     select: frozenset[str] | None = None
     ignore: frozenset[str] = frozenset()
     exclude: tuple[str, ...] = DEFAULT_EXCLUDES
-    baseline: Baseline | None = None
 
     def active_rule_ids(self) -> tuple[str, ...]:
         selected = self.select if self.select is not None else set(ALL_RULE_IDS)
@@ -71,20 +70,11 @@ class LintResult:
     findings: list[Finding] = field(default_factory=list)
     files_scanned: int = 0
     suppressed_noqa: int = 0
-    suppressed_baseline: int = 0
     parse_errors: list[tuple[str, str]] = field(default_factory=list)
-    stale_baseline: list = field(default_factory=list)
 
     def ok(self) -> bool:
-        """Whether the run is clean: no findings, no parse failures,
-        and no stale baseline entries (an entry whose finding no longer
-        fires is debt the baseline must shed — the run fails until the
-        entry is removed)."""
-        return (
-            not self.findings
-            and not self.parse_errors
-            and not self.stale_baseline
-        )
+        """Whether the run is clean: no findings, no parse failures."""
+        return not self.findings and not self.parse_errors
 
     def findings_by_rule(self) -> dict[str, int]:
         """Unsuppressed finding count per rule id (all rules, sorted)."""
@@ -99,8 +89,6 @@ class LintResult:
             "findings": len(self.findings),
             "findings_by_rule": self.findings_by_rule(),
             "suppressed_noqa": self.suppressed_noqa,
-            "suppressed_baseline": self.suppressed_baseline,
-            "stale_baseline": len(self.stale_baseline),
             "parse_errors": len(self.parse_errors),
         }
 
@@ -200,8 +188,8 @@ def lint_source(
     """Lint one source string (raises ``SyntaxError`` on parse failure).
 
     Findings are rule-filtered (``select`` / ``ignore``) but raw
-    otherwise — ``# repro: noqa`` directives and the baseline apply at
-    :func:`run_lint` level.
+    otherwise — ``# repro: noqa`` directives apply at :func:`run_lint`
+    level.
     """
     if config is None:
         config = LintConfig()
@@ -268,18 +256,12 @@ def run_lint(
                 # ``code`` is the flagged line, any noqa comment included
                 if is_suppressed(finding, finding.code):
                     result.suppressed_noqa += 1
-                elif config.baseline is not None and (
-                    config.baseline.suppresses(finding)
-                ):
-                    result.suppressed_baseline += 1
                 else:
                     result.findings.append(finding)
-        if config.baseline is not None:
-            result.stale_baseline = config.baseline.stale_entries()
         result.findings.sort(key=Finding.sort_key)
         span.set(
             files=result.files_scanned,
             findings=len(result.findings),
-            suppressed=result.suppressed_noqa + result.suppressed_baseline,
+            suppressed=result.suppressed_noqa,
         )
     return result

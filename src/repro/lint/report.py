@@ -6,7 +6,7 @@ reporter (``--format sarif`` / ``make lint-sarif``) emits the OASIS
 SARIF 2.1.0 shape consumed by standard CI annotation tooling (GitHub
 code scanning, VS Code SARIF viewers); and ``emit_metrics`` pushes the
 run's stats into a :class:`repro.obs.metrics.MetricsRegistry` under the
-``lint.*`` namespace so a traced run (``repro-rank lint --trace``)
+``lint.*`` namespace so a traced run (``repro-lint --trace``)
 reports them alongside the pipeline's own instruments:
 
 ==========================  =======  ==================================
@@ -16,8 +16,6 @@ lint.files                  counter  files scanned
 lint.findings               counter  unsuppressed findings
 lint.findings.r001 … r012   counter  unsuppressed findings per rule
 lint.suppressed.noqa        counter  findings silenced by inline noqa
-lint.suppressed.baseline    counter  findings grandfathered by baseline
-lint.baseline.stale         gauge    baseline entries matching nothing
 ==========================  =======  ==================================
 """
 
@@ -45,18 +43,9 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
             lines.append(f"    {finding.code}")
     for path, error in result.parse_errors:
         lines.append(f"{path}: parse error: {error}")
-    for entry in result.stale_baseline:
-        lines.append(
-            f"error: stale baseline entry {entry.rule} for {entry.path} "
-            f"({entry.code!r}) — the finding no longer fires; remove the "
-            "entry (stale entries fail the run)"
-        )
-    suppressed = result.suppressed_noqa + result.suppressed_baseline
     lines.append(
         f"{len(result.findings)} finding(s) in {result.files_scanned} "
-        f"file(s); {suppressed} suppressed "
-        f"({result.suppressed_noqa} noqa, "
-        f"{result.suppressed_baseline} baseline)"
+        f"file(s); {result.suppressed_noqa} suppressed by noqa"
     )
     return "\n".join(lines)
 
@@ -78,9 +67,6 @@ def render_json(result: LintResult) -> str:
             {"path": path, "error": error}
             for path, error in result.parse_errors
         ],
-        "stale_baseline": [
-            entry.as_dict() for entry in result.stale_baseline
-        ],
         "stats": result.stats(),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -92,9 +78,9 @@ def render_sarif(result: LintResult) -> str:
     Every catalog rule appears in the driver's ``rules`` array (so
     viewers can show the invariant text even for clean runs) and each
     finding references its rule by ``ruleId`` + ``ruleIndex``. Parse
-    errors and stale baseline entries — conditions of the *run* rather
-    than of a source region — surface as tool execution notifications
-    on the invocation, which also carries ``executionSuccessful``.
+    errors — conditions of the *run* rather than of a source region —
+    surface as tool execution notifications on the invocation, which
+    also carries ``executionSuccessful``.
     """
     rule_ids = list(RULES)
     rules = [
@@ -134,17 +120,6 @@ def render_sarif(result: LintResult) -> str:
             "message": {"text": f"parse error in {path}: {error}"},
         }
         for path, error in result.parse_errors
-    ] + [
-        {
-            "level": "error",
-            "message": {
-                "text": (
-                    f"stale baseline entry {entry.rule} for {entry.path} "
-                    f"({entry.code!r}) — remove it"
-                )
-            },
-        }
-        for entry in result.stale_baseline
     ]
     log = {
         "$schema": SARIF_SCHEMA_URI,
@@ -187,7 +162,3 @@ def emit_metrics(result: LintResult, metrics) -> None:
     for rule_id, count in result.findings_by_rule().items():
         metrics.counter(f"lint.findings.{rule_id.lower()}").inc(count)
     metrics.counter("lint.suppressed.noqa").inc(result.suppressed_noqa)
-    metrics.counter("lint.suppressed.baseline").inc(
-        result.suppressed_baseline
-    )
-    metrics.gauge("lint.baseline.stale").set(len(result.stale_baseline))

@@ -111,7 +111,7 @@ class Finding:
     col: int
     rule_id: str
     message: str
-    #: the stripped source line, used for baseline matching
+    #: the stripped source line, where a noqa directive is read
     code: str
 
     def sort_key(self) -> tuple[str, int, int, str]:

@@ -1,30 +1,18 @@
-"""Suppression: inline ``# repro: noqa[...]`` and the checked-in baseline.
+"""Suppression: the inline ``# repro: noqa[...]`` directive.
 
-Two escape hatches, with different intended lifetimes:
+A directive on the flagged line silences it at the source::
 
-* An **inline directive** on the flagged line silences it at the
-  source::
+    if total == 0.0:  # repro: noqa[R004]
 
-      if total == 0.0:  # repro: noqa[R004]
-
-  ``# repro: noqa`` with no bracket silences every rule on that line;
-  ``# repro: noqa[R004,R006]`` silences just those. Use it when the
-  exception is obvious in context.
-
-* The **baseline** (``lint-baseline.json``) grandfathers findings
-  without touching the source. Entries match on *(rule, path suffix,
-  stripped source line)* — never on line numbers, so unrelated edits
-  don't invalidate them — and each carries a one-line justification.
-  Entries that no longer match anything are reported as *stale* so the
-  file shrinks as code is fixed.
+``# repro: noqa`` with no bracket silences every rule on that line;
+``# repro: noqa[R004,R006]`` silences just those. It is the one way to
+silence a finding, so every exception sits next to the code it
+excuses, with its reason.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
-from pathlib import Path
 
 from repro.lint.rules import Finding
 
@@ -58,93 +46,3 @@ def is_suppressed(finding: Finding, source_line: str) -> bool:
     if rules is None:
         return False
     return rules is ALL_RULES or "*" in rules or finding.rule_id in rules
-
-
-@dataclass(frozen=True, slots=True)
-class BaselineEntry:
-    """One grandfathered finding."""
-
-    rule: str
-    path: str
-    code: str
-    justification: str
-
-    def matches(self, finding: Finding) -> bool:
-        if self.rule != finding.rule_id or self.code != finding.code:
-            return False
-        found = Path(finding.path).as_posix()
-        want = Path(self.path).as_posix()
-        return found == want or found.endswith("/" + want)
-
-    def as_dict(self) -> dict[str, str]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "code": self.code,
-            "justification": self.justification,
-        }
-
-
-class Baseline:
-    """The set of grandfathered findings, with staleness tracking.
-
-    One entry suppresses *every* occurrence of its (rule, path, code)
-    triple — duplicated identical lines in one file share an entry.
-    """
-
-    def __init__(self, entries: tuple[BaselineEntry, ...] = ()) -> None:
-        self.entries = entries
-        self._used: set[BaselineEntry] = set()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        raw = json.loads(Path(path).read_text())
-        entries = tuple(
-            BaselineEntry(
-                rule=entry["rule"],
-                path=entry["path"],
-                code=entry["code"],
-                justification=entry.get("justification", ""),
-            )
-            for entry in raw.get("entries", ())
-        )
-        return cls(entries)
-
-    @classmethod
-    def from_findings(
-        cls, findings: list[Finding], justification: str = "TODO: justify"
-    ) -> "Baseline":
-        """A fresh baseline grandfathering the given findings."""
-        seen: dict[tuple[str, str, str], BaselineEntry] = {}
-        for finding in sorted(findings, key=Finding.sort_key):
-            key = (finding.rule_id, finding.path, finding.code)
-            if key not in seen:
-                seen[key] = BaselineEntry(
-                    rule=finding.rule_id,
-                    path=Path(finding.path).as_posix(),
-                    code=finding.code,
-                    justification=justification,
-                )
-        return cls(tuple(seen.values()))
-
-    def suppresses(self, finding: Finding) -> bool:
-        """Whether an entry grandfathers the finding (marks it used)."""
-        for entry in self.entries:
-            if entry.matches(finding):
-                self._used.add(entry)
-                return True
-        return False
-
-    def stale_entries(self) -> list[BaselineEntry]:
-        """Entries that matched nothing in the run just completed."""
-        return [entry for entry in self.entries if entry not in self._used]
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "version": 1,
-            "entries": [entry.as_dict() for entry in self.entries],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -8,9 +8,8 @@ active checker's ``enter_`` hooks for a node before its children and
 the ``leave_`` hooks after them, so one pass over the file serves every
 rule. Checkers are deliberately heuristic — they resolve names
 syntactically, not through type inference — and every checker
-documents the shape it recognises. The escape hatches
-(``# repro: noqa[...]`` and the baseline) absorb the residual false
-positives; the fixture corpus under ``tests/lint/fixtures/`` pins down
+documents the shape it recognises. The inline escape hatch
+(``# repro: noqa[...]``) absorbs the residual false positives; the fixture corpus under ``tests/lint/fixtures/`` pins down
 exactly what fires and what stays quiet.
 
 Checkers share one :class:`FileContext` per file: path, dotted module

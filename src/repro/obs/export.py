@@ -14,7 +14,7 @@ Three consumers, three formats:
 * :func:`stage_report` — the human-readable pipeline stage report:
   span tree with wall/CPU time, input/output volumes and drop ratios,
   followed by the Table-1 drop accounting, the geolocation accounting,
-  and (for ``repro-rank lint --trace`` / ``watch --trace`` runs) the
+  and (for ``repro-lint --trace`` / ``watch --trace`` runs) the
   ``lint.*`` / ``monitor.*`` run stats, all rendered from the metric
   counters (so they are, by construction, the instrumented truth).
 

@@ -40,7 +40,11 @@ builder's interning state from them, restores the report counts
 already-consumed input records — the input stream is
 seed-deterministic and replayable — and continues; the sealed result is
 byte-identical to an uninterrupted ingestion. ``manifest.json`` marks a
-sealed, complete spill. A damaged directory — a missing or short column
+sealed, complete spill. Both files carry the writer's key — the
+pipeline passes its run's :func:`repro.resilience.checkpoint.store_key`
+— and a keyed writer reopens or resumes only a directory stamped with
+its own key, so a directory is never reused for another world, seed or
+config. A damaged directory — a missing or short column
 file, an unreadable manifest, checkpoint or side table, side tables
 whose row counts disagree with them, path columns that are not whole
 non-empty paths back to back, a prefix row whose address count is not a
@@ -135,6 +139,18 @@ def _read_counts(path: Path, keys: tuple[str, ...], **header: object) -> dict:
         if type(payload.get(key)) is not int or payload[key] < 0:
             raise SpillFormatError(f"{path}: no {key!r} count")
     return payload
+
+
+def _check_key(path: Path, payload: dict, key: str | None) -> None:
+    """The manifest or checkpoint at ``path`` must carry ``key`` (when
+    it is not ``None``): a spill is reopened or resumed only for the
+    input that wrote it."""
+    if key is not None and payload.get("key") != key:
+        raise SpillFormatError(
+            f"{path}: written under key {payload.get('key')!r}, not this "
+            f"run's key {key!r}; a spill directory is reused only for the "
+            "world and config that wrote it"
+        )
 
 
 def _read_manifest(base: Path) -> dict:
@@ -294,15 +310,21 @@ class SpillWriter(ColumnBuilder):
     records) — and :meth:`seal` when the input is exhausted.
     :meth:`prepare` turns a torn directory back into the state of its
     last checkpoint and reports how many *input* records the caller
-    must skip.
+    must skip. Its ``key`` is stamped into the checkpoint and the
+    manifest; a writer with a key refuses a directory stamped with
+    another (or with none) by raising :class:`SpillFormatError`.
     """
 
     def __init__(
-        self, directory: str | Path, flush_every: int = FLUSH_EVERY
+        self,
+        directory: str | Path,
+        flush_every: int = FLUSH_EVERY,
+        key: str | None = None,
     ) -> None:
         if flush_every < 1:
             raise ValueError("flush_every must be >= 1")
         super().__init__()
+        self.key = key
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.flush_every = flush_every
@@ -315,8 +337,15 @@ class SpillWriter(ColumnBuilder):
     # -- lifecycle ---------------------------------------------------------
 
     def sealed(self) -> bool:
-        """Whether the directory already holds a complete spill."""
-        return (self.directory / "manifest.json").exists()
+        """Whether the directory already holds a complete spill (of
+        this writer's key: one sealed under another raises)."""
+        if not (self.directory / "manifest.json").exists():
+            return False
+        _check_key(
+            self.directory / "manifest.json",
+            _read_manifest(self.directory), self.key,
+        )
+        return True
 
     def prepare(self, report: FilterReport) -> int:
         """Make the directory consistent and load the builder's state.
@@ -337,6 +366,7 @@ class SpillWriter(ColumnBuilder):
                 (self.directory / stem).write_bytes(b"")
             return 0
         progress = _read_counts(checkpoint, ("consumed",) + _COUNTS)
+        _check_key(checkpoint, progress, self.key)
         _restore_report(report, progress, checkpoint)
         for name in COLUMNS:
             column = _column_path(self.directory, name)
@@ -390,7 +420,7 @@ class SpillWriter(ColumnBuilder):
         """Flush every buffer, then atomically persist progress."""
         self._flush()
         self._write_atomic("progress.json", {
-            "consumed": consumed, **self._counts(),
+            "consumed": consumed, "key": self.key, **self._counts(),
             "report": _report_payload(report),
         })
 
@@ -399,7 +429,8 @@ class SpillWriter(ColumnBuilder):
         self.checkpoint(consumed, report)
         self._write_atomic("manifest.json", {
             "format": FORMAT_NAME, "version": FORMAT_VERSION,
-            **self._counts(), "report": _report_payload(report),
+            "key": self.key, **self._counts(),
+            "report": _report_payload(report),
         })
 
     def _counts(self) -> dict[str, int]:
@@ -496,6 +527,7 @@ def spill_windows(
     vp_geo: "VPGeolocator",
     prefix_geo: "PrefixGeolocation",
     directory: str | Path,
+    key: str | None,
     tracer: AnyTracer = NULL_TRACER,
 ) -> PathSet:
     """The Table-1 pass over record windows, spilled instead of held.
@@ -509,11 +541,15 @@ def spill_windows(
     A torn previous ingestion continues from its last checkpoint — the
     caller must pass the same deterministic window stream; its first
     ``consumed`` rows are skipped — and a sealed directory is reopened
-    without reading the windows at all.
+    without reading the windows at all. ``key`` names that stream (the
+    pipeline's :func:`~repro.resilience.checkpoint.store_key`): a
+    directory stamped with another key, or with none, raises
+    :class:`SpillFormatError` naming both. ``None`` is for a directory
+    the caller just created.
     """
 
     def spill(judge: Judge) -> PathSet:
-        writer = SpillWriter(directory)
+        writer = SpillWriter(directory, key=key)
         if writer.sealed():
             return open_spill(directory)
         report = judge.report

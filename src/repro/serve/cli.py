@@ -56,8 +56,10 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         "--port", type=int, default=DEFAULT_PORT,
         help=f"bind port; 0 picks an ephemeral one (default: {DEFAULT_PORT})",
     )
+    # dest "bank": repro-rank's global --store (the path-store backend)
+    # owns args.store
     parser.add_argument(
-        "--store", default=None, metavar="PATH",
+        "--store", dest="bank", default=None, metavar="PATH",
         help="persist computed rankings to PATH (checkpoint format); a "
              "restart under the same world/config serves them warm",
     )
@@ -99,7 +101,7 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
         return _fail(
             f"--max-requests must be >= 1 (got {args.max_requests})", prog
         )
-    if args.no_resume and args.store is None:
+    if args.no_resume and args.bank is None:
         return _fail("--no-resume requires --store", prog)
     try:
         metrics = None if args.precompute in (None, "all") else split_names(
@@ -122,7 +124,7 @@ def run_serve(args: argparse.Namespace, prog: str = "repro-serve") -> int:
     try:
         store = ArtifactStore(
             store_key(world, config),
-            path=args.store,
+            path=args.bank,
             tracer=tracer,
             resume=not args.no_resume,
         )

@@ -1,19 +1,9 @@
-"""Engine semantics: module scoping, file discovery, suppression
-(noqa + baseline), staleness, and rule selection."""
+"""Engine semantics: module scoping, file discovery, noqa suppression
+and rule selection."""
 
-import json
 from pathlib import Path
 
-import pytest
-
-from repro.lint import (
-    Baseline,
-    BaselineEntry,
-    LintConfig,
-    lint_source,
-    module_name,
-    run_lint,
-)
+from repro.lint import LintConfig, lint_source, module_name, run_lint
 from repro.lint.suppress import suppressed_rules
 
 REPO = Path(__file__).parents[2]
@@ -84,77 +74,6 @@ class TestNoqa:
         target.write_text("def f(b=[]):  # repro: noqa\n    return b\n")
         result = run_lint([str(target)])
         assert result.ok() and result.suppressed_noqa == 1
-
-
-class TestBaseline:
-    def _finding_file(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("def f(score):\n    return score == 0.5\n")
-        return target
-
-    def test_baseline_suppresses_matching_finding(self, tmp_path):
-        target = self._finding_file(tmp_path)
-        baseline = Baseline((
-            BaselineEntry(
-                rule="R004", path="mod.py",
-                code="return score == 0.5", justification="test",
-            ),
-        ))
-        result = run_lint([str(target)], LintConfig(baseline=baseline))
-        assert result.ok()
-        assert result.suppressed_baseline == 1
-        assert result.stale_baseline == []
-
-    def test_baseline_matches_on_code_not_line(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text(
-            "# a comment that moves the line number\n\n"
-            "def f(score):\n    return score == 0.5\n"
-        )
-        baseline = Baseline((
-            BaselineEntry(
-                rule="R004", path="mod.py",
-                code="return score == 0.5", justification="test",
-            ),
-        ))
-        result = run_lint([str(target)], LintConfig(baseline=baseline))
-        assert result.ok() and result.suppressed_baseline == 1
-
-    def test_stale_entries_are_fatal(self, tmp_path):
-        target = tmp_path / "clean.py"
-        target.write_text("def f():\n    return 1\n")
-        baseline = Baseline((
-            BaselineEntry(
-                rule="R004", path="gone.py", code="x == 0.5",
-                justification="obsolete",
-            ),
-        ))
-        result = run_lint([str(target)], LintConfig(baseline=baseline))
-        assert not result.ok()
-        assert result.findings == []
-        assert len(result.stale_baseline) == 1
-
-    def test_wrong_rule_or_code_does_not_match(self, tmp_path):
-        target = self._finding_file(tmp_path)
-        baseline = Baseline((
-            BaselineEntry(
-                rule="R006", path="mod.py",
-                code="return score == 0.5", justification="wrong rule",
-            ),
-        ))
-        result = run_lint([str(target)], LintConfig(baseline=baseline))
-        assert not result.ok()
-        assert len(result.stale_baseline) == 1
-
-    def test_load_save_roundtrip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        original = Baseline((
-            BaselineEntry("R001", "a.py", "random.Random()", "why"),
-        ))
-        original.save(path)
-        loaded = Baseline.load(path)
-        assert loaded.entries == original.entries
-        assert json.loads(path.read_text())["version"] == 1
 
 
 class TestDiscoveryAndSelection:

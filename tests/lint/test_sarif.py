@@ -1,7 +1,7 @@
 """The SARIF 2.1.0 reporter: schema validity (against a vendored,
 faithful subset of the OASIS sarif-schema-2.1.0 errata01 schema),
-rule-index consistency, and how run-level conditions (parse errors,
-stale baseline entries) surface as invocation notifications.
+rule-index consistency, and how a run-level condition (a parse error)
+surfaces as an invocation notification.
 """
 
 import json
@@ -9,13 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import (
-    ALL_RULE_IDS,
-    Baseline,
-    BaselineEntry,
-    LintConfig,
-    run_lint,
-)
+from repro.lint import ALL_RULE_IDS, run_lint
 from repro.lint.report import SARIF_SCHEMA_URI, SARIF_VERSION, render_sarif
 
 HERE = Path(__file__).parent
@@ -28,8 +22,8 @@ def validate(log: dict) -> None:
     jsonschema.validate(instance=log, schema=SCHEMA)
 
 
-def sarif_for(paths, config=None) -> dict:
-    return json.loads(render_sarif(run_lint([str(p) for p in paths], config)))
+def sarif_for(paths) -> dict:
+    return json.loads(render_sarif(run_lint([str(p) for p in paths])))
 
 
 class TestSchemaValidity:
@@ -112,22 +106,3 @@ class TestRunLevelNotifications:
             for n in invocation["toolExecutionNotifications"]
         ]
         assert any("parse error" in text for text in texts)
-
-    def test_stale_baseline_becomes_notification(self, tmp_path):
-        target = tmp_path / "clean.py"
-        target.write_text("def f():\n    return 1\n")
-        baseline = Baseline((
-            BaselineEntry(
-                rule="R004", path="gone.py", code="x == 0.5",
-                justification="obsolete",
-            ),
-        ))
-        log = sarif_for([target], LintConfig(baseline=baseline))
-        validate(log)
-        invocation = log["runs"][0]["invocations"][0]
-        assert invocation["executionSuccessful"] is False
-        texts = [
-            n["message"]["text"]
-            for n in invocation["toolExecutionNotifications"]
-        ]
-        assert any("stale baseline" in text for text in texts)

@@ -1,9 +1,9 @@
 """The repo must lint clean against its own rules.
 
-``repro-lint src/ tests/`` (against the checked-in baseline) exiting 0
-is an acceptance gate: a PR that introduces an unseeded RNG, a
-wall-clock read, hash-ordered output, or a float ``==`` on a score
-fails here before any behavioral test notices. The runtime guard keeps
+``repro-lint src/ tests/`` exiting 0 is an acceptance gate: a PR that
+introduces an unseeded RNG, a wall-clock read, hash-ordered output, or
+a float ``==`` on a score fails here before any behavioral test
+notices. The runtime guard keeps
 the gate cheap enough to chain into ``make test`` always.
 """
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, LintConfig, run_lint
+from repro.lint import run_lint
 from repro.obs.trace import Tracer
 
 REPO = Path(__file__).parents[2]
@@ -23,13 +23,8 @@ MAX_SECONDS = 3.0
 @pytest.fixture(scope="module")
 def self_lint():
     """One lint run over the tree, shared by every test here."""
-    baseline = Baseline.load(REPO / "lint-baseline.json")
     tracer = Tracer()
-    result = run_lint(
-        [str(REPO / "src"), str(REPO / "tests")],
-        LintConfig(baseline=baseline),
-        tracer,
-    )
+    result = run_lint([str(REPO / "src"), str(REPO / "tests")], tracer=tracer)
     return result, tracer
 
 
@@ -37,18 +32,6 @@ def test_repo_is_lint_clean(self_lint):
     result, _ = self_lint
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.ok(), f"self-lint found violations:\n{rendered}"
-
-
-def test_baseline_has_no_stale_entries_and_justifications(self_lint):
-    result, _ = self_lint
-    assert result.stale_baseline == [], (
-        "baseline entries no longer match any finding — remove them: "
-        f"{result.stale_baseline}"
-    )
-    for entry in Baseline.load(REPO / "lint-baseline.json").entries:
-        assert entry.justification.strip(), (
-            f"baseline entry for {entry.path} lacks a justification"
-        )
 
 
 def test_self_lint_covers_the_whole_tree(self_lint):

@@ -61,9 +61,13 @@ def test_a_resumed_spill_matches_new_keys_by_value(case, data):
     accepted, _ = oracle(records)
     with tempfile.TemporaryDirectory() as directory:
         with pytest.raises(OSError):
-            spill_windows(record_windows(torn(), size), directory=directory, **FILTERS)
+            spill_windows(
+                record_windows(torn(), size), directory=directory,
+                key="twins", **FILTERS,
+            )
         resumed = spill_windows(
-            record_windows(iter(records), size), directory=directory, **FILTERS
+            record_windows(iter(records), size), directory=directory,
+            key="twins", **FILTERS,
         )
         same_store(resumed.store(), PathStore(accepted))
 

@@ -1,8 +1,9 @@
 """The mmap-backed spill store must be invisible: rankings, interned
 suffixes, and index buckets computed over it must be value-identical
 to the in-memory backend, a crash mid-ingestion must resume to a
-byte-identical spill, and a damaged spill must fail with a typed
-error, whether it is opened or resumed."""
+byte-identical spill, a spill must be reused only for the input that
+wrote it, and a damaged spill must fail with a typed error, whether it
+is opened or resumed."""
 
 import json
 import shutil
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from repro import PipelineConfig, run_pipeline
 from repro.bgp.announcement import record_windows
+from repro.cli import main as repro_rank
 from repro.core.registry import get_spec
+from repro.core.sanitize import FilterReport
 from repro.geo.database import GeoDatabase
 from repro.geo.prefix_geo import geolocate_prefixes
 from repro.geo.vp_geo import VPGeolocator
@@ -24,6 +27,7 @@ from repro.perf.spill import (
     FLUSH_EVERY,
     MmapPathStore,
     SpillFormatError,
+    SpillWriter,
     open_spill,
     spill_windows,
 )
@@ -33,6 +37,9 @@ from repro.topology.catalog import build_world
 #: countries the paper's case studies use
 METRICS = ("CCI", "AHN", "AHC", "CTI")
 COUNTRIES = ("US", "NL", "JP", "BR")
+#: the key the tests' spills are written under (the pipeline passes its
+#: run's store_key)
+KEY = "small@0"
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +169,7 @@ class TestCrashResume:
     def _ingest(self, records, kwargs, directory, **extra):
         return spill_windows(
             record_windows(iter(records), self.FLUSH),
-            directory=str(directory), **kwargs, **extra,
+            directory=str(directory), key=KEY, **kwargs, **extra,
         )
 
     def _spill_bytes(self, directory):
@@ -233,6 +240,94 @@ class TestCrashResume:
             MmapPathStore(str(tmp_path))
 
 
+class TestSpillKey:
+    """A spill directory is reopened or resumed only for the input that
+    wrote it: one stamped with another key, or with none, raises a
+    SpillFormatError naming both keys, and ``repro-rank`` turns that,
+    like any damaged ``--spill-dir``, into one line and exit status 2."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return _sanitize_inputs(build_world("small", 0))
+
+    def ingest(self, inputs, directory, key, records=None):
+        every, kwargs = inputs
+        return spill_windows(
+            record_windows(iter(every if records is None else records), 500),
+            directory=str(directory), key=key, **kwargs,
+        )
+
+    def test_sealed_spill_of_another_key_is_refused(self, inputs, tmp_path):
+        first = self.ingest(inputs, tmp_path, "seed-0")
+        with pytest.raises(
+            SpillFormatError, match="manifest.json.*'seed-0'.*'seed-1'"
+        ):
+            self.ingest(inputs, tmp_path, "seed-1")
+        again = self.ingest(inputs, tmp_path, "seed-0")
+        assert list(again.records) == list(first.records)
+
+    def test_torn_spill_of_another_key_is_refused(self, inputs, tmp_path):
+        records, _ = inputs
+
+        def torn_stream():
+            yield from records[: len(records) // 2]
+            raise OSError("injected crash")
+
+        torn = tmp_path / "torn"
+        with pytest.raises(OSError):
+            self.ingest(inputs, torn, "seed-0", torn_stream())
+        with pytest.raises(
+            SpillFormatError, match="progress.json.*'seed-0'.*'seed-1'"
+        ):
+            self.ingest(inputs, torn, "seed-1")
+        resumed = self.ingest(inputs, torn, "seed-0")
+        clean = self.ingest(inputs, tmp_path / "clean", "seed-0")
+        assert resumed.report.total == clean.report.total
+        assert list(resumed.records) == list(clean.records)
+
+    def test_unkeyed_spill_is_refused(self, inputs, tmp_path):
+        """A spill sealed by a writer without a key opens with
+        ``open_spill``, but no keyed ingestion reuses it."""
+        writer = SpillWriter(tmp_path)
+        report = FilterReport()
+        writer.prepare(report)
+        writer.seal(0, report)
+        with pytest.raises(SpillFormatError, match="None.*'seed-0'"):
+            self.ingest(inputs, tmp_path, "seed-0")
+        assert len(open_spill(tmp_path).records) == 0
+
+    def rank(self, spill, seed):
+        return repro_rank([
+            "--world", "small", "--seed", str(seed), "--store", "mmap",
+            "--spill-dir", str(spill), "filter",
+        ])
+
+    def assert_one_line_error(self, capsys, text):
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-rank: error: ") and err.count("\n") == 1
+        assert text in err
+
+    def test_cli_refuses_another_seeds_spill(self, tmp_path, capsys):
+        spill = tmp_path / "spill"
+        assert self.rank(spill, 0) == 0
+        table = capsys.readouterr().out
+        assert self.rank(spill, 1) == 2
+        self.assert_one_line_error(capsys, "manifest.json")
+        assert self.rank(spill, 0) == 0
+        assert capsys.readouterr().out == table
+
+    def test_cli_damaged_spill_exits_2(self, tmp_path, capsys):
+        spill = tmp_path / "spill"
+        assert self.rank(spill, 0) == 0
+        capsys.readouterr()
+        manifest = json.loads((spill / "manifest.json").read_text())
+        del manifest["records"]
+        (spill / "manifest.json").write_text(json.dumps(manifest))
+        assert self.rank(spill, 0) == 2
+        self.assert_one_line_error(capsys, "no 'records' count")
+
+
 #: values a damaged JSON field may hold instead of its own
 RETYPED = st.sampled_from(
     ("", "1.3.0.#1", "x", -1, 1.9, None, True, [], {"x": 1}, 2**64)
@@ -299,7 +394,7 @@ class TestDamagedSpill:
         directory = tmp_path_factory.mktemp("sealed")
         spill_windows(
             record_windows(records, FLUSH_EVERY), directory=str(directory),
-            **kwargs,
+            key=KEY, **kwargs,
         )
         return directory
 
@@ -484,7 +579,7 @@ class TestDamagedResume:
         with pytest.raises(OSError):
             spill_windows(
                 record_windows(torn_stream(), 500), directory=str(directory),
-                **kwargs,
+                key=KEY, **kwargs,
             )
         assert (directory / "progress.json").exists()
         return directory
@@ -499,7 +594,8 @@ class TestDamagedResume:
         records, kwargs = inputs
         with pytest.raises(SpillFormatError, match=damaged):
             spill_windows(
-                record_windows(records, 500), directory=str(spill), **kwargs,
+                record_windows(records, 500), directory=str(spill), key=KEY,
+                **kwargs,
             )
 
     def rewrite_progress(self, spill, change):

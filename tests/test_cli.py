@@ -694,6 +694,12 @@ class TestServeValidation:
          "--countries needs at least one country"),
         (["serve", "--precompute", "AHN", "--countries", "AU,ZZ"],
          "unknown country 'ZZ'"),
+        # the backend flags precede the subcommand; serve's own --store
+        # is its bank path
+        (["--store", "mmap", "serve", "--store", "bank.ck"],
+         "--store mmap and --spill-dir do not apply to serve"),
+        (["--spill-dir", "spill", "serve"],
+         "--store mmap and --spill-dir do not apply to serve"),
     ])
     def test_exit_2_with_message(self, capsys, argv, message):
         assert main(["--world", "small"] + argv) == 2

@@ -1,6 +1,6 @@
-"""The streaming fingerprint must hash exactly the bytes the old
-materialized ``json.dumps`` implementation hashed — artifact-store keys
-derive from it, so any drift silently invalidates every cache."""
+"""The fingerprint must hash exactly the bytes of the reference
+``json.dumps`` below — artifact-store keys derive from it, so any
+drift silently invalidates every cache."""
 
 import hashlib
 import json
@@ -11,8 +11,8 @@ from repro.topology.catalog import build_world
 
 
 def materialized_fingerprint(world):
-    """The pre-streaming implementation, verbatim: one content dict,
-    one ``json.dumps(sort_keys=True)``, one sha256."""
+    """The reference implementation: one content dict, one
+    ``json.dumps(sort_keys=True)``, one sha256."""
     graph = world.graph
     content = {
         "countries": sorted(world.countries.codes()),
@@ -53,16 +53,6 @@ def materialized_fingerprint(world):
 def test_streaming_equals_materialized(kind):
     world = build_world(kind, 0)
     assert world.fingerprint() == materialized_fingerprint(world)
-
-
-def test_streamed_parts_are_the_canonical_json():
-    world = build_world("small", 0)
-    text = "".join(world._fingerprint_parts())
-    # must parse, and re-serializing canonically must be the identity
-    assert json.dumps(
-        json.loads(text), sort_keys=True, separators=(",", ":")
-    ) == text
-    assert list(json.loads(text)) == ["ases", "collectors", "countries", "edges"]
 
 
 def test_pinned_digests():
